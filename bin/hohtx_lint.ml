@@ -106,7 +106,7 @@ let node_modules = [ "Lnode"; "Snode"; "Tnode" ]
    payload code is NOT silently exempt — each entry whitelists exactly the
    engine/metadata words that one module owns: node generation and
    publication state in the structures, the service layer's shard-gate
-   words and statistics counters, the TM's version-lock words, and the
+   words and statistics counters, the TM's tvar value cells, and the
    reclaimers' epoch/hazard bookkeeping. A raw [Atomic] field anywhere
    else must either go through [Tm] or earn its own row here. *)
 let node_meta = [ "gen"; "pstate" ]
@@ -119,8 +119,9 @@ let benign_atomic_fields =
     ("hoh_list.ml", [ "gen" ]); ("hoh_dlist.ml", [ "gen" ]);
     ("hoh_skiplist.ml", [ "gen" ]); ("hoh_hashset.ml", [ "gen" ]);
     ("hoh_bst_ext.ml", [ "gen" ]); ("hoh_bst_int.ml", [ "gen" ]);
-    (* TM engine: tvar version-lock and cell words *)
-    ("tm.ml", [ "lock"; "cell" ]);
+    (* TM engine: tvar value cells (the lock word is field 0 of the tvar
+       record, reached through [lock_word], never as a field) *)
+    ("tm.ml", [ "cell" ]);
     (* reclaimers: epoch announcements and backlog counters *)
     ( "epoch.ml",
       [ "global"; "announce"; "retired_total"; "backlog"; "max_backlog";

@@ -19,7 +19,6 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   let mode =
     Mode.create mode ~pool
       ~deleted:(fun n -> n.Tnode.deleted)
-      ~rc:(fun n -> n.Tnode.rc)
       ~gen:(fun n -> Atomic.get n.Tnode.gen)
       ~hash:Tnode.hash ~equal:Tnode.equal ?rr_config ()
   in

@@ -352,11 +352,14 @@ let htm_mode ~pool =
     hazard_metrics = (fun () -> None);
   }
 
-let create kind ~pool ~deleted ~rc ~gen ~hash ~equal ?rr_config
+let create kind ~pool ~deleted ?rc ~gen ~hash ~equal ?rr_config
     ?(hp_threshold = 64) () =
   match kind with
   | Rr_kind m -> rr_mode m ~pool ~hash ~equal ~rr_config
   | Htm -> htm_mode ~pool
   | Tmhp -> tmhp_mode ~pool ~deleted ~gen ~hp_threshold
-  | Ref -> ref_mode ~pool ~deleted ~rc
+  | Ref -> (
+      match rc with
+      | Some rc -> ref_mode ~pool ~deleted ~rc
+      | None -> invalid_arg "Mode.create: Ref needs ~rc")
   | Ebr -> ebr_mode ~pool ~deleted ~advance_threshold:hp_threshold

@@ -74,7 +74,7 @@ val create :
   kind ->
   pool:'n Mempool.t ->
   deleted:('n -> bool Tm.tvar) ->
-  rc:('n -> Reclaim.Rc.t) ->
+  ?rc:('n -> Reclaim.Rc.t) ->
   gen:('n -> int) ->
   hash:('n -> int) ->
   equal:('n -> 'n -> bool) ->
@@ -82,5 +82,7 @@ val create :
   ?hp_threshold:int ->
   unit ->
   'n t
-(** [hp_threshold] is the TMHP scan threshold (default 64, the paper's best
-    setting). *)
+(** [rc] is the node's reference count, read only by [Ref]; node types
+    whose structures reject [Ref] carry none. [hp_threshold] is the TMHP
+    scan threshold (default 64, the paper's best setting).
+    @raise Invalid_argument for [Ref] without [rc]. *)

@@ -6,7 +6,6 @@ type t = {
   next : t option Tm.tvar array;
   level : int Tm.tvar;
   deleted : bool Tm.tvar;
-  rc : Reclaim.Rc.t;
 }
 
 let max_level = 16
@@ -21,7 +20,6 @@ let make id =
     next = Array.init max_level (fun _ -> Tm.tvar None);
     level = Tm.tvar 0;
     deleted = Tm.tvar false;
-    rc = Reclaim.Rc.make 0;
   }
 
 let poison n =

@@ -12,7 +12,6 @@ type t = {
   next : t option Tm.tvar array;  (** length {!max_level} *)
   level : int Tm.tvar;  (** levels in use, 1..{!max_level} *)
   deleted : bool Tm.tvar;
-  rc : Reclaim.Rc.t;
 }
 
 val max_level : int

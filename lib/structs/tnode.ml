@@ -7,7 +7,6 @@ type t = {
   right : t option Tm.tvar;
   side : bool Tm.tvar;
   deleted : bool Tm.tvar;
-  rc : Reclaim.Rc.t;
 }
 
 let poisoned_key = min_int
@@ -22,7 +21,6 @@ let make id =
     right = Tm.tvar None;
     side = Tm.tvar false;
     deleted = Tm.tvar false;
-    rc = Reclaim.Rc.make 0;
   }
 
 let poison n =

@@ -16,7 +16,6 @@ type t = {
   right : t option Tm.tvar;
   side : bool Tm.tvar;  (** [true] = left child of its parent *)
   deleted : bool Tm.tvar;
-  rc : Reclaim.Rc.t;
 }
 
 val poisoned_key : int

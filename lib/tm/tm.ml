@@ -5,13 +5,22 @@ type abort_cause = Read_invalid | Lock_busy | Serial_pending | User_retry
 exception Abort of abort_cause
 
 (* A tvar couples a TL2 versioned lock word with the value cell. The lock
-   word encodes [version lsl 1 lor locked]. The value lives in its own
-   [Atomic.t] so the seqlock pattern (lock, value, lock) is free of plain
-   data races under the OCaml memory model. *)
-type 'a tvar = { lock : int Atomic.t; cell : 'a Atomic.t; uid : int }
+   word encodes [version lsl 1 lor locked] and is field 0 of the tvar
+   record itself, so a tvar is two blocks (6 words). The value
+   lives in its own [Atomic.t] so the seqlock pattern (lock, value, lock)
+   is free of plain data races under the OCaml memory model. The [lock]
+   field is never accessed as a plain field: every load, store and CAS of
+   it goes through [lock_word]. *)
+type 'a tvar = { mutable lock : int; cell : 'a Atomic.t; uid : int }
+
+(* The record viewed as the [int Atomic.t] of its lock word. OCaml's
+   [%atomic_*] primitives act on field 0 of the block they are given (the
+   idiom [Pad.atomic] relies on), so this view is the lock word. It is
+   also what the read set logs, so lock identity is tvar identity. *)
+external lock_word : 'a tvar -> int Atomic.t = "%identity"
 
 let tvar_uid = Atomic.make 0
-let tvar v = { lock = Atomic.make 0; cell = Atomic.make v; uid = Atomic.fetch_and_add tvar_uid 1 }
+let tvar v = { lock = 0; cell = Atomic.make v; uid = Atomic.fetch_and_add tvar_uid 1 }
 let tvar_id tv = tv.uid
 
 let locked word = word land 1 = 1
@@ -73,7 +82,7 @@ type 'a result = {
 }
 
 let dummy_lock = Atomic.make 0
-let dummy_wentry = W { tv = { lock = Atomic.make 0; cell = Atomic.make 0; uid = -1 }; v = 0 }
+let dummy_wentry = W { tv = { lock = 0; cell = Atomic.make 0; uid = -1 }; v = 0 }
 
 let max_threads = 128
 let () = assert (max_threads <= Telemetry.max_threads)
@@ -363,7 +372,7 @@ let wset_holds_lock txn lock uid =
       | 0 -> false
       | s ->
           let (W e) = txn.wset.(s - 1) in
-          if e.tv.uid = uid then e.tv.lock == lock
+          if e.tv.uid = uid then lock_word e.tv == lock
           else probe ((i + 1) land mask)
     in
     probe (uid_hash uid land mask)
@@ -373,7 +382,7 @@ let wset_holds_lock txn lock uid =
       if i >= txn.wn then false
       else
         let (W e) = txn.wset.(i) in
-        e.tv.lock == lock || go (i + 1)
+        lock_word e.tv == lock || go (i + 1)
     in
     go 0
 
@@ -448,7 +457,7 @@ let try_extend txn =
    collections. *)
 let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
   fun (type a) (txn : txn) (tv : a tvar) : a ->
-   let l1 = Atomic.get tv.lock in
+   let l1 = Atomic.get (lock_word tv) in
    if locked l1 then
      if txn.read_phase then begin
        (* Committers never spin while holding locks, so the writeback
@@ -465,7 +474,7 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
      end
    else begin
      let v = Atomic.get tv.cell in
-     let l2 = Atomic.get tv.lock in
+     let l2 = Atomic.get (lock_word tv) in
      if l1 <> l2 then
        (* A committer's writeback raced the seqlock pair; the word has
           settled into either locked or a newer version, both handled
@@ -489,11 +498,12 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
           per-location. (An exact Bloom-filtered dedup was measurably
           slower: its per-read hash-and-test overhead outweighed the
           saved entries on every single-domain configuration.) *)
+       let lock = lock_word tv in
        if
          not
-           (rset_dup_at txn (txn.rn - 1) tv.lock l1 tv.uid
-           || rset_dup_at txn (txn.rn - 2) tv.lock l1 tv.uid)
-       then rset_push txn tv.lock l1 tv.uid;
+           (rset_dup_at txn (txn.rn - 1) lock l1 tv.uid
+           || rset_dup_at txn (txn.rn - 2) lock l1 tv.uid)
+       then rset_push txn lock l1 tv.uid;
        (* The read has validated against [rv]; TxSan checks it against the
           slot's free/reservation shadow at exactly this point, so doomed
           reads that version checks already rejected are never reported. *)
@@ -531,9 +541,9 @@ let write (txn : txn) tv v =
        pairing the new value with an old version. *)
     Dst.point Dst.Tm_serial_write;
     San.tm_serial_write ~tid:txn.tid ~site:txn.site ~wv:txn.serial_wv tv.uid;
-    Atomic.set tv.lock ((txn.serial_wv lsl 1) lor 1);
+    Atomic.set (lock_word tv) ((txn.serial_wv lsl 1) lor 1);
     Atomic.set tv.cell v;
-    Atomic.set tv.lock (txn.serial_wv lsl 1)
+    Atomic.set (lock_word tv) (txn.serial_wv lsl 1)
   end
   else begin
     San.tm_write ~tid:txn.tid ~site:txn.site ~rv:txn.rv tv.uid;
@@ -562,8 +572,8 @@ let run_defers (txn : txn) =
 let unlock_first_n txn n =
   for i = 0 to n - 1 do
     let (W e) = txn.wset.(i) in
-    let cur = Atomic.get e.tv.lock in
-    Atomic.set e.tv.lock (cur land lnot 1);
+    let cur = Atomic.get (lock_word e.tv) in
+    Atomic.set (lock_word e.tv) (cur land lnot 1);
     San.tm_unlock ~tid:txn.tid ~site:txn.site ~wv:(-1) e.tv.uid
   done
 
@@ -615,8 +625,8 @@ let commit (txn : txn) =
         if i < txn.wn then begin
           Dst.point Dst.Tm_lock;
           let (W e) = txn.wset.(i) in
-          let l = Atomic.get e.tv.lock in
-          if locked l || not (Atomic.compare_and_set e.tv.lock l (l lor 1))
+          let l = Atomic.get (lock_word e.tv) in
+          if locked l || not (Atomic.compare_and_set (lock_word e.tv) l (l lor 1))
           then begin
             unlock_first_n txn i;
             Atomic.set flag false;
@@ -662,7 +672,7 @@ let commit (txn : txn) =
       Dst.point Dst.Tm_publish;
       for i = 0 to txn.wn - 1 do
         let (W e) = txn.wset.(i) in
-        Atomic.set e.tv.lock (wv lsl 1);
+        Atomic.set (lock_word e.tv) (wv lsl 1);
         San.tm_unlock ~tid:txn.tid ~site:txn.site ~wv e.tv.uid
       done;
       Atomic.set flag false;
@@ -960,7 +970,7 @@ let current_txn () =
 
 let peek tv =
   let rec go () =
-    let l1 = Atomic.get tv.lock in
+    let l1 = Atomic.get (lock_word tv) in
     if locked l1 then begin
       (* Under DST the lock holder is a paused logical thread; yield so it
          can finish instead of spinning this domain forever. *)
@@ -970,7 +980,7 @@ let peek tv =
     end
     else
       let v = Atomic.get tv.cell in
-      let l2 = Atomic.get tv.lock in
+      let l2 = Atomic.get (lock_word tv) in
       if l1 <> l2 then go ()
       else begin
         San.nontxn_read tv.uid;
@@ -982,9 +992,9 @@ let peek tv =
 let poke tv v =
   San.nontxn_write tv.uid;
   let wv = Gclock.advance () in
-  Atomic.set tv.lock ((wv lsl 1) lor 1);
+  Atomic.set (lock_word tv) ((wv lsl 1) lor 1);
   Atomic.set tv.cell v;
-  Atomic.set tv.lock (wv lsl 1)
+  Atomic.set (lock_word tv) (wv lsl 1)
 
 let clock () = Gclock.sample ()
 let txn_site (txn : txn) = txn.site

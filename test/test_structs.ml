@@ -439,7 +439,41 @@ let test_mode_restrictions () =
   checkb "external tree rejects REF" true
     (match Structs.Hoh_bst_ext.create ~mode:Structs.Mode.Ref () with
     | _ -> false
+    | exception Invalid_argument _ -> true);
+  checkb "REF needs a reference count" true
+    (match
+       Structs.Mode.create Structs.Mode.Ref
+         ~pool:(Structs.Tnode.make_pool ())
+         ~deleted:(fun n -> n.Structs.Tnode.deleted)
+         ~gen:(fun _ -> 0) ~hash:Structs.Tnode.hash
+         ~equal:Structs.Tnode.equal ()
+     with
+    | _ -> false
     | exception Invalid_argument _ -> true)
+
+(* Per-node footprint in words, pinned so a field or block added to a node
+   shows up here. A node record is a header plus one word per field; its
+   [pstate] and [gen] atomics are 2 words each; a tvar is 6 (its record
+   plus its value cell). Only [Lnode] carries a reference count, the one
+   tvar REF mode reads: the trees and the skiplist reject REF. *)
+let test_node_layout () =
+  Tm.Thread.with_registered (fun tid ->
+      let words pool alloc =
+        let n = alloc pool ~thread:tid in
+        let w = Obj.reachable_words (Obj.repr n) in
+        Mempool.free pool ~thread:tid n;
+        w
+      in
+      let record fields = 1 + fields and atomics = 2 * 2 and tvar = 6 in
+      check "tnode: 8 fields, 5 tvars" (record 8 + atomics + (5 * tvar))
+        (words (Structs.Tnode.make_pool ()) Structs.Tnode.alloc);
+      check "lnode: 8 fields, 5 tvars (rc included)"
+        (record 8 + atomics + (5 * tvar))
+        (words (Structs.Lnode.make_pool ()) Structs.Lnode.alloc);
+      check "snode: 7 fields, 3 tvars, a tower of 16"
+        (record 7 + atomics + (3 * tvar) + record Structs.Snode.max_level
+        + (Structs.Snode.max_level * tvar))
+        (words (Structs.Snode.make_pool ()) Structs.Snode.alloc))
 
 let test_skiplist_structure () =
   Tm.Thread.with_registered (fun tid ->
@@ -598,6 +632,7 @@ let () =
             test_bst_ext_structure;
           Alcotest.test_case "key range" `Quick test_key_range_checks;
           Alcotest.test_case "mode restrictions" `Quick test_mode_restrictions;
+          Alcotest.test_case "node layout" `Quick test_node_layout;
           Alcotest.test_case "hashset buckets" `Quick test_hashset_buckets;
           Alcotest.test_case "atomic cross-structure move" `Slow
             test_atomic_cross_structure_move;
