@@ -7,7 +7,7 @@
                        Hoh.run) passes [~site], so abort attribution and
                        sanitizer reports can name the operation.
    - [raw-atomic]      no [Atomic.*] on record fields other than the
-                       designated non-transactional ones ([gen], [pstate]):
+                       engine/metadata words [benign_atomic_fields] names:
                        tvar payloads must only be touched through [Tm].
    - [free-discipline] [Mempool.free] only runs deferred to a commit
                        ([Tm.defer] or a reclaimer's [~free] closure) —
@@ -104,23 +104,14 @@ let node_modules = [ "Lnode"; "Snode"; "Tnode" ]
 (* Known non-tvar atomics, scoped per source file (by basename) so a
    generic name like [head] or [epoch] appearing on some future record in
    payload code is NOT silently exempt — each entry whitelists exactly the
-   engine/metadata words that one module owns: node generation and
-   publication state in the structures, the service layer's shard-gate
-   words and statistics counters, the TM's tvar value cells, and the
-   reclaimers' epoch/hazard bookkeeping. A raw [Atomic] field anywhere
-   else must either go through [Tm] or earn its own row here. *)
-let node_meta = [ "gen"; "pstate" ]
-
+   engine/metadata words that one module owns: the service layer's
+   shard-gate words and statistics counters, the TM's tvar value cells,
+   and the reclaimers' epoch/hazard bookkeeping. A raw [Atomic] field
+   anywhere else must either go through [Tm] or earn its own row here. *)
 let benign_atomic_fields =
-  [ (* node records: generation counters and pool publication state *)
-    ("lnode.ml", node_meta); ("snode.ml", node_meta);
-    ("tnode.ml", node_meta);
-    (* structures read the generation word for their reservation checks *)
-    ("hoh_list.ml", [ "gen" ]); ("hoh_dlist.ml", [ "gen" ]);
-    ("hoh_skiplist.ml", [ "gen" ]); ("hoh_hashset.ml", [ "gen" ]);
-    ("hoh_bst_ext.ml", [ "gen" ]); ("hoh_bst_int.ml", [ "gen" ]);
-    (* TM engine: tvar value cells (the lock word is field 0 of the tvar
-       record, reached through [lock_word], never as a field) *)
+  [ (* TM engine: tvar value cells (the lock word is field 0 of the tvar
+       record, reached through [lock_word], never as a field; a node's
+       pool state word is reached the same way, through [state_word]) *)
     ("tm.ml", [ "cell" ]);
     (* reclaimers: epoch announcements and backlog counters *)
     ( "epoch.ml",

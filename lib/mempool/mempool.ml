@@ -26,9 +26,10 @@ end
 
 exception Double_free of int
 
-(* Node state markers stored in the client-owned cell. *)
-let st_free = 0
-let st_live = 1
+(* A node's state word is a monotonic counter: even = free, odd = live.
+   Every alloc and every free bumps it by one, so [(s + 1) lsr 1] counts
+   the allocations the node has seen. *)
+let is_odd s = s land 1 = 1
 
 type 'a arena = { mutable nodes : 'a list; mutable count : int }
 
@@ -133,7 +134,8 @@ let create ?(strategy = Thread_arena) ?(batch = 32) ?(magazines = false)
 let strategy t = t.strategy
 let id_of t n = t.node_id n
 let san_key t n = San.node_key ~group:t.san_group ~node:(t.node_id n)
-let is_live t n = Atomic.get (t.state n) = st_live
+let is_live t n = is_odd (Atomic.get (t.state n))
+let generation t n = (Atomic.get (t.state n) + 1) lsr 1
 
 let rec push_global t n =
   let cur = Atomic.get t.global_nodes in
@@ -180,10 +182,8 @@ let bump_high_water t =
 
 let fabricate t =
   Atomic.incr t.fresh;
-  let n = t.make (Atomic.fetch_and_add t.next_id 1) in
-  (* Fresh nodes are born free; the caller marks them live. *)
-  Atomic.set (t.state n) st_free;
-  n
+  (* Fresh nodes are born free (state 0); the caller marks them live. *)
+  t.make (Atomic.fetch_and_add t.next_id 1)
 
 let take_pooled t ~thread =
   match t.strategy with
@@ -277,7 +277,8 @@ let alloc t ~thread =
   let take = if t.magazines then mag_take else take_pooled in
   let n = match take t ~thread with Some n -> n | None -> fabricate t in
   let st = t.state n in
-  if not (Atomic.compare_and_set st st_free st_live) then
+  let s = Atomic.get st in
+  if is_odd s || not (Atomic.compare_and_set st s (s + 1)) then
     (* A pooled node must be in the free state; anything else means the
        freelist was corrupted. *)
     failwith "Mempool.alloc: pooled node was not free";
@@ -316,7 +317,8 @@ let stash t ~thread n =
 let free t ~thread n =
   Dst.point Dst.Mp_free;
   let st = t.state n in
-  if not (Atomic.compare_and_set st st_live st_free) then
+  let s = Atomic.get st in
+  if (not (is_odd s)) || not (Atomic.compare_and_set st s (s + 1)) then
     raise (Double_free (t.node_id n));
   (* Poisoning is a sanctioned raw write to the dying node's tvars. *)
   San.exempt_begin ();

@@ -69,8 +69,11 @@ val create :
   'a t
 (** [create ~make ~node_id ~state ()] builds a pool of nodes fabricated by
     [make id] (each with a unique id — the node's simulated address, which
-    [node_id] must return). [state] must return a per-node cell owned by the
-    pool; it tracks live/free and catches double frees. [poison] is applied
+    [node_id] must return). [state] must return the node's state word: a
+    per-node cell that reads 0 on a node fresh from [make] and that only
+    the pool writes. The pool keeps it as a counter that every [alloc] and
+    every [free] bumps by one, so an even word means free and an odd one
+    live; it catches double frees and yields {!generation}. [poison] is applied
     when a node is freed, so that any logically-erroneous later use is
     detectable by tests. [batch] sizes the arena-to-global transfer unit for
     {!Thread_arena} (default 32) and the magazine capacity. [magazines]
@@ -87,7 +90,12 @@ val free : 'a t -> thread:int -> 'a -> unit
     @raise Double_free on repeated free. *)
 
 val is_live : 'a t -> 'a -> bool
-(** Whether the node is currently allocated (for invariant checks). *)
+(** Whether the node is currently allocated (its state word is odd). *)
+
+val generation : 'a t -> 'a -> int
+(** How many times the node has been allocated: [(state + 1) lsr 1]. It
+    rises by one on every [alloc] and holds across [free], so a changed
+    generation means the node was recycled. *)
 
 val id_of : 'a t -> 'a -> int
 (** The pool-assigned id of a node. O(1); works on live and freed nodes. *)

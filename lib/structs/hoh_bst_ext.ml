@@ -19,7 +19,6 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   let mode =
     Mode.create mode ~pool
       ~deleted:(fun n -> n.Tnode.deleted)
-      ~gen:(fun n -> Atomic.get n.Tnode.gen)
       ~hash:Tnode.hash ~equal:Tnode.equal ?rr_config ?hp_threshold ()
   in
   {
@@ -51,9 +50,10 @@ let descend txn ~key ~start ~budget =
   in
   go None None start 1
 
+(* A resumed window needs a budget of at least 2; see [Hoh_bst_int]. *)
 let start_point t ~thread ~start =
   match start with
-  | Some n -> (n, Window.budget t.window ~thread)
+  | Some n -> (n, max 2 (Window.budget t.window ~thread))
   | None ->
       ( t.root,
         if t.mode.Mode.whole_op then max_int

@@ -19,7 +19,6 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   let mode =
     Mode.create mode ~pool
       ~deleted:(fun n -> n.Tnode.deleted)
-      ~gen:(fun n -> Atomic.get n.Tnode.gen)
       ~hash:Tnode.hash ~equal:Tnode.equal ?rr_config ()
   in
   {
@@ -35,15 +34,18 @@ let name t = t.mode.Mode.name
 
 (* One windowed descent. Examines up to [budget] nodes; on exhaustion hands
    off the last examined node (whose key the resuming transaction
-   re-reads to recover direction). [`Found_unparented] arises only when the
-   resumed node itself matches — possible only if its key changed, which
-   revocation prevents — and is handled by re-descending from the root. *)
+   re-reads to recover direction). [`Found (p, side, curr)] carries the
+   side ([true] = left) of the edge p -> curr: BST order fixes it, since
+   the branch was chosen from [p]'s key read in this same transaction.
+   [`Found_unparented] arises only when the resumed node itself matches —
+   possible only if its key changed, which revocation prevents — and is
+   handled by re-descending from the root. *)
 let descend txn ~key ~start ~budget =
-  let rec go parent curr i =
+  let rec go parent pside curr i =
     let k = Tm.read txn curr.Tnode.key in
     if k = key then
       match parent with
-      | Some p -> `Found (p, curr)
+      | Some p -> `Found (p, pside, curr)
       | None -> `Found_unparented
     else
       let side = key < k in
@@ -52,13 +54,16 @@ let descend txn ~key ~start ~budget =
       | None -> `Absent (curr, side)
       | Some c ->
           if i >= budget then `Window curr
-          else go (Some curr) c (i + 1)
+          else go (Some curr) side c (i + 1)
   in
-  go None start 1
+  go None true start 1
 
+(* A resumed window starts at the node the last one handed off, so it
+   needs a budget of at least 2: at 1 it would hand that node back again
+   without stepping, forever. *)
 let start_point t ~thread ~start =
   match start with
-  | Some n -> (n, Window.budget t.window ~thread)
+  | Some n -> (n, max 2 (Window.budget t.window ~thread))
   | None ->
       ( t.root,
         if t.mode.Mode.whole_op then max_int
@@ -82,21 +87,22 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
         | o -> o
       in
       match outcome with
-      | `Found (p, curr) -> Rr.Hoh.Finish (on_found txn ~parent:p ~curr)
+      | `Found (p, side, curr) ->
+          Rr.Hoh.Finish (on_found txn ~parent:p ~side ~curr)
       | `Absent (p, side) -> Rr.Hoh.Finish (on_notfound txn ~parent:p ~side)
       | `Window c -> Rr.Hoh.Hand_off c
       | `Found_unparented -> assert false (* root descent always has parents *))
 
 let lookup_s t ~thread key =
   apply t ~thread ~read_phase:t.mode.Mode.ro_hint key ~site:"bst_int.lookup"
-    ~on_found:(fun _ ~parent:_ ~curr:_ -> true)
+    ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> true)
     ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
 
 let insert_s t ~thread key =
   let spare = ref None in
   let result =
     apply t ~thread key ~site:"bst_int.insert"
-      ~on_found:(fun _ ~parent:_ ~curr:_ -> false)
+      ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> false)
       ~on_notfound:(fun txn ~parent ~side ->
         let n =
           match !spare with
@@ -107,7 +113,6 @@ let insert_s t ~thread key =
               n
         in
         Tm.write txn n.Tnode.key key;
-        Tm.write txn n.Tnode.side side;
         Tm.write txn
           (if side then parent.Tnode.left else parent.Tnode.right)
           (Some n);
@@ -117,14 +122,10 @@ let insert_s t ~thread key =
   Mode.give_back_spare t.pool ~thread spare;
   result
 
-(* Replace [parent]'s edge to [curr] with [child] (zero- or one-child
-   splice). *)
-let splice t txn ~parent ~curr child =
-  let cside = Tm.read txn curr.Tnode.side in
-  Tm.write txn (if cside then parent.Tnode.left else parent.Tnode.right) child;
-  (match child with
-  | Some c -> Tm.write txn c.Tnode.side cside
-  | None -> ());
+(* Replace [parent]'s edge to [curr], on [side], with [child] (zero- or
+   one-child splice). *)
+let splice t txn ~parent ~side ~curr child =
+  Tm.write txn (if side then parent.Tnode.left else parent.Tnode.right) child;
   t.mode.Mode.invalidate txn curr;
   t.mode.Mode.dispose txn curr
 
@@ -140,30 +141,21 @@ let remove_two_children t txn ~curr ~right =
   let lparent, lm, path = find_leftmost curr right [ curr ] in
   Tm.write txn curr.Tnode.key (Tm.read txn lm.Tnode.key);
   let promoted = Tm.read txn lm.Tnode.right in
-  if Tnode.equal lparent curr then begin
+  if Tnode.equal lparent curr then
     (* [lm] is curr's right child: its right subtree takes its place. *)
-    Tm.write txn curr.Tnode.right promoted;
-    match promoted with
-    | Some x -> Tm.write txn x.Tnode.side false
-    | None -> ()
-  end
-  else begin
-    Tm.write txn lparent.Tnode.left promoted;
-    match promoted with
-    | Some x -> Tm.write txn x.Tnode.side true
-    | None -> ()
-  end;
+    Tm.write txn curr.Tnode.right promoted
+  else Tm.write txn lparent.Tnode.left promoted;
   List.iter (fun n -> t.mode.Mode.invalidate txn n) path;
   t.mode.Mode.dispose txn lm
 
 let remove_s t ~thread key =
   apply t ~thread key ~site:"bst_int.remove"
-    ~on_found:(fun txn ~parent ~curr ->
+    ~on_found:(fun txn ~parent ~side ~curr ->
       let lv = Tm.read txn curr.Tnode.left in
       let rv = Tm.read txn curr.Tnode.right in
       (match (lv, rv) with
-      | None, _ -> splice t txn ~parent ~curr rv
-      | _, None -> splice t txn ~parent ~curr lv
+      | None, _ -> splice t txn ~parent ~side ~curr rv
+      | _, None -> splice t txn ~parent ~side ~curr lv
       | Some _, Some r -> remove_two_children t txn ~curr ~right:r);
       true)
     ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
@@ -201,7 +193,7 @@ let depth t =
 
 let check t =
   let exception Bad of string in
-  let rec go node ~lo ~hi ~expect_side =
+  let rec go node ~lo ~hi =
     match node with
     | None -> ()
     | Some n ->
@@ -214,12 +206,10 @@ let check t =
           raise (Bad (Printf.sprintf "freed node %d linked" n.Tnode.id));
         if not (k > lo && k < hi) then
           raise (Bad (Printf.sprintf "BST ordering violated at key %d" k));
-        if Tm.peek n.Tnode.side <> expect_side then
-          raise (Bad (Printf.sprintf "wrong side flag at key %d" k));
-        go (Tm.peek n.Tnode.left) ~lo ~hi:k ~expect_side:true;
-        go (Tm.peek n.Tnode.right) ~lo:k ~hi ~expect_side:false
+        go (Tm.peek n.Tnode.left) ~lo ~hi:k;
+        go (Tm.peek n.Tnode.right) ~lo:k ~hi
   in
-  match go (Tm.peek t.root.Tnode.left) ~lo:min_int ~hi:max_int ~expect_side:true with
+  match go (Tm.peek t.root.Tnode.left) ~lo:min_int ~hi:max_int with
   | () -> Ok ()
   | exception Bad msg -> Error msg
 

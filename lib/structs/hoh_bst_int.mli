@@ -52,8 +52,8 @@ val size : t -> int
 val depth : t -> int  (** maximum depth (quiescent) *)
 
 val check : t -> (unit, string) result
-(** BST ordering with strict bounds, correct [side] flags, linked nodes
-    live and unpoisoned. *)
+(** BST ordering with strict bounds (which also fixes each node's side
+    under its parent), linked nodes live and unpoisoned. *)
 
 val pool_stats : t -> Mempool.Stats.t
 

@@ -18,7 +18,6 @@ let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
     Mode.create mode ~pool
       ~deleted:(fun n -> n.Lnode.deleted)
       ~rc:(fun n -> n.Lnode.rc)
-      ~gen:(fun n -> Atomic.get n.Lnode.gen)
       ~hash:Lnode.hash ~equal:Lnode.equal ?rr_config ?hp_threshold ()
   in
   {

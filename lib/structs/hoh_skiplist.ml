@@ -20,7 +20,6 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   let mode =
     Mode.create mode ~pool
       ~deleted:(fun n -> n.Snode.deleted)
-      ~gen:(fun n -> Atomic.get n.Snode.gen)
       ~hash:Snode.hash ~equal:Snode.equal ?rr_config ?hp_threshold ()
   in
   {

@@ -1,7 +1,6 @@
 type t = {
+  mutable state : int;
   id : int;
-  pstate : int Atomic.t;
-  gen : int Atomic.t;
   key : int Tm.tvar;
   next : t option Tm.tvar;
   prev : t option Tm.tvar;
@@ -9,13 +8,16 @@ type t = {
   rc : Reclaim.Rc.t;
 }
 
+(* The pool's state word is field 0, viewed as an [Atomic.t] the way the
+   tvar lock word is (DESIGN.md decision 1); it is never a plain field. *)
+external state_word : t -> int Atomic.t = "%identity"
+
 let poisoned_key = min_int
 
 let make id =
   {
+    state = 0;
     id;
-    pstate = Atomic.make 0;
-    gen = Atomic.make 0;
     key = Tm.tvar poisoned_key;
     next = Tm.tvar None;
     prev = Tm.tvar None;
@@ -41,8 +43,7 @@ let tvar_ids n =
 
 let make_pool ?strategy ?magazines () =
   Mempool.create ?strategy ?magazines ~make ~node_id:(fun n -> n.id)
-    ~state:(fun n -> n.pstate)
-    ~poison ~tvar_ids
+    ~state:state_word ~poison ~tvar_ids
     ~probe_ids:(fun n -> [ Tm.tvar_id n.deleted ])
     ()
 
@@ -56,7 +57,6 @@ let equal a b = a == b
 
 let alloc pool ~thread =
   let n = Mempool.alloc pool ~thread in
-  Atomic.incr n.gen;
   (* Re-initialization pokes on a node no thread can reach yet: exempt from
      TxSan's non-transactional-access rule, like the poison pokes in free. *)
   San.exempt_begin ();

@@ -10,9 +10,11 @@
     rather than observing stale state. *)
 
 type t = {
+  mutable state : int;
+      (** the pool's state word, field 0; owned by {!Mempool}, which
+          reaches it only as an [Atomic.t] view. Odd = live, even = free;
+          {!Mempool.generation} derives the allocation count from it. *)
   id : int;
-  pstate : int Atomic.t;  (** pool live/free word (owned by {!Mempool}) *)
-  gen : int Atomic.t;  (** allocation generation (debug/ABA detection) *)
   key : int Tm.tvar;
   next : t option Tm.tvar;
   prev : t option Tm.tvar;  (** used by the doubly linked list only *)

@@ -96,7 +96,8 @@ let no_op_ops name : 'n Rr.ops =
    protected or the node could be freed and reused under it. *)
 let tmhp_gen_violations = Atomic.make 0
 
-let tmhp_mode ~pool ~deleted ~gen ~hp_threshold =
+let tmhp_mode ~pool ~deleted ~hp_threshold =
+  let gen = Mempool.generation pool in
   let hazard =
     Reclaim.Hazard.create ~slots_per_thread:2 ~scan_threshold:hp_threshold
       ~free:(fun ~thread n -> Mempool.free pool ~thread n)
@@ -352,12 +353,12 @@ let htm_mode ~pool =
     hazard_metrics = (fun () -> None);
   }
 
-let create kind ~pool ~deleted ?rc ~gen ~hash ~equal ?rr_config
+let create kind ~pool ~deleted ?rc ~hash ~equal ?rr_config
     ?(hp_threshold = 64) () =
   match kind with
   | Rr_kind m -> rr_mode m ~pool ~hash ~equal ~rr_config
   | Htm -> htm_mode ~pool
-  | Tmhp -> tmhp_mode ~pool ~deleted ~gen ~hp_threshold
+  | Tmhp -> tmhp_mode ~pool ~deleted ~hp_threshold
   | Ref -> (
       match rc with
       | Some rc -> ref_mode ~pool ~deleted ~rc

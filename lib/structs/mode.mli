@@ -75,7 +75,6 @@ val create :
   pool:'n Mempool.t ->
   deleted:('n -> bool Tm.tvar) ->
   ?rc:('n -> Reclaim.Rc.t) ->
-  gen:('n -> int) ->
   hash:('n -> int) ->
   equal:('n -> 'n -> bool) ->
   ?rr_config:Rr.Config.t ->
@@ -84,5 +83,7 @@ val create :
   'n t
 (** [rc] is the node's reference count, read only by [Ref]; node types
     whose structures reject [Ref] carry none. [hp_threshold] is the TMHP
-    scan threshold (default 64, the paper's best setting).
+    scan threshold (default 64, the paper's best setting). TMHP's recycle
+    check ({!tmhp_gen_violations}) reads each node's allocation count from
+    [pool] ({!Mempool.generation}).
     @raise Invalid_argument for [Ref] without [rc]. *)

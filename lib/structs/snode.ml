@@ -1,21 +1,23 @@
 type t = {
+  mutable state : int;
   id : int;
-  pstate : int Atomic.t;
-  gen : int Atomic.t;
   key : int Tm.tvar;
   next : t option Tm.tvar array;
   level : int Tm.tvar;
   deleted : bool Tm.tvar;
 }
 
+(* The pool's state word is field 0, viewed as an [Atomic.t] the way the
+   tvar lock word is (DESIGN.md decision 1); it is never a plain field. *)
+external state_word : t -> int Atomic.t = "%identity"
+
 let max_level = 16
 let poisoned_key = min_int
 
 let make id =
   {
+    state = 0;
     id;
-    pstate = Atomic.make 0;
-    gen = Atomic.make 0;
     key = Tm.tvar poisoned_key;
     next = Array.init max_level (fun _ -> Tm.tvar None);
     level = Tm.tvar 0;
@@ -34,8 +36,7 @@ let tvar_ids n =
 
 let make_pool ?strategy ?magazines () =
   Mempool.create ?strategy ?magazines ~make ~node_id:(fun n -> n.id)
-    ~state:(fun n -> n.pstate)
-    ~poison ~tvar_ids
+    ~state:state_word ~poison ~tvar_ids
     ~probe_ids:(fun n -> [ Tm.tvar_id n.deleted ])
     ()
 
@@ -52,7 +53,6 @@ let equal a b = a == b
 
 let alloc pool ~thread =
   let n = Mempool.alloc pool ~thread in
-  Atomic.incr n.gen;
   (* Re-initialization pokes on a node no thread can reach yet: exempt from
      TxSan's non-transactional-access rule, like the poison pokes in free. *)
   San.exempt_begin ();

@@ -5,9 +5,10 @@
     predecessor hints against it (see {!Hoh_skiplist}). *)
 
 type t = {
+  mutable state : int;
+      (** the pool's state word, field 0; owned by {!Mempool}, which
+          reaches it only as an [Atomic.t] view (see {!Lnode.t}) *)
   id : int;
-  pstate : int Atomic.t;
-  gen : int Atomic.t;
   key : int Tm.tvar;
   next : t option Tm.tvar array;  (** length {!max_level} *)
   level : int Tm.tvar;  (** levels in use, 1..{!max_level} *)

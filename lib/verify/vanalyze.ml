@@ -63,9 +63,6 @@ let path_key p =
 
 let node_modules = [ "Lnode"; "Snode"; "Tnode" ]
 
-(* Fields on node records that are legitimately non-transactional. *)
-let benign_node_fields = [ "gen"; "pstate"; "id" ]
-
 let rec type_key ty =
   match Types.get_desc ty with
   | Types.Tconstr (p, args, _) -> Some (path_key p, args)

@@ -107,6 +107,45 @@ let test_flush_arenas () =
   let b = Mempool.alloc p ~thread:3 in
   checkb "flushed node reusable elsewhere" true (a == b)
 
+(* ---- the state word: a counter whose parity is live/free ---- *)
+
+let test_generation_counts_allocs () =
+  let p = make_pool ~strategy:Mempool.Size_class () in
+  let a = Mempool.alloc p ~thread:0 in
+  check "first alloc" 1 (Mempool.generation p a);
+  for g = 2 to 5 do
+    Mempool.free p ~thread:0 a;
+    check "free keeps the generation" (g - 1) (Mempool.generation p a);
+    let b = Mempool.alloc p ~thread:0 in
+    checkb "same slot back" true (a == b);
+    check "alloc adds exactly one" g (Mempool.generation p a)
+  done
+
+let test_live_follows_parity () =
+  let p = make_pool () in
+  let a = Mempool.alloc p ~thread:0 in
+  for _ = 1 to 3 do
+    checkb "odd word, live" true (Atomic.get a.state land 1 = 1);
+    checkb "is_live while allocated" true (Mempool.is_live p a);
+    Mempool.free p ~thread:0 a;
+    checkb "even word, free" true (Atomic.get a.state land 1 = 0);
+    checkb "not is_live once freed" false (Mempool.is_live p a);
+    (* At every generation, freeing a free node is still a double free. *)
+    Alcotest.check_raises "double free at any generation"
+      (Mempool.Double_free a.id) (fun () -> Mempool.free p ~thread:0 a);
+    checkb "same node back" true (Mempool.alloc p ~thread:0 == a)
+  done
+
+let test_pooled_word_forced_odd () =
+  let p = make_pool () in
+  let a = Mempool.alloc p ~thread:0 in
+  Mempool.free p ~thread:0 a;
+  (* Corrupt the pooled node's word to a live value: alloc must refuse it. *)
+  Atomic.set a.state 5;
+  Alcotest.check_raises "pooled node not free"
+    (Failure "Mempool.alloc: pooled node was not free") (fun () ->
+      ignore (Mempool.alloc p ~thread:0))
+
 (* ---- magazines ---- *)
 
 let test_magazine_hit_miss () =
@@ -260,6 +299,15 @@ let () =
           Alcotest.test_case "arena spill/steal" `Quick
             test_arena_spill_and_steal;
           Alcotest.test_case "flush" `Quick test_flush_arenas;
+        ] );
+      ( "state word",
+        [
+          Alcotest.test_case "generation counts allocs" `Quick
+            test_generation_counts_allocs;
+          Alcotest.test_case "live follows parity" `Quick
+            test_live_follows_parity;
+          Alcotest.test_case "pooled word forced odd" `Quick
+            test_pooled_word_forced_odd;
         ] );
       ( "magazines",
         [

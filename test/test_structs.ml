@@ -150,8 +150,10 @@ let qcheck_sequential (family, f) =
 
 (* Window-randomized variant: the hand-over-hand window is part of the
    generated input (1..4, so the single-node window edge is exercised),
-   over the chained structures where the window governs hand-off
-   frequency — dlist, hashset, skiplist — for every RR flavour. The
+   over the structures where the window governs hand-off frequency —
+   dlist, hashset, skiplist and both trees — for every RR flavour. On the
+   internal tree this checks the side a removal takes from the descent,
+   across window boundaries and the root re-descent. The
    window does not shrink: a short op list at the original window is the
    more useful counterexample. *)
 let gen_windowed =
@@ -179,6 +181,8 @@ let windowed_tests =
       ("dlist", Spec.Dlist, None);
       ("hashset", Spec.Hashset, Some 4);
       ("skiplist", Spec.Skiplist, None);
+      ("bst-int", Spec.Bst_int, None);
+      ("bst-ext", Spec.Bst_ext, None);
     ]
 
 (* ---- targeted unit tests ---- *)
@@ -445,35 +449,38 @@ let test_mode_restrictions () =
        Structs.Mode.create Structs.Mode.Ref
          ~pool:(Structs.Tnode.make_pool ())
          ~deleted:(fun n -> n.Structs.Tnode.deleted)
-         ~gen:(fun _ -> 0) ~hash:Structs.Tnode.hash
+         ~hash:Structs.Tnode.hash
          ~equal:Structs.Tnode.equal ()
      with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
 (* Per-node footprint in words, pinned so a field or block added to a node
-   shows up here. A node record is a header plus one word per field; its
-   [pstate] and [gen] atomics are 2 words each; a tvar is 6 (its record
-   plus its value cell). Only [Lnode] carries a reference count, the one
-   tvar REF mode reads: the trees and the skiplist reject REF. *)
+   shows up here. A node record is a header plus one word per field, the
+   first of which is the pool's state word; a tvar is 6 (its record plus
+   its value cell). Only [Lnode] carries a reference count, the one tvar
+   REF mode reads: the trees and the skiplist reject REF. *)
 let test_node_layout () =
   Tm.Thread.with_registered (fun tid ->
-      let words pool alloc =
+      let words name pool alloc =
         let n = alloc pool ~thread:tid in
         let w = Obj.reachable_words (Obj.repr n) in
+        let field0 () : int = Obj.obj (Obj.field (Obj.repr n) 0) in
+        check (name ^ ": field 0 is odd while live") 1 (field0 () land 1);
         Mempool.free pool ~thread:tid n;
+        check (name ^ ": field 0 is even once freed") 0 (field0 () land 1);
         w
       in
-      let record fields = 1 + fields and atomics = 2 * 2 and tvar = 6 in
-      check "tnode: 8 fields, 5 tvars" (record 8 + atomics + (5 * tvar))
-        (words (Structs.Tnode.make_pool ()) Structs.Tnode.alloc);
-      check "lnode: 8 fields, 5 tvars (rc included)"
-        (record 8 + atomics + (5 * tvar))
-        (words (Structs.Lnode.make_pool ()) Structs.Lnode.alloc);
-      check "snode: 7 fields, 3 tvars, a tower of 16"
-        (record 7 + atomics + (3 * tvar) + record Structs.Snode.max_level
+      let record fields = 1 + fields and tvar = 6 in
+      check "tnode: 6 fields, 4 tvars (31)" (record 6 + (4 * tvar))
+        (words "tnode" (Structs.Tnode.make_pool ()) Structs.Tnode.alloc);
+      check "lnode: 7 fields, 5 tvars, rc included (38)"
+        (record 7 + (5 * tvar))
+        (words "lnode" (Structs.Lnode.make_pool ()) Structs.Lnode.alloc);
+      check "snode: 6 fields, 3 tvars, a tower of 16 (138)"
+        (record 6 + (3 * tvar) + record Structs.Snode.max_level
         + (Structs.Snode.max_level * tvar))
-        (words (Structs.Snode.make_pool ()) Structs.Snode.alloc))
+        (words "snode" (Structs.Snode.make_pool ()) Structs.Snode.alloc))
 
 let test_skiplist_structure () =
   Tm.Thread.with_registered (fun tid ->
