@@ -92,8 +92,6 @@ let run_point p (c : config) ~ops_per_thread ~threads =
       ("aborts", Json.Int (Tm.Stats.total_aborts tm));
       ("abort_rate", Json.Float (Driver.abort_rate r));
       ("fallbacks", Json.Int (Tm.Stats.fallbacks tm));
-      ("fallbacks_middle", Json.Int (Tm.Stats.fallbacks_middle tm));
-      ("fallbacks_serial", Json.Int (Tm.Stats.fallbacks_serial tm));
       ("extensions", Json.Int (Tm.Stats.extensions tm));
       ("ext_fails", Json.Int (Tm.Stats.ext_fails tm));
       ("verified", Json.Bool (r.Driver.verdict = Ok ()));
@@ -186,21 +184,12 @@ let san_probe p (c : config) ~ops_per_thread =
       ("violations", Json.Int violations);
     ]
 
-(* The raw-speed probe matrix: the hot-traversal list configuration run
-   once per point of the optimization on/off grid — window fusion, the
-   middle lock path, and mempool magazines, individually and together —
-   plus a paired all-off rerun so "within noise" compares two runs of the
-   same code. The knobs are compiled into every binary and default off, so
-   the all-off point doubles as the guard that carrying them costs
-   nothing. *)
-let opt_variants =
-  [
-    ("all-off", (1, false, false));
-    ("fuse4", (4, false, false));
-    ("mid", (1, true, false));
-    ("mag", (1, false, true));
-    ("all-on", (4, true, true));
-  ]
+(* The window-fusion probe: the hot-traversal list configuration run
+   with fusion off and at a ceiling of four windows per transaction, plus
+   a paired all-off rerun so "within noise" compares two runs of the same
+   code. Fusion is compiled into every binary and defaults off, so the
+   all-off point doubles as the guard that carrying it costs nothing. *)
+let opt_variants = [ ("all-off", 1); ("fuse4", 4) ]
 
 let opt_probe p ~ops_per_thread =
   let ops_per_thread = max 2_000 ops_per_thread in
@@ -209,68 +198,42 @@ let opt_probe p ~ops_per_thread =
   let kind = Structs.Mode.Rr_kind (module Rr.V : Rr.S) in
   (* Hot-traversal mix: a small key range concentrates the traffic so
      conflicts are real, and [max_attempts = 1] (the soak-test convention)
-     sends every repeated conflict down the fallback ladder — the
-     middle path's effect on serial fallbacks is only measurable when
-     the all-off configuration actually takes that ladder. *)
+     sends every repeated conflict to the serial fallback. *)
   let lookup_pct = 33 and key_bits = 5 and max_attempts = 1 in
-  let point ~fusion ~middle ~magazines =
-    (* Built directly (not via [Factories.make]) so the pool's magazine
-       counters stay readable after the run. *)
-    let l =
-      Structs.Hoh_list.create ~mode:kind ~window ~fusion ~middle ~magazines
-        ~max_attempts ()
-    in
-    let spec =
-      Workload.spec ~key_bits ~lookup_pct ~threads ~ops_per_thread ()
-    in
-    let r = Driver.run ~verify:p.verify spec (Store.of_hoh_list l) in
-    (r, Structs.Hoh_list.pool_stats l)
+  let spec fusion = Spec.v ~window ~fusion ~max_attempts Spec.Slist kind in
+  let point fusion =
+    let handle = (Factories.make (spec fusion)).Factories.make () in
+    let wl = Workload.spec ~key_bits ~lookup_pct ~threads ~ops_per_thread () in
+    Driver.run ~verify:p.verify wl handle
   in
   (* One discarded warm-up run: the first driver run on a fresh binary
      pays allocator/GC cold-start costs that would otherwise land
      entirely on the baseline sample and masquerade as noise. *)
-  ignore (point ~fusion:1 ~middle:false ~magazines:false);
-  let base, _ = point ~fusion:1 ~middle:false ~magazines:false in
+  ignore (point 1);
+  let base = point 1 in
   let runs =
-    List.map
-      (fun (name, (fusion, middle, magazines)) ->
-        (name, (fusion, middle, magazines), point ~fusion ~middle ~magazines))
-      opt_variants
+    List.map (fun (name, fusion) -> (name, fusion, point fusion)) opt_variants
   in
   let tput name =
-    let _, _, (r, _) = List.find (fun (n, _, _) -> n = name) runs in
+    let _, _, r = List.find (fun (n, _, _) -> n = name) runs in
     r.Driver.throughput
-  in
-  let serial name =
-    let _, _, (r, _) = List.find (fun (n, _, _) -> n = name) runs in
-    Tm.Stats.fallbacks_serial r.Driver.tm
   in
   let all_off = tput "all-off" in
   let off_vs_baseline = all_off /. base.Driver.throughput in
-  let all_on_vs_all_off = tput "all-on" /. all_off in
-  let middle_reduces_serial = serial "mid" < serial "all-off" in
+  let fuse4_vs_all_off = tput "fuse4" /. all_off in
   Printf.printf
-    "opt probe  slist     RR-V   %dT: off/base %.2f, all-on/all-off %.2fx, \
-     serial fallbacks %d -> %d under middle\n%!"
-    threads off_vs_baseline all_on_vs_all_off (serial "all-off") (serial "mid");
-  let variant_json (name, (fusion, middle, magazines), (r, pool)) =
-    let spec =
-      Spec.v ~window ~fusion ~middle ~magazines ~max_attempts Spec.Slist kind
-    in
+    "opt probe  slist     RR-V   %dT: off/base %.2f, fuse4/all-off %.2fx\n%!"
+    threads off_vs_baseline fuse4_vs_all_off;
+  let variant_json (name, fusion, r) =
     let tm = r.Driver.tm in
     Json.Obj
       [
         ("variant", Json.String name);
-        ("label", Json.String (Spec.label spec));
+        ("label", Json.String (Spec.label (spec fusion)));
         ("fusion", Json.Int fusion);
-        ("middle", Json.Bool middle);
-        ("magazines", Json.Bool magazines);
         ("throughput", Json.Float r.Driver.throughput);
         ("aborts", Json.Int (Tm.Stats.total_aborts tm));
-        ("fallbacks_middle", Json.Int (Tm.Stats.fallbacks_middle tm));
-        ("fallbacks_serial", Json.Int (Tm.Stats.fallbacks_serial tm));
-        ("magazine_hits", Json.Int pool.Mempool.Stats.magazine_hits);
-        ("magazine_misses", Json.Int pool.Mempool.Stats.magazine_misses);
+        ("fallbacks", Json.Int (Tm.Stats.fallbacks tm));
         ("vs_all_off", Json.Float (r.Driver.throughput /. all_off));
         ("verified", Json.Bool (r.Driver.verdict = Ok ()));
       ]
@@ -286,8 +249,7 @@ let opt_probe p ~ops_per_thread =
       ("ops_per_thread", Json.Int ops_per_thread);
       ("baseline_throughput", Json.Float base.Driver.throughput);
       ("off_vs_baseline", Json.Float off_vs_baseline);
-      ("all_on_vs_all_off", Json.Float all_on_vs_all_off);
-      ("middle_reduces_serial", Json.Bool middle_reduces_serial);
+      ("fuse4_vs_all_off", Json.Float fuse4_vs_all_off);
       ("variants", Json.List (List.map variant_json runs));
     ]
 
@@ -341,8 +303,7 @@ let validate js =
   let* () = if obase > 0. then Ok () else err "opt baseline_throughput <= 0" in
   let* oratio = field "off_vs_baseline" Json.to_float opt in
   let* () = if oratio > 0. then Ok () else err "opt off_vs_baseline <= 0" in
-  let* _ = field "all_on_vs_all_off" Json.to_float opt in
-  let* _ = field "middle_reduces_serial" Json.to_bool opt in
+  let* _ = field "fuse4_vs_all_off" Json.to_float opt in
   let* variants = field "variants" Json.to_list opt in
   let* () =
     if List.length variants = List.length opt_variants then Ok ()
@@ -356,21 +317,8 @@ let validate js =
         let* _ = field "label" Json.to_string_opt v in
         let* tput = field "throughput" Json.to_float v in
         let* () = if tput > 0. then Ok () else err "opt throughput <= 0" in
-        let* fm = field "fallbacks_middle" Json.to_int v in
-        let* () =
-          if fm >= 0 then Ok () else err "negative fallbacks_middle"
-        in
-        let* fs = field "fallbacks_serial" Json.to_int v in
-        let* () =
-          if fs >= 0 then Ok () else err "negative fallbacks_serial"
-        in
-        let* mh = field "magazine_hits" Json.to_int v in
-        let* () = if mh >= 0 then Ok () else err "negative magazine_hits" in
-        let* mm = field "magazine_misses" Json.to_int v in
-        let* () =
-          if mm >= 0 then Ok () else err "negative magazine_misses"
-        in
-        Ok ())
+        let* fb = field "fallbacks" Json.to_int v in
+        if fb >= 0 then Ok () else err "negative fallbacks")
       (Ok ()) variants
   in
   let* configs = field "configs" Json.to_list js in
@@ -398,15 +346,8 @@ let validate js =
             if rate >= 0. then Ok () else err "negative abort_rate"
           in
           let* _ = field "aborts" Json.to_int pt in
-          let* _ = field "fallbacks" Json.to_int pt in
-          let* fm = field "fallbacks_middle" Json.to_int pt in
-          let* () =
-            if fm >= 0 then Ok () else err "negative fallbacks_middle"
-          in
-          let* fs = field "fallbacks_serial" Json.to_int pt in
-          let* () =
-            if fs >= 0 then Ok () else err "negative fallbacks_serial"
-          in
+          let* fb = field "fallbacks" Json.to_int pt in
+          let* () = if fb >= 0 then Ok () else err "negative fallbacks" in
           let* ext = field "extensions" Json.to_int pt in
           let* () = if ext >= 0 then Ok () else err "negative extensions" in
           let* ef = field "ext_fails" Json.to_int pt in
@@ -490,10 +431,9 @@ let smoke () =
       fail "sanitizer-off throughput fell out of noise (ratio %.2f)" ratio
   | Some (Json.Float _) -> ()
   | _ -> fail "san probe missing off_vs_baseline");
-  (* Same bound for the optimization knobs: all three are compiled into
-     the binary but disabled in the all-off point, so falling out of noise
-     against the paired baseline rerun means a disabled knob has a hot-path
-     cost. *)
+  (* Same bound for window fusion: it is compiled into the binary but
+     disabled in the all-off point, so falling out of noise against the
+     paired baseline rerun means the disabled knob has a hot-path cost. *)
   (match Option.bind (Json.member "opt" js) (Json.member "off_vs_baseline") with
   | Some (Json.Float ratio) when ratio < 0.33 ->
       fail "optimizations-off throughput fell out of noise (ratio %.2f)" ratio

@@ -1,7 +1,7 @@
 (* Adversarial soak harness (`main.exe soak`).
 
    One run = a scripted churn pass over the spec (then a second pass
-   routed through the sharded service with magazines on, and a third
+   routed through the sharded service, and a third
    with the worker pool and hot cache on, every op through the async
    submit/await path), then the two DST adversaries: the stalled-reader
    backlog contrast (EBR vs RR on the same schedule) and the crash
@@ -68,7 +68,7 @@ let collect p =
   in
   let plain = churn p.spec in
   let svc_spec =
-    { p.spec with Spec.shards = Some 2; fuse = Some true; magazines = Some true }
+    { p.spec with Spec.shards = Some 2; fuse = Some true }
   in
   let sharded = churn svc_spec in
   (* third pass: same sharded spec with the worker pool and hot cache
@@ -89,7 +89,7 @@ let collect p =
   in
   let crash2 =
     Soak.crash_mid_2pc ~seed:p.seed
-      (Spec.v ~window:4 ~shards:2 ~fuse:true ~magazines:true Spec.Slist rr_v)
+      (Spec.v ~window:4 ~shards:2 ~fuse:true Spec.Slist rr_v)
   in
   {
     r_churn = [ (false, plain); (true, sharded); (true, pooled) ];

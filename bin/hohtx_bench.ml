@@ -39,8 +39,8 @@ let mode_conv =
   in
   Arg.conv (parse, fun ppf m -> Fmt.string ppf (Structs.Mode.kind_name m))
 
-let run family mode window scatter fusion middle magazines key_bits lookup_pct
-    threads ops verify strategy telemetry =
+let run family mode window scatter fusion key_bits lookup_pct threads ops
+    verify strategy telemetry =
   let ( let* ) = Result.bind in
   let inapplicable flag v =
     match v with
@@ -74,8 +74,8 @@ let run family mode window scatter fusion middle magazines key_bits lookup_pct
         in
         Ok
           (Factories.make
-             (Factories.Spec.v ~window ~scatter ?fusion ?middle ?magazines
-                ~strategy structure mode))
+             (Factories.Spec.v ~window ~scatter ?fusion ~strategy structure
+                mode))
     | None ->
         (* Lock-free baselines take none of the transactional knobs, and
            nm-tree has no reclamation mode at all. lf-list accepts only
@@ -84,8 +84,6 @@ let run family mode window scatter fusion middle magazines key_bits lookup_pct
         let* () = inapplicable "--window" window in
         let* () = inapplicable "--scatter" scatter in
         let* () = inapplicable "--fusion" fusion in
-        let* () = inapplicable "--middle" middle in
-        let* () = inapplicable "--magazines" magazines in
         let* () = inapplicable "--allocator" strategy in
         (match family with
         | `Lf_list -> (
@@ -174,22 +172,6 @@ let cmd =
                 (default 1 = off; transactional families only)."
           ~docv:"K")
   in
-  let middle =
-    Arg.(
-      value
-      & opt (some bool) None
-      & info [ "middle" ]
-          ~doc:"Retry under the per-structure middle lock before the serial \
-                fallback (default false; transactional families only).")
-  in
-  let magazines =
-    Arg.(
-      value
-      & opt (some bool) None
-      & info [ "magazines" ]
-          ~doc:"Per-thread two-magazine pool caches (default false; \
-                transactional families only).")
-  in
   let key_bits =
     Arg.(value & opt int 8 & info [ "b"; "key-bits" ] ~doc:"Key range 2^BITS.")
   in
@@ -226,9 +208,8 @@ let cmd =
   let term =
     Term.(
       term_result ~usage:true
-        (const run $ family $ mode $ window $ scatter $ fusion $ middle
-        $ magazines $ key_bits $ lookup_pct $ threads $ ops $ verify
-        $ strategy $ telemetry))
+        (const run $ family $ mode $ window $ scatter $ fusion $ key_bits
+        $ lookup_pct $ threads $ ops $ verify $ strategy $ telemetry))
   in
   Cmd.v
     (Cmd.info "hohtx-bench" ~version:"1.0"

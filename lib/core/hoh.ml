@@ -71,7 +71,7 @@ end
 let[@inline] contention_aborts s =
   Tm.Stats.aborts_read s + Tm.Stats.aborts_lock s + Tm.Stats.aborts_serial s
 
-let run ~rr ?site ?max_attempts ?(read_phase = false) ?window ?middle step =
+let run ~rr ?site ?max_attempts ?(read_phase = false) ?window step =
   let reserved = ref None in
   (* The controller's feedback signal: the delta of this thread's
      contention-abort counters across the window transaction, plus whether
@@ -91,7 +91,7 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window ?middle step =
       | None -> 1
     in
     let res =
-      Tm.atomic_stamped ?site ?max_attempts ~read_phase ?middle (fun txn ->
+      Tm.atomic_stamped ?site ?max_attempts ~read_phase (fun txn ->
           rr.Rr_intf.register txn;
           let start =
             match !reserved with
@@ -153,8 +153,8 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window ?middle step =
   in
   loop ()
 
-let apply ~rr ?site ?max_attempts ?read_phase ?window ?middle step =
-  fst (run ~rr ?site ?max_attempts ?read_phase ?window ?middle step)
+let apply ~rr ?site ?max_attempts ?read_phase ?window step =
+  fst (run ~rr ?site ?max_attempts ?read_phase ?window step)
 
-let apply_stamped ~rr ?site ?max_attempts ?read_phase ?window ?middle step =
-  run ~rr ?site ?max_attempts ?read_phase ?window ?middle step
+let apply_stamped ~rr ?site ?max_attempts ?read_phase ?window step =
+  run ~rr ?site ?max_attempts ?read_phase ?window step

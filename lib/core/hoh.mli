@@ -78,7 +78,6 @@ val apply :
   ?max_attempts:int ->
   ?read_phase:bool ->
   ?window:Window.t * int ->
-  ?middle:Tm.Middle.t ->
   (Tm.txn -> start:'r option -> ('r, 'a) outcome) ->
   'a
 (** [apply ~rr step] runs [step] in successive transactions until it
@@ -99,10 +98,7 @@ val apply :
     passing [window] closes the feedback loop, and with [fusion > 1] also
     lets the engine run {!Window.fuse_budget} consecutive windows inside
     one transaction (intermediate hand-offs carry no reservation — the
-    fused transaction's own read-set validation protects them).
-
-    [middle] is forwarded to {!Tm.atomic} as the structure's middle-path
-    lock for every window transaction of this operation. *)
+    fused transaction's own read-set validation protects them). *)
 
 val apply_stamped :
   rr:'r Rr_intf.ops ->
@@ -110,7 +106,6 @@ val apply_stamped :
   ?max_attempts:int ->
   ?read_phase:bool ->
   ?window:Window.t * int ->
-  ?middle:Tm.Middle.t ->
   (Tm.txn -> start:'r option -> ('r, 'a) outcome) ->
   'a * int
 (** Like {!apply} but also returns the commit stamp of the {e final}

@@ -12,7 +12,6 @@ type site =
   | Tm_serial_quiesce
   | Tm_serial_write
   | Tm_backoff
-  | Tm_middle_token
   | Rr_reserve
   | Rr_release
   | Rr_get
@@ -20,7 +19,6 @@ type site =
   | Rr_revoke_step
   | Mp_alloc
   | Mp_free
-  | Mp_magazine
   | Hp_protect
   | Hp_retire
   | Hp_scan
@@ -50,7 +48,6 @@ let site_name = function
   | Tm_serial_quiesce -> "tm.serial_quiesce"
   | Tm_serial_write -> "tm.serial_write"
   | Tm_backoff -> "tm.backoff"
-  | Tm_middle_token -> "tm.middle_token"
   | Rr_reserve -> "rr.reserve"
   | Rr_release -> "rr.release"
   | Rr_get -> "rr.get"
@@ -58,7 +55,6 @@ let site_name = function
   | Rr_revoke_step -> "rr.revoke_step"
   | Mp_alloc -> "mempool.alloc"
   | Mp_free -> "mempool.free"
-  | Mp_magazine -> "mempool.magazine"
   | Hp_protect -> "hazard.protect"
   | Hp_retire -> "hazard.retire"
   | Hp_scan -> "hazard.scan"

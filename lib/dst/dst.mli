@@ -30,7 +30,6 @@ type site =
   | Tm_serial_quiesce  (** serial fallback waiting for in-flight committers *)
   | Tm_serial_write  (** before each direct serial-mode write *)
   | Tm_backoff  (** replaces the contention backoff between attempts *)
-  | Tm_middle_token  (** middle-path (per-structure lock) CAS loop *)
   | Rr_reserve
   | Rr_release
   | Rr_get
@@ -38,7 +37,6 @@ type site =
   | Rr_revoke_step  (** inside a revocation sweep, per node *)
   | Mp_alloc
   | Mp_free
-  | Mp_magazine  (** magazine/depot exchange in the mempool cache *)
   | Hp_protect  (** before the hazard-slot store *)
   | Hp_retire
   | Hp_scan

@@ -15,8 +15,6 @@ module Spec = struct
     scatter : bool option;
     adaptive : bool option;
     fusion : int option;
-    middle : bool option;
-    magazines : bool option;
     strategy : Mempool.strategy option;
     rr_config : Rr.Config.t option;
     max_attempts : int option;
@@ -29,9 +27,9 @@ module Spec = struct
     slo_us : int option;
   }
 
-  let v ?window ?scatter ?adaptive ?fusion ?middle ?magazines ?strategy
-      ?rr_config ?max_attempts ?buckets ?split_unlink ?shards ?fuse ?pool
-      ?hotcache ?slo_us structure kind =
+  let v ?window ?scatter ?adaptive ?fusion ?strategy ?rr_config ?max_attempts
+      ?buckets ?split_unlink ?shards ?fuse ?pool ?hotcache ?slo_us structure
+      kind =
     (match buckets with
     | Some _ when structure <> Hashset ->
         invalid_arg "Factories.Spec.v: buckets only applies to Hashset"
@@ -61,8 +59,6 @@ module Spec = struct
       scatter;
       adaptive;
       fusion;
-      middle;
-      magazines;
       strategy;
       rr_config;
       max_attempts;
@@ -105,8 +101,6 @@ module Spec = struct
       | Some k when k > 1 -> Printf.sprintf "%s+fuse%d" base k
       | _ -> base
     in
-    let base = if t.middle = Some true then base ^ "+mid" else base in
-    let base = if t.magazines = Some true then base ^ "+mag" else base in
     let base = if t.pool = Some true then base ^ "+pool" else base in
     let base = if t.hotcache = Some true then base ^ "+hotcache" else base in
     let base =
@@ -153,8 +147,6 @@ module Spec = struct
       @@ opt "scatter" (fun b -> J.Bool b) t.scatter
       @@ opt "adaptive" (fun b -> J.Bool b) t.adaptive
       @@ opt "fusion" (fun i -> J.Int i) t.fusion
-      @@ opt "middle" (fun b -> J.Bool b) t.middle
-      @@ opt "magazines" (fun b -> J.Bool b) t.magazines
       @@ opt "strategy" (fun s -> J.String (Mempool.strategy_name s)) t.strategy
       @@ opt "rr_config" rr_config_json t.rr_config
       @@ opt "max_attempts" (fun i -> J.Int i) t.max_attempts
@@ -170,8 +162,16 @@ module Spec = struct
   let of_json json =
     let ( let* ) = Result.bind in
     let fail fmt = Printf.ksprintf (fun m -> Error m) fmt in
+    (* Every key a parser looks at; whatever else the document carries is
+       a knob this spec cannot express, so it is rejected below rather
+       than silently dropped. *)
+    let known = ref [ "label" ] in
+    let member name =
+      known := name :: !known;
+      J.member name json
+    in
     let require name conv =
-      match J.member name json with
+      match member name with
       | None -> fail "Spec.of_json: missing %S" name
       | Some v -> (
           match conv v with
@@ -179,7 +179,7 @@ module Spec = struct
           | None -> fail "Spec.of_json: bad %S" name)
     in
     let optional name conv =
-      match J.member name json with
+      match member name with
       | None -> Ok None
       | Some v -> (
           match conv v with
@@ -210,8 +210,6 @@ module Spec = struct
     let* scatter = optional "scatter" J.to_bool in
     let* adaptive = optional "adaptive" J.to_bool in
     let* fusion = optional "fusion" J.to_int in
-    let* middle = optional "middle" J.to_bool in
-    let* magazines = optional "magazines" J.to_bool in
     let* strategy =
       optional "strategy" (fun v ->
           Option.bind (J.to_string_opt v) strategy_of_name)
@@ -225,11 +223,20 @@ module Spec = struct
     let* pool = optional "pool" J.to_bool in
     let* hotcache = optional "hotcache" J.to_bool in
     let* slo_us = optional "slo_us" J.to_int in
+    let* () =
+      let unknown (k, _) = not (List.mem k !known) in
+      match json with
+      | J.Obj fields -> (
+          match List.find_opt unknown fields with
+          | Some (k, _) -> fail "Spec.of_json: unknown key %S" k
+          | None -> Ok ())
+      | _ -> fail "Spec.of_json: not an object"
+    in
     let* t =
       match
-        v ?window ?scatter ?adaptive ?fusion ?middle ?magazines ?strategy
-          ?rr_config ?max_attempts ?buckets ?split_unlink ?shards ?fuse ?pool
-          ?hotcache ?slo_us structure kind
+        v ?window ?scatter ?adaptive ?fusion ?strategy ?rr_config ?max_attempts
+          ?buckets ?split_unlink ?shards ?fuse ?pool ?hotcache ?slo_us
+          structure kind
       with
       | t -> Ok t
       | exception Invalid_argument m -> Error m
@@ -246,37 +253,37 @@ module Spec = struct
 end
 
 let make (s : Spec.t) =
-  let { Spec.structure; kind; window; scatter; adaptive; fusion; middle;
-        magazines; strategy; rr_config; max_attempts; buckets; split_unlink;
-        shards = _; fuse = _; pool = _; hotcache = _; slo_us = _ } = s in
+  let { Spec.structure; kind; window; scatter; adaptive; fusion; strategy;
+        rr_config; max_attempts; buckets; split_unlink; shards = _; fuse = _;
+        pool = _; hotcache = _; slo_us = _ } = s in
   let build () =
     match structure with
     | Spec.Slist ->
         Store.of_hoh_list
           (Structs.Hoh_list.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
+             ?fusion ?strategy ?rr_config ?max_attempts ())
     | Spec.Dlist ->
         Store.of_hoh_dlist
           (Structs.Hoh_dlist.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?middle ?magazines ?strategy ?rr_config ?max_attempts
+             ?fusion ?strategy ?rr_config ?max_attempts
              ?split_unlink ())
     | Spec.Bst_int ->
         Store.of_bst_int
           (Structs.Hoh_bst_int.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
+             ?fusion ?strategy ?rr_config ?max_attempts ())
     | Spec.Bst_ext ->
         Store.of_bst_ext
           (Structs.Hoh_bst_ext.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
+             ?fusion ?strategy ?rr_config ?max_attempts ())
     | Spec.Hashset ->
         Store.of_hashset
           (Structs.Hoh_hashset.create ~mode:kind ?buckets ?window ?scatter
-             ?adaptive ?fusion ?middle ?magazines ?strategy ?rr_config
+             ?adaptive ?fusion ?strategy ?rr_config
              ?max_attempts ())
     | Spec.Skiplist ->
         Store.of_skiplist
           (Structs.Hoh_skiplist.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?middle ?magazines ?strategy ?rr_config ?max_attempts ())
+             ?fusion ?strategy ?rr_config ?max_attempts ())
   in
   { label = Spec.label s; make = build }
 

@@ -27,12 +27,6 @@ module Spec : sig
     fusion : int option;
         (** window-fusion ceiling: run up to this many consecutive clean
             windows in one transaction ({!Rr.Hoh.Window}; default 1 = off) *)
-    middle : bool option;
-        (** retry exhausted speculative attempts under a per-structure
-            middle-path lock before the serial rung ({!Tm.Middle}) *)
-    magazines : bool option;
-        (** per-thread magazine caches in front of the pool strategy
-            ({!Mempool.create}) *)
     strategy : Mempool.strategy option;
     rr_config : Rr.Config.t option;
     max_attempts : int option;  (** TM attempts before serial fallback *)
@@ -60,8 +54,6 @@ module Spec : sig
     ?scatter:bool ->
     ?adaptive:bool ->
     ?fusion:int ->
-    ?middle:bool ->
-    ?magazines:bool ->
     ?strategy:Mempool.strategy ->
     ?rr_config:Rr.Config.t ->
     ?max_attempts:int ->
@@ -91,8 +83,7 @@ module Spec : sig
   val label : t -> string
   (** The curve label used in reports: the mode's name, suffixed with
       ["-hash"] / ["-skip"] for the structures the paper plots separately,
-      ["+fuseK"] when [fusion = Some k, k > 1], ["+mid"] / ["+mag"] when
-      the middle path / magazines are on, ["+pool"] / ["+hotcache"] /
+      ["+fuseK"] when [fusion = Some k, k > 1], ["+pool"] / ["+hotcache"] /
       ["+sloUS"] for the service worker-pool, hot-cache, and admission
       knobs, and ["/xN"] when sharded ([shards > 1]). *)
 
@@ -102,7 +93,8 @@ module Spec : sig
       are [Some _] are emitted. *)
 
   val of_json : Telemetry.Json.t -> (t, string) result
-  (** Inverse of {!to_json}. Applies the {!v} validation rules, and — if a
+  (** Inverse of {!to_json}. Applies the {!v} validation rules, rejects
+      any key {!to_json} cannot emit (naming it in the error), and — if a
       ["label"] field is present — rejects documents whose label does not
       match the parsed spec's {!label}. *)
 end

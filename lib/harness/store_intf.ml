@@ -2,8 +2,7 @@
 
     Every set implementation in the repository — the six HOH structures,
     the lock-free baselines — is served to the driver, the benchmarks and
-    the sharded service through this module type. It replaces the bare
-    [Set_ops.handle] record of closures with a typed API:
+    the sharded service through this module type, a typed API:
 
     - operations return a {!reply} whose {!outcome} is a variant, not a
       bare [bool], so callers distinguish "insert succeeded" from
@@ -15,8 +14,7 @@
       for its measurement-window report uniformly.
 
     Implementations are packed with [Store.pack] into the existential
-    [Store.t], so heterogeneous stores remain interchangeable values the
-    way the old record was. *)
+    [Store.t], so heterogeneous stores remain interchangeable values. *)
 
 (** Operation result. [Keys] carries a scan's hits; the other constructors
     are the typed split of the old boolean (success/failure per class of

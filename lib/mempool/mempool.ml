@@ -12,16 +12,12 @@ module Stats = struct
     global_ops : int;
     live : int;
     high_water : int;
-    magazine_hits : int;
-    magazine_misses : int;
   }
 
   let pp ppf t =
     Format.fprintf ppf
-      "allocs=%d frees=%d fresh=%d global_ops=%d live=%d high_water=%d \
-       mag_hits=%d mag_misses=%d"
+      "allocs=%d frees=%d fresh=%d global_ops=%d live=%d high_water=%d"
       t.allocs t.frees t.fresh t.global_ops t.live t.high_water
-      t.magazine_hits t.magazine_misses
 end
 
 exception Double_free of int
@@ -32,17 +28,6 @@ exception Double_free of int
 let is_odd s = s land 1 = 1
 
 type 'a arena = { mutable nodes : 'a list; mutable count : int }
-
-(* Bonwick-style per-thread magazine pair (jemalloc tcache): [loaded] is
-   the working cache, [prev] the spare. Hot alloc/free touch only these
-   two thread-owned lists; only a refill from (or a spill of) a whole
-   magazine goes through the shared depot. *)
-type 'a magazine = {
-  mutable loaded : 'a list;
-  mutable ln : int;
-  mutable prev : 'a list;
-  mutable pn : int;
-}
 
 type 'a t = {
   strategy : strategy;
@@ -63,14 +48,6 @@ type 'a t = {
   global_nodes : 'a list Atomic.t;
   global_batches : 'a list list Atomic.t;
   arenas : 'a arena array;
-  (* Magazine layer, in front of the strategy when [magazines] is set.
-     Full magazines (of [batch] slots) are exchanged through the
-     [global_batches] depot. The hit/miss counters are thread-owned plain
-     cells, read only after quiescence. *)
-  magazines : bool;
-  mags : 'a magazine array;
-  mag_hits : int array;
-  mag_misses : int array;
   allocs : int Atomic.t;
   frees : int Atomic.t;
   fresh : int Atomic.t;
@@ -78,9 +55,9 @@ type 'a t = {
   high_water : int Atomic.t;
 }
 
-let create ?(strategy = Thread_arena) ?(batch = 32) ?(magazines = false)
-    ~make ~node_id ~state ?(poison = fun _ -> ())
-    ?(tvar_ids = fun _ -> []) ?(probe_ids = fun _ -> []) () =
+let create ?(strategy = Thread_arena) ?(batch = 32) ~make ~node_id ~state
+    ?(poison = fun _ -> ()) ?(tvar_ids = fun _ -> [])
+    ?(probe_ids = fun _ -> []) () =
   if batch < 1 then invalid_arg "Mempool.create: batch < 1";
   let t =
     {
@@ -98,12 +75,6 @@ let create ?(strategy = Thread_arena) ?(batch = 32) ?(magazines = false)
       global_batches = Atomic.make [];
       arenas =
         Array.init Tm.Thread.max_threads (fun _ -> { nodes = []; count = 0 });
-      magazines;
-      mags =
-        Array.init Tm.Thread.max_threads (fun _ ->
-            { loaded = []; ln = 0; prev = []; pn = 0 });
-      mag_hits = Array.make Tm.Thread.max_threads 0;
-      mag_misses = Array.make Tm.Thread.max_threads 0;
       allocs = Atomic.make 0;
       frees = Atomic.make 0;
       fresh = Atomic.make 0;
@@ -124,10 +95,6 @@ let create ?(strategy = Thread_arena) ?(batch = 32) ?(magazines = false)
           ("fresh", float_of_int (Atomic.get t.fresh));
           ("global_ops", float_of_int (Atomic.get t.global_ops));
           ("high_water", float_of_int (Atomic.get t.high_water));
-          ( "magazine_hits",
-            float_of_int (Array.fold_left ( + ) 0 t.mag_hits) );
-          ( "magazine_misses",
-            float_of_int (Array.fold_left ( + ) 0 t.mag_misses) );
         ]);
   t
 
@@ -207,75 +174,11 @@ let take_pooled t ~thread =
               a.count <- List.length rest;
               Some n))
 
-(* Magazine-cached take: serve from [loaded], then from a swapped-in
-   [prev], and only then (a miss) refill a whole magazine from the depot —
-   falling through to the strategy path when the depot is dry. *)
-let mag_take t ~thread =
-  let m = t.mags.(thread) in
-  match m.loaded with
-  | n :: rest ->
-      m.loaded <- rest;
-      m.ln <- m.ln - 1;
-      t.mag_hits.(thread) <- t.mag_hits.(thread) + 1;
-      Some n
-  | [] -> (
-      if m.pn > 0 then begin
-        m.loaded <- m.prev;
-        m.ln <- m.pn;
-        m.prev <- [];
-        m.pn <- 0
-      end;
-      match m.loaded with
-      | n :: rest ->
-          m.loaded <- rest;
-          m.ln <- m.ln - 1;
-          t.mag_hits.(thread) <- t.mag_hits.(thread) + 1;
-          Some n
-      | [] -> (
-          t.mag_misses.(thread) <- t.mag_misses.(thread) + 1;
-          Dst.point Dst.Mp_magazine;
-          Atomic.incr t.global_ops;
-          match pop_batch t with
-          | Some (n :: rest) ->
-              m.loaded <- rest;
-              m.ln <- List.length rest;
-              Some n
-          | Some [] | None -> take_pooled t ~thread))
-
-(* Magazine-cached put: push onto [loaded]; when full, rotate it to
-   [prev]; when both are full, spill the previous (full) magazine to the
-   depot — the only shared operation on the free path. *)
-let mag_put t ~thread n =
-  let m = t.mags.(thread) in
-  if m.ln < t.batch then begin
-    m.loaded <- n :: m.loaded;
-    m.ln <- m.ln + 1;
-    t.mag_hits.(thread) <- t.mag_hits.(thread) + 1
-  end
-  else if m.pn = 0 then begin
-    m.prev <- m.loaded;
-    m.pn <- m.ln;
-    m.loaded <- [ n ];
-    m.ln <- 1;
-    t.mag_hits.(thread) <- t.mag_hits.(thread) + 1
-  end
-  else begin
-    t.mag_misses.(thread) <- t.mag_misses.(thread) + 1;
-    Dst.point Dst.Mp_magazine;
-    Atomic.incr t.global_ops;
-    push_batch t m.prev;
-    m.prev <- m.loaded;
-    m.pn <- m.ln;
-    m.loaded <- [ n ];
-    m.ln <- 1
-  end
-
 let alloc t ~thread =
   (* DST fault injection: a [Fail] arm on [Mp_alloc] models allocation
      failure (arena and global freelists empty, fabrication refused). *)
   if Dst.point_fails Dst.Mp_alloc then raise (Dst.Injected Dst.Mp_alloc);
-  let take = if t.magazines then mag_take else take_pooled in
-  let n = match take t ~thread with Some n -> n | None -> fabricate t in
+  let n = match take_pooled t ~thread with Some n -> n | None -> fabricate t in
   let st = t.state n in
   let s = Atomic.get st in
   if is_odd s || not (Atomic.compare_and_set st s (s + 1)) then
@@ -328,31 +231,7 @@ let free t ~thread n =
     San.mp_free ~thread ~site:(Tm.current_site ()) ~node:(san_key t n)
       ~stamp:(Tm.clock ());
   Atomic.incr t.frees;
-  if t.magazines then mag_put t ~thread n else stash t ~thread n
-
-(* Drain one thread's magazine pair back through the shared bins. The
-   pushes are counted in [global_ops] (one per non-empty magazine): a
-   drain genuinely touches the shared freelist, it is just off the hot
-   path. Partial magazines go back node-by-node under [Size_class] and as
-   (short) batches under [Thread_arena], matching [flush_arenas]. *)
-let drain_magazines t ~thread =
-  if t.magazines then begin
-    let m = t.mags.(thread) in
-    let give nodes =
-      if nodes <> [] then begin
-        Atomic.incr t.global_ops;
-        match t.strategy with
-        | Size_class -> List.iter (fun n -> push_global t n) nodes
-        | Thread_arena -> push_batch t nodes
-      end
-    in
-    give m.loaded;
-    give m.prev;
-    m.loaded <- [];
-    m.ln <- 0;
-    m.prev <- [];
-    m.pn <- 0
-  end
+  stash t ~thread n
 
 let flush_arenas t =
   Array.iter
@@ -362,18 +241,12 @@ let flush_arenas t =
       | Thread_arena -> if a.nodes <> [] then push_batch t a.nodes);
       a.nodes <- [];
       a.count <- 0)
-    t.arenas;
-  if t.magazines then
-    for i = 0 to Array.length t.mags - 1 do
-      drain_magazines t ~thread:i
-    done
+    t.arenas
 
-let magazines t = t.magazines
 let live t = Atomic.get t.allocs - Atomic.get t.frees
 
 let stats t =
   let allocs = Atomic.get t.allocs and frees = Atomic.get t.frees in
-  let sum a = Array.fold_left ( + ) 0 a in
   {
     Stats.allocs;
     frees;
@@ -381,6 +254,4 @@ let stats t =
     global_ops = Atomic.get t.global_ops;
     live = allocs - frees;
     high_water = Atomic.get t.high_water;
-    magazine_hits = sum t.mag_hits;
-    magazine_misses = sum t.mag_misses;
   }

@@ -16,14 +16,7 @@
       allocator metadata is a contention point.
     - {!Thread_arena} ("H-", Hoard-like): per-thread freelists exchanging
       whole batches with a global batch stack, so the common case touches
-      only thread-local state.
-
-    Orthogonally, [~magazines:true] layers a jemalloc-tcache-style cache
-    in front of either strategy: each thread holds two magazines of
-    [batch] slot ids (a loaded one and a spare), so hot alloc/free never
-    touches a shared CAS; only whole-magazine refills/spills go through
-    the global depot, and {!drain_magazines} returns the cached slots at
-    quiescence so live/free accounting stays exact. *)
+      only thread-local state. *)
 
 type strategy = Size_class | Thread_arena
 
@@ -39,11 +32,6 @@ module Stats : sig
     global_ops : int;  (** operations that touched the shared freelist *)
     live : int;  (** currently outstanding nodes *)
     high_water : int;  (** maximum simultaneous live nodes *)
-    magazine_hits : int;
-        (** alloc/free served entirely from a thread's magazines *)
-    magazine_misses : int;
-        (** alloc/free that had to exchange a magazine with the depot (or
-            fall through to the strategy path) *)
   }
 
   val pp : Format.formatter -> t -> unit
@@ -58,7 +46,6 @@ type 'a t
 val create :
   ?strategy:strategy ->
   ?batch:int ->
-  ?magazines:bool ->
   make:(int -> 'a) ->
   node_id:('a -> int) ->
   state:('a -> int Atomic.t) ->
@@ -76,8 +63,7 @@ val create :
     live; it catches double frees and yields {!generation}. [poison] is applied
     when a node is freed, so that any logically-erroneous later use is
     detectable by tests. [batch] sizes the arena-to-global transfer unit for
-    {!Thread_arena} (default 32) and the magazine capacity. [magazines]
-    (default [false]) enables the per-thread magazine cache. *)
+    {!Thread_arena} (default 32). *)
 
 val alloc : 'a t -> thread:int -> 'a
 (** Allocate a node: reuse a pooled one if available, else fabricate a fresh
@@ -112,7 +98,6 @@ val san_key : 'a t -> 'a -> int
 
 val stats : 'a t -> Stats.t
 val strategy : 'a t -> strategy
-val magazines : 'a t -> bool
 
 val live : 'a t -> int
 (** Currently outstanding nodes ([allocs - frees]): two atomic loads, no
@@ -122,13 +107,7 @@ val live : 'a t -> int
     tightly, while a stalled EBR reader lets it grow with every deferred
     retire. *)
 
-val drain_magazines : 'a t -> thread:int -> unit
-(** Return [thread]'s magazine-cached slots to the shared bins (counted
-    in [global_ops]). The per-thread watermark-quiescence drain hook: call
-    it when a worker quiesces (the structures do, from
-    [finalize_thread]). No-op without [magazines]. *)
-
 val flush_arenas : 'a t -> unit
-(** Move all arena-held (and magazine-held) nodes to the global freelist.
+(** Move all arena-held nodes to the global freelist.
     Call after worker threads have quiesced, before asserting on
     accounting invariants. *)

@@ -123,7 +123,6 @@ type thread_shadow = {
   mutable carry_checked : bool;
   mutable in_check : bool;
   mutable locks : int list; (* tvar uids locked by the in-flight commit *)
-  mutable middle : int; (* middle-path locks currently held (0 or 1) *)
   mutable hints : (int * int) list; (* (node key, generation at note) *)
   mutable epochs : int; (* live epoch announcements *)
   mutable hp : ((int * int) * int) list; (* ((group, slot), node) *)
@@ -139,7 +138,6 @@ let fresh_thread () =
     carry_checked = false;
     in_check = false;
     locks = [];
-    middle = 0;
     hints = [];
     epochs = 0;
     hp = [];
@@ -446,31 +444,6 @@ let tm_unlock_slow ~tid ~site ~wv uid =
 
 let[@inline] tm_unlock ~tid ~site ~wv uid =
   if !on then tm_unlock_slow ~tid ~site ~wv uid
-
-let middle_acquire_slow ~tid =
-  guarded (fun () ->
-      let th = thr tid in
-      th.middle <- th.middle + 1;
-      [])
-
-let[@inline] middle_acquire ~tid = if !on then middle_acquire_slow ~tid
-
-let middle_release_slow ~tid ~site =
-  guarded (fun () ->
-      let th = thr tid in
-      if th.middle <= 0 then
-        [
-          mk Lock_leak ~tid ~site ~subject:"middle lock"
-            ~detail:"middle-path lock released without a matching acquire"
-            ~key:min_int;
-        ]
-      else begin
-        th.middle <- th.middle - 1;
-        []
-      end)
-
-let[@inline] middle_release ~tid ~site =
-  if !on then middle_release_slow ~tid ~site
 
 let lock_leak_report ~tid ~site locks =
   mk Lock_leak ~tid ~site
@@ -935,14 +908,6 @@ let thread_exit_slow ~tid =
               ~key:min_int;
           ]
         else []
-      in
-      let reps =
-        if th.middle > 0 then
-          mk Lock_leak ~tid ~site:"(thread exit)" ~subject:"middle lock"
-            ~detail:"middle-path lock acquired but never released"
-            ~key:min_int
-          :: reps
-        else reps
       in
       threads.(if tid >= 0 && tid < Array.length threads then tid else 0) <-
         fresh_thread ();

@@ -138,14 +138,6 @@ val tm_unlock : tid:int -> site:string -> wv:int -> int -> unit
 (** Version lock of tvar [uid] released; [wv >= 0] is the publishing commit
     version, [wv = -1] an abort-path release. *)
 
-val middle_acquire : tid:int -> unit
-(** Middle-path (per-structure) lock acquired. An acquire without a
-    matching {!middle_release} before {!thread_exit} is a lock leak. *)
-
-val middle_release : tid:int -> site:string -> unit
-(** Middle-path lock released; a release without a matching acquire is
-    itself reported under the lock-leak rule. *)
-
 val tm_commit : tid:int -> site:string -> rv:int -> now:int -> unit
 (** Transaction committed: checks lock leaks, applies the buffered RR
     protocol events, delivers buffered violations. [now] is the commit

@@ -295,9 +295,9 @@ let run_churn ?service ?(verify = true) ?(slo_us = 1000) ~seed ~key_bits
                 atomic_max g_hwm lv
               end)
             ops;
-          (* thread leave: the watermark-quiescence hook (drains magazines,
-             leaves the epoch) before the id is recycled for the next
-             phase's workers *)
+          (* thread leave: the quiescence hook (leaves the epoch, clears
+             hazard slots) before the id is recycled for the next phase's
+             workers *)
           Store.finalize_thread store ~thread:wtid;
           log)
     in
@@ -328,10 +328,10 @@ let run_churn ?service ?(verify = true) ?(slo_us = 1000) ~seed ~key_bits
   in
   let phase_results = List.mapi run_phase phases in
   (* Workers exit before the pool is held to account: shutdown joins the
-     drain domains and runs their thread finalizers (flushing
-     magazine-cached slots), and the extra drain returns whatever those
-     finalizers released. Without it the leak oracle would blame the
-     parked workers' magazines. No-op for unpooled services. *)
+     drain domains and runs their thread finalizers, and the extra drain
+     returns whatever those finalizers released. Without it the leak
+     oracle would blame the parked workers' deferred frees. No-op for
+     unpooled services. *)
   Option.iter
     (fun s ->
       Service.shutdown s;
@@ -627,9 +627,8 @@ let crash_mid_2pc ~seed spec =
     (match Service.check svc with
     | Ok () -> ()
     | Error e -> errors := ("post-recover check: " ^ e) :: !errors);
-    (* the victim died with its freed slot possibly cached in a magazine;
-       its quiescence drain (and the full service drain) must return it
-       rather than leak it *)
+    (* the victim's quiescence hook (and the full service drain) must
+       return whatever it left deferred rather than leak it *)
     if !victim_tid >= 0 then Service.finalize_thread svc ~thread:!victim_tid;
     Service.drain svc;
     let leaked = live () - !b0 in

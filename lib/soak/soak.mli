@@ -157,9 +157,9 @@ val crash_mid_2pc :
   seed:int -> Harness.Factories.Spec.t -> crash_result
 (** Kill a thread between the apply sub-steps of a cross-shard multi
     ([Svc_apply]); {!Service.recover} must roll the applied prefix back
-    to all-or-nothing contents with exact pool accounting — including
-    with magazines enabled, where the victim's cached slots are drained
-    rather than leaked. The spec's [shards] knob must be at least 2. *)
+    to all-or-nothing contents with exact pool accounting, also after the
+    victim's thread is finalized and the service drained. The spec's
+    [shards] knob must be at least 2. *)
 
 (** {1 Telemetry} *)
 

@@ -4,18 +4,17 @@ type t = {
   mode : Tnode.t Mode.t;
   root : Tnode.t;  (** sentinel, key = [max_int]; real tree on its left *)
   window : Window.t;
-  middle : Tm.Middle.t option;
   pool : Tnode.t Mempool.t;
   max_attempts : int option;
 }
 
 let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
-    ?(middle = false) ?magazines ?strategy ?rr_config ?(max_attempts = 8) () =
+    ?strategy ?rr_config ?(max_attempts = 8) () =
   (match mode with
   | Mode.Tmhp | Mode.Ref | Mode.Ebr ->
       invalid_arg "Hoh_bst_int: only Rr_kind and Htm modes are supported"
   | Mode.Rr_kind _ | Mode.Htm -> ());
-  let pool = Tnode.make_pool ?strategy ?magazines () in
+  let pool = Tnode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
       ~deleted:(fun n -> n.Tnode.deleted)
@@ -25,7 +24,6 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
     mode;
     root = Tnode.sentinel ~key:max_int;
     window = Window.create ~scatter ?adaptive ?fusion window;
-    middle = (if middle then Some (Tm.Middle.create ()) else None);
     pool;
     max_attempts = Some max_attempts;
   }
@@ -75,7 +73,6 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
   Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
     ~read_phase
     ~window:(t.window, thread)
-    ?middle:t.middle
     (fun txn ~start ->
       let start, budget = start_point t ~thread ~start in
       let outcome =
@@ -164,9 +161,7 @@ let insert t ~thread key = fst (insert_s t ~thread key)
 let remove t ~thread key = fst (remove_s t ~thread key)
 let lookup t ~thread key = fst (lookup_s t ~thread key)
 
-let finalize_thread t ~thread =
-  t.mode.Mode.finalize ~thread;
-  Mempool.drain_magazines t.pool ~thread
+let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
 let rec fold_infix acc node f =

@@ -4,16 +4,15 @@ type t = {
   mode : Lnode.t Mode.t;
   head : Lnode.t;
   window : Window.t;
-  middle : Tm.Middle.t option;
   pool : Lnode.t Mempool.t;
   max_attempts : int option;
   split_unlink : bool;
 }
 
 let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
-    ?(middle = false) ?magazines ?strategy ?rr_config ?hp_threshold
-    ?max_attempts ?(split_unlink = true) () =
-  let pool = Lnode.make_pool ?strategy ?magazines () in
+    ?strategy ?rr_config ?hp_threshold ?max_attempts ?(split_unlink = true)
+    () =
+  let pool = Lnode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
       ~deleted:(fun n -> n.Lnode.deleted)
@@ -24,7 +23,6 @@ let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
     mode;
     head = Lnode.sentinel ();
     window = Window.create ~scatter ?adaptive ?fusion window;
-    middle = (if middle then Some (Tm.Middle.create ()) else None);
     pool;
     max_attempts;
     split_unlink;
@@ -45,7 +43,6 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
   Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
     ~read_phase
     ~window:(t.window, thread)
-    ?middle:t.middle
     (fun txn ~start ->
       let prev, budget = start_point t ~thread ~start in
       match List_walk.walk txn ~key ~prev ~budget with
@@ -119,7 +116,6 @@ let remove_s t ~thread key =
     Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site:"dlist.remove"
       ?max_attempts:t.max_attempts
       ~window:(t.window, thread)
-      ?middle:t.middle
       (fun txn ~start ->
         let traverse ~start =
           let prev, budget = start_point t ~thread ~start in
@@ -174,9 +170,7 @@ let remove t ~thread key =
 
 let lookup t ~thread key = fst (lookup_s t ~thread key)
 
-let finalize_thread t ~thread =
-  t.mode.Mode.finalize ~thread;
-  Mempool.drain_magazines t.pool ~thread
+let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
 let to_list t =

@@ -24,8 +24,6 @@ val create :
   ?scatter:bool ->
   ?adaptive:bool ->
   ?fusion:int ->
-  ?middle:bool ->
-  ?magazines:bool ->
   ?strategy:Mempool.strategy ->
   ?rr_config:Rr.Config.t ->
   ?hp_threshold:int ->

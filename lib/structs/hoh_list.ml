@@ -4,15 +4,13 @@ type t = {
   mode : Lnode.t Mode.t;
   head : Lnode.t;
   window : Window.t;
-  middle : Tm.Middle.t option;
   pool : Lnode.t Mempool.t;
   max_attempts : int option;
 }
 
 let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
-    ?(middle = false) ?magazines ?strategy ?rr_config ?hp_threshold
-    ?max_attempts () =
-  let pool = Lnode.make_pool ?strategy ?magazines () in
+    ?strategy ?rr_config ?hp_threshold ?max_attempts () =
+  let pool = Lnode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
       ~deleted:(fun n -> n.Lnode.deleted)
@@ -21,7 +19,6 @@ let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
   in
   { mode; head = Lnode.sentinel ();
     window = Window.create ~scatter ?adaptive ?fusion window;
-    middle = (if middle then Some (Tm.Middle.create ()) else None);
     pool; max_attempts }
 
 let name t = t.mode.Mode.name
@@ -36,7 +33,6 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
   Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
     ~read_phase
     ~window:(t.window, thread)
-    ?middle:t.middle
     (fun txn ~start ->
       let prev, budget =
         match start with
@@ -96,9 +92,7 @@ let insert t ~thread key = fst (insert_s t ~thread key)
 let remove t ~thread key = fst (remove_s t ~thread key)
 let lookup t ~thread key = fst (lookup_s t ~thread key)
 
-let finalize_thread t ~thread =
-  t.mode.Mode.finalize ~thread;
-  Mempool.drain_magazines t.pool ~thread
+let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
 let to_list t =

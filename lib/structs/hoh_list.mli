@@ -17,8 +17,6 @@ val create :
   ?scatter:bool ->
   ?adaptive:bool ->
   ?fusion:int ->
-  ?middle:bool ->
-  ?magazines:bool ->
   ?strategy:Mempool.strategy ->
   ?rr_config:Rr.Config.t ->
   ?hp_threshold:int ->
@@ -31,10 +29,6 @@ val create :
     budget from contention feedback, with [window] as the starting point);
     [fusion] to 1 (off; [k > 1] lets clean commits fuse up to [k]
     consecutive windows into one transaction — see {!Rr.Hoh.Window});
-    [middle] to [false] (when set, exhausted speculative attempts retry
-    under this structure's middle-path lock before escalating to serial —
-    see {!Tm.Middle}); [magazines] to [false] (per-thread magazine caches
-    in front of the pool strategy — see {!Mempool.create});
     [strategy] to {!Mempool.Thread_arena};
     [max_attempts] to the TM default (the paper uses 2 for lists). *)
 

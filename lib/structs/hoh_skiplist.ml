@@ -4,19 +4,17 @@ type t = {
   mode : Snode.t Mode.t;
   head : Snode.t;
   window : Window.t;
-  middle : Tm.Middle.t option;
   pool : Snode.t Mempool.t;
   max_attempts : int option;
   seeds : int array;
 }
 
 let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
-    ?(middle = false) ?magazines ?strategy ?rr_config ?hp_threshold
-    ?(max_attempts = 8) ?(seed = 42) () =
+    ?strategy ?rr_config ?hp_threshold ?(max_attempts = 8) ?(seed = 42) () =
   (match mode with
   | Mode.Ref -> invalid_arg "Hoh_skiplist: Ref mode is not supported"
   | Mode.Rr_kind _ | Mode.Htm | Mode.Tmhp | Mode.Ebr -> ());
-  let pool = Snode.make_pool ?strategy ?magazines () in
+  let pool = Snode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
       ~deleted:(fun n -> n.Snode.deleted)
@@ -26,7 +24,6 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
     mode;
     head = Snode.sentinel ();
     window = Window.create ~scatter ?adaptive ?fusion window;
-    middle = (if middle then Some (Tm.Middle.create ()) else None);
     pool;
     max_attempts = Some max_attempts;
     seeds = Array.init Tm.Thread.max_threads (fun i -> seed + (i * 7919) + 1);
@@ -121,7 +118,6 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_position =
   Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
     ~read_phase
     ~window:(t.window, thread)
-    ?middle:t.middle
     (fun txn ~start ->
       let node, lvl, budget =
         match start with
@@ -216,9 +212,7 @@ let insert t ~thread key = fst (insert_s t ~thread key)
 let remove t ~thread key = fst (remove_s t ~thread key)
 let lookup t ~thread key = fst (lookup_s t ~thread key)
 
-let finalize_thread t ~thread =
-  t.mode.Mode.finalize ~thread;
-  Mempool.drain_magazines t.pool ~thread
+let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
 let to_list t =

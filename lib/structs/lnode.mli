@@ -24,8 +24,7 @@ type t = {
 
 val poisoned_key : int
 
-val make_pool :
-  ?strategy:Mempool.strategy -> ?magazines:bool -> unit -> t Mempool.t
+val make_pool : ?strategy:Mempool.strategy -> unit -> t Mempool.t
 (** A pool of list nodes with poisoning wired up. *)
 
 val sentinel : unit -> t

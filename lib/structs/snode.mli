@@ -19,8 +19,7 @@ val max_level : int
 (** Tower capacity (16): comfortable for millions of keys. *)
 
 val poisoned_key : int
-val make_pool :
-  ?strategy:Mempool.strategy -> ?magazines:bool -> unit -> t Mempool.t
+val make_pool : ?strategy:Mempool.strategy -> unit -> t Mempool.t
 val sentinel : unit -> t
 val hash : t -> int
 val equal : t -> t -> bool

@@ -37,8 +37,8 @@ let tvar_ids n =
     Tm.tvar_id n.deleted;
   ]
 
-let make_pool ?strategy ?magazines () =
-  Mempool.create ?strategy ?magazines ~make ~node_id:(fun n -> n.id)
+let make_pool ?strategy () =
+  Mempool.create ?strategy ~make ~node_id:(fun n -> n.id)
     ~state:state_word ~poison ~tvar_ids
     ~probe_ids:(fun n -> [ Tm.tvar_id n.deleted ])
     ()

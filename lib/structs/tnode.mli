@@ -21,8 +21,7 @@ type t = {
 }
 
 val poisoned_key : int
-val make_pool :
-  ?strategy:Mempool.strategy -> ?magazines:bool -> unit -> t Mempool.t
+val make_pool : ?strategy:Mempool.strategy -> unit -> t Mempool.t
 val sentinel : key:int -> t
 val hash : t -> int
 val equal : t -> t -> bool

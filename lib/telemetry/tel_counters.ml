@@ -5,8 +5,7 @@ type t = {
   mutable aborts_lock : int;
   mutable aborts_serial : int;
   mutable aborts_user : int;
-  mutable fallbacks_middle : int;
-  mutable fallbacks_serial : int;
+  mutable fallbacks : int;
   mutable extensions : int;
   mutable ext_fails : int;
 }
@@ -19,8 +18,7 @@ let create () =
     aborts_lock = 0;
     aborts_serial = 0;
     aborts_user = 0;
-    fallbacks_middle = 0;
-    fallbacks_serial = 0;
+    fallbacks = 0;
     extensions = 0;
     ext_fails = 0;
   }
@@ -32,8 +30,7 @@ let reset t =
   t.aborts_lock <- 0;
   t.aborts_serial <- 0;
   t.aborts_user <- 0;
-  t.fallbacks_middle <- 0;
-  t.fallbacks_serial <- 0;
+  t.fallbacks <- 0;
   t.extensions <- 0;
   t.ext_fails <- 0
 
@@ -43,8 +40,7 @@ let incr_aborts_read t = t.aborts_read <- t.aborts_read + 1
 let incr_aborts_lock t = t.aborts_lock <- t.aborts_lock + 1
 let incr_aborts_serial t = t.aborts_serial <- t.aborts_serial + 1
 let incr_aborts_user t = t.aborts_user <- t.aborts_user + 1
-let incr_fallbacks_middle t = t.fallbacks_middle <- t.fallbacks_middle + 1
-let incr_fallbacks_serial t = t.fallbacks_serial <- t.fallbacks_serial + 1
+let incr_fallbacks t = t.fallbacks <- t.fallbacks + 1
 let incr_extensions t = t.extensions <- t.extensions + 1
 let incr_ext_fails t = t.ext_fails <- t.ext_fails + 1
 
@@ -54,9 +50,7 @@ let aborts_read t = t.aborts_read
 let aborts_lock t = t.aborts_lock
 let aborts_serial t = t.aborts_serial
 let aborts_user t = t.aborts_user
-let fallbacks_middle t = t.fallbacks_middle
-let fallbacks_serial t = t.fallbacks_serial
-let fallbacks t = t.fallbacks_middle + t.fallbacks_serial
+let fallbacks t = t.fallbacks
 let extensions t = t.extensions
 let ext_fails t = t.ext_fails
 
@@ -67,8 +61,7 @@ let add acc x =
   acc.aborts_lock <- acc.aborts_lock + x.aborts_lock;
   acc.aborts_serial <- acc.aborts_serial + x.aborts_serial;
   acc.aborts_user <- acc.aborts_user + x.aborts_user;
-  acc.fallbacks_middle <- acc.fallbacks_middle + x.fallbacks_middle;
-  acc.fallbacks_serial <- acc.fallbacks_serial + x.fallbacks_serial;
+  acc.fallbacks <- acc.fallbacks + x.fallbacks;
   acc.extensions <- acc.extensions + x.extensions;
   acc.ext_fails <- acc.ext_fails + x.ext_fails
 
@@ -89,9 +82,7 @@ let to_json t =
       ("aborts_lock", Tel_json.Int t.aborts_lock);
       ("aborts_serial", Tel_json.Int t.aborts_serial);
       ("aborts_user", Tel_json.Int t.aborts_user);
-      ("fallbacks", Tel_json.Int (fallbacks t));
-      ("fallbacks_middle", Tel_json.Int t.fallbacks_middle);
-      ("fallbacks_serial", Tel_json.Int t.fallbacks_serial);
+      ("fallbacks", Tel_json.Int t.fallbacks);
       ("extensions", Tel_json.Int t.extensions);
       ("ext_fails", Tel_json.Int t.ext_fails);
     ]
@@ -99,7 +90,7 @@ let to_json t =
 let pp ppf t =
   Format.fprintf ppf
     "started=%d commits=%d aborts(read=%d lock=%d serial=%d user=%d) \
-     fallbacks(middle=%d serial=%d) extensions=%d ext_fails=%d"
+     fallbacks=%d extensions=%d ext_fails=%d"
     t.started t.commits t.aborts_read t.aborts_lock t.aborts_serial
-    t.aborts_user t.fallbacks_middle t.fallbacks_serial t.extensions
+    t.aborts_user t.fallbacks t.extensions
     t.ext_fails

@@ -30,11 +30,8 @@ val incr_aborts_serial : t -> unit
 val incr_aborts_user : t -> unit
 (** Explicit user retry. *)
 
-val incr_fallbacks_middle : t -> unit
-(** An operation escalated to the middle path (per-structure lock). *)
-
-val incr_fallbacks_serial : t -> unit
-(** An operation escalated to global serial mode (the final rung). *)
+val incr_fallbacks : t -> unit
+(** An operation escalated to global serial mode. *)
 
 val incr_extensions : t -> unit
 (** A stale read was rescued by a successful timestamp extension. *)
@@ -49,12 +46,7 @@ val aborts_read : t -> int
 val aborts_lock : t -> int
 val aborts_serial : t -> int
 val aborts_user : t -> int
-val fallbacks_middle : t -> int
-val fallbacks_serial : t -> int
-
 val fallbacks : t -> int
-(** Total escalations above the fast path: [fallbacks_middle] plus
-    [fallbacks_serial]. *)
 
 val extensions : t -> int
 val ext_fails : t -> int

@@ -752,38 +752,6 @@ let serial_run st f =
           San.tm_abandon ~tid:txn.tid;
           raise e)
 
-(* ---- middle path ---- *)
-
-module Middle = struct
-  (* Per-structure middle-path lock: the second rung of the three-path
-     progression (fast speculative / middle / global serial), after
-     Brown's 3-path HTM template. The word is 0 when free, owner tid + 1
-     when held. Holding it excludes only other middle-path transactions:
-     the holder keeps running fully-validated speculative transactions,
-     so optimistic fast-path transactions proceed (and may still abort
-     the holder) concurrently — unlike the serial token, it never stops
-     the world. *)
-  type t = int Atomic.t
-
-  let create () : t = Pad.atomic 0
-  let locked (t : t) = Atomic.get t <> 0
-end
-
-let middle_acquire st (m : Middle.t) =
-  let b = Backoff.create () in
-  while not (Atomic.compare_and_set m 0 (st.id + 1)) do
-    (* The holder runs at most one fresh abort budget of speculative
-       attempts, then either commits or escalates to serial; waiting
-       beats joining the abort storm it is draining. *)
-    if Dst.scheduled () then Dst.point Dst.Tm_middle_token
-    else Backoff.once ~hint:Backoff.Long b
-  done;
-  San.middle_acquire ~tid:st.id
-
-let middle_release st (m : Middle.t) =
-  Atomic.set m 0;
-  San.middle_release ~tid:st.id ~site:st.txn.site
-
 (* ---- the atomic runner ---- *)
 
 let wait_serial_clear () =
@@ -817,7 +785,7 @@ let cause_label = function
   | Serial_pending -> "serial_pending"
   | User_retry -> "user_retry"
 
-let atomic_stamped ?site ?max_attempts ?(read_phase = false) ?middle f =
+let atomic_stamped ?site ?max_attempts ?(read_phase = false) f =
   let st = Thread.state () in
   let txn = st.txn in
   if txn.active then
@@ -841,17 +809,6 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) ?middle f =
     txn.read_phase <- read_phase;
     let op_start = if tele then Telemetry.now_ns () else 0 in
     Backoff.reset st.backoff;
-    (* Middle-path rung state: the lock is held across speculative retries
-       (an Abort keeps it, so the fresh budget runs excluded from other
-       middle-path transactions) and released on commit, on escalation to
-       serial, and on any non-Abort exception. *)
-    let middle_held = ref false in
-    let release_middle () =
-      if !middle_held then begin
-        middle_held := false;
-        match middle with Some m -> middle_release st m | None -> ()
-      end
-    in
     let rec attempt n total =
       (* A read-phase transaction never escalates: the serial fallback
          advances the global clock (and blocks every speculative
@@ -859,35 +816,19 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) ?middle f =
          aborts all imply another transaction made progress, so unbounded
          speculative retry is abort-free livelock-safe. *)
       if n >= max_attempts && not read_phase then begin
-        match middle with
-        | Some m when not !middle_held ->
-            (* Second rung: exclude other middle-path transactions on this
-               structure, then retry speculatively with a fresh abort
-               budget. Optimistic transactions keep running and validating
-               against the holder's commits. *)
-            Stats.incr_fallbacks_middle stats;
-            middle_acquire st m;
-            middle_held := true;
-            attempt 0 total
-        | _ ->
-            (* Final rung: the global irrevocable serial mode. The middle
-               lock is dropped first — serial quiescence stops every
-               speculative committer anyway, and holding both would make
-               waiters on the middle lock spin out a whole serial run. *)
-            release_middle ();
-            Stats.incr_fallbacks_serial stats;
-            Stats.incr_started stats;
-            let t0 = if tele then Telemetry.now_ns () else 0 in
-            let v = serial_run st f in
-            Stats.incr_commits stats;
-            if tele then begin
-              let now = Telemetry.now_ns () in
-              Telemetry.Histogram.record slot.serial (now - t0);
-              Telemetry.Histogram.record slot.attempts (now - t0);
-              Telemetry.Histogram.record slot.ops (now - op_start)
-            end;
-            { value = v; stamp = txn.stamp; read_only = txn.read_only;
-              attempts = total + 1; serial = true }
+        Stats.incr_fallbacks stats;
+        Stats.incr_started stats;
+        let t0 = if tele then Telemetry.now_ns () else 0 in
+        let v = serial_run st f in
+        Stats.incr_commits stats;
+        if tele then begin
+          let now = Telemetry.now_ns () in
+          Telemetry.Histogram.record slot.serial (now - t0);
+          Telemetry.Histogram.record slot.attempts (now - t0);
+          Telemetry.Histogram.record slot.ops (now - op_start)
+        end;
+        { value = v; stamp = txn.stamp; read_only = txn.read_only;
+          attempts = total + 1; serial = true }
       end
       else begin
         txn.rv <- sample_rv ();
@@ -901,7 +842,6 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) ?middle f =
         with
         | v ->
             txn.active <- false;
-            release_middle ();
             let read_only = txn.read_only in
             reset_logs txn;
             Stats.incr_commits stats;
@@ -951,7 +891,6 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) ?middle f =
             attempt next (total + 1)
         | exception e ->
             txn.active <- false;
-            release_middle ();
             reset_logs txn;
             San.tm_abandon ~tid:txn.tid;
             raise e
@@ -960,8 +899,8 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) ?middle f =
     attempt 0 0
   end
 
-let atomic ?site ?max_attempts ?read_phase ?middle f =
-  (atomic_stamped ?site ?max_attempts ?read_phase ?middle f).value
+let atomic ?site ?max_attempts ?read_phase f =
+  (atomic_stamped ?site ?max_attempts ?read_phase f).value
 
 let current_txn () =
   match Dst.Tls.get Thread.tls_key with

@@ -146,31 +146,10 @@ type 'a result = {
   serial : bool;  (** whether the committing attempt ran in serial mode *)
 }
 
-(** Per-structure middle-path lock: the second rung of the three-path
-    progression fast-speculative / middle / global-serial (after Brown's
-    3-path HTM template, arXiv:1708.04838). A transaction that exhausts
-    its speculative abort budget acquires the structure's middle lock and
-    retries speculatively with a fresh budget; the lock excludes only
-    other middle-path transactions, so optimistic fast-path transactions
-    keep running and validating against the holder. Only if the fresh
-    budget is also exhausted does the transaction drop the middle lock
-    and escalate to the global serial token. *)
-module Middle : sig
-  type t
-
-  val create : unit -> t
-  (** One per structure (cache-line isolated). *)
-
-  val locked : t -> bool
-  (** Whether some middle-path transaction currently holds the lock
-      (tests/diagnostics only; inherently racy). *)
-end
-
 val atomic :
   ?site:string ->
   ?max_attempts:int ->
   ?read_phase:bool ->
-  ?middle:Middle.t ->
   (txn -> 'a) ->
   'a
 (** [atomic f] runs [f] as a transaction, retrying on conflicts with
@@ -194,19 +173,12 @@ val atomic :
     conflicts on every attempt retries speculatively forever, which is
     livelock-free only because each of its aborts implies a concurrent
     commit. Ignored for nested calls (the enclosing hint stays in
-    force).
-
-    [middle] supplies the structure's {!Middle.t} lock and enables the
-    middle rung between speculative retry and the serial fallback;
-    escalations are counted separately as
-    [Stats.fallbacks_middle]/[Stats.fallbacks_serial]. Without it the
-    ladder is the original two-path one. *)
+    force). *)
 
 val atomic_stamped :
   ?site:string ->
   ?max_attempts:int ->
   ?read_phase:bool ->
-  ?middle:Middle.t ->
   (txn -> 'a) ->
   'a result
 (** Like {!atomic} but also reports the commit stamp and attempt counts. *)

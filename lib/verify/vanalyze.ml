@@ -14,14 +14,13 @@
      Retired              revoked/invalidated this window
      Freed                freed/disposed: deref is use-after-free
 
-   Obligations (reservations, middle locks) must be discharged on every
-   exit path; branch joins keep an obligation alive if either side does
-   and remember which branch kept it, so diagnostics can name the
-   offending path. Exception edges are modelled by joining the
-   environment at every (may-)raising point into the innermost handler,
-   and by checking lock obligations at raise points that escape the
-   function. Reservations are transactional (they roll back with an
-   abort), so only committing exits are charged for them.
+   Reservation obligations must be discharged on every exit path; branch
+   joins keep an obligation alive if either side does and remember which
+   branch kept it, so diagnostics can name the offending path. Exception
+   edges are modelled by joining the environment at every (may-)raising
+   point into the innermost handler. Reservations are transactional
+   (they roll back with an abort), so only committing exits are charged
+   for them.
 
    Everything is resolved through typedtree [Path.t]s and label
    descriptions — no [Longident] guessing. *)
@@ -162,12 +161,9 @@ let rec join_aval a b =
 
 (* ---- obligations ---- *)
 
-type okind = Oresv | Olock
-
 type obl = {
   o_id : int;
-  o_kind : okind;
-  o_node : string option;  (* unique ident of the reserved node / lock *)
+  o_node : string option;  (* unique ident of the reserved node *)
   o_loc : Location.t;
   o_what : string;
   mutable o_trace : string list;  (* branch decisions that kept it alive *)
@@ -175,10 +171,10 @@ type obl = {
 
 let obl_counter = ref 0
 
-let fresh_obl ~kind ~node ~loc ~what =
+let fresh_obl ~node ~loc ~what =
   incr obl_counter;
-  { o_id = !obl_counter; o_kind = kind; o_node = node; o_loc = loc;
-    o_what = what; o_trace = [] }
+  { o_id = !obl_counter; o_node = node; o_loc = loc; o_what = what;
+    o_trace = [] }
 
 (* ---- environments ---- *)
 
@@ -241,15 +237,13 @@ let join_env ?left ?right e1 e2 =
 let set_val env id v = { env with vals = IM.add (stamp id) v env.vals }
 let get_val env id = IM.find_opt (stamp id) env.vals
 
-let discharge env ~kind ~node =
+let discharge env ~node =
   {
     env with
     obls =
       List.filter
         (fun o ->
-          not
-            (o.o_kind = kind
-            && match node with None -> true | Some s -> o.o_node = Some s))
+          match node with None -> false | Some s -> o.o_node <> Some s)
         env.obls;
   }
 
@@ -365,30 +359,16 @@ let enter_trusted ctx ~loc attrs =
       if reason <> None then { ctx with trusted = true } else ctx
 
 (* may-raise bookkeeping: join the current env into the innermost
-   handler; when no handler encloses the point inside this function, a
-   live lock obligation leaks on the exception edge. *)
+   handler. *)
 let note_raise ctx env ~loc ~definite =
-  (match ctx.handler with
+  match ctx.handler with
   | Some acc ->
       acc.x_envs <- env :: acc.x_envs;
       if definite then
         acc.x_traces <-
           Printf.sprintf "exception edge from line %d" (lline loc)
           :: acc.x_traces
-  | None ->
-      List.iter
-        (fun o ->
-          if o.o_kind = Olock && definite then
-            report
-              (push ctx
-                 (Printf.sprintf "exception edge at line %d" (lline loc)))
-              ~loc ~rule:"lock-leak"
-              (Printf.sprintf
-                 "middle lock acquired at line %d is still held when this \
-                  exception escapes"
-                 (lline o.o_loc)))
-        env.obls);
-  ()
+  | None -> ()
 
 (* ---- the expression interpreter ---- *)
 
@@ -551,8 +531,8 @@ and analyze_expr ctx env (e : expression) : env * aval =
           let env =
             match args with
             | [ { exp_desc = Texp_ident (Path.Pident id, _, _); _ } ] ->
-                discharge env ~kind:Oresv ~node:(Some (stamp id))
-            | _ -> discharge env ~kind:Oresv ~node:None
+                discharge env ~node:(Some (stamp id))
+            | _ -> discharge env ~node:None
           in
           (env, Awrap (state_of_aval v, prov_of_aval v))
       | _, vs
@@ -894,9 +874,7 @@ and apply_rr_op ctx env e op args =
             {
               env with
               obls =
-                fresh_obl ~kind:Oresv ~node ~loc
-                  ~what:"reservation"
-                :: env.obls;
+                fresh_obl ~node ~loc ~what:"reservation" :: env.obls;
             }
       in
       (env, Aother)
@@ -904,11 +882,11 @@ and apply_rr_op ctx env e op args =
       match node with
       | Some (a, v) ->
           on_param ctx (prov_of_aval v) (fun pt -> pt.releases <- true);
-          (discharge env ~kind:Oresv ~node:(ident_of a), Aother)
-      | None -> (discharge env ~kind:Oresv ~node:None, Aother))
+          (discharge env ~node:(ident_of a), Aother)
+      | None -> (discharge env ~node:None, Aother))
   | "release_all", _ ->
       ctx.summary.Vsummary.releases_all <- true;
-      (discharge env ~kind:Oresv ~node:None, Aother)
+      (discharge env ~node:None, Aother)
   | "get", Some (a, v) ->
       on_param ctx (prov_of_aval v) (fun pt -> pt.checks <- true);
       let env = set_node_state env a Checked in
@@ -918,7 +896,7 @@ and apply_rr_op ctx env e op args =
       if state_of_aval v = Retired then
         report ctx ~loc ~rule:"double-revoke"
           "this node was already revoked/invalidated on this path";
-      let env = discharge env ~kind:Oresv ~node:(ident_of a) in
+      let env = discharge env ~node:(ident_of a) in
       (set_node_state env a Retired, Aother)
   | _ -> (env, Aother)
 
@@ -930,7 +908,7 @@ and apply_mode_op ctx env e op args =
       if state_of_aval v = Retired then
         report ctx ~loc ~rule:"double-revoke"
           "this node was already revoked/invalidated on this path";
-      let env = discharge env ~kind:Oresv ~node:(ident_of a) in
+      let env = discharge env ~node:(ident_of a) in
       (set_node_state env a Retired, Aother)
   | "dispose", Some (a, v) ->
       on_param ctx (prov_of_aval v) (fun pt ->
@@ -958,7 +936,7 @@ and free_checks ctx env ~loc (a : expression) v =
   let stamp = ident_of a in
   if
     List.exists
-      (fun o -> o.o_kind = Oresv && o.o_node <> None && o.o_node = stamp)
+      (fun o -> o.o_node <> None && o.o_node = stamp)
       env.obls
   then
     report ctx ~loc ~rule:"free-under-live-reservation"
@@ -1038,14 +1016,6 @@ and apply_path ctx env (e : expression) p args =
       match node_arg args with
       | Some (a, v) -> (free_checks ctx env ~loc a v, Aother)
       | None -> (env, Aother))
-  | (("Mempool", "drain_magazines"), None) ->
-      let env, _ = analyze_args ctx env args in
-      ctx.summary.Vsummary.drains <- true;
-      if ctx.in_txn then
-        report ctx ~loc ~rule:"magazine-drain-in-txn"
-          "Mempool.drain_magazines inside a transaction: magazine drains \
-           free whole depot batches and are only safe at quiescence";
-      (env, Aother)
   | (("Tm", ("read" | "write")), None) ->
       let env, args = analyze_args ctx env args in
       (* the tvar argument: a field of a node record? *)
@@ -1151,31 +1121,6 @@ and apply_path ctx env (e : expression) p args =
   | (("Tm", "current_txn"), None) ->
       let env, _ = analyze_args ctx env args in
       (env, Acurtxn)
-  | ((m, "middle_acquire"), None) when m <> "San" ->
-      (* San.middle_acquire is the sanitizer's notification hook, not an
-         acquisition *)
-      let env, args = analyze_args ctx env args in
-      ctx.summary.Vsummary.acquires_lock <- true;
-      let node =
-        List.fold_left
-          (fun acc (_, arg) ->
-            match arg with
-            | Some ((a : expression), _) -> (
-                match ident_of a with Some s -> Some s | None -> acc)
-            | None -> acc)
-          None args
-      in
-      ( {
-          env with
-          obls =
-            fresh_obl ~kind:Olock ~node ~loc ~what:"middle lock"
-            :: env.obls;
-        },
-        Aother )
-  | ((m, "middle_release"), None) when m <> "San" ->
-      let env, _ = analyze_args ctx env args in
-      ctx.summary.Vsummary.releases_lock <- true;
-      (discharge env ~kind:Olock ~node:None, Aother)
   | _ -> (
       let env, aargs = analyze_args ctx env args in
       (* known summary? module-level first, then local closures *)
@@ -1201,30 +1146,10 @@ and apply_summary ctx env (e : expression) (s : Vsummary.t) args =
     ctx.summary.Vsummary.may_raise <- true;
     note_raise ctx env ~loc ~definite:false
   end;
-  if s.Vsummary.drains && ctx.in_txn then
-    report ctx ~loc ~rule:"magazine-drain-in-txn"
-      "this call drains mempool magazines, but runs inside a transaction";
   (* the callee's effects are the caller's effects: a recursive retry
      loop that releases through a helper must itself count as releasing *)
-  if s.Vsummary.drains then ctx.summary.Vsummary.drains <- true;
-  if s.Vsummary.acquires_lock then ctx.summary.Vsummary.acquires_lock <- true;
-  if s.Vsummary.releases_lock then ctx.summary.Vsummary.releases_lock <- true;
   if s.Vsummary.releases_all then ctx.summary.Vsummary.releases_all <- true;
-  let env = if s.Vsummary.releases_all then discharge env ~kind:Oresv ~node:None else env in
-  let env =
-    if s.Vsummary.releases_lock then discharge env ~kind:Olock ~node:None
-    else env
-  in
-  let env =
-    if s.Vsummary.acquires_lock && not s.Vsummary.releases_lock then
-      {
-        env with
-        obls =
-          fresh_obl ~kind:Olock ~node:None ~loc ~what:"middle lock"
-          :: env.obls;
-      }
-    else env
-  in
+  let env = if s.Vsummary.releases_all then discharge env ~node:None else env in
   (* positional node params: walk provided args in order, matching the
      callee's rows in order of node-typed arguments *)
   let idx = ref (-1) in
@@ -1261,7 +1186,7 @@ and apply_summary ctx env (e : expression) (s : Vsummary.t) args =
                   report ctx ~loc ~rule:"double-revoke"
                     "the callee revokes/invalidates this node, which was \
                      already revoked on this path";
-                env := discharge !env ~kind:Oresv ~node:(ident_of a);
+                env := discharge !env ~node:(ident_of a);
                 env := set_node_state !env a Retired
               end;
               if pt.Vsummary.frees then begin
@@ -1292,12 +1217,12 @@ and apply_summary ctx env (e : expression) (s : Vsummary.t) args =
                   {
                     !env with
                     obls =
-                      fresh_obl ~kind:Oresv ~node:(ident_of a) ~loc
+                      fresh_obl ~node:(ident_of a) ~loc
                         ~what:"reservation (via callee)"
                       :: !env.obls;
                   };
               if pt.Vsummary.releases then
-                env := discharge !env ~kind:Oresv ~node:(ident_of a))
+                env := discharge !env ~node:(ident_of a))
       | _ -> ())
     args;
   (* result *)
@@ -1500,17 +1425,10 @@ and check_exits ?(entry = []) ctx env =
         let ctx =
           List.fold_left (fun c t -> push c t) ctx (List.rev o.o_trace)
         in
-        match o.o_kind with
-        | Oresv ->
-            report ctx ~loc:o.o_loc ~rule:"reservation-leak"
-              (Printf.sprintf
-                 "%s acquired here is neither released, revoked, nor \
-                  handed over on some exit path of %s"
-                 o.o_what ctx.fname)
-        | Olock ->
-            report ctx ~loc:o.o_loc ~rule:"lock-leak"
-              (Printf.sprintf
-                 "%s acquired here is still held on some exit path of %s"
-                 o.o_what ctx.fname))
+        report ctx ~loc:o.o_loc ~rule:"reservation-leak"
+          (Printf.sprintf
+             "%s acquired here is neither released, revoked, nor handed \
+              over on some exit path of %s"
+             o.o_what ctx.fname))
     env.obls
 

@@ -36,14 +36,6 @@ let rules : rule list =
       summary =
         "Mempool.free runs inside a transaction without Tm.defer / a \
          ~free closure, racing the window's revoke" };
-    { id = "lock-leak"; code = "HV007";
-      summary =
-        "an exit path (including an exception edge) leaves the middle \
-         lock held" };
-    { id = "magazine-drain-in-txn"; code = "HV008";
-      summary =
-        "Mempool.drain_magazines runs inside a transaction; drains are \
-         quiescence-only" };
     { id = "raw-access"; code = "HV009";
       summary =
         "non-transactional access (Tm.peek/Tm.poke, raw Atomic) to a \

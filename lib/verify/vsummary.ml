@@ -39,9 +39,6 @@ type t = {
   mutable ret_sources : src list;  (* [] = the result carries no node *)
   mutable may_raise : bool;
   mutable releases_all : bool;  (* discharges every live reservation *)
-  mutable acquires_lock : bool;
-  mutable releases_lock : bool;
-  mutable drains : bool;  (* calls Mempool.drain_magazines *)
 }
 
 let create ~arity =
@@ -50,9 +47,6 @@ let create ~arity =
     ret_sources = [];
     may_raise = false;
     releases_all = false;
-    acquires_lock = false;
-    releases_lock = false;
-    drains = false;
   }
 
 let param t i =

@@ -266,58 +266,6 @@ let read_phase_wait () =
         if !serial then failwith "read-phase transaction went serial");
   }
 
-(* ---- the middle path: lock-excluded retries between the rungs ---- *)
-
-(* Two incrementers of one counter, one speculative attempt each
-   ([max_attempts:1]), sharing a middle-path lock. The loser's retry runs
-   under the lock, excluded only from other middle-path transactions, and
-   commits without ever reaching the serial rung.
-
-   [expect] selects the check:
-   - [`Safe]   must hold on {e every} schedule: both increments commit and
-               the middle lock is released;
-   - [`Probe]  inverted — fail when the middle path fired; used once to
-               discover the pinned schedule below;
-   - [`Strong] the deterministic claim for pinned replays: the middle
-               path absorbed the contention (no serial fallback, no
-               Lock_busy storm under the lock). *)
-let middle_exclusion ~expect () =
-  Dst.Inject.clear ();
-  Tm.Thread.reset_ids_for_testing ();
-  let x = Tm.tvar 0 in
-  let m = Tm.Middle.create () in
-  let mid = ref 0 and serial = ref 0 and locky = ref 0 in
-  let incr_thread () =
-    Tm.Thread.with_registered (fun _ ->
-        let st = Tm.Thread.stats () in
-        Tm.Stats.reset st;
-        Tm.atomic ~max_attempts:1 ~middle:m (fun txn ->
-            Tm.write txn x (Tm.read txn x + 1));
-        mid := !mid + Tm.Stats.fallbacks_middle st;
-        serial := !serial + Tm.Stats.fallbacks_serial st;
-        locky := !locky + Tm.Stats.aborts_lock st)
-  in
-  {
-    Dst.Explore.init = None;
-    threads = [ incr_thread; incr_thread ];
-    check =
-      (fun () ->
-        let v = Tm.peek x in
-        if v <> 2 then failwith (Printf.sprintf "x = %d, wanted 2" v);
-        if Tm.Middle.locked m then failwith "middle lock still held";
-        match expect with
-        | `Safe -> ()
-        | `Probe -> if !mid > 0 then failwith "middle path taken"
-        | `Strong ->
-            if !mid < 1 then failwith "middle path never taken";
-            if !serial > 0 then
-              failwith
-                (Printf.sprintf "%d serial fallbacks despite the middle path"
-                   !serial);
-            if !locky > 2 then
-              failwith (Printf.sprintf "Lock_busy storm (%d aborts)" !locky));
-  }
-
 (* ---- window fusion: multiplicative shrink on a contended commit ---- *)
 
 (* Fusion-4 list, window 1: thread A's lookups fuse up to 4 one-node
@@ -423,13 +371,6 @@ let sched_extend_ok = [| 1; 1 |]
    reader's revalidation finds its read set changed, the extension
    fails, and the second attempt snapshots (1,1). *)
 let sched_extend_fail = [| 1; 1; 1 |]
-
-(* middle path, random probe search over [middle_exclusion ~expect:`Probe]
-   (budget 300, <= 2000 runs; found at seed 1 in 22 runs): the second
-   incrementer reads x, the first runs to commit under it, the second's
-   validation fails and its retry acquires the uncontended middle lock
-   and commits — one middle fallback, zero serial. *)
-let sched_middle = [| 1; 1; 1; 0; 0; 0; 1; 1; 1; 1; 1 |]
 
 (* fusion shrink, PCT depth 2 over [fusion_shrink ~expect:`Probe] (budget
    400, <= 6000 runs; found at seed 50 in 198 runs): A runs both lookups

@@ -72,21 +72,13 @@ let () =
   replay "extension failure pinned schedule"
     (extend_fail ~expect:`Strong)
     sched_extend_fail false;
-  (* raw-speed optimizations: no schedule may break the middle path's
-     safety (both commits land, lock released) or fused windows'
-     serializability, and the pinned schedules must deterministically
-     drive the middle-path rescue and the fuse-budget shrink *)
-  expect "middle-path safety / random oracle"
-    (Option.is_none
-       (Dst.Explore.random_search ~budget:300 ~max_runs:400
-          (middle_exclusion ~expect:`Safe)));
+  (* window fusion: no schedule may break fused windows'
+     serializability, and the pinned schedule must deterministically
+     drive the fuse-budget shrink *)
   expect "fused-window serializability / random oracle"
     (Option.is_none
        (Dst.Explore.random_search ~budget:400 ~max_runs:100
           (fusion_shrink ~expect:`Safe)));
-  replay "middle-path exclusion pinned schedule"
-    (middle_exclusion ~expect:`Strong)
-    sched_middle false;
   replay "fusion shrink-on-abort pinned schedule"
     (fusion_shrink ~expect:`Strong)
     sched_fusion false;

@@ -281,14 +281,8 @@ let test_pinned_extension_paths () =
           Dst_scenarios.sched_extend_fail))
 
 (* ---------------------------------------------------------------- *)
-(* The raw-speed optimizations (see Dst_scenarios)                   *)
+(* Window fusion (see Dst_scenarios)                                *)
 (* ---------------------------------------------------------------- *)
-
-let test_middle_safety_oracle () =
-  checkb "both commits land and the lock is released on every schedule" true
-    (Dst.Explore.random_search ~budget:300 ~max_runs:600
-       (Dst_scenarios.middle_exclusion ~expect:`Safe)
-    = None)
 
 let test_fusion_serializability_oracle () =
   checkb "fused windows stay stamp-order serializable on every schedule" true
@@ -296,26 +290,12 @@ let test_fusion_serializability_oracle () =
        (Dst_scenarios.fusion_shrink ~expect:`Safe)
     = None)
 
-(* Documented budgets: a random probe search over
-   [middle_exclusion ~expect:`Probe] (budget 300, <= 2000 runs) found the
-   middle-path schedule at seed 1 in 22 runs; a PCT depth-2 search over
+(* Documented budget: a PCT depth-2 search over
    [fusion_shrink ~expect:`Probe] (budget 400, <= 6000 runs) found the
-   shrink schedule at seed 50 in 198 runs. The minimized traces are
-   pinned in Dst_scenarios. *)
+   shrink schedule at seed 50 in 198 runs. The minimized trace is pinned
+   in Dst_scenarios. *)
 let test_pinned_optimization_paths () =
   let replay mk sched = Dst.Explore.replay mk sched in
-  checkb "pinned schedule drives the middle-path rescue" false
-    (Dst.Sched.failed
-       (replay
-          (Dst_scenarios.middle_exclusion ~expect:`Strong)
-          Dst_scenarios.sched_middle));
-  checkb "pinned middle replay is deterministic" true
-    ((replay (Dst_scenarios.middle_exclusion ~expect:`Strong)
-        Dst_scenarios.sched_middle)
-       .Dst.Sched.trace
-    = (replay (Dst_scenarios.middle_exclusion ~expect:`Strong)
-         Dst_scenarios.sched_middle)
-        .Dst.Sched.trace);
   checkb "pinned schedule drives the fuse-budget shrink" false
     (Dst.Sched.failed
        (replay
@@ -694,8 +674,6 @@ let () =
         ] );
       ( "raw-speed optimizations",
         [
-          Alcotest.test_case "middle-path safety oracle" `Quick
-            test_middle_safety_oracle;
           Alcotest.test_case "fused-window serializability oracle" `Quick
             test_fusion_serializability_oracle;
           Alcotest.test_case "pinned optimization paths" `Quick

@@ -285,29 +285,22 @@ let test_driver_catches_bugs () =
 
 (* ---- raw-speed spec knobs ---- *)
 
-let opt_spec ?fusion ?middle ?magazines () =
-  Factories.Spec.v ?fusion ?middle ?magazines Factories.Spec.Slist
+let opt_spec ?fusion () =
+  Factories.Spec.v ?fusion Factories.Spec.Slist
     (Structs.Mode.Rr_kind (module Rr.V))
 
 let test_spec_opt_labels () =
   let label s = Factories.Spec.label s in
   let base = label (opt_spec ()) in
   Alcotest.(check string)
-    "all three knobs suffix in order"
-    (base ^ "+fuse4+mid+mag")
-    (label (opt_spec ~fusion:4 ~middle:true ~magazines:true ()));
+    "fusion suffixes the label" (base ^ "+fuse4")
+    (label (opt_spec ~fusion:4 ()));
   Alcotest.(check string)
     "fusion 1 is the off state" base
-    (label (opt_spec ~fusion:1 ()));
-  Alcotest.(check string)
-    "explicit off knobs leave the label alone" base
-    (label (opt_spec ~middle:false ~magazines:false ()));
-  Alcotest.(check string)
-    "single knob" (base ^ "+mid")
-    (label (opt_spec ~middle:true ()))
+    (label (opt_spec ~fusion:1 ()))
 
 let test_spec_opt_json_roundtrip () =
-  let s = opt_spec ~fusion:4 ~middle:true ~magazines:true () in
+  let s = opt_spec ~fusion:4 () in
   let j = Factories.Spec.to_json s in
   (match Factories.Spec.of_json j with
   | Error e -> Alcotest.failf "of_json rejected its own to_json: %s" e
@@ -337,8 +330,26 @@ let test_spec_opt_validation () =
     | _ -> false
     | exception Invalid_argument _ -> true)
 
-(* The knobs must reach the structures: driver runs with all three on
-   must stay serializable. Beyond the plain list this sweeps the
+(* A key [to_json] cannot emit is a knob the spec cannot express: a typo
+   or a removed option must fail loudly, naming the key, instead of
+   running a configuration nobody asked for. *)
+let test_spec_unknown_keys_rejected () =
+  List.iter
+    (fun (key, doc) ->
+      let parsed = Telemetry.Json.of_string doc in
+      match Result.bind parsed Factories.Spec.of_json with
+      | Ok _ -> Alcotest.failf "%s accepted" doc
+      | Error e ->
+          Alcotest.(check string) ("error names " ^ key)
+            (Printf.sprintf "Spec.of_json: unknown key %S" key)
+            e)
+    [
+      ("fusoin", {|{"structure":"slist","kind":"RR-V","fusoin":4}|});
+      ("magazines", {|{"structure":"slist","kind":"RR-V","magazines":true}|});
+    ]
+
+(* Fusion must reach the structures: driver runs with it on must stay
+   serializable. Beyond the plain list this sweeps the
    structures whose window protocols publish state through [Tm.defer]
    (the dlist two-phase remove, the skiplist resume hint) — fused
    windows must treat those as fusion barriers, or the next window runs
@@ -353,15 +364,14 @@ let test_driver_all_optimizations_on () =
         (fun structure ->
           let h =
             (Factories.make
-               (Factories.Spec.v ~fusion:4 ~middle:true ~magazines:true
-                  structure
+               (Factories.Spec.v ~fusion:4 structure
                   (Structs.Mode.Rr_kind (module Rr.V))))
               .Factories.make ()
           in
           let r = Driver.run spec h in
           checkb
             (Factories.Spec.structure_name structure
-            ^ " serializable with fuse+mid+mag")
+            ^ " serializable with fuse4")
             true
             (r.Driver.verdict = Ok ());
           check "ops counted" 2000 r.Driver.total_ops)
@@ -434,6 +444,8 @@ let () =
           Alcotest.test_case "json round trip" `Quick
             test_spec_opt_json_roundtrip;
           Alcotest.test_case "validation" `Quick test_spec_opt_validation;
+          Alcotest.test_case "unknown keys rejected" `Quick
+            test_spec_unknown_keys_rejected;
           Alcotest.test_case "all-on driver run" `Slow
             test_driver_all_optimizations_on;
         ] );

@@ -2,8 +2,8 @@
 
 type obj = { id : int; state : int Atomic.t; mutable payload : int }
 
-let make_pool ?strategy ?batch ?magazines () =
-  Mempool.create ?strategy ?batch ?magazines
+let make_pool ?strategy ?batch () =
+  Mempool.create ?strategy ?batch
     ~make:(fun id -> { id; state = Atomic.make 0; payload = 0 })
     ~node_id:(fun o -> o.id)
     ~state:(fun o -> o.state)
@@ -146,82 +146,6 @@ let test_pooled_word_forced_odd () =
     (Failure "Mempool.alloc: pooled node was not free") (fun () ->
       ignore (Mempool.alloc p ~thread:0))
 
-(* ---- magazines ---- *)
-
-let test_magazine_hit_miss () =
-  let p =
-    make_pool ~strategy:Mempool.Thread_arena ~batch:4 ~magazines:true ()
-  in
-  (* Both magazines and the depot are empty: the first alloc is a miss
-     that falls through to the strategy path. *)
-  let a = Mempool.alloc p ~thread:0 in
-  check "first alloc misses" 1 (Mempool.stats p).Mempool.Stats.magazine_misses;
-  (* The free caches the node thread-locally: a hit... *)
-  Mempool.free p ~thread:0 a;
-  check "free hits the magazine" 1
-    (Mempool.stats p).Mempool.Stats.magazine_hits;
-  (* ...and the re-alloc serves it back without touching shared state. *)
-  let g0 = (Mempool.stats p).Mempool.Stats.global_ops in
-  let b = Mempool.alloc p ~thread:0 in
-  checkb "magazine returns the cached node" true (a == b);
-  let st = Mempool.stats p in
-  check "alloc hit" 2 st.Mempool.Stats.magazine_hits;
-  check "hot path avoids the shared freelist" g0 st.Mempool.Stats.global_ops;
-  check "exact live accounting" 1 st.Mempool.Stats.live
-
-let test_magazine_two_magazine_rotation () =
-  let p =
-    make_pool ~strategy:Mempool.Thread_arena ~batch:2 ~magazines:true ()
-  in
-  let objs = List.init 5 (fun _ -> Mempool.alloc p ~thread:0) in
-  List.iter (Mempool.free p ~thread:0) objs;
-  (* batch 2: two frees fill [loaded], the third rotates it to [prev], the
-     fourth fills again, and only the fifth spills a full magazine to the
-     depot — one miss on the free path, never one per node. *)
-  let st = Mempool.stats p in
-  check "frees" 5 st.Mempool.Stats.frees;
-  check "four cached frees" 4 st.Mempool.Stats.magazine_hits;
-  (* 5 allocs against empty caches + 1 spill *)
-  check "misses = cold allocs + one spill" 6 st.Mempool.Stats.magazine_misses;
-  check "nothing live" 0 st.Mempool.Stats.live
-
-let test_drain_on_quiescence () =
-  let p =
-    make_pool ~strategy:Mempool.Thread_arena ~batch:8 ~magazines:true ()
-  in
-  let a = Mempool.alloc p ~thread:0 in
-  Mempool.free p ~thread:0 a;
-  (* While cached, the slot is invisible to other threads. *)
-  let b = Mempool.alloc p ~thread:1 in
-  checkb "cached node is thread-private" true (a != b);
-  Mempool.free p ~thread:1 b;
-  let g0 = (Mempool.stats p).Mempool.Stats.global_ops in
-  Mempool.drain_magazines p ~thread:0;
-  Mempool.drain_magazines p ~thread:1;
-  let g1 = (Mempool.stats p).Mempool.Stats.global_ops in
-  check "drains honestly counted as global ops" (g0 + 2) g1;
-  (* After the quiescence drain, any thread can reuse the slots. *)
-  let c = Mempool.alloc p ~thread:2 in
-  checkb "drained node visible cross-thread" true (c == a || c == b);
-  let st = Mempool.stats p in
-  check "allocs" 3 st.Mempool.Stats.allocs;
-  check "frees" 2 st.Mempool.Stats.frees;
-  check "live" 1 st.Mempool.Stats.live;
-  (* Draining an empty magazine is a free no-op. *)
-  Mempool.drain_magazines p ~thread:3;
-  check "empty drain costs nothing" g1
-    ((Mempool.stats p).Mempool.Stats.global_ops - 1)
-
-let test_flush_arenas_covers_magazines () =
-  let p =
-    make_pool ~strategy:Mempool.Size_class ~batch:4 ~magazines:true ()
-  in
-  let a = Mempool.alloc p ~thread:2 in
-  Mempool.free p ~thread:2 a;
-  Mempool.flush_arenas p;
-  let b = Mempool.alloc p ~thread:3 in
-  checkb "magazine-held node reusable after flush" true (a == b)
-
 let test_concurrent_balance () =
   Tm.Thread.with_registered (fun _ ->
       let p = make_pool ~strategy:Mempool.Thread_arena ~batch:8 () in
@@ -308,16 +232,6 @@ let () =
             test_live_follows_parity;
           Alcotest.test_case "pooled word forced odd" `Quick
             test_pooled_word_forced_odd;
-        ] );
-      ( "magazines",
-        [
-          Alcotest.test_case "hit/miss accounting" `Quick test_magazine_hit_miss;
-          Alcotest.test_case "two-magazine rotation" `Quick
-            test_magazine_two_magazine_rotation;
-          Alcotest.test_case "drain on quiescence" `Quick
-            test_drain_on_quiescence;
-          Alcotest.test_case "flush covers magazines" `Quick
-            test_flush_arenas_covers_magazines;
         ] );
       ( "concurrency",
         [ Alcotest.test_case "balance" `Quick test_concurrent_balance ] );

@@ -284,30 +284,6 @@ let test_lock_unlock_is_quiet () =
       San.tm_unlock ~tid:0 ~site:"me.abort" ~wv:(-1) (payload 1);
       San.tm_abort ~tid:0)
 
-(* The middle-path lock shares the rule: a release without a matching
-   acquire fires immediately, an acquire never released fires (counted,
-   not raised) when the thread exits, and the balanced bracket is quiet
-   even across nested acquisitions of different structures' locks. *)
-let test_middle_release_without_acquire () =
-  with_san (fun () ->
-      expect San.Lock_leak ~site:"me.middle" (fun () ->
-          San.middle_release ~tid:0 ~site:"me.middle"))
-
-let test_middle_leak_at_thread_exit () =
-  with_san (fun () ->
-      San.middle_acquire ~tid:0;
-      San.thread_exit ~tid:0;
-      check_i "leak counted" 1
-        (List.assoc (San.rule_id San.Lock_leak) (San.violations ())))
-
-let test_middle_bracket_is_quiet () =
-  with_san (fun () ->
-      San.middle_acquire ~tid:0;
-      San.middle_acquire ~tid:0;
-      San.middle_release ~tid:0 ~site:"a.commit";
-      San.middle_release ~tid:0 ~site:"b.commit";
-      San.thread_exit ~tid:0)
-
 (* ---- double-revoke ---- *)
 
 let test_double_revoke () =
@@ -613,12 +589,6 @@ let () =
             test_lock_leak_at_abort;
           Alcotest.test_case "balanced lock/unlock is quiet" `Quick
             test_lock_unlock_is_quiet;
-          Alcotest.test_case "middle release without acquire" `Quick
-            test_middle_release_without_acquire;
-          Alcotest.test_case "middle lock held at thread exit" `Quick
-            test_middle_leak_at_thread_exit;
-          Alcotest.test_case "balanced middle bracket is quiet" `Quick
-            test_middle_bracket_is_quiet;
         ] );
       ( "double-revoke",
         [

@@ -375,30 +375,20 @@ let test_kill_mid_prepare_recovers =
      the gates and clears the intent *)
   kill_between_phases ~delay_site:Dst.Svc_prepare ~applied_before_kill:0
 
-(* Recovery with magazines on: the victim's applied remove freed its node
-   into the dead thread's magazine. Frees are counted at free time, above
-   the magazine layer, so pool accounting must already be exact right
-   after [recover]; finalizing the dead thread (which runs its
-   [drain_magazines]) and the full drain must only move cached slots,
-   never change the live count. *)
-let test_kill_mid_apply_mag_recovers () =
+(* Recovery followed by the dead thread's finalization: the victim's
+   applied remove freed its node before the kill. Frees are counted at
+   free time, so pool accounting must already be exact right after
+   [recover]; finalizing the dead thread and the full drain must never
+   change the live count. *)
+let test_kill_mid_apply_finalize_recovers () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  let mag_spec =
+  let spec =
     Factories.Spec.v ~window:4 ~scatter:false ~shards:2 ~fuse:true
-      ~magazines:true Factories.Spec.Slist
+      Factories.Spec.Slist
       (Structs.Mode.Rr_kind (module Rr.V))
   in
-  let svc = Service.create mag_spec in
-  let contains_sub s sub =
-    let n = String.length sub in
-    let rec go i =
-      i + n <= String.length s && (String.sub s i n = sub || go (i + 1))
-    in
-    go 0
-  in
-  checkb "magazines are on in the label" true
-    (contains_sub (Service.label svc) "+mag");
+  let svc = Service.create spec in
   let kept = key_in_shard svc ~shard:0 ~avoid:[] in
   let fresh = key_in_shard svc ~shard:1 ~avoid:[ kept ] in
   let init () =
@@ -426,16 +416,15 @@ let test_kill_mid_apply_mag_recovers () =
   (match Service.check svc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "after recover: %s" e);
-  (* accounting is exact even while the victim's magazine still caches
-     the freed slot *)
+  (* accounting is exact before the victim's thread is finalized *)
   (match Service.pool_live svc with
-  | Some live -> check "pool live exact before magazine drain" 1 live
+  | Some live -> check "pool live exact before finalize" 1 live
   | None -> Alcotest.fail "expected pool accounting");
   with_thread (fun ~thread:_ ->
       Service.finalize_thread svc ~thread:!victim_tid);
   Service.drain svc;
   (match Service.pool_live svc with
-  | Some live -> check "pool live unchanged by magazine drain" 1 live
+  | Some live -> check "pool live unchanged by finalize and drain" 1 live
   | None -> Alcotest.fail "expected pool accounting");
   Dst.Inject.clear ()
 
@@ -1258,8 +1247,8 @@ let () =
             test_kill_mid_apply_recovers;
           Alcotest.test_case "kill mid-prepare, recover" `Quick
             test_kill_mid_prepare_recovers;
-          Alcotest.test_case "kill mid-apply with magazines, recover" `Quick
-            test_kill_mid_apply_mag_recovers;
+          Alcotest.test_case "kill mid-apply, recover, finalize victim" `Quick
+            test_kill_mid_apply_finalize_recovers;
           Alcotest.test_case "serializability oracle" `Quick
             test_serial_oracle;
           Alcotest.test_case "queue drains vs submissions" `Quick

@@ -1,8 +1,7 @@
 (* The soak harness: churn-phase grammar round trip, determinism of the
    generated op scripts (the property that makes @soak-smoke replays
    exact), a miniature churn run with all oracles on, and unit runs of
-   the DST adversaries (stalled reader, kill mid-commit, kill mid-2PC
-   with magazines). *)
+   the DST adversaries (stalled reader, kill mid-commit, kill mid-2PC). *)
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -112,10 +111,10 @@ let test_crash_mid_commit () =
   checkb "survivor history serializable" true r.Soak.k_serial_ok;
   check "no slots leaked" 0 r.Soak.k_leaked
 
-let test_crash_mid_2pc_mag () =
+let test_crash_mid_2pc () =
   let r =
     Soak.crash_mid_2pc ~seed:5
-      (Spec.v ~window:4 ~shards:2 ~fuse:true ~magazines:true Spec.Slist rr_v)
+      (Spec.v ~window:4 ~shards:2 ~fuse:true Spec.Slist rr_v)
   in
   (match r.Soak.k_error with
   | None -> ()
@@ -142,7 +141,6 @@ let () =
           Alcotest.test_case "stalled reader replays" `Quick
             test_stalled_reader_deterministic;
           Alcotest.test_case "kill mid-commit" `Quick test_crash_mid_commit;
-          Alcotest.test_case "kill mid-2PC with magazines" `Quick
-            test_crash_mid_2pc_mag;
+          Alcotest.test_case "kill mid-2PC" `Quick test_crash_mid_2pc;
         ] );
     ]
