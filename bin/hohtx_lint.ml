@@ -105,15 +105,14 @@ let node_modules = [ "Lnode"; "Snode"; "Tnode" ]
    generic name like [head] or [epoch] appearing on some future record in
    payload code is NOT silently exempt — each entry whitelists exactly the
    engine/metadata words that one module owns: the service layer's
-   shard-gate words and statistics counters, the TM's tvar value cells,
-   and the reclaimers' epoch/hazard bookkeeping. A raw [Atomic] field
-   anywhere else must either go through [Tm] or earn its own row here. *)
+   shard-gate words and statistics counters and the reclaimers'
+   epoch/hazard bookkeeping. The TM has no row: a tvar's lock word is
+   field 0 of its record, reached through [lock_word], never as a field,
+   and its payload is a plain field; a node's pool state word is reached
+   the same way, through [state_word]. A raw [Atomic] field anywhere else
+   must either go through [Tm] or earn its own row here. *)
 let benign_atomic_fields =
-  [ (* TM engine: tvar value cells (the lock word is field 0 of the tvar
-       record, reached through [lock_word], never as a field; a node's
-       pool state word is reached the same way, through [state_word]) *)
-    ("tm.ml", [ "cell" ]);
-    (* reclaimers: epoch announcements and backlog counters *)
+  [ (* reclaimers: epoch announcements and backlog counters *)
     ( "epoch.ml",
       [ "global"; "announce"; "retired_total"; "backlog"; "max_backlog";
         "advances" ] );

@@ -4,14 +4,17 @@ type abort_cause = Read_invalid | Lock_busy | Serial_pending | User_retry
 
 exception Abort of abort_cause
 
-(* A tvar couples a TL2 versioned lock word with the value cell. The lock
-   word encodes [version lsl 1 lor locked] and is field 0 of the tvar
-   record itself, so a tvar is two blocks (6 words). The value
-   lives in its own [Atomic.t] so the seqlock pattern (lock, value, lock)
-   is free of plain data races under the OCaml memory model. The [lock]
-   field is never accessed as a plain field: every load, store and CAS of
-   it goes through [lock_word]. *)
-type 'a tvar = { mutable lock : int; cell : 'a Atomic.t; uid : int }
+(* A tvar is one block (4 words): the TL2 lock word, encoding
+   [version lsl 1 lor locked], is field 0 and the value is the plain
+   mutable field [payload] next to it. A plain field is enough for the
+   seqlock pattern (lock, payload, lock) because OCaml's memory model is
+   an interleaving one: a plain load only sees stores already performed,
+   and all accesses to the lock word are totally ordered. A reader that
+   sees the same unlocked word before and after its payload load
+   therefore returns exactly the value published with that version
+   (DESIGN.md decision 1). The [lock] field is never accessed as a plain
+   field: every load, store and CAS of it goes through [lock_word]. *)
+type 'a tvar = { mutable lock : int; mutable payload : 'a; uid : int }
 
 (* The record viewed as the [int Atomic.t] of its lock word. OCaml's
    [%atomic_*] primitives act on field 0 of the block they are given (the
@@ -20,7 +23,7 @@ type 'a tvar = { mutable lock : int; cell : 'a Atomic.t; uid : int }
 external lock_word : 'a tvar -> int Atomic.t = "%identity"
 
 let tvar_uid = Atomic.make 0
-let tvar v = { lock = 0; cell = Atomic.make v; uid = Atomic.fetch_and_add tvar_uid 1 }
+let tvar v = { lock = 0; payload = v; uid = Atomic.fetch_and_add tvar_uid 1 }
 let tvar_id tv = tv.uid
 
 let locked word = word land 1 = 1
@@ -82,7 +85,7 @@ type 'a result = {
 }
 
 let dummy_lock = Atomic.make 0
-let dummy_wentry = W { tv = { lock = 0; cell = Atomic.make 0; uid = -1 }; v = 0 }
+let dummy_wentry = W { tv = { lock = 0; payload = 0; uid = -1 }; v = 0 }
 
 let max_threads = 128
 let () = assert (max_threads <= Telemetry.max_threads)
@@ -473,7 +476,7 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
        raise (Abort Lock_busy)
      end
    else begin
-     let v = Atomic.get tv.cell in
+     let v = tv.payload in
      let l2 = Atomic.get (lock_word tv) in
      if l1 <> l2 then
        (* A committer's writeback raced the seqlock pair; the word has
@@ -514,7 +517,7 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
 
 let read (txn : txn) tv =
   if txn.serial then begin
-    let v = Atomic.get tv.cell in
+    let v = tv.payload in
     San.tm_read ~tid:txn.tid ~site:txn.site ~rv:txn.rv tv.uid;
     v
   end
@@ -542,7 +545,7 @@ let write (txn : txn) tv v =
     Dst.point Dst.Tm_serial_write;
     San.tm_serial_write ~tid:txn.tid ~site:txn.site ~wv:txn.serial_wv tv.uid;
     Atomic.set (lock_word tv) ((txn.serial_wv lsl 1) lor 1);
-    Atomic.set tv.cell v;
+    tv.payload <- v;
     Atomic.set (lock_word tv) (txn.serial_wv lsl 1)
   end
   else begin
@@ -667,7 +670,7 @@ let commit (txn : txn) =
       for i = 0 to txn.wn - 1 do
         Dst.point Dst.Tm_publish;
         let (W e) = txn.wset.(i) in
-        Atomic.set e.tv.cell e.v
+        e.tv.payload <- e.v
       done;
       Dst.point Dst.Tm_publish;
       for i = 0 to txn.wn - 1 do
@@ -918,7 +921,7 @@ let peek tv =
       go ()
     end
     else
-      let v = Atomic.get tv.cell in
+      let v = tv.payload in
       let l2 = Atomic.get (lock_word tv) in
       if l1 <> l2 then go ()
       else begin
@@ -932,7 +935,7 @@ let poke tv v =
   San.nontxn_write tv.uid;
   let wv = Gclock.advance () in
   Atomic.set (lock_word tv) ((wv lsl 1) lor 1);
-  Atomic.set tv.cell v;
+  tv.payload <- v;
   Atomic.set (lock_word tv) (wv lsl 1)
 
 let clock () = Gclock.sample ()

@@ -457,9 +457,10 @@ let test_mode_restrictions () =
 
 (* Per-node footprint in words, pinned so a field or block added to a node
    shows up here. A node record is a header plus one word per field, the
-   first of which is the pool's state word; a tvar is 6 (its record plus
-   its value cell). Only [Lnode] carries a reference count, the one tvar
-   REF mode reads: the trees and the skiplist reject REF. *)
+   first of which is the pool's state word; a tvar is 4 (one block:
+   header, lock word, payload, uid). Only [Lnode] carries a reference
+   count, the one tvar REF mode reads: the trees and the skiplist reject
+   REF. *)
 let test_node_layout () =
   Tm.Thread.with_registered (fun tid ->
       let words name pool alloc =
@@ -471,13 +472,13 @@ let test_node_layout () =
         check (name ^ ": field 0 is even once freed") 0 (field0 () land 1);
         w
       in
-      let record fields = 1 + fields and tvar = 6 in
-      check "tnode: 6 fields, 4 tvars (31)" (record 6 + (4 * tvar))
+      let record fields = 1 + fields and tvar = 4 in
+      check "tnode: 6 fields, 4 tvars (23)" (record 6 + (4 * tvar))
         (words "tnode" (Structs.Tnode.make_pool ()) Structs.Tnode.alloc);
-      check "lnode: 7 fields, 5 tvars, rc included (38)"
+      check "lnode: 7 fields, 5 tvars, rc included (28)"
         (record 7 + (5 * tvar))
         (words "lnode" (Structs.Lnode.make_pool ()) Structs.Lnode.alloc);
-      check "snode: 6 fields, 3 tvars, a tower of 16 (138)"
+      check "snode: 6 fields, 3 tvars, a tower of 16 (100)"
         (record 6 + (3 * tvar) + record Structs.Snode.max_level
         + (Structs.Snode.max_level * tvar))
         (words "snode" (Structs.Snode.make_pool ()) Structs.Snode.alloc))

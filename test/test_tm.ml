@@ -568,47 +568,55 @@ let test_concurrent_serializable () =
 (* White-box: the raw TL2 lock word ([version lsl 1 lor locked]). *)
 let lock_word_of tv : int = Obj.obj (Obj.field (Obj.repr tv) 0)
 
-(* A tvar is two blocks: its record (header, lock word, value cell, uid)
-   and the value's [Atomic.t]. A word or block added to it shows up here
-   and in every node of every structure. *)
+(* A tvar is one block: header, lock word, payload, uid. A word or block
+   added to it shows up here and in every node of every structure. *)
 let test_tvar_layout () =
   with_tm (fun () ->
       let tv = Tm.tvar 0 in
-      check "tvar words" 6 (Obj.reachable_words (Obj.repr tv));
+      check "tvar words" 4 (Obj.reachable_words (Obj.repr tv));
+      check "tvar is a single 3-field block" 3 (Obj.size (Obj.repr tv));
       check "fresh tvar: version 0, unlocked" 0 (lock_word_of tv);
       let r = Tm.atomic_stamped (fun txn -> Tm.write txn tv 1) in
       check "field 0 carries the commit stamp" (r.Tm.stamp lsl 1)
         (lock_word_of tv))
 
-(* Two writers each move an amount from [b] to [a] per commit, keeping
-   [a + b = 0] with [a] strictly increasing. A third domain reads the pair
-   in transactions, and with [Tm.peek] as (a, b, a): when both peeks of
-   [a] agree no commit touched the pair in between, so [b] must be [-a].
-   A lock-word view that missed the lock bit would let a peek return a
-   value published mid-writeback. The writers never fall back to serial
-   mode, whose direct writes unlock one tvar at a time and so may be
-   peeked half done. After the run no lock bit is left set. *)
+(* The seqlock oracle. Two writers each advance [x] per commit and write
+   freshly allocated tuples, [(x, -x)] into [a] and [(-x, x)] into [b], so
+   every published payload is a distinct block tied to one version, with
+   [x] strictly increasing. A third domain reads the pair through a
+   default transaction, a [~read_phase:true] one (the path that waits out
+   locked words instead of aborting) and [Tm.peek] as (a, b, a): when
+   both peeks of [a] return the same block no commit touched the pair in
+   between. A payload paired with the wrong version, or a lock-word view
+   that missed the lock bit, shows up as a pair whose first components do
+   not cancel. The writers never fall back to serial mode, whose direct
+   writes unlock one tvar at a time and so may be peeked half done. After
+   the run no lock bit is left set. *)
 let test_lock_word_view () =
   with_tm (fun () ->
-      let a = Tm.tvar 0 and b = Tm.tvar 0 in
+      let a = Tm.tvar (0, 0) and b = Tm.tvar (0, 0) in
       let per_writer = 2000 in
       let stop = Atomic.make false in
       let torn = Atomic.make 0 in
+      let check_pair (a1, a2) (b1, b2) =
+        if a2 <> -a1 || b2 <> -b1 || a1 + b1 <> 0 then Atomic.incr torn
+      in
       let reader =
         Domain.spawn (fun () ->
             Tm.Thread.with_registered (fun _ ->
                 let rounds = ref 0 and peeks = ref 0 in
+                let read txn = (Tm.read txn a, Tm.read txn b) in
                 while (not (Atomic.get stop)) || !rounds < 100 do
                   incr rounds;
-                  let va, vb =
-                    Tm.atomic (fun txn -> (Tm.read txn a, Tm.read txn b))
-                  in
-                  if va + vb <> 0 then Atomic.incr torn;
+                  let pa, pb = Tm.atomic read in
+                  check_pair pa pb;
+                  let pa, pb = Tm.atomic ~read_phase:true read in
+                  check_pair pa pb;
                   let a1 = Tm.peek a in
-                  let vb = Tm.peek b in
-                  if Tm.peek a = a1 then begin
+                  let pb = Tm.peek b in
+                  if Tm.peek a == a1 then begin
                     incr peeks;
-                    if a1 + vb <> 0 then Atomic.incr torn
+                    check_pair a1 pb
                   end
                 done;
                 !peeks))
@@ -618,16 +626,17 @@ let test_lock_word_view () =
             for i = 1 to per_writer do
               let d = 1 + ((i * (w + 3)) mod 17) in
               Tm.atomic ~max_attempts:max_int (fun txn ->
-                  Tm.write txn a (Tm.read txn a + d);
-                  Tm.write txn b (Tm.read txn b - d))
+                  let x = fst (Tm.read txn a) + d in
+                  Tm.write txn a (x, -x);
+                  Tm.write txn b (-x, x))
             done)
       in
       Atomic.set stop true;
       let stable_peeks = Domain.join reader in
+      check_pair (Tm.peek a) (Tm.peek b);
       check "no torn pair" 0 (Atomic.get torn);
       checkb "some peek pairs were stable" true (stable_peeks > 0);
-      check "invariant holds" 0 (Tm.peek a + Tm.peek b);
-      checkb "a advanced" true (Tm.peek a >= 2 * per_writer);
+      checkb "a advanced" true (fst (Tm.peek a) >= 2 * per_writer);
       List.iter
         (fun (name, tv) ->
           let w = lock_word_of tv in
