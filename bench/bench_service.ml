@@ -771,7 +771,8 @@ let matrix_configs ~p ~rate =
 let doc_float name js =
   Option.value ~default:0. (Option.bind (Json.member name js) Json.to_float)
 
-let doc_get_p99 js =
+(* A field of a run's "get" latency class: "count" or "p99_ns". *)
+let doc_get_stat field js =
   match Json.member "classes" js with
   | Some (Json.List cs) -> (
       match
@@ -780,9 +781,17 @@ let doc_get_p99 js =
           cs
       with
       | Some c ->
-          Option.value ~default:0 (Option.bind (Json.member "p99_ns" c) Json.to_int)
+          Option.value ~default:0
+            (Option.bind (Json.member field c) Json.to_int)
       | None -> 0)
   | _ -> 0
+
+let doc_get_p99 = doc_get_stat "p99_ns"
+
+(* The all-on open-loop p99 proves the SLO only over gets it actually
+   served: a run that sheds or loses every get reports a p99 of 0, which
+   is under any SLO. *)
+let matrix_min_gets = 100
 
 let matrix_report p ~mode =
   (* the base closed-loop run comes first: its capacity calibrates the
@@ -823,9 +832,14 @@ let matrix_report p ~mode =
   let slo_ns = matrix_slo_us * 1_000 in
   let open_base_p99 = doc_get_p99 (find "open_base") in
   let open_all_on_p99 = doc_get_p99 (find "open_all_on") in
+  let open_all_on_gets = doc_get_stat "count" (find "open_all_on") in
   let throughput_ok = tput "pool_cache" >= tput "base" in
   let base_violates = open_base_p99 > slo_ns in
-  let slo_ok = base_violates && open_all_on_p99 <= slo_ns in
+  let slo_ok =
+    base_violates
+    && open_all_on_gets >= matrix_min_gets
+    && open_all_on_p99 <= slo_ns
+  in
   Json.Obj
     [
       ("schema", Json.String schema);
@@ -846,13 +860,16 @@ let matrix_report p ~mode =
             ("throughput_ok", Json.Bool throughput_ok);
             ("open_base_get_p99_ns", Json.Int open_base_p99);
             ("open_all_on_get_p99_ns", Json.Int open_all_on_p99);
+            ("open_all_on_gets", Json.Int open_all_on_gets);
             ("open_base_violates_slo", Json.Bool base_violates);
             ("slo_ok", Json.Bool slo_ok);
           ] );
     ]
 
 (* Validate a matrix document: every embedded run must satisfy the
-   hohtx-load/1 run schema, and both acceptance verdicts must hold. *)
+   hohtx-load/1 run schema, and both acceptance verdicts must hold. The
+   SLO verdict is re-checked against the all-on open-loop run itself, so
+   a document whose run served no gets fails even if it says [slo_ok]. *)
 let validate_matrix js =
   let ( let* ) = Result.bind in
   let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
@@ -904,6 +921,21 @@ let validate_matrix js =
         "open-loop baseline did not violate the SLO — the overload rate is \
          miscalibrated, the shedding leg proves nothing"
     else Ok ()
+  in
+  let* () =
+    let open_all_on =
+      List.find_opt
+        (fun r -> Json.member "config" r = Some (Json.String "open_all_on"))
+        runs
+    in
+    match Option.map (doc_get_stat "count") open_all_on with
+    | None -> err "no open_all_on run"
+    | Some gets when gets < matrix_min_gets ->
+        err
+          "open-loop all-on run served %d gets (minimum %d): its get p99 \
+           proves nothing about the SLO"
+          gets matrix_min_gets
+    | Some _ -> Ok ()
   in
   if bool "slo_ok" then Ok ()
   else

@@ -16,13 +16,15 @@ open Harness
 let family_conv =
   Arg.enum
     [ ("slist", `Slist); ("dlist", `Dlist); ("bst-int", `Bst_int);
-      ("bst-ext", `Bst_ext); ("lf-list", `Lf_list); ("nm-tree", `Nm_tree) ]
+      ("bst-ext", `Bst_ext); ("skiplist", `Skiplist); ("lf-list", `Lf_list);
+      ("nm-tree", `Nm_tree) ]
 
 let family_name = function
   | `Slist -> "slist"
   | `Dlist -> "dlist"
   | `Bst_int -> "bst-int"
   | `Bst_ext -> "bst-ext"
+  | `Skiplist -> "skiplist"
   | `Lf_list -> "lf-list"
   | `Nm_tree -> "nm-tree"
 
@@ -57,6 +59,7 @@ let run family mode window scatter fusion key_bits lookup_pct threads ops
     | `Dlist -> Some Factories.Spec.Dlist
     | `Bst_int -> Some Factories.Spec.Bst_int
     | `Bst_ext -> Some Factories.Spec.Bst_ext
+    | `Skiplist -> Some Factories.Spec.Skiplist
     | `Lf_list | `Nm_tree -> None
   in
   let* factory =
@@ -134,7 +137,7 @@ let cmd =
       value
       & opt family_conv `Slist
       & info [ "f"; "family" ] ~doc:"Data structure family: $(docv)."
-          ~docv:"slist|dlist|bst-int|bst-ext|lf-list|nm-tree")
+          ~docv:"slist|dlist|bst-int|bst-ext|skiplist|lf-list|nm-tree")
   in
   let mode =
     Arg.(

@@ -4,15 +4,11 @@ open Structs
    skiplist-style traversal hint carried across windows and trusted
    without revalidation. *)
 
-let search_from_hint_bad (hint : Lnode.t option ref)
-    (head : Lnode.t option Tm.tvar) k =
-  let start = ref None in
+let search_from_hint_bad (head : Lnode.t Tm.tvar) k =
+  let start = ref Lnode.nil in
   Tm.atomic (fun txn -> start := Tm.read txn head);
   Tm.atomic (fun txn ->
-      let n =
-        match !start with
-        | Some n -> n
-        | None -> (match Tm.read txn head with Some n -> n | None -> raise Exit)
-      in
+      let n = if !start != Lnode.nil then !start else Tm.read txn head in
+      if n == Lnode.nil then raise Exit;
       (* stale hint used unrevalidated: no ops.get between windows *)
       Tm.read txn n.Lnode.key = k)

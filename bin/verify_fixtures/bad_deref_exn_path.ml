@@ -8,15 +8,15 @@ exception Lost
 let find_or_fail (ops : Lnode.t Rr.ops) txn n =
   match ops.Rr.get txn n with Some ok -> ok | None -> raise Lost
 
-let bad_deref_exn_path (t : Lnode.t option Tm.tvar) (ops : Lnode.t Rr.ops) =
-  let cur = ref None in
+let bad_deref_exn_path (t : Lnode.t Tm.tvar) (ops : Lnode.t Rr.ops) =
+  let cur = ref Lnode.nil in
   Tm.atomic (fun txn -> cur := Tm.read txn t);
   Tm.atomic (fun txn ->
-      match !cur with
-      | None -> 0
-      | Some n -> (
-          match find_or_fail ops txn n with
-          | ok -> Tm.read txn ok.Lnode.key
-          | exception Lost ->
-              (* carried and unchecked: the reservation may be gone *)
-              Tm.read txn n.Lnode.key))
+      let n = !cur in
+      if n == Lnode.nil then 0
+      else
+        match find_or_fail ops txn n with
+        | ok -> Tm.read txn ok.Lnode.key
+        | exception Lost ->
+            (* carried and unchecked: the reservation may be gone *)
+            Tm.read txn n.Lnode.key)

@@ -3,11 +3,10 @@ open Structs
 (* HV001: a pointer carried across a window boundary is dereferenced in
    the next window without an RR check. *)
 
-let bad_deref_unchecked (t : Lnode.t option Tm.tvar) =
-  let cur = ref None in
+let bad_deref_unchecked (t : Lnode.t Tm.tvar) =
+  let cur = ref Lnode.nil in
   Tm.atomic (fun txn -> cur := Tm.read txn t);
   (* new window: [!cur] is a carried pointer, never re-checked *)
   Tm.atomic (fun txn ->
-      match !cur with
-      | None -> 0
-      | Some n -> Tm.read txn n.Lnode.key)
+      let n = !cur in
+      if n == Lnode.nil then 0 else Tm.read txn n.Lnode.key)

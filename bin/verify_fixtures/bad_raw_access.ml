@@ -6,4 +6,4 @@ open Structs
 let bad_raw_access (t : Lnode.t Tm.tvar) =
   Tm.atomic (fun txn ->
       let n = Tm.read txn t in
-      Tm.poke n.Lnode.deleted true)
+      Tm.poke n.Lnode.key 0)

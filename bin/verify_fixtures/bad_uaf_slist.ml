@@ -5,15 +5,13 @@ open Structs
    — no revoke, no deferral — exactly the seeded TxSan bug, decided
    statically. *)
 
-let remove_bad (pool : Lnode.t Mempool.t) (head : Lnode.t option Tm.tvar)
-    k =
+let remove_bad (pool : Lnode.t Mempool.t) (head : Lnode.t Tm.tvar) k =
   Tm.atomic (fun txn ->
-      match Tm.read txn head with
-      | None -> false
-      | Some curr ->
-          if Tm.read txn curr.Lnode.key = k then begin
-            Tm.write txn head (Tm.read txn curr.Lnode.next);
-            Mempool.free pool ~thread:0 curr;
-            true
-          end
-          else false)
+      let curr = Tm.read txn head in
+      if curr == Lnode.nil then false
+      else if Tm.read txn curr.Lnode.key = k then begin
+        Tm.write txn head (Tm.read txn curr.Lnode.next);
+        Mempool.free pool ~thread:0 curr;
+        true
+      end
+      else false)

@@ -37,7 +37,6 @@ type 'a t = {
   state : 'a -> int Atomic.t;
   poison : 'a -> unit;
   tvar_ids : 'a -> int list;
-  probe_ids : 'a -> int list;
   (* TxSan identity: pools hand out per-pool node ids, so shadow slots are
      keyed by (pool group, node id) packed into one int. *)
   san_group : int;
@@ -56,8 +55,7 @@ type 'a t = {
 }
 
 let create ?(strategy = Thread_arena) ?(batch = 32) ~make ~node_id ~state
-    ?(poison = fun _ -> ()) ?(tvar_ids = fun _ -> [])
-    ?(probe_ids = fun _ -> []) () =
+    ?(poison = fun _ -> ()) ?(tvar_ids = fun _ -> []) () =
   if batch < 1 then invalid_arg "Mempool.create: batch < 1";
   let t =
     {
@@ -68,7 +66,6 @@ let create ?(strategy = Thread_arena) ?(batch = 32) ~make ~node_id ~state
       state;
       poison;
       tvar_ids;
-      probe_ids;
       san_group = San.fresh_group ();
       next_id = Atomic.make 0;
       global_nodes = Atomic.make [];
@@ -189,7 +186,7 @@ let alloc t ~thread =
   bump_high_water t;
   if San.enabled () then
     San.mp_alloc ~thread ~node:(san_key t n) ~tvars:(t.tvar_ids n)
-      ~probes:(t.probe_ids n) ~stamp:(Tm.clock ());
+      ~stamp:(Tm.clock ());
   n
 
 let stash t ~thread n =

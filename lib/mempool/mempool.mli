@@ -51,7 +51,6 @@ val create :
   state:('a -> int Atomic.t) ->
   ?poison:('a -> unit) ->
   ?tvar_ids:('a -> int list) ->
-  ?probe_ids:('a -> int list) ->
   unit ->
   'a t
 (** [create ~make ~node_id ~state ()] builds a pool of nodes fabricated by
@@ -92,9 +91,9 @@ val san_key : 'a t -> 'a -> int
     {!create}) lists the node's tvar uids so the sanitizer can map tvar
     accesses back to the owning slot; pools created without it still track
     slot-level events (alloc/free/reserve/retire) but not tvar-level
-    use-after-free. [probe_ids] marks the subset serving as validity flags
-    ([deleted]): probing those on a possibly-freed pointer is sanctioned by
-    the discipline and exempt from the sanitizer's eager read-UAF rule. *)
+    use-after-free. The one sanctioned read of a possibly-freed node, the
+    deletion check, is exempted by a bracket around the check
+    ({!San.probe_begin}), not per tvar. *)
 
 val stats : 'a t -> Stats.t
 val strategy : 'a t -> strategy

@@ -87,7 +87,6 @@ let m = Mutex.create ()
 type tvar_shadow = {
   uid : int;
   mutable owner : int; (* slot key, or min_int when unknown *)
-  mutable probe : bool; (* validity flag: freed-slot reads are sanctioned *)
   mutable locked_by : int; (* committing thread, or -1 *)
   mutable last_writer : int;
   mutable last_wv : int;
@@ -122,6 +121,7 @@ type thread_shadow = {
   mutable carry_gen : int;
   mutable carry_checked : bool;
   mutable in_check : bool;
+  mutable in_probe : bool; (* inside the deletion check: freed reads OK *)
   mutable locks : int list; (* tvar uids locked by the in-flight commit *)
   mutable hints : (int * int) list; (* (node key, generation at note) *)
   mutable epochs : int; (* live epoch announcements *)
@@ -137,6 +137,7 @@ let fresh_thread () =
     carry_gen = -1;
     carry_checked = false;
     in_check = false;
+    in_probe = false;
     locks = [];
     hints = [];
     epochs = 0;
@@ -209,7 +210,6 @@ let tvar_of uid =
         {
           uid;
           owner = min_int;
-          probe = false;
           locked_by = -1;
           last_writer = -1;
           last_wv = -1;
@@ -298,15 +298,17 @@ let tm_read_slow ~tid ~site ~rv uid =
       | None -> ()
       | Some tv -> (
           match find_slot tv.owner with
-          | Some s when (not s.live) && s.freed_stamp <= rv && not tv.probe ->
+          | Some s
+            when (not s.live) && s.freed_stamp <= rv && not (thr tid).in_probe
+            ->
               (* A validated read of a slot freed before the snapshot can
                  only be reached through a stale pointer: the poison poke
                  bumped the version past [freed_stamp], so any path that
                  read the linking pointers afterwards would have aborted.
-                 Probe tvars (the node's validity flag) are exempt: the
-                 protocol sanctions checking [deleted] on a possibly-freed
-                 pointer — poison forces the read to observe the deletion,
-                 and the caller discards the pointer. *)
+                 Reads inside the deletion check are exempt: the protocol
+                 sanctions that check on a possibly-freed pointer — poison
+                 forces it to observe the deletion, and the caller discards
+                 the pointer. *)
               reps :=
                 mk Use_after_free ~tid ~site
                   ~subject:(Printf.sprintf "tvar #%d (node #%d)" uid tv.owner)
@@ -555,6 +557,7 @@ let tm_abort_slow ~tid =
       let th = thr tid in
       th.pending <- [];
       th.in_check <- false;
+      th.in_probe <- false;
       if th.locks <> [] then begin
         let r = lock_leak_report ~tid ~site:"?" th.locks in
         List.iter
@@ -575,6 +578,7 @@ let tm_abandon_slow ~tid =
       let th = thr tid in
       th.pending <- [];
       th.in_check <- false;
+      th.in_probe <- false;
       List.iter
         (fun uid ->
           match find_tvar uid with
@@ -664,7 +668,7 @@ let[@inline] nontxn_write uid = if !on then nontxn_write_slow uid
 (* Mempool hooks                                                       *)
 (* ------------------------------------------------------------------ *)
 
-let mp_alloc_slow ~thread ~node ~tvars:uids ~probes ~stamp =
+let mp_alloc_slow ~thread ~node ~tvars:uids ~stamp =
   guarded (fun () ->
       let s = slot_of node in
       s.generation <- s.generation + 1;
@@ -674,16 +678,10 @@ let mp_alloc_slow ~thread ~node ~tvars:uids ~probes ~stamp =
       s.revoked <- false;
       push_ev s { what = "alloc"; thread; site = "(pool)"; stamp };
       List.iter (fun uid -> (tvar_of uid).owner <- node) uids;
-      List.iter
-        (fun uid ->
-          let tv = tvar_of uid in
-          tv.owner <- node;
-          tv.probe <- true)
-        probes;
       [])
 
-let[@inline] mp_alloc ~thread ~node ~tvars ~probes ~stamp =
-  if !on then mp_alloc_slow ~thread ~node ~tvars ~probes ~stamp
+let[@inline] mp_alloc ~thread ~node ~tvars ~stamp =
+  if !on then mp_alloc_slow ~thread ~node ~tvars ~stamp
 
 let mp_free_slow ~thread ~site ~node ~stamp =
   guarded (fun () ->
@@ -770,6 +768,14 @@ let rr_check_begin_slow ~tid =
   Mutex.unlock m
 
 let[@inline] rr_check_begin ~tid = if !on then rr_check_begin_slow ~tid
+
+let set_probe ~tid flag =
+  Mutex.lock m;
+  (thr tid).in_probe <- flag;
+  Mutex.unlock m
+
+let[@inline] probe_begin ~tid = if !on then set_probe ~tid true
+let[@inline] probe_end ~tid = if !on then set_probe ~tid false
 
 let rr_check_end_slow ~tid ~site ~node ~ok =
   guarded (fun () ->

@@ -168,18 +168,9 @@ val exempt_end : unit -> unit
 
 (** {2 Mempool hooks} *)
 
-val mp_alloc :
-  thread:int ->
-  node:int ->
-  tvars:int list ->
-  probes:int list ->
-  stamp:int ->
-  unit
+val mp_alloc : thread:int -> node:int -> tvars:int list -> stamp:int -> unit
 (** Slot (re)allocated. [tvars] are the node's payload tvar uids (they map
-    back to the slot in the shadow tables); [probes] are the subset that
-    serve as validity flags ([deleted]): the discipline sanctions reading a
-    probe on a possibly-freed pointer — poison makes the read observe the
-    deletion — so probe reads are exempt from the eager read-UAF rule. *)
+    back to the slot in the shadow tables). *)
 
 val mp_free :
   thread:int ->
@@ -198,6 +189,16 @@ val rr_release : tid:int -> node:int -> unit
 val rr_release_all : tid:int -> unit
 val rr_check_begin : tid:int -> unit
 val rr_check_end : tid:int -> site:string -> node:int -> ok:bool -> unit
+
+val probe_begin : tid:int -> unit
+val probe_end : tid:int -> unit
+(** Bracket the one deletion check ([Structs.Mode.t]'s [deleted]). The
+    discipline sanctions that check on a possibly-freed pointer: poison
+    makes it answer "deleted" and the caller drops the pointer. Reads
+    inside the bracket are therefore exempt from the eager read-UAF rule;
+    the same read of a freed slot outside it is a {!Use_after_free}. An
+    abort closes an open bracket. *)
+
 val rr_revoke : tid:int -> site:string -> node:int -> unit
 
 val hint_note : tid:int -> node:int -> unit

@@ -16,7 +16,7 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   let pool = Tnode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
-      ~deleted:(fun n -> n.Tnode.deleted)
+      ~deleted:Tnode.deleted ~mark_deleted:Tnode.mark_deleted
       ~hash:Tnode.hash ~equal:Tnode.equal ?rr_config ?hp_threshold ()
   in
   {
@@ -29,7 +29,7 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
 
 let name t = t.mode.Mode.name
 
-let is_leaf txn n = Tm.read txn n.Tnode.left = None
+let is_leaf txn n = Tm.read txn n.Tnode.left == Tnode.nil
 
 (* Windowed descent to a leaf, tracking parent and grandparent. Hands off
    the last examined router; [`Leaf (gp, p, leaf)] may surface [gp = None]
@@ -40,10 +40,11 @@ let descend txn ~key ~start ~budget =
     else
       let k = Tm.read txn curr.Tnode.key in
       let childv = if key < k then curr.Tnode.left else curr.Tnode.right in
-      match Tm.read txn childv with
-      | None -> `Leaf (gp, p, curr) (* only the empty root lacks children *)
-      | Some c ->
-          if i >= budget then `Window curr else go p (Some curr) c (i + 1)
+      let c = Tm.read txn childv in
+      (* only the empty root lacks children *)
+      if c == Tnode.nil then `Leaf (gp, p, curr)
+      else if i >= budget then `Window curr
+      else go p (Some curr) c (i + 1)
   in
   go None None start 1
 
@@ -93,7 +94,7 @@ let insert_s t ~thread key =
           (* Empty tree: hang the first leaf off the sentinel. *)
           let nl = take spare_leaf in
           Tm.write txn nl.Tnode.key key;
-          Tm.write txn t.root.Tnode.left (Some nl);
+          Tm.write txn t.root.Tnode.left nl;
           Tm.defer txn (fun () -> spare_leaf := None);
           Rr.Hoh.Finish true
         end
@@ -106,12 +107,12 @@ let insert_s t ~thread key =
             Tm.write txn nl.Tnode.key key;
             let lo, hi = if key < lk then (nl, leaf) else (leaf, nl) in
             Tm.write txn router.Tnode.key (Tm.read txn hi.Tnode.key);
-            Tm.write txn router.Tnode.left (Some lo);
-            Tm.write txn router.Tnode.right (Some hi);
+            Tm.write txn router.Tnode.left lo;
+            Tm.write txn router.Tnode.right hi;
             let pk = Tm.read txn p.Tnode.key in
             Tm.write txn
               (if key < pk then p.Tnode.left else p.Tnode.right)
-              (Some router);
+              router;
             Tm.defer txn (fun () ->
                 spare_leaf := None;
                 spare_router := None);
@@ -131,7 +132,7 @@ let remove_s t ~thread key =
         | None -> Rr.Hoh.Finish false (* unreachable: leaf has a parent *)
         | Some p when Tnode.equal p t.root ->
             (* Single-leaf tree: detach the leaf from the sentinel. *)
-            Tm.write txn t.root.Tnode.left None;
+            Tm.write txn t.root.Tnode.left Tnode.nil;
             t.mode.Mode.invalidate txn leaf;
             t.mode.Mode.dispose txn leaf;
             Rr.Hoh.Finish true
@@ -144,23 +145,24 @@ let remove_s t ~thread key =
                      grandparent with a full descent in this transaction. *)
                   let rec from_root gp node =
                     if Tnode.equal node p then Option.get gp
+                    else if node == Tnode.nil then assert false
                     else
                       let k = Tm.read txn node.Tnode.key in
                       let child =
                         if key < k then node.Tnode.left else node.Tnode.right
                       in
-                      from_root (Some node) (Option.get (Tm.read txn child))
+                      from_root (Some node) (Tm.read txn child)
                   in
                   from_root None t.root
             in
             let sibling =
-              match Tm.read txn p.Tnode.left with
-              | Some l when Tnode.equal l leaf -> Tm.read txn p.Tnode.right
-              | _ -> Tm.read txn p.Tnode.left
+              if Tnode.equal (Tm.read txn p.Tnode.left) leaf then
+                Tm.read txn p.Tnode.right
+              else Tm.read txn p.Tnode.left
             in
-            (match Tm.read txn gp.Tnode.left with
-            | Some l when Tnode.equal l p -> Tm.write txn gp.Tnode.left sibling
-            | _ -> Tm.write txn gp.Tnode.right sibling);
+            if Tnode.equal (Tm.read txn gp.Tnode.left) p then
+              Tm.write txn gp.Tnode.left sibling
+            else Tm.write txn gp.Tnode.right sibling;
             t.mode.Mode.invalidate txn p;
             t.mode.Mode.invalidate txn leaf;
             t.mode.Mode.dispose txn p;
@@ -174,15 +176,14 @@ let lookup t ~thread key = fst (lookup_s t ~thread key)
 let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
-let rec fold_leaves acc node f =
-  match node with
-  | None -> acc
-  | Some n -> (
-      match Tm.peek n.Tnode.left with
-      | None -> f acc n
-      | Some _ as l ->
-          let acc = fold_leaves acc l f in
-          fold_leaves acc (Tm.peek n.Tnode.right) f)
+let rec fold_leaves acc n f =
+  if n == Tnode.nil then acc
+  else
+    let l = Tm.peek n.Tnode.left in
+    if l == Tnode.nil then f acc n
+    else
+      let acc = fold_leaves acc l f in
+      fold_leaves acc (Tm.peek n.Tnode.right) f
 
 let to_list t =
   List.rev
@@ -192,9 +193,9 @@ let to_list t =
 let size t = fold_leaves 0 (Tm.peek t.root.Tnode.left) (fun acc _ -> acc + 1)
 
 let depth t =
-  let rec go = function
-    | None -> 0
-    | Some n -> 1 + max (go (Tm.peek n.Tnode.left)) (go (Tm.peek n.Tnode.right))
+  let rec go n =
+    if n == Tnode.nil then 0
+    else 1 + max (go (Tm.peek n.Tnode.left)) (go (Tm.peek n.Tnode.right))
   in
   go (Tm.peek t.root.Tnode.left)
 
@@ -203,7 +204,7 @@ let check t =
   let node_ok n =
     if Tm.peek n.Tnode.key = Tnode.poisoned_key then
       raise (Bad (Printf.sprintf "poisoned node %d linked" n.Tnode.id));
-    if Tm.peek n.Tnode.deleted then
+    if Tnode.peek_deleted n then
       raise (Bad (Printf.sprintf "deleted node %d linked" n.Tnode.id));
     if not (Mempool.is_live t.pool n) then
       raise (Bad (Printf.sprintf "freed node %d linked" n.Tnode.id))
@@ -216,23 +217,24 @@ let check t =
   let rec go node ~lo ~hi =
     node_ok node;
     let k = Tm.peek node.Tnode.key in
-    match (Tm.peek node.Tnode.left, Tm.peek node.Tnode.right) with
-    | None, None ->
+    let l = Tm.peek node.Tnode.left and r = Tm.peek node.Tnode.right in
+    match (l == Tnode.nil, r == Tnode.nil) with
+    | true, true ->
         if not (k >= lo && k < hi) then
           raise (Bad (Printf.sprintf "leaf %d out of bounds" k))
-    | Some l, Some r ->
+    | false, false ->
         if not (k > lo && k < hi) then
           raise (Bad (Printf.sprintf "router %d out of bounds" k));
         go l ~lo ~hi:k;
         go r ~lo:k ~hi
     | _ -> raise (Bad (Printf.sprintf "router %d with one child" node.Tnode.id))
   in
-  match Tm.peek t.root.Tnode.left with
-  | None -> Ok ()
-  | Some n -> (
-      match go n ~lo:min_int ~hi:max_int with
-      | () -> Ok ()
-      | exception Bad m -> Error m)
+  let n = Tm.peek t.root.Tnode.left in
+  if n == Tnode.nil then Ok ()
+  else
+    match go n ~lo:min_int ~hi:max_int with
+    | () -> Ok ()
+    | exception Bad m -> Error m
 
 let pool_stats t = Mempool.stats t.pool
 let pool_live t = Mempool.live t.pool

@@ -17,7 +17,7 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   let pool = Tnode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
-      ~deleted:(fun n -> n.Tnode.deleted)
+      ~deleted:Tnode.deleted ~mark_deleted:Tnode.mark_deleted
       ~hash:Tnode.hash ~equal:Tnode.equal ?rr_config ()
   in
   {
@@ -48,11 +48,10 @@ let descend txn ~key ~start ~budget =
     else
       let side = key < k in
       let child = if side then curr.Tnode.left else curr.Tnode.right in
-      match Tm.read txn child with
-      | None -> `Absent (curr, side)
-      | Some c ->
-          if i >= budget then `Window curr
-          else go (Some curr) side c (i + 1)
+      let c = Tm.read txn child in
+      if c == Tnode.nil then `Absent (curr, side)
+      else if i >= budget then `Window curr
+      else go (Some curr) side c (i + 1)
   in
   go None true start 1
 
@@ -112,7 +111,7 @@ let insert_s t ~thread key =
         Tm.write txn n.Tnode.key key;
         Tm.write txn
           (if side then parent.Tnode.left else parent.Tnode.right)
-          (Some n);
+          n;
         Tm.defer txn (fun () -> spare := None);
         true)
   in
@@ -131,9 +130,9 @@ let splice t txn ~parent ~side ~curr child =
    curr..leftmost path. *)
 let remove_two_children t txn ~curr ~right =
   let rec find_leftmost parent node acc =
-    match Tm.read txn node.Tnode.left with
-    | Some l -> find_leftmost node l (node :: acc)
-    | None -> (parent, node, node :: acc)
+    let l = Tm.read txn node.Tnode.left in
+    if l == Tnode.nil then (parent, node, node :: acc)
+    else find_leftmost node l (node :: acc)
   in
   let lparent, lm, path = find_leftmost curr right [ curr ] in
   Tm.write txn curr.Tnode.key (Tm.read txn lm.Tnode.key);
@@ -148,12 +147,11 @@ let remove_two_children t txn ~curr ~right =
 let remove_s t ~thread key =
   apply t ~thread key ~site:"bst_int.remove"
     ~on_found:(fun txn ~parent ~side ~curr ->
-      let lv = Tm.read txn curr.Tnode.left in
-      let rv = Tm.read txn curr.Tnode.right in
-      (match (lv, rv) with
-      | None, _ -> splice t txn ~parent ~side ~curr rv
-      | _, None -> splice t txn ~parent ~side ~curr lv
-      | Some _, Some r -> remove_two_children t txn ~curr ~right:r);
+      let l = Tm.read txn curr.Tnode.left in
+      let r = Tm.read txn curr.Tnode.right in
+      if l == Tnode.nil then splice t txn ~parent ~side ~curr r
+      else if r == Tnode.nil then splice t txn ~parent ~side ~curr l
+      else remove_two_children t txn ~curr ~right:r;
       true)
     ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
 
@@ -164,13 +162,12 @@ let lookup t ~thread key = fst (lookup_s t ~thread key)
 let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
-let rec fold_infix acc node f =
-  match node with
-  | None -> acc
-  | Some n ->
-      let acc = fold_infix acc (Tm.peek n.Tnode.left) f in
-      let acc = f acc n in
-      fold_infix acc (Tm.peek n.Tnode.right) f
+let rec fold_infix acc n f =
+  if n == Tnode.nil then acc
+  else
+    let acc = fold_infix acc (Tm.peek n.Tnode.left) f in
+    let acc = f acc n in
+    fold_infix acc (Tm.peek n.Tnode.right) f
 
 let to_list t =
   List.rev
@@ -180,29 +177,28 @@ let to_list t =
 let size t = fold_infix 0 (Tm.peek t.root.Tnode.left) (fun acc _ -> acc + 1)
 
 let depth t =
-  let rec go = function
-    | None -> 0
-    | Some n -> 1 + max (go (Tm.peek n.Tnode.left)) (go (Tm.peek n.Tnode.right))
+  let rec go n =
+    if n == Tnode.nil then 0
+    else 1 + max (go (Tm.peek n.Tnode.left)) (go (Tm.peek n.Tnode.right))
   in
   go (Tm.peek t.root.Tnode.left)
 
 let check t =
   let exception Bad of string in
-  let rec go node ~lo ~hi =
-    match node with
-    | None -> ()
-    | Some n ->
-        let k = Tm.peek n.Tnode.key in
-        if k = Tnode.poisoned_key then
-          raise (Bad (Printf.sprintf "poisoned node %d linked" n.Tnode.id));
-        if Tm.peek n.Tnode.deleted then
-          raise (Bad (Printf.sprintf "deleted node %d linked" n.Tnode.id));
-        if not (Mempool.is_live t.pool n) then
-          raise (Bad (Printf.sprintf "freed node %d linked" n.Tnode.id));
-        if not (k > lo && k < hi) then
-          raise (Bad (Printf.sprintf "BST ordering violated at key %d" k));
-        go (Tm.peek n.Tnode.left) ~lo ~hi:k;
-        go (Tm.peek n.Tnode.right) ~lo:k ~hi
+  let rec go n ~lo ~hi =
+    if n != Tnode.nil then begin
+      let k = Tm.peek n.Tnode.key in
+      if k = Tnode.poisoned_key then
+        raise (Bad (Printf.sprintf "poisoned node %d linked" n.Tnode.id));
+      if Tnode.peek_deleted n then
+        raise (Bad (Printf.sprintf "deleted node %d linked" n.Tnode.id));
+      if not (Mempool.is_live t.pool n) then
+        raise (Bad (Printf.sprintf "freed node %d linked" n.Tnode.id));
+      if not (k > lo && k < hi) then
+        raise (Bad (Printf.sprintf "BST ordering violated at key %d" k));
+      go (Tm.peek n.Tnode.left) ~lo ~hi:k;
+      go (Tm.peek n.Tnode.right) ~lo:k ~hi
+    end
   in
   match go (Tm.peek t.root.Tnode.left) ~lo:min_int ~hi:max_int with
   | () -> Ok ()

@@ -15,7 +15,7 @@ let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
   let pool = Lnode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
-      ~deleted:(fun n -> n.Lnode.deleted)
+      ~deleted:Lnode.deleted ~mark_deleted:Lnode.mark_deleted
       ~rc:(fun n -> n.Lnode.rc)
       ~hash:Lnode.hash ~equal:Lnode.equal ?rr_config ?hp_threshold ()
   in
@@ -70,12 +70,10 @@ let insert_s t ~thread key =
               n
         in
         Tm.write txn n.Lnode.key key;
-        Tm.write txn n.Lnode.prev (Some prev);
+        Tm.write txn n.Lnode.prev prev;
         Tm.write txn n.Lnode.next curr;
-        Tm.write txn prev.Lnode.next (Some n);
-        (match curr with
-        | Some c -> Tm.write txn c.Lnode.prev (Some n)
-        | None -> ());
+        Tm.write txn prev.Lnode.next n;
+        if curr != Lnode.nil then Tm.write txn curr.Lnode.prev n;
         Tm.defer txn (fun () -> spare := None);
         true)
   in
@@ -85,16 +83,12 @@ let insert_s t ~thread key =
 (* Unlink [n] using its own prev/next pointers — the point of the doubly
    linked list: the traversal's (prev, curr) pair is not needed. *)
 let unlink_and_reclaim t txn n =
-  let p =
-    match Tm.read txn n.Lnode.prev with
-    | Some p -> p
-    | None -> assert false (* linked nodes always have a predecessor *)
-  in
+  let p = Tm.read txn n.Lnode.prev in
+  (* linked nodes always have a predecessor *)
+  assert (p != Lnode.nil);
   let nx = Tm.read txn n.Lnode.next in
   Tm.write txn p.Lnode.next nx;
-  (match nx with
-  | Some x -> Tm.write txn x.Lnode.prev (Some p)
-  | None -> ());
+  if nx != Lnode.nil then Tm.write txn nx.Lnode.prev p;
   t.mode.Mode.invalidate txn n;
   t.mode.Mode.dispose txn n
 
@@ -174,35 +168,30 @@ let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
 let to_list t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go (Tm.peek n.Lnode.key :: acc) (Tm.peek n.Lnode.next)
+  let rec go acc n =
+    if n == Lnode.nil then List.rev acc
+    else go (Tm.peek n.Lnode.key :: acc) (Tm.peek n.Lnode.next)
   in
   go [] (Tm.peek t.head.Lnode.next)
 
 let size t = List.length (to_list t)
 
 let check t =
-  let rec go prev node =
-    match node with
-    | None -> Ok ()
-    | Some n ->
-        let k = Tm.peek n.Lnode.key in
-        if k = Lnode.poisoned_key then
-          Error (Printf.sprintf "poisoned node %d linked" n.Lnode.id)
-        else if Tm.peek n.Lnode.deleted then
-          Error (Printf.sprintf "deleted node %d (key %d) linked" n.Lnode.id k)
-        else if not (Mempool.is_live t.pool n) then
-          Error (Printf.sprintf "freed node %d (key %d) linked" n.Lnode.id k)
-        else if k <= Tm.peek prev.Lnode.key && prev != t.head then
-          Error (Printf.sprintf "keys not strictly sorted at %d" k)
-        else if
-          not
-            (match Tm.peek n.Lnode.prev with
-            | Some p -> p == prev
-            | None -> false)
-        then Error (Printf.sprintf "bad prev pointer at key %d" k)
-        else go n (Tm.peek n.Lnode.next)
+  let rec go prev n =
+    if n == Lnode.nil then Ok ()
+    else
+      let k = Tm.peek n.Lnode.key in
+      if k = Lnode.poisoned_key then
+        Error (Printf.sprintf "poisoned node %d linked" n.Lnode.id)
+      else if Lnode.peek_deleted n then
+        Error (Printf.sprintf "deleted node %d (key %d) linked" n.Lnode.id k)
+      else if not (Mempool.is_live t.pool n) then
+        Error (Printf.sprintf "freed node %d (key %d) linked" n.Lnode.id k)
+      else if k <= Tm.peek prev.Lnode.key && prev != t.head then
+        Error (Printf.sprintf "keys not strictly sorted at %d" k)
+      else if Tm.peek n.Lnode.prev != prev then
+        Error (Printf.sprintf "bad prev pointer at key %d" k)
+      else go n (Tm.peek n.Lnode.next)
   in
   go t.head (Tm.peek t.head.Lnode.next)
 

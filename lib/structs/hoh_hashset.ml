@@ -14,7 +14,7 @@ let create ~mode ?(buckets = 64) ?(window = 8) ?(scatter = true) ?adaptive
   let pool = Lnode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
-      ~deleted:(fun n -> n.Lnode.deleted)
+      ~deleted:Lnode.deleted ~mark_deleted:Lnode.mark_deleted
       ~rc:(fun n -> n.Lnode.rc)
       ~hash:Lnode.hash ~equal:Lnode.equal ?rr_config ?hp_threshold ()
   in
@@ -75,7 +75,7 @@ let insert_s t ~thread key =
         in
         Tm.write txn n.Lnode.key key;
         Tm.write txn n.Lnode.next curr;
-        Tm.write txn prev.Lnode.next (Some n);
+        Tm.write txn prev.Lnode.next n;
         Tm.defer txn (fun () -> spare := None);
         true)
   in
@@ -101,9 +101,8 @@ let drain t = t.mode.Mode.drain ()
 let fold_buckets t f acc =
   Array.fold_left
     (fun acc head ->
-      let rec go acc = function
-        | None -> acc
-        | Some n -> go (f acc n) (Tm.peek n.Lnode.next)
+      let rec go acc n =
+        if n == Lnode.nil then acc else go (f acc n) (Tm.peek n.Lnode.next)
       in
       go acc (Tm.peek head.Lnode.next))
     acc t.heads
@@ -118,21 +117,21 @@ let check t =
   try
     Array.iter
       (fun head ->
-        let rec go prev_key = function
-          | None -> ()
-          | Some n ->
-              let k = Tm.peek n.Lnode.key in
-              if k = Lnode.poisoned_key then
-                raise (Bad (Printf.sprintf "poisoned node %d linked" n.Lnode.id));
-              if Tm.peek n.Lnode.deleted then
-                raise (Bad (Printf.sprintf "deleted node %d linked" n.Lnode.id));
-              if not (Mempool.is_live t.pool n) then
-                raise (Bad (Printf.sprintf "freed node %d linked" n.Lnode.id));
-              if k <= prev_key then
-                raise (Bad (Printf.sprintf "bucket not sorted at %d" k));
-              if bucket_of t k != head then
-                raise (Bad (Printf.sprintf "key %d in the wrong bucket" k));
-              go k (Tm.peek n.Lnode.next)
+        let rec go prev_key n =
+          if n != Lnode.nil then begin
+            let k = Tm.peek n.Lnode.key in
+            if k = Lnode.poisoned_key then
+              raise (Bad (Printf.sprintf "poisoned node %d linked" n.Lnode.id));
+            if Lnode.peek_deleted n then
+              raise (Bad (Printf.sprintf "deleted node %d linked" n.Lnode.id));
+            if not (Mempool.is_live t.pool n) then
+              raise (Bad (Printf.sprintf "freed node %d linked" n.Lnode.id));
+            if k <= prev_key then
+              raise (Bad (Printf.sprintf "bucket not sorted at %d" k));
+            if bucket_of t k != head then
+              raise (Bad (Printf.sprintf "key %d in the wrong bucket" k));
+            go k (Tm.peek n.Lnode.next)
+          end
         in
         go min_int (Tm.peek head.Lnode.next))
       t.heads;

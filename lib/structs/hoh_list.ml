@@ -13,7 +13,7 @@ let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
   let pool = Lnode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
-      ~deleted:(fun n -> n.Lnode.deleted)
+      ~deleted:Lnode.deleted ~mark_deleted:Lnode.mark_deleted
       ~rc:(fun n -> n.Lnode.rc)
       ~hash:Lnode.hash ~equal:Lnode.equal ?rr_config ?hp_threshold ()
   in
@@ -27,7 +27,7 @@ let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
 
 (* The [Apply] function of Listing 5. [on_found txn ~prev ~curr] runs when a
    node with the key is found; [on_notfound txn ~prev ~curr] when the key is
-   absent ([curr] is the first node past it, or [None] at the tail). *)
+   absent ([curr] is the first node past it, or [Lnode.nil] at the tail). *)
 let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
   if key <= min_int + 1 then invalid_arg "Hoh_list: key out of range";
   Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
@@ -71,7 +71,7 @@ let insert_s t ~thread key =
         in
         Tm.write txn n.Lnode.key key;
         Tm.write txn n.Lnode.next curr;
-        Tm.write txn prev.Lnode.next (Some n);
+        Tm.write txn prev.Lnode.next n;
         Tm.defer txn (fun () -> spare := None);
         true)
   in
@@ -96,29 +96,28 @@ let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
 let to_list t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go (Tm.peek n.Lnode.key :: acc) (Tm.peek n.Lnode.next)
+  let rec go acc n =
+    if n == Lnode.nil then List.rev acc
+    else go (Tm.peek n.Lnode.key :: acc) (Tm.peek n.Lnode.next)
   in
   go [] (Tm.peek t.head.Lnode.next)
 
 let size t = List.length (to_list t)
 
 let check t =
-  let rec go prev_key node =
-    match node with
-    | None -> Ok ()
-    | Some n ->
-        let k = Tm.peek n.Lnode.key in
-        if k = Lnode.poisoned_key then
-          Error (Printf.sprintf "poisoned node %d linked" n.Lnode.id)
-        else if Tm.peek n.Lnode.deleted then
-          Error (Printf.sprintf "deleted node %d (key %d) linked" n.Lnode.id k)
-        else if not (Mempool.is_live t.pool n) then
-          Error (Printf.sprintf "freed node %d (key %d) linked" n.Lnode.id k)
-        else if k <= prev_key then
-          Error (Printf.sprintf "keys not strictly sorted at %d" k)
-        else go k (Tm.peek n.Lnode.next)
+  let rec go prev_key n =
+    if n == Lnode.nil then Ok ()
+    else
+      let k = Tm.peek n.Lnode.key in
+      if k = Lnode.poisoned_key then
+        Error (Printf.sprintf "poisoned node %d linked" n.Lnode.id)
+      else if Lnode.peek_deleted n then
+        Error (Printf.sprintf "deleted node %d (key %d) linked" n.Lnode.id k)
+      else if not (Mempool.is_live t.pool n) then
+        Error (Printf.sprintf "freed node %d (key %d) linked" n.Lnode.id k)
+      else if k <= prev_key then
+        Error (Printf.sprintf "keys not strictly sorted at %d" k)
+      else go k (Tm.peek n.Lnode.next)
   in
   go min_int (Tm.peek t.head.Lnode.next)
 

@@ -17,7 +17,7 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   let pool = Snode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
-      ~deleted:(fun n -> n.Snode.deleted)
+      ~deleted:Snode.deleted ~mark_deleted:Snode.mark_deleted
       ~hash:Snode.hash ~equal:Snode.equal ?rr_config ?hp_threshold ()
   in
   {
@@ -57,18 +57,19 @@ let note_hint txn t node =
    the fallback when a hint from an earlier window was removed. *)
 let collect_preds txn t ~key preds =
   let rec walk node lvl =
-    match Tm.read txn node.Snode.next.(lvl) with
-    | Some m when Tm.read txn m.Snode.key < key -> walk m lvl
-    | _ ->
-        preds.(lvl) <- node;
-        note_hint txn t node;
-        if lvl > 0 then walk node (lvl - 1)
+    let m = Tm.read txn node.Snode.next.(lvl) in
+    if m != Snode.nil && Tm.read txn m.Snode.key < key then walk m lvl
+    else begin
+      preds.(lvl) <- node;
+      note_hint txn t node;
+      if lvl > 0 then walk node (lvl - 1)
+    end
   in
   walk t.head (Snode.max_level - 1)
 
 (* Validate and fast-forward the hint for level [l]. A hint recorded in an
    earlier window is only usable if, in this transaction's snapshot, it is
-   still a live level-[l] node below [key]: checking [deleted] alone is not
+   still a live level-[l] node below [key]: the deletion check alone is not
    enough, because a hint can be freed, recycled, and re-inserted elsewhere
    — alive again, but with a new key and a new (possibly shorter) tower, so
    walking level [l] from it would start outside the level-[l] list. Any
@@ -77,18 +78,18 @@ let collect_preds txn t ~key preds =
    and position are skipped by walking forward within the snapshot. *)
 let fresh_pred txn t ~key ~preds l =
   let hint = preds.(l) in
-  (* Dst.Inject bug #3: only check [deleted], as the original code did — a
+  (* Dst.Inject bug #3: only the deletion check, as the original code did — a
      freed hint recycled under a new key/tower is then accepted and the
      level-[l] walk starts outside the level-[l] list (DESIGN.md). *)
   if
     (not (Snode.equal hint t.head))
-    && (Tm.read txn hint.Snode.deleted
+    && (t.mode.Mode.deleted txn hint
        || (not (Dst.Inject.bug Dst.Inject.Stale_hint))
           && (Tm.read txn hint.Snode.key >= key
              || Tm.read txn hint.Snode.level <= l))
   then raise Stale_hint;
   (* The hint survived validation and is about to seed the level-[l] walk.
-     Under bug #3 only [deleted] was checked, so the use counts as
+     Under bug #3 only deletion was checked, so the use counts as
      unrevalidated: TxSan flags it if the hint's shadow generation moved
      (freed or recycled) since the window that noted it. *)
   if San.enabled () && not (Snode.equal hint t.head) then
@@ -96,9 +97,8 @@ let fresh_pred txn t ~key ~preds l =
       ~node:(Mempool.san_key t.pool hint)
       ~revalidated:(not (Dst.Inject.bug Dst.Inject.Stale_hint));
   let rec go p =
-    match Tm.read txn p.Snode.next.(l) with
-    | Some m when Tm.read txn m.Snode.key < key -> go m
-    | _ -> p
+    let m = Tm.read txn p.Snode.next.(l) in
+    if m != Snode.nil && Tm.read txn m.Snode.key < key then go m else p
   in
   go hint
 
@@ -110,7 +110,7 @@ let pred_with_hint txn t ~key ~preds l =
 
 (* The windowed traversal. [on_position txn ~preds ~pred0 ~curr] runs in the
    final transaction once level 0 is reached: [pred0 = preds.(0)] is fresh,
-   [curr] its level-0 successor (the candidate match). *)
+   [curr] its level-0 successor (the candidate match, or [Snode.nil]). *)
 let apply t ~thread ?(read_phase = false) key ~site ~on_position =
   if key <= min_int + 1 then invalid_arg "Hoh_skiplist: key out of range";
   let preds = Array.make Snode.max_level t.head in
@@ -130,26 +130,25 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_position =
               else Window.first_budget t.window ~thread )
       in
       let rec walk node lvl visited =
-        match Tm.read txn node.Snode.next.(lvl) with
-        | Some m when Tm.read txn m.Snode.key < key ->
-            if visited >= budget then begin
-              Tm.defer txn (fun () -> resume_level := lvl);
-              Rr.Hoh.Hand_off m
-            end
-            else walk m lvl (visited + 1)
-        | curr ->
-            preds.(lvl) <- node;
-            note_hint txn t node;
-            if lvl = 0 then
-              Rr.Hoh.Finish (on_position txn ~preds ~pred0:node ~curr)
-            else walk node (lvl - 1) visited
+        let m = Tm.read txn node.Snode.next.(lvl) in
+        if m != Snode.nil && Tm.read txn m.Snode.key < key then
+          if visited >= budget then begin
+            Tm.defer txn (fun () -> resume_level := lvl);
+            Rr.Hoh.Hand_off m
+          end
+          else walk m lvl (visited + 1)
+        else begin
+          preds.(lvl) <- node;
+          note_hint txn t node;
+          if lvl = 0 then
+            Rr.Hoh.Finish (on_position txn ~preds ~pred0:node ~curr:m)
+          else walk node (lvl - 1) visited
+        end
       in
       walk node lvl 1)
 
 let key_matches txn curr key =
-  match curr with
-  | Some c -> Tm.read txn c.Snode.key = key
-  | None -> false
+  curr != Snode.nil && Tm.read txn curr.Snode.key = key
 
 let lookup_s t ~thread key =
   apply t ~thread ~read_phase:t.mode.Mode.ro_hint key ~site:"skiplist.lookup"
@@ -176,7 +175,7 @@ let insert_s t ~thread key =
           for l = 0 to height - 1 do
             let p = pred_with_hint txn t ~key ~preds l in
             Tm.write txn n.Snode.next.(l) (Tm.read txn p.Snode.next.(l));
-            Tm.write txn p.Snode.next.(l) (Some n)
+            Tm.write txn p.Snode.next.(l) n
           done;
           Tm.defer txn (fun () -> spare := None);
           true
@@ -188,25 +187,24 @@ let insert_s t ~thread key =
 let remove_s t ~thread key =
   apply t ~thread key ~site:"skiplist.remove"
     ~on_position:(fun txn ~preds ~pred0:_ ~curr ->
-      match curr with
-      | Some c when Tm.read txn c.Snode.key = key ->
-          (* the deleted flag is the hint-validity marker in every mode *)
-          Tm.write txn c.Snode.deleted true;
-          let height = Tm.read txn c.Snode.level in
-          for l = 0 to height - 1 do
-            let p = pred_with_hint txn t ~key ~preds l in
-            (* [p] is the rightmost node below [key] at level l, so its
-               successor at level l is [c] in this snapshot *)
-            (match Tm.read txn p.Snode.next.(l) with
-            | Some m when Snode.equal m c ->
-                Tm.write txn p.Snode.next.(l) (Tm.read txn c.Snode.next.(l))
-            | _ -> assert false);
-            ()
-          done;
-          t.mode.Mode.invalidate txn c;
-          t.mode.Mode.dispose txn c;
-          true
-      | _ -> false)
+      if key_matches txn curr key then begin
+        let height = Tm.read txn curr.Snode.level in
+        for l = 0 to height - 1 do
+          let p = pred_with_hint txn t ~key ~preds l in
+          (* [p] is the rightmost node below [key] at level l, so its
+             successor at level l is [curr] in this snapshot *)
+          assert (Snode.equal (Tm.read txn p.Snode.next.(l)) curr);
+          Tm.write txn p.Snode.next.(l) (Tm.read txn curr.Snode.next.(l))
+        done;
+        (* The deletion mark is the hint-validity marker in every mode. It
+           overwrites [curr]'s top link, so it goes in after the splice,
+           which reads [curr]'s links. *)
+        Snode.mark_deleted txn curr;
+        t.mode.Mode.invalidate txn curr;
+        t.mode.Mode.dispose txn curr;
+        true
+      end
+      else false)
 
 let insert t ~thread key = fst (insert_s t ~thread key)
 let remove t ~thread key = fst (remove_s t ~thread key)
@@ -216,9 +214,9 @@ let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
 let to_list t =
-  let rec go acc = function
-    | None -> List.rev acc
-    | Some n -> go (Tm.peek n.Snode.key :: acc) (Tm.peek n.Snode.next.(0))
+  let rec go acc n =
+    if n == Snode.nil then List.rev acc
+    else go (Tm.peek n.Snode.key :: acc) (Tm.peek n.Snode.next.(0))
   in
   go [] (Tm.peek t.head.Snode.next.(0))
 
@@ -226,12 +224,12 @@ let size t = List.length (to_list t)
 
 let levels_histogram t =
   let hist = Array.make (Snode.max_level + 1) 0 in
-  let rec go = function
-    | None -> ()
-    | Some n ->
-        let l = Tm.peek n.Snode.level in
-        hist.(l) <- hist.(l) + 1;
-        go (Tm.peek n.Snode.next.(0))
+  let rec go n =
+    if n != Snode.nil then begin
+      let l = Tm.peek n.Snode.level in
+      hist.(l) <- hist.(l) + 1;
+      go (Tm.peek n.Snode.next.(0))
+    end
   in
   go (Tm.peek t.head.Snode.next.(0));
   hist
@@ -241,7 +239,7 @@ let check t =
   let node_ok n =
     if Tm.peek n.Snode.key = Snode.poisoned_key then
       raise (Bad (Printf.sprintf "poisoned node %d linked" n.Snode.id));
-    if Tm.peek n.Snode.deleted then
+    if Snode.peek_deleted n then
       raise (Bad (Printf.sprintf "deleted node %d linked" n.Snode.id));
     if not (Mempool.is_live t.pool n) then
       raise (Bad (Printf.sprintf "freed node %d linked" n.Snode.id))
@@ -249,39 +247,38 @@ let check t =
   try
     (* level-0 contents; remember them for the sublist checks *)
     let level0 = Hashtbl.create 64 in
-    let rec walk0 prev_key = function
-      | None -> ()
-      | Some n ->
-          node_ok n;
-          let k = Tm.peek n.Snode.key in
-          if k <= prev_key then
-            raise (Bad (Printf.sprintf "level 0 not sorted at %d" k));
-          let l = Tm.peek n.Snode.level in
-          if l < 1 || l > Snode.max_level then
-            raise (Bad (Printf.sprintf "bad tower height %d at %d" l k));
-          Hashtbl.replace level0 n.Snode.id l;
-          walk0 k (Tm.peek n.Snode.next.(0))
+    let rec walk0 prev_key n =
+      if n != Snode.nil then begin
+        node_ok n;
+        let k = Tm.peek n.Snode.key in
+        if k <= prev_key then
+          raise (Bad (Printf.sprintf "level 0 not sorted at %d" k));
+        let l = Tm.peek n.Snode.level in
+        if l < 1 || l > Snode.max_level then
+          raise (Bad (Printf.sprintf "bad tower height %d at %d" l k));
+        Hashtbl.replace level0 n.Snode.id l;
+        walk0 k (Tm.peek n.Snode.next.(0))
+      end
     in
     walk0 min_int (Tm.peek t.head.Snode.next.(0));
     (* every upper level: sorted, and only nodes whose tower reaches it *)
     for l = 1 to Snode.max_level - 1 do
-      let rec walk prev_key = function
-        | None -> ()
-        | Some n ->
-            let k = Tm.peek n.Snode.key in
-            if k <= prev_key then
-              raise (Bad (Printf.sprintf "level %d not sorted at %d" l k));
-            (match Hashtbl.find_opt level0 n.Snode.id with
-            | Some h when h > l -> ()
-            | Some _ ->
-                raise
-                  (Bad (Printf.sprintf "node %d linked above its height" k))
-            | None ->
-                raise
-                  (Bad
-                     (Printf.sprintf "node %d at level %d missing from level 0"
-                        k l)));
-            walk k (Tm.peek n.Snode.next.(l))
+      let rec walk prev_key n =
+        if n != Snode.nil then begin
+          let k = Tm.peek n.Snode.key in
+          if k <= prev_key then
+            raise (Bad (Printf.sprintf "level %d not sorted at %d" l k));
+          (match Hashtbl.find_opt level0 n.Snode.id with
+          | Some h when h > l -> ()
+          | Some _ ->
+              raise (Bad (Printf.sprintf "node %d linked above its height" k))
+          | None ->
+              raise
+                (Bad
+                   (Printf.sprintf "node %d at level %d missing from level 0" k
+                      l)));
+          walk k (Tm.peek n.Snode.next.(l))
+        end
       in
       walk min_int (Tm.peek t.head.Snode.next.(l))
     done;
@@ -294,9 +291,8 @@ let check t =
         done)
       level0;
     for l = 0 to Snode.max_level - 1 do
-      let rec len acc = function
-        | None -> acc
-        | Some n -> len (acc + 1) (Tm.peek n.Snode.next.(l))
+      let rec len acc n =
+        if n == Snode.nil then acc else len (acc + 1) (Tm.peek n.Snode.next.(l))
       in
       let reach = len 0 (Tm.peek t.head.Snode.next.(l)) in
       if reach <> counts.(l) then

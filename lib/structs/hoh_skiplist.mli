@@ -9,8 +9,8 @@
     level it paused). Along the way it records the rightmost node with a
     smaller key at every level — the predecessor hints. The update phase is
     one transaction that re-validates each hint before using it: a hint
-    collected in an earlier window may have been removed (its [deleted]
-    flag — written by removals in every mode — is read transactionally) or
+    collected in an earlier window may have been removed (its deletion
+    mark — written by removals in every mode — is read transactionally) or
     out-run by newer inserts (the transaction walks forward from the hint
     at its level). A deleted hint forces a fresh full descent inside the
     update transaction; both repairs preserve serializability because all

@@ -1,12 +1,11 @@
 let walk txn ~key ~prev ~budget =
   let rec go prev curr i =
-    match curr with
-    | None -> `Absent (prev, None)
-    | Some c ->
-        let k = Tm.read txn c.Lnode.key in
-        if k = key then `Found (prev, c)
-        else if k > key then `Absent (prev, Some c)
-        else if i >= budget then `Window c
-        else go c (Tm.read txn c.Lnode.next) (i + 1)
+    if curr == Lnode.nil then `Absent (prev, curr)
+    else
+      let k = Tm.read txn curr.Lnode.key in
+      if k = key then `Found (prev, curr)
+      else if k > key then `Absent (prev, curr)
+      else if i >= budget then `Window curr
+      else go curr (Tm.read txn curr.Lnode.next) (i + 1)
   in
   go prev (Tm.read txn prev.Lnode.next) 1

@@ -7,7 +7,7 @@ val walk :
   prev:Lnode.t ->
   budget:int ->
   [ `Found of Lnode.t * Lnode.t  (** (prev, curr) with [curr.key = key] *)
-  | `Absent of Lnode.t * Lnode.t option
-    (** key not present; curr is its successor *)
+  | `Absent of Lnode.t * Lnode.t
+    (** key not present; curr is its successor, {!Lnode.nil} at the tail *)
   | `Window of Lnode.t  (** budget exhausted; hand off at this node *) ]
 (** Reads at most [budget] nodes starting at [prev.next]. *)

@@ -2,9 +2,8 @@ type t = {
   mutable state : int;
   id : int;
   key : int Tm.tvar;
-  next : t option Tm.tvar;
-  prev : t option Tm.tvar;
-  deleted : bool Tm.tvar;
+  next : t Tm.tvar;
+  prev : t Tm.tvar;
   rc : Reclaim.Rc.t;
 }
 
@@ -14,14 +13,24 @@ external state_word : t -> int Atomic.t = "%identity"
 
 let poisoned_key = min_int
 
+let nil =
+  Tm.knot (fun self ->
+      {
+        state = 0;
+        id = -1;
+        key = Tm.tvar poisoned_key;
+        next = self ();
+        prev = self ();
+        rc = Reclaim.Rc.make 0;
+      })
+
 let make id =
   {
     state = 0;
     id;
     key = Tm.tvar poisoned_key;
-    next = Tm.tvar None;
-    prev = Tm.tvar None;
-    deleted = Tm.tvar false;
+    next = Tm.tvar nil;
+    prev = Tm.tvar nil;
     rc = Reclaim.Rc.make 0;
   }
 
@@ -29,24 +38,18 @@ let make id =
    it was freed can no longer pass commit-time validation. *)
 let poison n =
   Tm.poke n.key poisoned_key;
-  Tm.poke n.next None;
-  Tm.poke n.prev None;
-  Tm.poke n.deleted true
+  Tm.poke n.next nil;
+  Tm.poke n.prev n
 
-let tvar_ids n =
-  [
-    Tm.tvar_id n.key;
-    Tm.tvar_id n.next;
-    Tm.tvar_id n.prev;
-    Tm.tvar_id n.deleted;
-  ]
+let tvar_ids n = [ Tm.tvar_id n.key; Tm.tvar_id n.next; Tm.tvar_id n.prev ]
 
 let make_pool ?strategy () =
   Mempool.create ?strategy ~make ~node_id:(fun n -> n.id)
-    ~state:state_word ~poison ~tvar_ids
-    ~probe_ids:(fun n -> [ Tm.tvar_id n.deleted ])
-    ()
+    ~state:state_word ~poison ~tvar_ids ()
 
+let deleted txn n = Tm.read txn n.prev == n
+let mark_deleted txn n = Tm.write txn n.prev n
+let peek_deleted n = Tm.peek n.prev == n
 let sentinel () = make (-1)
 
 let hash n =
@@ -60,8 +63,7 @@ let alloc pool ~thread =
   (* Re-initialization pokes on a node no thread can reach yet: exempt from
      TxSan's non-transactional-access rule, like the poison pokes in free. *)
   San.exempt_begin ();
-  Tm.poke n.deleted false;
-  Tm.poke n.next None;
-  Tm.poke n.prev None;
+  Tm.poke n.next nil;
+  Tm.poke n.prev nil;
   San.exempt_end ();
   n

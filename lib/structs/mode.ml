@@ -20,6 +20,7 @@ type 'n t = {
   whole_op : bool;
   ro_hint : bool;
   ops : 'n Rr.ops;
+  deleted : Tm.txn -> 'n -> bool;
   invalidate : Tm.txn -> 'n -> unit;
   dispose : Tm.txn -> 'n -> unit;
   finalize : thread:int -> unit;
@@ -76,6 +77,21 @@ let san_ops ~key (ops : 'n Rr.ops) : 'n Rr.ops =
         else ops.Rr.get txn n);
   }
 
+(* The one deletion check. It may run on a pointer whose node was freed
+   since it was read (a hand-off carried across windows, a skiplist hint):
+   poison makes the check answer "deleted" and the caller drops the
+   pointer, so TxSan exempts reads inside the bracket from its read-UAF
+   rule. *)
+let checked_deleted deleted txn n =
+  if San.enabled () then begin
+    let tid = Tm.thread_id txn in
+    San.probe_begin ~tid;
+    let d = deleted txn n in
+    San.probe_end ~tid;
+    d
+  end
+  else deleted txn n
+
 let no_op_ops name : 'n Rr.ops =
   {
     Rr.name;
@@ -89,14 +105,14 @@ let no_op_ops name : 'n Rr.ops =
   }
 
 (* TMHP: a reservation is a hazard-slot publication plus, for validity, a
-   transactional read of the node's deleted flag. Publications are made
-   eagerly (so they are visible before the commit that makes the hand-off
-   real) but only {e dropped} on commit, via Tm.defer with two rotating
-   slots per thread — an aborted attempt must keep its previous window-start
-   protected or the node could be freed and reused under it. *)
+   transactional deletion check. Publications are made eagerly (so they
+   are visible before the commit that makes the hand-off real) but only
+   {e dropped} on commit, via Tm.defer with two rotating slots per thread
+   — an aborted attempt must keep its previous window-start protected or
+   the node could be freed and reused under it. *)
 let tmhp_gen_violations = Atomic.make 0
 
-let tmhp_mode ~pool ~deleted ~hp_threshold =
+let tmhp_mode ~pool ~deleted ~mark_deleted ~hp_threshold =
   let gen = Mempool.generation pool in
   let hazard =
     Reclaim.Hazard.create ~slots_per_thread:2 ~scan_threshold:hp_threshold
@@ -133,7 +149,7 @@ let tmhp_mode ~pool ~deleted ~hp_threshold =
         Reclaim.Hazard.clear hazard ~thread ~slot:cur.(thread))
   in
   let get txn n =
-    if Tm.read txn (deleted n) then None
+    if deleted txn n then None
     else begin
       if gen n <> gens.(Tm.thread_id txn) then
         Atomic.incr tmhp_gen_violations;
@@ -159,7 +175,8 @@ let tmhp_mode ~pool ~deleted ~hp_threshold =
     whole_op = false;
     ro_hint = true;
     ops;
-    invalidate = (fun txn n -> Tm.write txn (deleted n) true);
+    deleted;
+    invalidate = mark_deleted;
     dispose =
       (fun txn n ->
         let thread = Tm.thread_id txn in
@@ -173,13 +190,13 @@ let tmhp_mode ~pool ~deleted ~hp_threshold =
   }
 
 (* REF: the reservation pins the node with a transactional reference count;
-   everything (count, held-slot, deleted flag) is in tvars, so aborts roll
+   everything (count, held-slot, deletion mark) is in tvars, so aborts roll
    the pin back — no rotation tricks needed. Whoever drops the count of an
    already-deleted node to zero frees it. *)
-let ref_mode ~pool ~deleted ~rc =
+let ref_mode ~pool ~deleted ~mark_deleted ~rc =
   let held = Array.init Tm.Thread.max_threads (fun _ -> Tm.tvar None) in
   let free_if_dead txn n =
-    if Reclaim.Rc.get txn (rc n) = 0 && Tm.read txn (deleted n) then begin
+    if Reclaim.Rc.get txn (rc n) = 0 && deleted txn n then begin
       let thread = Tm.thread_id txn in
       Tm.defer txn (fun () -> Mempool.free pool ~thread n)
     end
@@ -198,7 +215,7 @@ let ref_mode ~pool ~deleted ~rc =
     Reclaim.Rc.incr txn (rc n);
     Tm.write txn held.(Tm.thread_id txn) (Some n)
   in
-  let get txn n = if Tm.read txn (deleted n) then None else Some n in
+  let get txn n = if deleted txn n then None else Some n in
   let ops =
     san_ops ~key:(Mempool.san_key pool)
       {
@@ -218,7 +235,8 @@ let ref_mode ~pool ~deleted ~rc =
     whole_op = false;
     ro_hint = false;
     ops;
-    invalidate = (fun txn n -> Tm.write txn (deleted n) true);
+    deleted;
+    invalidate = mark_deleted;
     dispose = (fun txn n -> free_if_dead txn n);
     finalize = (fun ~thread:_ -> ());
     drain = (fun () -> ());
@@ -230,9 +248,9 @@ let ref_mode ~pool ~deleted ~rc =
    until the operation finishes, so nodes retired during the operation
    cannot be freed under it (the epoch can advance at most once past a
    still-announced thread). Validity across transactions is the same
-   logical-deletion flag as TMHP, and the reserving transaction forces
+   deletion check as TMHP, and the reserving transaction forces
    commit validation for the same publish-then-revalidate reason. *)
-let ebr_mode ~pool ~deleted ~advance_threshold =
+let ebr_mode ~pool ~deleted ~mark_deleted ~advance_threshold =
   let epoch =
     Reclaim.Epoch.create ~advance_threshold
       ~free:(fun ~thread n -> Mempool.free pool ~thread n)
@@ -265,7 +283,7 @@ let ebr_mode ~pool ~deleted ~advance_threshold =
           active.(thread) <- false
         end)
   in
-  let get txn n = if Tm.read txn (deleted n) then None else Some n in
+  let get txn n = if deleted txn n then None else Some n in
   let ops =
     san_ops ~key:(Mempool.san_key pool)
       {
@@ -285,7 +303,8 @@ let ebr_mode ~pool ~deleted ~advance_threshold =
     whole_op = false;
     ro_hint = true;
     ops;
-    invalidate = (fun txn n -> Tm.write txn (deleted n) true);
+    deleted;
+    invalidate = mark_deleted;
     dispose =
       (fun txn n ->
         let thread = Tm.thread_id txn in
@@ -314,7 +333,7 @@ let ebr_mode ~pool ~deleted ~advance_threshold =
           });
   }
 
-let rr_mode m ~pool ~hash ~equal ~rr_config =
+let rr_mode m ~pool ~deleted ~hash ~equal ~rr_config =
   let module M = (val m : Rr.S) in
   let ops =
     Rr.instantiate m ?config:rr_config ~hash
@@ -326,6 +345,7 @@ let rr_mode m ~pool ~hash ~equal ~rr_config =
     whole_op = false;
     ro_hint = true;
     ops;
+    deleted;
     invalidate = (fun txn n -> ops.Rr.revoke txn n);
     dispose =
       (fun txn n ->
@@ -336,13 +356,14 @@ let rr_mode m ~pool ~hash ~equal ~rr_config =
     hazard_metrics = (fun () -> None);
   }
 
-let htm_mode ~pool =
+let htm_mode ~pool ~deleted =
   {
     name = "HTM";
     strict = true;
     whole_op = true;
     ro_hint = false;
     ops = no_op_ops "HTM";
+    deleted;
     invalidate = (fun _ _ -> ());
     dispose =
       (fun txn n ->
@@ -353,14 +374,16 @@ let htm_mode ~pool =
     hazard_metrics = (fun () -> None);
   }
 
-let create kind ~pool ~deleted ?rc ~hash ~equal ?rr_config
+let create kind ~pool ~deleted ~mark_deleted ?rc ~hash ~equal ?rr_config
     ?(hp_threshold = 64) () =
+  let deleted = checked_deleted deleted in
   match kind with
-  | Rr_kind m -> rr_mode m ~pool ~hash ~equal ~rr_config
-  | Htm -> htm_mode ~pool
-  | Tmhp -> tmhp_mode ~pool ~deleted ~hp_threshold
+  | Rr_kind m -> rr_mode m ~pool ~deleted ~hash ~equal ~rr_config
+  | Htm -> htm_mode ~pool ~deleted
+  | Tmhp -> tmhp_mode ~pool ~deleted ~mark_deleted ~hp_threshold
   | Ref -> (
       match rc with
-      | Some rc -> ref_mode ~pool ~deleted ~rc
+      | Some rc -> ref_mode ~pool ~deleted ~mark_deleted ~rc
       | None -> invalid_arg "Mode.create: Ref needs ~rc")
-  | Ebr -> ebr_mode ~pool ~deleted ~advance_threshold:hp_threshold
+  | Ebr ->
+      ebr_mode ~pool ~deleted ~mark_deleted ~advance_threshold:hp_threshold

@@ -10,15 +10,15 @@
       transaction HTM baseline,
     - transactional hazard pointers (TMHP): reservations become hazard-slot
       publications and node validity becomes a transactional
-      logical-deletion flag; reclamation is deferred and batched,
+      logical-deletion mark; reclamation is deferred and batched,
     - transactional reference counts (REF): window-start nodes are pinned by
       a count; the last unpinner frees a deleted node.
 
     A mode bundles the reservation operations with two removal hooks:
     [invalidate] makes any outstanding reservation/resume point on a node
-    unusable (RR: [Revoke]; TMHP/REF: set the deleted flag), and [dispose]
-    schedules the node's memory for reclamation (free on commit, retire to
-    the hazard domain, or refcount-guarded free). *)
+    unusable (RR: [Revoke]; TMHP/REF/EBR: mark the node deleted), and
+    [dispose] schedules the node's memory for reclamation (free on commit,
+    retire to the hazard domain, or refcount-guarded free). *)
 
 type kind =
   | Rr_kind of (module Rr.S)
@@ -49,6 +49,12 @@ type 'n t = {
           contends on) and HTM (the whole operation, writes included,
           runs as one transaction). *)
   ops : 'n Rr.ops;
+  deleted : Tm.txn -> 'n -> bool;
+      (** the deletion test given to {!create}, bracketed for TxSan: the
+          one place a possibly-freed node may be read. Poison marks a
+          freed node deleted, so the caller drops the pointer, and reads
+          inside the bracket are exempt from TxSan's read-UAF rule
+          ({!San.probe_begin}). *)
   invalidate : Tm.txn -> 'n -> unit;
   dispose : Tm.txn -> 'n -> unit;
   finalize : thread:int -> unit;
@@ -73,7 +79,8 @@ val give_back_spare : 'n Mempool.t -> thread:int -> 'n option ref -> unit
 val create :
   kind ->
   pool:'n Mempool.t ->
-  deleted:('n -> bool Tm.tvar) ->
+  deleted:(Tm.txn -> 'n -> bool) ->
+  mark_deleted:(Tm.txn -> 'n -> unit) ->
   ?rc:('n -> Reclaim.Rc.t) ->
   hash:('n -> int) ->
   equal:('n -> 'n -> bool) ->
@@ -81,8 +88,11 @@ val create :
   ?hp_threshold:int ->
   unit ->
   'n t
-(** [rc] is the node's reference count, read only by [Ref]; node types
-    whose structures reject [Ref] carry none. [hp_threshold] is the TMHP
+(** [deleted] tests a node's deletion mark transactionally and
+    [mark_deleted] sets it; a poisoned (freed) node must test deleted.
+    TMHP, EBR and REF mark on [invalidate] and test in their reservation
+    check. [rc] is the node's reference count, read only by [Ref]; node
+    types whose structures reject [Ref] carry none. [hp_threshold] is the TMHP
     scan threshold (default 64, the paper's best setting). TMHP's recycle
     check ({!tmhp_gen_violations}) reads each node's allocation count from
     [pool] ({!Mempool.generation}).

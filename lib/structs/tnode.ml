@@ -2,9 +2,8 @@ type t = {
   mutable state : int;
   id : int;
   key : int Tm.tvar;
-  left : t option Tm.tvar;
-  right : t option Tm.tvar;
-  deleted : bool Tm.tvar;
+  left : t Tm.tvar;
+  right : t Tm.tvar;
 }
 
 (* The pool's state word is field 0, viewed as an [Atomic.t] the way the
@@ -13,35 +12,39 @@ external state_word : t -> int Atomic.t = "%identity"
 
 let poisoned_key = min_int
 
+let nil =
+  Tm.knot (fun self ->
+      {
+        state = 0;
+        id = -1;
+        key = Tm.tvar poisoned_key;
+        left = self ();
+        right = self ();
+      })
+
 let make id =
   {
     state = 0;
     id;
     key = Tm.tvar poisoned_key;
-    left = Tm.tvar None;
-    right = Tm.tvar None;
-    deleted = Tm.tvar false;
+    left = Tm.tvar nil;
+    right = Tm.tvar nil;
   }
 
 let poison n =
   Tm.poke n.key poisoned_key;
-  Tm.poke n.left None;
-  Tm.poke n.right None;
-  Tm.poke n.deleted true
+  Tm.poke n.left nil;
+  Tm.poke n.right n
 
-let tvar_ids n =
-  [
-    Tm.tvar_id n.key;
-    Tm.tvar_id n.left;
-    Tm.tvar_id n.right;
-    Tm.tvar_id n.deleted;
-  ]
+let tvar_ids n = [ Tm.tvar_id n.key; Tm.tvar_id n.left; Tm.tvar_id n.right ]
 
 let make_pool ?strategy () =
   Mempool.create ?strategy ~make ~node_id:(fun n -> n.id)
-    ~state:state_word ~poison ~tvar_ids
-    ~probe_ids:(fun n -> [ Tm.tvar_id n.deleted ])
-    ()
+    ~state:state_word ~poison ~tvar_ids ()
+
+let deleted txn n = Tm.read txn n.right == n
+let mark_deleted txn n = Tm.write txn n.right n
+let peek_deleted n = Tm.peek n.right == n
 
 let sentinel ~key =
   let n = make (-1) in
@@ -59,8 +62,7 @@ let alloc pool ~thread =
   (* Re-initialization pokes on a node no thread can reach yet: exempt from
      TxSan's non-transactional-access rule, like the poison pokes in free. *)
   San.exempt_begin ();
-  Tm.poke n.deleted false;
-  Tm.poke n.left None;
-  Tm.poke n.right None;
+  Tm.poke n.left nil;
+  Tm.poke n.right nil;
   San.exempt_end ();
   n

@@ -7,7 +7,13 @@
     knowing only (parent, node). These nodes carry none: under BST order a
     node is its parent's left child exactly when its key is below the
     parent's, and the descent that finds the pair reads that key in the
-    same transaction, so it hands the side to the removal. *)
+    same transaction, so it hands the side to the removal.
+
+    A missing child is {!nil}, not an option, so a link write allocates
+    nothing. A node is logically deleted when its [right] link points
+    back at itself: removal marks it so ({!mark_deleted}) and so does the
+    pool's poison. [right] is the link descents read least — never at a
+    leaf — so the mark adds few conflicts with concurrent readers. *)
 
 type t = {
   mutable state : int;
@@ -15,16 +21,34 @@ type t = {
           reaches it only as an [Atomic.t] view (see {!Mempool.create}) *)
   id : int;
   key : int Tm.tvar;  (** mutable: internal-tree removal swaps values *)
-  left : t option Tm.tvar;
-  right : t option Tm.tvar;
-  deleted : bool Tm.tvar;
+  left : t Tm.tvar;  (** {!nil} when absent *)
+  right : t Tm.tvar;  (** {!nil} when absent; the node itself once deleted *)
 }
 
 val poisoned_key : int
+
+val nil : t
+(** The missing child: one static node, shared by every tree, whose links
+    point back at itself. It is never allocated from or freed to a pool
+    ({!Mempool.free} of it raises {!Mempool.Double_free}), and no code
+    reads through it: test a link with [==] against [nil] first. *)
+
 val make_pool : ?strategy:Mempool.strategy -> unit -> t Mempool.t
+
+val deleted : Tm.txn -> t -> bool
+(** Whether [right] points at the node itself; the test {!Mode.create}
+    takes. *)
+
+val mark_deleted : Tm.txn -> t -> unit
+(** Point [right] at the node itself; the mark {!Mode.create} takes. *)
+
+val peek_deleted : t -> bool
+(** {!deleted} outside any transaction, for structure checks. *)
+
 val sentinel : key:int -> t
 val hash : t -> int
 val equal : t -> t -> bool
 
 val alloc : t Mempool.t -> thread:int -> t
-(** Allocate and reset ([deleted = false], children severed). *)
+(** Allocate and reset the children to {!nil}, which clears the deletion
+    mark. *)

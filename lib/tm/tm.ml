@@ -26,6 +26,20 @@ let tvar_uid = Atomic.make 0
 let tvar v = { lock = 0; payload = v; uid = Atomic.fetch_and_add tvar_uid 1 }
 let tvar_id tv = tv.uid
 
+(* A value whose own tvars hold it: the tvars [make] builds through [self]
+   start on a placeholder and are pointed at the finished value before it
+   is returned, so the placeholder is never seen outside [make]. *)
+let knot make =
+  let tied = ref [] in
+  let self () =
+    let tv = tvar (Obj.magic 0) in
+    tied := tv :: !tied;
+    tv
+  in
+  let v = make self in
+  List.iter (fun tv -> tv.payload <- v) !tied;
+  v
+
 let locked word = word land 1 = 1
 let version word = word asr 1
 

@@ -50,6 +50,13 @@ val tvar : 'a -> 'a tvar
 val tvar_id : _ tvar -> int
 (** A unique id per tvar, for debugging and hashing. *)
 
+val knot : ((unit -> 'a tvar) -> 'a) -> 'a
+(** [knot make] builds a value that holds itself: every tvar [make]
+    creates through its argument holds [make]'s result once [knot]
+    returns. [make] must not read those tvars. The node modules build
+    their static [nil] sentinels this way, whose links point back at
+    [nil]. *)
+
 module Thread : sig
   val max_threads : int
   (** Capacity of the thread-id space (ids are recycled by {!release}). *)

@@ -70,7 +70,10 @@ let rec type_key ty =
   | _ -> None
 
 let rec node_of_type ty =
-  (* [`Node m], [`Opt m] for [m.t option], or [`No]. *)
+  (* [`Node m], [`Opt m] for [m.t option], or [`No]. A link is an
+     [m.t Tm.tvar], so reading one yields [`Node m], which the code tests
+     against [m.nil]; options remain for local values only (insert spares,
+     the parent of a descent, the window engine's [~start]). *)
   match type_key ty with
   | Some ((m, "t"), _) when List.mem m node_modules -> `Node m
   | Some (("", "option"), [ a ]) | Some (("Stdlib", "option"), [ a ]) -> (
@@ -380,6 +383,41 @@ let rec state_of_aval = function
 
 let prov_of_aval = function Anode (_, p) | Awrap (_, p) -> p | _ -> Plocal
 
+(* [m.nil], the static end-of-links node of a node module: never
+   allocated, never freed. *)
+let is_nil (e : expression) =
+  match e.exp_desc with
+  | Texp_ident (p, _, _) -> (
+      match path_key p with
+      | m, "nil" -> List.mem m node_modules
+      | _ -> false)
+  | _ -> false
+
+(* The environments of the two branches of [if cond]: when [cond] tests a
+   node binding against [m.nil] with [==] or [!=], the binding names
+   [nil] in one branch. A carried or retired state does not apply to the
+   static sentinel, so there the binding is reset to unknown. *)
+let nil_branches env (cond : expression) =
+  match cond.exp_desc with
+  | Texp_apply
+      ( { exp_desc = Texp_ident (op, _, _); _ },
+        [ (_, Some a); (_, Some b) ] ) -> (
+      let var =
+        match (a.exp_desc, b.exp_desc) with
+        | Texp_ident (Path.Pident id, _, _), _ when is_nil b -> Some id
+        | _, Texp_ident (Path.Pident id, _, _) when is_nil a -> Some id
+        | _ -> None
+      in
+      let as_nil id =
+        let pr = Option.fold ~none:Plocal ~some:prov_of_aval (get_val env id) in
+        set_val env id (Anode (Nunknown, pr))
+      in
+      match (path_key op, var) with
+      | ("Stdlib", "=="), Some id -> (as_nil id, env)
+      | ("Stdlib", "!="), Some id -> (env, as_nil id)
+      | _ -> (env, env))
+  | _ -> (env, env)
+
 (* Record a per-param effect in the enclosing function's summary. *)
 let on_param ctx prov f =
   match prov with
@@ -559,12 +597,13 @@ and analyze_expr ctx env (e : expression) : env * aval =
       (env, Aother)
   | Texp_ifthenelse (cond, ethen, eelse) -> (
       let env, _ = analyze_expr ctx env cond in
+      let then_env, else_env = nil_branches env cond in
       let tctx = push ctx (Printf.sprintf "then-branch at line %d" (lline ethen.exp_loc)) in
-      let tenv, tval = analyze_expr tctx env ethen in
+      let tenv, tval = analyze_expr tctx then_env ethen in
       match eelse with
       | Some eelse ->
           let ectx = push ctx (Printf.sprintf "else-branch at line %d" (lline eelse.exp_loc)) in
-          let eenv, eval_ = analyze_expr ectx env eelse in
+          let eenv, eval_ = analyze_expr ectx else_env eelse in
           ( join_env
               ~left:(Printf.sprintf "then-branch at line %d" (lline ethen.exp_loc))
               ~right:(Printf.sprintf "else-branch at line %d" (lline eelse.exp_loc))
@@ -573,7 +612,7 @@ and analyze_expr ctx env (e : expression) : env * aval =
       | None ->
           ( join_env
               ~left:(Printf.sprintf "then-branch at line %d" (lline ethen.exp_loc))
-              ~right:"fall-through else" tenv env,
+              ~right:"fall-through else" tenv else_env,
             Aother ))
   | Texp_sequence (e1, e2) ->
       let env, _ = analyze_expr ctx env e1 in

@@ -99,7 +99,7 @@ let ro_publication ~bug () =
    reservation on 30, with preds[1] still pointing at node 20. Thread B
    removes 20 (freed immediately: precise reclamation) and inserts 25,
    which recycles the node under a new key and a shorter tower. A
-   resumes; checking only [deleted] on the hint (the injected bug)
+   resumes; checking only the deletion mark on the hint (the injected bug)
    accepts the recycled node as a level-1 predecessor and the level-1
    unlink walks off the level-1 list entirely. *)
 let stale_hint ~bug () =

@@ -65,7 +65,7 @@ let () =
   caught "bug #2 ro-publication" (ro_publication ~bug:true) sched_bug2
     ~rule:"use-after-free" ~site:"slist.lookup" ();
   (* bug #3: the recycled skiplist hint is dereferenced with only the
-     [deleted] re-check — an unrevalidated carried pointer. *)
+     deletion re-check — an unrevalidated carried pointer. *)
   caught "bug #3 stale-hint" (stale_hint ~bug:true) sched_bug3
     ~rule:"unchecked-carry" ~site:"skiplist.remove" ();
   (* the fixed protocol survives the same adversarial schedules with the

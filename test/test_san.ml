@@ -26,20 +26,20 @@ let expect ?site rule f =
       check_s "rule id" (San.rule_id rule) (San.rule_id r.San.rule);
       Option.iter (fun s -> check_s "site label" s r.San.site) site
 
-(* A tiny identity pool: group + dense node ids, one payload tvar and one
-   probe (validity-flag) tvar per node, mirroring how Mempool feeds the
-   sanitizer. Tvar uids just need to be distinct ints. *)
+(* A tiny identity pool: group + dense node ids, a payload tvar and a link
+   tvar (the one the deletion check reads) per node, mirroring how Mempool
+   feeds the sanitizer. Tvar uids just need to be distinct ints. *)
 type ctx = { group : int; mutable clock : int }
 
 let mk_ctx () = { group = San.fresh_group (); clock = 0 }
 let tick c = c.clock <- c.clock + 1; c.clock
 let key c i = San.node_key ~group:c.group ~node:i
 let payload i = (i * 10) + 1
-let probe i = (i * 10) + 2
+let link i = (i * 10) + 2
 
 let alloc c ?(thread = 0) i =
-  San.mp_alloc ~thread ~node:(key c i) ~tvars:[ payload i ]
-    ~probes:[ probe i ] ~stamp:(tick c)
+  San.mp_alloc ~thread ~node:(key c i) ~tvars:[ payload i; link i ]
+    ~stamp:(tick c)
 
 let free c ?(thread = 0) ?(site = "test.free") i =
   San.mp_free ~thread ~site ~node:(key c i) ~stamp:(tick c)
@@ -61,17 +61,59 @@ let test_uaf_read () =
       expect San.Use_after_free ~site:"me.read" (fun () ->
           San.tm_read ~tid:0 ~site:"me.read" ~rv:(tick c) (payload 1)))
 
-let test_uaf_probe_exempt () =
+let test_uaf_deletion_check_exempt () =
   with_san (fun () ->
       let c = mk_ctx () in
       alloc c 1;
       free c 1;
-      (* Probing the validity flag on a freed node is the sanctioned move:
-         poison guarantees the read observes the deletion. *)
-      San.tm_read ~tid:0 ~site:"me.read" ~rv:(tick c) (probe 1);
-      (* ...but the payload of the same freed node is still a violation. *)
+      (* The deletion check on a freed node is the sanctioned move: poison
+         guarantees the check observes the deletion. *)
+      San.probe_begin ~tid:0;
+      San.tm_read ~tid:0 ~site:"me.read" ~rv:(tick c) (link 1);
+      San.probe_end ~tid:0;
+      (* ...but the same tvar read outside the bracket is a violation. *)
       expect San.Use_after_free (fun () ->
-          San.tm_read ~tid:0 ~site:"me.read" ~rv:c.clock (payload 1)))
+          San.tm_read ~tid:0 ~site:"me.read" ~rv:c.clock (link 1)))
+
+let test_uaf_bracket_closed_by_abort () =
+  with_san (fun () ->
+      let c = mk_ctx () in
+      alloc c 1;
+      free c 1;
+      (* A deletion check cut short by an abort must not leave the thread
+         exempt for its next attempt. *)
+      San.probe_begin ~tid:0;
+      San.tm_abort ~tid:0;
+      expect San.Use_after_free (fun () ->
+          San.tm_read ~tid:0 ~site:"me.read" ~rv:(tick c) (payload 1)))
+
+(* The same rule end to end, through a real list pool and mode: after a
+   node is freed, [Mode.t.deleted] on it answers true and stays quiet,
+   while a transactional read of its key, or of the very link the check
+   reads, outside the check is a use-after-free. *)
+let test_uaf_key_read_outside_check () =
+  Tm.Thread.with_registered (fun thread ->
+      let pool = Structs.Lnode.make_pool () in
+      let mode =
+        Structs.Mode.create Structs.Mode.Tmhp ~pool
+          ~deleted:Structs.Lnode.deleted
+          ~mark_deleted:Structs.Lnode.mark_deleted ~hash:Structs.Lnode.hash
+          ~equal:Structs.Lnode.equal ()
+      in
+      with_san (fun () ->
+          let n = Structs.Lnode.alloc pool ~thread in
+          Mempool.free pool ~thread n;
+          checkb "the check sees the deletion" true
+            (Tm.atomic ~site:"me.check" (fun txn ->
+                 mode.Structs.Mode.deleted txn n));
+          expect San.Use_after_free ~site:"me.key" (fun () ->
+              ignore
+                (Tm.atomic ~site:"me.key" (fun txn ->
+                     Tm.read txn n.Structs.Lnode.key)));
+          expect San.Use_after_free ~site:"me.link" (fun () ->
+              ignore
+                (Tm.atomic ~site:"me.link" (fun txn ->
+                     Tm.read txn n.Structs.Lnode.next)))))
 
 let test_uaf_write () =
   with_san (fun () ->
@@ -542,8 +584,12 @@ let () =
       ( "use-after-free",
         [
           Alcotest.test_case "txn read of freed slot" `Quick test_uaf_read;
-          Alcotest.test_case "probe tvar is exempt" `Quick
-            test_uaf_probe_exempt;
+          Alcotest.test_case "deletion check is exempt" `Quick
+            test_uaf_deletion_check_exempt;
+          Alcotest.test_case "abort closes the deletion check" `Quick
+            test_uaf_bracket_closed_by_abort;
+          Alcotest.test_case "key read outside the check" `Quick
+            test_uaf_key_read_outside_check;
           Alcotest.test_case "txn write to freed slot" `Quick test_uaf_write;
           Alcotest.test_case "reserve committed over a free" `Quick
             test_uaf_reserve_window;

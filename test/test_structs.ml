@@ -448,7 +448,8 @@ let test_mode_restrictions () =
     (match
        Structs.Mode.create Structs.Mode.Ref
          ~pool:(Structs.Tnode.make_pool ())
-         ~deleted:(fun n -> n.Structs.Tnode.deleted)
+         ~deleted:Structs.Tnode.deleted
+         ~mark_deleted:Structs.Tnode.mark_deleted
          ~hash:Structs.Tnode.hash
          ~equal:Structs.Tnode.equal ()
      with
@@ -458,30 +459,76 @@ let test_mode_restrictions () =
 (* Per-node footprint in words, pinned so a field or block added to a node
    shows up here. A node record is a header plus one word per field, the
    first of which is the pool's state word; a tvar is 4 (one block:
-   header, lock word, payload, uid). Only [Lnode] carries a reference
-   count, the one tvar REF mode reads: the trees and the skiplist reject
-   REF. *)
+   header, lock word, payload, uid). A link holds the node or the module's
+   shared [nil] directly, with no option box, and [nil] is not counted.
+   Only [Lnode] carries a reference count, the one tvar REF mode reads:
+   the trees and the skiplist reject REF. *)
 let test_node_layout () =
   Tm.Thread.with_registered (fun tid ->
-      let words name pool alloc =
+      let words name pool alloc nil =
         let n = alloc pool ~thread:tid in
-        let w = Obj.reachable_words (Obj.repr n) in
+        let w =
+          Obj.reachable_words (Obj.repr n) - Obj.reachable_words (Obj.repr nil)
+        in
         let field0 () : int = Obj.obj (Obj.field (Obj.repr n) 0) in
         check (name ^ ": field 0 is odd while live") 1 (field0 () land 1);
         Mempool.free pool ~thread:tid n;
         check (name ^ ": field 0 is even once freed") 0 (field0 () land 1);
+        checkb (name ^ ": freeing nil raises") true
+          (match Mempool.free pool ~thread:tid nil with
+          | () -> false
+          | exception Mempool.Double_free _ -> true);
         w
       in
       let record fields = 1 + fields and tvar = 4 in
-      check "tnode: 6 fields, 4 tvars (23)" (record 6 + (4 * tvar))
-        (words "tnode" (Structs.Tnode.make_pool ()) Structs.Tnode.alloc);
-      check "lnode: 7 fields, 5 tvars, rc included (28)"
-        (record 7 + (5 * tvar))
-        (words "lnode" (Structs.Lnode.make_pool ()) Structs.Lnode.alloc);
-      check "snode: 6 fields, 3 tvars, a tower of 16 (100)"
-        (record 6 + (3 * tvar) + record Structs.Snode.max_level
+      check "tnode: 5 fields, 3 tvars (18)" (record 5 + (3 * tvar))
+        (words "tnode"
+           (Structs.Tnode.make_pool ())
+           Structs.Tnode.alloc Structs.Tnode.nil);
+      check "lnode: 6 fields, 4 tvars, rc included (23)"
+        (record 6 + (4 * tvar))
+        (words "lnode"
+           (Structs.Lnode.make_pool ())
+           Structs.Lnode.alloc Structs.Lnode.nil);
+      check "snode: 5 fields, 2 tvars, a tower of 16 (95)"
+        (record 5 + (2 * tvar) + record Structs.Snode.max_level
         + (Structs.Snode.max_level * tvar))
-        (words "snode" (Structs.Snode.make_pool ()) Structs.Snode.alloc))
+        (words "snode"
+           (Structs.Snode.make_pool ())
+           Structs.Snode.alloc Structs.Snode.nil))
+
+(* The whole structure grows by exactly one node's words per key: no link
+   carries a box of its own. Measured at three sizes, [words - keys x node]
+   must be the same constant (the sentinels, pool and mode). *)
+let test_structure_footprint () =
+  Tm.Thread.with_registered (fun thread ->
+      let rr = Structs.Mode.Rr_kind (module Rr.V) in
+      let per_key name ~node_words ~insert ~repr =
+        let filled = ref 0 in
+        let fill_to n =
+          while !filled < n do
+            incr filled;
+            checkb (name ^ ": insert") true (insert !filled)
+          done;
+          Obj.reachable_words (repr ()) - (n * node_words)
+        in
+        let c1 = fill_to 1024 in
+        let c2 = fill_to 2048 in
+        let c4 = fill_to 4096 in
+        check (name ^ ": 1024 -> 2048 keys, words - keys x node") c1 c2;
+        check (name ^ ": 2048 -> 4096 keys, words - keys x node") c2 c4
+      in
+      let bst = Structs.Hoh_bst_int.create ~mode:rr () in
+      (* a scattered key order keeps the unbalanced tree shallow *)
+      per_key "bst-int" ~node_words:18
+        ~insert:(fun i ->
+          Structs.Hoh_bst_int.insert bst ~thread (i * 7919 mod 4099))
+        ~repr:(fun () -> Obj.repr bst);
+      let sl = Structs.Hoh_list.create ~mode:rr () in
+      (* descending keys insert at the head: O(1) per insert *)
+      per_key "slist" ~node_words:23
+        ~insert:(fun i -> Structs.Hoh_list.insert sl ~thread (10_000 - i))
+        ~repr:(fun () -> Obj.repr sl))
 
 let test_skiplist_structure () =
   Tm.Thread.with_registered (fun tid ->
@@ -641,6 +688,8 @@ let () =
           Alcotest.test_case "key range" `Quick test_key_range_checks;
           Alcotest.test_case "mode restrictions" `Quick test_mode_restrictions;
           Alcotest.test_case "node layout" `Quick test_node_layout;
+          Alcotest.test_case "structure footprint" `Quick
+            test_structure_footprint;
           Alcotest.test_case "hashset buckets" `Quick test_hashset_buckets;
           Alcotest.test_case "atomic cross-structure move" `Slow
             test_atomic_cross_structure_move;
