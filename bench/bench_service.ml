@@ -13,8 +13,9 @@
    Clients issue through the service's async [submit]/[await] path with
    a bounded pipeline of outstanding tickets ([pipeline] = 1 degrades to
    synchronous issue), so the pooled configurations are driven the way
-   they are meant to be used: many requests in flight per client, the
-   shard worker draining them into fused batches. Point requests are
+   they are meant to be used: many requests in flight per client, and
+   the awaiting clients draining each shard's queue into fused batches
+   (combining: no domain beyond the clients runs). Point requests are
    submitted [Low] priority — they are the sheddable class; multis stay
    synchronous (and are implicitly [High]: 2PC never sheds).
 

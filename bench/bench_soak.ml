@@ -2,7 +2,7 @@
 
    One run = a scripted churn pass over the spec (then a second pass
    routed through the sharded service, and a third
-   with the worker pool and hot cache on, every op through the async
+   with the pool and hot cache on, every op through the async
    submit/await path), then the two DST adversaries: the stalled-reader
    backlog contrast (EBR vs RR on the same schedule) and the crash
    scenarios (kill mid-commit, kill mid-2PC). The run emits a [hohtx-soak/1] JSON artifact;
@@ -71,10 +71,11 @@ let collect p =
     { p.spec with Spec.shards = Some 2; fuse = Some true }
   in
   let sharded = churn svc_spec in
-  (* third pass: same sharded spec with the worker pool and hot cache
-     on; run_churn routes every op through submit/await, so the async
-     queues, fused drains and cache invalidation churn for whole phases
-     under real domains, then must survive shutdown with zero leaks *)
+  (* third pass: same sharded spec with the pool and hot cache on;
+     run_churn routes every op through submit/await, so the async
+     queues, the clients' fused drains and cache invalidation churn for
+     whole phases under real domains, then must survive shutdown with
+     zero leaks *)
   let pooled_spec =
     { svc_spec with Spec.pool = Some true; hotcache = Some true }
   in

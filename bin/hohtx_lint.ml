@@ -121,9 +121,9 @@ let benign_atomic_fields =
     ( "service.ml",
       [ "word"; "readers"; "singles"; "batches"; "multis"; "multi_aborts";
         "recovered" ] );
-    (* worker-pool queue state and stats *)
+    (* pool queue state, drain flag and stats *)
     ( "pool.ml",
-      [ "head"; "tail"; "depth"; "max_depth"; "sleeping"; "stop"; "c_done";
+      [ "head"; "tail"; "depth"; "max_depth"; "draining"; "c_done";
         "lag_ns"; "svc_p99_ns"; "shed_low"; "shed_high"; "deferred";
         "drained_reqs"; "drained_batches" ] );
     (* hot-key cache epochs and counters *)

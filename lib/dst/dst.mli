@@ -48,9 +48,9 @@ type site =
   | Svc_prepare  (** between 2PC prepare sub-steps of a cross-shard multi *)
   | Svc_apply  (** between 2PC apply sub-steps of a cross-shard multi *)
   | Svc_enqueue
-      (** worker-pool submission: before a request lands in a shard
-          queue, and inside the await spin of a completion cell *)
-  | Svc_drain  (** worker-pool drain: before a worker fuses the queue head *)
+      (** pool submission: before a request lands in a shard queue,
+          and in an await that finds another client draining *)
+  | Svc_drain  (** pool drain: before a client runs the fused queue head *)
   | Svc_cache
       (** hot-cache lookup: before the slot read, so a writer's commit +
           invalidation can interleave between consecutive cached reads *)

@@ -38,8 +38,9 @@ module Spec : sig
         (** service layer: fuse same-shard batches into one irrevocable
             transaction (see {!Store_intf.S.batch}) *)
     pool : bool option;
-        (** service layer: per-shard worker domains draining bounded
-            request queues ({!Service} async submission path) *)
+        (** service layer: per-shard bounded request queues behind the
+            {!Service} async submission path, drained by the clients
+            that await them *)
     hotcache : bool option;
         (** service layer: versioned hot-key read cache in front of the
             router, invalidated by per-shard epoch bumps at commit *)
@@ -84,7 +85,7 @@ module Spec : sig
   (** The curve label used in reports: the mode's name, suffixed with
       ["-hash"] / ["-skip"] for the structures the paper plots separately,
       ["+fuseK"] when [fusion = Some k, k > 1], ["+pool"] / ["+hotcache"] /
-      ["+sloUS"] for the service worker-pool, hot-cache, and admission
+      ["+sloUS"] for the service request-queue, hot-cache, and admission
       knobs, and ["/xN"] when sharded ([shards > 1]). *)
 
   val to_json : t -> Telemetry.Json.t

@@ -1,13 +1,17 @@
-(* Per-shard worker pools with bounded MPSC request queues.
+(* Per-shard request queues drained by combining.
 
    Clients submit operation groups asynchronously: a submission lands in
-   the owning shard's bounded ring and returns a completion cell; the
-   shard's dedicated worker domain drains the queue head into one fused
-   batch per pass, so queue pressure converts into larger transactions —
-   the expensive per-transaction work (clock stamp, reserve/check round)
-   is paid once per batch, not once per request (the amortization the
-   service layer already exploits for explicit batches, now applied to
-   independent requests; DESIGN.md, decision 13).
+   the owning shard's bounded ring and returns a ticket. No domain is
+   dedicated to draining. Each queue has one [draining] flag, and an
+   awaiting client that takes it becomes the shard's combiner: it drains
+   the queue head into one fused batch under its own TM thread, completes
+   every request in that batch (its own and other clients'), and releases
+   the flag; a client that finds the flag taken spins until its cell is
+   done or the flag frees up (flat combining, Hendler, Incze, Shavit and
+   Tzafrir, SPAA 2010). Queue pressure still converts into larger
+   transactions — the expensive per-transaction work (clock stamp,
+   reserve/check round) is paid once per batch, not once per request
+   (DESIGN.md, decision 13).
 
    The pool is generic over the execution closure so it carries no
    dependency on the router: the service passes a closure that takes the
@@ -22,27 +26,24 @@
    the projection exceeds the configured SLO. High-priority requests are
    never shed; they are deferred — enqueued anyway — and counted.
 
-   Determinism: with [spawn:false] no domains start and a DST scenario
-   drives {!step} from logical threads; [submit]/[await] yield at the
-   [Svc_enqueue] site and [step] at [Svc_drain], so queue-drain
-   interleavings are explorable and replayable. *)
+   Determinism: [submit], and every combining pass that drains nothing,
+   yield at the [Svc_enqueue] site and [step] at [Svc_drain], so under
+   DST the race for the drain flag between logical client threads is
+   explorable and replayable. *)
 
 open Harness
 
 type priority = High | Low
 
-type cell = {
-  mutable c_replies : Store.reply array;
-  c_done : bool Atomic.t;
-  c_mu : Mutex.t;
-  c_cond : Condition.t;
-}
+type cell = { mutable c_replies : Store.reply array; c_done : bool Atomic.t }
 
-type ticket = cell
+(* The submitter's thread rides along so that whoever redeems the ticket
+   drains under the thread that owns it. *)
+type ticket = { cell : cell; shard : int; thread : int }
 
 type req = { r_ops : Store.op array; r_cell : cell }
 
-(* Vyukov-style bounded MPMC ring (used MPSC: one worker per shard).
+(* Vyukov-style bounded MPMC ring (used MPSC: one combiner at a time).
    [seq.(i) = pos] means slot [i] is free for the producer of ticket
    [pos]; [seq.(i) = pos + 1] means it holds ticket [pos]'s value. *)
 type queue = {
@@ -54,28 +55,17 @@ type queue = {
   svc_p99_ns : int Atomic.t;  (* decaying max of per-request service time *)
   drained_reqs : int Atomic.t;
   drained_batches : int Atomic.t;
-  (* idle-worker parking: a worker that found the ring empty publishes
-     [sleeping] and blocks on [wake]; producers signal after an enqueue.
-     Without this an idle worker spin-burns its whole OS timeslice, which
-     starves the clients on low-core machines. *)
-  mu : Mutex.t;
-  wake : Condition.t;
-  sleeping : bool Atomic.t;
+  draining : bool Atomic.t;  (* held by the one client draining this queue *)
   (* a dequeued request deferred to the next fused batch because it
      touches a key an earlier request in the current batch already
-     touches (see [step]); single-consumer, worker-only *)
+     touches (see [step]); touched only under [draining] *)
   mutable carry : req option;
 }
 
 type t = {
   qs : queue array;
-  mask : int;
-  drain_ops : int;  (* max operations fused into one drained batch *)
   slo_ns : int option;
   exec : shard:int -> thread:int -> Store.op array -> Store.reply array;
-  finalize : thread:int -> unit;
-  stop : bool Atomic.t;
-  mutable workers : unit Domain.t array;
   shed_low : int Atomic.t;
   shed_high : int Atomic.t;  (* always 0: High is deferred, never shed *)
   deferred : int Atomic.t;  (* High admitted while the controller would shed *)
@@ -83,22 +73,21 @@ type t = {
   max_depth : int Atomic.t;
 }
 
-let default_queue_capacity = 1024
-let default_drain_ops = 64
+let queue_capacity = 1024 (* a power of two *)
+let mask = queue_capacity - 1
+let drain_ops = 64 (* max operations fused into one drained batch *)
 
-let queue_make cap =
+let queue_make () =
   {
-    buf = Array.init cap (fun _ -> Atomic.make None);
-    seq = Array.init cap (fun i -> Atomic.make i);
+    buf = Array.init queue_capacity (fun _ -> Atomic.make None);
+    seq = Array.init queue_capacity (fun i -> Atomic.make i);
     head = Pad.atomic 0;
     tail = Pad.atomic 0;
     depth = Pad.atomic 0;
     svc_p99_ns = Pad.atomic 0;
     drained_reqs = Pad.atomic 0;
     drained_batches = Pad.atomic 0;
-    mu = Mutex.create ();
-    wake = Condition.create ();
-    sleeping = Atomic.make false;
+    draining = Pad.atomic false;
     carry = None;
   }
 
@@ -106,23 +95,15 @@ let queue_make cap =
 
 (* Try to claim one producer ticket; returns false when the ring is full
    at the instant of the attempt. *)
-let try_enqueue t q r =
+let try_enqueue q r =
   let rec go pos =
-    let slot = pos land t.mask in
+    let slot = pos land mask in
     let s = Atomic.get q.seq.(slot) in
     if s = pos then
       if Atomic.compare_and_set q.tail pos (pos + 1) then begin
         Atomic.set q.buf.(slot) (Some r);
         Atomic.set q.seq.(slot) (pos + 1);
         Atomic.incr q.depth;
-        (* depth is published before this read, so a worker that saw the
-           ring empty either sees the new depth on its recheck or is
-           already parked and gets the signal *)
-        if Atomic.get q.sleeping then begin
-          Mutex.lock q.mu;
-          Condition.signal q.wake;
-          Mutex.unlock q.mu
-        end;
         true
       end
       else go (Atomic.get q.tail)
@@ -131,15 +112,15 @@ let try_enqueue t q r =
   in
   go (Atomic.get q.tail)
 
-let try_dequeue t q =
+let try_dequeue q =
   let rec go pos =
-    let slot = pos land t.mask in
+    let slot = pos land mask in
     let s = Atomic.get q.seq.(slot) in
     if s = pos + 1 then
       if Atomic.compare_and_set q.head pos (pos + 1) then begin
         let r = Atomic.get q.buf.(slot) in
         Atomic.set q.buf.(slot) None;
-        Atomic.set q.seq.(slot) (pos + t.mask + 1);
+        Atomic.set q.seq.(slot) (pos + queue_capacity);
         Atomic.decr q.depth;
         r
       end
@@ -151,48 +132,11 @@ let try_dequeue t q =
 
 (* ---- completion cells ---- *)
 
-let cell_make () =
-  {
-    c_replies = [||];
-    c_done = Atomic.make false;
-    c_mu = Mutex.create ();
-    c_cond = Condition.create ();
-  }
-
+(* The replies are written before the flag is set, and read only after
+   it is seen set, so the atomic orders them. *)
 let complete cell replies =
-  Mutex.lock cell.c_mu;
   cell.c_replies <- replies;
-  Atomic.set cell.c_done true;
-  Condition.broadcast cell.c_cond;
-  Mutex.unlock cell.c_mu
-
-let try_await cell =
-  if Atomic.get cell.c_done then Some cell.c_replies else None
-
-let await cell =
-  if Dst.scheduled () then begin
-    (* virtual threads: spin through the scheduler so a drainer thread
-       can run; blocking on a condition would wedge the single domain *)
-    while not (Atomic.get cell.c_done) do
-      Dst.point Dst.Svc_enqueue
-    done;
-    cell.c_replies
-  end
-  else begin
-    let spins = ref 0 in
-    while (not (Atomic.get cell.c_done)) && !spins < 256 do
-      incr spins;
-      Domain.cpu_relax ()
-    done;
-    if not (Atomic.get cell.c_done) then begin
-      Mutex.lock cell.c_mu;
-      while not (Atomic.get cell.c_done) do
-        Condition.wait cell.c_cond cell.c_mu
-      done;
-      Mutex.unlock cell.c_mu
-    end;
-    cell.c_replies
-  end
+  Atomic.set cell.c_done true
 
 (* ---- admission control ---- *)
 
@@ -221,43 +165,6 @@ let overloaded t ~shard =
   | Some slo ->
       let budget = slo / 2 in
       projected_lag_ns t ~shard > budget || Atomic.get t.lag_ns > budget
-
-(* ---- submission ---- *)
-
-let submit t ~shard ~priority ops =
-  let over = overloaded t ~shard in
-  if over && priority = Low then begin
-    Atomic.incr t.shed_low;
-    `Shed
-  end
-  else begin
-    if over then Atomic.incr t.deferred;
-    let cell = cell_make () in
-    let r = { r_ops = ops; r_cell = cell } in
-    Dst.point Dst.Svc_enqueue;
-    let q = t.qs.(shard) in
-    (* a full ring is backpressure, not overload: spin until space (the
-       worker is draining at its fused-batch rate) — except for Low
-       traffic under an SLO, which sheds rather than queue-builds *)
-    let rec push () =
-      if try_enqueue t q r then ()
-      else if t.slo_ns <> None && priority = Low then begin
-        Atomic.incr t.shed_low;
-        raise Exit
-      end
-      else begin
-        Dst.point Dst.Svc_enqueue;
-        Domain.cpu_relax ();
-        push ()
-      end
-    in
-    match push () with
-    | () ->
-        let d = Atomic.get q.depth in
-        if d > Atomic.get t.max_depth then Atomic.set t.max_depth d;
-        `Ticket cell
-    | exception Exit -> `Shed
-  end
 
 (* ---- drain ---- *)
 
@@ -290,7 +197,7 @@ let step t ~shard ~thread =
         q.carry <- None;
         Atomic.decr q.depth;
         Some r
-    | None -> try_dequeue t q
+    | None -> try_dequeue q
   in
   match take () with
   | None -> 0
@@ -316,8 +223,8 @@ let step t ~shard ~thread =
       let reqs = ref [ first ] in
       let nops = ref (Array.length first.r_ops) in
       let continue = ref true in
-      while !continue && !nops < t.drain_ops do
-        match try_dequeue t q with
+      while !continue && !nops < drain_ops do
+        match try_dequeue q with
         | None -> continue := false
         | Some r ->
             if conflicts r then begin
@@ -350,74 +257,110 @@ let step t ~shard ~thread =
       Atomic.incr q.drained_batches;
       n
 
-let worker t shard () =
-  Tm.Thread.with_registered (fun thread ->
-      let q = t.qs.(shard) in
-      let idle = ref 0 in
-      let running = ref true in
-      while !running do
-        let n = step t ~shard ~thread in
-        if n > 0 then idle := 0
-        else if Atomic.get t.stop then running := false
-        else begin
-          incr idle;
-          if !idle <= 64 then Domain.cpu_relax ()
-          else begin
-            (* park until a producer signals: spinning here would burn a
-               whole OS timeslice that the clients need *)
-            Mutex.lock q.mu;
-            Atomic.set q.sleeping true;
-            if Atomic.get q.depth = 0 && not (Atomic.get t.stop) then
-              Condition.wait q.wake q.mu;
-            Atomic.set q.sleeping false;
-            Mutex.unlock q.mu;
-            idle := 0
-          end
-        end
-      done;
-      t.finalize ~thread)
+(* ---- combining ---- *)
+
+(* One combining pass: when no other client is draining [shard], take
+   its flag, run one [step] under [thread], and release the flag. When
+   the flag is taken, or nothing was ready, yield instead: every caller
+   loops on this, and the spin must let the flag's holder run. *)
+let help t ~shard ~thread =
+  let q = t.qs.(shard) in
+  let n =
+    if
+      Atomic.get q.draining
+      || not (Atomic.compare_and_set q.draining false true)
+    then 0
+    else
+      match step t ~shard ~thread with
+      | n ->
+          Atomic.set q.draining false;
+          n
+      | exception e ->
+          Atomic.set q.draining false;
+          raise e
+  in
+  if n = 0 then begin
+    Dst.point Dst.Svc_enqueue;
+    Domain.cpu_relax ()
+  end
+
+(* ---- submission ---- *)
+
+let submit t ~shard ~thread ~priority ops =
+  let over = overloaded t ~shard in
+  if over && priority = Low then begin
+    Atomic.incr t.shed_low;
+    `Shed
+  end
+  else begin
+    if over then Atomic.incr t.deferred;
+    let cell = { c_replies = [||]; c_done = Atomic.make false } in
+    let r = { r_ops = ops; r_cell = cell } in
+    Dst.point Dst.Svc_enqueue;
+    let q = t.qs.(shard) in
+    (* a full ring is backpressure, not overload: drain it, or wait for
+       the client draining it — except for Low traffic under an SLO,
+       which sheds rather than queue-builds *)
+    let rec push () =
+      if try_enqueue q r then ()
+      else if t.slo_ns <> None && priority = Low then begin
+        Atomic.incr t.shed_low;
+        raise Exit
+      end
+      else begin
+        help t ~shard ~thread;
+        push ()
+      end
+    in
+    match push () with
+    | () ->
+        let d = Atomic.get q.depth in
+        if d > Atomic.get t.max_depth then Atomic.set t.max_depth d;
+        `Ticket { cell; shard; thread }
+    | exception Exit -> `Shed
+  end
+
+(* ---- redemption ---- *)
+
+let try_await t tk =
+  if not (Atomic.get tk.cell.c_done) then
+    help t ~shard:tk.shard ~thread:tk.thread;
+  if Atomic.get tk.cell.c_done then Some tk.cell.c_replies else None
+
+(* A cell not yet done is in the queue or in a batch another client is
+   running, so either this client gets the flag and drains toward it, or
+   the flag's holder completes it. *)
+let rec await t tk =
+  if Atomic.get tk.cell.c_done then tk.cell.c_replies
+  else begin
+    help t ~shard:tk.shard ~thread:tk.thread;
+    await t tk
+  end
 
 (* ---- lifecycle ---- *)
 
-let create ?(queue_capacity = default_queue_capacity)
-    ?(drain_ops = default_drain_ops) ?slo_ns ?(spawn = true) ~shards ~exec
-    ~finalize () =
+let create ?slo_ns ~shards ~exec () =
   if shards < 1 then invalid_arg "Pool.create: shards must be >= 1";
-  if queue_capacity < 2 || queue_capacity land (queue_capacity - 1) <> 0 then
-    invalid_arg "Pool.create: queue_capacity must be a power of two >= 2";
-  let t =
-    {
-      qs = Array.init shards (fun _ -> queue_make queue_capacity);
-      mask = queue_capacity - 1;
-      drain_ops = max 1 drain_ops;
-      slo_ns;
-      exec;
-      finalize;
-      stop = Atomic.make false;
-      workers = [||];
-      shed_low = Pad.atomic 0;
-      shed_high = Pad.atomic 0;
-      deferred = Pad.atomic 0;
-      lag_ns = Pad.atomic 0;
-      max_depth = Pad.atomic 0;
-    }
-  in
-  if spawn then
-    t.workers <- Array.init shards (fun s -> Domain.spawn (worker t s));
-  t
+  {
+    qs = Array.init shards (fun _ -> queue_make ());
+    slo_ns;
+    exec;
+    shed_low = Pad.atomic 0;
+    shed_high = Pad.atomic 0;
+    deferred = Pad.atomic 0;
+    lag_ns = Pad.atomic 0;
+    max_depth = Pad.atomic 0;
+  }
 
+(* Requests nobody awaited are still queued: drain them on the calling
+   client's thread. *)
 let shutdown t =
-  if not (Atomic.get t.stop) then begin
-    Atomic.set t.stop true;
-    Array.iter
-      (fun q ->
-        Mutex.lock q.mu;
-        Condition.broadcast q.wake;
-        Mutex.unlock q.mu)
-      t.qs;
-    Array.iter Domain.join t.workers;
-    t.workers <- [||]
-  end
+  Array.iteri
+    (fun shard q ->
+      while Atomic.get q.depth > 0 do
+        help t ~shard ~thread:(Tm.Thread.id ())
+      done)
+    t.qs
 
 (* ---- observation ---- *)
 

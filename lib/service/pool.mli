@@ -1,16 +1,23 @@
-(** Per-shard worker pools: bounded MPSC request queues, dedicated drain
-    domains that fuse queued requests into batched transactions, and
-    SLO-driven admission control.
+(** Per-shard request queues drained by combining: bounded MPSC rings,
+    fused batched transactions, and SLO-driven admission control.
+
+    No domain is dedicated to draining. The clients that wait on
+    tickets drain the queues themselves: whoever takes a shard's drain
+    flag runs one fused batch for every request at the queue head, its
+    own and other clients' (flat combining). Fusion never merges two
+    requests touching the same key into one batch (their replies would
+    share one commit stamp and lose their order in a stamp-sorted
+    history); the conflicting request is held back, still counted
+    queued, and leads the next batch.
 
     The pool is generic over execution: {!create} takes an [exec]
     closure (run these ops against this shard, under whatever locking
     the owner requires) so the service layer can pass its gated
     [Store.batch ~fuse] path without a dependency cycle.
 
-    With [spawn:false] no worker domains start; a DST scenario drives
-    {!step} from logical threads, and {!submit}/{!await} yield at the
-    [Svc_enqueue] site so enqueue/drain interleavings replay
-    deterministically. *)
+    {!submit} and a waiting {!await} yield at the [Svc_enqueue] DST site
+    and a drain at [Svc_drain], so the race for the drain flag between
+    logical client threads replays deterministically. *)
 
 type t
 
@@ -20,53 +27,42 @@ type priority = High | Low
     counted as deferred when admitted during overload). *)
 
 type ticket
-(** A pending submission's completion cell. *)
+(** A pending submission: its completion cell, its shard, and the TM
+    thread that submitted it. *)
 
 val create :
-  ?queue_capacity:int ->
-  ?drain_ops:int ->
   ?slo_ns:int ->
-  ?spawn:bool ->
   shards:int ->
   exec:(shard:int -> thread:int -> Harness.Store.op array -> Harness.Store.reply array) ->
-  finalize:(thread:int -> unit) ->
   unit ->
   t
-(** [queue_capacity] (default 1024, power of two) bounds each shard's
-    ring. [drain_ops] (default 64) caps the operations fused into one
-    drained batch. [slo_ns] enables admission control; without it
-    nothing is ever shed. [finalize] runs on each worker's registered
-    thread as it exits (epoch-reclamation handoff). *)
+(** Each shard's ring holds 1024 requests, and one drained batch fuses
+    at most 64 operations. [slo_ns] enables admission control; without
+    it nothing is ever shed. *)
 
 val submit :
-  t -> shard:int -> priority:priority -> Harness.Store.op array ->
+  t -> shard:int -> thread:int -> priority:priority -> Harness.Store.op array ->
   [ `Ticket of ticket | `Shed ]
-(** Enqueue an operation group on [shard]'s queue. Returns [`Shed]
-    without executing anything when the controller rejects a [Low]
-    request (SLO projected blown, or ring full under an SLO). A full
-    ring otherwise spins — backpressure, not overload. *)
+(** Enqueue an operation group on [shard]'s queue for the registered TM
+    thread [thread]. Returns [`Shed] without executing anything when the
+    controller rejects a [Low] request (SLO projected blown, or ring full
+    under an SLO). A full ring otherwise drains the shard under [thread],
+    or waits for the client draining it — backpressure, not overload. *)
 
-val await : ticket -> Harness.Store.reply array
-(** Block until the worker has executed the submission. Under DST this
-    spins through the scheduler instead of blocking the domain. *)
+val await : t -> ticket -> Harness.Store.reply array
+(** Wait until the submission has run, draining the shard meanwhile.
+    While the cell is not done, each pass either takes the shard's drain
+    flag and runs one fused batch under the ticket's thread, or, when
+    another client holds the flag, spins (a DST yield). Call it from the
+    thread that submitted the ticket. *)
 
-val try_await : ticket -> Harness.Store.reply array option
-(** Non-blocking poll. *)
-
-val step : t -> shard:int -> thread:int -> int
-(** Drain one fused batch from [shard]'s queue head: pops requests up to
-    the fusion budget, runs them through [exec] as one batch, scatters
-    replies. Returns the number of requests completed (0 when idle).
-    This is the worker loop body; DST scenarios call it directly.
-
-    Fusion never merges two requests touching the same key into one
-    batch (their replies would share one commit stamp and lose their
-    order in a stamp-sorted history); the conflicting request is held
-    back, still counted queued, and leads the next batch. *)
+val try_await : t -> ticket -> Harness.Store.reply array option
+(** Like {!await}, but makes at most one draining pass and returns
+    [None] if the submission has still not run. *)
 
 val shutdown : t -> unit
-(** Stop and join the worker domains. Workers drain their queues before
-    exiting, so no admitted request is abandoned. Idempotent. *)
+(** Drain every request still queued (nobody awaited it) on the calling
+    domain's TM thread, so no admitted request is abandoned. Idempotent. *)
 
 val note_lag : t -> int -> unit
 (** Report an observed open-loop schedule lag (ns); folded into the

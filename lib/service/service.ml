@@ -18,9 +18,10 @@
      the transaction entirely; every write path bumps the owning shard's
      invalidation epoch while its gate is still held (a 2PC multi bumps
      every touched shard before releasing any gate);
-   - per-shard worker pools ({!Pool}): {!submit} enqueues an operation
-     group on the owning shard's bounded queue and returns a ticket; the
-     shard's worker drains the queue head into one fused batch;
+   - per-shard request queues ({!Pool}): {!submit} enqueues an operation
+     group on the owning shard's bounded queue and returns a ticket; an
+     awaiting client that takes the shard's drain flag drains the queue
+     head into one fused batch (combining);
    - SLO admission control: the pool's controller sheds low-priority
      submissions with an [Overload] reply when the projected p99 lag
      exceeds the configured SLO. *)
@@ -28,8 +29,7 @@
 open Harness
 
 (* The service library is wrapped behind this module; re-export the
-   front layers so benches and white-box tests can reach them. *)
-module Worker_pool = Pool
+   hot cache so white-box tests can reach it. *)
 module Hot_cache = Hotcache
 
 type priority = Pool.priority = High | Low
@@ -156,7 +156,7 @@ let cache_after_batch t ~shard ~epoch0 ops replies =
 (* The workhorse for same-shard operation groups: one [Store.batch] —
    fused into a single transaction when the service fuses — under the
    shard's shared gate, with cache maintenance before the gate drops.
-   Both the synchronous paths and the pool workers land here. *)
+   Both the synchronous paths and the queue drains land here. *)
 let run_shard_ops t ~shard ~thread ops =
   let epoch0 =
     match t.cache with Some c -> Hotcache.epoch c ~shard | None -> 0
@@ -168,8 +168,7 @@ let run_shard_ops t ~shard ~thread ops =
 
 (* ---- construction ---- *)
 
-let create ?shards ?fuse ?pool ?hotcache ?slo_us ?(pool_spawn = true)
-    (spec : Factories.Spec.t) =
+let create ?shards ?fuse ?pool ?hotcache ?slo_us (spec : Factories.Spec.t) =
   let knob o spec_v default =
     match o with Some v -> v | None -> Option.value spec_v ~default
   in
@@ -217,10 +216,8 @@ let create ?shards ?fuse ?pool ?hotcache ?slo_us ?(pool_spawn = true)
       Some
         (Pool.create
            ?slo_ns:(Option.map (fun us -> us * 1_000) slo_us)
-           ~spawn:pool_spawn ~shards:n
+           ~shards:n
            ~exec:(fun ~shard ~thread ops -> run_shard_ops t ~shard ~thread ops)
-           ~finalize:(fun ~thread ->
-             Array.iter (fun st -> Store.finalize_thread st ~thread) t.stores)
            ());
   (match t.pool with
   | Some p when Telemetry.enabled () ->
@@ -580,9 +577,9 @@ let submit t ~thread ?(priority = Pool.High) ops =
             match queueable_shard t ops with
             | None -> Done (exec_batch t ~thread ops)
             | Some s -> (
-                (* the cache-miss Get enqueues; the worker's batch path
+                (* the cache-miss Get enqueues; the drain's batch path
                    populates the entry for the next hit *)
-                match Pool.submit p ~shard:s ~priority ops with
+                match Pool.submit p ~shard:s ~thread ~priority ops with
                 | `Ticket tk ->
                     if Array.length ops = 1 then Atomic.incr t.c.singles
                     else Atomic.incr t.c.batches;
@@ -590,20 +587,16 @@ let submit t ~thread ?(priority = Pool.High) ops =
                 | `Shed -> Shed (Array.length ops))))
   end
 
-let await _t = function
+(* A [Queued] ticket only comes from a pooled service. *)
+let await t = function
   | Done rs -> rs
-  | Queued tk -> Pool.await tk
+  | Queued tk -> Pool.await (Option.get t.pool) tk
   | Shed n -> Array.make n overload_reply
 
-let try_await _t = function
+let try_await t = function
   | Done rs -> Some rs
-  | Queued tk -> Pool.try_await tk
+  | Queued tk -> Pool.try_await (Option.get t.pool) tk
   | Shed n -> Some (Array.make n overload_reply)
-
-(* One worker-loop body, for DST scenarios driving drains from logical
-   threads (the pool is created with [pool_spawn:false] there). *)
-let pool_step t ~shard ~thread =
-  match t.pool with None -> 0 | Some p -> Pool.step p ~shard ~thread
 
 let note_lag t ns = Option.iter (fun p -> Pool.note_lag p ns) t.pool
 

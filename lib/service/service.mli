@@ -22,20 +22,16 @@
     by {!Harness.Serial_check} (DESIGN.md, decision 10).
 
     Three optional layers ride in front of the router (DESIGN.md,
-    decision 13): per-shard worker pools with bounded request queues and
-    an async {!submit}/{!await} path ({!Pool}), a versioned hot-key read
-    cache whose hits skip the gate and the transaction entirely
-    ({!Hotcache}), and SLO-driven admission control that sheds
-    low-priority submissions with {!Harness.Store_intf.Overload}
-    replies. *)
+    decision 13): per-shard bounded request queues behind an async
+    {!submit}/{!await} path, drained by the awaiting clients themselves
+    ({!Pool}), a versioned hot-key read cache whose hits skip the gate
+    and the transaction entirely ({!Hotcache}), and SLO-driven admission
+    control that sheds low-priority submissions with
+    {!Harness.Store_intf.Overload} replies. *)
 
-(** The front layers, re-exported: the service library is wrapped behind
-    this module, so benches and white-box tests reach {!Pool} and
-    {!Hotcache} through these aliases. *)
-module Worker_pool : module type of struct
-  include Pool
-end
-
+(** The hot cache, re-exported: the service library is wrapped behind
+    this module, so white-box tests reach {!Hotcache} through this
+    alias. *)
 module Hot_cache : module type of struct
   include Hotcache
 end
@@ -52,7 +48,6 @@ val create :
   ?pool:bool ->
   ?hotcache:bool ->
   ?slo_us:int ->
-  ?pool_spawn:bool ->
   Harness.Factories.Spec.t ->
   t
 (** Build a service from a spec; one store per shard via
@@ -60,9 +55,7 @@ val create :
     knob, default 1), [fuse] (spec's [fuse], default [true]), [pool]
     (spec's [pool], default off), [hotcache] (spec's [hotcache], default
     off) and [slo_us] (spec's [slo_us], default none) override the spec.
-    [pool_spawn] (default [true]) controls whether worker domains start;
-    DST scenarios pass [false] and drive {!pool_step} from logical
-    threads instead.
+    The pool starts no domains: clients drain the queues in {!await}.
     @raise Invalid_argument if the shard count is below 1, or [slo_us]
     is set without the pool. *)
 
@@ -100,12 +93,14 @@ val multi : t -> thread:int -> Harness.Store.op array -> multi_result
 
 (** {1 Asynchronous submission}
 
-    With the worker pool on, {!submit} enqueues a same-shard operation
-    group on the owning shard's bounded queue and returns immediately;
-    the shard's worker drains the queue head into one fused transaction.
-    Without the pool (or for groups the queues cannot carry — scans,
-    cross-shard batches) {!submit} degrades to the synchronous paths and
-    returns an already-completed ticket, so callers are written once. *)
+    With the pool on, {!submit} enqueues a same-shard operation group on
+    the owning shard's bounded queue and returns immediately. The
+    clients that wait drain the queues: in {!await}, whoever takes the
+    shard's drain flag runs the queue head, its own requests and other
+    clients', as one fused transaction. Without the pool (or for groups
+    the queues cannot carry — scans, cross-shard batches) {!submit}
+    degrades to the synchronous paths and returns an already-completed
+    ticket, so callers are written once. *)
 
 type ticket =
   | Done of Harness.Store.reply array
@@ -123,15 +118,13 @@ val submit :
     transaction. *)
 
 val await : t -> ticket -> Harness.Store.reply array
-(** Redeem a ticket, blocking until the worker has run the group. *)
+(** Redeem a ticket, draining the shard's queue under the submitting
+    thread until the group has run. Call it from the thread that
+    submitted the ticket. *)
 
 val try_await : t -> ticket -> Harness.Store.reply array option
-(** Non-blocking poll. *)
-
-val pool_step : t -> shard:int -> thread:int -> int
-(** Drain one fused batch from [shard]'s queue (0 when idle or no pool).
-    The worker-loop body, exposed so DST scenarios created with
-    [pool_spawn:false] can run drains as scheduled logical threads. *)
+(** Like {!await}, but drains at most one fused batch; [None] if the
+    group has still not run. *)
 
 val note_lag : t -> int -> unit
 (** Report an observed open-loop schedule lag (ns) to the admission
@@ -141,7 +134,7 @@ val queue_depth : t -> shard:int -> int
 val queued : t -> int
 
 val pooled : t -> bool
-(** Was this service created with the worker pool? Callers that want
+(** Was this service created with the pool? Callers that want
     every operation to flow through the queues (the soak churn driver)
     switch on this rather than on the spec. *)
 
@@ -149,9 +142,9 @@ val overloaded : t -> shard:int -> bool
 (** Would a [Low] submission for [shard] be shed right now? *)
 
 val shutdown : t -> unit
-(** Stop and join the worker domains (workers drain their queues, then
-    finalize their threads against every shard). Idempotent; a no-op
-    without the pool. Run before {!drain}/{!check} on pooled services. *)
+(** Run whatever is still queued (submitted but never awaited) on the
+    calling domain's thread. Idempotent; a no-op without the pool. Run
+    before {!drain}/{!check} on pooled services. *)
 
 val cache_hit_rate : t -> float
 (** Hot-cache hit rate ([0.] without the cache). *)

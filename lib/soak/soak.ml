@@ -248,7 +248,7 @@ let run_churn ?service ?(verify = true) ?(slo_us = 1000) ~seed ~key_bits
   San.set_enabled ~mode:San.Count true;
   let repro_line = repro ~scenario:"churn" ~seed ~key_bits ~phases spec in
   let live () = Option.value (Store.pool_live store) ~default:0 in
-  (* With the worker pool on, every churn op flows through the async
+  (* With the pool on, every churn op flows through the async
      path — bounded queue, fused drain, hot cache — instead of the
      synchronous gate, so the soak exercises the same machinery the
      service load bench measures. submit's default High priority is
@@ -327,11 +327,10 @@ let run_churn ?service ?(verify = true) ?(slo_us = 1000) ~seed ~key_bits
     }
   in
   let phase_results = List.mapi run_phase phases in
-  (* Workers exit before the pool is held to account: shutdown joins the
-     drain domains and runs their thread finalizers, and the extra drain
-     returns whatever those finalizers released. Without it the leak
-     oracle would blame the parked workers' deferred frees. No-op for
-     unpooled services. *)
+  (* Before the pool is held to account: shutdown runs anything still
+     queued, and the extra drain returns whatever the client threads'
+     finalizers released. Without it the leak oracle would blame their
+     deferred frees. Shutdown is a no-op for unpooled services. *)
   Option.iter
     (fun s ->
       Service.shutdown s;

@@ -1,19 +1,22 @@
-(* Fast push-gate for the worker-pool layer.
+(* Fast push-gate for the pool layer, whose queues are drained by the
+   clients that await them.
 
    Three checks, all cheap enough for every push:
 
-   1. Determinism: a seeded script of submissions and explicit drains
-      against a spawnless pool replays to the identical outcome trace,
-      counters and final contents — the queue, fusion and cache layers
-      add no hidden nondeterminism when driven single-threaded.
+   1. Determinism: a seeded script of submissions and seed-chosen
+      [try_await] polls (each drains at most one fused batch) replays
+      to the identical outcome trace, counters and final contents — the
+      queue, fusion and cache layers add no hidden nondeterminism when
+      driven single-threaded.
    2. Serializability: two client domains pipeline async submissions
-      through real worker domains (hot cache on) and log every reply at
-      its commit stamp; the merged history must replay against the
-      sequential set model. Cached hits log the stamp of the lookup that
-      populated them, so a stale hit would surface as a model divergence.
-   3. Accounting: after shutdown (which runs each worker's thread
-      finalizer) and a full drain, live pool slots equal the surviving
-      contents and nothing has leaked. *)
+      (hot cache on), drain the shared queues by awaiting, and log every
+      reply at its commit stamp; the merged history must replay against
+      the sequential set model. Cached hits log the stamp of the lookup
+      that populated them, so a stale hit would surface as a model
+      divergence.
+   3. Accounting: after each client's thread finalizer, shutdown and a
+      full drain, live pool slots equal the surviving contents and
+      nothing has leaked. *)
 
 open Harness
 
@@ -24,22 +27,17 @@ let spec () =
     ~hotcache:true Factories.Spec.Slist
     (Structs.Mode.Rr_kind (module Rr.V))
 
-(* ---- 1. spawnless determinism ---- *)
+(* ---- 1. single-client determinism ---- *)
 
-let spawnless_trace seed =
+let single_client_trace seed =
   Tm.Thread.reset_ids_for_testing ();
-  let svc = Service.create ~pool_spawn:false (spec ()) in
+  let svc = Service.create (spec ()) in
   let rng = Random.State.make [| seed |] in
   let buf = Buffer.create 1024 in
   Tm.Thread.with_registered (fun thread ->
       let redeem t =
         let rec go () =
-          match Service.try_await svc t with
-          | Some rs -> rs
-          | None ->
-              ignore (Service.pool_step svc ~shard:0 ~thread);
-              ignore (Service.pool_step svc ~shard:1 ~thread);
-              go ()
+          match Service.try_await svc t with Some rs -> rs | None -> go ()
         in
         go ()
       in
@@ -52,10 +50,10 @@ let spawnless_trace seed =
           | 3 | 4 -> Store.Remove key
           | _ -> Store.Get key
         in
-        Queue.add (Service.submit svc ~thread [| op |]) pending;
-        (* interleave explicit drains, seed-determined *)
-        if Random.State.int rng 3 = 0 then
-          ignore (Service.pool_step svc ~shard:(Random.State.int rng 2) ~thread);
+        let t = Service.submit svc ~thread [| op |] in
+        Queue.add t pending;
+        (* interleave polls that may drain, seed-determined *)
+        if Random.State.int rng 3 = 0 then ignore (Service.try_await svc t);
         if Queue.length pending >= 6 then
           Array.iter
             (fun (r : Store.reply) ->
@@ -84,20 +82,20 @@ let spawnless_trace seed =
         (Service.contents svc);
       (match Service.check svc with
       | Ok () -> ()
-      | Error e -> fail "pool-smoke: spawnless check failed: %s" e);
+      | Error e -> fail "pool-smoke: single-client check failed: %s" e);
       Buffer.contents buf)
 
 let determinism () =
-  let a = spawnless_trace 42 and b = spawnless_trace 42 in
+  let a = single_client_trace 42 and b = single_client_trace 42 in
   if a <> b then
-    fail "pool-smoke: spawnless replay diverged (%d vs %d trace bytes)"
+    fail "pool-smoke: single-client replay diverged (%d vs %d trace bytes)"
       (String.length a) (String.length b);
   Printf.printf "pool-smoke determinism: %d trace bytes, replay identical\n%!"
     (String.length a)
 
-(* ---- 2 + 3. worker domains, serial oracle, accounting ---- *)
+(* ---- 2 + 3. client domains, serial oracle, accounting ---- *)
 
-let workers () =
+let clients () =
   Tm.Thread.reset_ids_for_testing ();
   let svc = Service.create (spec ()) in
   let n_clients = 2 and per_client = 1500 in
@@ -150,7 +148,7 @@ let workers () =
   let counters = Service.counters svc in
   let drained = List.assoc "drained_requests" counters in
   let hits = List.assoc "cache_hits" counters in
-  if drained = 0 then fail "pool-smoke: workers drained nothing";
+  if drained = 0 then fail "pool-smoke: the clients drained nothing";
   Service.drain svc;
   let live_expected = List.length (Service.contents svc) in
   (match Service.pool_live svc with
@@ -163,12 +161,12 @@ let workers () =
   | Some 0 | None -> ()
   | Some n -> fail "pool-smoke: %d leaked slots after drain" n);
   Printf.printf
-    "pool-smoke workers: %d ops over %d clients | drained %d | cache hits %d \
+    "pool-smoke clients: %d ops over %d clients | drained %d | cache hits %d \
      | serial ok | live %d = contents | leaked 0\n\
      %!"
     (n_clients * per_client) n_clients drained hits live_expected
 
 let () =
   determinism ();
-  workers ();
+  clients ();
   print_endline "pool-smoke OK: determinism, serial oracle, zero-leak accounting"

@@ -576,16 +576,17 @@ let test_spec_layer_knobs () =
     | exception Invalid_argument _ -> true)
 
 (* ---------------------------------------------------------------- *)
-(* Worker pool: deterministic spawnless driving                      *)
+(* Pool: queues drained by the awaiting client                      *)
 (* ---------------------------------------------------------------- *)
 
-(* [pool_spawn:false] starts no worker domains: the test drives drains
-   through [pool_step], so enqueue/execute interleavings are explicit. *)
+(* The pool starts no domains: nothing runs until a client awaits, so a
+   test sees the backlog first and then each drain [try_await] makes. *)
 let pooled_svc ?slo_us ?hotcache () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  Service.create ~shards:2 ~pool:true ~pool_spawn:false ?slo_us ?hotcache
-    (spec ~shards:2 ())
+  Service.create ~shards:2 ~pool:true ?slo_us ?hotcache (spec ~shards:2 ())
+
+let pool_counter svc name = List.assoc name (Service.counters svc)
 
 let test_pool_async_spawnless () =
   let svc = pooled_svc () in
@@ -597,15 +598,18 @@ let test_pool_async_spawnless () =
   | _ -> Alcotest.fail "same-shard group should ride the queue");
   check "queued" 1 (Service.queued svc);
   check "per-shard depth" 1 (Service.queue_depth svc ~shard:0);
-  checkb "not yet executed" true (Service.try_await svc t1 = None);
   checkb "check flags the backlog" true (Result.is_error (Service.check svc));
-  check "one step drains it" 1 (Service.pool_step svc ~shard:0 ~thread);
+  check "nothing drained before an await" 0
+    (pool_counter svc "drained_batches");
   (match Service.try_await svc t1 with
   | Some rs ->
       checkb "insert applied" true (rs.(0).Store.outcome = Store.Inserted)
-  | None -> Alcotest.fail "completion cell not filled");
+  | None -> Alcotest.fail "one try_await should drain the batch");
+  check "one fused batch" 1 (pool_counter svc "drained_batches");
+  check "drained by the poll" 0 (Service.queued svc);
   checkb "await after completion" true
     ((Service.await svc t1).(0).Store.outcome = Store.Inserted);
+  check "a done ticket drains nothing" 1 (pool_counter svc "drained_batches");
   (* cross-shard groups and scans degrade to the synchronous paths *)
   let k2 = key_in_shard svc ~shard:1 ~avoid:[ k1 ] in
   (match Service.submit svc ~thread [| Store.Get k1; Store.Insert k2 |] with
@@ -637,7 +641,11 @@ let test_pool_fused_drain () =
       [ k1; k2; k3 ]
   in
   check "three queued" 3 (Service.queued svc);
-  check "one step drains all three" 3 (Service.pool_step svc ~shard:0 ~thread);
+  checkb "check flags the backlog" true (Result.is_error (Service.check svc));
+  checkb "one try_await completes the first" true
+    (Service.try_await svc (List.hd ts) <> None);
+  check "in one fused batch" 1 (pool_counter svc "drained_batches");
+  check "that batch took all three" 0 (Service.queued svc);
   let rs = List.map (fun t -> (Service.await svc t).(0)) ts in
   List.iter
     (fun (r : Store.reply) ->
@@ -652,7 +660,35 @@ let test_pool_fused_drain () =
   | [] -> assert false);
   let c = Service.counters svc in
   check "drained_requests" 3 (List.assoc "drained_requests" c);
-  check "drained_batches" 1 (List.assoc "drained_batches" c);
+  check "the other two were already done" 1 (List.assoc "drained_batches" c);
+  Service.shutdown svc;
+  Service.finalize_thread svc ~thread;
+  Service.drain svc
+
+(* More submissions than a shard's ring holds, none awaited yet: the
+   submitter drains the full ring itself instead of waiting for a drain
+   nobody else would run. *)
+let test_pool_full_ring_drains () =
+  let svc = pooled_svc () in
+  with_thread @@ fun ~thread ->
+  let keys =
+    List.filter
+      (fun k -> Service.shard_of_key svc k = 0)
+      (List.init 4000 (fun i -> i + 1))
+  in
+  let keys = List.filteri (fun i _ -> i < 1100) keys in
+  check "more keys than the ring holds" 1100 (List.length keys);
+  let ts =
+    List.map (fun k -> Service.submit svc ~thread [| Store.Insert k |]) keys
+  in
+  checkb "the submitter drained on the full ring" true
+    (pool_counter svc "drained_batches" > 0);
+  List.iter
+    (fun t ->
+      checkb "inserted" true
+        ((Service.await svc t).(0).Store.outcome = Store.Inserted))
+    ts;
+  check "all present" 1100 (List.length (Service.contents svc));
   Service.shutdown svc;
   Service.finalize_thread svc ~thread;
   Service.drain svc
@@ -667,9 +703,10 @@ let test_pool_admission_sheds () =
   (match t0 with
   | Service.Queued _ -> ()
   | _ -> Alcotest.fail "low must be admitted at rest");
-  check "drained" 1 (Service.pool_step svc ~shard:0 ~thread);
-  checkb "low executed" true
-    ((Service.await svc t0).(0).Store.outcome = Store.Inserted);
+  (match Service.try_await svc t0 with
+  | Some rs ->
+      checkb "low executed" true (rs.(0).Store.outcome = Store.Inserted)
+  | None -> Alcotest.fail "one try_await should drain the low request");
   (* an open-loop lag burst pushes the EWMA past the SLO budget *)
   Service.note_lag svc 8_000_000;
   checkb "overloaded after the lag burst" true (Service.overloaded svc ~shard:0);
@@ -690,9 +727,10 @@ let test_pool_admission_sheds () =
     rs;
   (* High is never shed, only counted as deferred *)
   (match Service.submit svc ~thread ~priority:Service.High [| Store.Get k0 |] with
-  | Service.Queued _ -> ()
+  | Service.Queued _ as t ->
+      checkb "the deferred high runs" true
+        ((Service.await svc t).(0).Store.outcome = Store.Found)
   | _ -> Alcotest.fail "high must be admitted under overload");
-  check "drain the deferred high" 1 (Service.pool_step svc ~shard:0 ~thread);
   let c = Service.counters svc in
   checkb "shed_low counted" true (List.assoc "shed_low" c >= 1);
   check "no high sheds ever" 0 (List.assoc "shed_high" c);
@@ -701,9 +739,9 @@ let test_pool_admission_sheds () =
   Service.finalize_thread svc ~thread;
   Service.drain svc
 
-(* Real worker domains: a pipelined client against the model, then
-   zero-leak accounting through the workers' thread finalizers. *)
-let test_pool_workers_end_to_end () =
+(* A client that drains its own requests, against the model, then
+   zero-leak accounting through the client's thread finalizer. *)
+let test_pool_combining_end_to_end () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
   let svc = Service.create ~shards:2 ~pool:true (spec ~shards:2 ()) in
@@ -740,7 +778,7 @@ let test_pool_workers_end_to_end () =
   (match Service.check svc with
   | Ok () -> ()
   | Error e -> Alcotest.failf "after shutdown: %s" e);
-  check "workers drained every request" 300
+  check "the client drained every request" 300
     (List.assoc "drained_requests" (Service.counters svc));
   Service.finalize_thread svc ~thread;
   Service.drain svc;
@@ -749,7 +787,7 @@ let test_pool_workers_end_to_end () =
     = List.sort compare (Hashtbl.fold (fun k () a -> k :: a) model []));
   match Service.pool_live svc with
   | Some live ->
-      check "zero leak through worker finalizers" (Hashtbl.length model) live
+      check "zero leak through the client finalizer" (Hashtbl.length model) live
   | None -> Alcotest.fail "expected pool accounting"
 
 (* ---------------------------------------------------------------- *)
@@ -979,16 +1017,13 @@ let qcheck_cached_matches_model =
 (* DST: queue drains vs submissions, and vs 2PC gates                *)
 (* ---------------------------------------------------------------- *)
 
-(* A producer submits through the queues and awaits through the
-   scheduler while a drainer thread runs [pool_step]: every ticket must
-   complete with the right outcome regardless of the interleaving. *)
+(* A producer submits through the queues and drains them by awaiting
+   through the scheduler: every ticket must complete with the right
+   outcome regardless of the interleaving. *)
 let pool_drain_case () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  let svc =
-    Service.create ~shards:2 ~pool:true ~pool_spawn:false (spec ~shards:2 ())
-  in
-  let producer_done = ref false in
+  let svc = Service.create ~shards:2 ~pool:true (spec ~shards:2 ()) in
   let bad = ref 0 in
   let producer () =
     with_thread (fun ~thread ->
@@ -1001,20 +1036,11 @@ let pool_drain_case () =
           (fun t ->
             if (Service.await svc t).(0).Store.outcome <> Store.Inserted then
               incr bad)
-          ts;
-        producer_done := true)
-  in
-  let drainer () =
-    with_thread (fun ~thread ->
-        while (not !producer_done) || Service.queued svc > 0 do
-          ignore (Service.pool_step svc ~shard:0 ~thread);
-          ignore (Service.pool_step svc ~shard:1 ~thread);
-          Dst.point Dst.Svc_drain
-        done)
+          ts)
   in
   {
     Dst.Explore.init = None;
-    threads = [ producer; drainer ];
+    threads = [ producer ];
     check =
       (fun () ->
         if !bad > 0 then failwith "a queued insert lost its effect";
@@ -1047,38 +1073,26 @@ let pool_2pc_case () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
   let svc =
-    Service.create ~shards:2 ~pool:true ~pool_spawn:false ~hotcache:true
-      (spec ~shards:2 ())
+    Service.create ~shards:2 ~pool:true ~hotcache:true (spec ~shards:2 ())
   in
   let a = key_in_shard svc ~shard:0 ~avoid:[] in
   let b = key_in_shard svc ~shard:1 ~avoid:[ a ] in
-  let done_ = Array.make 2 false in
   let submitter () =
     with_thread (fun ~thread ->
         let t1 = Service.submit svc ~thread [| Store.Insert a |] in
         if not (Store.positive (Service.await svc t1).(0).Store.outcome) then
           failwith "insert of a fresh key failed";
         let t2 = Service.submit svc ~thread [| Store.Get a |] in
-        ignore (Service.await svc t2);
-        done_.(0) <- true)
+        ignore (Service.await svc t2))
   in
   let multi_thread () =
     with_thread (fun ~thread ->
-        (match Service.multi svc ~thread [| Store.Remove a; Store.Insert b |] with
-        | Service.Committed _ | Service.Aborted _ -> ());
-        done_.(1) <- true)
-  in
-  let drainer () =
-    with_thread (fun ~thread ->
-        while (not (done_.(0) && done_.(1))) || Service.queued svc > 0 do
-          ignore (Service.pool_step svc ~shard:0 ~thread);
-          ignore (Service.pool_step svc ~shard:1 ~thread);
-          Dst.point Dst.Svc_drain
-        done)
+        match Service.multi svc ~thread [| Store.Remove a; Store.Insert b |] with
+        | Service.Committed _ | Service.Aborted _ -> ())
   in
   {
     Dst.Explore.init = None;
-    threads = [ submitter; multi_thread; drainer ];
+    threads = [ submitter; multi_thread ];
     check =
       (fun () ->
         (match Service.check svc with
@@ -1105,6 +1119,69 @@ let test_dst_pool_vs_2pc () =
         | None -> "?");
     checkb "completed" false o.Dst.Sched.hung
   done
+
+(* Two clients submit to the same shard and each awaits only its own
+   tickets, one at a time, so whichever takes the drain flag runs the
+   other's queued request too. Every ticket must complete with its own
+   outcome whichever client drained it. Each batch holds at most one
+   request per client, so a batch of two is a ticket completed on the
+   other client's drain. *)
+let pool_combining_case () =
+  Dst.Inject.clear ();
+  Tm.Thread.reset_ids_for_testing ();
+  let svc = Service.create ~shards:2 ~pool:true (spec ~shards:2 ()) in
+  let keys =
+    List.fold_left
+      (fun acc _ -> key_in_shard svc ~shard:0 ~avoid:acc :: acc)
+      [] (List.init 6 Fun.id)
+  in
+  let mine c = List.filteri (fun i _ -> i mod 2 = c) keys in
+  let bad = ref 0 in
+  let client c () =
+    with_thread (fun ~thread ->
+        let run op expect =
+          let t = Service.submit svc ~thread [| op |] in
+          if (Service.await svc t).(0).Store.outcome <> expect then incr bad
+        in
+        List.iter (fun k -> run (Store.Insert k) Store.Inserted) (mine c);
+        List.iter (fun k -> run (Store.Get k) Store.Found) (mine c))
+  in
+  let case =
+    {
+      Dst.Explore.init = None;
+      threads = [ client 0; client 1 ];
+      check =
+        (fun () ->
+          if !bad > 0 then failwith "a ticket completed with a wrong outcome";
+          (match Service.check svc with
+          | Ok () -> ()
+          | Error e -> failwith e);
+          if Service.contents svc <> List.sort compare keys then
+            failwith "drained contents are wrong");
+    }
+  in
+  (svc, case)
+
+let test_dst_pool_combining () =
+  let helped = ref 0 in
+  for seed = 1 to 10 do
+    let svc, c = pool_combining_case () in
+    let o =
+      Dst.Sched.run ?init:c.Dst.Explore.init ~check:c.Dst.Explore.check
+        (Dst.Sched.Random seed) c.Dst.Explore.threads
+    in
+    if Dst.Sched.failed o then
+      Alcotest.failf "seed %d: %s" seed
+        (match o.Dst.Sched.failure with
+        | Some f -> Format.asprintf "%a" Dst.Sched.pp_failure f
+        | None -> "?");
+    checkb "completed" false o.Dst.Sched.hung;
+    check "every request drained" 12 (pool_counter svc "drained_requests");
+    if pool_counter svc "drained_requests" > pool_counter svc "drained_batches"
+    then incr helped
+  done;
+  checkb "some seed completes a ticket on the other client's drain" true
+    (!helped > 0)
 
 (* Reader populating and hitting the cache while a writer churns the
    same shard: production code must stay violation-free under every
@@ -1200,10 +1277,12 @@ let () =
           Alcotest.test_case "async submit, spawnless" `Quick
             test_pool_async_spawnless;
           Alcotest.test_case "fused drain" `Quick test_pool_fused_drain;
+          Alcotest.test_case "full ring drains" `Quick
+            test_pool_full_ring_drains;
           Alcotest.test_case "admission sheds low" `Quick
             test_pool_admission_sheds;
-          Alcotest.test_case "worker domains end to end" `Quick
-            test_pool_workers_end_to_end;
+          Alcotest.test_case "combining end to end" `Quick
+            test_pool_combining_end_to_end;
         ] );
       ( "hotcache",
         [
@@ -1255,6 +1334,8 @@ let () =
             test_dst_pool_drain;
           Alcotest.test_case "queue drains vs 2pc gates" `Quick
             test_dst_pool_vs_2pc;
+          Alcotest.test_case "two clients combine on one shard" `Quick
+            test_dst_pool_combining;
           Alcotest.test_case "cache race is clean" `Quick
             test_dst_cache_race_clean;
           Alcotest.test_case "cache race bug caught" `Quick
