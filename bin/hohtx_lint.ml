@@ -15,9 +15,9 @@
                        code that explicitly handles the no-transaction case
                        ([Tm.current_txn]).
    - [pool-alloc]      node records come from the pool ([Lnode.alloc] &c.),
-                       never from a bare [Lnode.make]/[Snode.make]/
-                       [Tnode.make], which would bypass slot shadow state
-                       and poisoning.
+                       never from a bare [Lnode.make]/[Dnode.make]/
+                       [Snode.make]/[Tnode.make], which would bypass slot
+                       shadow state and poisoning.
 
    Pure parsetree analysis (compiler-libs, no typing): rules are
    deliberately conservative so the clean tree reports nothing. Local
@@ -99,7 +99,7 @@ let has_site args =
       | _ -> false)
     args
 
-let node_modules = [ "Lnode"; "Snode"; "Tnode" ]
+let node_modules = [ "Lnode"; "Dnode"; "Snode"; "Tnode" ]
 
 (* Known non-tvar atomics, scoped per source file (by basename) so a
    generic name like [head] or [epoch] appearing on some future record in

@@ -1,4 +1,5 @@
-(* Seeded lint violations, one per rule (plus one extra site omission).
+(* Seeded lint violations, one per rule (plus one extra site omission
+   and a second node module's bare [make]).
    This file is never compiled — [data_only_dirs] keeps it out of the
    build — it only feeds the checker's --expect-violations self-test,
    proving [dune build @lint] would fail on each discipline breach. *)
@@ -16,6 +17,7 @@ let eager_free pool txn ~thread n =
   ignore txn;
   Mempool.free pool ~thread n
 
-(* [pool-alloc]: a node the pool never sees gets no shadow slot, no
-   poisoning, no reuse. *)
+(* [pool-alloc] x2: a node the pool never sees gets no shadow slot, no
+   poisoning, no reuse — whichever node module it comes from. *)
 let rogue_node () = Lnode.make 42
+let rogue_dnode () = Dnode.make 7

@@ -1,9 +1,11 @@
 (** Transactional reference counts, used by the paper's REF list variant.
 
-    Each node carries a counter in its own tvar (the paper keeps counts "in
+    Each node's counter is a tvar of its own (the paper keeps counts "in
     separate cache lines" — here, separate tvars — so that counter traffic
-    does not conflict with node-field traffic). A node is freed by whichever
-    transaction drops the count to zero after the node was unlinked. *)
+    does not conflict with node-field traffic). The REF mode keeps them in
+    a table indexed by pool id, outside the nodes, so only structures
+    that run REF pay for them. A node is freed by whichever transaction
+    drops the count to zero after the node was unlinked. *)
 
 type t
 

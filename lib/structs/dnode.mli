@@ -1,0 +1,50 @@
+(** Doubly linked list nodes, used by {!Hoh_dlist} only: a {!Lnode} plus
+    a [prev] link.
+
+    As with {!Lnode}, all mutable content but the pool's state word is
+    transactional, the pool id is the node's simulated address, a missing
+    link is {!nil}, and freed nodes are poisoned with version-bumping
+    writes. A node is logically deleted when its [prev] link points back
+    at itself. No traversal reads [prev]: the list reads it only to
+    unlink, so the mark does not conflict with concurrent readers.
+    Poison writes the mark too ([key = poisoned_key], [next] reset to
+    {!nil}, [prev] marked). *)
+
+type t = {
+  mutable state : int;
+      (** the pool's state word, field 0; owned by {!Mempool}, which
+          reaches it only as an [Atomic.t] view (see {!Lnode.t}) *)
+  id : int;
+  key : int Tm.tvar;
+  next : t Tm.tvar;  (** {!nil} at the tail *)
+  prev : t Tm.tvar;
+      (** {!nil} on the head sentinel; the node itself once deleted
+          (TMHP/EBR/REF removal, and poison in every mode) *)
+}
+
+val poisoned_key : int
+
+val nil : t
+(** The end of every doubly linked list: one static node whose links
+    point back at itself, never allocated from or freed to a pool (see
+    {!Lnode.nil}). *)
+
+val make_pool : ?strategy:Mempool.strategy -> unit -> t Mempool.t
+
+val deleted : Tm.txn -> t -> bool
+(** Whether [prev] points at the node itself; the test {!Mode.create}
+    takes. *)
+
+val mark_deleted : Tm.txn -> t -> unit
+(** Point [prev] at the node itself; the mark {!Mode.create} takes. *)
+
+val peek_deleted : t -> bool
+(** {!deleted} outside any transaction, for structure checks. *)
+
+val sentinel : unit -> t
+val hash : t -> int
+val equal : t -> t -> bool
+
+val alloc : t Mempool.t -> thread:int -> t
+(** Allocate and reset both links to {!nil}, which clears the deletion
+    mark. *)

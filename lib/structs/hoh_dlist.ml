@@ -1,10 +1,10 @@
 module Window = Rr.Hoh.Window
 
 type t = {
-  mode : Lnode.t Mode.t;
-  head : Lnode.t;
+  mode : Dnode.t Mode.t;
+  head : Dnode.t;
   window : Window.t;
-  pool : Lnode.t Mempool.t;
+  pool : Dnode.t Mempool.t;
   max_attempts : int option;
   split_unlink : bool;
 }
@@ -12,16 +12,15 @@ type t = {
 let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
     ?strategy ?rr_config ?hp_threshold ?max_attempts ?(split_unlink = true)
     () =
-  let pool = Lnode.make_pool ?strategy () in
+  let pool = Dnode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
-      ~deleted:Lnode.deleted ~mark_deleted:Lnode.mark_deleted
-      ~rc:(fun n -> n.Lnode.rc)
-      ~hash:Lnode.hash ~equal:Lnode.equal ?rr_config ?hp_threshold ()
+      ~deleted:Dnode.deleted ~mark_deleted:Dnode.mark_deleted
+      ~hash:Dnode.hash ~equal:Dnode.equal ?rr_config ?hp_threshold ()
   in
   {
     mode;
-    head = Lnode.sentinel ();
+    head = Dnode.sentinel ();
     window = Window.create ~scatter ?adaptive ?fusion window;
     pool;
     max_attempts;
@@ -38,6 +37,20 @@ let start_point t ~thread ~start =
         if t.mode.Mode.whole_op then max_int
         else Window.first_budget t.window ~thread )
 
+(* {!List_walk.walk} over [Dnode]s: the [while] of Listing 5. Reads at
+   most [budget] nodes starting at [prev.next]. *)
+let walk txn ~key ~prev ~budget =
+  let rec go prev curr i =
+    if curr == Dnode.nil then `Absent (prev, curr)
+    else
+      let k = Tm.read txn curr.Dnode.key in
+      if k = key then `Found (prev, curr)
+      else if k > key then `Absent (prev, curr)
+      else if i >= budget then `Window curr
+      else go curr (Tm.read txn curr.Dnode.next) (i + 1)
+  in
+  go prev (Tm.read txn prev.Dnode.next) 1
+
 let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
   if key <= min_int + 1 then invalid_arg "Hoh_dlist: key out of range";
   Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
@@ -45,7 +58,7 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
     ~window:(t.window, thread)
     (fun txn ~start ->
       let prev, budget = start_point t ~thread ~start in
-      match List_walk.walk txn ~key ~prev ~budget with
+      match walk txn ~key ~prev ~budget with
       | `Found (prev, curr) -> on_found txn ~prev ~curr
       | `Absent (prev, curr) -> Rr.Hoh.Finish (on_notfound txn ~prev ~curr)
       | `Window c -> Rr.Hoh.Hand_off c)
@@ -65,15 +78,15 @@ let insert_s t ~thread key =
           match !spare with
           | Some n -> n
           | None ->
-              let n = Lnode.alloc t.pool ~thread in
+              let n = Dnode.alloc t.pool ~thread in
               spare := Some n;
               n
         in
-        Tm.write txn n.Lnode.key key;
-        Tm.write txn n.Lnode.prev prev;
-        Tm.write txn n.Lnode.next curr;
-        Tm.write txn prev.Lnode.next n;
-        if curr != Lnode.nil then Tm.write txn curr.Lnode.prev n;
+        Tm.write txn n.Dnode.key key;
+        Tm.write txn n.Dnode.prev prev;
+        Tm.write txn n.Dnode.next curr;
+        Tm.write txn prev.Dnode.next n;
+        if curr != Dnode.nil then Tm.write txn curr.Dnode.prev n;
         Tm.defer txn (fun () -> spare := None);
         true)
   in
@@ -83,16 +96,16 @@ let insert_s t ~thread key =
 (* Unlink [n] using its own prev/next pointers — the point of the doubly
    linked list: the traversal's (prev, curr) pair is not needed. *)
 let unlink_and_reclaim t txn n =
-  let p = Tm.read txn n.Lnode.prev in
+  let p = Tm.read txn n.Dnode.prev in
   (* linked nodes always have a predecessor *)
-  assert (p != Lnode.nil);
-  let nx = Tm.read txn n.Lnode.next in
-  Tm.write txn p.Lnode.next nx;
-  if nx != Lnode.nil then Tm.write txn nx.Lnode.prev p;
+  assert (p != Dnode.nil);
+  let nx = Tm.read txn n.Dnode.next in
+  Tm.write txn p.Dnode.next nx;
+  if nx != Dnode.nil then Tm.write txn nx.Dnode.prev p;
   t.mode.Mode.invalidate txn n;
   t.mode.Mode.dispose txn n
 
-type phase = Traversing | Unlink of Lnode.t
+type phase = Traversing | Unlink of Dnode.t
 
 (* Returns (result, earliest, stamp). For most paths the operation is a
    point at [stamp]; the strict fast-fail path (reservation revoked between
@@ -113,7 +126,7 @@ let remove_s t ~thread key =
       (fun txn ~start ->
         let traverse ~start =
           let prev, budget = start_point t ~thread ~start in
-          match List_walk.walk txn ~key ~prev ~budget with
+          match walk txn ~key ~prev ~budget with
           | `Found (_, curr) ->
               if split then begin
                 (* Reserve the target and commit; unlink in the next,
@@ -135,7 +148,7 @@ let remove_s t ~thread key =
         | Unlink n -> (
             match start with
             | Some s ->
-                assert (Lnode.equal s n);
+                assert (Dnode.equal s n);
                 unlink_and_reclaim t txn n;
                 Rr.Hoh.Finish true
             | None ->
@@ -169,31 +182,31 @@ let drain t = t.mode.Mode.drain ()
 
 let to_list t =
   let rec go acc n =
-    if n == Lnode.nil then List.rev acc
-    else go (Tm.peek n.Lnode.key :: acc) (Tm.peek n.Lnode.next)
+    if n == Dnode.nil then List.rev acc
+    else go (Tm.peek n.Dnode.key :: acc) (Tm.peek n.Dnode.next)
   in
-  go [] (Tm.peek t.head.Lnode.next)
+  go [] (Tm.peek t.head.Dnode.next)
 
 let size t = List.length (to_list t)
 
 let check t =
   let rec go prev n =
-    if n == Lnode.nil then Ok ()
+    if n == Dnode.nil then Ok ()
     else
-      let k = Tm.peek n.Lnode.key in
-      if k = Lnode.poisoned_key then
-        Error (Printf.sprintf "poisoned node %d linked" n.Lnode.id)
-      else if Lnode.peek_deleted n then
-        Error (Printf.sprintf "deleted node %d (key %d) linked" n.Lnode.id k)
+      let k = Tm.peek n.Dnode.key in
+      if k = Dnode.poisoned_key then
+        Error (Printf.sprintf "poisoned node %d linked" n.Dnode.id)
+      else if Dnode.peek_deleted n then
+        Error (Printf.sprintf "deleted node %d (key %d) linked" n.Dnode.id k)
       else if not (Mempool.is_live t.pool n) then
-        Error (Printf.sprintf "freed node %d (key %d) linked" n.Lnode.id k)
-      else if k <= Tm.peek prev.Lnode.key && prev != t.head then
+        Error (Printf.sprintf "freed node %d (key %d) linked" n.Dnode.id k)
+      else if k <= Tm.peek prev.Dnode.key && prev != t.head then
         Error (Printf.sprintf "keys not strictly sorted at %d" k)
-      else if Tm.peek n.Lnode.prev != prev then
+      else if Tm.peek n.Dnode.prev != prev then
         Error (Printf.sprintf "bad prev pointer at key %d" k)
-      else go n (Tm.peek n.Lnode.next)
+      else go n (Tm.peek n.Dnode.next)
   in
-  go t.head (Tm.peek t.head.Lnode.next)
+  go t.head (Tm.peek t.head.Dnode.next)
 
 let pool_stats t = Mempool.stats t.pool
 let pool_live t = Mempool.live t.pool

@@ -1,8 +1,8 @@
 (** The paper's Section 4.2 doubly linked list.
 
-    Traversal is identical to the singly linked list; nodes additionally
-    maintain [prev] pointers (set transactionally, so insertion/removal read
-    like sequential code). The substantive difference is removal: because a
+    Traversal is identical to the singly linked list's, over {!Dnode}s,
+    which add a [prev] pointer to {!Lnode}'s fields (set transactionally,
+    so insertion/removal read like sequential code). The substantive difference is removal: because a
     node's neighbours are reachable from the node itself, a [Remove] that
     finds its target can {e reserve it and commit}, then unlink and revoke
     in a separate, smaller transaction. If that second transaction finds

@@ -15,7 +15,6 @@ let create ~mode ?(buckets = 64) ?(window = 8) ?(scatter = true) ?adaptive
   let mode =
     Mode.create mode ~pool
       ~deleted:Lnode.deleted ~mark_deleted:Lnode.mark_deleted
-      ~rc:(fun n -> n.Lnode.rc)
       ~hash:Lnode.hash ~equal:Lnode.equal ?rr_config ?hp_threshold ()
   in
   {
@@ -101,8 +100,11 @@ let drain t = t.mode.Mode.drain ()
 let fold_buckets t f acc =
   Array.fold_left
     (fun acc head ->
+      (* stops at a self-linked node, as {!Hoh_list.to_list} does *)
       let rec go acc n =
-        if n == Lnode.nil then acc else go (f acc n) (Tm.peek n.Lnode.next)
+        if n == Lnode.nil then acc
+        else if Lnode.peek_deleted n then f acc n
+        else go (f acc n) (Tm.peek n.Lnode.next)
       in
       go acc (Tm.peek head.Lnode.next))
     acc t.heads

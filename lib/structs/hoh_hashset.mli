@@ -38,7 +38,8 @@ val finalize_thread : t -> thread:int -> unit
 val drain : t -> unit
 
 val to_list : t -> int list
-(** Sorted contents (quiescent). *)
+(** Sorted contents (quiescent). Like {!size}, each bucket's walk stops
+    at a self-linked node, so a corrupt link cannot spin it. *)
 
 val size : t -> int
 val check : t -> (unit, string) result

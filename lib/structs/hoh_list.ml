@@ -14,7 +14,6 @@ let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
   let mode =
     Mode.create mode ~pool
       ~deleted:Lnode.deleted ~mark_deleted:Lnode.mark_deleted
-      ~rc:(fun n -> n.Lnode.rc)
       ~hash:Lnode.hash ~equal:Lnode.equal ?rr_config ?hp_threshold ()
   in
   { mode; head = Lnode.sentinel ();
@@ -95,10 +94,15 @@ let lookup t ~thread key = fst (lookup_s t ~thread key)
 let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
+(* Tests the mark before following [next], so a self-linked node (the
+   corruption {!check} reports) ends the walk instead of spinning it. *)
 let to_list t =
   let rec go acc n =
     if n == Lnode.nil then List.rev acc
-    else go (Tm.peek n.Lnode.key :: acc) (Tm.peek n.Lnode.next)
+    else
+      let acc = Tm.peek n.Lnode.key :: acc in
+      if Lnode.peek_deleted n then List.rev acc
+      else go acc (Tm.peek n.Lnode.next)
   in
   go [] (Tm.peek t.head.Lnode.next)
 

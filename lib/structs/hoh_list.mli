@@ -59,6 +59,9 @@ val drain : t -> unit
 (** Quiescent inspection — only meaningful with no concurrent operations. *)
 
 val to_list : t -> int list
+(** Keys in list order. The walk stops at a node whose [next] points back
+    at itself (a corrupt link {!check} reports), so it always returns. *)
+
 val size : t -> int
 
 val check : t -> (unit, string) result

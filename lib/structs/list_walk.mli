@@ -1,5 +1,6 @@
-(** The windowed traversal loop shared by the singly and doubly linked
-    lists (the [while] of Listing 5). *)
+(** The windowed traversal loop of the singly linked lists, {!Hoh_list}
+    and {!Hoh_hashset} (the [while] of Listing 5), over {!Lnode}s.
+    {!Hoh_dlist} keeps its own copy over {!Dnode}s. *)
 
 val walk :
   Tm.txn ->

@@ -1,17 +1,20 @@
-(** List nodes shared by every list variant (singly/doubly linked;
-    RR / HTM / TMHP / REF reclamation).
+(** Singly linked list nodes: the paper's Listing 5 [{key, next}] node,
+    used by {!Hoh_list}, {!Hoh_hashset} and {!List_walk}. The doubly
+    linked list has its own node, {!Dnode}.
 
     All mutable content lives in tvars. A node's [id] is its simulated
     address: it is assigned once by the pool and survives free/reuse, so the
     revocable-reservation hash functions treat it exactly like the paper
     treats pointer values. A missing link is {!nil}, not an option, so a
     link write allocates nothing. A node is logically deleted when its
-    [prev] link points back at itself; no traversal reads [prev], so the
-    mark does not conflict with concurrent readers. Freed nodes are
-    poisoned ([key = poisoned_key], [next] reset to {!nil}, [prev]
-    marked) with version-bumping writes, so any doomed transaction still
-    looking at a freed node fails validation rather than observing stale
-    state, and a deletion check on it answers "deleted". *)
+    [next] link points back at itself: TMHP/EBR/REF removal writes that
+    mark in the transaction that unlinks the node, so no consistent
+    snapshot reaches a marked node through the list. Freed nodes are
+    poisoned ([key = poisoned_key], [next] marked) with version-bumping
+    writes, so any doomed transaction still looking at a freed node fails
+    validation rather than observing stale state, and a deletion check on
+    it answers "deleted". REF keeps its counts outside the node
+    ({!Mode.create}). *)
 
 type t = {
   mutable state : int;
@@ -20,17 +23,15 @@ type t = {
           {!Mempool.generation} derives the allocation count from it. *)
   id : int;
   key : int Tm.tvar;
-  next : t Tm.tvar;  (** {!nil} at the tail *)
-  prev : t Tm.tvar;
-      (** linked by the doubly linked list only; the node itself once
-          deleted (TMHP/EBR/REF validity, in every list) *)
-  rc : Reclaim.Rc.t;  (** reference count (REF variant only) *)
+  next : t Tm.tvar;
+      (** {!nil} at the tail; the node itself once deleted (TMHP/EBR/REF
+          removal, and poison in every mode) *)
 }
 
 val poisoned_key : int
 
 val nil : t
-(** The end of every list: one static node whose links point back at
+(** The end of every list: one static node whose link points back at
     itself. It is never allocated from or freed to a pool
     ({!Mempool.free} of it raises {!Mempool.Double_free}), and no code
     reads through it: test a link with [==] against [nil] first. *)
@@ -39,17 +40,19 @@ val make_pool : ?strategy:Mempool.strategy -> unit -> t Mempool.t
 (** A pool of list nodes with poisoning wired up. *)
 
 val deleted : Tm.txn -> t -> bool
-(** Whether [prev] points at the node itself; the test {!Mode.create}
+(** Whether [next] points at the node itself; the test {!Mode.create}
     takes. *)
 
 val mark_deleted : Tm.txn -> t -> unit
-(** Point [prev] at the node itself; the mark {!Mode.create} takes. *)
+(** Point [next] at the node itself; the mark {!Mode.create} takes. Write
+    it after reading [next] for the unlink. *)
 
 val peek_deleted : t -> bool
-(** {!deleted} outside any transaction, for structure checks. *)
+(** {!deleted} outside any transaction, for structure checks and the
+    quiescent walkers, which stop at a self-link. *)
 
 val sentinel : unit -> t
-(** A head/tail sentinel outside any pool ([id = -1]). *)
+(** A head sentinel outside any pool ([id = -1]). *)
 
 val hash : t -> int
 (** Mixes the node id; stable across the node's whole lifetime. *)
@@ -59,6 +62,6 @@ val equal : t -> t -> bool
     same pool slot. *)
 
 val alloc : t Mempool.t -> thread:int -> t
-(** Pool allocation plus link re-initialization (to {!nil}, which clears
-    the deletion mark) with non-transactional version-bumping writes. The
+(** Pool allocation plus a reset of [next] to {!nil} (which clears the
+    deletion mark) with a non-transactional version-bumping write. The
     caller sets [key] and links transactionally. *)

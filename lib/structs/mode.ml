@@ -192,8 +192,35 @@ let tmhp_mode ~pool ~deleted ~mark_deleted ~hp_threshold =
 (* REF: the reservation pins the node with a transactional reference count;
    everything (count, held-slot, deletion mark) is in tvars, so aborts roll
    the pin back — no rotation tricks needed. Whoever drops the count of an
-   already-deleted node to zero frees it. *)
-let ref_mode ~pool ~deleted ~mark_deleted ~rc =
+   already-deleted node to zero frees it.
+
+   The counts live here, not in the nodes: one tvar per pool id, in a
+   table that only grows (ids are dense from 0). A thread that finds the
+   table too short grows it under [grow], re-checking the length there
+   and copying the existing tvars, so every thread gets the same tvar for
+   an id. Nothing inside the lock yields to the DST scheduler. *)
+let ref_mode ~pool ~deleted ~mark_deleted =
+  let counts = Atomic.make [||] in
+  let grow = Mutex.create () in
+  let rc n =
+    let id = Mempool.id_of pool n in
+    let a = Atomic.get counts in
+    if id < Array.length a then a.(id)
+    else
+      Mutex.protect grow (fun () ->
+          let a = Atomic.get counts in
+          let len = Array.length a in
+          if id < len then a.(id)
+          else begin
+            let b =
+              Array.init
+                (max (id + 1) (2 * len))
+                (fun i -> if i < len then a.(i) else Reclaim.Rc.make 0)
+            in
+            Atomic.set counts b;
+            b.(id)
+          end)
+  in
   let held = Array.init Tm.Thread.max_threads (fun _ -> Tm.tvar None) in
   let free_if_dead txn n =
     if Reclaim.Rc.get txn (rc n) = 0 && deleted txn n then begin
@@ -374,16 +401,13 @@ let htm_mode ~pool ~deleted =
     hazard_metrics = (fun () -> None);
   }
 
-let create kind ~pool ~deleted ~mark_deleted ?rc ~hash ~equal ?rr_config
+let create kind ~pool ~deleted ~mark_deleted ~hash ~equal ?rr_config
     ?(hp_threshold = 64) () =
   let deleted = checked_deleted deleted in
   match kind with
   | Rr_kind m -> rr_mode m ~pool ~deleted ~hash ~equal ~rr_config
   | Htm -> htm_mode ~pool ~deleted
   | Tmhp -> tmhp_mode ~pool ~deleted ~mark_deleted ~hp_threshold
-  | Ref -> (
-      match rc with
-      | Some rc -> ref_mode ~pool ~deleted ~mark_deleted ~rc
-      | None -> invalid_arg "Mode.create: Ref needs ~rc")
+  | Ref -> ref_mode ~pool ~deleted ~mark_deleted
   | Ebr ->
       ebr_mode ~pool ~deleted ~mark_deleted ~advance_threshold:hp_threshold

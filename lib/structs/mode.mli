@@ -12,7 +12,8 @@
       publications and node validity becomes a transactional
       logical-deletion mark; reclamation is deferred and batched,
     - transactional reference counts (REF): window-start nodes are pinned by
-      a count; the last unpinner frees a deleted node.
+      a count, kept by the mode per pool id rather than in the node; the
+      last unpinner frees a deleted node.
 
     A mode bundles the reservation operations with two removal hooks:
     [invalidate] makes any outstanding reservation/resume point on a node
@@ -81,7 +82,6 @@ val create :
   pool:'n Mempool.t ->
   deleted:(Tm.txn -> 'n -> bool) ->
   mark_deleted:(Tm.txn -> 'n -> unit) ->
-  ?rc:('n -> Reclaim.Rc.t) ->
   hash:('n -> int) ->
   equal:('n -> 'n -> bool) ->
   ?rr_config:Rr.Config.t ->
@@ -91,9 +91,8 @@ val create :
 (** [deleted] tests a node's deletion mark transactionally and
     [mark_deleted] sets it; a poisoned (freed) node must test deleted.
     TMHP, EBR and REF mark on [invalidate] and test in their reservation
-    check. [rc] is the node's reference count, read only by [Ref]; node
-    types whose structures reject [Ref] carry none. [hp_threshold] is the TMHP
-    scan threshold (default 64, the paper's best setting). TMHP's recycle
-    check ({!tmhp_gen_violations}) reads each node's allocation count from
-    [pool] ({!Mempool.generation}).
-    @raise Invalid_argument for [Ref] without [rc]. *)
+    check. REF keeps each node's reference count itself, one tvar per
+    pool id ({!Mempool.id_of}), so nodes carry no count. [hp_threshold] is
+    the TMHP scan threshold (default 64, the paper's best setting). TMHP's
+    recycle check ({!tmhp_gen_violations}) reads each node's allocation
+    count from [pool] ({!Mempool.generation}). *)

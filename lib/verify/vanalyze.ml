@@ -60,7 +60,7 @@ let path_key p =
   | [ name ] -> ("", name)
   | [] -> ("", "")
 
-let node_modules = [ "Lnode"; "Snode"; "Tnode" ]
+let node_modules = [ "Lnode"; "Dnode"; "Snode"; "Tnode" ]
 
 let rec type_key ty =
   match Types.get_desc ty with
@@ -1045,8 +1045,9 @@ and apply_path ctx env (e : expression) p args =
       ctx.summary.Vsummary.may_raise <- true;
       note_raise ctx env ~loc ~definite:true;
       (env, Abot)
-  | ((("Mempool", "alloc") | (("Lnode" | "Snode" | "Tnode"), "alloc")), None)
-    ->
+  | ( ( ("Mempool", "alloc")
+      | (("Lnode" | "Dnode" | "Snode" | "Tnode"), "alloc") ),
+      None ) ->
       let env, _ = analyze_args ctx env args in
       if node_of_type e.exp_type <> `No then (env, Anode (Fresh, Plocal))
       else (env, Aother)

@@ -30,6 +30,7 @@ let dlist_factories =
   @ [
       spec Spec.Dlist Structs.Mode.Htm;
       spec ~window:3 Spec.Dlist Structs.Mode.Tmhp;
+      spec ~window:3 Spec.Dlist Structs.Mode.Ref;
       spec ~window:3 Spec.Dlist Structs.Mode.Ebr;
     ]
 
@@ -52,6 +53,7 @@ let hashset_factories =
   @ [
       spec ~buckets:4 Spec.Hashset Structs.Mode.Htm;
       spec ~buckets:4 ~window:3 Spec.Hashset Structs.Mode.Tmhp;
+      spec ~buckets:4 ~window:3 Spec.Hashset Structs.Mode.Ref;
       spec ~buckets:4 ~window:3 Spec.Hashset Structs.Mode.Ebr;
     ]
 
@@ -183,6 +185,31 @@ let windowed_tests =
       ("skiplist", Spec.Skiplist, None);
       ("bst-int", Spec.Bst_int, None);
       ("bst-ext", Spec.Bst_ext, None);
+    ]
+
+(* REF keeps its counts in the mode, one per pool id, not in the nodes.
+   Over every structure that runs REF, the model must agree and, after
+   the thread finalizes and the mode drains, every live pool node must be
+   a linked one: a count left pinned or a free skipped shows as a leak. *)
+let qcheck_ref_no_leaks (family, structure, buckets) =
+  QCheck.Test.make
+    ~name:(Printf.sprintf "%s/REF model, no leaked nodes" family)
+    ~count:40 arb_windowed
+    (fun (window, ops) ->
+      Tm.Thread.with_registered (fun tid ->
+          let h =
+            (spec ~window ?buckets structure Structs.Mode.Ref).Factories.make
+              ()
+          in
+          agrees_with_model h tid ops
+          && Store.pool_live h = Some (Store.size h)))
+
+let ref_tests =
+  List.map qcheck_ref_no_leaks
+    [
+      ("slist", Spec.Slist, None);
+      ("dlist", Spec.Dlist, None);
+      ("hashset", Spec.Hashset, Some 4);
     ]
 
 (* ---- targeted unit tests ---- *)
@@ -444,25 +471,119 @@ let test_mode_restrictions () =
     (match Structs.Hoh_bst_ext.create ~mode:Structs.Mode.Ref () with
     | _ -> false
     | exception Invalid_argument _ -> true);
-  checkb "REF needs a reference count" true
-    (match
-       Structs.Mode.create Structs.Mode.Ref
-         ~pool:(Structs.Tnode.make_pool ())
-         ~deleted:Structs.Tnode.deleted
-         ~mark_deleted:Structs.Tnode.mark_deleted
-         ~hash:Structs.Tnode.hash
-         ~equal:Structs.Tnode.equal ()
-     with
+  checkb "internal tree rejects REF" true
+    (match Structs.Hoh_bst_int.create ~mode:Structs.Mode.Ref () with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  checkb "skiplist rejects REF" true
+    (match Structs.Hoh_skiplist.create ~mode:Structs.Mode.Ref () with
     | _ -> false
     | exception Invalid_argument _ -> true)
+
+(* REF's count table grows on demand, under a lock, while other threads
+   read it without one. One domain inserts ascending keys, so every insert
+   walks to the tail and reserves ever newer pool ids: the table grows
+   from empty through about nine doublings. Meanwhile the other domain
+   reserves through lookups and removes over the same keys, reading the
+   table as it is replaced. A count lost in a copy would pin a node or
+   free one twice. *)
+let test_ref_count_table_growth () =
+  let keys = 512 in
+  let l = Structs.Hoh_list.create ~mode:Structs.Mode.Ref ~window:4 () in
+  let inserted = Atomic.make false in
+  let churn =
+    Domain.spawn (fun () ->
+        Tm.Thread.with_registered (fun thread ->
+            let rng = Test_util.Prng.create 17 in
+            let ops = ref 0 in
+            while (not (Atomic.get inserted)) || !ops < 500 do
+              incr ops;
+              let k = 1 + Test_util.Prng.int rng keys in
+              if Test_util.Prng.int rng 4 = 0 then
+                ignore (Structs.Hoh_list.remove l ~thread k)
+              else ignore (Structs.Hoh_list.lookup l ~thread k)
+            done;
+            Structs.Hoh_list.finalize_thread l ~thread))
+  in
+  Tm.Thread.with_registered (fun thread ->
+      for k = 1 to keys do
+        ignore (Structs.Hoh_list.insert l ~thread k)
+      done;
+      Structs.Hoh_list.finalize_thread l ~thread);
+  Atomic.set inserted true;
+  Domain.join churn;
+  Structs.Hoh_list.drain l;
+  checkb "more than 256 pool ids: several doublings" true
+    ((Structs.Hoh_list.pool_stats l).Mempool.Stats.fresh > 256);
+  checkb "check ok" true (Structs.Hoh_list.check l = Ok ());
+  check "leaked" 0
+    (Structs.Hoh_list.pool_live l - Structs.Hoh_list.size l)
+
+(* A quiescent walk tests the deletion mark before it follows [next], so a
+   self-linked node ends it: [check] names the node, and [to_list] and
+   the hash set's fold return. [Hoh_list.t] and [Hoh_hashset.t] are
+   abstract, so the test reaches the head sentinels through the records'
+   field 1 ([head], [heads]); the guards fail the test, rather than crash
+   it, if that layout moves. *)
+let test_self_link_ends_walks () =
+  let field1 name v =
+    let f = Obj.field (Obj.repr v) 1 in
+    checkb (name ^ ": field 1 is a block") true (Obj.is_block f);
+    f
+  in
+  let sentinel name f : Structs.Lnode.t =
+    check (name ^ ": a 4-field node") 4 (Obj.size f);
+    let h : Structs.Lnode.t = Obj.obj f in
+    check (name ^ ": the sentinel") (-1) h.Structs.Lnode.id;
+    h
+  in
+  let self_link h ~nth =
+    let rec go n i =
+      if i = 0 then n else go (Tm.peek n.Structs.Lnode.next) (i - 1)
+    in
+    let n = go h nth in
+    Tm.poke n.Structs.Lnode.next n;
+    n
+  in
+  Tm.Thread.with_registered (fun thread ->
+      let rr = Structs.Mode.Rr_kind (module Rr.V) in
+      let l = Structs.Hoh_list.create ~mode:rr () in
+      List.iter
+        (fun k -> ignore (Structs.Hoh_list.insert l ~thread k))
+        [ 1; 2; 3; 4 ];
+      let n = self_link (sentinel "slist" (field1 "slist" l)) ~nth:2 in
+      Alcotest.(check (result unit string))
+        "slist: check names the node"
+        (Error
+           (Printf.sprintf "deleted node %d (key 2) linked" n.Structs.Lnode.id))
+        (Structs.Hoh_list.check l);
+      Alcotest.(check (list int))
+        "slist: to_list stops at it" [ 1; 2 ] (Structs.Hoh_list.to_list l);
+      check "slist: size" 2 (Structs.Hoh_list.size l);
+      let h = Structs.Hoh_hashset.create ~mode:rr ~buckets:1 () in
+      List.iter
+        (fun k -> ignore (Structs.Hoh_hashset.insert h ~thread k))
+        [ 1; 2; 3; 4 ];
+      let heads : Obj.t = field1 "hashset" h in
+      check "hashset: one bucket" 1 (Obj.size heads);
+      let n = self_link (sentinel "hashset" (Obj.field heads 0)) ~nth:3 in
+      Alcotest.(check (result unit string))
+        "hashset: check names the node"
+        (Error (Printf.sprintf "deleted node %d linked" n.Structs.Lnode.id))
+        (Structs.Hoh_hashset.check h);
+      Alcotest.(check (list int))
+        "hashset: to_list stops at it" [ 1; 2; 3 ]
+        (Structs.Hoh_hashset.to_list h);
+      check "hashset: size" 3 (Structs.Hoh_hashset.size h))
 
 (* Per-node footprint in words, pinned so a field or block added to a node
    shows up here. A node record is a header plus one word per field, the
    first of which is the pool's state word; a tvar is 4 (one block:
    header, lock word, payload, uid). A link holds the node or the module's
    shared [nil] directly, with no option box, and [nil] is not counted.
-   Only [Lnode] carries a reference count, the one tvar REF mode reads:
-   the trees and the skiplist reject REF. *)
+   No node carries a reference count: REF keeps its counts in the mode.
+   Each list has its exact-fit node: [Lnode] is the singly linked
+   [{key, next}], and only the doubly linked [Dnode] has a [prev]. *)
 let test_node_layout () =
   Tm.Thread.with_registered (fun tid ->
       let words name pool alloc nil =
@@ -485,11 +606,14 @@ let test_node_layout () =
         (words "tnode"
            (Structs.Tnode.make_pool ())
            Structs.Tnode.alloc Structs.Tnode.nil);
-      check "lnode: 6 fields, 4 tvars, rc included (23)"
-        (record 6 + (4 * tvar))
+      check "lnode: 4 fields, 2 tvars (13)" (record 4 + (2 * tvar))
         (words "lnode"
            (Structs.Lnode.make_pool ())
            Structs.Lnode.alloc Structs.Lnode.nil);
+      check "dnode: 5 fields, 3 tvars (18)" (record 5 + (3 * tvar))
+        (words "dnode"
+           (Structs.Dnode.make_pool ())
+           Structs.Dnode.alloc Structs.Dnode.nil);
       check "snode: 5 fields, 2 tvars, a tower of 16 (95)"
         (record 5 + (2 * tvar) + record Structs.Snode.max_level
         + (Structs.Snode.max_level * tvar))
@@ -524,11 +648,19 @@ let test_structure_footprint () =
         ~insert:(fun i ->
           Structs.Hoh_bst_int.insert bst ~thread (i * 7919 mod 4099))
         ~repr:(fun () -> Obj.repr bst);
-      let sl = Structs.Hoh_list.create ~mode:rr () in
       (* descending keys insert at the head: O(1) per insert *)
-      per_key "slist" ~node_words:23
+      let sl = Structs.Hoh_list.create ~mode:rr () in
+      per_key "slist" ~node_words:13
         ~insert:(fun i -> Structs.Hoh_list.insert sl ~thread (10_000 - i))
-        ~repr:(fun () -> Obj.repr sl))
+        ~repr:(fun () -> Obj.repr sl);
+      let dl = Structs.Hoh_dlist.create ~mode:rr () in
+      per_key "dlist" ~node_words:18
+        ~insert:(fun i -> Structs.Hoh_dlist.insert dl ~thread (10_000 - i))
+        ~repr:(fun () -> Obj.repr dl);
+      let hs = Structs.Hoh_hashset.create ~mode:rr () in
+      per_key "hashset" ~node_words:13
+        ~insert:(fun i -> Structs.Hoh_hashset.insert hs ~thread (10_000 - i))
+        ~repr:(fun () -> Obj.repr hs))
 
 let test_skiplist_structure () =
   Tm.Thread.with_registered (fun tid ->
@@ -687,6 +819,10 @@ let () =
             test_bst_ext_structure;
           Alcotest.test_case "key range" `Quick test_key_range_checks;
           Alcotest.test_case "mode restrictions" `Quick test_mode_restrictions;
+          Alcotest.test_case "ref: count table growth" `Quick
+            test_ref_count_table_growth;
+          Alcotest.test_case "self-link ends walks" `Quick
+            test_self_link_ends_walks;
           Alcotest.test_case "node layout" `Quick test_node_layout;
           Alcotest.test_case "structure footprint" `Quick
             test_structure_footprint;
@@ -704,4 +840,5 @@ let () =
           all_factories );
       ( "windowed-properties",
         List.map QCheck_alcotest.to_alcotest windowed_tests );
+      ("ref-properties", List.map QCheck_alcotest.to_alcotest ref_tests);
     ]
