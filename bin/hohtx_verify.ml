@@ -73,7 +73,7 @@ let () =
   in
   (match !format with
   | "json" ->
-      print_string (Vdiag.to_json ~tool:"hohtx_verify" ~alias:"@verify" diags sups);
+      print_string (Vdiag.to_json diags sups);
       print_newline ()
   | "github" ->
       if print_diags then List.iter (Vdiag.pp_github stdout) diags;
@@ -82,7 +82,7 @@ let () =
           (List.length files) (List.length sups)
   | _ ->
       if print_diags then
-        List.iter (Vdiag.pp_text ~alias:"@verify" stdout) diags;
+        List.iter (Vdiag.pp_text stdout) diags;
       if diags = [] && not !quiet then
         Printf.printf "hohtx_verify: OK (%d files, 0 diagnostics, %d \
                        [@hohtx.trusted] suppressions)\n"

@@ -6,8 +6,8 @@ open Structs
 
 let search_from_hint_bad (head : Lnode.t Tm.tvar) k =
   let start = ref Lnode.nil in
-  Tm.atomic (fun txn -> start := Tm.read txn head);
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.hint" (fun txn -> start := Tm.read txn head);
+  Tm.atomic ~site:"fixture.search" (fun txn ->
       let n = if !start != Lnode.nil then !start else Tm.read txn head in
       if n == Lnode.nil then raise Exit;
       (* stale hint used unrevalidated: no ops.get between windows *)

@@ -10,8 +10,8 @@ let find_or_fail (ops : Lnode.t Rr.ops) txn n =
 
 let bad_deref_exn_path (t : Lnode.t Tm.tvar) (ops : Lnode.t Rr.ops) =
   let cur = ref Lnode.nil in
-  Tm.atomic (fun txn -> cur := Tm.read txn t);
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.deref_exn_path" (fun txn -> cur := Tm.read txn t);
+  Tm.atomic ~site:"fixture.deref_exn_path" (fun txn ->
       let n = !cur in
       if n == Lnode.nil then 0
       else

@@ -5,8 +5,8 @@ open Structs
 
 let bad_deref_unchecked (t : Lnode.t Tm.tvar) =
   let cur = ref Lnode.nil in
-  Tm.atomic (fun txn -> cur := Tm.read txn t);
+  Tm.atomic ~site:"fixture.deref_unchecked" (fun txn -> cur := Tm.read txn t);
   (* new window: [!cur] is a carried pointer, never re-checked *)
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.deref_unchecked" (fun txn ->
       let n = !cur in
       if n == Lnode.nil then 0 else Tm.read txn n.Lnode.key)

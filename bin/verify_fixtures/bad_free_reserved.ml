@@ -5,7 +5,7 @@ open Structs
 
 let bad_free_reserved (pool : Lnode.t Mempool.t) (t : Lnode.t Tm.tvar)
     (ops : Lnode.t Rr.ops) =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.free_reserved" (fun txn ->
       let n = Tm.read txn t in
       ops.Rr.reserve txn n;
       Tm.defer txn (fun () -> Mempool.free pool ~thread:0 n);

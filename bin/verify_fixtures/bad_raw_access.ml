@@ -4,6 +4,6 @@ open Structs
    bypasses the TM — no version bump, no validation. *)
 
 let bad_raw_access (t : Lnode.t Tm.tvar) =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.raw_access" (fun txn ->
       let n = Tm.read txn t in
       Tm.poke n.Lnode.key 0)

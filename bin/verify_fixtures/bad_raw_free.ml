@@ -5,7 +5,7 @@ open Structs
 
 let bad_raw_free (pool : Lnode.t Mempool.t) (t : Lnode.t Tm.tvar)
     (ops : Lnode.t Rr.ops) =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.raw_free" (fun txn ->
       let n = Tm.read txn t in
       ops.Rr.revoke txn n;
       Mempool.free pool ~thread:0 n)

@@ -4,7 +4,7 @@ open Structs
    revoked, nor handed over. *)
 
 let bad_resv_leak (t : Lnode.t Tm.tvar) (ops : Lnode.t Rr.ops) =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.resv_leak" (fun txn ->
       let n = Tm.read txn t in
       ops.Rr.reserve txn n;
       Tm.read txn n.Lnode.key)

@@ -4,7 +4,7 @@ open Structs
    reservation still live; only the miss-branch releases. *)
 
 let bad_resv_leak_return (t : Lnode.t Tm.tvar) (ops : Lnode.t Rr.ops) k =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.resv_leak_return" (fun txn ->
       let n = Tm.read txn t in
       if n == Lnode.nil then false
       else begin

@@ -5,7 +5,7 @@ open Structs
 
 let unlink_bad (pool : Dnode.t Mempool.t) (head : Dnode.t Tm.tvar)
     (ops : Dnode.t Rr.ops) =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.uaf_dlist" (fun txn ->
       let n = Tm.read txn head in
       ops.Rr.reserve txn n;
       let nx = Tm.read txn n.Dnode.next in

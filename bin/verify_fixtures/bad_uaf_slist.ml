@@ -6,7 +6,7 @@ open Structs
    statically. *)
 
 let remove_bad (pool : Lnode.t Mempool.t) (head : Lnode.t Tm.tvar) k =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.uaf_slist" (fun txn ->
       let curr = Tm.read txn head in
       if curr == Lnode.nil then false
       else if Tm.read txn curr.Lnode.key = k then begin

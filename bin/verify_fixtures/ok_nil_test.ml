@@ -7,7 +7,7 @@ open Structs
 
 let ok_nil_test (t : Lnode.t Tm.tvar) =
   let cur = ref Lnode.nil in
-  Tm.atomic (fun txn -> cur := Tm.read txn t);
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.nil_test" (fun txn -> cur := Tm.read txn t);
+  Tm.atomic ~site:"fixture.nil_test" (fun txn ->
       let n = !cur in
       if n != Lnode.nil then false else Tm.read txn n.Lnode.next == n)

@@ -7,6 +7,6 @@ open Structs
 let[@hohtx.trusted
      "fixture: exercises the suppression path; the free is unreachable"]
     ok_waived (pool : Lnode.t Mempool.t) (t : Lnode.t Tm.tvar) =
-  Tm.atomic (fun txn ->
+  Tm.atomic ~site:"fixture.trusted" (fun txn ->
       let n = Tm.read txn t in
       if false then Mempool.free pool ~thread:0 n)

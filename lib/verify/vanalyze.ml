@@ -47,8 +47,41 @@ let strip_prefix s =
   let k = last_sep 0 0 in
   if k > 0 && k < n then String.sub s k (n - k) else s
 
+(* The module aliases of the file under analysis ([module H = Rr.Hoh],
+   [let module T = Tm in ...]), keyed by the alias's unique ident. A
+   typedtree path names an alias as written ([H.apply]), so [path_parts]
+   expands it to what it stands for, alias of an alias included. *)
+let aliases : (string, Path.t) Hashtbl.t = Hashtbl.create 16
+
+let collect_aliases (str : structure) =
+  Hashtbl.reset aliases;
+  let note id (me : module_expr) =
+    match me.mod_desc with
+    | Tmod_ident (p, _) -> Hashtbl.replace aliases (stamp id) p
+    | _ -> ()
+  in
+  let it =
+    {
+      Tast_iterator.default_iterator with
+      module_binding =
+        (fun self mb ->
+          Option.iter (fun id -> note id mb.mb_expr) mb.mb_id;
+          Tast_iterator.default_iterator.module_binding self mb);
+      expr =
+        (fun self e ->
+          (match e.exp_desc with
+          | Texp_letmodule (Some id, _, _, me, _) -> note id me
+          | _ -> ());
+          Tast_iterator.default_iterator.expr self e);
+    }
+  in
+  it.structure it str
+
 let rec path_parts = function
-  | Path.Pident id -> [ strip_prefix (Ident.name id) ]
+  | Path.Pident id -> (
+      match Hashtbl.find_opt aliases (stamp id) with
+      | Some p -> path_parts p
+      | None -> [ strip_prefix (Ident.name id) ])
   | Path.Pdot (p, s) -> path_parts p @ [ strip_prefix s ]
   | Path.Papply (f, _) -> path_parts f
   | Path.Pextra_ty (p, _) -> path_parts p
@@ -373,6 +406,31 @@ let note_raise ctx env ~loc ~definite =
           :: acc.x_traces
   | None -> ()
 
+(* A free that runs right away, not in a [Tm.defer] callback, a [~free]
+   closure or a [Tm.current_txn] [None] branch: HV006 inside a
+   transaction, and the summary bit that carries it to the callers. *)
+let eager_free ctx ~loc msg =
+  if not (ctx.free_ok || ctx.no_txn) then begin
+    ctx.summary.Vsummary.eager_free <- true;
+    if ctx.in_txn then report ctx ~loc ~rule:"non-deferred-free" msg
+  end
+
+(* An omitted [?site] is the ghost [None] the type checker fills in. *)
+let omits_site args =
+  List.exists
+    (function
+      | ( Asttypes.Optional "site",
+          Some
+            {
+              exp_desc =
+                Texp_construct (_, { Types.cstr_name = "None"; _ }, []);
+              exp_loc;
+              _;
+            } ) ->
+          exp_loc.Location.loc_ghost
+      | _ -> false)
+    args
+
 (* ---- the expression interpreter ---- *)
 
 let rec state_of_aval = function
@@ -509,7 +567,7 @@ and analyze_expr ctx env (e : expression) : env * aval =
   | Texp_function _ ->
       (* an anonymous closure in value position: analyze its body (it may
          violate rules internally); callers treat it as opaque *)
-      ignore (analyze_lambda ctx env ~name:"<lambda>" e);
+      analyze_closure ctx env ~name:"<lambda>" e;
       (env, Aother)
   | Texp_apply (fn, args) -> analyze_apply ctx env e fn args
   | Texp_match (scrut, cases, _) -> analyze_match ctx env e scrut cases
@@ -864,17 +922,29 @@ and set_node_state env (a : expression) st =
 
 and analyze_lambda_args ctx env args =
   (* analyze lambda args that were deferred by [analyze_args], in plain
-     context (used when the callee is unknown) *)
+     context (used when the callee is unknown); a [~free] closure is a
+     reclaimer's deferred free, so frees are sanctioned inside it *)
   List.iter
-    (fun (_, arg) ->
+    (fun (lbl, arg) ->
       match arg with
       | Some ((a : expression), _) -> (
           match a.exp_desc with
           | Texp_function _ ->
-              ignore (analyze_lambda ctx env ~name:"<lambda>" a)
+              let ctx =
+                if lbl = Asttypes.Labelled "free" then
+                  { ctx with free_ok = true }
+                else ctx
+              in
+              analyze_closure ctx env ~name:"<lambda>" a
           | _ -> ())
       | None -> ())
     args
+
+(* An anonymous closure may run as soon as it is built, so its eager
+   frees count as the enclosing function's. *)
+and analyze_closure ?start_checked ?window_entry ctx env ~name e =
+  let s = analyze_lambda ?start_checked ?window_entry ctx env ~name e in
+  if s.Vsummary.eager_free then ctx.summary.Vsummary.eager_free <- true
 
 and analyze_apply ctx env (e : expression) fn args =
   match fn.exp_desc with
@@ -968,10 +1038,6 @@ and apply_mode_op ctx env e op args =
 
 and free_checks ctx env ~loc (a : expression) v =
   on_param ctx (prov_of_aval v) (fun pt -> pt.frees <- true);
-  if ctx.in_txn && (not ctx.free_ok) && not ctx.no_txn then
-    report ctx ~loc ~rule:"non-deferred-free"
-      "Mempool.free inside a transaction without Tm.defer / a ~free \
-       closure: the free races the window's revoke";
   let stamp = ident_of a in
   if
     List.exists
@@ -1045,14 +1111,15 @@ and apply_path ctx env (e : expression) p args =
       ctx.summary.Vsummary.may_raise <- true;
       note_raise ctx env ~loc ~definite:true;
       (env, Abot)
-  | ( ( ("Mempool", "alloc")
-      | (("Lnode" | "Dnode" | "Snode" | "Tnode"), "alloc") ),
-      None ) ->
+  | ((m, "alloc"), None) when m = "Mempool" || List.mem m node_modules ->
       let env, _ = analyze_args ctx env args in
       if node_of_type e.exp_type <> `No then (env, Anode (Fresh, Plocal))
       else (env, Aother)
   | (("Mempool", "free"), None) -> (
       let env, args = analyze_args ctx env args in
+      eager_free ctx ~loc
+        "Mempool.free inside a transaction without Tm.defer / a ~free \
+         closure: the free races the window's revoke";
       match node_arg args with
       | Some (a, v) -> (free_checks ctx env ~loc a v, Aother)
       | None -> (env, Aother))
@@ -1141,6 +1208,12 @@ and apply_path ctx env (e : expression) p args =
   | (("Tm", ("atomic" | "atomic_stamped")), None)
   | (("Hoh", ("apply" | "apply_stamped" | "run")), None) ->
       let is_hoh = fst key = "Hoh" in
+      if omits_site args then
+        report ctx ~loc ~rule:"site-label"
+          (Printf.sprintf
+             "%s without ~site: its aborts and sanitizer reports cannot \
+              name the operation"
+             (String.concat "." (path_parts p)));
       let env, args = analyze_args ctx env args in
       List.iter
         (fun (_, arg) ->
@@ -1148,12 +1221,11 @@ and apply_path ctx env (e : expression) p args =
           | Some ((a : expression), _) -> (
               match a.exp_desc with
               | Texp_function _ ->
-                  ignore
-                    (analyze_lambda
-                       { ctx with in_txn = true; free_ok = false }
-                       env
-                       ~name:(if is_hoh then "<step>" else "<atomic>")
-                       ~start_checked:is_hoh ~window_entry:true a)
+                  analyze_closure
+                    { ctx with in_txn = true; free_ok = false }
+                    env
+                    ~name:(if is_hoh then "<step>" else "<atomic>")
+                    ~start_checked:is_hoh ~window_entry:true a
               | _ -> ())
           | None -> ())
         args;
@@ -1189,6 +1261,11 @@ and apply_summary ctx env (e : expression) (s : Vsummary.t) args =
   (* the callee's effects are the caller's effects: a recursive retry
      loop that releases through a helper must itself count as releasing *)
   if s.Vsummary.releases_all then ctx.summary.Vsummary.releases_all <- true;
+  if s.Vsummary.eager_free then
+    eager_free ctx ~loc
+      "this call runs Mempool.free outside Tm.defer / a ~free closure \
+       (possibly further down its callees) inside a transaction: the free \
+       races the window's revoke";
   let env = if s.Vsummary.releases_all then discharge env ~node:None else env in
   (* positional node params: walk provided args in order, matching the
      callee's rows in order of node-typed arguments *)

@@ -1,10 +1,8 @@
-(* Diagnostics for the hohtx static tools.
+(* Diagnostics of hohtx_verify, the static checker.
 
-   One schema (hohtx-diag/1) shared by hohtx_verify and hohtx_lint --json,
-   so CI and editors consume both tools through one parser. A diagnostic
-   names the rule, the source position, and — for the path-sensitive
-   verifier — the offending control-flow path, plus a one-line repro
-   command in the soak/DST convention. *)
+   The --format json rendering is the hohtx-diag/1 schema. A diagnostic
+   names the rule, the source position, the offending control-flow path,
+   and a one-line repro command in the soak/DST convention. *)
 
 type rule = {
   id : string;  (* stable SARIF ruleId, e.g. "reservation-leak" *)
@@ -34,15 +32,19 @@ let rules : rule list =
       summary = "a node already revoked/invalidated is revoked again" };
     { id = "non-deferred-free"; code = "HV006";
       summary =
-        "Mempool.free runs inside a transaction without Tm.defer / a \
-         ~free closure, racing the window's revoke" };
+        "Mempool.free runs inside a transaction, directly or through a \
+         callee, without Tm.defer / a ~free closure, racing the window's \
+         revoke" };
     { id = "raw-access"; code = "HV009";
       summary =
-        "non-transactional access (Tm.peek/Tm.poke, raw Atomic) to a \
-         shared node's payload inside a transaction" };
+        "non-transactional access (Tm.peek/Tm.poke) to a shared node's \
+         payload inside a transaction" };
+    { id = "site-label"; code = "HV010";
+      summary =
+        "a transaction entry (Tm.atomic, Tm.atomic_stamped, Hoh.apply, \
+         Hoh.apply_stamped, Hoh.run) omits ?site, so its aborts and \
+         sanitizer reports cannot name the operation" };
   ]
-
-let find_rule id = List.find_opt (fun r -> r.id = id) rules
 
 type t = {
   rule : string;
@@ -57,11 +59,11 @@ type t = {
 
 type suppression = { s_file : string; s_line : int; reason : string }
 
-let repro ~alias d =
-  Printf.sprintf "dune build %s   # or: --filter %s" alias
+let repro d =
+  Printf.sprintf "dune build @verify   # or: --filter %s"
     (Filename.basename d.file)
 
-let pp_text ?(alias = "@verify") oc d =
+let pp_text oc d =
   Printf.fprintf oc "%s:%d:%d: [%s] %s%s\n" d.file d.line d.col d.rule
     d.message
     (if d.fn = "" then "" else Printf.sprintf " (in %s)" d.fn);
@@ -69,7 +71,7 @@ let pp_text ?(alias = "@verify") oc d =
   | [] -> ()
   | p ->
       Printf.fprintf oc "  path: %s\n" (String.concat " -> " p));
-  Printf.fprintf oc "  repro: %s\n" (repro ~alias d)
+  Printf.fprintf oc "  repro: %s\n" (repro d)
 
 let pp_github oc d =
   Printf.fprintf oc "::error file=%s,line=%d,col=%d::[%s] %s%s\n" d.file
@@ -96,22 +98,22 @@ let json_escape s =
     s;
   Buffer.contents b
 
-let diag_json ~alias d =
+let diag_json d =
   Printf.sprintf
     "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"message\":\"%s\",\"path\":[%s],\"repro\":\"%s\"}"
     (json_escape d.file) d.line d.col (json_escape d.rule)
     (json_escape d.message)
     (String.concat ","
        (List.map (fun p -> "\"" ^ json_escape p ^ "\"") d.path))
-    (json_escape (repro ~alias d))
+    (json_escape (repro d))
 
-let to_json ~tool ~alias (diags : t list) (sups : suppression list) =
+let to_json (diags : t list) (sups : suppression list) =
   let b = Buffer.create 1024 in
   Buffer.add_string b
-    (Printf.sprintf "{\"schema\":\"hohtx-diag/1\",\"tool\":\"%s\"," tool);
+    "{\"schema\":\"hohtx-diag/1\",\"tool\":\"hohtx_verify\",";
   Buffer.add_string b
     (Printf.sprintf "\"diagnostics\":[%s],"
-       (String.concat "," (List.map (diag_json ~alias) diags)));
+       (String.concat "," (List.map diag_json diags)));
   Buffer.add_string b
     (Printf.sprintf "\"suppressions\":[%s],"
        (String.concat ","

@@ -1,11 +1,11 @@
 (* Driver: load .cmt typedtrees, compute bottom-up summaries, then run
    the diagnostic pass.
 
-   Files are analyzed in the order given (the dune rules list them in
-   dependency order: tm → mempool → core → reclaim → structs). The
-   summary pass runs twice so intra- and cross-module recursion reaches
-   its (tiny) fixpoint before anything is reported; the per-file
-   [ref_accum] tables also persist across passes, which is what lets a
+   Files may come in any order. Silent summary passes repeat until
+   neither the summary table nor any per-file [ref_accum] table changes,
+   so a callee's row reaches its callers however many files and calls
+   lie between them, and recursion settles, before anything is reported.
+   The [ref_accum] tables persist across passes, which is what lets a
    window entry age a ref cell by the join of every assignment anywhere
    in the enclosing function, not just the ones already seen. *)
 
@@ -72,38 +72,9 @@ and analyze_item ctx env (item : structure_item) =
           | Tpat_var (id, _), Texp_function _ ->
               let name = Ident.name id in
               let ctx =
-                match Vanalyze.trusted_attr vb.vb_attributes with
-                | Some (aloc, reason) ->
-                    let aloc =
-                      if aloc = Location.none then vb.vb_loc else aloc
-                    in
-                    if ctx.Vanalyze.out.Vanalyze.emit then begin
-                      let file, line, _ = Vanalyze.loc_pos aloc in
-                      match reason with
-                      | Some r ->
-                          ctx.Vanalyze.out.Vanalyze.sups <-
-                            { Vdiag.s_file = file; s_line = line; reason = r }
-                            :: ctx.Vanalyze.out.Vanalyze.sups
-                      | None ->
-                          ctx.Vanalyze.out.Vanalyze.diags <-
-                            {
-                              Vdiag.rule = "trusted-without-reason";
-                              file;
-                              line;
-                              col = 0;
-                              message =
-                                "[@hohtx.trusted] must carry a reason \
-                                 string explaining why the verifier is \
-                                 being waved through";
-                              path = [];
-                              fn = name;
-                            }
-                            :: ctx.Vanalyze.out.Vanalyze.diags
-                    end;
-                    if reason <> None then
-                      { ctx with Vanalyze.trusted = true }
-                    else ctx
-                | None -> ctx
+                Vanalyze.enter_trusted
+                  { ctx with Vanalyze.fname = name }
+                  ~loc:vb.vb_loc vb.vb_attributes
               in
               let s = Vanalyze.analyze_lambda ctx env ~name vb.vb_expr in
               Vsummary.record ~modname:ctx.Vanalyze.modname ~name s;
@@ -129,6 +100,7 @@ and analyze_module_binding ctx env (mb : module_binding) =
   env
 
 let analyze_file ~out (f : file) =
+  Vanalyze.collect_aliases f.f_structure;
   let ctx = mk_ctx ~modname:f.f_modname ~ref_accum:f.f_ref_accum ~out in
   ignore (analyze_structure ctx Vanalyze.empty_env f.f_structure)
 
@@ -137,9 +109,21 @@ let run paths =
   Vsummary.reset ();
   let files = List.filter_map load_cmt paths in
   let silent = { Vanalyze.diags = []; sups = []; emit = false } in
-  (* two summary passes for recursion/late bindings *)
-  List.iter (analyze_file ~out:silent) files;
-  List.iter (analyze_file ~out:silent) files;
+  let sorted tbl =
+    List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
+  in
+  let tables () =
+    (sorted Vsummary.table, List.map (fun f -> sorted f.f_ref_accum) files)
+  in
+  (* The bound turns a table that never settles into an error instead
+     of a hang. *)
+  let rec settle passes before =
+    if passes > 100 then failwith "Verify.run: summaries did not settle";
+    List.iter (analyze_file ~out:silent) files;
+    let after = tables () in
+    if after <> before then settle (passes + 1) after
+  in
+  settle 1 (tables ());
   let out = { Vanalyze.diags = []; sups = []; emit = true } in
   List.iter (analyze_file ~out) files;
   let cmp_pos (a : Vdiag.t) (b : Vdiag.t) =

@@ -38,8 +38,7 @@ let suppression_json (s : Vdiag.suppression) =
     (location_json ~file:s.Vdiag.s_file ~line:s.Vdiag.s_line ~col:1)
     (esc s.Vdiag.reason)
 
-let to_string ?(tool = "hohtx_verify") ?(version = "1.0.0")
-    (diags : Vdiag.t list) (sups : Vdiag.suppression list) =
+let to_string (diags : Vdiag.t list) (sups : Vdiag.suppression list) =
   let results =
     List.map result_json diags @ List.map suppression_json sups
   in
@@ -47,8 +46,7 @@ let to_string ?(tool = "hohtx_verify") ?(version = "1.0.0")
     [
       "{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",";
       "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{";
-      Printf.sprintf "\"name\":\"%s\",\"version\":\"%s\"," (esc tool)
-        (esc version);
+      "\"name\":\"hohtx_verify\",\"version\":\"1.0.0\",";
       "\"informationUri\":\"https://github.com/hohtx/hohtx\",";
       Printf.sprintf "\"rules\":[%s]}},"
         (String.concat ","

@@ -39,6 +39,9 @@ type t = {
   mutable ret_sources : src list;  (* [] = the result carries no node *)
   mutable may_raise : bool;
   mutable releases_all : bool;  (* discharges every live reservation *)
+  mutable eager_free : bool;
+      (* runs Mempool.free outside Tm.defer, a ~free closure or a
+         Tm.current_txn None branch, itself or through a callee *)
 }
 
 let create ~arity =
@@ -47,6 +50,7 @@ let create ~arity =
     ret_sources = [];
     may_raise = false;
     releases_all = false;
+    eager_free = false;
   }
 
 let param t i =
@@ -56,8 +60,8 @@ let add_ret_source t s =
   if not (List.mem s t.ret_sources) then t.ret_sources <- s :: t.ret_sources
 
 (* The global summary table: module-level functions keyed by
-   (immediate module basename, value name), filled in dependency order by
-   the driver.  "Basename" strips dune's wrapping prefix, so
+   (immediate module basename, value name), refilled by each of the
+   driver's passes until it stops changing.  "Basename" strips dune's wrapping prefix, so
    [Structs__List_walk.walk] and [List_walk.walk] resolve identically. *)
 let table : (string * string, t) Hashtbl.t = Hashtbl.create 256
 
