@@ -220,10 +220,15 @@ let free t ~thread n =
   let s = Atomic.get st in
   if (not (is_odd s)) || not (Atomic.compare_and_set st s (s + 1)) then
     raise (Double_free (t.node_id n));
-  (* Poisoning is a sanctioned raw write to the dying node's tvars. *)
+  (* Poisoning is a sanctioned raw write to the dying node's tvars. Its
+     pokes raise [Tm.Clock_exhausted] once the clock is spent; the
+     exemption must not outlive them. *)
   San.exempt_begin ();
-  t.poison n;
-  San.exempt_end ();
+  (match t.poison n with
+  | () -> San.exempt_end ()
+  | exception e ->
+      San.exempt_end ();
+      raise e);
   if San.enabled () then
     San.mp_free ~thread ~site:(Tm.current_site ()) ~node:(san_key t n)
       ~stamp:(Tm.clock ());

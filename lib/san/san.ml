@@ -187,7 +187,24 @@ let register_gauges () =
     Telemetry.Gauges.register ~group:"san" ~name:"violations" (fun () ->
         List.map (fun (id, n) -> (id, float_of_int n)) (violations ()))
 
+(* The tvar shadow table is keyed by uid, and the TM's uids wrap: once it
+   has handed out all of them, two live tvars may share a uid and their
+   shadow entries would merge into one. *)
+let uids_exhausted = ref false
+
+let uid_space_error () =
+  failwith "TxSan: tvar uid space exhausted (uids now repeat); shadow state \
+            would merge distinct tvars"
+
+let uid_space_exhausted flag =
+  uids_exhausted := flag;
+  if flag && !on then begin
+    on := false;
+    uid_space_error ()
+  end
+
 let set_enabled ?(mode = Raise) flag =
+  if flag && !uids_exhausted then uid_space_error ();
   delivery := mode;
   if flag then register_gauges ();
   on := flag

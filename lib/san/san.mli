@@ -92,7 +92,18 @@ type mode = Raise | Count
 val set_enabled : ?mode:mode -> bool -> unit
 (** Turn the sanitizer on or off. Enabling registers a ["san"] gauge group
     with [Telemetry] when telemetry is active. Does not clear shadow state;
-    call {!reset} for a fresh run. *)
+    call {!reset} for a fresh run.
+    @raise Failure ("TxSan: tvar uid space exhausted ...") when enabling
+    after {!uid_space_exhausted}: shadow state is keyed by tvar uid. *)
+
+val uid_space_exhausted : bool -> unit
+(** Called by [Tm] with [true] whenever it makes a tvar after 2^18 others,
+    whose 18-bit uid therefore repeats an earlier one's; with [false] only
+    from [Tm]'s test-only uid-counter setter. While the flag is set,
+    {!set_enabled}[ true] raises. If the sanitizer is on when it is set,
+    it turns itself off and raises [Failure] ("TxSan: tvar uid space
+    exhausted ..."): from then on two tvars could share one shadow
+    entry. *)
 
 val enabled : unit -> bool
 (** One relaxed bool load; hook call sites that must materialize arguments

@@ -8,4 +8,4 @@ let sample () = Atomic.get clock
 
 let advance () = 1 + Atomic.fetch_and_add clock 1
 
-let reset_for_testing () = Atomic.set clock 0
+let set_for_testing v = Atomic.set clock v

@@ -11,5 +11,6 @@ val advance : unit -> int
 (** Atomically increment the clock and return the {e new} value; used as a
     writing transaction's unique commit timestamp. *)
 
-val reset_for_testing : unit -> unit
-(** Reset to zero. Only for unit tests that assert on absolute stamps. *)
+val set_for_testing : int -> unit
+(** Set the clock to a given value. Only for unit tests; the caller puts
+    back a value no smaller than any version already published. *)

@@ -4,17 +4,18 @@ type abort_cause = Read_invalid | Lock_busy | Serial_pending | User_retry
 
 exception Abort of abort_cause
 
-(* A tvar is one block (4 words): the TL2 lock word, encoding
-   [version lsl 1 lor locked], is field 0 and the value is the plain
-   mutable field [payload] next to it. A plain field is enough for the
-   seqlock pattern (lock, payload, lock) because OCaml's memory model is
-   an interleaving one: a plain load only sees stores already performed,
-   and all accesses to the lock word are totally ordered. A reader that
-   sees the same unlocked word before and after its payload load
-   therefore returns exactly the value published with that version
-   (DESIGN.md decision 1). The [lock] field is never accessed as a plain
-   field: every load, store and CAS of it goes through [lock_word]. *)
-type 'a tvar = { mutable lock : int; mutable payload : 'a; uid : int }
+(* A tvar is one block (3 words): the TL2 lock word is field 0 and the
+   value is the plain mutable field [payload] next to it. The lock word
+   packs three fields, [uid | version | locked], 18 | 44 | 1 bits: the
+   tvar's uid sits above the version (see [tvar_id]). A plain field is
+   enough for the seqlock pattern (lock, payload, lock) because OCaml's
+   memory model is an interleaving one: a plain load only sees stores
+   already performed, and all accesses to the lock word are totally
+   ordered. A reader that sees the same unlocked word before and after its
+   payload load therefore returns exactly the value published with that
+   version (DESIGN.md decision 1). The [lock] field is never accessed as a
+   plain field: every load, store and CAS of it goes through [lock_word]. *)
+type 'a tvar = { mutable lock : int; mutable payload : 'a }
 
 (* The record viewed as the [int Atomic.t] of its lock word. OCaml's
    [%atomic_*] primitives act on field 0 of the block they are given (the
@@ -22,9 +23,53 @@ type 'a tvar = { mutable lock : int; mutable payload : 'a; uid : int }
    also what the read set logs, so lock identity is tvar identity. *)
 external lock_word : 'a tvar -> int Atomic.t = "%identity"
 
+(* The uid occupies the bits above the version. It is set when the tvar is
+   made and every store to the lock word keeps it, so any load of the word
+   carries it. Uids wrap after 2^18 tvars: they are a hash (the write-set
+   Bloom word and index) and a name (TxSan, abort attribution), never an
+   identity, which is always [==] on the tvar. The split gives the version
+   44 bits because the clock must not run out in a long-lived process
+   (DESIGN.md decision 1 has the measured clock rates), and leaves the uid
+   enough bits for TxSan's uid-keyed shadow state. *)
+let uid_shift = 45
+let version_mask = (1 lsl 44) - 1
+let uid_field = -1 lsl uid_shift
+let max_uid = (1 lsl (Sys.int_size - uid_shift)) - 1
+let max_version = version_mask
+
+let[@inline] locked word = word land 1 = 1
+let[@inline] version word = (word lsr 1) land version_mask
+let[@inline] uid_of word = word lsr uid_shift
+
+(* The unlocked word publishing [wv] on the tvar whose word is [word]. *)
+let[@inline] versioned word wv = (word land uid_field) lor (wv lsl 1)
+
+exception Clock_exhausted
+
+(* Every clock bump goes through here. A stamp past [max_version] would
+   spill into the uid bits of the words it is published to, so the clock
+   stops there instead of wrapping; it only ever grows, so every later
+   bump fails too. *)
+let next_stamp () =
+  let wv = Gclock.advance () in
+  if wv > max_version then raise Clock_exhausted;
+  wv
+
+let set_clock_for_testing = Gclock.set_for_testing
+
 let tvar_uid = Atomic.make 0
-let tvar v = { lock = 0; payload = v; uid = Atomic.fetch_and_add tvar_uid 1 }
-let tvar_id tv = tv.uid
+
+let tvar v =
+  let n = Atomic.fetch_and_add tvar_uid 1 in
+  if n > max_uid then San.uid_space_exhausted true;
+  { lock = n lsl uid_shift; payload = v }
+
+let tvar_id tv = uid_of (Atomic.get (lock_word tv))
+
+let set_next_uid_for_testing n =
+  let old = Atomic.exchange tvar_uid n in
+  San.uid_space_exhausted (n > max_uid + 1);
+  old
 
 (* A value whose own tvars hold it: the tvars [make] builds through [self]
    start on a placeholder and are pointed at the finished value before it
@@ -39,9 +84,6 @@ let knot make =
   let v = make self in
   List.iter (fun tv -> tv.payload <- v) !tied;
   v
-
-let locked word = word land 1 = 1
-let version word = word asr 1
 
 (* Write-set entry. The existential is only ever unpacked when the stored
    tvar is physically equal to the one being looked up, which implies their
@@ -58,7 +100,6 @@ type txn = {
   mutable active : bool;
   mutable r_locks : int Atomic.t array;
   mutable r_words : int array;
-  mutable r_uids : int array;
   mutable rn : int;
   mutable wset : wentry array;
   mutable wn : int;
@@ -99,7 +140,7 @@ type 'a result = {
 }
 
 let dummy_lock = Atomic.make 0
-let dummy_wentry = W { tv = { lock = 0; payload = 0; uid = -1 }; v = 0 }
+let dummy_wentry = W { tv = { lock = 0; payload = 0 }; v = 0 }
 
 let max_threads = 128
 let () = assert (max_threads <= Telemetry.max_threads)
@@ -142,7 +183,6 @@ let fresh_txn tid stats =
     active = false;
     r_locks = Array.make 64 dummy_lock;
     r_words = Array.make 64 0;
-    r_uids = Array.make 64 (-1);
     rn = 0;
     wset = Array.make 16 dummy_wentry;
     wn = 0;
@@ -267,30 +307,28 @@ let[@inline] uid_hash uid = uid * 0x9e3779b1
    line or two); past it, [windex] takes over. *)
 let windex_threshold = 8
 
-let[@inline] rset_push txn lock word uid =
+(* The logged word carries the tvar's uid, so the read set needs no uid
+   array of its own. *)
+let[@inline] rset_push txn lock word =
   if txn.rn = Array.length txn.r_locks then begin
     let n = 2 * txn.rn in
-    let locks = Array.make n dummy_lock
-    and words = Array.make n 0
-    and uids = Array.make n (-1) in
+    let locks = Array.make n dummy_lock and words = Array.make n 0 in
     Array.blit txn.r_locks 0 locks 0 txn.rn;
     Array.blit txn.r_words 0 words 0 txn.rn;
-    Array.blit txn.r_uids 0 uids 0 txn.rn;
     txn.r_locks <- locks;
-    txn.r_words <- words;
-    txn.r_uids <- uids
+    txn.r_words <- words
   end;
   txn.r_locks.(txn.rn) <- lock;
   txn.r_words.(txn.rn) <- word;
-  txn.r_uids.(txn.rn) <- uid;
   txn.rn <- txn.rn + 1
 
-(* Slot of [tv] in the write set, or -1. Uids are unique per tvar, so the
-   index probe compares identities just like the linear scan; a chain ends
-   at the first empty index slot (the table keeps load factor <= 1/2, so
-   probes terminate). *)
-let wset_slot : type a. txn -> a tvar -> int =
- fun txn tv ->
+(* Slot of [tv] (whose uid is [uid]) in the write set, or -1. The index
+   probe compares identities just like the linear scan, so a uid shared
+   with another tvar only lengthens the chain; a chain ends at the first
+   empty index slot (the table keeps load factor <= 1/2, so probes
+   terminate). *)
+let wset_slot : type a. txn -> a tvar -> int -> int =
+ fun txn tv uid ->
   if txn.windex != no_index then begin
     let idx = txn.windex in
     let mask = Array.length idx - 1 in
@@ -302,7 +340,7 @@ let wset_slot : type a. txn -> a tvar -> int =
           if Obj.repr e.tv == Obj.repr tv then s - 1
           else probe ((i + 1) land mask)
     in
-    probe (uid_hash tv.uid land mask)
+    probe (uid_hash uid land mask)
   end
   else
     let rec go i =
@@ -313,9 +351,9 @@ let wset_slot : type a. txn -> a tvar -> int =
     in
     go 0
 
-let wset_find : type a. txn -> a tvar -> a option =
- fun txn tv ->
-  match wset_slot txn tv with
+let wset_find : type a. txn -> a tvar -> int -> a option =
+ fun txn tv uid ->
+  match wset_slot txn tv uid with
   | -1 -> None
   | s ->
       let (W e) = txn.wset.(s) in
@@ -339,13 +377,13 @@ let windex_rebuild txn =
   let idx = Array.make !cap 0 in
   for s = 0 to txn.wn - 1 do
     let (W e) = txn.wset.(s) in
-    windex_add idx e.tv.uid s
+    windex_add idx (tvar_id e.tv) s
   done;
   txn.windex <- idx
 
-let wset_put : type a. txn -> a tvar -> a -> unit =
- fun txn tv v ->
-  let s = wset_slot txn tv in
+let wset_put : type a. txn -> a tvar -> int -> a -> unit =
+ fun txn tv uid v ->
+  let s = wset_slot txn tv uid in
   if s >= 0 then
     let (W e) = txn.wset.(s) in
     e.v <- Obj.magic v
@@ -356,14 +394,14 @@ let wset_put : type a. txn -> a tvar -> a -> unit =
       txn.wset <- arr
     end;
     txn.wset.(txn.wn) <- W { tv; v };
-    txn.wfilter <- txn.wfilter lor filter_bit tv.uid;
+    txn.wfilter <- txn.wfilter lor filter_bit uid;
     if txn.windex != no_index then
       if 2 * (txn.wn + 1) > Array.length txn.windex then begin
         txn.wn <- txn.wn + 1;
         windex_rebuild txn
       end
       else begin
-        windex_add txn.windex tv.uid txn.wn;
+        windex_add txn.windex uid txn.wn;
         txn.wn <- txn.wn + 1
       end
     else begin
@@ -373,11 +411,12 @@ let wset_put : type a. txn -> a tvar -> a -> unit =
   end
 
 (* Whether [lock] belongs to a tvar in the write set — i.e. a lock the
-   committing transaction itself holds. [uid] is the read-set entry's
-   logged tvar uid, letting the lookup reuse the read path's Bloom filter
-   and uid index so commit validation stays O(rn) instead of O(rn * wn)
-   for large write sets; uids are unique per tvar, so a uid match implies
-   the lock identity matches. *)
+   committing transaction itself holds. [uid] is the uid in the read-set
+   entry's logged word, letting the lookup reuse the read path's Bloom
+   filter and uid index so commit validation stays O(rn) instead of
+   O(rn * wn) for large write sets. Uids wrap, so two tvars in the write
+   set may share one: the probe matches on lock identity and walks past
+   an entry whose uid merely collides. *)
 let wset_holds_lock txn lock uid =
   txn.wfilter land filter_bit uid <> 0
   &&
@@ -389,8 +428,7 @@ let wset_holds_lock txn lock uid =
       | 0 -> false
       | s ->
           let (W e) = txn.wset.(s - 1) in
-          if e.tv.uid = uid then lock_word e.tv == lock
-          else probe ((i + 1) land mask)
+          lock_word e.tv == lock || probe ((i + 1) land mask)
     in
     probe (uid_hash uid land mask)
   end
@@ -428,12 +466,12 @@ let reset_logs txn =
    any commit that changed the word after it was first logged carries
    [wv > rv] and would have failed this read's version check — so it is
    treated as the inconsistency it would be and aborts. *)
-let[@inline] rset_dup_at txn i lock word uid =
+let[@inline] rset_dup_at txn i lock word =
   i >= 0
   && txn.r_locks.(i) == lock
   && (txn.r_words.(i) = word
      ||
-     (txn.conflict_uid <- uid;
+     (txn.conflict_uid <- uid_of word;
       raise (Abort Read_invalid)))
 
 (* ---- timestamp extension (TinySTM/LSA-style) ----
@@ -471,10 +509,10 @@ let try_extend txn =
    so the hot path stays allocation-free: an inner recursive closure
    capturing [txn]/[tv] would cost one minor-heap block per read, and at
    multiple domains that allocation rate turns into stop-the-world minor
-   collections. *)
-let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
-  fun (type a) (txn : txn) (tv : a tvar) : a ->
-   let l1 = Atomic.get (lock_word tv) in
+   collections. [l1] is the lock word as [read] loaded it for its Bloom
+   test: the first load of the seqlock pair. *)
+let rec read_uncached : 'a. txn -> 'a tvar -> int -> 'a =
+  fun (type a) (txn : txn) (tv : a tvar) (l1 : int) : a ->
    if locked l1 then
      if txn.read_phase then begin
        (* Committers never spin while holding locks, so the writeback
@@ -483,10 +521,10 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
           thread; yield to it. *)
        Dst.point Dst.Tm_read;
        Domain.cpu_relax ();
-       read_uncached txn tv
+       read_uncached txn tv (Atomic.get (lock_word tv))
      end
      else begin
-       txn.conflict_uid <- tv.uid;
+       txn.conflict_uid <- uid_of l1;
        raise (Abort Lock_busy)
      end
    else begin
@@ -496,11 +534,11 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
        (* A committer's writeback raced the seqlock pair; the word has
           settled into either locked or a newer version, both handled
           above on re-read. *)
-       read_uncached txn tv
+       read_uncached txn tv l2
      else if version l1 > txn.rv then
-       if try_extend txn then read_uncached txn tv
+       if try_extend txn then read_uncached txn tv (Atomic.get (lock_word tv))
        else begin
-         txn.conflict_uid <- tv.uid;
+         txn.conflict_uid <- uid_of l1;
          Stats.incr_ext_fails txn.stats;
          raise (Abort Read_invalid)
        end
@@ -518,13 +556,13 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
        let lock = lock_word tv in
        if
          not
-           (rset_dup_at txn (txn.rn - 1) lock l1 tv.uid
-           || rset_dup_at txn (txn.rn - 2) lock l1 tv.uid)
-       then rset_push txn lock l1 tv.uid;
+           (rset_dup_at txn (txn.rn - 1) lock l1
+           || rset_dup_at txn (txn.rn - 2) lock l1)
+       then rset_push txn lock l1;
        (* The read has validated against [rv]; TxSan checks it against the
           slot's free/reservation shadow at exactly this point, so doomed
           reads that version checks already rejected are never reported. *)
-       San.tm_read ~tid:txn.tid ~site:txn.site ~rv:txn.rv tv.uid;
+       San.tm_read ~tid:txn.tid ~site:txn.site ~rv:txn.rv (uid_of l1);
        v
      end
    end
@@ -532,22 +570,24 @@ let rec read_uncached : 'a. txn -> 'a tvar -> 'a =
 let read (txn : txn) tv =
   if txn.serial then begin
     let v = tv.payload in
-    San.tm_read ~tid:txn.tid ~site:txn.site ~rv:txn.rv tv.uid;
+    San.tm_read ~tid:txn.tid ~site:txn.site ~rv:txn.rv (tvar_id tv);
     v
   end
   else begin
     if Dst.point_fails Dst.Tm_read then begin
-      txn.conflict_uid <- tv.uid;
+      txn.conflict_uid <- tvar_id tv;
       raise (Abort Read_invalid)
     end;
-    let bit = filter_bit tv.uid in
-    let buffered =
-      (* The filter has no false negatives, so a clear bit skips the
-         write-set lookup outright — the common case for a traversal,
-         whose reads vastly outnumber its writes. *)
-      if txn.wfilter land bit <> 0 then wset_find txn tv else None
-    in
-    match buffered with Some v -> v | None -> read_uncached txn tv
+    let l1 = Atomic.get (lock_word tv) in
+    let uid = uid_of l1 in
+    (* The filter has no false negatives, so a clear bit skips the
+       write-set lookup outright — the common case for a traversal, whose
+       reads vastly outnumber its writes. *)
+    if txn.wfilter land filter_bit uid = 0 then read_uncached txn tv l1
+    else
+      match wset_find txn tv uid with
+      | Some v -> v
+      | None -> read_uncached txn tv l1
   end
 
 let write (txn : txn) tv v =
@@ -557,14 +597,18 @@ let write (txn : txn) tv v =
        serial stamp so concurrent speculative readers abort rather than
        pairing the new value with an old version. *)
     Dst.point Dst.Tm_serial_write;
-    San.tm_serial_write ~tid:txn.tid ~site:txn.site ~wv:txn.serial_wv tv.uid;
-    Atomic.set (lock_word tv) ((txn.serial_wv lsl 1) lor 1);
+    let word = Atomic.get (lock_word tv) in
+    San.tm_serial_write ~tid:txn.tid ~site:txn.site ~wv:txn.serial_wv
+      (uid_of word);
+    let released = versioned word txn.serial_wv in
+    Atomic.set (lock_word tv) (released lor 1);
     tv.payload <- v;
-    Atomic.set (lock_word tv) (txn.serial_wv lsl 1)
+    Atomic.set (lock_word tv) released
   end
   else begin
-    San.tm_write ~tid:txn.tid ~site:txn.site ~rv:txn.rv tv.uid;
-    wset_put txn tv v
+    let uid = tvar_id tv in
+    San.tm_write ~tid:txn.tid ~site:txn.site ~rv:txn.rv uid;
+    wset_put txn tv uid v
   end
 
 let retry (txn : txn) =
@@ -591,7 +635,7 @@ let unlock_first_n txn n =
     let (W e) = txn.wset.(i) in
     let cur = Atomic.get (lock_word e.tv) in
     Atomic.set (lock_word e.tv) (cur land lnot 1);
-    San.tm_unlock ~tid:txn.tid ~site:txn.site ~wv:(-1) e.tv.uid
+    San.tm_unlock ~tid:txn.tid ~site:txn.site ~wv:(-1) (uid_of cur)
   done
 
 let commit (txn : txn) =
@@ -605,7 +649,7 @@ let commit (txn : txn) =
       Dst.point Dst.Tm_validate;
       for i = 0 to txn.rn - 1 do
         if Atomic.get txn.r_locks.(i) <> txn.r_words.(i) then begin
-          txn.conflict_uid <- txn.r_uids.(i);
+          txn.conflict_uid <- uid_of txn.r_words.(i);
           raise (Abort Read_invalid)
         end
       done
@@ -647,16 +691,23 @@ let commit (txn : txn) =
           then begin
             unlock_first_n txn i;
             Atomic.set flag false;
-            txn.conflict_uid <- e.tv.uid;
+            txn.conflict_uid <- uid_of l;
             raise (Abort Lock_busy)
           end;
-          San.tm_lock ~tid:txn.tid e.tv.uid;
+          San.tm_lock ~tid:txn.tid (uid_of l);
           lock_from (i + 1)
         end
       in
       lock_from 0;
       Dst.point Dst.Tm_gclock;
-      let wv = Gclock.advance () in
+      let wv =
+        match next_stamp () with
+        | wv -> wv
+        | exception (Clock_exhausted as e) ->
+            unlock_first_n txn txn.wn;
+            Atomic.set flag false;
+            raise e
+      in
       (* If no other transaction committed since we began, the read set is
          trivially valid (standard TL2 optimization). *)
       if wv <> txn.rv + 1 then begin
@@ -667,13 +718,12 @@ let commit (txn : txn) =
             let cur = Atomic.get lock in
             let ok =
               cur = word
-              || (cur = word lor 1
-                 && wset_holds_lock txn lock txn.r_uids.(i))
+              || (cur = word lor 1 && wset_holds_lock txn lock (uid_of word))
             in
             if not ok then begin
               unlock_first_n txn txn.wn;
               Atomic.set flag false;
-              txn.conflict_uid <- txn.r_uids.(i);
+              txn.conflict_uid <- uid_of word;
               raise (Abort Read_invalid)
             end;
             validate (i + 1)
@@ -689,8 +739,9 @@ let commit (txn : txn) =
       Dst.point Dst.Tm_publish;
       for i = 0 to txn.wn - 1 do
         let (W e) = txn.wset.(i) in
-        Atomic.set (lock_word e.tv) (wv lsl 1);
-        San.tm_unlock ~tid:txn.tid ~site:txn.site ~wv e.tv.uid
+        let held = Atomic.get (lock_word e.tv) in
+        Atomic.set (lock_word e.tv) (versioned held wv);
+        San.tm_unlock ~tid:txn.tid ~site:txn.site ~wv (uid_of held)
       done;
       Atomic.set flag false;
       txn.stamp <- wv;
@@ -741,9 +792,9 @@ let serial_run st f =
   serial_token_acquire ();
   Fun.protect ~finally:serial_release (fun () ->
       serial_quiesce ();
-      txn.serial <- true;
       Dst.point Dst.Tm_gclock;
-      txn.serial_wv <- Gclock.advance ();
+      txn.serial_wv <- next_stamp ();
+      txn.serial <- true;
       San.tm_serial_begin ~tid:txn.tid ~wv:txn.serial_wv;
       txn.active <- true;
       txn.rv <- txn.serial_wv;
@@ -939,18 +990,19 @@ let peek tv =
       let l2 = Atomic.get (lock_word tv) in
       if l1 <> l2 then go ()
       else begin
-        San.nontxn_read tv.uid;
+        San.nontxn_read (uid_of l1);
         v
       end
   in
   go ()
 
 let poke tv v =
-  San.nontxn_write tv.uid;
-  let wv = Gclock.advance () in
-  Atomic.set (lock_word tv) ((wv lsl 1) lor 1);
+  let word = Atomic.get (lock_word tv) in
+  San.nontxn_write (uid_of word);
+  let released = versioned word (next_stamp ()) in
+  Atomic.set (lock_word tv) (released lor 1);
   tv.payload <- v;
-  Atomic.set (lock_word tv) (wv lsl 1)
+  Atomic.set (lock_word tv) released
 
 let clock () = Gclock.sample ()
 let txn_site (txn : txn) = txn.site

@@ -28,7 +28,12 @@ module Stats = Telemetry.Counters
 type 'a tvar
 (** A transactional variable. All access from inside a transaction goes
     through {!read} and {!write}; initialization and post-quiescence
-    inspection may use {!peek} and {!poke}. *)
+    inspection may use {!peek} and {!poke}.
+
+    A tvar is one 3-word block: a header, the TL2 lock word and the
+    value. The lock word packs [uid | version | locked] in 18, 44 and 1
+    bits; every store to it keeps the uid bits. Tvar identity is physical
+    ([==]); the uid is only a hash and a name (see {!tvar_id}). *)
 
 type txn
 (** A transaction context, valid only during the callback passed to
@@ -48,7 +53,34 @@ val tvar : 'a -> 'a tvar
 (** [tvar v] allocates a fresh transactional variable holding [v]. *)
 
 val tvar_id : _ tvar -> int
-(** A unique id per tvar, for debugging and hashing. *)
+(** The tvar's 18-bit uid, read from its lock word, for hashing and for
+    naming the tvar in TxSan and telemetry reports. Uids are handed out in
+    creation order and wrap after 2^18 tvars, so two tvars may share one:
+    it is never an identity. *)
+
+val max_uid : int
+(** [2^18 - 1], the largest uid; the next tvar's uid is 0 again. *)
+
+val max_version : int
+(** [2^44 - 1], the largest commit stamp a lock word can hold. *)
+
+exception Clock_exhausted
+(** Raised by a commit, a serial transaction or {!poke} that would stamp
+    a version past {!max_version}. The clock never wraps, so every later
+    one raises too. A commit that raises it has published nothing and
+    holds no lock. *)
+
+val set_clock_for_testing : int -> unit
+(** Set the global clock. Only for unit tests that drive it to
+    {!max_version}; the caller puts back a value no smaller than any
+    version already published. *)
+
+val set_next_uid_for_testing : int -> int
+(** [set_next_uid_for_testing n] makes [n] (modulo 2^18) the uid of the
+    next {!tvar} and returns the counter it replaced, for the caller to
+    put back. Only for unit tests that make two tvars share a uid or drive
+    the counter past {!max_uid}; TxSan is told whether uids now repeat
+    (see [San.uid_space_exhausted]). *)
 
 val knot : ((unit -> 'a tvar) -> 'a) -> 'a
 (** [knot make] builds a value that holds itself: every tvar [make]
@@ -203,7 +235,9 @@ val peek : 'a tvar -> 'a
 val poke : 'a tvar -> 'a -> unit
 (** Non-transactional write with a fresh version (so concurrent speculative
     readers, if any, abort rather than observe a torn snapshot). Intended
-    for initialization. *)
+    for initialization.
+    @raise Clock_exhausted past {!max_version}, leaving the tvar as it
+    was. *)
 
 val serial_active : unit -> bool
 (** Whether a serial transaction currently holds the token (for tests). *)

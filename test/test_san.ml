@@ -565,6 +565,42 @@ let run_clean_history cmds =
   txn c (fun () -> San.rr_release_all ~tid:0);
   San.window_finish ~tid:0
 
+(* ---- uid space ---- *)
+
+(* The tvar shadow table is keyed by tvar uid, and uids wrap. Once the
+   TM's uid counter passes [Tm.max_uid] two live tvars may share a uid,
+   so the sanitizer must say so rather than merge their shadow state:
+   armed, it raises at the tvar that repeats a uid and disarms itself;
+   disarmed, it refuses to arm. Putting the counter back lifts the
+   refusal. *)
+let test_uid_space_exhausted () =
+  let exhausted what f =
+    let prefix = "TxSan: tvar uid space exhausted" in
+    match f () with
+    | _ -> Alcotest.failf "%s: no uid-space report" what
+    | exception Failure msg ->
+        check_s (what ^ ": report") prefix
+          (String.sub msg 0 (min (String.length msg) (String.length prefix)))
+  in
+  San.reset ();
+  San.set_enabled ~mode:San.Raise true;
+  let saved = Tm.set_next_uid_for_testing Tm.max_uid in
+  Fun.protect
+    ~finally:(fun () ->
+      ignore (Tm.set_next_uid_for_testing saved);
+      San.set_enabled false;
+      San.reset ())
+    (fun () ->
+      check_i "the last fresh uid" Tm.max_uid (Tm.tvar_id (Tm.tvar 0));
+      checkb "still armed" true (San.enabled ());
+      exhausted "a tvar that repeats a uid" (fun () -> Tm.tvar 0);
+      checkb "disarmed itself" false (San.enabled ());
+      exhausted "arming" (fun () -> San.set_enabled true);
+      checkb "stays disarmed" false (San.enabled ());
+      ignore (Tm.set_next_uid_for_testing saved);
+      San.set_enabled true;
+      checkb "arms once the counter is back" true (San.enabled ()))
+
 let qcheck_clean_history =
   QCheck.Test.make ~name:"clean histories never trip TxSan" ~count:300
     (QCheck.make gen_cmds) (fun cmds ->
@@ -663,6 +699,8 @@ let () =
       ( "modes",
         [
           Alcotest.test_case "count mode accumulates" `Quick test_count_mode;
+          Alcotest.test_case "uid space exhausted" `Quick
+            test_uid_space_exhausted;
         ] );
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_clean_history ] );

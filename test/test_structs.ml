@@ -578,9 +578,10 @@ let test_self_link_ends_walks () =
 
 (* Per-node footprint in words, pinned so a field or block added to a node
    shows up here. A node record is a header plus one word per field, the
-   first of which is the pool's state word; a tvar is 4 (one block:
-   header, lock word, payload, uid). A link holds the node or the module's
-   shared [nil] directly, with no option box, and [nil] is not counted.
+   first of which is the pool's state word; a tvar is 3 (one block:
+   header, lock word, payload; the uid lives in the lock word). A link
+   holds the node or the module's shared [nil] directly, with no option
+   box, and [nil] is not counted.
    No node carries a reference count: REF keeps its counts in the mode.
    Each list has its exact-fit node: [Lnode] is the singly linked
    [{key, next}], and only the doubly linked [Dnode] has a [prev]. *)
@@ -601,20 +602,20 @@ let test_node_layout () =
           | exception Mempool.Double_free _ -> true);
         w
       in
-      let record fields = 1 + fields and tvar = 4 in
-      check "tnode: 5 fields, 3 tvars (18)" (record 5 + (3 * tvar))
+      let record fields = 1 + fields and tvar = 3 in
+      check "tnode: 5 fields, 3 tvars (15)" (record 5 + (3 * tvar))
         (words "tnode"
            (Structs.Tnode.make_pool ())
            Structs.Tnode.alloc Structs.Tnode.nil);
-      check "lnode: 4 fields, 2 tvars (13)" (record 4 + (2 * tvar))
+      check "lnode: 4 fields, 2 tvars (11)" (record 4 + (2 * tvar))
         (words "lnode"
            (Structs.Lnode.make_pool ())
            Structs.Lnode.alloc Structs.Lnode.nil);
-      check "dnode: 5 fields, 3 tvars (18)" (record 5 + (3 * tvar))
+      check "dnode: 5 fields, 3 tvars (15)" (record 5 + (3 * tvar))
         (words "dnode"
            (Structs.Dnode.make_pool ())
            Structs.Dnode.alloc Structs.Dnode.nil);
-      check "snode: 5 fields, 2 tvars, a tower of 16 (95)"
+      check "snode: 5 fields, 2 tvars, a tower of 16 (77)"
         (record 5 + (2 * tvar) + record Structs.Snode.max_level
         + (Structs.Snode.max_level * tvar))
         (words "snode"
@@ -644,21 +645,21 @@ let test_structure_footprint () =
       in
       let bst = Structs.Hoh_bst_int.create ~mode:rr () in
       (* a scattered key order keeps the unbalanced tree shallow *)
-      per_key "bst-int" ~node_words:18
+      per_key "bst-int" ~node_words:15
         ~insert:(fun i ->
           Structs.Hoh_bst_int.insert bst ~thread (i * 7919 mod 4099))
         ~repr:(fun () -> Obj.repr bst);
       (* descending keys insert at the head: O(1) per insert *)
       let sl = Structs.Hoh_list.create ~mode:rr () in
-      per_key "slist" ~node_words:13
+      per_key "slist" ~node_words:11
         ~insert:(fun i -> Structs.Hoh_list.insert sl ~thread (10_000 - i))
         ~repr:(fun () -> Obj.repr sl);
       let dl = Structs.Hoh_dlist.create ~mode:rr () in
-      per_key "dlist" ~node_words:18
+      per_key "dlist" ~node_words:15
         ~insert:(fun i -> Structs.Hoh_dlist.insert dl ~thread (10_000 - i))
         ~repr:(fun () -> Obj.repr dl);
       let hs = Structs.Hoh_hashset.create ~mode:rr () in
-      per_key "hashset" ~node_words:13
+      per_key "hashset" ~node_words:11
         ~insert:(fun i -> Structs.Hoh_hashset.insert hs ~thread (10_000 - i))
         ~repr:(fun () -> Obj.repr hs))
 

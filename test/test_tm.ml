@@ -356,6 +356,40 @@ let test_rset_dedup_still_validated () =
       check "deduped read still validated" 2 !attempts;
       check "retry saw the poke" 55 seen)
 
+(* Uids wrap after 2^18 tvars, so two live tvars can share one. [a] and
+   [b] do; the transaction reads both, writes both and ten more, which
+   engages the write-set index, and a poke of a bystander makes commit
+   validate the read set. Validating [a] and [b] looks each one's lock
+   up in the index by uid: the entry of the other, with the same uid,
+   must not end the probe, or the commit aborts itself on every
+   attempt. *)
+let test_uid_collision_commits () =
+  with_tm (fun () ->
+      let saved = Tm.set_next_uid_for_testing 7 in
+      let a = Tm.tvar 10 in
+      ignore (Tm.set_next_uid_for_testing 7);
+      let b = Tm.tvar 20 in
+      ignore (Tm.set_next_uid_for_testing saved);
+      check "a and b share a uid" (Tm.tvar_id a) (Tm.tvar_id b);
+      checkb "but are two tvars" false (a == b);
+      let others = Array.init 10 (fun _ -> Tm.tvar 0) in
+      let bystander = Tm.tvar 0 in
+      let r =
+        Tm.atomic_stamped (fun txn ->
+            let x = Tm.read txn a and y = Tm.read txn b in
+            Tm.write txn a (x + 1);
+            Tm.write txn b (y + 2);
+            Array.iter (fun tv -> Tm.write txn tv 7) others;
+            check "the write set is indexed" 12 (Tm.writes_logged txn);
+            check "indexed read of a" 11 (Tm.read txn a);
+            check "indexed read of b" 22 (Tm.read txn b);
+            Tm.poke bystander 1)
+      in
+      check "committed on the first attempt" 1 r.Tm.attempts;
+      checkb "speculatively" false r.Tm.serial;
+      check "a" 11 (Tm.peek a);
+      check "b" 22 (Tm.peek b))
+
 (* ---- thread registry ---- *)
 
 let test_thread_ids_recycled () =
@@ -565,20 +599,131 @@ let test_concurrent_serializable () =
 
 (* ---- tvar layout: the lock word is field 0 of the tvar record ---- *)
 
-(* White-box: the raw TL2 lock word ([version lsl 1 lor locked]). *)
+(* White-box: the raw TL2 lock word ([uid | version | locked]). *)
 let lock_word_of tv : int = Obj.obj (Obj.field (Obj.repr tv) 0)
 
-(* A tvar is one block: header, lock word, payload, uid. A word or block
-   added to it shows up here and in every node of every structure. *)
+let version_of_word w = (w lsr 1) land Tm.max_version
+let locked_bit w = w land 1
+
+(* Make a tvar with the top uid, whose lock word is negative; the counter
+   is put back so no uid repeats. *)
+let tvar_with_top_uid v =
+  let saved = Tm.set_next_uid_for_testing Tm.max_uid in
+  let tv = Tm.tvar v in
+  ignore (Tm.set_next_uid_for_testing saved);
+  tv
+
+(* A tvar is one block: header, lock word, payload. The lock word packs
+   [uid | version | locked], and every store to it keeps the uid. A word
+   or block added to it shows up here and in every node of every
+   structure. *)
 let test_tvar_layout () =
   with_tm (fun () ->
       let tv = Tm.tvar 0 in
-      check "tvar words" 4 (Obj.reachable_words (Obj.repr tv));
-      check "tvar is a single 3-field block" 3 (Obj.size (Obj.repr tv));
-      check "fresh tvar: version 0, unlocked" 0 (lock_word_of tv);
-      let r = Tm.atomic_stamped (fun txn -> Tm.write txn tv 1) in
-      check "field 0 carries the commit stamp" (r.Tm.stamp lsl 1)
-        (lock_word_of tv))
+      check "tvar words" 3 (Obj.reachable_words (Obj.repr tv));
+      check "tvar is a single 2-field block" 2 (Obj.size (Obj.repr tv));
+      let uid = Tm.tvar_id tv in
+      check "fresh tvar: version 0" 0 (version_of_word (lock_word_of tv));
+      check "fresh tvar: unlocked" 0 (locked_bit (lock_word_of tv));
+      let top = tvar_with_top_uid 0 in
+      check "top uid" Tm.max_uid (Tm.tvar_id top);
+      checkb "top uid: the word is negative" true (lock_word_of top < 0);
+      check "top uid: version 0" 0 (version_of_word (lock_word_of top));
+      List.iter
+        (fun (tv, uid) ->
+          let keeps what =
+            let w = lock_word_of tv in
+            check (what ^ " keeps the uid") uid (Tm.tvar_id tv);
+            check (what ^ " leaves it unlocked") 0 (locked_bit w);
+            version_of_word w
+          in
+          let r = Tm.atomic_stamped (fun txn -> Tm.write txn tv 1) in
+          check "commit release carries the stamp" r.Tm.stamp
+            (keeps "commit release");
+          check "read sees it" 1 (Tm.atomic (fun txn -> Tm.read txn tv));
+          Tm.poke tv 2;
+          check "poke carries a fresh stamp" (Tm.clock ()) (keeps "poke");
+          let r =
+            Tm.atomic_stamped ~max_attempts:0 (fun txn -> Tm.write txn tv 3)
+          in
+          checkb "ran serial" true r.Tm.serial;
+          check "serial write carries the serial stamp" r.Tm.stamp
+            (keeps "serial write");
+          check "peek" 3 (Tm.peek tv))
+        [ (tv, uid); (top, Tm.max_uid) ])
+
+let exhausted what f =
+  match f () with
+  | _ -> Alcotest.failf "%s past the limit did not raise" what
+  | exception Tm.Clock_exhausted -> ()
+
+(* Run [f] with the clock at [v], putting it back afterwards. No tvar
+   outside [f] sees the large stamps. *)
+let with_clock_at v f =
+  let saved = Tm.clock () in
+  Fun.protect
+    ~finally:(fun () -> Tm.set_clock_for_testing saved)
+    (fun () ->
+      Tm.set_clock_for_testing v;
+      f ())
+
+(* The version field is 44 bits: the clock stops at its limit, loudly,
+   instead of wrapping or spilling stamps into the uid bits. A commit
+   that fails there unlocks its write set (the abort-path unlock, which
+   also keeps the uid); serial and raw writes fail before touching a
+   word. *)
+let test_clock_limit () =
+  with_tm (fun () ->
+      let tv = tvar_with_top_uid 0 in
+      with_clock_at (Tm.max_version - 1) (fun () ->
+          let r = Tm.atomic_stamped (fun txn -> Tm.write txn tv 1) in
+          check "the last stamp" Tm.max_version r.Tm.stamp;
+          check "published in full" Tm.max_version
+            (version_of_word (lock_word_of tv));
+          check "below the uid" Tm.max_uid (Tm.tvar_id tv);
+          exhausted "commit" (fun () ->
+              Tm.atomic (fun txn -> Tm.write txn tv 2));
+          check "commit unlocked its write set" 0
+            (locked_bit (lock_word_of tv));
+          check "unlock kept the uid" Tm.max_uid (Tm.tvar_id tv);
+          check "value unchanged" 1 (Tm.peek tv);
+          exhausted "serial commit" (fun () ->
+              Tm.atomic ~max_attempts:0 (fun txn -> Tm.write txn tv 3));
+          checkb "serial token released" false (Tm.serial_active ());
+          exhausted "poke" (fun () -> Tm.poke tv 4);
+          check "the word never moved" Tm.max_version
+            (version_of_word (lock_word_of tv));
+          check "value still unchanged" 1 (Tm.peek tv));
+      let after = Tm.tvar 0 in
+      Tm.atomic (fun txn -> Tm.write txn after 5);
+      check "commits resume once the clock is back" 5 (Tm.peek after))
+
+(* The limit can also be hit after a commit has published: the commit
+   takes the last stamp and a deferred callback's poke fails. By then
+   the write set is unlocked and may already be locked again by another
+   committer, stood in for here by setting [a]'s lock bit before the
+   poke. The failure must leave that lock bit alone; the commit itself
+   stands. *)
+let test_clock_limit_in_defer () =
+  with_tm (fun () ->
+      let a = Tm.tvar 0 and b = Tm.tvar 0 in
+      let set_word tv w = Obj.set_field (Obj.repr tv) 0 (Obj.repr (w : int)) in
+      let relocked = ref 0 in
+      with_clock_at (Tm.max_version - 1) (fun () ->
+          exhausted "deferred poke" (fun () ->
+              Tm.atomic (fun txn ->
+                  Tm.write txn a 1;
+                  Tm.defer txn (fun () ->
+                      relocked := lock_word_of a lor 1;
+                      set_word a !relocked;
+                      Tm.poke b 2)));
+          check "the other committer's lock is untouched" !relocked
+            (lock_word_of a);
+          set_word a (!relocked land lnot 1);
+          check "the commit published a" 1 (Tm.peek a);
+          check "with the last stamp" Tm.max_version
+            (version_of_word (lock_word_of a));
+          check "b was left as it was" 0 (Tm.peek b)))
 
 (* The seqlock oracle. Two writers each advance [x] per commit and write
    freshly allocated tuples, [(x, -x)] into [a] and [(-x, x)] into [b], so
@@ -729,6 +874,8 @@ let () =
           Alcotest.test_case "read-set dedup" `Quick test_rset_dedup;
           Alcotest.test_case "dedup still validated" `Quick
             test_rset_dedup_still_validated;
+          Alcotest.test_case "uid collision commits" `Quick
+            test_uid_collision_commits;
         ] );
       ( "threads",
         [
@@ -750,6 +897,9 @@ let () =
       ( "layout",
         [
           Alcotest.test_case "tvar words" `Quick test_tvar_layout;
+          Alcotest.test_case "clock limit" `Quick test_clock_limit;
+          Alcotest.test_case "clock limit in a defer" `Quick
+            test_clock_limit_in_defer;
           Alcotest.test_case "lock-word view" `Quick test_lock_word_view;
         ] );
       ( "properties",
