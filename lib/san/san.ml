@@ -146,6 +146,12 @@ let fresh_thread () =
 
 let tvars : (int, tvar_shadow) Hashtbl.t = Hashtbl.create 1024
 let slots : (int, slot_shadow) Hashtbl.t = Hashtbl.create 256
+
+(* The live nodes each thread's in-flight transaction has read outside
+   the RR check and the deletion check, by thread id. *)
+let txn_reads : (int, int list) Hashtbl.t = Hashtbl.create 8
+let reads_of tid = Option.value ~default:[] (Hashtbl.find_opt txn_reads tid)
+
 let threads = Array.init Telemetry.max_threads (fun _ -> fresh_thread ())
 
 (* In-flight serial (irrevocable) writer: [(wv lsl 8) lor tid], or -1. *)
@@ -160,6 +166,7 @@ let reset () =
   Mutex.lock m;
   Hashtbl.reset tvars;
   Hashtbl.reset slots;
+  Hashtbl.reset txn_reads;
   Array.iteri (fun i _ -> threads.(i) <- fresh_thread ()) threads;
   Atomic.set serial_word (-1);
   Array.iter (fun c -> Atomic.set c 0) counters;
@@ -338,6 +345,8 @@ let tm_read_slow ~tid ~site ~rv uid =
                 :: !reps
           | Some s when s.live ->
               let th = thr tid in
+              if not (th.in_check || th.in_probe) then
+                Hashtbl.replace txn_reads tid (s.key :: reads_of tid);
               if th.carry = s.key && (not th.carry_checked) && not th.in_check
               then
                 reps :=
@@ -511,6 +520,11 @@ let apply_pending th ~tid ~site ~rv ~now reps =
       | P_release_all -> th.reserved <- []
       | P_revoke (k, rsite) -> (
           match find_slot k with
+          | Some s when now <= s.freed_stamp ->
+              (* Committed before the slot's last free, but applied after
+                 it (the commit hook runs after the locks are released):
+                 a revoke of the freed incarnation, in order. *)
+              ()
           | Some s when not s.live ->
               reps :=
                 mk Double_revoke ~tid ~site:rsite ~subject:(node_subject k)
@@ -521,10 +535,17 @@ let apply_pending th ~tid ~site ~rv ~now reps =
                        s.free_thread s.free_site s.freed_stamp)
                   ~key:k
                 :: !reps
-          | Some s when s.revoked ->
+          | Some s when s.revoked && not (List.mem k (reads_of tid)) ->
+              (* A revoke need not unlink: the internal tree revokes the
+                 path above a key its two-child removal moves up, and the
+                 path stays. A committing transaction that read the node
+                 reached it in a validated snapshot, so it revokes a node
+                 still in place, not one already removed. *)
               reps :=
                 mk Double_revoke ~tid ~site:rsite ~subject:(node_subject k)
-                  ~detail:"node revoked twice without an intervening realloc"
+                  ~detail:
+                    "node revoked twice, with neither a realloc nor a read \
+                     by the second revoker in between"
                   ~key:k
                 :: !reps
           | Some s ->
@@ -564,6 +585,7 @@ let tm_commit_slow ~tid ~site ~rv ~now =
         th.locks <- []
       end;
       apply_pending th ~tid ~site ~rv ~now reps;
+      Hashtbl.remove txn_reads tid;
       List.rev !reps)
 
 let[@inline] tm_commit ~tid ~site ~rv ~now =
@@ -573,6 +595,7 @@ let tm_abort_slow ~tid =
   guarded (fun () ->
       let th = thr tid in
       th.pending <- [];
+      Hashtbl.remove txn_reads tid;
       th.in_check <- false;
       th.in_probe <- false;
       if th.locks <> [] then begin
@@ -594,6 +617,7 @@ let tm_abandon_slow ~tid =
   quiet (fun () ->
       let th = thr tid in
       th.pending <- [];
+      Hashtbl.remove txn_reads tid;
       th.in_check <- false;
       th.in_probe <- false;
       List.iter

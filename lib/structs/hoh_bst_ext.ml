@@ -31,6 +31,11 @@ let name t = t.mode.Mode.name
 
 let is_leaf txn n = Tm.read txn n.Tnode.left == Tnode.nil
 
+(* A router sends keys below its own left and the rest right. *)
+let child txn n key =
+  match Tnode.route txn n key with
+  | Tnode.Left c | Tnode.Right c | Tnode.Hit c -> c
+
 (* Windowed descent to a leaf, tracking parent and grandparent. Hands off
    the last examined router; [`Leaf (gp, p, leaf)] may surface [gp = None]
    when the leaf was reached within two steps of the resume point. *)
@@ -38,9 +43,7 @@ let descend txn ~key ~start ~budget =
   let rec go gp p curr i =
     if is_leaf txn curr then `Leaf (gp, p, curr)
     else
-      let k = Tm.read txn curr.Tnode.key in
-      let childv = if key < k then curr.Tnode.left else curr.Tnode.right in
-      let c = Tm.read txn childv in
+      let c = child txn curr key in
       (* only the empty root lacks children *)
       if c == Tnode.nil then `Leaf (gp, p, curr)
       else if i >= budget then `Window curr
@@ -75,7 +78,7 @@ let lookup_s t ~thread key =
   apply t ~thread ~read_phase:t.mode.Mode.ro_hint key ~site:"bst_ext.lookup"
     ~on_leaf:(fun txn ~gp:_ ~p:_ ~leaf ->
       Rr.Hoh.Finish
-        (Tnode.equal leaf t.root = false && Tm.read txn leaf.Tnode.key = key))
+        (Tnode.equal leaf t.root = false && Tnode.key txn leaf = key))
 
 let insert_s t ~thread key =
   (* Two spares: the new leaf and its router. *)
@@ -93,25 +96,26 @@ let insert_s t ~thread key =
         if Tnode.equal leaf t.root then begin
           (* Empty tree: hang the first leaf off the sentinel. *)
           let nl = take spare_leaf in
-          Tm.write txn nl.Tnode.key key;
+          Tnode.set_key nl key;
           Tm.write txn t.root.Tnode.left nl;
           Tm.defer txn (fun () -> spare_leaf := None);
           Rr.Hoh.Finish true
         end
         else
-          let lk = Tm.read txn leaf.Tnode.key in
+          let lk = Tnode.key txn leaf in
           if lk = key then Rr.Hoh.Finish false
           else begin
             let p = Option.get p in
             let nl = take spare_leaf and router = take spare_router in
-            Tm.write txn nl.Tnode.key key;
+            Tnode.set_key nl key;
             let lo, hi = if key < lk then (nl, leaf) else (leaf, nl) in
-            Tm.write txn router.Tnode.key (Tm.read txn hi.Tnode.key);
+            Tnode.set_key router (max key lk);
             Tm.write txn router.Tnode.left lo;
             Tm.write txn router.Tnode.right hi;
-            let pk = Tm.read txn p.Tnode.key in
             Tm.write txn
-              (if key < pk then p.Tnode.left else p.Tnode.right)
+              (match Tnode.route txn p key with
+              | Tnode.Left _ -> p.Tnode.left
+              | Tnode.Right _ | Tnode.Hit _ -> p.Tnode.right)
               router;
             Tm.defer txn (fun () ->
                 spare_leaf := None;
@@ -126,7 +130,7 @@ let insert_s t ~thread key =
 let remove_s t ~thread key =
   apply t ~thread key ~site:"bst_ext.remove" ~on_leaf:(fun txn ~gp ~p ~leaf ->
       if Tnode.equal leaf t.root then Rr.Hoh.Finish false
-      else if Tm.read txn leaf.Tnode.key <> key then Rr.Hoh.Finish false
+      else if Tnode.key txn leaf <> key then Rr.Hoh.Finish false
       else
         match p with
         | None -> Rr.Hoh.Finish false (* unreachable: leaf has a parent *)
@@ -146,12 +150,7 @@ let remove_s t ~thread key =
                   let rec from_root gp node =
                     if Tnode.equal node p then Option.get gp
                     else if node == Tnode.nil then assert false
-                    else
-                      let k = Tm.read txn node.Tnode.key in
-                      let child =
-                        if key < k then node.Tnode.left else node.Tnode.right
-                      in
-                      from_root (Some node) (Tm.read txn child)
+                    else from_root (Some node) (child txn node key)
                   in
                   from_root None t.root
             in
@@ -188,7 +187,7 @@ let rec fold_leaves acc n f =
 let to_list t =
   List.rev
     (fold_leaves [] (Tm.peek t.root.Tnode.left) (fun acc n ->
-         Tm.peek n.Tnode.key :: acc))
+         n.Tnode.key :: acc))
 
 let size t = fold_leaves 0 (Tm.peek t.root.Tnode.left) (fun acc _ -> acc + 1)
 
@@ -202,8 +201,6 @@ let depth t =
 let check t =
   let exception Bad of string in
   let node_ok n =
-    if Tm.peek n.Tnode.key = Tnode.poisoned_key then
-      raise (Bad (Printf.sprintf "poisoned node %d linked" n.Tnode.id));
     if Tnode.peek_deleted n then
       raise (Bad (Printf.sprintf "deleted node %d linked" n.Tnode.id));
     if not (Mempool.is_live t.pool n) then
@@ -216,7 +213,7 @@ let check t =
      descents stay deterministic. *)
   let rec go node ~lo ~hi =
     node_ok node;
-    let k = Tm.peek node.Tnode.key in
+    let k = node.Tnode.key in
     let l = Tm.peek node.Tnode.left and r = Tm.peek node.Tnode.right in
     match (l == Tnode.nil, r == Tnode.nil) with
     | true, true ->

@@ -31,29 +31,27 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
 let name t = t.mode.Mode.name
 
 (* One windowed descent. Examines up to [budget] nodes; on exhaustion hands
-   off the last examined node (whose key the resuming transaction
-   re-reads to recover direction). [`Found (p, side, curr)] carries the
-   side ([true] = left) of the edge p -> curr: BST order fixes it, since
-   the branch was chosen from [p]'s key read in this same transaction.
-   [`Found_unparented] arises only when the resumed node itself matches —
-   possible only if its key changed, which revocation prevents — and is
-   handled by re-descending from the root. *)
+   off the last examined node, from which the resuming transaction routes
+   again. [`Found (p, side, curr)] carries the side ([true] = left) of the
+   edge p -> curr: BST order fixes it, since the branch was routed by
+   [p]'s key in this same transaction. The start node never hits: it is
+   the root sentinel, whose key is above every key, or a node handed off
+   after it routed away from [key], and a live node's key never changes.
+   So a hit always has a parent. *)
 let descend txn ~key ~start ~budget =
   let rec go parent pside curr i =
-    let k = Tm.read txn curr.Tnode.key in
-    if k = key then
-      match parent with
-      | Some p -> `Found (p, pside, curr)
-      | None -> `Found_unparented
-    else
-      let side = key < k in
-      let child = if side then curr.Tnode.left else curr.Tnode.right in
-      let c = Tm.read txn child in
-      if c == Tnode.nil then `Absent (curr, side)
-      else if i >= budget then `Window curr
-      else go (Some curr) side c (i + 1)
+    match Tnode.route txn curr key with
+    | Tnode.Hit _ ->
+        assert (parent != Tnode.nil);
+        `Found (parent, pside, curr)
+    | Tnode.Left c -> step curr true c i
+    | Tnode.Right c -> step curr false c i
+  and step curr side c i =
+    if c == Tnode.nil then `Absent (curr, side)
+    else if i >= budget then `Window curr
+    else go curr side c (i + 1)
   in
-  go None true start 1
+  go Tnode.nil true start 1
 
 (* A resumed window starts at the node the last one handed off, so it
    needs a budget of at least 2: at 1 it would hand that node back again
@@ -74,25 +72,32 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
     ~window:(t.window, thread)
     (fun txn ~start ->
       let start, budget = start_point t ~thread ~start in
-      let outcome =
-        match descend txn ~key ~start ~budget with
-        | `Found_unparented ->
-            (* Rare fallback: finish the descent from the root in this same
-               transaction to recover the parent. *)
-            descend txn ~key ~start:t.root ~budget:max_int
-        | o -> o
-      in
-      match outcome with
+      match descend txn ~key ~start ~budget with
       | `Found (p, side, curr) ->
           Rr.Hoh.Finish (on_found txn ~parent:p ~side ~curr)
       | `Absent (p, side) -> Rr.Hoh.Finish (on_notfound txn ~parent:p ~side)
-      | `Window c -> Rr.Hoh.Hand_off c
-      | `Found_unparented -> assert false (* root descent always has parents *))
+      | `Window c -> Rr.Hoh.Hand_off c)
 
 let lookup_s t ~thread key =
   apply t ~thread ~read_phase:t.mode.Mode.ro_hint key ~site:"bst_int.lookup"
     ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> true)
     ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
+
+let link n side = if side then n.Tnode.left else n.Tnode.right
+
+(* The spare a write attempt links; kept across aborted attempts, given
+   back by [Mode.give_back_spare] when no attempt consumed it. *)
+let take t ~thread spare txn =
+  let n =
+    match !spare with
+    | Some n -> n
+    | None ->
+        let n = Tnode.alloc t.pool ~thread in
+        spare := Some n;
+        n
+  in
+  Tm.defer txn (fun () -> spare := None);
+  n
 
 let insert_s t ~thread key =
   let spare = ref None in
@@ -100,19 +105,9 @@ let insert_s t ~thread key =
     apply t ~thread key ~site:"bst_int.insert"
       ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> false)
       ~on_notfound:(fun txn ~parent ~side ->
-        let n =
-          match !spare with
-          | Some n -> n
-          | None ->
-              let n = Tnode.alloc t.pool ~thread in
-              spare := Some n;
-              n
-        in
-        Tm.write txn n.Tnode.key key;
-        Tm.write txn
-          (if side then parent.Tnode.left else parent.Tnode.right)
-          n;
-        Tm.defer txn (fun () -> spare := None);
+        let n = take t ~thread spare txn in
+        Tnode.set_key n key;
+        Tm.write txn (link parent side) n;
         true)
   in
   Mode.give_back_spare t.pool ~thread spare;
@@ -121,39 +116,54 @@ let insert_s t ~thread key =
 (* Replace [parent]'s edge to [curr], on [side], with [child] (zero- or
    one-child splice). *)
 let splice t txn ~parent ~side ~curr child =
-  Tm.write txn (if side then parent.Tnode.left else parent.Tnode.right) child;
+  Tm.write txn (link parent side) child;
   t.mode.Mode.invalidate txn curr;
   t.mode.Mode.dispose txn curr
 
-(* Two-child removal: move the key of the leftmost descendant of the right
-   child into [curr], extract that descendant, and revoke the whole
-   curr..leftmost path. *)
-let remove_two_children t txn ~curr ~right =
+(* Two-child removal, by copy: a fresh node carrying the key of [lm], the
+   leftmost descendant of the right child, takes [curr]'s place, and [lm]
+   is extracted. No live key changes, but [lm]'s key moves above the
+   curr..lm path, where a search resumed on that path would miss it: the
+   whole path is revoked, and both [curr] and [lm] are disposed. *)
+let remove_two_children t txn ~copy ~parent ~side ~curr ~left ~right =
   let rec find_leftmost parent node acc =
     let l = Tm.read txn node.Tnode.left in
     if l == Tnode.nil then (parent, node, node :: acc)
     else find_leftmost node l (node :: acc)
   in
   let lparent, lm, path = find_leftmost curr right [ curr ] in
-  Tm.write txn curr.Tnode.key (Tm.read txn lm.Tnode.key);
+  Tnode.set_key copy (Tnode.key txn lm);
   let promoted = Tm.read txn lm.Tnode.right in
+  Tm.write txn copy.Tnode.left left;
   if Tnode.equal lparent curr then
     (* [lm] is curr's right child: its right subtree takes its place. *)
-    Tm.write txn curr.Tnode.right promoted
-  else Tm.write txn lparent.Tnode.left promoted;
+    Tm.write txn copy.Tnode.right promoted
+  else begin
+    Tm.write txn lparent.Tnode.left promoted;
+    Tm.write txn copy.Tnode.right right
+  end;
+  Tm.write txn (link parent side) copy;
   List.iter (fun n -> t.mode.Mode.invalidate txn n) path;
+  t.mode.Mode.dispose txn curr;
   t.mode.Mode.dispose txn lm
 
 let remove_s t ~thread key =
-  apply t ~thread key ~site:"bst_int.remove"
-    ~on_found:(fun txn ~parent ~side ~curr ->
-      let l = Tm.read txn curr.Tnode.left in
-      let r = Tm.read txn curr.Tnode.right in
-      if l == Tnode.nil then splice t txn ~parent ~side ~curr r
-      else if r == Tnode.nil then splice t txn ~parent ~side ~curr l
-      else remove_two_children t txn ~curr ~right:r;
-      true)
-    ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
+  let spare = ref None in
+  let result =
+    apply t ~thread key ~site:"bst_int.remove"
+      ~on_found:(fun txn ~parent ~side ~curr ->
+        let l = Tm.read txn curr.Tnode.left in
+        let r = Tm.read txn curr.Tnode.right in
+        if l == Tnode.nil then splice t txn ~parent ~side ~curr r
+        else if r == Tnode.nil then splice t txn ~parent ~side ~curr l
+        else
+          remove_two_children t txn ~copy:(take t ~thread spare txn) ~parent
+            ~side ~curr ~left:l ~right:r;
+        true)
+      ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
+  in
+  Mode.give_back_spare t.pool ~thread spare;
+  result
 
 let insert t ~thread key = fst (insert_s t ~thread key)
 let remove t ~thread key = fst (remove_s t ~thread key)
@@ -172,7 +182,7 @@ let rec fold_infix acc n f =
 let to_list t =
   List.rev
     (fold_infix [] (Tm.peek t.root.Tnode.left) (fun acc n ->
-         Tm.peek n.Tnode.key :: acc))
+         n.Tnode.key :: acc))
 
 let size t = fold_infix 0 (Tm.peek t.root.Tnode.left) (fun acc _ -> acc + 1)
 
@@ -187,9 +197,7 @@ let check t =
   let exception Bad of string in
   let rec go n ~lo ~hi =
     if n != Tnode.nil then begin
-      let k = Tm.peek n.Tnode.key in
-      if k = Tnode.poisoned_key then
-        raise (Bad (Printf.sprintf "poisoned node %d linked" n.Tnode.id));
+      let k = n.Tnode.key in
       if Tnode.peek_deleted n then
         raise (Bad (Printf.sprintf "deleted node %d linked" n.Tnode.id));
       if not (Mempool.is_live t.pool n) then

@@ -1,7 +1,7 @@
 type t = {
   mutable state : int;
   id : int;
-  key : int Tm.tvar;
+  mutable key : int;
   left : t Tm.tvar;
   right : t Tm.tvar;
 }
@@ -10,37 +10,47 @@ type t = {
    tvar lock word is (DESIGN.md decision 1); it is never a plain field. *)
 external state_word : t -> int Atomic.t = "%identity"
 
-let poisoned_key = min_int
-
 let nil =
   Tm.knot (fun self ->
-      {
-        state = 0;
-        id = -1;
-        key = Tm.tvar poisoned_key;
-        left = self ();
-        right = self ();
-      })
+      { state = 0; id = -1; key = 0; left = self (); right = self () })
 
 let make id =
-  {
-    state = 0;
-    id;
-    key = Tm.tvar poisoned_key;
-    left = Tm.tvar nil;
-    right = Tm.tvar nil;
-  }
+  { state = 0; id; key = 0; left = Tm.tvar nil; right = Tm.tvar nil }
 
+(* The key is left as it was: a reader still holding the node loads it
+   before a link these pokes have moved past its snapshot (see [route]). *)
 let poison n =
-  Tm.poke n.key poisoned_key;
   Tm.poke n.left nil;
   Tm.poke n.right n
 
-let tvar_ids n = [ Tm.tvar_id n.key; Tm.tvar_id n.left; Tm.tvar_id n.right ]
+let tvar_ids n = [ Tm.tvar_id n.left; Tm.tvar_id n.right ]
 
 let make_pool ?strategy () =
   Mempool.create ?strategy ~make ~node_id:(fun n -> n.id)
     ~state:state_word ~poison ~tvar_ids ()
+
+(* A key is a plain field, so a reader loads it first and then one of the
+   node's links through the TM. The only stores to a key are [set_key] on
+   a node no other thread can reach, program-ordered after the version
+   bumps of the free that unlinked its last incarnation and of the
+   [alloc] that handed it out. A reader whose load sees such a store
+   therefore sees those versions, which are past its snapshot, in the
+   link load that follows: the same plain-then-lock load order as the
+   seqlock pair in [Tm.read] (DESIGN.md decision 1). *)
+type step = Left of t | Right of t | Hit of t
+
+let route txn n k =
+  let nk = n.key in
+  if k < nk then Left (Tm.read txn n.left)
+  else if k > nk then Right (Tm.read txn n.right)
+  else Hit (Tm.read txn n.right)
+
+let key txn n =
+  let k = n.key in
+  ignore (Tm.read txn n.left);
+  k
+
+let set_key n k = n.key <- k
 
 let deleted txn n = Tm.read txn n.right == n
 let mark_deleted txn n = Tm.write txn n.right n
@@ -48,7 +58,7 @@ let peek_deleted n = Tm.peek n.right == n
 
 let sentinel ~key =
   let n = make (-1) in
-  Tm.poke n.key key;
+  n.key <- key;
   n
 
 let hash n =

@@ -1187,6 +1187,26 @@ and apply_path ctx env (e : expression) p args =
           | None -> ())
         args;
       (env, if snd key = "peek" then aval_of_type e.exp_type else Aother)
+  | (("Tnode", "set_key"), None) ->
+      (* A tree key is a plain field, validated only by the version bumps
+         that precede its one store on a node no thread can reach. *)
+      let env, args = analyze_args ctx env args in
+      (match node_arg args with
+      | Some (_, v) -> (
+          match state_of_aval v with
+          | Freed ->
+              report ctx ~loc ~rule:"use-after-free"
+                "Tnode.set_key on a freed node"
+          | (Shared | Checked | Carried | Retired) as st ->
+              report ctx ~loc ~rule:"raw-access"
+                (Printf.sprintf
+                   "Tnode.set_key on a %s node: a key may be set only on a \
+                    node no other thread can reach (a fresh spare), or a \
+                    reader pairs the new key with the node's old place"
+                   (state_name st))
+          | _ -> ())
+      | None -> ());
+      (env, Aother)
   | (("Tm", "defer"), None) ->
       let env, args = analyze_args ctx env args in
       List.iter

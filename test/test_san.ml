@@ -337,6 +337,41 @@ let test_double_revoke () =
           txn c (fun () ->
               San.rr_revoke ~tid:0 ~site:"me.remove" ~node:(key c 1))))
 
+(* The internal tree revokes the path above a key its two-child removal
+   moves up, and those nodes stay in place, so one may be revoked again
+   when it is itself removed. A revoker that read the node in its own
+   transaction reached it in a validated snapshot: a fresh revoke. A read
+   in an earlier transaction does not count. *)
+let test_revoke_of_read_node_is_fresh () =
+  with_san (fun () ->
+      let c = mk_ctx () in
+      alloc c 1;
+      txn c (fun () -> San.rr_revoke ~tid:0 ~site:"me.path" ~node:(key c 1));
+      txn c (fun () ->
+          San.tm_read ~tid:0 ~site:"me.remove" ~rv:c.clock (link 1);
+          San.rr_revoke ~tid:0 ~site:"me.remove" ~node:(key c 1));
+      txn c (fun () ->
+          San.tm_read ~tid:0 ~site:"me.lookup" ~rv:c.clock (link 1));
+      expect San.Double_revoke ~site:"me.remove" (fun () ->
+          txn c (fun () ->
+              San.rr_revoke ~tid:0 ~site:"me.remove" ~node:(key c 1))))
+
+(* TxSan hears of a commit after its locks are released, so another
+   thread's later revoke and free of the node may reach it first. A
+   revoke stamped no later than the free came before it. *)
+let test_late_revoke_before_free_is_quiet () =
+  with_san (fun () ->
+      let c = mk_ctx () in
+      alloc c 1;
+      let rv = c.clock in
+      let wv = tick c in
+      txn c ~tid:1 (fun () ->
+          San.tm_read ~tid:1 ~site:"other.remove" ~rv:c.clock (link 1);
+          San.rr_revoke ~tid:1 ~site:"other.remove" ~node:(key c 1));
+      free c ~thread:1 1;
+      San.rr_revoke ~tid:0 ~site:"me.path" ~node:(key c 1);
+      San.tm_commit ~tid:0 ~site:"me.path" ~rv ~now:wv)
+
 let test_revoke_after_free () =
   with_san (fun () ->
       let c = mk_ctx () in
@@ -601,6 +636,50 @@ let test_uid_space_exhausted () =
       San.set_enabled true;
       checkb "arms once the counter is back" true (San.enabled ()))
 
+(* ---- the trees, end to end ----
+
+   The smokes, DST scenarios and soak drive lists only, so these runs are
+   where the sanitizer sees the trees' own accesses: keys loaded as plain
+   fields ahead of a validating link read, spares keyed before the commit
+   that links them, two-child removal by copy. A short two-domain churn
+   over a small key range (a small window, so hand-offs and copies are
+   frequent) must leave a correct, serializable tree and count no
+   violation of any rule. *)
+let tree_churn (structure, kind) () =
+  Tm.Thread.with_registered (fun _ ->
+      let open Harness in
+      let store =
+        (Factories.make (Factories.Spec.v ~window:4 structure kind))
+          .Factories.make ()
+      in
+      let spec =
+        Workload.spec ~key_bits:6 ~lookup_pct:20 ~threads:2
+          ~ops_per_thread:3000 ()
+      in
+      let r = Driver.run ~san:true spec store in
+      checkb "correct and serializable" true (r.Driver.verdict = Ok ());
+      match r.Driver.san with
+      | None -> Alcotest.fail "the run was not armed"
+      | Some per_rule ->
+          List.iter (fun (rule, n) -> check_i rule 0 n) per_rule)
+
+let tree_churn_cases =
+  List.concat_map
+    (fun structure ->
+      List.map
+        (fun (name, kind) ->
+          Alcotest.test_case
+            (Printf.sprintf "%s/%s churn"
+               (Harness.Factories.Spec.structure_name structure)
+               name)
+            `Quick
+            (tree_churn (structure, kind)))
+        [
+          ("RR-V", Structs.Mode.Rr_kind (module Rr.V));
+          ("RR-XO", Structs.Mode.Rr_kind (module Rr.Xo));
+        ])
+    [ Harness.Factories.Spec.Bst_int; Harness.Factories.Spec.Bst_ext ]
+
 let qcheck_clean_history =
   QCheck.Test.make ~name:"clean histories never trip TxSan" ~count:300
     (QCheck.make gen_cmds) (fun cmds ->
@@ -675,6 +754,10 @@ let () =
       ( "double-revoke",
         [
           Alcotest.test_case "revoked twice" `Quick test_double_revoke;
+          Alcotest.test_case "revoke of a read node is fresh" `Quick
+            test_revoke_of_read_node_is_fresh;
+          Alcotest.test_case "late revoke before the free is quiet" `Quick
+            test_late_revoke_before_free_is_quiet;
           Alcotest.test_case "revoke after free" `Quick
             test_revoke_after_free;
           Alcotest.test_case "retired twice" `Quick test_double_retire;
@@ -702,6 +785,7 @@ let () =
           Alcotest.test_case "uid space exhausted" `Quick
             test_uid_space_exhausted;
         ] );
+      ("trees", tree_churn_cases);
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_clean_history ] );
     ]

@@ -371,6 +371,11 @@ let test_rr_list_reclaims_immediately () =
       (* precise: the node is back in the pool the moment remove returns *)
       check "freed immediately, no drain needed" 1 (live ()))
 
+(* Two-child removal copies: a fresh node carrying the successor's key
+   replaces the removed one, so the removal allocates one node and frees
+   two (the removed node and the successor). [Hoh_bst_int.t] is abstract:
+   the test reaches the root sentinel through the record's field 1
+   ([root]) to find the removed node's id. *)
 let test_bst_int_two_child_removal () =
   Tm.Thread.with_registered (fun tid ->
       let t =
@@ -381,10 +386,29 @@ let test_bst_int_two_child_removal () =
       List.iter
         (fun k -> ignore (Structs.Hoh_bst_int.insert t ~thread:tid k))
         [ 50; 30; 70; 20; 40; 60; 80; 65 ];
+      let root : Structs.Tnode.t = Obj.obj (Obj.field (Obj.repr t) 1) in
+      check "field 1 is the root sentinel" max_int root.Structs.Tnode.key;
+      let top = Tm.peek root.Structs.Tnode.left in
+      check "the node holding 50" 50 top.Structs.Tnode.key;
+      let stats () = Structs.Hoh_bst_int.pool_stats t in
+      let before = stats () in
       checkb "remove root (two children)" true
         (Structs.Hoh_bst_int.remove t ~thread:tid 50);
+      let after = stats () in
+      check "one alloc: the copy" 1
+        (after.Mempool.Stats.allocs - before.Mempool.Stats.allocs);
+      check "two frees: the removed node and the successor" 2
+        (after.Mempool.Stats.frees - before.Mempool.Stats.frees);
+      let rec ids n =
+        if n == Structs.Tnode.nil then []
+        else
+          (n.Structs.Tnode.id :: ids (Tm.peek n.Structs.Tnode.left))
+          @ ids (Tm.peek n.Structs.Tnode.right)
+      in
+      checkb "the removed node is no longer linked" false
+        (List.mem top.Structs.Tnode.id (ids (Tm.peek root.Structs.Tnode.left)));
       Alcotest.(check (list int))
-        "leftmost of right subtree swapped in"
+        "leftmost of right subtree copied in"
         [ 20; 30; 40; 60; 65; 70; 80 ]
         (Structs.Hoh_bst_int.to_list t);
       checkb "invariants hold" true (Structs.Hoh_bst_int.check t = Ok ());
@@ -457,6 +481,44 @@ let test_key_range_checks () =
         (match Structs.Hoh_bst_ext.insert t ~thread:tid max_int with
         | _ -> false
         | exception Invalid_argument _ -> true))
+
+(* A tree key is a plain field that only a node no thread can reach has
+   set, so [Tnode.route] validates each key load with the link read after
+   it. Here a transaction reaches [n] through [root]'s link; on its first
+   attempt only, [n] is unlinked, freed and handed out again with the
+   very key the search is after. The key load then hits, and only the
+   link read on the hit branch, whose version the free and the alloc have
+   moved past the snapshot, can abort the attempt; the retry finds the
+   tree as it is after the change, without the key. *)
+let test_recycled_key_aborts () =
+  Tm.Thread.with_registered (fun thread ->
+      let open Structs in
+      let pool = Tnode.make_pool () in
+      let root = Tnode.sentinel ~key:max_int in
+      let n = Tnode.alloc pool ~thread in
+      Tnode.set_key n 10;
+      Tm.poke root.Tnode.left n;
+      let recycled = ref false in
+      let r =
+        Tm.atomic_stamped ~site:"test.recycled_key" (fun txn ->
+            let c = Tm.read txn root.Tnode.left in
+            if not !recycled then begin
+              recycled := true;
+              Tm.poke root.Tnode.left Tnode.nil;
+              Mempool.free pool ~thread c;
+              let m = Tnode.alloc pool ~thread in
+              checkb "the pool hands the node out again" true (m == c);
+              Tnode.set_key m 20
+            end;
+            c != Tnode.nil
+            &&
+            match Tnode.route txn c 20 with
+            | Tnode.Hit _ -> true
+            | Tnode.Left _ | Tnode.Right _ -> false)
+      in
+      check "the attempt that loaded the recycled key aborted" 2
+        r.Tm.attempts;
+      checkb "the answer is the tree's after the change" false r.Tm.value)
 
 let test_mode_restrictions () =
   checkb "internal tree rejects TMHP" true
@@ -603,7 +665,7 @@ let test_node_layout () =
         w
       in
       let record fields = 1 + fields and tvar = 3 in
-      check "tnode: 5 fields, 3 tvars (15)" (record 5 + (3 * tvar))
+      check "tnode: 5 fields, 2 tvars (12)" (record 5 + (2 * tvar))
         (words "tnode"
            (Structs.Tnode.make_pool ())
            Structs.Tnode.alloc Structs.Tnode.nil);
@@ -645,10 +707,16 @@ let test_structure_footprint () =
       in
       let bst = Structs.Hoh_bst_int.create ~mode:rr () in
       (* a scattered key order keeps the unbalanced tree shallow *)
-      per_key "bst-int" ~node_words:15
+      per_key "bst-int" ~node_words:12
         ~insert:(fun i ->
           Structs.Hoh_bst_int.insert bst ~thread (i * 7919 mod 4099))
         ~repr:(fun () -> Obj.repr bst);
+      (* an external tree holds a leaf and a router per key *)
+      let ext = Structs.Hoh_bst_ext.create ~mode:rr () in
+      per_key "bst-ext" ~node_words:(2 * 12)
+        ~insert:(fun i ->
+          Structs.Hoh_bst_ext.insert ext ~thread (i * 7919 mod 4099))
+        ~repr:(fun () -> Obj.repr ext);
       (* descending keys insert at the head: O(1) per insert *)
       let sl = Structs.Hoh_list.create ~mode:rr () in
       per_key "slist" ~node_words:11
@@ -818,6 +886,8 @@ let () =
             test_bst_int_chain_removal;
           Alcotest.test_case "bst-ext: structure and reclamation" `Quick
             test_bst_ext_structure;
+          Alcotest.test_case "tnode: recycled key aborts" `Quick
+            test_recycled_key_aborts;
           Alcotest.test_case "key range" `Quick test_key_range_checks;
           Alcotest.test_case "mode restrictions" `Quick test_mode_restrictions;
           Alcotest.test_case "ref: count table growth" `Quick
