@@ -17,7 +17,7 @@
    the awaiting clients draining each shard's queue into fused batches
    (combining: no domain beyond the clients runs). Point requests are
    submitted [Low] priority — they are the sheddable class; multis stay
-   synchronous (and are implicitly [High]: 2PC never sheds).
+   synchronous (and are implicitly [High]: a multi never sheds).
 
    The probe matrix ([run_matrix]) sweeps the service knobs over one
    workload: caller-runs baseline, +pool, +pool+hotcache, and all-on
@@ -51,7 +51,7 @@ type params = {
   theta : float;  (** Zipfian skew; 0 = uniform *)
   read_pct : int;
   scan_pct : int;  (** remainder after reads+scans splits insert/remove *)
-  multi_pct : int;  (** % of requests issued as cross-shard 2PC multis *)
+  multi_pct : int;  (** % of requests issued as cross-shard multis *)
   batch : int;  (** point ops per request (router batches per shard) *)
   pipeline : int;  (** outstanding async submissions per client; 1 = sync *)
   arrival : arrival;
@@ -223,9 +223,8 @@ let worker ~svc ~p ~zipf ~phase d () =
               Queue.push { pd_ticket = tk; pd_ops = ops; pd_scheduled = scheduled }
                 pending
           | Req_multi ops -> (
-              (* multis stay synchronous: 2PC freezes its shards with
-                 exclusive gates, so a client keeps none of its own point
-                 traffic queued behind a multi it has yet to redeem *)
+              (* multis stay synchronous: [Service.multi] has no queued
+                 path *)
               let r = Service.multi svc ~thread:tid ops in
               let completed = Telemetry.now_ns () in
               record hists.h_multi ~scheduled ~completed;
@@ -253,7 +252,7 @@ let worker ~svc ~p ~zipf ~phase d () =
    A short fixed-op-count segment with full logging: every point op and
    every multi sub-op is logged with its commit stamp, then the combined
    cross-shard history must replay under Serial_check. This is the
-   "2PC over per-shard transactions stays serializable" acceptance check,
+   "cross-shard multis stay serializable" acceptance check,
    run against the same service instance shape as the load loop. *)
 
 let verify_probe ~p ~threads ~ops_per_thread =
@@ -794,12 +793,16 @@ let doc_get_p99 = doc_get_stat "p99_ns"
    is under any SLO. *)
 let matrix_min_gets = 100
 
-let matrix_report p ~mode =
+(* Every matrix run is measured with the parameters recorded at the top of
+   the document: the mode names the command, not a size preset. *)
+let matrix_mode = "matrix"
+
+let matrix_report p =
   (* the base closed-loop run comes first: its capacity calibrates the
      open-loop overload rate *)
   let base_cfg = List.hd (matrix_configs ~p ~rate:1.) in
   Printf.printf "matrix[base]: measuring caller-runs capacity...\n%!";
-  let base_doc = report base_cfg.m_params ~mode in
+  let base_doc = report base_cfg.m_params ~mode:matrix_mode in
   let base_tput = doc_float "throughput" base_doc in
   (* 2x the caller-runs capacity: far past what the baseline can serve
      (its open-loop lag must blow the SLO), while leaving the load
@@ -813,7 +816,7 @@ let matrix_report p ~mode =
     :: List.map
          (fun c ->
            Printf.printf "matrix[%s]: running...\n%!" c.m_name;
-           (c, report c.m_params ~mode))
+           (c, report c.m_params ~mode:matrix_mode))
          cfgs
   in
   let tagged =
@@ -845,9 +848,11 @@ let matrix_report p ~mode =
     [
       ("schema", Json.String schema);
       ("bench", Json.String "service");
-      ("mode", Json.String ("matrix-" ^ mode));
+      ("mode", Json.String matrix_mode);
       ("threads", Json.Int p.threads);
       ("theta", Json.Float p.theta);
+      ("warmup_s", Json.Float p.warmup_s);
+      ("measure_s", Json.Float p.measure_s);
       ("runs", Json.List (List.map snd tagged));
       ( "matrix",
         Json.Obj
@@ -879,6 +884,19 @@ let validate_matrix js =
     | Some s when s = schema -> Ok ()
     | Some s -> err "schema %S, wanted %S" s schema
     | None -> err "missing schema"
+  in
+  let* () =
+    match Option.bind (Json.member "mode" js) Json.to_string_opt with
+    | Some m when m = matrix_mode -> Ok ()
+    | Some m -> err "mode %S, wanted %S" m matrix_mode
+    | None -> err "missing mode"
+  in
+  let* () =
+    let secs name = Option.bind (Json.member name js) Json.to_float in
+    match (secs "warmup_s", secs "measure_s") with
+    | Some w, Some m when w >= 0. && m > 0. -> Ok ()
+    | Some _, Some _ -> err "warmup_s < 0 or measure_s <= 0"
+    | _ -> err "missing warmup_s or measure_s"
   in
   let* runs =
     match Option.bind (Json.member "runs" js) Json.to_list with
@@ -994,13 +1012,13 @@ let matrix_repro ~p js =
     (fun c -> prerr_endline ("  [" ^ c.m_name ^ "] " ^ repro_line c.m_params))
     (matrix_configs ~p ~rate)
 
-let run_matrix p ~mode =
+let run_matrix p =
   Printf.printf
     "service probe matrix: %s base, %d threads, theta %.2f, warmup %.1fs + \
      measure %.1fs per config -> %s\n\
      %!"
     (Spec.label p.spec) p.threads p.theta p.warmup_s p.measure_s p.out;
-  let js = matrix_report p ~mode in
+  let js = matrix_report p in
   write_report ~out:p.out js;
   if p.json_stdout then print_endline (Json.to_string js);
   summarize_matrix js;
@@ -1033,7 +1051,7 @@ let smoke () =
      regressions repeat, scheduling noise does not. *)
   let attempts = 2 in
   let attempt_once () =
-    let js = matrix_report p ~mode:"smoke" in
+    let js = matrix_report p in
     write_report ~out:p.out js;
     let ic = open_in p.out in
     let len = in_channel_length ic in

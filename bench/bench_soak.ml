@@ -5,13 +5,14 @@
    with the pool and hot cache on, every op through the async
    submit/await path), then the two DST adversaries: the stalled-reader
    backlog contrast (EBR vs RR on the same schedule) and the crash
-   scenarios (kill mid-commit, kill mid-2PC). The run emits a [hohtx-soak/1] JSON artifact;
+   scenarios (kill mid-commit, kill mid-multi). The run emits a
+   [hohtx-soak/1] JSON artifact;
    `main.exe soak-smoke` runs a miniature, checks determinism of the
    adversary trajectory under the fixed seed, and validates the emitted
    file against the schema (the @soak-smoke alias).
 
    Every oracle failure — churn verdicts, stall accounting, crash
-   recovery — carries a one-line `main.exe soak ...` reproduction
+   outcomes — carries a one-line `main.exe soak ...` reproduction
    command; `run` prints them and exits nonzero. *)
 
 open Harness
@@ -89,7 +90,7 @@ let collect p =
     Soak.crash_mid_commit ~seed:p.seed (Spec.v p.spec.Spec.structure rr_v)
   in
   let crash2 =
-    Soak.crash_mid_2pc ~seed:p.seed
+    Soak.crash_mid_multi ~seed:p.seed
       (Spec.v ~window:4 ~shards:2 ~fuse:true Spec.Slist rr_v)
   in
   {
@@ -168,7 +169,6 @@ let crash_json (k : Soak.crash_result) =
     [
       ("label", Json.String k.Soak.k_label);
       ("scenario", Json.String k.Soak.k_scenario);
-      ("recovered", Json.Int k.Soak.k_recovered);
       ("serial_ok", Json.Bool k.Soak.k_serial_ok);
       ("leaked", Json.Int k.Soak.k_leaked);
       ("error", Json.String (Option.value k.Soak.k_error ~default:"ok"));
@@ -311,12 +311,9 @@ let validate js =
       let* e = field "error" Json.to_string_opt k in
       let* serial_ok = field "serial_ok" Json.to_bool k in
       let* leaked = field "leaked" Json.to_int k in
-      let* recovered = field "recovered" Json.to_int k in
       if e <> "ok" then err "%s: %s" scenario e
       else if not serial_ok then err "%s: history not serializable" scenario
       else if leaked <> 0 then err "%s: %d slots leaked" scenario leaked
-      else if scenario = "crash-2pc" && recovered <> 1 then
-        err "crash-2pc resolved %d intents, want 1" recovered
       else Ok ())
     (Ok ()) crashes
 
@@ -364,8 +361,8 @@ let summarize r =
   List.iter
     (fun (k : Soak.crash_result) ->
       Printf.printf
-        "soak %s on %s: recovered %d | serial %s | leaked %d | %s\n%!"
-        k.Soak.k_scenario k.Soak.k_label k.Soak.k_recovered
+        "soak %s on %s: serial %s | leaked %d | %s\n%!"
+        k.Soak.k_scenario k.Soak.k_label
         (if k.Soak.k_serial_ok then "ok" else "FAIL")
         k.Soak.k_leaked
         (match k.Soak.k_error with None -> "ok" | Some _ -> "FAIL"))
@@ -410,11 +407,12 @@ let run_scenario ~scenario ~seed spec =
   | "crash-commit" ->
       let r = Soak.crash_mid_commit ~seed spec in
       finish r.Soak.k_label r.Soak.k_error
-  | "crash-2pc" ->
-      let r = Soak.crash_mid_2pc ~seed spec in
+  | "crash-multi" ->
+      let r = Soak.crash_mid_multi ~seed spec in
       finish r.Soak.k_label r.Soak.k_error
   | s ->
-      Printf.eprintf "unknown scenario %S (stalled-reader|crash-commit|crash-2pc)\n" s;
+      Printf.eprintf
+        "unknown scenario %S (stalled-reader|crash-commit|crash-multi)\n" s;
       exit 2
 
 let smoke () =

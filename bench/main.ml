@@ -36,7 +36,7 @@ let usage () =
     \  soak           adversarial soak: scripted churn phases + stalled-\n\
     \                 reader and crash adversaries; writes BENCH_soak.json\n\
     \                 (schema hohtx-soak/1); with --scenario, replay one\n\
-    \                 DST adversary (stalled-reader|crash-commit|crash-2pc)\n\
+    \                 DST adversary (stalled-reader|crash-commit|crash-multi)\n\
     \  soak-smoke     miniature deterministic soak + schema validation of\n\
     \                 the emitted file (used by @soak-smoke)\n\n\
      options:\n\
@@ -300,7 +300,6 @@ let () =
               json_stdout = !json;
               out = Option.value !out ~default:Bench_service.default_out;
             }
-            ~mode:(if !quick then "quick" else "full")
       | [ "service-smoke" ] -> Bench_service.smoke ()
       | [ "soak" ] -> (
           let d = Bench_soak.default_params in

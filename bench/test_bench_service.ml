@@ -1,6 +1,6 @@
 (* The service matrix verdicts of [Bench_service.validate_matrix], checked
    against the committed matrix document and against copies of it with
-   one leg emptied. *)
+   one leg emptied or its run parameters dropped. *)
 
 module Json = Telemetry.Json
 
@@ -76,11 +76,40 @@ let test_no_gets_rejected () =
         true
         (String.starts_with ~prefix:"open-loop all-on run served 0 gets" e)
 
+(* The document says how it was run: mode "matrix" with the warm-up and
+   measurement windows. A size-preset mode, as older documents carried, or
+   a missing window is rejected. *)
+let test_run_parameters_recorded () =
+  let js = committed () in
+  Alcotest.(check (option string))
+    "mode" (Some "matrix")
+    (Option.bind (Json.member "mode" js) Json.to_string_opt);
+  List.iter
+    (fun name ->
+      Alcotest.(check bool)
+        (name ^ " recorded") true
+        (Option.is_some (Option.bind (Json.member name js) Json.to_float)))
+    [ "warmup_s"; "measure_s" ];
+  let rejected what doc =
+    Alcotest.(check bool)
+      (what ^ " is rejected") true
+      (Result.is_error (Bench_service.validate_matrix doc))
+  in
+  rejected "a preset mode"
+    (set_fields [ ("mode", fun _ -> Json.String "matrix-quick") ] js);
+  rejected "a missing window"
+    (match js with
+    | Json.Obj fields ->
+        Json.Obj (List.filter (fun (k, _) -> k <> "measure_s") fields)
+    | js -> js)
+
 let () =
   Alcotest.run "bench_service"
     [
       ( "matrix",
         [
+          Alcotest.test_case "run parameters recorded" `Quick
+            test_run_parameters_recorded;
           Alcotest.test_case "committed document validates" `Quick
             test_committed_validates;
           Alcotest.test_case "open-loop run with no gets is rejected" `Quick

@@ -132,19 +132,24 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window step =
         Window.record w ~thread
           ~contended:(res.Tm.serial || contention_aborts s > c0)
     | _ -> ());
+    (* TxSan's window shadow follows committed windows. Inside an enclosing
+       transaction nothing committed: the window's reservation events stay
+       buffered with the enclosing attempt, and the carried pointer is
+       guarded by that attempt's read set, as in a fused window. *)
+    let san = San.enabled () && Tm.current_txn () = None in
     match res.Tm.value with
     | Finish v ->
         reserved := None;
         (* The operation is over: TxSan checks the thread left no applied
            reservations behind and drops its carry/hint shadow. *)
-        if San.enabled () then San.window_finish ~tid:(Tm.Thread.id ());
+        if san then San.window_finish ~tid:(Tm.Thread.id ());
         (v, res.Tm.stamp)
     | Hand_off r ->
         reserved := Some r;
         (* The committed reservation becomes the carried pointer; until
            the next window's successful [get] it must not be dereferenced
            (TxSan's unchecked-carry rule). *)
-        if San.enabled () then San.window_handoff ~tid:(Tm.Thread.id ());
+        if san then San.window_handoff ~tid:(Tm.Thread.id ());
         (* Between windows the operation holds only its reservation; this
            is the interleaving the paper's races live in, so make it a
            first-class scheduling point. *)

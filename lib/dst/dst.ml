@@ -26,9 +26,6 @@ type site =
   | Ep_retire
   | Ep_advance
   | Hoh_handoff
-  | Svc_gate
-  | Svc_prepare
-  | Svc_apply
   | Svc_enqueue
   | Svc_drain
   | Svc_cache
@@ -62,9 +59,6 @@ let site_name = function
   | Ep_retire -> "epoch.retire"
   | Ep_advance -> "epoch.advance"
   | Hoh_handoff -> "hoh.handoff"
-  | Svc_gate -> "service.gate"
-  | Svc_prepare -> "service.prepare"
-  | Svc_apply -> "service.apply"
   | Svc_enqueue -> "service.enqueue"
   | Svc_drain -> "service.drain"
   | Svc_cache -> "service.cache"
@@ -91,17 +85,15 @@ module Inject = struct
     | Snapshot_straddle
     | Ro_publication
     | Stale_hint
-    | Tear_2pc
     | Stale_cache
 
   let bug_idx = function
     | Snapshot_straddle -> 0
     | Ro_publication -> 1
     | Stale_hint -> 2
-    | Tear_2pc -> 3
-    | Stale_cache -> 4
+    | Stale_cache -> 3
 
-  let bugs = Array.make 5 false
+  let bugs = Array.make 4 false
   let set_bug b v = bugs.(bug_idx b) <- v
   let[@inline] bug b = !enabled && Array.unsafe_get bugs (bug_idx b)
   let clear_bugs () = Array.fill bugs 0 (Array.length bugs) false

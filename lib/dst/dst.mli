@@ -44,9 +44,6 @@ type site =
   | Ep_retire
   | Ep_advance
   | Hoh_handoff  (** between the windowed transactions of one HoH op *)
-  | Svc_gate  (** service shard gate acquire/release *)
-  | Svc_prepare  (** between 2PC prepare sub-steps of a cross-shard multi *)
-  | Svc_apply  (** between 2PC apply sub-steps of a cross-shard multi *)
   | Svc_enqueue
       (** pool submission: before a request lands in a shard queue,
           and in an await that finds another client draining *)
@@ -100,9 +97,6 @@ module Inject : sig
         read-only transactions that publish hazard/epoch state.
       - [Stale_hint]: bug #3 — accept a recycled skiplist hint whose key or
         tower no longer matches.
-      - [Tear_2pc]: bug #4 — the service layer skips compensating rollback
-        when a cross-shard multi-key op fails mid-apply, leaving a torn
-        partial write behind (see DESIGN.md decision 10).
       - [Stale_cache]: bug #5 — the service layer skips the hot-cache
         epoch bump after a write commits, so cache hits can serve values
         older than the shard's last committed stamp (caught by the TxSan
@@ -111,7 +105,6 @@ module Inject : sig
     | Snapshot_straddle
     | Ro_publication
     | Stale_hint
-    | Tear_2pc
     | Stale_cache
 
   val set_bug : bug -> bool -> unit

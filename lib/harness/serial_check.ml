@@ -7,9 +7,13 @@ type logged = {
 }
 
 (* Successful inserts and removes write set content in their final
-   transaction, so their stamps are unique writer timestamps; everything
-   else is placed after writers with the same stamp (a reader with stamp s
-   observed exactly the writes with stamps <= s). *)
+   transaction and carry its commit stamp. The stamp is unique to the
+   transaction, not to the write: a fused batch or a cross-shard multi
+   stamps all its writes alike (the stable sort keeps each thread's issue
+   order among them). Everything else is placed after writers with the
+   same stamp (a reader with stamp s observed exactly the writes with
+   stamps <= s, so a multi's Gets, which run after its writes, see
+   them). *)
 let is_writer l =
   match (l.op, l.result) with
   | (Workload.Insert | Workload.Remove), true -> true

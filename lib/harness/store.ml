@@ -120,12 +120,11 @@ module Prim : S with type t = prim = struct
       Array.map (exec1 p ~thread) ops
     else
       (* One irrevocable serial transaction for the whole batch: nested
-         structure transactions flatten into it, deferred reservation and
-         reclamation hand-offs run at its single commit, and — because the
-         serial token excludes every abort cause — the spare-node
-         allocation protocol of the structures cannot be rewound past,
-         which a speculative enclosing transaction could do (leaking pool
-         nodes on an outer abort after an inner success). *)
+         structure transactions flatten into it, and deferred reservation
+         and reclamation hand-offs run at its single commit. It would be
+         abort-safe speculatively too (spares go back through
+         [Tm.on_abort]); it stays serial for the scans' sake (DESIGN.md,
+         decision 10). *)
       let r =
         Tm.atomic_stamped ~site:"store.batch" ~max_attempts:0 (fun _txn ->
             Array.map (exec1 p ~thread) ops)

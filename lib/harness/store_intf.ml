@@ -73,11 +73,11 @@ module type S = sig
       own (windowed) transaction sequence. With [fuse:true] and more than
       one operation, the whole batch runs as {e one irrevocable serial
       transaction}: every reply carries the same commit stamp and the batch
-      is a single serialization point. Fusing is irrevocable by design —
-      a speculative enclosing transaction could abort {e after} an inner
-      operation's allocation protocol had retired its spare-node state,
-      leaking pool nodes; the serial token makes the fused batch
-      abort-free (see DESIGN.md, decision 10). *)
+      is a single serialization point. An enclosing transaction is
+      abort-safe (an insert's spare goes back through {!Tm.on_abort}), but
+      the fused batch still runs serially: the service's scans are fused
+      batches of full-structure lookups, which rarely survive a
+      speculative attempt (see DESIGN.md, decision 10). *)
 
   val stats : t -> Telemetry.Report.t
   (** Post-quiescence telemetry snapshot, labelled with [name]. *)

@@ -97,11 +97,13 @@ type slot_shadow = {
   mutable generation : int;
   mutable live : bool;
   mutable alloc_stamp : int;
+  mutable alloc_thread : int;
   mutable freed_stamp : int;
   mutable free_site : string;
   mutable free_thread : int;
   mutable retired : bool;
   mutable revoked : bool;
+  mutable revoke_stamp : int;
   mutable history : event list; (* newest first, capped *)
 }
 
@@ -126,6 +128,9 @@ type thread_shadow = {
   mutable hints : (int * int) list; (* (node key, generation at note) *)
   mutable epochs : int; (* live epoch announcements *)
   mutable hp : ((int * int) * int) list; (* ((group, slot), node) *)
+  mutable at_begin : int * int * bool * int;
+      (* (carry, carry_gen, carry_checked, last_reserved) when the
+         in-flight attempt began: an abort or abandonment puts them back *)
 }
 
 let fresh_thread () =
@@ -142,6 +147,7 @@ let fresh_thread () =
     hints = [];
     epochs = 0;
     hp = [];
+    at_begin = (min_int, -1, false, min_int);
   }
 
 let tvars : (int, tvar_shadow) Hashtbl.t = Hashtbl.create 1024
@@ -254,11 +260,13 @@ let slot_of key =
           generation = 0;
           live = false;
           alloc_stamp = -1;
+          alloc_thread = -1;
           freed_stamp = -1;
           free_site = "?";
           free_thread = -1;
           retired = false;
           revoked = false;
+          revoke_stamp = -1;
           history = [];
         }
       in
@@ -497,7 +505,12 @@ let apply_pending th ~tid ~site ~rv ~now reps =
                        rv s.freed_stamp s.free_thread s.free_site)
                   ~key:k
                 :: !reps
-          | Some s when s.live && s.alloc_stamp > rv && s.alloc_stamp <= now ->
+          | Some s
+            when s.live && s.alloc_stamp > rv && s.alloc_stamp <= now
+                 && s.alloc_thread <> tid ->
+              (* A node this thread allocated after [rv] is this
+                 transaction's own: a later operation of the same
+                 transaction may reserve the node an earlier one linked. *)
               reps :=
                 mk Use_after_free ~tid ~site ~subject:(node_subject k)
                   ~detail:
@@ -510,7 +523,16 @@ let apply_pending th ~tid ~site ~rv ~now reps =
                   ~key:k
                 :: !reps
           | _ -> ());
-          if not (List.mem k th.reserved) then th.reserved <- k :: th.reserved;
+          (* The hook runs after the commit released its locks, so a later
+             commit's revoke or free of the node may already be applied:
+             in stamp order it cancelled this reservation. *)
+          let cancelled =
+            match find_slot k with
+            | Some s -> s.revoke_stamp > now || s.freed_stamp > now
+            | None -> false
+          in
+          if not (cancelled || List.mem k th.reserved) then
+            th.reserved <- k :: th.reserved;
           th.last_reserved <- k;
           (match find_slot k with
           | Some s ->
@@ -550,6 +572,7 @@ let apply_pending th ~tid ~site ~rv ~now reps =
                 :: !reps
           | Some s ->
               s.revoked <- true;
+              s.revoke_stamp <- now;
               push_ev s { what = "revoke"; thread = tid; site = rsite; stamp = now };
               (* Revocation is what makes reservations precise: it cancels
                  every thread's reservation of the node before the free. *)
@@ -591,10 +614,29 @@ let tm_commit_slow ~tid ~site ~rv ~now =
 let[@inline] tm_commit ~tid ~site ~rv ~now =
   if !on then tm_commit_slow ~tid ~site ~rv ~now
 
+let tm_begin_slow ~tid =
+  Mutex.lock m;
+  let th = thr tid in
+  th.at_begin <- (th.carry, th.carry_gen, th.carry_checked, th.last_reserved);
+  Mutex.unlock m
+
+let[@inline] tm_begin ~tid = if !on then tm_begin_slow ~tid
+
+(* Discard the window shadow a failed attempt set: the reservation events
+   it buffered, and the carry a nested hand-off or an RR check inside it
+   moved. *)
+let discard_attempt th =
+  th.pending <- [];
+  let carry, gen, checked, last = th.at_begin in
+  th.carry <- carry;
+  th.carry_gen <- gen;
+  th.carry_checked <- checked;
+  th.last_reserved <- last
+
 let tm_abort_slow ~tid =
   guarded (fun () ->
       let th = thr tid in
-      th.pending <- [];
+      discard_attempt th;
       Hashtbl.remove txn_reads tid;
       th.in_check <- false;
       th.in_probe <- false;
@@ -616,7 +658,7 @@ let[@inline] tm_abort ~tid = if !on then tm_abort_slow ~tid
 let tm_abandon_slow ~tid =
   quiet (fun () ->
       let th = thr tid in
-      th.pending <- [];
+      discard_attempt th;
       Hashtbl.remove txn_reads tid;
       th.in_check <- false;
       th.in_probe <- false;
@@ -715,6 +757,7 @@ let mp_alloc_slow ~thread ~node ~tvars:uids ~stamp =
       s.generation <- s.generation + 1;
       s.live <- true;
       s.alloc_stamp <- stamp;
+      s.alloc_thread <- thread;
       s.retired <- false;
       s.revoked <- false;
       push_ev s { what = "alloc"; thread; site = "(pool)"; stamp };

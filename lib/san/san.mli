@@ -154,12 +154,19 @@ val tm_commit : tid:int -> site:string -> rv:int -> now:int -> unit
     protocol events, delivers buffered violations. [now] is the commit
     version for writers and a fresh clock sample for read-only commits. *)
 
+val tm_begin : tid:int -> unit
+(** An attempt (speculative or serial) begins: remember the thread's
+    window shadow (carry, checked bit, last reservation) so an abort can
+    put it back. *)
+
 val tm_abort : tid:int -> unit
-(** Clean abort ([Tm.Abort]): discards buffered events, checks lock leaks. *)
+(** Clean abort ([Tm.Abort]): discards buffered events and the window
+    shadow the attempt set, checks lock leaks. *)
 
 val tm_abandon : tid:int -> unit
-(** Abnormal exit (user exception, DST [Killed]): discards buffered events
-    and lock shadow without checking. *)
+(** Abnormal exit (user exception, DST [Killed]): discards buffered events,
+    the window shadow the attempt set and the lock shadow without
+    checking. *)
 
 val tm_serial_begin : tid:int -> wv:int -> unit
 val tm_serial_end : tid:int -> unit

@@ -4,11 +4,11 @@
    invalidation epoch instead of per-key deletion: a populated entry
    remembers the epoch observed *before* its lookup transaction ran, and
    a hit is valid only while the shard's epoch is unchanged. Any write
-   committing against the shard bumps the epoch (while the shard gate is
-   still held), which invalidates every cached entry of that shard at
-   once — cheap for writers, and immune to the populate/invalidate race:
-   a reply populated concurrently with a write carries the pre-write
-   epoch and can never be served (DESIGN.md, decision 13).
+   committing against the shard bumps the epoch right after its commit,
+   which invalidates every cached entry of that shard at once — cheap
+   for writers, and immune to the populate/invalidate race: a reply
+   populated concurrently with a write carries the pre-write epoch and
+   can never be served (DESIGN.md, decision 13).
 
    Freshness is checkable: alongside the epoch the shard publishes the
    stamp of its last committed write (bumped first, so a matching epoch
@@ -107,10 +107,9 @@ let note t ~shard ~epoch0 key (r : Store.reply) =
 
 (* A write committed at [stamp] against [shard]: invalidate. The epoch
    bump comes first so no hit can observe the new last-write stamp while
-   an entry from before the write still validates. Callers hold the
-   shard's gate (shared for singles/batches, exclusive for 2PC applies),
-   but writers under the shared gate may bump concurrently — hence
-   atomics, and a CAS-max for the published stamp. *)
+   an entry from before the write still validates. Writers bump after
+   their commits, and concurrently — hence atomics, and a CAS-max for the
+   published stamp. *)
 let bump t ~shard ~stamp =
   let s = t.shards.(shard) in
   (* The [Stale_cache] injected bug models a writer that forgets to

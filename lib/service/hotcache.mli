@@ -3,10 +3,11 @@
     A small direct-mapped per-shard table of [Get] replies, versioned by
     a per-shard invalidation epoch keyed to the TM clock: entries
     remember the epoch observed before their lookup transaction, writers
-    bump the epoch inside commit (gates still held), and a hit is served
-    only while the epoch is unchanged — so a hit is always a reply the
-    shard could still give at some stamp in the entry's lifetime, and
-    cached histories stay serializable. Every hit runs the TxSan
+    bump the epoch right after they commit, and a hit is served only
+    while the epoch is unchanged — so a hit is always a reply the shard
+    could still give at some stamp in the entry's lifetime (a hit between
+    a commit and its bump returns an entry stamped before the commit),
+    and cached histories stay serializable. Every hit runs the TxSan
     {!San.cache_hit} freshness check against the shard's published
     last-committed-write stamp (DESIGN.md, decision 13). *)
 
@@ -33,9 +34,9 @@ val note : t -> shard:int -> epoch0:int -> int -> Harness.Store.reply -> unit
 val bump : t -> shard:int -> stamp:int -> unit
 (** A write committed at [stamp] against [shard]: advance the epoch
     (invalidating every cached entry of the shard) and publish the stamp
-    for the freshness check. Call while the shard's gate is still held.
-    Under the [Dst.Inject.Stale_cache] bug the invalidation is skipped
-    while the stamp still publishes — the forgotten-invalidation fault
+    for the freshness check. Call after the write commits. Under the
+    [Dst.Inject.Stale_cache] bug the invalidation is skipped while the
+    stamp still publishes — the forgotten-invalidation fault
     the TxSan {!San.cache_hit} rule exists to catch. *)
 
 val stats : t -> (string * int) list

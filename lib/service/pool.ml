@@ -14,9 +14,8 @@
    (DESIGN.md, decision 13).
 
    The pool is generic over the execution closure so it carries no
-   dependency on the router: the service passes a closure that takes the
-   shard's gate, runs [Store.batch ~fuse], and bumps the hot-cache epoch
-   for writes.
+   dependency on the router: the service passes a closure that runs
+   [Store.batch ~fuse] and bumps the hot-cache epoch for writes.
 
    Admission control rides the same queues: a controller projects the
    p99 queueing lag of a new arrival from the shard's queue depth and a
@@ -158,7 +157,8 @@ let projected_lag_ns t ~shard =
    distributions, and the p99 the SLO constrains sits well above the
    middle — shedding at the full budget lands the served tail just past
    it, shedding at half leaves room for the spikes (OS preemption, a
-   2PC multi freezing the shard) the controller cannot see coming. *)
+   serial transaction holding the token) the controller cannot see
+   coming. *)
 let overloaded t ~shard =
   match t.slo_ns with
   | None -> false

@@ -11,9 +11,8 @@
     queued, and leads the next batch.
 
     The pool is generic over execution: {!create} takes an [exec]
-    closure (run these ops against this shard, under whatever locking
-    the owner requires) so the service layer can pass its gated
-    [Store.batch ~fuse] path without a dependency cycle.
+    closure (run these ops against this shard) so the service layer can
+    pass its [Store.batch ~fuse] path without a dependency cycle.
 
     {!submit} and a waiting {!await} yield at the [Svc_enqueue] DST site
     and a drain at [Svc_drain], so the race for the drain flag between

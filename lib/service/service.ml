@@ -2,22 +2,19 @@
 
    Every shard is a complete stack — its own Mempool, its own HOH
    structure, its own telemetry — built from one Factories.Spec. Keys
-   hash to shards; single-key traffic and same-shard batches run under a
-   per-shard shared gate, cross-shard multi-key operations take the
-   involved shards' gates exclusively (in ascending shard order) and run
-   two-phase commit over per-shard transactions. The gates carry no data:
-   they only exclude multis from overlapping the shards they span, so the
-   per-shard TM stamps of a multi's sub-transactions are a valid global
-   serialization (DESIGN.md, decision 10).
+   hash to shards; single-key traffic and same-shard batches run straight
+   on the owning shard's store, and a cross-shard multi-key operation is
+   one TM transaction over the involved shards' stores. The shards share
+   the TM and its commit clock, so the transaction's one stamp orders the
+   multi against every other stamped operation (DESIGN.md, decision 10).
 
    Three optional layers ride in front of the router (DESIGN.md,
    decision 13):
 
    - a hot-key read cache ({!Hotcache}): single-key Gets are answered
-     from a per-shard versioned table when valid, skipping the gate and
-     the transaction entirely; every write path bumps the owning shard's
-     invalidation epoch while its gate is still held (a 2PC multi bumps
-     every touched shard before releasing any gate);
+     from a per-shard versioned table when valid, skipping the
+     transaction entirely; every write bumps the owning shard's
+     invalidation epoch after it commits;
    - per-shard request queues ({!Pool}): {!submit} enqueues an operation
      group on the owning shard's bounded queue and returns a ticket; an
      awaiting client that takes the shard's drain flag drains the queue
@@ -34,70 +31,17 @@ module Hot_cache = Hotcache
 
 type priority = Pool.priority = High | Low
 
-type gate = { word : int Atomic.t; readers : int Atomic.t }
-(* [word] = 0 free, or owner thread id + 1 (exclusive). [readers] counts
-   single-op traffic currently inside the shard. *)
-
-let gate_make () = { word = Pad.atomic 0; readers = Pad.atomic 0 }
-
-let rec enter_shared g =
-  if Atomic.get g.word = 0 then begin
-    Atomic.incr g.readers;
-    (* recheck: a writer may have claimed the gate between the load and
-       the increment; back out so it is not stuck waiting on us *)
-    if Atomic.get g.word <> 0 then begin
-      Atomic.decr g.readers;
-      Dst.point Dst.Svc_gate;
-      Domain.cpu_relax ();
-      enter_shared g
-    end
-  end
-  else begin
-    Dst.point Dst.Svc_gate;
-    Domain.cpu_relax ();
-    enter_shared g
-  end
-
-let exit_shared g = Atomic.decr g.readers
-
-let enter_excl g ~thread =
-  while not (Atomic.compare_and_set g.word 0 (thread + 1)) do
-    Dst.point Dst.Svc_gate;
-    Domain.cpu_relax ()
-  done;
-  while Atomic.get g.readers > 0 do
-    Dst.point Dst.Svc_gate;
-    Domain.cpu_relax ()
-  done
-
-let exit_excl g = Atomic.set g.word 0
-
-(* ---- cross-shard intent log ---- *)
-
-type sub_state =
-  | Pending  (** not yet applied *)
-  | Applying  (** apply in flight: effect may or may not have landed *)
-  | Applied of Store.op option  (** applied; the compensating op, if any *)
-
-type intent = {
-  i_thread : int;
-  i_subs : (int * Store.op * sub_state ref) array;  (** (shard, op, state) *)
-}
-
 type counters = {
   singles : int Atomic.t;
   batches : int Atomic.t;
   multis : int Atomic.t;
   multi_aborts : int Atomic.t;
-  recovered : int Atomic.t;
 }
 
 type t = {
   label : string;
   stores : Store.t array;
-  gates : gate array;
   fuse : bool;
-  inflight : intent option array;  (* indexed by TM thread id *)
   c : counters;
   cache : Hotcache.t option;
   mutable pool : Pool.t option;
@@ -117,26 +61,24 @@ let mix k =
 
 let shard_of_key t k = mix k mod Array.length t.stores
 
-let with_shared t s f =
-  enter_shared t.gates.(s);
-  Fun.protect ~finally:(fun () -> exit_shared t.gates.(s)) f
-
 (* ---- hot-cache maintenance ---- *)
 
 (* A write committed at [stamp] against [shard]: invalidate the shard's
-   cache. Callers still hold the shard's gate. The [Stale_cache] injected
-   bug (handled inside {!Hotcache.bump}) skips the invalidation while
-   the published last-write stamp still advances — the TxSan freshness
-   rule catches the resulting stale hits. *)
+   cache. Callers bump after the commit: a hit that lands in between
+   returns an entry stamped before the write, which still serializes
+   before it. The [Stale_cache] injected bug (handled inside
+   {!Hotcache.bump}) skips the invalidation while the published
+   last-write stamp still advances — the TxSan freshness rule catches the
+   resulting stale hits. *)
 let bump_cache t ~shard ~stamp =
   match t.cache with
   | Some c -> Hotcache.bump c ~shard ~stamp
   | None -> ()
 
-(* Post-batch cache maintenance, run while the shard's gate is held:
-   bump for every reply that mutated the shard, then populate from Get
-   replies under the pre-batch epoch (stillborn if any write — ours or a
-   concurrent one — has committed since [epoch0] was read). *)
+(* Post-batch cache maintenance: bump for every reply that mutated the
+   shard, then populate from Get replies under the pre-batch epoch
+   (stillborn if any write — ours or a concurrent one — has committed
+   since [epoch0] was read). *)
 let cache_after_batch t ~shard ~epoch0 ops replies =
   match t.cache with
   | None -> ()
@@ -154,17 +96,16 @@ let cache_after_batch t ~shard ~epoch0 ops replies =
         replies
 
 (* The workhorse for same-shard operation groups: one [Store.batch] —
-   fused into a single transaction when the service fuses — under the
-   shard's shared gate, with cache maintenance before the gate drops.
-   Both the synchronous paths and the queue drains land here. *)
+   fused into a single transaction when the service fuses — then cache
+   maintenance. Both the synchronous paths and the queue drains land
+   here. *)
 let run_shard_ops t ~shard ~thread ops =
   let epoch0 =
     match t.cache with Some c -> Hotcache.epoch c ~shard | None -> 0
   in
-  with_shared t shard (fun () ->
-      let replies = Store.batch ~fuse:t.fuse t.stores.(shard) ~thread ops in
-      cache_after_batch t ~shard ~epoch0 ops replies;
-      replies)
+  let replies = Store.batch ~fuse:t.fuse t.stores.(shard) ~thread ops in
+  cache_after_batch t ~shard ~epoch0 ops replies;
+  replies
 
 (* ---- construction ---- *)
 
@@ -196,16 +137,13 @@ let create ?shards ?fuse ?pool ?hotcache ?slo_us (spec : Factories.Spec.t) =
             slo_us;
           };
       stores = Array.init n (fun _ -> f.Factories.make ());
-      gates = Array.init n (fun _ -> gate_make ());
       fuse;
-      inflight = Array.make Tm.Thread.max_threads None;
       c =
         {
           singles = Atomic.make 0;
           batches = Atomic.make 0;
           multis = Atomic.make 0;
           multi_aborts = Atomic.make 0;
-          recovered = Atomic.make 0;
         };
       cache = (if cache_on then Some (Hotcache.create ~shards:n ()) else None);
       pool = None;
@@ -247,25 +185,20 @@ let exec_point t ~thread op =
       | Some r -> r
       | None ->
           let epoch0 = Hotcache.epoch cache ~shard:s in
-          with_shared t s (fun () ->
-              let r = Store.exec t.stores.(s) ~thread op in
-              (match r.Store.outcome with
-              | Store.Found | Store.Absent ->
-                  Hotcache.note cache ~shard:s ~epoch0 k r
-              | _ -> ());
-              r))
-  | _ ->
-      with_shared t s (fun () ->
           let r = Store.exec t.stores.(s) ~thread op in
-          (match r.Store.outcome with
-          | Store.Inserted | Store.Removed ->
-              bump_cache t ~shard:s ~stamp:r.Store.stamp
-          | _ -> ());
+          Hotcache.note cache ~shard:s ~epoch0 k r;
           r)
+  | _ ->
+      let r = Store.exec t.stores.(s) ~thread op in
+      (match r.Store.outcome with
+      | Store.Inserted | Store.Removed ->
+          bump_cache t ~shard:s ~stamp:r.Store.stamp
+      | _ -> ());
+      r
 
 (* A scan's range spans shards under hash routing, so the service
-   decomposes it into per-shard Get probes (each sub-batch under that
-   shard's gate, fused when the service fuses) and merges the hits. The
+   decomposes it into per-shard Get probes (one sub-batch per shard,
+   fused when the service fuses) and merges the hits. The
    result is interval-linearized across [earliest, stamp], like
    Store-level scans. *)
 let exec_scan t ~thread ~low ~count =
@@ -304,7 +237,7 @@ let exec t ~thread op =
   | _ -> exec_point t ~thread op
 
 (* Group a batch by shard (preserving per-shard issue order), run each
-   shard's sub-batch under its shared gate as one Store.batch — fused
+   shard's sub-batch as one Store.batch — fused
    into a single transaction when the service fuses — and scatter the
    replies back to the request positions. Scans are executed inline: they
    span shards, so they cannot join a sub-batch. *)
@@ -341,13 +274,13 @@ let exec_batch t ~thread ops =
     ops;
   replies
 
-(* ---- cross-shard multi-key operations: two-phase commit ---- *)
+(* ---- cross-shard multi-key operations: one transaction ---- *)
 
 type multi_result =
   | Committed of Store.reply array
   | Aborted of int
-      (** index of the first operation whose precondition failed; no
-          effect was applied *)
+      (** index of the first write whose precondition failed; no effect
+          was applied *)
 
 let check_multi_ops ops =
   let seen = Hashtbl.create 8 in
@@ -362,171 +295,55 @@ let check_multi_ops ops =
           else Hashtbl.add seen k ())
     ops
 
-let undo_of = function
-  | Store.Insert k -> Some (Store.Remove k)
-  | Store.Remove k -> Some (Store.Insert k)
-  | Store.Get _ | Store.Scan _ -> None
+exception Precondition_failed of int
 
-(* Compensate the already-applied prefix, most recent first. Runs with
-   the gates still held, so the rollback is invisible to other threads:
-   they observe either nothing or the full multi. *)
-let rollback t ~thread intent =
-  let n = Array.length intent.i_subs in
-  for j = n - 1 downto 0 do
-    let s, _, state = intent.i_subs.(j) in
-    match !state with
-    | Applied (Some undo) ->
-        let r = Store.exec t.stores.(s) ~thread undo in
-        (* the compensation is a write too: invalidate the shard's cache
-           before the gate drops *)
-        bump_cache t ~shard:s ~stamp:r.Store.stamp;
-        state := Pending
-    | Applied None -> state := Pending
-    | Applying | Pending -> state := Pending
-  done
-
-let release_gates t intent =
-  let released = Hashtbl.create 8 in
-  Array.iter
-    (fun (s, _, _) ->
-      if not (Hashtbl.mem released s) then begin
-        Hashtbl.add released s ();
-        exit_excl t.gates.(s)
-      end)
-    intent.i_subs
-
+(* The writes run in array order, each its own precondition check: a write
+   that does not apply raises, which abandons the transaction with nothing
+   applied (a serial run undoes its writes, an insert's spare goes back
+   through [Tm.on_abort]). The Gets run last and see the writes. Every
+   reply carries the transaction's one stamp, so the multi's operations
+   sit together in the stamp order, writers before readers. *)
 let multi t ~thread ops =
   check_multi_ops ops;
   Atomic.incr t.c.multis;
-  let subs =
-    Array.map (fun op -> (shard_of_key t (Store.op_key op), op, ref Pending)) ops
+  let shard i = shard_of_key t (Store.op_key ops.(i)) in
+  let run _txn =
+    let replies = Array.make (Array.length ops) overload_reply in
+    Array.iteri
+      (fun i op ->
+        match op with
+        | Store.Insert _ | Store.Remove _ ->
+            let r = Store.exec t.stores.(shard i) ~thread op in
+            if not (Store.positive r.Store.outcome) then
+              raise (Precondition_failed i);
+            replies.(i) <- r
+        | Store.Get _ | Store.Scan _ -> ())
+      ops;
+    Array.iteri
+      (fun i op ->
+        match op with
+        | Store.Get _ -> replies.(i) <- Store.exec t.stores.(shard i) ~thread op
+        | _ -> ())
+      ops;
+    replies
   in
-  let intent = { i_thread = thread; i_subs = subs } in
-  let gate_shards =
-    List.sort_uniq compare (Array.to_list (Array.map (fun (s, _, _) -> s) subs))
-  in
-  (* Publish the intent before taking the first gate: if this thread dies
-     anywhere past this point, [recover] can find the intent, resolve the
-     sub-states, and free the gates (gate words name their owner). *)
-  t.inflight.(thread) <- Some intent;
-  List.iter
-    (fun s ->
-      Dst.point Dst.Svc_gate;
-      enter_excl t.gates.(s) ~thread)
-    gate_shards;
-  (* Phase 1 — prepare: check every precondition with read-only probes.
-     The exclusive gates freeze the involved shards, so a probe's verdict
-     still holds when phase 2 applies. *)
-  let n = Array.length ops in
-  let replies =
-    Array.make n { Store.outcome = Store.Absent; earliest = 0; stamp = 0 }
-  in
-  let failed = ref (-1) in
-  (try
-     for i = 0 to n - 1 do
-       Dst.point Dst.Svc_prepare;
-       let s, op, _ = subs.(i) in
-       let key = Store.op_key op in
-       let probe = Store.get t.stores.(s) ~thread key in
-       let ok =
-         match op with
-         | Store.Get _ ->
-             replies.(i) <- probe;
-             true
-         | Store.Insert _ -> probe.Store.outcome = Store.Absent
-         | Store.Remove _ -> probe.Store.outcome = Store.Found
-         | Store.Scan _ -> assert false
-       in
-       if not ok && !failed < 0 then begin
-         failed := i;
-         raise Exit
-       end
-     done;
-     (* Phase 2 — apply. Every sub-operation must succeed: prepare
-        established the preconditions and the gates exclude interference.
-        A failure here is an environment fault (e.g. injected allocation
-        failure) and triggers compensating rollback. *)
-     for i = 0 to n - 1 do
-       let s, op, state = subs.(i) in
-       match op with
-       | Store.Get _ -> state := Applied None
-       | op ->
-           Dst.point Dst.Svc_apply;
-           state := Applying;
-           let r = Store.exec t.stores.(s) ~thread op in
-           if not (Store.positive r.Store.outcome) then
-             failwith "Service.multi: apply contradicted prepare";
-           replies.(i) <- r;
-           (* invalidate while this shard's exclusive gate (and every
-              other touched shard's) is still held: no cache hit can
-              observe a partially-visible multi *)
-           bump_cache t ~shard:s ~stamp:r.Store.stamp;
-           state := Applied (undo_of op)
-     done
-   with
-  | Exit -> ()
-  | Dst.Killed as e ->
-      (* Scheduler abandonment mid-2PC: deliberately leave the intent and
-         the gates in place — the unwinding context must not run store
-         transactions — and let an explicit {!recover} resolve them. *)
-      raise e
-  | e ->
-      if not (Dst.Inject.bug Dst.Inject.Tear_2pc) then rollback t ~thread intent;
-      release_gates t intent;
-      t.inflight.(thread) <- None;
-      raise e);
-  if !failed >= 0 then begin
-    Atomic.incr t.c.multi_aborts;
-    release_gates t intent;
-    t.inflight.(thread) <- None;
-    Aborted !failed
-  end
-  else begin
-    release_gates t intent;
-    t.inflight.(thread) <- None;
-    Committed replies
-  end
-
-(* ---- post-crash resolution ---- *)
-
-let recover t =
-  let tid = Tm.Thread.id () in
-  let resolved = ref 0 in
-  Array.iteri
-    (fun owner slot ->
-      match slot with
-      | None -> ()
-      | Some intent ->
-          incr resolved;
-          Atomic.incr t.c.recovered;
-          (* Resolve ambiguous sub-states first: the gates were held from
-             before the first probe, so the shard cannot have moved under
-             the dead thread — a probe tells exactly whether the apply
-             landed. *)
-          Array.iter
-            (fun (s, op, state) ->
-              match !state with
-              | Applying -> (
-                  let probe = Store.get t.stores.(s) ~thread:tid (Store.op_key op) in
-                  let landed =
-                    match op with
-                    | Store.Insert _ -> probe.Store.outcome = Store.Found
-                    | Store.Remove _ -> probe.Store.outcome = Store.Absent
-                    | Store.Get _ | Store.Scan _ -> false
-                  in
-                  state := (if landed then Applied (undo_of op) else Pending))
-              | Pending | Applied _ -> ())
-            intent.i_subs;
-          rollback t ~thread:tid intent;
-          (* Free every gate the dead thread owned — including gates it
-             acquired before dying mid-acquisition loop. *)
-          Array.iter
-            (fun g ->
-              if Atomic.get g.word = intent.i_thread + 1 then exit_excl g)
-            t.gates;
-          t.inflight.(owner) <- None)
-    t.inflight;
-  !resolved
+  match Tm.atomic_stamped ~site:"service.multi" run with
+  | r ->
+      let stamp = r.Tm.stamp in
+      Array.iteri
+        (fun i op ->
+          match op with
+          | Store.Insert _ | Store.Remove _ ->
+              bump_cache t ~shard:(shard i) ~stamp
+          | Store.Get _ | Store.Scan _ -> ())
+        ops;
+      Committed
+        (Array.map
+           (fun reply -> { reply with Store.earliest = stamp; stamp })
+           r.Tm.value)
+  | exception Precondition_failed i ->
+      Atomic.incr t.c.multi_aborts;
+      Aborted i
 
 (* ---- asynchronous submission ---- *)
 
@@ -555,8 +372,8 @@ let queueable_shard t ops =
 let submit t ~thread ?(priority = Pool.High) ops =
   if Array.length ops = 0 then Done [||]
   else begin
-    (* cache fast path: a lone Get answered without touching a queue, a
-       gate, or a transaction — this is where hot-key traffic wins *)
+    (* cache fast path: a lone Get answered without touching a queue or a
+       transaction — this is where hot-key traffic wins *)
     let hit =
       match (ops, t.cache) with
       | [| Store.Get k |], Some cache ->
@@ -622,7 +439,6 @@ let counters t =
     ("batches", Atomic.get t.c.batches);
     ("multis", Atomic.get t.c.multis);
     ("multi_aborts", Atomic.get t.c.multi_aborts);
-    ("recovered", Atomic.get t.c.recovered);
   ]
   @ (match t.pool with Some p -> Pool.counters p | None -> [])
   @ match t.cache with Some c -> Hotcache.stats c | None -> []
@@ -670,24 +486,12 @@ let check t =
       (Array.mapi (fun i st -> (i, st)) t.stores)
   in
   let* () =
-    if Array.exists Option.is_some t.inflight then
-      Error "unresolved in-flight multi intent (recover not run?)"
-    else Ok ()
-  in
-  let* () =
     match t.pool with
     | Some p when Pool.depth p > 0 ->
         Error
           (Printf.sprintf "%d requests still queued (shutdown not run?)"
              (Pool.depth p))
     | _ -> Ok ()
-  in
-  let* () =
-    match
-      Array.find_index (fun g -> Atomic.get g.word <> 0) t.gates
-    with
-    | Some i -> Error (Printf.sprintf "gate %d still held" i)
-    | None -> Ok ()
   in
   (* shards partition the keyspace: a key routed to shard s must never
      surface from another shard *)

@@ -5,28 +5,26 @@
     built from one {!Harness.Factories.Spec}, fronted by a router:
 
     - keys hash to shards deterministically ({!shard_of_key});
-    - single-key operations and same-shard batches run under a per-shard
-      {e shared} gate, so they proceed concurrently — the underlying
-      store's transactions provide their isolation;
-    - cross-shard multi-key operations ({!multi}) take every involved
-      shard's gate {e exclusively} (ascending shard order, so gate
-      acquisition cannot deadlock) and run two-phase commit over
-      per-shard transactions: prepare probes every precondition, apply
-      performs the writes, and a failure mid-apply rolls the applied
-      prefix back with compensating operations while the gates are still
-      held — other threads observe all of the multi or none of it.
+    - single-key operations and same-shard batches run on the owning
+      shard's store, concurrently — the store's transactions provide
+      their isolation;
+    - a cross-shard multi-key operation ({!multi}) is one TM transaction
+      over the involved shards' stores, under the same retry-then-serial
+      policy as any other transaction: other threads observe all of it or
+      none of it, and a write that does not apply abandons it with
+      nothing applied.
 
-    Because all shards share the TM's global commit clock, the stamps of
-    a multi's sub-transactions order consistently against all other
-    stamped operations, and the whole service history remains checkable
-    by {!Harness.Serial_check} (DESIGN.md, decision 10).
+    All shards share the TM and its global commit clock, so a multi's one
+    commit stamp orders it against all other stamped operations, and the
+    whole service history remains checkable by
+    {!Harness.Serial_check} (DESIGN.md, decision 10).
 
     Three optional layers ride in front of the router (DESIGN.md,
     decision 13): per-shard bounded request queues behind an async
     {!submit}/{!await} path, drained by the awaiting clients themselves
-    ({!Pool}), a versioned hot-key read cache whose hits skip the gate
-    and the transaction entirely ({!Hotcache}), and SLO-driven admission
-    control that sheds low-priority submissions with
+    ({!Pool}), a versioned hot-key read cache whose hits skip the
+    transaction entirely ({!Hotcache}), and SLO-driven admission control
+    that sheds low-priority submissions with
     {!Harness.Store_intf.Overload} replies. *)
 
 (** The hot cache, re-exported: the service library is wrapped behind
@@ -68,8 +66,8 @@ val shard_of_key : t -> int -> int
 (** {1 Request paths} *)
 
 val exec : t -> thread:int -> Harness.Store.op -> Harness.Store.reply
-(** Route and run one operation under the owning shard's shared gate.
-    Scans span shards: they decompose into per-shard probe batches and
+(** Route and run one operation on the owning shard's store. Scans span
+    shards: they decompose into per-shard probe batches and
     merge, interval-linearized like {!Harness.Store_intf.S.scan}. *)
 
 val exec_batch : t -> thread:int -> Harness.Store.op array -> Harness.Store.reply array
@@ -81,14 +79,19 @@ val exec_batch : t -> thread:int -> Harness.Store.op array -> Harness.Store.repl
 type multi_result =
   | Committed of Harness.Store.reply array
   | Aborted of int
-      (** index of the first operation whose precondition failed
-          (insert of a present key / remove of an absent key); no effect
-          was applied *)
+      (** index of the first write that did not apply (insert of a
+          present key / remove of an absent key); no effect was
+          applied *)
 
 val multi : t -> thread:int -> Harness.Store.op array -> multi_result
-(** Cross-shard atomic multi-key operation (two-phase commit). [Get]s are
-    answered from the prepare phase; [Insert]/[Remove] preconditions are
-    all checked before any write applies.
+(** Cross-shard atomic multi-key operation: one transaction
+    ([~site:"service.multi"]) that runs the [Insert]/[Remove]s in array
+    order, each its own precondition check, and then the [Get]s, which
+    see the writes. Every reply of a committed multi carries the
+    transaction's one commit stamp. The caches of the written shards are
+    invalidated after the commit. An exception from a store (an injected
+    fault, a DST kill) abandons the transaction with nothing applied and
+    propagates.
     @raise Invalid_argument on scans, or two writes to the same key. *)
 
 (** {1 Asynchronous submission}
@@ -114,8 +117,7 @@ type ticket =
 val submit :
   t -> thread:int -> ?priority:priority -> Harness.Store.op array -> ticket
 (** [priority] defaults to [High] (never shed). A lone cache-hit [Get]
-    completes inline without touching a queue, a gate, or a
-    transaction. *)
+    completes inline without touching a queue or a transaction. *)
 
 val await : t -> ticket -> Harness.Store.reply array
 (** Redeem a ticket, draining the shard's queue under the submitting
@@ -149,22 +151,12 @@ val shutdown : t -> unit
 val cache_hit_rate : t -> float
 (** Hot-cache hit rate ([0.] without the cache). *)
 
-val recover : t -> int
-(** Resolve intents abandoned by dead threads: complete the undo of every
-    applied sub-operation, disambiguate in-flight ones by probing the
-    (still-gated) shard, release the dead threads' gates. Must run from a
-    registered thread with the service otherwise quiescent. Returns the
-    number of intents resolved. DST kill-paths rely on this: a thread
-    abandoned mid-2PC leaves its gates and intent in place rather than
-    running transactions during unwinding. *)
-
 (** {1 Whole-service views} *)
 
 val counters : t -> (string * int) list
-(** Router counters (singles, batches, multis, multi_aborts, recovered)
-    plus, when the layers are on, the pool's queue/shed counters
-    ({!Pool.counters}) and the cache's hit/miss/invalidation counts
-    ({!Hotcache.stats}). *)
+(** Router counters (singles, batches, multis, multi_aborts) plus, when
+    the layers are on, the pool's queue/shed counters ({!Pool.counters})
+    and the cache's hit/miss/invalidation counts ({!Hotcache.stats}). *)
 
 val finalize_thread : t -> thread:int -> unit
 val drain : t -> unit
@@ -172,8 +164,8 @@ val size : t -> int
 val contents : t -> int list
 
 val check : t -> (unit, string) result
-(** Every shard's structural check, plus service invariants: no
-    unresolved intent, no held gate, no misrouted key. *)
+(** Every shard's structural check, plus service invariants: nothing
+    still queued, no misrouted key. *)
 
 val pool_live : t -> int option
 val max_backlog : t -> int option

@@ -392,7 +392,6 @@ type stall_result = {
 type crash_result = {
   k_label : string;
   k_scenario : string;
-  k_recovered : int;
   k_serial_ok : bool;
   k_leaked : int;
   k_error : string option;
@@ -553,7 +552,6 @@ let crash_mid_commit ~seed spec =
   {
     k_label = Store.name store;
     k_scenario = "crash-commit";
-    k_recovered = 0;
     k_serial_ok = serial = Ok ();
     k_leaked = leaked;
     k_error = combine_errors ~repro_line !errors;
@@ -568,8 +566,8 @@ let key_in_shard svc ~shard ~avoid =
   in
   go 1
 
-let crash_mid_2pc ~seed spec =
-  let repro_line = repro ~scenario:"crash-2pc" ~seed spec in
+let crash_mid_multi ~seed spec =
+  let repro_line = repro ~scenario:"crash-multi" ~seed spec in
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
   let svc = Service.create spec in
@@ -577,8 +575,7 @@ let crash_mid_2pc ~seed spec =
   let fail msg =
     {
       k_label = label;
-      k_scenario = "crash-2pc";
-      k_recovered = 0;
+      k_scenario = "crash-multi";
       k_serial_ok = false;
       k_leaked = 0;
       k_error = Some (msg ^ "\n  repro: " ^ repro_line);
@@ -590,19 +587,22 @@ let crash_mid_2pc ~seed spec =
     let live () = Option.value (Service.pool_live svc) ~default:0 in
     let kept = key_in_shard svc ~shard:0 ~avoid:[] in
     let fresh = key_in_shard svc ~shard:1 ~avoid:[ kept ] in
+    let initial = [ kept ] in
     let b0 = ref 0 in
     let init () =
       Tm.Thread.with_registered (fun thread ->
-          ignore (Service.exec svc ~thread (Store.Insert kept)));
+          List.iter
+            (fun k -> ignore (Service.exec svc ~thread (Store.Insert k)))
+            initial);
       b0 := live ()
     in
     let victim_tid = ref (-1) in
     let victim () =
       Tm.Thread.with_registered (fun thread ->
           victim_tid := thread;
-          (* apply the first 2PC sub-op (the remove lands), then park
-             before the second until the budget kills us *)
-          Dst.Inject.arm ~thread:0 ~after:1 ~times:1 Dst.Svc_apply
+          (* the remove has run inside the multi's transaction; park at
+             the insert's allocation until the budget kills us *)
+          Dst.Inject.arm ~thread:0 ~times:1 Dst.Mp_alloc
             (Dst.Inject.Delay 1_000_000);
           ignore
             (Service.multi svc ~thread
@@ -611,21 +611,15 @@ let crash_mid_2pc ~seed spec =
     let o = Dst.Sched.run ~budget:5_000 ~init (Dst.Sched.Random seed) [ victim ] in
     let errors = ref (List.rev (sched_failure_msg o)) in
     if not o.Dst.Sched.hung then
-      errors := "victim did not park mid-2PC (run completed)" :: !errors;
-    if not (Result.is_error (Service.check svc)) then
-      errors := "abandoned intent not visible to check" :: !errors;
+      errors := "victim did not park mid-multi (run completed)" :: !errors;
     let _tid = Tm.Thread.id () in
-    let recovered = Service.recover svc in
-    if recovered <> 1 then
-      errors :=
-        Printf.sprintf "recover resolved %d intents, want 1" recovered
-        :: !errors;
-    let contents_ok = Service.contents svc = [ kept ] in
+    (* no recovery step: the killed transaction never published *)
+    let contents_ok = Service.contents svc = initial in
     if not contents_ok then
-      errors := "recover left a torn state" :: !errors;
+      errors := "the killed multi left a partial write" :: !errors;
     (match Service.check svc with
     | Ok () -> ()
-    | Error e -> errors := ("post-recover check: " ^ e) :: !errors);
+    | Error e -> errors := ("post-kill check: " ^ e) :: !errors);
     (* the victim's quiescence hook (and the full service drain) must
        return whatever it left deferred rather than leak it *)
     if !victim_tid >= 0 then Service.finalize_thread svc ~thread:!victim_tid;
@@ -633,12 +627,11 @@ let crash_mid_2pc ~seed spec =
     let leaked = live () - !b0 in
     if leaked <> 0 then
       errors :=
-        Printf.sprintf "%d pool slots leaked after recover" leaked :: !errors;
+        Printf.sprintf "%d pool slots leaked after the kill" leaked :: !errors;
     Dst.Inject.clear ();
     {
       k_label = label;
-      k_scenario = "crash-2pc";
-      k_recovered = recovered;
+      k_scenario = "crash-multi";
       k_serial_ok = contents_ok;
       k_leaked = leaked;
       k_error = combine_errors ~repro_line !errors;

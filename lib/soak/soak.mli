@@ -1,5 +1,5 @@
 (** Adversarial soak harness: scripted churn phases plus two adversaries
-    — a stalled reader and a mid-commit/mid-2PC crash — over any
+    — a stalled reader, a mid-commit crash and a mid-multi crash — over any
     {!Harness.Factories.Spec} (or the sharded service router), with a
     reclamation-backlog oracle built on {!Mempool.live} accounting.
 
@@ -138,10 +138,11 @@ val stalled_reader :
 
 type crash_result = {
   k_label : string;
-  k_scenario : string;  (** ["crash-commit"] or ["crash-2pc"] *)
-  k_recovered : int;  (** 2PC intents resolved by {!Service.recover} *)
-  k_serial_ok : bool;  (** survivor history passes {!Harness.Serial_check} *)
-  k_leaked : int;  (** pool slots unaccounted after recovery; must be 0 *)
+  k_scenario : string;  (** ["crash-commit"] or ["crash-multi"] *)
+  k_serial_ok : bool;
+      (** the surviving history passes {!Harness.Serial_check}; for
+          ["crash-multi"], the contents equal the initial set *)
+  k_leaked : int;  (** pool slots unaccounted after the kill; must be 0 *)
   k_error : string option;
   k_repro : string;
 }
@@ -153,13 +154,14 @@ val crash_mid_commit : seed:int -> Harness.Factories.Spec.t -> crash_result
     vanish (survivor history serializes against the untouched initial
     contents), and after finalizing the victim no pool slot may leak. *)
 
-val crash_mid_2pc :
+val crash_mid_multi :
   seed:int -> Harness.Factories.Spec.t -> crash_result
-(** Kill a thread between the apply sub-steps of a cross-shard multi
-    ([Svc_apply]); {!Service.recover} must roll the applied prefix back
-    to all-or-nothing contents with exact pool accounting, also after the
-    victim's thread is finalized and the service drained. The spec's
-    [shards] knob must be at least 2. *)
+(** Kill a thread inside a cross-shard multi, after its remove has run and
+    while its insert allocates (a thread-scoped [Mp_alloc] delay). Nothing
+    resolves the kill: the multi is one transaction, so the contents must
+    equal the initial set, {!Service.check} must pass, and after the
+    victim's thread is finalized and the service drained no pool slot may
+    leak. The spec's [shards] knob must be at least 2. *)
 
 (** {1 Telemetry} *)
 

@@ -82,15 +82,9 @@ let lookup_s t ~thread key =
 
 let insert_s t ~thread key =
   (* Two spares: the new leaf and its router. *)
+  let outer = Tm.current_txn () in
   let spare_leaf = ref None and spare_router = ref None in
-  let take spare =
-    match !spare with
-    | Some n -> n
-    | None ->
-        let n = Tnode.alloc t.pool ~thread in
-        spare := Some n;
-        n
-  in
+  let take spare = Mode.take_spare t.pool ~thread ~outer spare Tnode.alloc in
   let result =
     apply t ~thread key ~site:"bst_ext.insert" ~on_leaf:(fun txn ~gp:_ ~p ~leaf ->
         if Tnode.equal leaf t.root then begin
@@ -123,8 +117,8 @@ let insert_s t ~thread key =
             Rr.Hoh.Finish true
           end)
   in
-  Mode.give_back_spare t.pool ~thread spare_leaf;
-  Mode.give_back_spare t.pool ~thread spare_router;
+  Mode.give_back_spare t.pool ~thread ~outer spare_leaf;
+  Mode.give_back_spare t.pool ~thread ~outer spare_router;
   result
 
 let remove_s t ~thread key =

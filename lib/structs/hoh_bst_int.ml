@@ -85,32 +85,25 @@ let lookup_s t ~thread key =
 
 let link n side = if side then n.Tnode.left else n.Tnode.right
 
-(* The spare a write attempt links; kept across aborted attempts, given
-   back by [Mode.give_back_spare] when no attempt consumed it. *)
-let take t ~thread spare txn =
-  let n =
-    match !spare with
-    | Some n -> n
-    | None ->
-        let n = Tnode.alloc t.pool ~thread in
-        spare := Some n;
-        n
-  in
+(* The spare a write attempt links ({!Mode.take_spare}), given back by
+   [Mode.give_back_spare] when no attempt consumed it. *)
+let take t ~thread ~outer spare txn =
+  let n = Mode.take_spare t.pool ~thread ~outer spare Tnode.alloc in
   Tm.defer txn (fun () -> spare := None);
   n
 
 let insert_s t ~thread key =
-  let spare = ref None in
+  let outer = Tm.current_txn () and spare = ref None in
   let result =
     apply t ~thread key ~site:"bst_int.insert"
       ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> false)
       ~on_notfound:(fun txn ~parent ~side ->
-        let n = take t ~thread spare txn in
+        let n = take t ~thread ~outer spare txn in
         Tnode.set_key n key;
         Tm.write txn (link parent side) n;
         true)
   in
-  Mode.give_back_spare t.pool ~thread spare;
+  Mode.give_back_spare t.pool ~thread ~outer spare;
   result
 
 (* Replace [parent]'s edge to [curr], on [side], with [child] (zero- or
@@ -148,7 +141,7 @@ let remove_two_children t txn ~copy ~parent ~side ~curr ~left ~right =
   t.mode.Mode.dispose txn lm
 
 let remove_s t ~thread key =
-  let spare = ref None in
+  let outer = Tm.current_txn () and spare = ref None in
   let result =
     apply t ~thread key ~site:"bst_int.remove"
       ~on_found:(fun txn ~parent ~side ~curr ->
@@ -157,12 +150,13 @@ let remove_s t ~thread key =
         if l == Tnode.nil then splice t txn ~parent ~side ~curr r
         else if r == Tnode.nil then splice t txn ~parent ~side ~curr l
         else
-          remove_two_children t txn ~copy:(take t ~thread spare txn) ~parent
-            ~side ~curr ~left:l ~right:r;
+          remove_two_children t txn
+            ~copy:(take t ~thread ~outer spare txn)
+            ~parent ~side ~curr ~left:l ~right:r;
         true)
       ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
   in
-  Mode.give_back_spare t.pool ~thread spare;
+  Mode.give_back_spare t.pool ~thread ~outer spare;
   result
 
 let insert t ~thread key = fst (insert_s t ~thread key)

@@ -69,19 +69,12 @@ let lookup_s t ~thread key =
     ~on_notfound:(fun _ ~prev:_ ~curr:_ -> false)
 
 let insert_s t ~thread key =
-  let spare = ref None in
+  let outer = Tm.current_txn () and spare = ref None in
   let result =
     apply t ~thread key ~site:"dlist.insert"
       ~on_found:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish false)
       ~on_notfound:(fun txn ~prev ~curr ->
-        let n =
-          match !spare with
-          | Some n -> n
-          | None ->
-              let n = Dnode.alloc t.pool ~thread in
-              spare := Some n;
-              n
-        in
+        let n = Mode.take_spare t.pool ~thread ~outer spare Dnode.alloc in
         Tm.write txn n.Dnode.key key;
         Tm.write txn n.Dnode.prev prev;
         Tm.write txn n.Dnode.next curr;
@@ -90,7 +83,7 @@ let insert_s t ~thread key =
         Tm.defer txn (fun () -> spare := None);
         true)
   in
-  Mode.give_back_spare t.pool ~thread spare;
+  Mode.give_back_spare t.pool ~thread ~outer spare;
   result
 
 (* Unlink [n] using its own prev/next pointers — the point of the doubly

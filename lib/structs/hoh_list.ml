@@ -52,29 +52,19 @@ let lookup_s t ~thread key =
     ~on_notfound:(fun _ ~prev:_ ~curr:_ -> false)
 
 let insert_s t ~thread key =
-  let spare = ref None in
+  let outer = Tm.current_txn () and spare = ref None in
   let result =
     apply t ~thread key ~site:"slist.insert"
       ~on_found:(fun _ ~prev:_ ~curr:_ -> false)
       ~on_notfound:(fun txn ~prev ~curr ->
-        let n =
-          match !spare with
-          | Some n -> n
-          | None ->
-              (* Allocation happens at most once per operation and outside
-                 any committed effect: an aborted attempt keeps the node as
-                 a spare for the retry. *)
-              let n = Lnode.alloc t.pool ~thread in
-              spare := Some n;
-              n
-        in
+        let n = Mode.take_spare t.pool ~thread ~outer spare Lnode.alloc in
         Tm.write txn n.Lnode.key key;
         Tm.write txn n.Lnode.next curr;
         Tm.write txn prev.Lnode.next n;
         Tm.defer txn (fun () -> spare := None);
         true)
   in
-  Mode.give_back_spare t.pool ~thread spare;
+  Mode.give_back_spare t.pool ~thread ~outer spare;
   result
 
 let remove_s t ~thread key =

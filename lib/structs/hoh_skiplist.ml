@@ -155,20 +155,13 @@ let lookup_s t ~thread key =
     ~on_position:(fun txn ~preds:_ ~pred0:_ ~curr -> key_matches txn curr key)
 
 let insert_s t ~thread key =
-  let spare = ref None in
+  let outer = Tm.current_txn () and spare = ref None in
   let result =
     apply t ~thread key ~site:"skiplist.insert"
       ~on_position:(fun txn ~preds ~pred0:_ ~curr ->
         if key_matches txn curr key then false
         else begin
-          let n =
-            match !spare with
-            | Some n -> n
-            | None ->
-                let n = Snode.alloc t.pool ~thread in
-                spare := Some n;
-                n
-          in
+          let n = Mode.take_spare t.pool ~thread ~outer spare Snode.alloc in
           let height = random_level t ~thread in
           Tm.write txn n.Snode.key key;
           Tm.write txn n.Snode.level height;
@@ -181,7 +174,7 @@ let insert_s t ~thread key =
           true
         end)
   in
-  Mode.give_back_spare t.pool ~thread spare;
+  Mode.give_back_spare t.pool ~thread ~outer spare;
   result
 
 let remove_s t ~thread key =

@@ -28,11 +28,25 @@ type 'n t = {
   hazard_metrics : unit -> Reclaim.Hazard.metrics option;
 }
 
-let give_back_spare pool ~thread spare =
+let take_spare pool ~thread ~outer spare alloc =
+  match !spare with
+  | Some n -> n
+  | None ->
+      let n = alloc pool ~thread in
+      spare := Some n;
+      (match outer with
+      | Some txn ->
+          Tm.on_abort txn (fun () ->
+              Mempool.free pool ~thread n;
+              spare := None)
+      | None -> ());
+      n
+
+let give_back_spare pool ~thread ~outer spare =
   match !spare with
   | None -> ()
   | Some n -> (
-      match Tm.current_txn () with
+      match outer with
       | None ->
           Mempool.free pool ~thread n;
           spare := None
@@ -295,6 +309,11 @@ let ebr_mode ~pool ~deleted ~mark_deleted ~advance_threshold =
     keep.(thread) <- true;
     if not active.(thread) then begin
       Reclaim.Epoch.enter epoch ~thread;
+      (* [active] is set by a defer, which an aborted or abandoned attempt
+         never runs: leave again, or the thread stays announced and holds
+         back every later advance. *)
+      Tm.on_abort txn (fun () ->
+          if not active.(thread) then Reclaim.Epoch.leave epoch ~thread);
       (* Same publication race as TMHP's reserve (Dst.Inject bug #2). *)
       if not (Dst.Inject.bug Dst.Inject.Ro_publication) then
         Tm.validate_on_commit txn

@@ -69,13 +69,31 @@ val tmhp_gen_violations : int Atomic.t
     reallocated) since reservation. Must stay zero if the hazard-pointer
     protocol is airtight. *)
 
-val give_back_spare : 'n Mempool.t -> thread:int -> 'n option ref -> unit
-(** Return an unconsumed insert spare to the pool. Outside any transaction
-    the node is freed immediately; inside an enclosing transaction (a
-    flat-nested, composed operation) the free is deferred to the enclosing
-    commit — freeing eagerly would poison a node whose linking writes are
-    still buffered. The ref is re-checked at commit so a spare consumed by
-    a later attempt is not freed. *)
+val take_spare :
+  'n Mempool.t ->
+  thread:int ->
+  outer:Tm.txn option ->
+  'n option ref ->
+  ('n Mempool.t -> thread:int -> 'n) ->
+  'n
+(** [take_spare pool ~thread ~outer spare alloc] is an insert's spare node:
+    the one in [spare], or a fresh one from [alloc], stored there. [outer]
+    is [Tm.current_txn ()] sampled when the operation began. An unnested
+    insert ([outer = None]) keeps its spare across its own aborted
+    attempts, so a retry allocates nothing. Inside an enclosing transaction
+    an abort of that transaction re-runs the whole insert with a fresh
+    ref, so the node is registered with {!Tm.on_abort}, which frees it and
+    clears [spare]. *)
+
+val give_back_spare :
+  'n Mempool.t -> thread:int -> outer:Tm.txn option -> 'n option ref -> unit
+(** Return an unconsumed insert spare to the pool once the operation is
+    over. Outside any transaction the node is freed immediately; inside an
+    enclosing transaction [outer] the free is deferred to its commit —
+    freeing eagerly would poison a node whose linking writes are still
+    buffered. The ref is re-checked at commit so a spare consumed by a
+    later attempt is not freed. An abort of [outer] returns the spare
+    through {!take_spare}'s {!Tm.on_abort} callback instead. *)
 
 val create :
   kind ->

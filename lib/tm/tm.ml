@@ -112,6 +112,9 @@ type txn = {
          engaged once [wn] passes [windex_threshold] so lookups stop
          being O(wn). [no_index] (physically) when disengaged. *)
   mutable defers : (unit -> unit) list;
+  mutable aborts : (unit -> unit) list;
+      (* [on_abort] callbacks, newest first: they run once the attempt's
+         effects are gone, and never after a commit. *)
   mutable stamp : int;
   mutable read_only : bool;
   mutable must_validate : bool;
@@ -189,6 +192,7 @@ let fresh_txn tid stats =
     wfilter = 0;
     windex = no_index;
     defers = [];
+    aborts = [];
     stamp = 0;
     read_only = true;
     must_validate = false;
@@ -441,21 +445,25 @@ let wset_holds_lock txn lock uid =
     in
     go 0
 
-let reset_logs txn =
-  (* Clear stored references so the GC can collect dead tvars. *)
-  for i = 0 to txn.rn - 1 do
-    txn.r_locks.(i) <- dummy_lock
-  done;
+(* Clear stored references so the GC can collect dead tvars. *)
+let clear_wset txn =
   for i = 0 to txn.wn - 1 do
     txn.wset.(i) <- dummy_wentry
   done;
-  txn.rn <- 0;
   txn.wn <- 0;
   txn.wfilter <- 0;
   (* Drop (rather than zero) the index: most transactions never engage it,
      and the next large one rebuilds at the right size anyway. *)
-  if txn.windex != no_index then txn.windex <- no_index;
+  if txn.windex != no_index then txn.windex <- no_index
+
+let reset_logs txn =
+  for i = 0 to txn.rn - 1 do
+    txn.r_locks.(i) <- dummy_lock
+  done;
+  txn.rn <- 0;
+  clear_wset txn;
   txn.defers <- [];
+  txn.aborts <- [];
   txn.read_only <- true;
   txn.must_validate <- false
 
@@ -590,16 +598,40 @@ let read (txn : txn) tv =
       | None -> read_uncached txn tv l1
   end
 
+(* A serial run writes in place and never uses the write set, so the write
+   set doubles as its undo log of (tvar, old payload): the run's first
+   write to a tvar records the payload the tvar had before the run, and
+   later writes to it record nothing. A run that rewrites a few tvars many
+   times (a scan's window reservations) keeps a log of a few entries. *)
+let undo_push txn tv uid =
+  if txn.wfilter land filter_bit uid = 0 || wset_slot txn tv uid < 0 then
+    wset_put txn tv uid tv.payload
+
+(* Undo a serial run that raised, before its token is released. Each
+   restore is published like a serial write, with the run's own stamp:
+   every speculative snapshot that could still read the tvar predates that
+   stamp and aborts on it, and every later one sees the old payload. *)
+let serial_undo txn =
+  for i = txn.wn - 1 downto 0 do
+    let (W e) = txn.wset.(i) in
+    let word = Atomic.get (lock_word e.tv) in
+    Atomic.set (lock_word e.tv) (word lor 1);
+    e.tv.payload <- e.v;
+    Atomic.set (lock_word e.tv) word
+  done
+
 let write (txn : txn) tv v =
   txn.read_only <- false;
   if txn.serial then begin
     (* Irrevocable direct publication: mark locked, write, release with the
        serial stamp so concurrent speculative readers abort rather than
-       pairing the new value with an old version. *)
+       pairing the new value with an old version. The old payload goes to
+       the undo log first (see [serial_undo]). *)
     Dst.point Dst.Tm_serial_write;
     let word = Atomic.get (lock_word tv) in
     San.tm_serial_write ~tid:txn.tid ~site:txn.site ~wv:txn.serial_wv
       (uid_of word);
+    undo_push txn tv (uid_of word);
     let released = versioned word txn.serial_wv in
     Atomic.set (lock_word tv) (released lor 1);
     tv.payload <- v;
@@ -617,6 +649,12 @@ let retry (txn : txn) =
 
 let defer (txn : txn) f = txn.defers <- f :: txn.defers
 let defers_pending (txn : txn) = List.length txn.defers
+let on_abort (txn : txn) f = txn.aborts <- f :: txn.aborts
+
+(* Run an abandoned or aborted attempt's [on_abort] callbacks, newest
+   first, after its effects are gone. [reset_logs] drops the list, so take
+   it before. *)
+let run_aborts fs = List.iter (fun f -> f ()) fs
 
 let validate_on_commit (txn : txn) = txn.must_validate <- true
 let thread_id (txn : txn) = txn.tid
@@ -796,6 +834,7 @@ let serial_run st f =
       txn.serial_wv <- next_stamp ();
       txn.serial <- true;
       San.tm_serial_begin ~tid:txn.tid ~wv:txn.serial_wv;
+      San.tm_begin ~tid:txn.tid;
       txn.active <- true;
       txn.rv <- txn.serial_wv;
       txn.defers <- [];
@@ -804,6 +843,8 @@ let serial_run st f =
         txn.stamp <- txn.serial_wv;
         San.tm_commit ~tid:txn.tid ~site:txn.site ~rv:txn.serial_wv
           ~now:txn.serial_wv;
+        clear_wset txn;
+        txn.aborts <- [];
         run_defers txn;
         txn.active <- false;
         txn.serial <- false;
@@ -813,11 +854,18 @@ let serial_run st f =
       match f txn with
       | v -> finish v
       | exception e ->
+          (* Failure atomicity: the run's direct writes are rolled back
+             while the token still excludes every other transaction. *)
+          serial_undo txn;
+          clear_wset txn;
+          let aborts = txn.aborts in
+          txn.aborts <- [];
           txn.defers <- [];
           txn.active <- false;
           txn.serial <- false;
           San.tm_serial_end ~tid:txn.tid;
           San.tm_abandon ~tid:txn.tid;
+          run_aborts aborts;
           raise e)
 
 (* ---- the atomic runner ---- *)
@@ -901,6 +949,7 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) f =
       else begin
         txn.rv <- sample_rv ();
         txn.active <- true;
+        San.tm_begin ~tid:txn.tid;
         Stats.incr_started stats;
         let t0 = if tele then Telemetry.now_ns () else 0 in
         match
@@ -922,8 +971,10 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) f =
               attempts = total + 1; serial = false }
         | exception Abort cause ->
             txn.active <- false;
+            let aborts = txn.aborts in
             reset_logs txn;
             San.tm_abort ~tid:txn.tid;
+            run_aborts aborts;
             if tele then begin
               Telemetry.Histogram.record slot.attempts
                 (Telemetry.now_ns () - t0);
@@ -959,8 +1010,10 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) f =
             attempt next (total + 1)
         | exception e ->
             txn.active <- false;
+            let aborts = txn.aborts in
             reset_logs txn;
             San.tm_abandon ~tid:txn.tid;
+            run_aborts aborts;
             raise e
       end
     in

@@ -19,7 +19,11 @@
     GCC's HTM policy of retrying a few times and then falling back to a
     serial mode is mirrored by {!atomic}'s [max_attempts]: once exhausted,
     the transaction runs irrevocably under a global serial token, after
-    waiting for in-flight committers to quiesce. *)
+    waiting for in-flight committers to quiesce. Irrevocable means it
+    never aborts on a conflict; an exception out of a serial run still
+    restores every tvar it wrote to the payload it had before the run
+    (before the token is released), so every transaction is
+    failure-atomic. *)
 
 module Stats = Telemetry.Counters
 (** Per-thread commit/abort counters; an alias of {!Telemetry.Counters}
@@ -159,6 +163,16 @@ val defer : txn -> (unit -> unit) -> unit
     transactional allocators defer [free]: Listing 5 calls [delete(curr)]
     inside a transaction, which must not take effect on abort. *)
 
+val on_abort : txn -> (unit -> unit) -> unit
+(** [on_abort txn f] runs [f] once the current attempt's effects are
+    discarded: after a conflict abort (before the retry) and after any
+    exception out of the body ({!Dst.Killed}, an injected fault, the
+    caller's own), speculative or serial. It never runs on commit.
+    Callbacks run newest first, outside any transaction. A registration
+    in a flat-nested call belongs to the outermost transaction, as with
+    {!defer}. The structures return an insert's spare node this way when
+    the insert runs inside an enclosing transaction. *)
+
 val defers_pending : txn -> int
 (** Number of callbacks queued by {!defer} on this attempt so far. The
     window-fusion engine uses the delta across a window step to detect
@@ -194,8 +208,10 @@ val atomic :
 (** [atomic f] runs [f] as a transaction, retrying on conflicts with
     randomized exponential backoff. After [max_attempts] conflict aborts
     (default {!default_max_attempts}), the transaction is re-run under the
-    global serial token and cannot abort. Nested calls are flattened into
-    the enclosing transaction.
+    global serial token and cannot abort on a conflict. An exception out
+    of [f] discards the attempt's writes (a serial run restores the
+    payloads it overwrote), runs the {!on_abort} callbacks and propagates.
+    Nested calls are flattened into the enclosing transaction.
 
     [site] labels this call site for telemetry: when {!Telemetry.enabled}
     is on, every abort is attributed to [(site, cause, conflicting tvar)]

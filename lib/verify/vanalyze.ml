@@ -303,6 +303,9 @@ type exnacc = { mutable x_envs : env list; mutable x_traces : string list }
 type ctx = {
   in_txn : bool;
   free_ok : bool;
+  abort_cb : bool;
+      (* inside a [Tm.on_abort] callback: a free is sanctioned only for a
+         node this transaction allocated *)
   no_txn : bool;
   trusted : bool;
   fname : string;
@@ -1115,6 +1118,20 @@ and apply_path ctx env (e : expression) p args =
       let env, _ = analyze_args ctx env args in
       if node_of_type e.exp_type <> `No then (env, Anode (Fresh, Plocal))
       else (env, Aother)
+  | (("Mempool", "free"), None) when ctx.abort_cb -> (
+      (* The aborted attempt never published a node it allocated, so the
+         abort may return it; any other node may still be reachable. *)
+      let env, args = analyze_args ctx env args in
+      match node_arg args with
+      | Some (a, v) ->
+          if state_of_aval v <> Fresh then
+            report ctx ~loc ~rule:"non-deferred-free"
+              (Printf.sprintf
+                 "Mempool.free in a Tm.on_abort callback of a %s node: an \
+                  abort may return only a node its transaction allocated"
+                 (state_name (state_of_aval v)));
+          (set_node_state env a Freed, Aother)
+      | None -> (env, Aother))
   | (("Mempool", "free"), None) -> (
       let env, args = analyze_args ctx env args in
       eager_free ctx ~loc
@@ -1207,7 +1224,8 @@ and apply_path ctx env (e : expression) p args =
           | _ -> ())
       | None -> ());
       (env, Aother)
-  | (("Tm", "defer"), None) ->
+  | (("Tm", ("defer" | "on_abort")), None) ->
+      let abort_cb = snd key = "on_abort" in
       let env, args = analyze_args ctx env args in
       List.iter
         (fun (_, arg) ->
@@ -1215,12 +1233,16 @@ and apply_path ctx env (e : expression) p args =
           | Some ((a : expression), _) -> (
               match a.exp_desc with
               | Texp_function _ ->
-                  (* defer bodies run right after commit, outside the
-                     transaction, with frees sanctioned *)
+                  (* defer bodies run right after commit, on_abort bodies
+                     once the attempt is discarded: both outside the
+                     transaction, with frees sanctioned (on_abort's only
+                     of the transaction's own allocations) *)
                   ignore
                     (analyze_lambda
-                       { ctx with in_txn = false; free_ok = true }
-                       env ~name:"<defer>" a)
+                       { ctx with in_txn = false; free_ok = true; abort_cb }
+                       env
+                       ~name:(if abort_cb then "<on_abort>" else "<defer>")
+                       a)
               | _ -> ())
           | None -> ())
         args;
@@ -1242,7 +1264,12 @@ and apply_path ctx env (e : expression) p args =
               match a.exp_desc with
               | Texp_function _ ->
                   analyze_closure
-                    { ctx with in_txn = true; free_ok = false }
+                    {
+                      ctx with
+                      in_txn = true;
+                      free_ok = false;
+                      abort_cb = false;
+                    }
                     env
                     ~name:(if is_hoh then "<step>" else "<atomic>")
                     ~start_checked:is_hoh ~window_entry:true a

@@ -34,7 +34,8 @@ let rules : rule list =
       summary =
         "Mempool.free runs inside a transaction, directly or through a \
          callee, without Tm.defer / a ~free closure, racing the window's \
-         revoke" };
+         revoke; or a Tm.on_abort callback frees a node its transaction \
+         did not allocate" };
     { id = "raw-access"; code = "HV009";
       summary =
         "non-transactional access (Tm.peek/Tm.poke) to a shared node's \

@@ -41,6 +41,7 @@ let mk_ctx ~modname ~ref_accum ~out : Vanalyze.ctx =
   {
     Vanalyze.in_txn = false;
     free_ok = false;
+    abort_cb = false;
     no_txn = false;
     trusted = false;
     fname = "";

@@ -1,11 +1,11 @@
 (* @service-smoke: a fast push-gate for the sharded service layer.
 
    Three deterministic checks, no alcotest harness:
-   1. a DST run that kills a thread between the 2PC phases and proves
-      [Service.recover] restores all-or-nothing contents, frees the dead
-      thread's gates, and keeps the pool accounting precise;
-   2. the [Tear_2pc] bug flag reproduces the torn write that the
-      compensating rollback prevents;
+   1. a DST run that kills a thread inside a cross-shard multi, after its
+      remove has run: with no recovery step, the contents stay the
+      initial set and the pool accounting stays precise;
+   2. an injected allocation failure inside a multi leaves the contents
+      unchanged and leaks no pool slot;
    3. a short real-concurrency run of the service packed as a Store
       through the benchmark driver with the serialization check on. *)
 
@@ -26,7 +26,18 @@ let key_in_shard svc ~shard ~avoid =
   in
   go 1
 
-let kill_and_recover () =
+(* Live pool slots after a full drain must equal the contents. *)
+let check_accounting svc ~what =
+  (match Service.check svc with
+  | Ok () -> ()
+  | Error e -> die "%s: check: %s" what e);
+  Service.drain svc;
+  match Service.pool_live svc with
+  | Some 1 -> ()
+  | Some n -> die "%s: pool live = %d, want 1" what n
+  | None -> die "no pool accounting"
+
+let kill_mid_multi () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
   let svc = Service.create ~shards:2 spec in
@@ -38,7 +49,8 @@ let kill_and_recover () =
   in
   let victim () =
     Tm.Thread.with_registered (fun thread ->
-        Dst.Inject.arm ~after:1 Dst.Svc_apply (Dst.Inject.Delay 1_000_000);
+        (* the remove has run; park at the insert's allocation *)
+        Dst.Inject.arm Dst.Mp_alloc (Dst.Inject.Delay 1_000_000);
         ignore
           (Service.multi svc ~thread
              [| Store.Remove kept; Store.Insert fresh |]))
@@ -46,28 +58,15 @@ let kill_and_recover () =
   let o = Dst.Sched.run ~budget:5_000 ~init (Dst.Sched.Random 1) [ victim ] in
   if not o.Dst.Sched.hung then die "kill scenario did not hang as designed";
   if Dst.Sched.failed o then die "kill scenario failed before the kill";
-  if not (Result.is_error (Service.check svc)) then
-    die "abandoned intent not visible to check";
-  let resolved =
-    Tm.Thread.with_registered (fun _ -> Service.recover svc)
-  in
-  if resolved <> 1 then die "recover resolved %d intents, want 1" resolved;
-  if Service.contents svc <> [ kept ] then die "recover left a torn state";
-  (match Service.check svc with
-  | Ok () -> ()
-  | Error e -> die "post-recover check: %s" e);
-  Service.drain svc;
-  (match Service.pool_live svc with
-  | Some 1 -> ()
-  | Some n -> die "pool live = %d after recover, want 1" n
-  | None -> die "no pool accounting");
   Dst.Inject.clear ();
-  print_endline "service-smoke: kill between 2PC phases -> recover OK"
+  if Service.contents svc <> [ kept ] then
+    die "the killed multi left a partial write";
+  check_accounting svc ~what:"after the kill";
+  print_endline "service-smoke: kill inside a multi -> nothing applied, no leak"
 
-let tear_bug_caught () =
+let alloc_fault_in_multi () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  Dst.Inject.set_bug Dst.Inject.Tear_2pc true;
   let svc = Service.create ~shards:2 spec in
   let kept = key_in_shard svc ~shard:0 ~avoid:[] in
   let fresh = key_in_shard svc ~shard:1 ~avoid:[ kept ] in
@@ -86,10 +85,13 @@ let tear_bug_caught () =
   in
   let o = Dst.Sched.run ~init (Dst.Sched.Random 1) [ body ] in
   Dst.Inject.clear ();
-  if Dst.Sched.failed o then die "tear scenario crashed";
-  if Service.contents svc = [ kept ] then
-    die "Tear_2pc flag had no effect: expected a torn write";
-  print_endline "service-smoke: Tear_2pc bug flag reproduces the torn write"
+  if Dst.Sched.failed o then die "fault scenario crashed";
+  if Service.contents svc <> [ kept ] then
+    die "the faulted multi left a partial write";
+  check_accounting svc ~what:"after the fault";
+  print_endline
+    "service-smoke: allocation fault inside a multi -> nothing applied, no \
+     leak"
 
 let driver_run () =
   let svc = Service.create spec in
@@ -104,7 +106,7 @@ let driver_run () =
     (Service.label svc)
 
 let () =
-  kill_and_recover ();
-  tear_bug_caught ();
+  kill_mid_multi ();
+  alloc_fault_in_multi ();
   driver_run ();
   print_endline "service-smoke OK"

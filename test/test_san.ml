@@ -372,6 +372,23 @@ let test_late_revoke_before_free_is_quiet () =
       San.rr_revoke ~tid:0 ~site:"me.path" ~node:(key c 1);
       San.tm_commit ~tid:0 ~site:"me.path" ~rv ~now:wv)
 
+(* The commit hook runs after the locks are released, so a reservation
+   committed at stamp s can be applied after a revoke committed at s+1.
+   In stamp order the revoke cancelled it: the free that follows the
+   revoke must not see a live reservation. *)
+let test_late_reserve_after_revoke_is_quiet () =
+  with_san (fun () ->
+      let c = mk_ctx () in
+      alloc c 1;
+      let rv = c.clock in
+      let wv = tick c in
+      txn c ~tid:1 (fun () ->
+          San.tm_read ~tid:1 ~site:"other.remove" ~rv:c.clock (link 1);
+          San.rr_revoke ~tid:1 ~site:"other.remove" ~node:(key c 1));
+      San.rr_reserve ~tid:0 ~node:(key c 1);
+      San.tm_commit ~tid:0 ~site:"me.walk" ~rv ~now:wv;
+      free c ~thread:1 1)
+
 let test_revoke_after_free () =
   with_san (fun () ->
       let c = mk_ctx () in
@@ -680,6 +697,107 @@ let tree_churn_cases =
         ])
     [ Harness.Factories.Spec.Bst_int; Harness.Factories.Spec.Bst_ext ]
 
+(* ---- cross-shard multis, end to end ----
+
+   A multi is one transaction, and the structure operations inside it
+   nest: their windows' reservations and hand-offs belong to the
+   enclosing attempt, and an insert's spare goes back through
+   [Tm.on_abort] when that attempt aborts or is abandoned. Two domains
+   run multis over a small key range, so many fail a precondition (the
+   transaction is abandoned) or abort on a conflict, mixed with single
+   writes. The armed sanitizer must count no violation of any rule, the
+   logged history must serialize, and the pools must balance exactly. *)
+let multi_churn kind () =
+  let open Harness in
+  let svc =
+    Service.create
+      (Factories.Spec.v ~window:4 ~scatter:false ~shards:2 ~fuse:true
+         Factories.Spec.Slist kind)
+  in
+  let range = 24 in
+  let initial = List.init (range / 2) (fun i -> 2 * (i + 1)) in
+  (* armed before the prefill, so every node has a shadow slot *)
+  San.reset ();
+  San.set_enabled ~mode:San.Count true;
+  Tm.Thread.with_registered (fun thread ->
+      List.iter
+        (fun k -> ignore (Service.exec svc ~thread (Store.Insert k)))
+        initial);
+  let logs = Array.make 2 [||] in
+  let body c () =
+    Tm.Thread.with_registered (fun thread ->
+        let rng = Random.State.make [| 17; c |] in
+        let key () = 1 + Random.State.int rng range in
+        let log = ref [] in
+        let logged op (r : Store.reply) =
+          let w, k =
+            match op with
+            | Store.Insert k -> (Workload.Insert, k)
+            | Store.Remove k -> (Workload.Remove, k)
+            | Store.Get k | Store.Scan { low = k; _ } -> (Workload.Lookup, k)
+          in
+          log :=
+            {
+              Serial_check.op = w;
+              key = k;
+              result = Store.positive r.Store.outcome;
+              earliest = r.Store.earliest;
+              stamp = r.Store.stamp;
+            }
+            :: !log
+        in
+        for _ = 1 to 800 do
+          let k1 = key () in
+          let k2 = if k1 = range then 1 else k1 + 1 in
+          if Random.State.int rng 3 = 0 then begin
+            let op =
+              if Random.State.bool rng then Store.Insert k1 else Store.Remove k1
+            in
+            logged op (Service.exec svc ~thread op)
+          end
+          else
+            let ops =
+              [| Store.Remove k1; Store.Insert k2; Store.Get (key ()) |]
+            in
+            match Service.multi svc ~thread ops with
+            | Service.Committed rs ->
+                Array.iteri (fun i r -> logged ops.(i) r) rs
+            | Service.Aborted _ -> ()
+        done;
+        Service.finalize_thread svc ~thread;
+        logs.(c) <- Array.of_list (List.rev !log))
+  in
+  List.iter Domain.join (List.init 2 (fun c -> Domain.spawn (body c)));
+  let counts = San.violations () and last = San.last_report () in
+  San.set_enabled false;
+  San.reset ();
+  Option.iter (fun r -> print_endline (San.report_to_string r)) last;
+  List.iter (fun (rule, n) -> check_i rule 0 n) counts;
+  let counter name = List.assoc name (Service.counters svc) in
+  checkb "some multis committed" true
+    (counter "multis" > counter "multi_aborts");
+  checkb "some multis failed a precondition" true (counter "multi_aborts" > 0);
+  (match Service.check svc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "service check: %s" e);
+  (match Serial_check.check ~initial (Array.to_list logs) with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "history: %s" e);
+  Service.drain svc;
+  check_i "pool live = contents" (Service.size svc)
+    (Option.value (Service.pool_live svc) ~default:(-1))
+
+let multi_churn_cases =
+  List.map
+    (fun (name, kind) ->
+      Alcotest.test_case
+        (Printf.sprintf "slist/%s x2 churn" name)
+        `Quick (multi_churn kind))
+    [
+      ("RR-V", Structs.Mode.Rr_kind (module Rr.V));
+      ("RR-XO", Structs.Mode.Rr_kind (module Rr.Xo));
+    ]
+
 let qcheck_clean_history =
   QCheck.Test.make ~name:"clean histories never trip TxSan" ~count:300
     (QCheck.make gen_cmds) (fun cmds ->
@@ -758,6 +876,8 @@ let () =
             test_revoke_of_read_node_is_fresh;
           Alcotest.test_case "late revoke before the free is quiet" `Quick
             test_late_revoke_before_free_is_quiet;
+          Alcotest.test_case "late reserve after a later revoke is quiet"
+            `Quick test_late_reserve_after_revoke_is_quiet;
           Alcotest.test_case "revoke after free" `Quick
             test_revoke_after_free;
           Alcotest.test_case "retired twice" `Quick test_double_retire;
@@ -786,6 +906,7 @@ let () =
             test_uid_space_exhausted;
         ] );
       ("trees", tree_churn_cases);
+      ("multis", multi_churn_cases);
       ( "properties",
         [ QCheck_alcotest.to_alcotest qcheck_clean_history ] );
     ]

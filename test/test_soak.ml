@@ -1,7 +1,7 @@
 (* The soak harness: churn-phase grammar round trip, determinism of the
    generated op scripts (the property that makes @soak-smoke replays
    exact), a miniature churn run with all oracles on, and unit runs of
-   the DST adversaries (stalled reader, kill mid-commit, kill mid-2PC). *)
+   the DST adversaries (stalled reader, kill mid-commit, kill mid-multi). *)
 
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
@@ -111,15 +111,14 @@ let test_crash_mid_commit () =
   checkb "survivor history serializable" true r.Soak.k_serial_ok;
   check "no slots leaked" 0 r.Soak.k_leaked
 
-let test_crash_mid_2pc () =
+let test_crash_mid_multi () =
   let r =
-    Soak.crash_mid_2pc ~seed:5
+    Soak.crash_mid_multi ~seed:5
       (Spec.v ~window:4 ~shards:2 ~fuse:true Spec.Slist rr_v)
   in
   (match r.Soak.k_error with
   | None -> ()
-  | Some e -> Alcotest.failf "crash-2pc: %s" e);
-  check "one intent resolved" 1 r.Soak.k_recovered;
+  | Some e -> Alcotest.failf "crash-multi: %s" e);
   checkb "contents all-or-nothing" true r.Soak.k_serial_ok;
   check "no slots leaked" 0 r.Soak.k_leaked
 
@@ -141,6 +140,6 @@ let () =
           Alcotest.test_case "stalled reader replays" `Quick
             test_stalled_reader_deterministic;
           Alcotest.test_case "kill mid-commit" `Quick test_crash_mid_commit;
-          Alcotest.test_case "kill mid-2PC" `Quick test_crash_mid_2pc;
+          Alcotest.test_case "kill mid-multi" `Quick test_crash_mid_multi;
         ] );
     ]

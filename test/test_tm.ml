@@ -831,6 +831,118 @@ let qcheck_stamp_order =
           in
           increasing stamps))
 
+(* ---- failure atomicity: on_abort and the serial undo log ---- *)
+
+exception Boom
+
+(* [on_abort] callbacks counted, and checked to run outside any
+   transaction. *)
+let counting () =
+  let runs = ref 0 in
+  let f () =
+    checkb "callback runs outside the transaction" true
+      (Tm.current_txn () = None);
+    incr runs
+  in
+  (runs, f)
+
+let test_on_abort_conflict () =
+  with_tm (fun () ->
+      let runs, f = counting () in
+      let attempts = ref 0 in
+      let r =
+        Tm.atomic_stamped ~max_attempts:10 (fun txn ->
+            incr attempts;
+            if !attempts = 1 then begin
+              Tm.on_abort txn f;
+              raise (Tm.Abort Tm.Read_invalid)
+            end)
+      in
+      check "two attempts" 2 r.Tm.attempts;
+      check "ran once, for the aborted attempt" 1 !runs)
+
+let test_on_abort_exception () =
+  with_tm (fun () ->
+      let runs, f = counting () in
+      (match
+         Tm.atomic (fun txn ->
+             Tm.on_abort txn f;
+             raise Boom)
+       with
+      | () -> Alcotest.fail "the exception was swallowed"
+      | exception Boom -> ());
+      check "ran once" 1 !runs)
+
+let test_on_abort_serial_exception () =
+  with_tm (fun () ->
+      let runs, f = counting () in
+      (match
+         Tm.atomic ~max_attempts:0 (fun txn ->
+             checkb "serial" true (Tm.is_serial txn);
+             Tm.on_abort txn f;
+             raise Boom)
+       with
+      | () -> Alcotest.fail "the exception was swallowed"
+      | exception Boom -> ());
+      check "ran once" 1 !runs;
+      checkb "token released" false (Tm.serial_active ()))
+
+let test_on_abort_not_on_commit () =
+  with_tm (fun () ->
+      let runs, f = counting () in
+      let v = Tm.tvar 0 in
+      Tm.atomic (fun txn ->
+          Tm.on_abort txn f;
+          Tm.write txn v 1);
+      Tm.atomic ~max_attempts:0 (fun txn ->
+          Tm.on_abort txn f;
+          Tm.write txn v 2);
+      check "never ran" 0 !runs;
+      (* a later abort must not replay a committed registration *)
+      (try Tm.atomic (fun _ -> raise Boom) with Boom -> ());
+      check "still never ran" 0 !runs)
+
+let test_on_abort_nested () =
+  with_tm (fun () ->
+      let runs, f = counting () in
+      (match
+         Tm.atomic (fun _ ->
+             Tm.atomic (fun txn -> Tm.on_abort txn f);
+             check "the nested commit ran nothing" 0 !runs;
+             raise Boom)
+       with
+      | () -> Alcotest.fail "the exception was swallowed"
+      | exception Boom -> ());
+      check "ran once, at the outermost abort" 1 !runs)
+
+let test_serial_exception_undoes_writes () =
+  with_tm (fun () ->
+      let a = Tm.tvar 1 and b = Tm.tvar 2 in
+      (* more tvars than the write set scans linearly, each written twice *)
+      let many = Array.init 20 Tm.tvar in
+      (match
+         Tm.atomic ~max_attempts:0 (fun txn ->
+             Tm.write txn a 10;
+             Tm.write txn b 20;
+             Tm.write txn a 11;
+             for round = 1 to 2 do
+               Array.iter (fun tv -> Tm.write txn tv (100 * round)) many
+             done;
+             raise Boom)
+       with
+      | () -> Alcotest.fail "the exception was swallowed"
+      | exception Boom -> ());
+      check "a restored" 1 (Tm.peek a);
+      check "b restored" 2 (Tm.peek b);
+      Array.iteri (fun i tv -> check "restored" i (Tm.peek tv)) many;
+      checkb "token released" false (Tm.serial_active ());
+      (* both lock words are unlocked: a speculative reader commits on its
+         first attempt *)
+      let r = Tm.atomic_stamped (fun txn -> Tm.read txn a + Tm.read txn b) in
+      check "old values read" 3 r.Tm.value;
+      check "first attempt" 1 r.Tm.attempts;
+      checkb "speculative" false r.Tm.serial)
+
 let () =
   Alcotest.run "tm"
     [
@@ -851,6 +963,21 @@ let () =
           Alcotest.test_case "opaque snapshot" `Quick test_opaque_snapshot;
           Alcotest.test_case "validate-on-commit" `Quick
             test_validate_on_commit;
+        ] );
+      ( "failure atomicity",
+        [
+          Alcotest.test_case "on_abort after a conflict abort" `Quick
+            test_on_abort_conflict;
+          Alcotest.test_case "on_abort after an exception" `Quick
+            test_on_abort_exception;
+          Alcotest.test_case "on_abort after a serial exception" `Quick
+            test_on_abort_serial_exception;
+          Alcotest.test_case "on_abort never on commit" `Quick
+            test_on_abort_not_on_commit;
+          Alcotest.test_case "on_abort nested runs at the outermost abort"
+            `Quick test_on_abort_nested;
+          Alcotest.test_case "serial exception undoes writes" `Quick
+            test_serial_exception_undoes_writes;
         ] );
       ( "extension",
         [
