@@ -98,8 +98,8 @@ module Inject : sig
       - [Stale_hint]: bug #3 — accept a recycled skiplist hint whose key or
         tower no longer matches.
       - [Stale_cache]: bug #5 — the service layer skips the hot-cache
-        epoch bump after a write commits, so cache hits can serve values
-        older than the shard's last committed stamp (caught by the TxSan
+        slot invalidation after a write commits, so cache hits can serve
+        values older than the slot's last committed stamp (caught by the TxSan
         stale-cache-hit rule; see DESIGN.md decision 13). *)
   type bug =
     | Snapshot_straddle

@@ -1057,8 +1057,8 @@ let cache_hit_slow ~thread ~shard ~stamp ~last_write =
           ~subject:(Printf.sprintf "shard #%d" shard)
           ~detail:
             (Printf.sprintf
-               "cache hit served stamp %d but the shard's last committed \
-                write is stamp %d (missed invalidation)"
+               "cache hit served stamp %d but its cache slot's last \
+                committed write is stamp %d (missed invalidation)"
                stamp last_write)
           ~key:min_int;
       ]

@@ -51,9 +51,9 @@ type rule =
           an in-flight serial (irrevocable) writer — the serial-fallback
           publication race of DESIGN.md bug #1. *)
   | Stale_cache_hit
-      (** A service hot-cache hit returned a value older than the shard's
-          last committed write stamp — a write committed without bumping
-          the shard's invalidation epoch (DESIGN.md bug #5). *)
+      (** A service hot-cache hit returned a value older than the last
+          committed write stamp of its cache slot — a write committed
+          without invalidating the slot (DESIGN.md bug #5). *)
 
 val all_rules : rule list
 val rule_id : rule -> string
@@ -253,7 +253,8 @@ val ep_leave : thread:int -> unit
 
 val cache_hit : thread:int -> shard:int -> stamp:int -> last_write:int -> unit
 (** A hot-cache hit is about to serve the cached reply committed at
-    [stamp]; [last_write] is the shard's last committed write stamp as
-    published by the invalidation protocol. [stamp < last_write] means an
-    invalidation was missed and the hit is stale ({!Stale_cache_hit}).
+    [stamp]; [last_write] is the last committed write stamp of the
+    entry's cache slot as published by the invalidation protocol.
+    [stamp < last_write] means an invalidation was missed and the hit is
+    stale ({!Stale_cache_hit}).
     Delivered eagerly — cache hits happen outside any transaction. *)

@@ -1,36 +1,41 @@
 (* Hot-key read cache in front of the service router.
 
-   One small direct-mapped table per shard, versioned by a per-shard
-   invalidation epoch instead of per-key deletion: a populated entry
-   remembers the epoch observed *before* its lookup transaction ran, and
-   a hit is valid only while the shard's epoch is unchanged. Any write
-   committing against the shard bumps the epoch right after its commit,
-   which invalidates every cached entry of that shard at once — cheap
-   for writers, and immune to the populate/invalidate race: a reply
-   populated concurrently with a write carries the pre-write epoch and
-   can never be served (DESIGN.md, decision 13).
+   One small direct-mapped table per shard. Each slot holds one immutable
+   record, and a slot is invalidated by replacing its record, never by
+   mutating it: the record a lookup observed *before* its transaction ran
+   is the slot's epoch, and the reply populates the slot only by a
+   compare-and-set against that record. Any write committing a key bumps
+   that key's slot right after its commit — a fresh record, so a
+   populate whose lookup straddled the write fails its compare-and-set
+   and the entry is never installed (DESIGN.md, decision 13). A write
+   invalidates only the keys that share its slot, so writes to a few hot
+   keys leave the other hot keys cached.
 
-   Freshness is checkable: alongside the epoch the shard publishes the
-   stamp of its last committed write (bumped first, so a matching epoch
-   implies the published stamp predates the entry's lookup). On every hit
-   the TxSan hook asserts [entry stamp >= last committed write stamp];
-   the [Stale_cache] injected bug (skip the bump) trips it. *)
+   Freshness is checkable: every record carries the stamp of the last
+   committed write to its slot, copied forward by populates and advanced
+   by bumps in the same record swap, so a servable entry always names the
+   newest write that could have invalidated it. On every hit the TxSan
+   hook asserts [entry stamp >= last committed write stamp]; the
+   [Stale_cache] injected bug (advance the stamp but keep the entry)
+   trips it. *)
 
 open Harness
 
-type entry = {
-  e_key : int;
-  e_epoch : int;  (** shard epoch observed before the lookup transaction *)
-  e_present : bool;
-  e_earliest : int;
-  e_stamp : int;
-}
+type slot =
+  | Vacant of { v_last_write : int }
+  | Entry of {
+      e_key : int;
+      e_present : bool;
+      e_earliest : int;
+      e_stamp : int;
+      e_last_write : int;
+    }
 
-type shard = {
-  epoch : int Atomic.t;
-  last_write : int Atomic.t;  (** max commit stamp of any write, CAS-maxed *)
-  slots : entry option Atomic.t array;
-}
+(* A slot's record at the moment a lookup starts; the reply populates
+   only if the slot still holds this very record. *)
+type epoch = slot
+
+type shard = { slots : slot Atomic.t array }
 
 type t = {
   mask : int;
@@ -41,6 +46,10 @@ type t = {
 }
 
 let default_capacity = 256
+
+(* Every slot starts on this one record: compare-and-set is per slot, and
+   no slot is ever set back to it. *)
+let cold = Vacant { v_last_write = 0 }
 
 let create ?(capacity = default_capacity) ~shards () =
   if shards < 1 then invalid_arg "Hotcache.create: shards must be >= 1";
@@ -53,81 +62,81 @@ let create ?(capacity = default_capacity) ~shards () =
     mask = cap - 1;
     shards =
       Array.init shards (fun _ ->
-          {
-            epoch = Pad.atomic 0;
-            last_write = Pad.atomic 0;
-            slots = Array.init cap (fun _ -> Atomic.make None);
-          });
+          { slots = Array.init cap (fun _ -> Atomic.make cold) });
     hits = Pad.atomic 0;
     misses = Pad.atomic 0;
     invalidations = Pad.atomic 0;
   }
 
-let epoch t ~shard = Atomic.get t.shards.(shard).epoch
+let slot t ~shard key = t.shards.(shard).slots.(key land t.mask)
+let epoch t ~shard key = Atomic.get (slot t ~shard key)
 
-(* Lookup for a single-key [Get]. A hit returns the cached reply; the
-   entry is valid only when populated under the current epoch. *)
+let last_write = function
+  | Vacant { v_last_write } -> v_last_write
+  | Entry { e_last_write; _ } -> e_last_write
+
+(* Lookup for a single-key [Get]. A hit returns the cached reply; a slot
+   holds an entry only while no write to its keys has committed since
+   the entry's lookup started. *)
 let find t ~shard ~thread key =
-  let s = t.shards.(shard) in
   Dst.point Dst.Svc_cache;
-  match Atomic.get s.slots.(key land t.mask) with
-  | Some e when e.e_key = key && e.e_epoch = Atomic.get s.epoch ->
+  match Atomic.get (slot t ~shard key) with
+  | Entry e when e.e_key = key ->
       Atomic.incr t.hits;
-      San.cache_hit ~thread ~shard ~stamp:e.e_stamp
-        ~last_write:(Atomic.get s.last_write);
+      San.cache_hit ~thread ~shard ~stamp:e.e_stamp ~last_write:e.e_last_write;
       Some
         {
           Store.outcome = (if e.e_present then Store.Found else Store.Absent);
           earliest = e.e_earliest;
           stamp = e.e_stamp;
         }
-  | _ ->
+  | Entry _ | Vacant _ ->
       Atomic.incr t.misses;
       None
 
 (* Populate from a lookup reply. [epoch0] must have been read (via
-   {!epoch}) before the lookup transaction started: if a write committed
-   since, the current epoch has moved past [epoch0] and the entry is
-   stillborn — present but never served. *)
+   {!epoch}) before the lookup transaction started: if a write to the
+   slot has committed and bumped since, the slot no longer holds [epoch0]
+   and the reply is dropped. *)
 let note t ~shard ~epoch0 key (r : Store.reply) =
   match r.Store.outcome with
   | Store.Found | Store.Absent ->
-      let s = t.shards.(shard) in
-      Atomic.set
-        s.slots.(key land t.mask)
-        (Some
-           {
-             e_key = key;
-             e_epoch = epoch0;
-             e_present = r.Store.outcome = Store.Found;
-             e_earliest = r.Store.earliest;
-             e_stamp = r.Store.stamp;
-           })
+      ignore
+        (Atomic.compare_and_set (slot t ~shard key) epoch0
+           (Entry
+              {
+                e_key = key;
+                e_present = r.Store.outcome = Store.Found;
+                e_earliest = r.Store.earliest;
+                e_stamp = r.Store.stamp;
+                e_last_write = last_write epoch0;
+              }))
   | _ -> ()
 
-(* A write committed at [stamp] against [shard]: invalidate. The epoch
-   bump comes first so no hit can observe the new last-write stamp while
-   an entry from before the write still validates. Writers bump after
-   their commits, and concurrently — hence atomics, and a CAS-max for the
-   published stamp. *)
-let bump t ~shard ~stamp =
-  let s = t.shards.(shard) in
+(* A write of [key] committed at [stamp] against [shard]: swap the key's
+   slot for a fresh record that publishes the stamp. Writers bump after
+   their commits, and concurrently — hence the compare-and-set loop, which
+   keeps the published stamp a maximum. *)
+let bump t ~shard ~key ~stamp =
+  let s = slot t ~shard key in
   (* The [Stale_cache] injected bug models a writer that forgets to
-     invalidate: the epoch bump is skipped, leaving the shard's cached
-     entries servable. The published last-write stamp still advances —
-     it is the freshness ground truth the TxSan hit check compares
-     against, which is exactly what makes the forgotten invalidation
-     detectable at the next hit. *)
-  if not (Dst.Inject.bug Dst.Inject.Stale_cache) then begin
-    Atomic.incr s.epoch;
-    Atomic.incr t.invalidations
-  end;
-  let rec max_loop () =
-    let cur = Atomic.get s.last_write in
-    if stamp > cur && not (Atomic.compare_and_set s.last_write cur stamp) then
-      max_loop ()
+     invalidate: the entry is kept, servable, while the published
+     last-write stamp still advances — it is the freshness ground truth
+     the TxSan hit check compares against, which is exactly what makes
+     the forgotten invalidation detectable at the next hit. *)
+  let stale = Dst.Inject.bug Dst.Inject.Stale_cache in
+  let rec swap () =
+    let cur = Atomic.get s in
+    let lw = max stamp (last_write cur) in
+    let next =
+      match cur with
+      | Entry e when stale -> Entry { e with e_last_write = lw }
+      | Entry _ | Vacant _ -> Vacant { v_last_write = lw }
+    in
+    if not (Atomic.compare_and_set s cur next) then swap ()
   in
-  max_loop ()
+  swap ();
+  if not stale then Atomic.incr t.invalidations
 
 let stats t =
   [

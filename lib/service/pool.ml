@@ -15,7 +15,7 @@
 
    The pool is generic over the execution closure so it carries no
    dependency on the router: the service passes a closure that runs
-   [Store.batch ~fuse] and bumps the hot-cache epoch for writes.
+   [Store.batch ~fuse] and invalidates the written keys' hot-cache slots.
 
    Admission control rides the same queues: a controller projects the
    p99 queueing lag of a new arrival from the shard's queue depth and a

@@ -13,8 +13,8 @@
 
    - a hot-key read cache ({!Hotcache}): single-key Gets are answered
      from a per-shard versioned table when valid, skipping the
-     transaction entirely; every write bumps the owning shard's
-     invalidation epoch after it commits;
+     transaction entirely; every write invalidates its key's cache slot
+     after it commits;
    - per-shard request queues ({!Pool}): {!submit} enqueues an operation
      group on the owning shard's bounded queue and returns a ticket; an
      awaiting client that takes the shard's drain flag drains the queue
@@ -63,49 +63,44 @@ let shard_of_key t k = mix k mod Array.length t.stores
 
 (* ---- hot-cache maintenance ---- *)
 
-(* A write committed at [stamp] against [shard]: invalidate the shard's
-   cache. Callers bump after the commit: a hit that lands in between
-   returns an entry stamped before the write, which still serializes
-   before it. The [Stale_cache] injected bug (handled inside
+(* A write of [key] committed at [stamp] against [shard]: invalidate the
+   key's cache slot. Callers bump after the commit: a hit that lands in
+   between returns an entry stamped before the write, which still
+   serializes before it. The [Stale_cache] injected bug (handled inside
    {!Hotcache.bump}) skips the invalidation while the published
    last-write stamp still advances — the TxSan freshness rule catches the
    resulting stale hits. *)
-let bump_cache t ~shard ~stamp =
+let bump_cache t ~shard ~key ~stamp =
   match t.cache with
-  | Some c -> Hotcache.bump c ~shard ~stamp
+  | Some c -> Hotcache.bump c ~shard ~key ~stamp
   | None -> ()
-
-(* Post-batch cache maintenance: bump for every reply that mutated the
-   shard, then populate from Get replies under the pre-batch epoch
-   (stillborn if any write — ours or a concurrent one — has committed
-   since [epoch0] was read). *)
-let cache_after_batch t ~shard ~epoch0 ops replies =
-  match t.cache with
-  | None -> ()
-  | Some cache ->
-      Array.iteri
-        (fun i (r : Store.reply) ->
-          match r.Store.outcome with
-          | Store.Inserted | Store.Removed ->
-              bump_cache t ~shard ~stamp:r.Store.stamp
-          | Store.Found | Store.Absent -> (
-              match ops.(i) with
-              | Store.Get k -> Hotcache.note cache ~shard ~epoch0 k r
-              | _ -> ())
-          | _ -> ())
-        replies
 
 (* The workhorse for same-shard operation groups: one [Store.batch] —
    fused into a single transaction when the service fuses — then cache
-   maintenance. Both the synchronous paths and the queue drains land
+   maintenance: a bump for every reply that mutated the shard, and a
+   populate from every Get reply under its slot's pre-batch epoch
+   (dropped if a write of the slot — ours or a concurrent one — has
+   committed since). Both the synchronous paths and the queue drains land
    here. *)
 let run_shard_ops t ~shard ~thread ops =
-  let epoch0 =
-    match t.cache with Some c -> Hotcache.epoch c ~shard | None -> 0
-  in
-  let replies = Store.batch ~fuse:t.fuse t.stores.(shard) ~thread ops in
-  cache_after_batch t ~shard ~epoch0 ops replies;
-  replies
+  match t.cache with
+  | None -> Store.batch ~fuse:t.fuse t.stores.(shard) ~thread ops
+  | Some cache ->
+      let epochs =
+        Array.map (fun op -> Hotcache.epoch cache ~shard (Store.op_key op)) ops
+      in
+      let replies = Store.batch ~fuse:t.fuse t.stores.(shard) ~thread ops in
+      Array.iteri
+        (fun i (r : Store.reply) ->
+          match (r.Store.outcome, ops.(i)) with
+          | (Store.Inserted | Store.Removed), op ->
+              Hotcache.bump cache ~shard ~key:(Store.op_key op)
+                ~stamp:r.Store.stamp
+          | (Store.Found | Store.Absent), Store.Get k ->
+              Hotcache.note cache ~shard ~epoch0:epochs.(i) k r
+          | _ -> ())
+        replies;
+      replies
 
 (* ---- construction ---- *)
 
@@ -184,7 +179,7 @@ let exec_point t ~thread op =
       match Hotcache.find cache ~shard:s ~thread k with
       | Some r -> r
       | None ->
-          let epoch0 = Hotcache.epoch cache ~shard:s in
+          let epoch0 = Hotcache.epoch cache ~shard:s k in
           let r = Store.exec t.stores.(s) ~thread op in
           Hotcache.note cache ~shard:s ~epoch0 k r;
           r)
@@ -192,7 +187,7 @@ let exec_point t ~thread op =
       let r = Store.exec t.stores.(s) ~thread op in
       (match r.Store.outcome with
       | Store.Inserted | Store.Removed ->
-          bump_cache t ~shard:s ~stamp:r.Store.stamp
+          bump_cache t ~shard:s ~key:(Store.op_key op) ~stamp:r.Store.stamp
       | _ -> ());
       r
 
@@ -334,7 +329,7 @@ let multi t ~thread ops =
         (fun i op ->
           match op with
           | Store.Insert _ | Store.Remove _ ->
-              bump_cache t ~shard:(shard i) ~stamp
+              bump_cache t ~shard:(shard i) ~key:(Store.op_key op) ~stamp
           | Store.Get _ | Store.Scan _ -> ())
         ops;
       Committed

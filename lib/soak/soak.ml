@@ -587,13 +587,10 @@ let crash_mid_multi ~seed spec =
     let live () = Option.value (Service.pool_live svc) ~default:0 in
     let kept = key_in_shard svc ~shard:0 ~avoid:[] in
     let fresh = key_in_shard svc ~shard:1 ~avoid:[ kept ] in
-    let initial = [ kept ] in
     let b0 = ref 0 in
     let init () =
       Tm.Thread.with_registered (fun thread ->
-          List.iter
-            (fun k -> ignore (Service.exec svc ~thread (Store.Insert k)))
-            initial);
+          ignore (Service.exec svc ~thread (Store.Insert kept)));
       b0 := live ()
     in
     let victim_tid = ref (-1) in
@@ -614,7 +611,7 @@ let crash_mid_multi ~seed spec =
       errors := "victim did not park mid-multi (run completed)" :: !errors;
     let _tid = Tm.Thread.id () in
     (* no recovery step: the killed transaction never published *)
-    let contents_ok = Service.contents svc = initial in
+    let contents_ok = Service.contents svc = [ kept ] in
     if not contents_ok then
       errors := "the killed multi left a partial write" :: !errors;
     (match Service.check svc with

@@ -790,7 +790,7 @@ let test_hotcache_unit () =
   let hc = H.create ~capacity:16 ~shards:2 () in
   let reply o = { Store.outcome = o; earliest = 7; stamp = 9 } in
   checkb "cold miss" true (H.find hc ~shard:0 ~thread:0 5 = None);
-  let e0 = H.epoch hc ~shard:0 in
+  let e0 = H.epoch hc ~shard:0 5 in
   H.note hc ~shard:0 ~epoch0:e0 5 (reply Store.Found);
   (match H.find hc ~shard:0 ~thread:0 5 with
   | Some r ->
@@ -798,26 +798,33 @@ let test_hotcache_unit () =
         (r.Store.outcome = Store.Found && r.Store.stamp = 9
        && r.Store.earliest = 7)
   | None -> Alcotest.fail "expected a hit");
-  (* a writer bump invalidates the whole shard *)
-  H.bump hc ~shard:0 ~stamp:12;
-  checkb "invalidated after bump" true (H.find hc ~shard:0 ~thread:0 5 = None);
+  (* a write of a key in another slot leaves the entry servable *)
+  H.bump hc ~shard:0 ~key:6 ~stamp:11;
+  checkb "other slot's bump keeps the entry" true
+    (H.find hc ~shard:0 ~thread:0 5 <> None);
+  (* a write of a key sharing the slot (5 + 16 in a 16-slot table)
+     invalidates it *)
+  H.bump hc ~shard:0 ~key:21 ~stamp:12;
+  checkb "invalidated after a same-slot bump" true
+    (H.find hc ~shard:0 ~thread:0 5 = None);
   (* stillborn populate: an epoch sampled before a write never serves *)
-  let e1 = H.epoch hc ~shard:0 in
-  H.bump hc ~shard:0 ~stamp:15;
+  let e1 = H.epoch hc ~shard:0 5 in
+  H.bump hc ~shard:0 ~key:5 ~stamp:15;
   H.note hc ~shard:0 ~epoch0:e1 5 (reply Store.Absent);
   checkb "stale populate never serves" true
     (H.find hc ~shard:0 ~thread:0 5 = None);
   (* only lookup replies populate *)
-  H.note hc ~shard:1 ~epoch0:(H.epoch hc ~shard:1) 3 (reply Store.Inserted);
+  H.note hc ~shard:1 ~epoch0:(H.epoch hc ~shard:1 3) 3 (reply Store.Inserted);
   checkb "writes are not cached" true (H.find hc ~shard:1 ~thread:0 3 = None);
-  (* shard-0 bumps do not touch shard 1 *)
-  H.note hc ~shard:1 ~epoch0:(H.epoch hc ~shard:1) 3 (reply Store.Found);
+  (* a shard-0 bump of key 3 does not touch shard 1's key 3 *)
+  H.note hc ~shard:1 ~epoch0:(H.epoch hc ~shard:1 3) 3 (reply Store.Found);
+  H.bump hc ~shard:0 ~key:3 ~stamp:16;
   checkb "per-shard isolation" true (H.find hc ~shard:1 ~thread:0 3 <> None);
   let stats = H.stats hc in
-  check "invalidations counted" 2 (List.assoc "cache_invalidations" stats);
-  check "hits counted" 2 (List.assoc "cache_hits" stats);
+  check "invalidations counted" 4 (List.assoc "cache_invalidations" stats);
+  check "hits counted" 3 (List.assoc "cache_hits" stats);
   check "misses counted" 4 (List.assoc "cache_misses" stats);
-  checkb "hit rate" true (abs_float (H.hit_rate hc -. (2. /. 6.)) < 1e-9)
+  checkb "hit rate" true (abs_float (H.hit_rate hc -. (3. /. 7.)) < 1e-9)
 
 let test_service_cache_hits () =
   Dst.Inject.clear ();
@@ -832,20 +839,25 @@ let test_service_cache_hits () =
     ((Service.exec svc ~thread (Store.Get k)).Store.outcome = Store.Found);
   check "one hit" 1 (List.assoc "cache_hits" (Service.counters svc));
   checkb "hit rate positive" true (Service.cache_hit_rate svc > 0.);
-  (* any same-shard write invalidates the cached entry *)
+  (* a write of another key (another slot) leaves the entry servable *)
   let k2 = key_in_shard svc ~shard:0 ~avoid:[ k ] in
   ignore (Service.exec svc ~thread (Store.Insert k2));
-  checkb "invalidated entry re-misses" true
+  checkb "other key's write keeps the hit" true
     ((Service.exec svc ~thread (Store.Get k)).Store.outcome = Store.Found);
-  check "still one hit" 1 (List.assoc "cache_hits" (Service.counters svc));
+  check "two hits" 2 (List.assoc "cache_hits" (Service.counters svc));
+  (* a write of the key invalidates its entry *)
+  ignore (Service.exec svc ~thread (Store.Remove k));
+  checkb "invalidated entry re-misses" true
+    ((Service.exec svc ~thread (Store.Get k)).Store.outcome = Store.Absent);
+  check "still two hits" 2 (List.assoc "cache_hits" (Service.counters svc));
   checkb "invalidations counted" true
-    (List.assoc "cache_invalidations" (Service.counters svc) >= 1);
+    (List.assoc "cache_invalidations" (Service.counters svc) >= 2);
   (* a lone cached Get completes inline through submit, pool or not *)
   (match Service.submit svc ~thread [| Store.Get k |] with
   | Service.Done rs ->
-      checkb "inline cache hit" true (rs.(0).Store.outcome = Store.Found)
+      checkb "inline cache hit" true (rs.(0).Store.outcome = Store.Absent)
   | _ -> Alcotest.fail "expected an inline completion");
-  check "two hits" 2 (List.assoc "cache_hits" (Service.counters svc));
+  check "three hits" 3 (List.assoc "cache_hits" (Service.counters svc));
   Service.finalize_thread svc ~thread;
   Service.drain svc
 
