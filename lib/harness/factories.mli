@@ -43,7 +43,7 @@ module Spec : sig
             that await them *)
     hotcache : bool option;
         (** service layer: versioned hot-key read cache in front of the
-            router, invalidated by per-shard epoch bumps at commit *)
+            router, each written key's slot invalidated after its commit *)
     slo_us : int option;
         (** service layer: p99 lag SLO (microseconds) for admission
             control; low-priority requests are shed with [Overload] when
