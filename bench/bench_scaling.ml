@@ -129,12 +129,36 @@ let run_config p c ~ops_per_thread =
       ("points", Json.List points);
     ]
 
+(* Each noise probe below compares two runs of the same code. One pair is
+   one sample of the box's noise, so a probe runs [probe_pairs] pairs,
+   alternating which run goes first so that drift over the probe lands on
+   both sides, and reports the median of the per-pair ratios. *)
+let probe_pairs = 5
+
+let paired ~base ~other =
+  List.init probe_pairs (fun i ->
+      if i mod 2 = 0 then
+        let b = base () in
+        (b, other ())
+      else
+        let o = other () in
+        (base (), o))
+
+let median xs =
+  let a = Array.of_list xs in
+  Array.sort compare a;
+  a.(Array.length a / 2)
+
+let tput (r : Driver.result) = r.Driver.throughput
+let ratios pairs = List.map (fun (b, o) -> tput o /. tput b) pairs
+let floats xs = Json.List (List.map (fun x -> Json.Float x) xs)
+
 (* The sanitizer probe: one representative configuration run three ways —
    a plain baseline (TxSan hooks compiled in but disabled, i.e. the
    seed-equivalent path plus one relaxed bool load per hook), a paired
-   off-mode sample (so "within noise" compares two runs of the *same*
-   code), and a TxSan-armed run in [Count] mode. Off-mode must stay within
-   noise of the baseline; the on-mode slowdown is recorded, not bounded —
+   off-mode sample (so "within noise" compares runs of the *same* code),
+   and a TxSan-armed run in [Count] mode. Off-mode must stay within noise
+   of the baseline; the on-mode slowdown is recorded, not bounded —
    precision is allowed to cost. *)
 let san_probe p (c : config) ~ops_per_thread =
   (* Floor the probe's op count: the noise bound below needs runs long
@@ -153,16 +177,19 @@ let san_probe p (c : config) ~ops_per_thread =
     in
     Driver.run ~verify:p.verify ~san spec handle
   in
-  let base = point ~san:false in
-  let off = point ~san:false in
+  let off_run () = point ~san:false in
+  let pairs = paired ~base:off_run ~other:off_run in
+  let base = median (List.map (fun (b, _) -> tput b) pairs) in
+  let off = median (List.map (fun (_, o) -> tput o) pairs) in
+  let pair_ratios = ratios pairs in
   let on = point ~san:true in
   let violations =
     match on.Driver.san with
     | Some per_rule -> List.fold_left (fun a (_, n) -> a + n) 0 per_rule
     | None -> 0
   in
-  let off_vs_baseline = off.Driver.throughput /. base.Driver.throughput in
-  let on_slowdown = base.Driver.throughput /. on.Driver.throughput in
+  let off_vs_baseline = median pair_ratios in
+  let on_slowdown = base /. tput on in
   Printf.printf
     "san probe  %-9s %-6s %dT: off/base %.2f, on-mode slowdown %.1fx, \
      violations %d\n%!"
@@ -176,17 +203,18 @@ let san_probe p (c : config) ~ops_per_thread =
       ("lookup_pct", Json.Int c.lookup_pct);
       ("threads", Json.Int threads);
       ("ops_per_thread", Json.Int ops_per_thread);
-      ("baseline_throughput", Json.Float base.Driver.throughput);
-      ("off_throughput", Json.Float off.Driver.throughput);
-      ("on_throughput", Json.Float on.Driver.throughput);
+      ("baseline_throughput", Json.Float base);
+      ("off_throughput", Json.Float off);
+      ("on_throughput", Json.Float (tput on));
       ("off_vs_baseline", Json.Float off_vs_baseline);
+      ("off_vs_baseline_pairs", floats pair_ratios);
       ("on_slowdown", Json.Float on_slowdown);
       ("violations", Json.Int violations);
     ]
 
 (* The window-fusion probe: the hot-traversal list configuration run
    with fusion off and at a ceiling of four windows per transaction, plus
-   a paired all-off rerun so "within noise" compares two runs of the same
+   paired all-off reruns so "within noise" compares runs of the same
    code. Fusion is compiled into every binary and defaults off, so the
    all-off point doubles as the guard that carrying it costs nothing. *)
 let opt_variants = [ ("all-off", 1); ("fuse4", 4) ]
@@ -210,17 +238,27 @@ let opt_probe p ~ops_per_thread =
      pays allocator/GC cold-start costs that would otherwise land
      entirely on the baseline sample and masquerade as noise. *)
   ignore (point 1);
-  let base = point 1 in
+  let pairs = paired ~base:(fun () -> point 1) ~other:(fun () -> point 1) in
+  let base = median (List.map (fun (b, _) -> tput b) pairs) in
+  let pair_ratios = ratios pairs in
+  (* The all-off variant is the paired rerun of median throughput. *)
+  let all_off_run =
+    let by_tput a b = compare (tput a) (tput b) in
+    List.nth (List.sort by_tput (List.map snd pairs)) (probe_pairs / 2)
+  in
   let runs =
-    List.map (fun (name, fusion) -> (name, fusion, point fusion)) opt_variants
+    List.map
+      (fun (name, fusion) ->
+        (name, fusion, if fusion = 1 then all_off_run else point fusion))
+      opt_variants
   in
-  let tput name =
+  let variant name =
     let _, _, r = List.find (fun (n, _, _) -> n = name) runs in
-    r.Driver.throughput
+    tput r
   in
-  let all_off = tput "all-off" in
-  let off_vs_baseline = all_off /. base.Driver.throughput in
-  let fuse4_vs_all_off = tput "fuse4" /. all_off in
+  let all_off = variant "all-off" in
+  let off_vs_baseline = median pair_ratios in
+  let fuse4_vs_all_off = variant "fuse4" /. all_off in
   Printf.printf
     "opt probe  slist     RR-V   %dT: off/base %.2f, fuse4/all-off %.2fx\n%!"
     threads off_vs_baseline fuse4_vs_all_off;
@@ -247,8 +285,9 @@ let opt_probe p ~ops_per_thread =
       ("max_attempts", Json.Int max_attempts);
       ("threads", Json.Int threads);
       ("ops_per_thread", Json.Int ops_per_thread);
-      ("baseline_throughput", Json.Float base.Driver.throughput);
+      ("baseline_throughput", Json.Float base);
       ("off_vs_baseline", Json.Float off_vs_baseline);
+      ("off_vs_baseline_pairs", floats pair_ratios);
       ("fuse4_vs_all_off", Json.Float fuse4_vs_all_off);
       ("variants", Json.List (List.map variant_json runs));
     ]
@@ -283,6 +322,18 @@ let validate js =
     | Some v -> Ok v
     | None -> err "missing or ill-typed field %S" name
   in
+  let pair_ratios probe o =
+    let* rs = field "off_vs_baseline_pairs" Json.to_list o in
+    if List.length rs <> probe_pairs then
+      err "%s probe has %d pair ratios, wanted %d" probe (List.length rs)
+        probe_pairs
+    else if
+      List.for_all
+        (fun r -> match Json.to_float r with Some x -> x > 0. | None -> false)
+        rs
+    then Ok ()
+    else err "%s probe pair ratio missing or <= 0" probe
+  in
   let* s = field "schema" Json.to_string_opt js in
   let* () = if s = schema then Ok () else err "schema %S, wanted %S" s schema in
   let* _ = field "bench" Json.to_string_opt js in
@@ -294,6 +345,7 @@ let validate js =
   let* () = if on > 0. then Ok () else err "san on_throughput <= 0" in
   let* ratio = field "off_vs_baseline" Json.to_float san in
   let* () = if ratio > 0. then Ok () else err "san off_vs_baseline <= 0" in
+  let* () = pair_ratios "san" san in
   let* slow = field "on_slowdown" Json.to_float san in
   let* () = if slow > 0. then Ok () else err "san on_slowdown <= 0" in
   let* viols = field "violations" Json.to_int san in
@@ -303,6 +355,7 @@ let validate js =
   let* () = if obase > 0. then Ok () else err "opt baseline_throughput <= 0" in
   let* oratio = field "off_vs_baseline" Json.to_float opt in
   let* () = if oratio > 0. then Ok () else err "opt off_vs_baseline <= 0" in
+  let* () = pair_ratios "opt" opt in
   let* _ = field "fuse4_vs_all_off" Json.to_float opt in
   let* variants = field "variants" Json.to_list opt in
   let* () =
@@ -425,7 +478,9 @@ let smoke () =
   (* Off-mode must be within noise of the baseline: an accidentally-armed
      sanitizer serializes every access on a global mutex (5-10x), while the
      legitimate hook cost is one relaxed bool load. The bound is loose
-     because smoke runs are short and containers are noisy. *)
+     because smoke runs are short and containers are noisy; the ratio is
+     the median of [probe_pairs] pairs, so one descheduled run cannot
+     trip it. *)
   (match Option.bind (Json.member "san" js) (Json.member "off_vs_baseline") with
   | Some (Json.Float ratio) when ratio < 0.33 ->
       fail "sanitizer-off throughput fell out of noise (ratio %.2f)" ratio

@@ -11,4 +11,4 @@ let search_from_hint_bad (head : Lnode.t Tm.tvar) k =
       let n = if !start != Lnode.nil then !start else Tm.read txn head in
       if n == Lnode.nil then raise Exit;
       (* stale hint used unrevalidated: no ops.get between windows *)
-      Tm.read txn n.Lnode.key = k)
+      n.Lnode.key = k)

@@ -16,7 +16,7 @@ let bad_deref_exn_path (t : Lnode.t Tm.tvar) (ops : Lnode.t Rr.ops) =
       if n == Lnode.nil then 0
       else
         match find_or_fail ops txn n with
-        | ok -> Tm.read txn ok.Lnode.key
+        | ok -> Lnode.key txn ok
         | exception Lost ->
             (* carried and unchecked: the reservation may be gone *)
-            Tm.read txn n.Lnode.key)
+            n.Lnode.key)

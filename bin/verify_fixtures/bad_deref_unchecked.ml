@@ -9,4 +9,4 @@ let bad_deref_unchecked (t : Lnode.t Tm.tvar) =
   (* new window: [!cur] is a carried pointer, never re-checked *)
   Tm.atomic ~site:"fixture.deref_unchecked" (fun txn ->
       let n = !cur in
-      if n == Lnode.nil then 0 else Tm.read txn n.Lnode.key)
+      if n == Lnode.nil then 0 else n.Lnode.key)

@@ -6,4 +6,4 @@ open Structs
 let bad_raw_access (t : Lnode.t Tm.tvar) =
   Tm.atomic ~site:"fixture.raw_access" (fun txn ->
       let n = Tm.read txn t in
-      Tm.poke n.Lnode.key 0)
+      Tm.poke n.Lnode.next Lnode.nil)

@@ -7,4 +7,4 @@ let bad_resv_leak (t : Lnode.t Tm.tvar) (ops : Lnode.t Rr.ops) =
   Tm.atomic ~site:"fixture.resv_leak" (fun txn ->
       let n = Tm.read txn t in
       ops.Rr.reserve txn n;
-      Tm.read txn n.Lnode.key)
+      Lnode.key txn n)

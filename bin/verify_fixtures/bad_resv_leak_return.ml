@@ -9,7 +9,7 @@ let bad_resv_leak_return (t : Lnode.t Tm.tvar) (ops : Lnode.t Rr.ops) k =
       if n == Lnode.nil then false
       else begin
         ops.Rr.reserve txn n;
-        if Tm.read txn n.Lnode.key = k then true (* leaks the reservation *)
+        if Lnode.key txn n = k then true (* leaks the reservation *)
         else begin
           ops.Rr.release txn n;
           false

@@ -9,7 +9,7 @@ let remove_bad (pool : Lnode.t Mempool.t) (head : Lnode.t Tm.tvar) k =
   Tm.atomic ~site:"fixture.uaf_slist" (fun txn ->
       let curr = Tm.read txn head in
       if curr == Lnode.nil then false
-      else if Tm.read txn curr.Lnode.key = k then begin
+      else if Lnode.key txn curr = k then begin
         Tm.write txn head (Tm.read txn curr.Lnode.next);
         Mempool.free pool ~thread:0 curr;
         true

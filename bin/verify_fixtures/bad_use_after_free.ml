@@ -5,4 +5,4 @@ open Structs
 let bad_use_after_free (pool : Lnode.t Mempool.t) =
   let n = Lnode.alloc pool ~thread:0 in
   Mempool.free pool ~thread:0 n;
-  Tm.peek n.Lnode.key
+  n.Lnode.key

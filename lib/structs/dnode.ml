@@ -1,7 +1,7 @@
 type t = {
   mutable state : int;
   id : int;
-  key : int Tm.tvar;
+  mutable key : int;
   next : t Tm.tvar;
   prev : t Tm.tvar;
 }
@@ -10,38 +10,25 @@ type t = {
    tvar lock word is (DESIGN.md decision 1); it is never a plain field. *)
 external state_word : t -> int Atomic.t = "%identity"
 
-let poisoned_key = min_int
-
 let nil =
   Tm.knot (fun self ->
-      {
-        state = 0;
-        id = -1;
-        key = Tm.tvar poisoned_key;
-        next = self ();
-        prev = self ();
-      })
+      { state = 0; id = -1; key = 0; next = self (); prev = self () })
 
 let make id =
-  {
-    state = 0;
-    id;
-    key = Tm.tvar poisoned_key;
-    next = Tm.tvar nil;
-    prev = Tm.tvar nil;
-  }
+  { state = 0; id; key = 0; next = Tm.tvar nil; prev = Tm.tvar nil }
 
+(* The key is left as it was, as in [Lnode.poison]. *)
 let poison n =
-  Tm.poke n.key poisoned_key;
   Tm.poke n.next nil;
   Tm.poke n.prev n
 
-let tvar_ids n = [ Tm.tvar_id n.key; Tm.tvar_id n.next; Tm.tvar_id n.prev ]
+let tvar_ids n = [ Tm.tvar_id n.next; Tm.tvar_id n.prev ]
 
 let make_pool ?strategy () =
   Mempool.create ?strategy ~make ~node_id:(fun n -> n.id)
     ~state:state_word ~poison ~tvar_ids ()
 
+let set_key n k = n.key <- k
 let deleted txn n = Tm.read txn n.prev == n
 let mark_deleted txn n = Tm.write txn n.prev n
 let peek_deleted n = Tm.peek n.prev == n

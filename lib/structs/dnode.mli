@@ -1,28 +1,28 @@
 (** Doubly linked list nodes, used by {!Hoh_dlist} only: a {!Lnode} plus
     a [prev] link.
 
-    As with {!Lnode}, all mutable content but the pool's state word is
-    transactional, the pool id is the node's simulated address, a missing
-    link is {!nil}, and freed nodes are poisoned with version-bumping
-    writes. A node is logically deleted when its [prev] link points back
-    at itself. No traversal reads [prev]: the list reads it only to
-    unlink, so the mark does not conflict with concurrent readers.
-    Poison writes the mark too ([key = poisoned_key], [next] reset to
+    As with {!Lnode}, the links are tvars and the key is a plain field set
+    only on an unreachable spare ({!set_key}), the pool id is the node's
+    simulated address, a missing link is {!nil}, and freed nodes are
+    poisoned with version-bumping writes to their links. A transaction
+    reads a key only in the list's walk, which follows the load with a
+    read of [next] (see {!Lnode.key}). A node is logically deleted when its
+    [prev] link points back at itself. No traversal reads [prev]: the
+    list reads it only to unlink, so the mark does not conflict with
+    concurrent readers. Poison writes the mark too ([next] reset to
     {!nil}, [prev] marked). *)
 
-type t = {
+type t = private {
   mutable state : int;
       (** the pool's state word, field 0; owned by {!Mempool}, which
           reaches it only as an [Atomic.t] view (see {!Lnode.t}) *)
   id : int;
-  key : int Tm.tvar;
+  mutable key : int;  (** plain; see {!Lnode.t} *)
   next : t Tm.tvar;  (** {!nil} at the tail *)
   prev : t Tm.tvar;
       (** {!nil} on the head sentinel; the node itself once deleted
           (TMHP/EBR/REF removal, and poison in every mode) *)
 }
-
-val poisoned_key : int
 
 val nil : t
 (** The end of every doubly linked list: one static node whose links
@@ -30,6 +30,10 @@ val nil : t
     {!Lnode.nil}). *)
 
 val make_pool : ?strategy:Mempool.strategy -> unit -> t Mempool.t
+
+val set_key : t -> int -> unit
+(** As {!Lnode.set_key}: only on a fresh spare, before the commit that
+    links it. *)
 
 val deleted : Tm.txn -> t -> bool
 (** Whether [prev] points at the node itself; the test {!Mode.create}
@@ -47,4 +51,4 @@ val equal : t -> t -> bool
 
 val alloc : t Mempool.t -> thread:int -> t
 (** Allocate and reset both links to {!nil}, which clears the deletion
-    mark. *)
+    mark. The key is the last incarnation's until {!set_key}. *)

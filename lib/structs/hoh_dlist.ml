@@ -38,16 +38,18 @@ let start_point t ~thread ~start =
         else Window.first_budget t.window ~thread )
 
 (* {!List_walk.walk} over [Dnode]s: the [while] of Listing 5. Reads at
-   most [budget] nodes starting at [prev.next]. *)
+   most [budget] nodes starting at [prev.next]; each key load is validated
+   by the read of the node's [next] after it (see [Lnode.key]). *)
 let walk txn ~key ~prev ~budget =
   let rec go prev curr i =
     if curr == Dnode.nil then `Absent (prev, curr)
     else
-      let k = Tm.read txn curr.Dnode.key in
+      let k = curr.Dnode.key in
+      let next = Tm.read txn curr.Dnode.next in
       if k = key then `Found (prev, curr)
       else if k > key then `Absent (prev, curr)
       else if i >= budget then `Window curr
-      else go curr (Tm.read txn curr.Dnode.next) (i + 1)
+      else go curr next (i + 1)
   in
   go prev (Tm.read txn prev.Dnode.next) 1
 
@@ -75,7 +77,7 @@ let insert_s t ~thread key =
       ~on_found:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish false)
       ~on_notfound:(fun txn ~prev ~curr ->
         let n = Mode.take_spare t.pool ~thread ~outer spare Dnode.alloc in
-        Tm.write txn n.Dnode.key key;
+        Dnode.set_key n key;
         Tm.write txn n.Dnode.prev prev;
         Tm.write txn n.Dnode.next curr;
         Tm.write txn prev.Dnode.next n;
@@ -176,7 +178,7 @@ let drain t = t.mode.Mode.drain ()
 let to_list t =
   let rec go acc n =
     if n == Dnode.nil then List.rev acc
-    else go (Tm.peek n.Dnode.key :: acc) (Tm.peek n.Dnode.next)
+    else go (n.Dnode.key :: acc) (Tm.peek n.Dnode.next)
   in
   go [] (Tm.peek t.head.Dnode.next)
 
@@ -186,14 +188,12 @@ let check t =
   let rec go prev n =
     if n == Dnode.nil then Ok ()
     else
-      let k = Tm.peek n.Dnode.key in
-      if k = Dnode.poisoned_key then
-        Error (Printf.sprintf "poisoned node %d linked" n.Dnode.id)
-      else if Dnode.peek_deleted n then
+      let k = n.Dnode.key in
+      if Dnode.peek_deleted n then
         Error (Printf.sprintf "deleted node %d (key %d) linked" n.Dnode.id k)
       else if not (Mempool.is_live t.pool n) then
         Error (Printf.sprintf "freed node %d (key %d) linked" n.Dnode.id k)
-      else if k <= Tm.peek prev.Dnode.key && prev != t.head then
+      else if k <= prev.Dnode.key && prev != t.head then
         Error (Printf.sprintf "keys not strictly sorted at %d" k)
       else if Tm.peek n.Dnode.prev != prev then
         Error (Printf.sprintf "bad prev pointer at key %d" k)

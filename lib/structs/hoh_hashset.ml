@@ -65,7 +65,7 @@ let insert_s t ~thread key =
       ~on_found:(fun _ ~prev:_ ~curr:_ -> false)
       ~on_notfound:(fun txn ~prev ~curr ->
         let n = Mode.take_spare t.pool ~thread ~outer spare Lnode.alloc in
-        Tm.write txn n.Lnode.key key;
+        Lnode.set_key n key;
         Tm.write txn n.Lnode.next curr;
         Tm.write txn prev.Lnode.next n;
         Tm.defer txn (fun () -> spare := None);
@@ -103,7 +103,7 @@ let fold_buckets t f acc =
     acc t.heads
 
 let to_list t =
-  List.sort compare (fold_buckets t (fun acc n -> Tm.peek n.Lnode.key :: acc) [])
+  List.sort compare (fold_buckets t (fun acc n -> n.Lnode.key :: acc) [])
 
 let size t = fold_buckets t (fun acc _ -> acc + 1) 0
 
@@ -114,9 +114,7 @@ let check t =
       (fun head ->
         let rec go prev_key n =
           if n != Lnode.nil then begin
-            let k = Tm.peek n.Lnode.key in
-            if k = Lnode.poisoned_key then
-              raise (Bad (Printf.sprintf "poisoned node %d linked" n.Lnode.id));
+            let k = n.Lnode.key in
             if Lnode.peek_deleted n then
               raise (Bad (Printf.sprintf "deleted node %d linked" n.Lnode.id));
             if not (Mempool.is_live t.pool n) then

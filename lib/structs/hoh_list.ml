@@ -58,7 +58,7 @@ let insert_s t ~thread key =
       ~on_found:(fun _ ~prev:_ ~curr:_ -> false)
       ~on_notfound:(fun txn ~prev ~curr ->
         let n = Mode.take_spare t.pool ~thread ~outer spare Lnode.alloc in
-        Tm.write txn n.Lnode.key key;
+        Lnode.set_key n key;
         Tm.write txn n.Lnode.next curr;
         Tm.write txn prev.Lnode.next n;
         Tm.defer txn (fun () -> spare := None);
@@ -90,7 +90,7 @@ let to_list t =
   let rec go acc n =
     if n == Lnode.nil then List.rev acc
     else
-      let acc = Tm.peek n.Lnode.key :: acc in
+      let acc = n.Lnode.key :: acc in
       if Lnode.peek_deleted n then List.rev acc
       else go acc (Tm.peek n.Lnode.next)
   in
@@ -102,10 +102,8 @@ let check t =
   let rec go prev_key n =
     if n == Lnode.nil then Ok ()
     else
-      let k = Tm.peek n.Lnode.key in
-      if k = Lnode.poisoned_key then
-        Error (Printf.sprintf "poisoned node %d linked" n.Lnode.id)
-      else if Lnode.peek_deleted n then
+      let k = n.Lnode.key in
+      if Lnode.peek_deleted n then
         Error (Printf.sprintf "deleted node %d (key %d) linked" n.Lnode.id k)
       else if not (Mempool.is_live t.pool n) then
         Error (Printf.sprintf "freed node %d (key %d) linked" n.Lnode.id k)

@@ -65,8 +65,9 @@ val to_list : t -> int list
 val size : t -> int
 
 val check : t -> (unit, string) result
-(** Structural invariants: strictly sorted keys, no poisoned or
-    logically-deleted node linked, every linked node live in the pool. *)
+(** Structural invariants: strictly sorted keys, no logically-deleted
+    node linked, every linked node live in the pool. A freed node fails
+    on the deletion mark its poison writes, or else on the pool. *)
 
 val pool_stats : t -> Mempool.Stats.t
 

@@ -58,7 +58,7 @@ let note_hint txn t node =
 let collect_preds txn t ~key preds =
   let rec walk node lvl =
     let m = Tm.read txn node.Snode.next.(lvl) in
-    if m != Snode.nil && Tm.read txn m.Snode.key < key then walk m lvl
+    if m != Snode.nil && Snode.below txn m key lvl then walk m lvl
     else begin
       preds.(lvl) <- node;
       note_hint txn t node;
@@ -85,8 +85,7 @@ let fresh_pred txn t ~key ~preds l =
     (not (Snode.equal hint t.head))
     && (t.mode.Mode.deleted txn hint
        || (not (Dst.Inject.bug Dst.Inject.Stale_hint))
-          && (Tm.read txn hint.Snode.key >= key
-             || Tm.read txn hint.Snode.level <= l))
+          && not (Snode.spans txn hint key l))
   then raise Stale_hint;
   (* The hint survived validation and is about to seed the level-[l] walk.
      Under bug #3 only deletion was checked, so the use counts as
@@ -98,7 +97,7 @@ let fresh_pred txn t ~key ~preds l =
       ~revalidated:(not (Dst.Inject.bug Dst.Inject.Stale_hint));
   let rec go p =
     let m = Tm.read txn p.Snode.next.(l) in
-    if m != Snode.nil && Tm.read txn m.Snode.key < key then go m else p
+    if m != Snode.nil && Snode.below txn m key l then go m else p
   in
   go hint
 
@@ -131,7 +130,7 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_position =
       in
       let rec walk node lvl visited =
         let m = Tm.read txn node.Snode.next.(lvl) in
-        if m != Snode.nil && Tm.read txn m.Snode.key < key then
+        if m != Snode.nil && Snode.below txn m key lvl then
           if visited >= budget then begin
             Tm.defer txn (fun () -> resume_level := lvl);
             Rr.Hoh.Hand_off m
@@ -148,7 +147,7 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_position =
       walk node lvl 1)
 
 let key_matches txn curr key =
-  curr != Snode.nil && Tm.read txn curr.Snode.key = key
+  curr != Snode.nil && Snode.key txn curr = key
 
 let lookup_s t ~thread key =
   apply t ~thread ~read_phase:t.mode.Mode.ro_hint key ~site:"skiplist.lookup"
@@ -163,8 +162,9 @@ let insert_s t ~thread key =
         else begin
           let n = Mode.take_spare t.pool ~thread ~outer spare Snode.alloc in
           let height = random_level t ~thread in
-          Tm.write txn n.Snode.key key;
-          Tm.write txn n.Snode.level height;
+          Snode.set_key n key;
+          Snode.set_level n height;
+          Snode.link_top txn n ~height;
           for l = 0 to height - 1 do
             let p = pred_with_hint txn t ~key ~preds l in
             Tm.write txn n.Snode.next.(l) (Tm.read txn p.Snode.next.(l));
@@ -181,7 +181,7 @@ let remove_s t ~thread key =
   apply t ~thread key ~site:"skiplist.remove"
     ~on_position:(fun txn ~preds ~pred0:_ ~curr ->
       if key_matches txn curr key then begin
-        let height = Tm.read txn curr.Snode.level in
+        let height = Snode.level txn curr in
         for l = 0 to height - 1 do
           let p = pred_with_hint txn t ~key ~preds l in
           (* [p] is the rightmost node below [key] at level l, so its
@@ -209,7 +209,7 @@ let drain t = t.mode.Mode.drain ()
 let to_list t =
   let rec go acc n =
     if n == Snode.nil then List.rev acc
-    else go (Tm.peek n.Snode.key :: acc) (Tm.peek n.Snode.next.(0))
+    else go (n.Snode.key :: acc) (Tm.peek n.Snode.next.(0))
   in
   go [] (Tm.peek t.head.Snode.next.(0))
 
@@ -219,7 +219,7 @@ let levels_histogram t =
   let hist = Array.make (Snode.max_level + 1) 0 in
   let rec go n =
     if n != Snode.nil then begin
-      let l = Tm.peek n.Snode.level in
+      let l = n.Snode.level in
       hist.(l) <- hist.(l) + 1;
       go (Tm.peek n.Snode.next.(0))
     end
@@ -230,8 +230,6 @@ let levels_histogram t =
 let check t =
   let exception Bad of string in
   let node_ok n =
-    if Tm.peek n.Snode.key = Snode.poisoned_key then
-      raise (Bad (Printf.sprintf "poisoned node %d linked" n.Snode.id));
     if Snode.peek_deleted n then
       raise (Bad (Printf.sprintf "deleted node %d linked" n.Snode.id));
     if not (Mempool.is_live t.pool n) then
@@ -243,10 +241,10 @@ let check t =
     let rec walk0 prev_key n =
       if n != Snode.nil then begin
         node_ok n;
-        let k = Tm.peek n.Snode.key in
+        let k = n.Snode.key in
         if k <= prev_key then
           raise (Bad (Printf.sprintf "level 0 not sorted at %d" k));
-        let l = Tm.peek n.Snode.level in
+        let l = n.Snode.level in
         if l < 1 || l > Snode.max_level then
           raise (Bad (Printf.sprintf "bad tower height %d at %d" l k));
         Hashtbl.replace level0 n.Snode.id l;
@@ -258,7 +256,7 @@ let check t =
     for l = 1 to Snode.max_level - 1 do
       let rec walk prev_key n =
         if n != Snode.nil then begin
-          let k = Tm.peek n.Snode.key in
+          let k = n.Snode.key in
           if k <= prev_key then
             raise (Bad (Printf.sprintf "level %d not sorted at %d" l k));
           (match Hashtbl.find_opt level0 n.Snode.id with

@@ -56,7 +56,7 @@ val levels_histogram : t -> int array
 
 val check : t -> (unit, string) result
 (** Level-0 sortedness; every level-l list is a sorted sublist of level
-    l-1; towers match [level]; no deleted/poisoned/freed node linked. *)
+    l-1; towers match [level]; no deleted or freed node linked. *)
 
 val pool_stats : t -> Mempool.Stats.t
 

@@ -11,4 +11,6 @@ val walk :
   | `Absent of Lnode.t * Lnode.t
     (** key not present; curr is its successor, {!Lnode.nil} at the tail *)
   | `Window of Lnode.t  (** budget exhausted; hand off at this node *) ]
-(** Reads at most [budget] nodes starting at [prev.next]. *)
+(** Reads at most [budget] nodes starting at [prev.next]: one logged read
+    per node, its [next], which follows and validates the plain load of
+    its key (see {!Lnode.key}). *)

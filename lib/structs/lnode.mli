@@ -2,33 +2,40 @@
     used by {!Hoh_list}, {!Hoh_hashset} and {!List_walk}. The doubly
     linked list has its own node, {!Dnode}.
 
-    All mutable content lives in tvars. A node's [id] is its simulated
-    address: it is assigned once by the pool and survives free/reuse, so the
-    revocable-reservation hash functions treat it exactly like the paper
-    treats pointer values. A missing link is {!nil}, not an option, so a
-    link write allocates nothing. A node is logically deleted when its
-    [next] link points back at itself: TMHP/EBR/REF removal writes that
-    mark in the transaction that unlinks the node, so no consistent
-    snapshot reaches a marked node through the list. Freed nodes are
-    poisoned ([key = poisoned_key], [next] marked) with version-bumping
-    writes, so any doomed transaction still looking at a freed node fails
-    validation rather than observing stale state, and a deletion check on
-    it answers "deleted". REF keeps its counts outside the node
-    ({!Mode.create}). *)
+    The link is a tvar; the key is a plain field, as in the paper's HTM
+    code. A node's [id] is its simulated address: it is assigned once by
+    the pool and survives free/reuse, so the revocable-reservation hash
+    functions treat it exactly like the paper treats pointer values. A
+    missing link is {!nil}, not an option, so a link write allocates
+    nothing. A node is logically deleted when its [next] link points back
+    at itself: TMHP/EBR/REF removal writes that mark in the transaction
+    that unlinks the node, so no consistent snapshot reaches a marked node
+    through the list. Freed nodes are poisoned ([next] marked) with a
+    version-bumping write, so any doomed transaction still looking at a
+    freed node fails validation rather than observing stale state, and a
+    deletion check on it answers "deleted". REF keeps its counts outside
+    the node ({!Mode.create}).
 
-type t = {
+    Only a node no other thread can reach has its key set ({!set_key} on a
+    fresh spare, before the commit that publishes it), so a live node's key
+    never changes. A transaction reads a key only through {!key} or
+    {!List_walk.walk}, which follow the key load with a transactional read
+    of [next]: a transaction that loaded the key of a node freed and handed
+    out again since its snapshot fails that read's version check. *)
+
+type t = private {
   mutable state : int;
       (** the pool's state word, field 0; owned by {!Mempool}, which
           reaches it only as an [Atomic.t] view. Odd = live, even = free;
           {!Mempool.generation} derives the allocation count from it. *)
   id : int;
-  key : int Tm.tvar;
+  mutable key : int;
+      (** plain; written only by {!set_key}; a transaction reads it only
+          through {!key} or {!List_walk.walk}, a quiescent check directly *)
   next : t Tm.tvar;
       (** {!nil} at the tail; the node itself once deleted (TMHP/EBR/REF
           removal, and poison in every mode) *)
 }
-
-val poisoned_key : int
 
 val nil : t
 (** The end of every list: one static node whose link points back at
@@ -38,6 +45,16 @@ val nil : t
 
 val make_pool : ?strategy:Mempool.strategy -> unit -> t Mempool.t
 (** A pool of list nodes with poisoning wired up. *)
+
+val key : Tm.txn -> t -> int
+(** [n]'s key, validated by a read of [next] after the load: if [n] was
+    freed and handed out again since the transaction's snapshot, it aborts.
+    @raise Tm.Abort as {!Tm.read} does. *)
+
+val set_key : t -> int -> unit
+(** Set the key of a node no other thread can reach: a spare fresh from
+    {!alloc}, before the commit that links it. The verifier's [raw-access]
+    rule (HV009) reports a call on a node read from a link. *)
 
 val deleted : Tm.txn -> t -> bool
 (** Whether [next] points at the node itself; the test {!Mode.create}
@@ -63,5 +80,6 @@ val equal : t -> t -> bool
 
 val alloc : t Mempool.t -> thread:int -> t
 (** Pool allocation plus a reset of [next] to {!nil} (which clears the
-    deletion mark) with a non-transactional version-bumping write. The
-    caller sets [key] and links transactionally. *)
+    deletion mark) with a non-transactional version-bumping write. The key
+    is the last incarnation's until the caller's {!set_key}; the caller
+    links the node transactionally. *)

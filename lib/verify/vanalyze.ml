@@ -1204,23 +1204,27 @@ and apply_path ctx env (e : expression) p args =
           | None -> ())
         args;
       (env, if snd key = "peek" then aval_of_type e.exp_type else Aother)
-  | (("Tnode", "set_key"), None) ->
-      (* A tree key is a plain field, validated only by the version bumps
-         that precede its one store on a node no thread can reach. *)
+  | ( ( ( ("Tnode" | "Lnode" | "Dnode" | "Snode"), "set_key" )
+        | ("Snode", "set_level") ),
+      None ) ->
+      (* A node's key (and a skiplist tower's level) is a plain field,
+         validated only by the version bumps that precede its one store on
+         a node no thread can reach. *)
       let env, args = analyze_args ctx env args in
+      let fn = fst key ^ "." ^ snd key in
       (match node_arg args with
       | Some (_, v) -> (
           match state_of_aval v with
           | Freed ->
               report ctx ~loc ~rule:"use-after-free"
-                "Tnode.set_key on a freed node"
+                (fn ^ " on a freed node")
           | (Shared | Checked | Carried | Retired) as st ->
               report ctx ~loc ~rule:"raw-access"
                 (Printf.sprintf
-                   "Tnode.set_key on a %s node: a key may be set only on a \
+                   "%s on a %s node: a key or level may be set only on a \
                     node no other thread can reach (a fresh spare), or a \
-                    reader pairs the new key with the node's old place"
-                   (state_name st))
+                    reader pairs the new value with the node's old place"
+                   fn (state_name st))
           | _ -> ())
       | None -> ());
       (env, Aother)

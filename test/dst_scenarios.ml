@@ -140,6 +140,59 @@ let stale_hint ~bug () =
               ("contents " ^ String.concat ";" (List.map string_of_int got)));
   }
 
+(* ---- a recycled skiplist hint between its two validating reads ---- *)
+
+(* The bug #3 set-up, run at the moment the fixed code is exposed. A plain
+   key and level are loaded between two reads of the hint's top link: the
+   deletion check before and [Snode.spans]'s read after. A carried hint
+   was reached through no link in the current window's read set, so only
+   that pair stops a recycling commit from pairing the old key and level
+   with the new links. The pinned schedule ([sched_recycled_hint]) parks
+   A after its deletion check on node 20 at level 1 and lets B remove 20
+   and insert 25, which recycles the node at height 1; A's re-read then
+   fails its timestamp extension, and the retried window refuses the
+   hint and descends again. [a_ext_fails] counts A's failed
+   extensions. *)
+let recycled_hint ~a_ext_fails () =
+  Dst.Inject.clear ();
+  Tm.Thread.reset_ids_for_testing ();
+  let sl =
+    Hoh_skiplist.create
+      ~mode:(Mode.Rr_kind (module Rr.Fa))
+      ~window:1 ~scatter:false ~seed:128 ()
+  in
+  let r40 = ref false and r20 = ref false and i25 = ref false in
+  let init () =
+    Tm.Thread.with_registered (fun thread ->
+        List.iter
+          (fun k -> ignore (Hoh_skiplist.insert sl ~thread k))
+          [ 10; 20; 30; 40 ])
+  in
+  let a () =
+    Tm.Thread.with_registered (fun thread ->
+        let stats = Tm.Thread.stats () in
+        let before = Tm.Stats.ext_fails stats in
+        r40 := Hoh_skiplist.remove sl ~thread 40;
+        a_ext_fails := Tm.Stats.ext_fails stats - before)
+  in
+  let b () =
+    Tm.Thread.with_registered (fun thread ->
+        r20 := Hoh_skiplist.remove sl ~thread 20;
+        i25 := Hoh_skiplist.insert sl ~thread 25)
+  in
+  {
+    Dst.Explore.init = Some init;
+    threads = [ a; b ];
+    check =
+      (fun () ->
+        if not (!r40 && !r20 && !i25) then failwith "an operation failed";
+        (match Hoh_skiplist.check sl with Ok () -> () | Error e -> failwith e);
+        let got = Hoh_skiplist.to_list sl in
+        if got <> [ 10; 25; 30 ] then
+          failwith
+            ("contents " ^ String.concat ";" (List.map string_of_int got)));
+  }
+
 (* ---- timestamp extension under a concurrent commit ---- *)
 
 (* No injected bug here: these scenarios pin the extension protocol's
@@ -347,15 +400,21 @@ let fusion_shrink ~expect () =
    commit past the first direct write, reader resumes. *)
 let sched_bug1 = [| 1; 0; 0; 1; 1 |]
 
-(* bug #2, PCT depth 2 (budget 300, <= 6000 runs; found at seed 18 in 79
+(* bug #2, PCT depth 2 (budget 300, <= 6000 runs; found at seed 18 in 87
    runs): A walks to its second hand-off and pauses at the hazard
    publication; B runs remove 2 + insert 5 to completion. *)
-let sched_bug2 = Array.concat [ Array.make 10 0; Array.make 42 1 ]
+let sched_bug2 = Array.concat [ Array.make 10 0; Array.make 50 1 ]
 
-(* bug #3, PCT depth 2 (budget 400, <= 6000 runs; found at seed 29 in 247
+(* bug #3, PCT depth 2 (budget 400, <= 6000 runs; found at seed 29 in 266
    runs): A walks to the hand-off reserving node 30; B runs remove 20 +
    insert 25 to completion; A's resumed level-1 unlink trips. *)
-let sched_bug3 = Array.concat [ Array.make 53 0; Array.make 124 1 ]
+let sched_bug3 = Array.concat [ Array.make 53 0; Array.make 143 1 ]
+
+(* recycled hint, found by stepping the park point of A through the run:
+   A runs until it has loaded node 20's key and level in [Snode.spans]
+   and is about to re-read the top link; B then removes 20 and inserts
+   25 to completion. *)
+let sched_recycled_hint = Array.concat [ Array.make 70 0; Array.make 145 1 ]
 
 (* extension success, random probe search over [extend_success ~expect:`Probe]
    (budget 300, <= 4000 runs; found at seed 24 in 34 runs): the reader

@@ -177,7 +177,7 @@ let test_bug1_control_clean () =
     = None)
 
 (* Documented budget: PCT depth 2, schedule budget 300, <= 6000 seeded
-   runs. Empirically found at seed 18 in 79 runs. Uniform random search
+   runs. Empirically found at seed 18 in 87 runs. Uniform random search
    cannot find this bug: it needs one context switch at the publication
    point followed by ~50 uninterrupted steps of thread B. *)
 let test_bug2_found_by_pct_search () =
@@ -198,7 +198,7 @@ let test_bug2_control_clean () =
     = None)
 
 (* Documented budget: PCT depth 2, schedule budget 400, <= 6000 seeded
-   runs. Empirically found at seed 29 in 247 runs. *)
+   runs. Empirically found at seed 29 in 266 runs. *)
 let test_bug3_found_by_pct_search () =
   match
     Dst.Explore.pct_search ~budget:400 ~max_runs:6000 ~depth:2

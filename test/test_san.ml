@@ -89,8 +89,10 @@ let test_uaf_bracket_closed_by_abort () =
 
 (* The same rule end to end, through a real list pool and mode: after a
    node is freed, [Mode.t.deleted] on it answers true and stays quiet,
-   while a transactional read of its key, or of the very link the check
-   reads, outside the check is a use-after-free. *)
+   while a read of its key, or of the very link the check reads, outside
+   the check is a use-after-free. The key is a plain field, so the report
+   for the key read comes from the link read that validates it
+   ([Lnode.key] reads [next]). *)
 let test_uaf_key_read_outside_check () =
   Tm.Thread.with_registered (fun thread ->
       let pool = Structs.Lnode.make_pool () in
@@ -109,7 +111,7 @@ let test_uaf_key_read_outside_check () =
           expect San.Use_after_free ~site:"me.key" (fun () ->
               ignore
                 (Tm.atomic ~site:"me.key" (fun txn ->
-                     Tm.read txn n.Structs.Lnode.key)));
+                     Structs.Lnode.key txn n)));
           expect San.Use_after_free ~site:"me.link" (fun () ->
               ignore
                 (Tm.atomic ~site:"me.link" (fun txn ->

@@ -520,6 +520,212 @@ let test_recycled_key_aborts () =
         r.Tm.attempts;
       checkb "the answer is the tree's after the change" false r.Tm.value)
 
+(* The list structures' records are abstract; a test that works behind a
+   structure's back reaches its head sentinel (or bucket heads) and its
+   pool through fields 1 and 3, guarded so a moved layout fails the test
+   rather than crashing it. *)
+let head_and_pool name v =
+  let f i = Obj.field (Obj.repr v) i in
+  checkb (name ^ ": fields 1 and 3 are blocks") true
+    (Obj.is_block (f 1) && Obj.is_block (f 3));
+  (Obj.obj (f 1), Obj.obj (f 3))
+
+(* The list counterpart of [tnode: recycled key aborts]: [List_walk.walk]
+   loads each node's plain key and then reads its [next], which validates
+   the load. The transaction reads the link from [head] to [a -> c]; on its
+   first attempt only, that link is cut (the unlinking commit's change to
+   the read set), and [c], still linked from [a], is freed and handed out
+   again with the key the walk is after. The walk from [a] reaches [c]
+   through a link no one changed and loads the new key; only the read of
+   [c.next], whose version the free and the alloc moved past the
+   snapshot, can abort the attempt. The retry finds [head] cut. *)
+let test_slist_recycled_key_aborts () =
+  Tm.Thread.with_registered (fun thread ->
+      let open Structs in
+      let pool = Lnode.make_pool () in
+      let node k next =
+        let n = Lnode.alloc pool ~thread in
+        Lnode.set_key n k;
+        Tm.poke n.Lnode.next next;
+        n
+      in
+      let c = node 10 Lnode.nil in
+      let head = Lnode.sentinel () in
+      Tm.poke head.Lnode.next (node 5 c);
+      let recycled = ref false in
+      let r =
+        Tm.atomic_stamped ~site:"test.recycled_key" (fun txn ->
+            let a = Tm.read txn head.Lnode.next in
+            if not !recycled then begin
+              recycled := true;
+              Tm.poke head.Lnode.next Lnode.nil;
+              Mempool.free pool ~thread c;
+              let m = Lnode.alloc pool ~thread in
+              checkb "the pool hands the node out again" true (m == c);
+              Lnode.set_key m 20
+            end;
+            a != Lnode.nil
+            &&
+            match List_walk.walk txn ~key:20 ~prev:a ~budget:max_int with
+            | `Found _ -> true
+            | `Absent _ | `Window _ -> false)
+      in
+      check "the attempt that loaded the recycled key aborted" 2
+        r.Tm.attempts;
+      checkb "the answer is the list's after the change" false r.Tm.value)
+
+(* [Hoh_dlist]'s own walk, through a lookup flattened into an enclosing
+   transaction. The walk starts at the head sentinel and would abort on a
+   cut head link before it reached the recycled node, so here the node
+   stays linked (it is recycled behind the list's back) and [guard], read
+   before the change, stands for the link the unlinking commit changed:
+   it is what makes the timestamp extension fail. *)
+let test_dlist_recycled_key_aborts () =
+  Tm.Thread.with_registered (fun thread ->
+      let open Structs in
+      let t = Hoh_dlist.create ~mode:(Mode.Rr_kind (module Rr.V)) () in
+      checkb "insert 10" true (Hoh_dlist.insert t ~thread 10);
+      let (head : Dnode.t), (pool : Dnode.t Mempool.t) =
+        head_and_pool "dlist" t
+      in
+      check "field 1 is the head sentinel" (-1) head.Dnode.id;
+      let c = Tm.peek head.Dnode.next in
+      check "the node holding 10" 10 c.Dnode.key;
+      checkb "field 3 is the list's pool" true (Mempool.is_live pool c);
+      let guard = Tm.tvar 0 and recycled = ref false in
+      let r =
+        Tm.atomic_stamped ~site:"test.recycled_key" (fun txn ->
+            ignore (Tm.read txn guard);
+            if not !recycled then begin
+              recycled := true;
+              Tm.poke guard 1;
+              Mempool.free pool ~thread c;
+              let m = Dnode.alloc pool ~thread in
+              checkb "the pool hands the node out again" true (m == c);
+              Dnode.set_key m 20
+            end;
+            Hoh_dlist.lookup t ~thread 20)
+      in
+      check "the attempt that loaded the recycled key aborted" 2
+        r.Tm.attempts;
+      checkb "the retry reads the node as it is now" true r.Tm.value)
+
+(* The skiplist's carried hint: a pinned schedule parks a removal in
+   [fresh_pred] after the deletion check on its level-1 hint and after
+   the plain loads of the hint's key and level, and another thread then
+   removes the hint's key and inserts one that recycles the node at a
+   lower height ([Dst_scenarios.recycled_hint]). The re-read of the top
+   link fails its timestamp extension, since the deletion check logged
+   that link, so the window runs twice; the retry refuses the recycled
+   hint and descends again. *)
+let test_skiplist_recycled_hint_aborts () =
+  let ext_fails = ref (-1) in
+  let o =
+    Dst.Explore.replay
+      (Dst_scenarios.recycled_hint ~a_ext_fails:ext_fails)
+      Dst_scenarios.sched_recycled_hint
+  in
+  (match o.Dst.Sched.failure with
+  | Some f -> Alcotest.failf "%a" Dst.Sched.pp_failure f
+  | None -> ());
+  checkb "the run completed" false o.Dst.Sched.hung;
+  check "the window that re-read the hint aborted once" 1 !ext_fails
+
+(* Poison leaves a key as it was, so [check] can no longer spot a freed
+   node by a poisoned key: it finds one linked through the deletion mark
+   that poison writes and, once that mark is undone, through
+   [Mempool.is_live]. Each case frees a linked node (key 2) behind the
+   structure's back. *)
+let expect_freed name ~check ~unmark ~id ~mark ~live =
+  let err = Alcotest.(check (result unit string)) in
+  err (name ^ ": found by the deletion mark")
+    (Error (Printf.sprintf mark id)) (check ());
+  unmark ();
+  err (name ^ ": found by the pool")
+    (Error (Printf.sprintf live id)) (check ())
+
+let test_slist_freed_node_fails_check () =
+  Tm.Thread.with_registered (fun thread ->
+      let open Structs in
+      let l = Hoh_list.create ~mode:(Mode.Rr_kind (module Rr.V)) () in
+      List.iter (fun k -> ignore (Hoh_list.insert l ~thread k)) [ 1; 2; 3; 4 ];
+      let (head : Lnode.t), (pool : Lnode.t Mempool.t) =
+        head_and_pool "slist" l
+      in
+      let n = Tm.peek (Tm.peek head.Lnode.next).Lnode.next in
+      let succ = Tm.peek n.Lnode.next in
+      checkb "slist: field 3 is the pool" true (Mempool.is_live pool n);
+      Mempool.free pool ~thread n;
+      expect_freed "slist"
+        ~check:(fun () -> Hoh_list.check l)
+        ~unmark:(fun () -> Tm.poke n.Lnode.next succ)
+        ~id:n.Lnode.id ~mark:"deleted node %d (key 2) linked"
+        ~live:"freed node %d (key 2) linked")
+
+let test_hashset_freed_node_fails_check () =
+  Tm.Thread.with_registered (fun thread ->
+      let open Structs in
+      let h =
+        Hoh_hashset.create ~mode:(Mode.Rr_kind (module Rr.V)) ~buckets:1 ()
+      in
+      List.iter
+        (fun k -> ignore (Hoh_hashset.insert h ~thread k))
+        [ 1; 2; 3; 4 ];
+      let (heads : Lnode.t array), (pool : Lnode.t Mempool.t) =
+        head_and_pool "hashset" h
+      in
+      let n = Tm.peek (Tm.peek heads.(0).Lnode.next).Lnode.next in
+      let succ = Tm.peek n.Lnode.next in
+      check "hashset: the node holding 2" 2 n.Lnode.key;
+      checkb "hashset: field 3 is the pool" true (Mempool.is_live pool n);
+      Mempool.free pool ~thread n;
+      expect_freed "hashset"
+        ~check:(fun () -> Hoh_hashset.check h)
+        ~unmark:(fun () -> Tm.poke n.Lnode.next succ)
+        ~id:n.Lnode.id ~mark:"deleted node %d linked"
+        ~live:"freed node %d linked")
+
+let test_dlist_freed_node_fails_check () =
+  Tm.Thread.with_registered (fun thread ->
+      let open Structs in
+      let l = Hoh_dlist.create ~mode:(Mode.Rr_kind (module Rr.V)) () in
+      List.iter (fun k -> ignore (Hoh_dlist.insert l ~thread k)) [ 1; 2; 3; 4 ];
+      let (head : Dnode.t), (pool : Dnode.t Mempool.t) =
+        head_and_pool "dlist" l
+      in
+      let n = Tm.peek (Tm.peek head.Dnode.next).Dnode.next in
+      let pred = Tm.peek n.Dnode.prev and succ = Tm.peek n.Dnode.next in
+      checkb "dlist: field 3 is the pool" true (Mempool.is_live pool n);
+      Mempool.free pool ~thread n;
+      expect_freed "dlist"
+        ~check:(fun () -> Hoh_dlist.check l)
+        ~unmark:(fun () ->
+          Tm.poke n.Dnode.prev pred;
+          Tm.poke n.Dnode.next succ)
+        ~id:n.Dnode.id ~mark:"deleted node %d (key 2) linked"
+        ~live:"freed node %d (key 2) linked")
+
+let test_skiplist_freed_node_fails_check () =
+  Tm.Thread.with_registered (fun thread ->
+      let open Structs in
+      let sl = Hoh_skiplist.create ~mode:(Mode.Rr_kind (module Rr.V)) () in
+      List.iter
+        (fun k -> ignore (Hoh_skiplist.insert sl ~thread k))
+        [ 1; 2; 3; 4 ];
+      let (head : Snode.t), (pool : Snode.t Mempool.t) =
+        head_and_pool "skiplist" sl
+      in
+      let n = Tm.peek (Tm.peek head.Snode.next.(0)).Snode.next.(0) in
+      let tower = Array.map Tm.peek n.Snode.next in
+      check "skiplist: the node holding 2" 2 n.Snode.key;
+      checkb "skiplist: field 3 is the pool" true (Mempool.is_live pool n);
+      Mempool.free pool ~thread n;
+      expect_freed "skiplist"
+        ~check:(fun () -> Hoh_skiplist.check sl)
+        ~unmark:(fun () -> Array.iteri (fun l v -> Tm.poke n.Snode.next.(l) v) tower)
+        ~id:n.Snode.id ~mark:"deleted node %d linked"
+        ~live:"freed node %d linked")
+
 let test_mode_restrictions () =
   checkb "internal tree rejects TMHP" true
     (match Structs.Hoh_bst_int.create ~mode:Structs.Mode.Tmhp () with
@@ -669,16 +875,16 @@ let test_node_layout () =
         (words "tnode"
            (Structs.Tnode.make_pool ())
            Structs.Tnode.alloc Structs.Tnode.nil);
-      check "lnode: 4 fields, 2 tvars (11)" (record 4 + (2 * tvar))
+      check "lnode: 4 fields, 1 tvar (8)" (record 4 + tvar)
         (words "lnode"
            (Structs.Lnode.make_pool ())
            Structs.Lnode.alloc Structs.Lnode.nil);
-      check "dnode: 5 fields, 3 tvars (15)" (record 5 + (3 * tvar))
+      check "dnode: 5 fields, 2 tvars (12)" (record 5 + (2 * tvar))
         (words "dnode"
            (Structs.Dnode.make_pool ())
            Structs.Dnode.alloc Structs.Dnode.nil);
-      check "snode: 5 fields, 2 tvars, a tower of 16 (77)"
-        (record 5 + (2 * tvar) + record Structs.Snode.max_level
+      check "snode: 5 fields, a tower of 16 (71)"
+        (record 5 + record Structs.Snode.max_level
         + (Structs.Snode.max_level * tvar))
         (words "snode"
            (Structs.Snode.make_pool ())
@@ -719,15 +925,15 @@ let test_structure_footprint () =
         ~repr:(fun () -> Obj.repr ext);
       (* descending keys insert at the head: O(1) per insert *)
       let sl = Structs.Hoh_list.create ~mode:rr () in
-      per_key "slist" ~node_words:11
+      per_key "slist" ~node_words:8
         ~insert:(fun i -> Structs.Hoh_list.insert sl ~thread (10_000 - i))
         ~repr:(fun () -> Obj.repr sl);
       let dl = Structs.Hoh_dlist.create ~mode:rr () in
-      per_key "dlist" ~node_words:15
+      per_key "dlist" ~node_words:12
         ~insert:(fun i -> Structs.Hoh_dlist.insert dl ~thread (10_000 - i))
         ~repr:(fun () -> Obj.repr dl);
       let hs = Structs.Hoh_hashset.create ~mode:rr () in
-      per_key "hashset" ~node_words:11
+      per_key "hashset" ~node_words:8
         ~insert:(fun i -> Structs.Hoh_hashset.insert hs ~thread (10_000 - i))
         ~repr:(fun () -> Obj.repr hs))
 
@@ -888,12 +1094,26 @@ let () =
             test_bst_ext_structure;
           Alcotest.test_case "tnode: recycled key aborts" `Quick
             test_recycled_key_aborts;
+          Alcotest.test_case "slist: recycled key aborts" `Quick
+            test_slist_recycled_key_aborts;
+          Alcotest.test_case "dlist: recycled key aborts" `Quick
+            test_dlist_recycled_key_aborts;
+          Alcotest.test_case "skiplist: recycled hint aborts" `Quick
+            test_skiplist_recycled_hint_aborts;
           Alcotest.test_case "key range" `Quick test_key_range_checks;
           Alcotest.test_case "mode restrictions" `Quick test_mode_restrictions;
           Alcotest.test_case "ref: count table growth" `Quick
             test_ref_count_table_growth;
           Alcotest.test_case "self-link ends walks" `Quick
             test_self_link_ends_walks;
+          Alcotest.test_case "slist: freed node fails check" `Quick
+            test_slist_freed_node_fails_check;
+          Alcotest.test_case "hashset: freed node fails check" `Quick
+            test_hashset_freed_node_fails_check;
+          Alcotest.test_case "dlist: freed node fails check" `Quick
+            test_dlist_freed_node_fails_check;
+          Alcotest.test_case "skiplist: freed node fails check" `Quick
+            test_skiplist_freed_node_fails_check;
           Alcotest.test_case "node layout" `Quick test_node_layout;
           Alcotest.test_case "structure footprint" `Quick
             test_structure_footprint;
