@@ -258,30 +258,30 @@ let make (s : Spec.t) =
         pool = _; hotcache = _; slo_us = _ } = s in
   let build () =
     match structure with
-    | Spec.Slist ->
-        Store.of_hoh_list
-          (Structs.Hoh_list.create ~mode:kind ?window ?scatter ?adaptive
-             ?fusion ?strategy ?rr_config ?max_attempts ())
+    | Spec.Slist | Spec.Hashset ->
+        (* the hash set is the list over buckets, 64 unless the spec says *)
+        let buckets =
+          if structure = Spec.Slist then None
+          else Some (Option.value buckets ~default:64)
+        in
+        Store.pack (module Store.Hoh_list)
+          (Structs.Hoh_list.create ~mode:kind ?buckets ?window ?scatter
+             ?adaptive ?fusion ?strategy ?rr_config ?max_attempts ())
     | Spec.Dlist ->
-        Store.of_hoh_dlist
+        Store.pack (module Store.Hoh_dlist)
           (Structs.Hoh_dlist.create ~mode:kind ?window ?scatter ?adaptive
              ?fusion ?strategy ?rr_config ?max_attempts
              ?split_unlink ())
     | Spec.Bst_int ->
-        Store.of_bst_int
+        Store.pack (module Store.Hoh_bst_int)
           (Structs.Hoh_bst_int.create ~mode:kind ?window ?scatter ?adaptive
              ?fusion ?strategy ?rr_config ?max_attempts ())
     | Spec.Bst_ext ->
-        Store.of_bst_ext
+        Store.pack (module Store.Hoh_bst_ext)
           (Structs.Hoh_bst_ext.create ~mode:kind ?window ?scatter ?adaptive
              ?fusion ?strategy ?rr_config ?max_attempts ())
-    | Spec.Hashset ->
-        Store.of_hashset
-          (Structs.Hoh_hashset.create ~mode:kind ?buckets ?window ?scatter
-             ?adaptive ?fusion ?strategy ?rr_config
-             ?max_attempts ())
     | Spec.Skiplist ->
-        Store.of_skiplist
+        Store.pack (module Store.Hoh_skiplist)
           (Structs.Hoh_skiplist.create ~mode:kind ?window ?scatter ?adaptive
              ?fusion ?strategy ?rr_config ?max_attempts ())
   in
@@ -291,13 +291,17 @@ let lf_list reclaim =
   {
     label = (match reclaim with `Leak -> "LFLeak" | `Hp -> "LFHP");
     make =
-      (fun () -> Store.of_harris_list (Lockfree.Harris_list.create ~reclaim ()));
+      (fun () ->
+        Store.pack (module Store.Harris_list)
+          (Lockfree.Harris_list.create ~reclaim ()));
   }
 
 let nm_tree () =
   {
     label = "LFLeak-NM";
-    make = (fun () -> Store.of_nm_tree (Lockfree.Nm_tree.create ()));
+    make =
+      (fun () ->
+        Store.pack (module Store.Nm_tree) (Lockfree.Nm_tree.create ()));
   }
 
 let best_window ~threads = if threads <= 4 then 16 else 8

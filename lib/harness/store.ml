@@ -51,47 +51,28 @@ let exec st ~thread = function
   | Remove k -> remove st ~thread k
   | Scan { low; count } -> scan st ~thread ~low ~count
 
-(* ---- the shared implementation over structure primitives ----
+(* ---- one implementation over the shared set signature ----
 
-   Each concrete structure exposes the same stamped point operations; one
-   record of closures captures them and a single module [Prim] lifts the
-   record to the full [S] signature (typed replies, scan, batching,
-   stats). The record is private to this module: consumers see only [S]
-   and the packed [t]. *)
+   Every structure exposes the operations of {!Structs.Set_intf.S}; one
+   functor lifts them to the full [S] signature (typed replies, scan,
+   batching, stats). *)
 
-type prim = {
-  pr_name : string;
-  pr_stamped : bool;
-  pr_insert : thread:int -> int -> bool * int;
-  pr_remove : thread:int -> int -> bool * int * int;
-      (* (result, earliest, stamp) — see {!Store_intf.reply} *)
-  pr_lookup : thread:int -> int -> bool * int;
-  pr_finalize : thread:int -> unit;
-  pr_drain : unit -> unit;
-  pr_size : unit -> int;
-  pr_contents : unit -> int list;
-  pr_check : unit -> (unit, string) Stdlib.result;
-  pr_pool_live : unit -> int option;
-  pr_max_backlog : unit -> int option;
-  pr_leaked : unit -> int option;
-}
+module Of_set (M : Structs.Set_intf.S) : S with type t = M.t = struct
+  type t = M.t
 
-module Prim : S with type t = prim = struct
-  type t = prim
-
-  let name p = p.pr_name
-  let stamped p = p.pr_stamped
+  let name = M.name
+  let stamped _ = true
 
   let get p ~thread k =
-    let r, s = p.pr_lookup ~thread k in
+    let r, s = M.lookup_s p ~thread k in
     { outcome = (if r then Found else Absent); earliest = s; stamp = s }
 
   let insert p ~thread k =
-    let r, s = p.pr_insert ~thread k in
+    let r, s = M.insert_s p ~thread k in
     { outcome = (if r then Inserted else Duplicate); earliest = s; stamp = s }
 
   let remove p ~thread k =
-    let r, e, s = p.pr_remove ~thread k in
+    let r, e, s = M.remove_s p ~thread k in
     { outcome = (if r then Removed else Missing); earliest = e; stamp = s }
 
   let scan p ~thread ~low ~count =
@@ -99,7 +80,7 @@ module Prim : S with type t = prim = struct
     let hits = ref [] in
     let earliest = ref 0 and stamp = ref 0 in
     for k = low + count - 1 downto low do
-      let r, s = p.pr_lookup ~thread k in
+      let r, s = M.lookup_s p ~thread k in
       if !stamp = 0 then stamp := s;
       earliest := s;
       if r then hits := k :: !hits
@@ -133,190 +114,73 @@ module Prim : S with type t = prim = struct
         (fun reply -> { reply with earliest = r.Tm.stamp; stamp = r.Tm.stamp })
         r.Tm.value
 
-  let stats p = Telemetry.Report.snapshot ~label:p.pr_name ()
-  let finalize_thread p ~thread = p.pr_finalize ~thread
-  let drain p = p.pr_drain ()
-  let size p = p.pr_size ()
-  let contents p = p.pr_contents ()
-  let check p = p.pr_check ()
-  let pool_live p = p.pr_pool_live ()
-  let max_backlog p = p.pr_max_backlog ()
-  let leaked p = p.pr_leaked ()
+  let stats p = Telemetry.Report.snapshot ~label:(M.name p) ()
+  let finalize_thread = M.finalize_thread
+  let drain = M.drain
+  let size = M.size
+  let contents = M.to_list
+  let check = M.check
+  let pool_live p = Some (M.pool_live p)
+
+  let max_backlog p =
+    Option.map (fun m -> m.Reclaim.Hazard.max_backlog) (M.hazard_metrics p)
+
+  let leaked _ = None
 end
 
-let of_prim p = Packed ((module Prim), p)
+module Hoh_list = Of_set (Structs.Hoh_list)
+module Hoh_dlist = Of_set (Structs.Hoh_dlist)
+module Hoh_bst_int = Of_set (Structs.Hoh_bst_int)
+module Hoh_bst_ext = Of_set (Structs.Hoh_bst_ext)
+module Hoh_skiplist = Of_set (Structs.Hoh_skiplist)
 
-let hazard_backlog metrics =
-  Option.map (fun m -> m.Reclaim.Hazard.max_backlog) metrics
+(* The lock-free baselines have no stamps and no windows: their replies
+   carry zeros, which the serialization checker skips. *)
+module Unstamped (L : sig
+  type t
 
-let of_hoh_list l =
-  let open Structs.Hoh_list in
-  of_prim
-    {
-      pr_name = name l;
-      pr_stamped = true;
-      pr_insert = (fun ~thread k -> insert_s l ~thread k);
-      pr_remove =
-        (fun ~thread k ->
-          let r, s = remove_s l ~thread k in
-          (r, s, s));
-      pr_lookup = (fun ~thread k -> lookup_s l ~thread k);
-      pr_finalize = (fun ~thread -> finalize_thread l ~thread);
-      pr_drain = (fun () -> drain l);
-      pr_size = (fun () -> size l);
-      pr_contents = (fun () -> to_list l);
-      pr_check = (fun () -> check l);
-      pr_pool_live = (fun () -> Some (pool_live l));
-      pr_max_backlog = (fun () -> hazard_backlog (hazard_metrics l));
-      pr_leaked = (fun () -> None);
-    }
+  val insert : t -> thread:int -> int -> bool
+  val remove : t -> thread:int -> int -> bool
+  val lookup : t -> thread:int -> int -> bool
+end) =
+struct
+  let insert_s l ~thread k = (L.insert l ~thread k, 0)
+  let remove_s l ~thread k = (L.remove l ~thread k, 0, 0)
+  let lookup_s l ~thread k = (L.lookup l ~thread k, 0)
+  let window_size _ = 0
+  let fuse_budget _ ~thread:_ = 0
+end
 
-let of_hoh_dlist l =
-  let open Structs.Hoh_dlist in
-  of_prim
-    {
-      pr_name = name l;
-      pr_stamped = true;
-      pr_insert = (fun ~thread k -> insert_s l ~thread k);
-      pr_remove = (fun ~thread k -> remove_s l ~thread k);
-      pr_lookup = (fun ~thread k -> lookup_s l ~thread k);
-      pr_finalize = (fun ~thread -> finalize_thread l ~thread);
-      pr_drain = (fun () -> drain l);
-      pr_size = (fun () -> size l);
-      pr_contents = (fun () -> to_list l);
-      pr_check = (fun () -> check l);
-      pr_pool_live = (fun () -> Some (pool_live l));
-      pr_max_backlog = (fun () -> hazard_backlog (hazard_metrics l));
-      pr_leaked = (fun () -> None);
-    }
+module Harris_list = struct
+  module L = Lockfree.Harris_list
 
-let of_bst_int t =
-  let open Structs.Hoh_bst_int in
-  of_prim
-    {
-      pr_name = name t;
-      pr_stamped = true;
-      pr_insert = (fun ~thread k -> insert_s t ~thread k);
-      pr_remove =
-        (fun ~thread k ->
-          let r, s = remove_s t ~thread k in
-          (r, s, s));
-      pr_lookup = (fun ~thread k -> lookup_s t ~thread k);
-      pr_finalize = (fun ~thread -> finalize_thread t ~thread);
-      pr_drain = (fun () -> drain t);
-      pr_size = (fun () -> size t);
-      pr_contents = (fun () -> to_list t);
-      pr_check = (fun () -> check t);
-      pr_pool_live = (fun () -> Some (pool_live t));
-      pr_max_backlog = (fun () -> None);
-      pr_leaked = (fun () -> None);
-    }
+  include Of_set (struct
+    include L
+    include Unstamped (L)
+  end)
 
-let of_bst_ext t =
-  let open Structs.Hoh_bst_ext in
-  of_prim
-    {
-      pr_name = name t;
-      pr_stamped = true;
-      pr_insert = (fun ~thread k -> insert_s t ~thread k);
-      pr_remove =
-        (fun ~thread k ->
-          let r, s = remove_s t ~thread k in
-          (r, s, s));
-      pr_lookup = (fun ~thread k -> lookup_s t ~thread k);
-      pr_finalize = (fun ~thread -> finalize_thread t ~thread);
-      pr_drain = (fun () -> drain t);
-      pr_size = (fun () -> size t);
-      pr_contents = (fun () -> to_list t);
-      pr_check = (fun () -> check t);
-      pr_pool_live = (fun () -> Some (pool_live t));
-      pr_max_backlog = (fun () -> hazard_backlog (hazard_metrics t));
-      pr_leaked = (fun () -> None);
-    }
+  let stamped _ = false
 
-let of_hashset t =
-  let open Structs.Hoh_hashset in
-  of_prim
-    {
-      pr_name = name t;
-      pr_stamped = true;
-      pr_insert = (fun ~thread k -> insert_s t ~thread k);
-      pr_remove =
-        (fun ~thread k ->
-          let r, s = remove_s t ~thread k in
-          (r, s, s));
-      pr_lookup = (fun ~thread k -> lookup_s t ~thread k);
-      pr_finalize = (fun ~thread -> finalize_thread t ~thread);
-      pr_drain = (fun () -> drain t);
-      pr_size = (fun () -> size t);
-      pr_contents = (fun () -> to_list t);
-      pr_check = (fun () -> check t);
-      pr_pool_live = (fun () -> Some (pool_live t));
-      pr_max_backlog = (fun () -> hazard_backlog (hazard_metrics t));
-      pr_leaked = (fun () -> None);
-    }
-
-let of_skiplist t =
-  let open Structs.Hoh_skiplist in
-  of_prim
-    {
-      pr_name = name t;
-      pr_stamped = true;
-      pr_insert = (fun ~thread k -> insert_s t ~thread k);
-      pr_remove =
-        (fun ~thread k ->
-          let r, s = remove_s t ~thread k in
-          (r, s, s));
-      pr_lookup = (fun ~thread k -> lookup_s t ~thread k);
-      pr_finalize = (fun ~thread -> finalize_thread t ~thread);
-      pr_drain = (fun () -> drain t);
-      pr_size = (fun () -> size t);
-      pr_contents = (fun () -> to_list t);
-      pr_check = (fun () -> check t);
-      pr_pool_live = (fun () -> Some (pool_live t));
-      pr_max_backlog = (fun () -> hazard_backlog (hazard_metrics t));
-      pr_leaked = (fun () -> None);
-    }
-
-let of_harris_list l =
-  let open Lockfree.Harris_list in
-  let leaked () =
-    match hazard_metrics l with
+  let leaked l =
+    match L.hazard_metrics l with
     | Some _ -> None
-    | None -> Some ((pool_stats l).Mempool.Stats.live - size l)
-  in
-  of_prim
-    {
-      pr_name = name l;
-      pr_stamped = false;
-      pr_insert = (fun ~thread k -> (insert l ~thread k, 0));
-      pr_remove = (fun ~thread k -> (remove l ~thread k, 0, 0));
-      pr_lookup = (fun ~thread k -> (lookup l ~thread k, 0));
-      pr_finalize = (fun ~thread -> finalize_thread l ~thread);
-      pr_drain = (fun () -> drain l);
-      pr_size = (fun () -> size l);
-      pr_contents = (fun () -> to_list l);
-      pr_check = (fun () -> check l);
-      pr_pool_live = (fun () -> Some (pool_live l));
-      pr_max_backlog = (fun () -> hazard_backlog (hazard_metrics l));
-      pr_leaked = leaked;
-    }
+    | None -> Some ((L.pool_stats l).Mempool.Stats.live - L.size l)
+end
 
-let of_nm_tree t =
-  let open Lockfree.Nm_tree in
-  of_prim
-    {
-      pr_name = name t;
-      pr_stamped = false;
-      pr_insert = (fun ~thread k -> (insert t ~thread k, 0));
-      pr_remove = (fun ~thread k -> (remove t ~thread k, 0, 0));
-      pr_lookup = (fun ~thread k -> (lookup t ~thread k, 0));
-      pr_finalize = (fun ~thread -> finalize_thread t ~thread);
-      pr_drain = (fun () -> drain t);
-      pr_size = (fun () -> size t);
-      pr_contents = (fun () -> to_list t);
-      pr_check = (fun () -> check t);
-      pr_pool_live = (fun () -> None);
-      pr_max_backlog = (fun () -> None);
-      pr_leaked = (fun () -> Some (allocated t - reachable t));
-    }
+module Nm_tree = struct
+  module L = Lockfree.Nm_tree
+
+  (* no pool and no hazard pointers: the tree leaks by design *)
+  include Of_set (struct
+    include L
+    include Unstamped (L)
+
+    let pool_stats _ = invalid_arg "Nm_tree: no pool"
+    let pool_live _ = 0
+    let hazard_metrics _ = None
+  end)
+
+  let stamped _ = false
+  let pool_live _ = None
+  let leaked t = Some (L.allocated t - L.reachable t)
+end

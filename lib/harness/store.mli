@@ -2,8 +2,8 @@
 
     See {!Store_intf} for the module type. This module adds the
     existential wrapper [t] (so heterogeneous stores are ordinary
-    values), per-structure constructors for every set implementation in
-    the repository, and small helpers over {!Store_intf.op} /
+    values), the functor that serves every set implementation in the
+    repository through {!S}, and small helpers over {!Store_intf.op} /
     {!Store_intf.outcome}. *)
 
 type outcome = Store_intf.outcome =
@@ -70,17 +70,21 @@ val pool_live : t -> int option
 val max_backlog : t -> int option
 val leaked : t -> int option
 
-(** {1 Constructors}
+(** {1 Structures}
 
-    One per structure; each packs the structure behind {!S} with the
-    stamped transactional semantics (HOH structures) or zero stamps
-    (lock-free baselines). *)
+    Each structure behind {!S}, all built by one functor over
+    {!Structs.Set_intf.S}. The HOH structures have the stamped
+    transactional semantics: replies carry each operation's stamps, and
+    [stamped] is [true]. Build a packed store with
+    [pack (module Store.Hoh_list) l]. *)
 
-val of_hoh_list : Structs.Hoh_list.t -> t
-val of_hoh_dlist : Structs.Hoh_dlist.t -> t
-val of_bst_int : Structs.Hoh_bst_int.t -> t
-val of_bst_ext : Structs.Hoh_bst_ext.t -> t
-val of_hashset : Structs.Hoh_hashset.t -> t
-val of_skiplist : Structs.Hoh_skiplist.t -> t
-val of_harris_list : Lockfree.Harris_list.t -> t
-val of_nm_tree : Lockfree.Nm_tree.t -> t
+module Hoh_list : S with type t = Structs.Hoh_list.t
+module Hoh_dlist : S with type t = Structs.Hoh_dlist.t
+module Hoh_bst_int : S with type t = Structs.Hoh_bst_int.t
+module Hoh_bst_ext : S with type t = Structs.Hoh_bst_ext.t
+module Hoh_skiplist : S with type t = Structs.Hoh_skiplist.t
+
+(** The lock-free baselines: zero stamps, [stamped] is [false]. *)
+
+module Harris_list : S with type t = Lockfree.Harris_list.t
+module Nm_tree : S with type t = Lockfree.Nm_tree.t

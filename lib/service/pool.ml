@@ -23,7 +23,10 @@
    open-loop lag signal reported by {!note_lag}, and sheds low-priority
    requests ([`Shed], served as [Overload] replies by the service) when
    the projection exceeds the configured SLO. High-priority requests are
-   never shed; they are deferred — enqueued anyway — and counted.
+   never shed; they are deferred — enqueued anyway — and counted. Both
+   signals also decay with the wall time since their last update, so a
+   controller that sheds everything, and so sees no further drains or
+   lag reports, still calms down.
 
    Determinism: [submit], and every combining pass that drains nothing,
    yield at the [Svc_enqueue] site and [step] at [Svc_drain], so under
@@ -52,6 +55,7 @@ type queue = {
   tail : int Atomic.t;  (* producer ticket *)
   depth : int Atomic.t;
   svc_p99_ns : int Atomic.t;  (* decaying max of per-request service time *)
+  svc_at : int Atomic.t;  (* when [svc_p99_ns] was last updated *)
   drained_reqs : int Atomic.t;
   drained_batches : int Atomic.t;
   draining : bool Atomic.t;  (* held by the one client draining this queue *)
@@ -69,6 +73,7 @@ type t = {
   shed_high : int Atomic.t;  (* always 0: High is deferred, never shed *)
   deferred : int Atomic.t;  (* High admitted while the controller would shed *)
   lag_ns : int Atomic.t;  (* EWMA of the reported open-loop schedule lag *)
+  lag_at : int Atomic.t;  (* when [lag_ns] was last updated *)
   max_depth : int Atomic.t;
 }
 
@@ -84,6 +89,7 @@ let queue_make () =
     tail = Pad.atomic 0;
     depth = Pad.atomic 0;
     svc_p99_ns = Pad.atomic 0;
+    svc_at = Pad.atomic 0;
     drained_reqs = Pad.atomic 0;
     drained_batches = Pad.atomic 0;
     draining = Pad.atomic false;
@@ -139,15 +145,41 @@ let complete cell replies =
 
 (* ---- admission control ---- *)
 
+(* A signal last updated at [at] halves for every whole interval of 20
+   SLOs since, with no update: CoDel's interval is 20 times its target
+   delay (Nichols and Jacobson, ACM Queue 2012), and the SLO is ours.
+   Without it, a signal that only events move latches: once every Low
+   arrival is shed, no drain or lag report comes to lower it. Within an
+   interval of an update it is left as it is. Without an SLO nothing is
+   shed and nothing decays. *)
+let decayed t ~now v at =
+  match t.slo_ns with
+  | Some slo ->
+      let intervals = (now - at) / (20 * slo) in
+      if intervals <= 0 then v
+      else if intervals >= 62 then 0
+      else v asr intervals
+  | None -> v
+
 (* EWMA (alpha = 1/8) of the open-loop schedule lag the harness reports;
    racy read-modify-write is fine for a control signal. *)
 let note_lag t ns =
-  if ns >= 0 then
-    Atomic.set t.lag_ns (((7 * Atomic.get t.lag_ns) + ns) / 8)
+  if ns >= 0 then begin
+    let now = Telemetry.now_ns () in
+    let cur = decayed t ~now (Atomic.get t.lag_ns) (Atomic.get t.lag_at) in
+    Atomic.set t.lag_ns (((7 * cur) + ns) / 8);
+    Atomic.set t.lag_at now
+  end
+
+let lag_now t ~now = decayed t ~now (Atomic.get t.lag_ns) (Atomic.get t.lag_at)
+
+let projected_at t ~now ~shard =
+  let q = t.qs.(shard) in
+  (Atomic.get q.depth + 1)
+  * decayed t ~now (Atomic.get q.svc_p99_ns) (Atomic.get q.svc_at)
 
 let projected_lag_ns t ~shard =
-  let q = t.qs.(shard) in
-  (Atomic.get q.depth + 1) * Atomic.get q.svc_p99_ns
+  projected_at t ~now:(Telemetry.now_ns ()) ~shard
 
 (* Would the controller shed a new arrival for [shard] right now? The
    verdict combines the queue projection with the reported open-loop lag
@@ -163,18 +195,19 @@ let overloaded t ~shard =
   match t.slo_ns with
   | None -> false
   | Some slo ->
-      let budget = slo / 2 in
-      projected_lag_ns t ~shard > budget || Atomic.get t.lag_ns > budget
+      let budget = slo / 2 and now = Telemetry.now_ns () in
+      projected_at t ~now ~shard > budget || lag_now t ~now > budget
 
 (* ---- drain ---- *)
 
 (* Decaying max: an overload spike raises the estimate instantly, and it
-   relaxes by 1/32 per drained batch afterwards — a cheap stand-in for a
-   p99 that must react fast to congestion. *)
-let note_service_time q ns =
-  let cur = Atomic.get q.svc_p99_ns in
-  let decayed = cur - (cur / 32) in
-  Atomic.set q.svc_p99_ns (max ns (max decayed 1))
+   relaxes by 1/32 per drained batch afterwards (and with wall time, see
+   [decayed]) — a cheap stand-in for a p99 that must react fast to
+   congestion. *)
+let note_service_time t q ~now ns =
+  let cur = decayed t ~now (Atomic.get q.svc_p99_ns) (Atomic.get q.svc_at) in
+  Atomic.set q.svc_p99_ns (max ns (max (cur - (cur / 32)) 1));
+  Atomic.set q.svc_at now
 
 (* Drain the queue head into one fused batch: requests are popped until
    the fusion budget fills or the queue empties, their ops concatenated
@@ -245,7 +278,7 @@ let step t ~shard ~thread =
       let replies = t.exec ~shard ~thread ops in
       let t1 = Telemetry.now_ns () in
       let n = Array.length reqs in
-      if n > 0 then note_service_time q ((t1 - t0) / n);
+      if n > 0 then note_service_time t q ~now:t1 ((t1 - t0) / n);
       let off = ref 0 in
       Array.iter
         (fun r ->
@@ -349,6 +382,7 @@ let create ?slo_ns ~shards ~exec () =
     shed_high = Pad.atomic 0;
     deferred = Pad.atomic 0;
     lag_ns = Pad.atomic 0;
+    lag_at = Pad.atomic 0;
     max_depth = Pad.atomic 0;
   }
 
@@ -370,7 +404,7 @@ let depth t =
   Array.fold_left (fun a q -> a + Atomic.get q.depth) 0 t.qs
 
 let slo_ns t = t.slo_ns
-let lag_ewma_ns t = Atomic.get t.lag_ns
+let lag_ewma_ns t = lag_now t ~now:(Telemetry.now_ns ())
 
 let counters t =
   let drained =

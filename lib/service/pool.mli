@@ -71,7 +71,9 @@ val overloaded : t -> shard:int -> bool
 (** Would a [Low] arrival for [shard] be shed right now? True when
     either the queue projection or the lag EWMA exceeds half the SLO —
     the half is tail headroom: both signals track means, the SLO
-    constrains a p99. *)
+    constrains a p99. Both signals halve for every 20 SLOs of wall time
+    without an update, so shedding every [Low] arrival cannot latch the
+    verdict. *)
 
 val projected_lag_ns : t -> shard:int -> int
 (** (depth + 1) x decaying-max per-request service time. *)

@@ -104,33 +104,20 @@ let run_shard_ops t ~shard ~thread ops =
 
 (* ---- construction ---- *)
 
-let create ?shards ?fuse ?pool ?hotcache ?slo_us (spec : Factories.Spec.t) =
-  let knob o spec_v default =
-    match o with Some v -> v | None -> Option.value spec_v ~default
-  in
-  let n = knob shards spec.Factories.Spec.shards 1 in
+(* [Spec.v] validates the knobs; a record update can bypass it, so the
+   two checks the service relies on are repeated here. *)
+let create (spec : Factories.Spec.t) =
+  let { Factories.Spec.shards; fuse; pool; hotcache; slo_us; _ } = spec in
+  let n = Option.value shards ~default:1 in
   if n < 1 then invalid_arg "Service.create: shards must be >= 1";
-  let fuse = knob fuse spec.Factories.Spec.fuse true in
-  let pool_on = knob pool spec.Factories.Spec.pool false in
-  let cache_on = knob hotcache spec.Factories.Spec.hotcache false in
-  let slo_us =
-    match slo_us with Some _ -> slo_us | None -> spec.Factories.Spec.slo_us
-  in
+  let fuse = Option.value fuse ~default:true in
+  let pool_on = pool = Some true and cache_on = hotcache = Some true in
   if slo_us <> None && not pool_on then
     invalid_arg "Service.create: slo_us requires pool";
   let f = Factories.make spec in
   let t =
     {
-      label =
-        Factories.Spec.label
-          {
-            spec with
-            Factories.Spec.shards = Some n;
-            pool = (if pool_on then Some true else spec.Factories.Spec.pool);
-            hotcache =
-              (if cache_on then Some true else spec.Factories.Spec.hotcache);
-            slo_us;
-          };
+      label = Factories.Spec.label spec;
       stores = Array.init n (fun _ -> f.Factories.make ());
       fuse;
       c =

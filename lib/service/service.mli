@@ -40,22 +40,15 @@ type priority = Pool.priority = High | Low
 
 type t
 
-val create :
-  ?shards:int ->
-  ?fuse:bool ->
-  ?pool:bool ->
-  ?hotcache:bool ->
-  ?slo_us:int ->
-  Harness.Factories.Spec.t ->
-  t
+val create : Harness.Factories.Spec.t -> t
 (** Build a service from a spec; one store per shard via
-    {!Harness.Factories.make}. [shards] (default the spec's [shards]
-    knob, default 1), [fuse] (spec's [fuse], default [true]), [pool]
-    (spec's [pool], default off), [hotcache] (spec's [hotcache], default
-    off) and [slo_us] (spec's [slo_us], default none) override the spec.
-    The pool starts no domains: clients drain the queues in {!await}.
+    {!Harness.Factories.make}. The spec's service knobs: [shards]
+    (default 1), [fuse] (default [true]), [pool] (default off),
+    [hotcache] (default off) and [slo_us] (default none). The pool starts
+    no domains: clients drain the queues in {!await}.
     @raise Invalid_argument if the shard count is below 1, or [slo_us]
-    is set without the pool. *)
+    is set without the pool (both rejected by [Spec.v] already; a record
+    update can bypass it). *)
 
 val label : t -> string
 val shards : t -> int

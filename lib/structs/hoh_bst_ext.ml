@@ -28,6 +28,8 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   }
 
 let name t = t.mode.Mode.name
+let window_size t = Window.size t.window
+let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
 
 let is_leaf txn n = Tm.read txn n.Tnode.left == Tnode.nil
 
@@ -122,48 +124,55 @@ let insert_s t ~thread key =
   result
 
 let remove_s t ~thread key =
-  apply t ~thread key ~site:"bst_ext.remove" ~on_leaf:(fun txn ~gp ~p ~leaf ->
-      if Tnode.equal leaf t.root then Rr.Hoh.Finish false
-      else if Tnode.key txn leaf <> key then Rr.Hoh.Finish false
-      else
-        match p with
-        | None -> Rr.Hoh.Finish false (* unreachable: leaf has a parent *)
-        | Some p when Tnode.equal p t.root ->
-            (* Single-leaf tree: detach the leaf from the sentinel. *)
-            Tm.write txn t.root.Tnode.left Tnode.nil;
-            t.mode.Mode.invalidate txn leaf;
-            t.mode.Mode.dispose txn leaf;
-            Rr.Hoh.Finish true
-        | Some p ->
-            let gp =
-              match gp with
-              | Some gp -> gp
-              | None ->
-                  (* The resume point was too close to the leaf: recover the
-                     grandparent with a full descent in this transaction. *)
-                  let rec from_root gp node =
-                    if Tnode.equal node p then Option.get gp
-                    else if node == Tnode.nil then assert false
-                    else from_root (Some node) (child txn node key)
-                  in
-                  from_root None t.root
-            in
-            let sibling =
-              if Tnode.equal (Tm.read txn p.Tnode.left) leaf then
-                Tm.read txn p.Tnode.right
-              else Tm.read txn p.Tnode.left
-            in
-            if Tnode.equal (Tm.read txn gp.Tnode.left) p then
-              Tm.write txn gp.Tnode.left sibling
-            else Tm.write txn gp.Tnode.right sibling;
-            t.mode.Mode.invalidate txn p;
-            t.mode.Mode.invalidate txn leaf;
-            t.mode.Mode.dispose txn p;
-            t.mode.Mode.dispose txn leaf;
-            Rr.Hoh.Finish true)
+  let r, s =
+    apply t ~thread key ~site:"bst_ext.remove" ~on_leaf:(fun txn ~gp ~p ~leaf ->
+        if Tnode.equal leaf t.root then Rr.Hoh.Finish false
+        else if Tnode.key txn leaf <> key then Rr.Hoh.Finish false
+        else
+          match p with
+          | None -> Rr.Hoh.Finish false (* unreachable: leaf has a parent *)
+          | Some p when Tnode.equal p t.root ->
+              (* Single-leaf tree: detach the leaf from the sentinel. *)
+              Tm.write txn t.root.Tnode.left Tnode.nil;
+              t.mode.Mode.invalidate txn leaf;
+              t.mode.Mode.dispose txn leaf;
+              Rr.Hoh.Finish true
+          | Some p ->
+              let gp =
+                match gp with
+                | Some gp -> gp
+                | None ->
+                    (* The resume point was too close to the leaf: recover the
+                       grandparent with a full descent in this transaction. *)
+                    let rec from_root gp node =
+                      if Tnode.equal node p then Option.get gp
+                      else if node == Tnode.nil then assert false
+                      else from_root (Some node) (child txn node key)
+                    in
+                    from_root None t.root
+              in
+              let sibling =
+                if Tnode.equal (Tm.read txn p.Tnode.left) leaf then
+                  Tm.read txn p.Tnode.right
+                else Tm.read txn p.Tnode.left
+              in
+              if Tnode.equal (Tm.read txn gp.Tnode.left) p then
+                Tm.write txn gp.Tnode.left sibling
+              else Tm.write txn gp.Tnode.right sibling;
+              t.mode.Mode.invalidate txn p;
+              t.mode.Mode.invalidate txn leaf;
+              t.mode.Mode.dispose txn p;
+              t.mode.Mode.dispose txn leaf;
+              Rr.Hoh.Finish true)
+  in
+  (r, s, s)
 
 let insert t ~thread key = fst (insert_s t ~thread key)
-let remove t ~thread key = fst (remove_s t ~thread key)
+
+let remove t ~thread key =
+  let r, _, _ = remove_s t ~thread key in
+  r
+
 let lookup t ~thread key = fst (lookup_s t ~thread key)
 
 let finalize_thread t ~thread = t.mode.Mode.finalize ~thread

@@ -10,7 +10,7 @@
     router) — no path revocation, which is why all six reservation schemes
     behave better here than in the internal tree. *)
 
-type t
+include Set_intf.S
 
 val create :
   mode:Mode.kind ->
@@ -27,24 +27,5 @@ val create :
 (** Supports [Rr_kind], [Htm] and [Tmhp] modes.
     @raise Invalid_argument for [Ref]. *)
 
-val name : t -> string
-
-val insert : t -> thread:int -> int -> bool
-val remove : t -> thread:int -> int -> bool
-val lookup : t -> thread:int -> int -> bool
-val insert_s : t -> thread:int -> int -> bool * int
-val remove_s : t -> thread:int -> int -> bool * int
-val lookup_s : t -> thread:int -> int -> bool * int
-
-val finalize_thread : t -> thread:int -> unit
-val drain : t -> unit
-val to_list : t -> int list
-val size : t -> int
 val depth : t -> int
-val check : t -> (unit, string) result
-val pool_stats : t -> Mempool.Stats.t
-
-val pool_live : t -> int
-(** O(1) live-slot count ([Mempool.live]) for backlog sampling. *)
-
-val hazard_metrics : t -> Reclaim.Hazard.metrics option
+(** Maximum depth (quiescent). *)

@@ -29,6 +29,8 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   }
 
 let name t = t.mode.Mode.name
+let window_size t = Window.size t.window
+let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
 
 (* One windowed descent. Examines up to [budget] nodes; on exhaustion hands
    off the last examined node, from which the resuming transaction routes
@@ -142,7 +144,7 @@ let remove_two_children t txn ~copy ~parent ~side ~curr ~left ~right =
 
 let remove_s t ~thread key =
   let outer = Tm.current_txn () and spare = ref None in
-  let result =
+  let r, s =
     apply t ~thread key ~site:"bst_int.remove"
       ~on_found:(fun txn ~parent ~side ~curr ->
         let l = Tm.read txn curr.Tnode.left in
@@ -157,10 +159,14 @@ let remove_s t ~thread key =
       ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
   in
   Mode.give_back_spare t.pool ~thread ~outer spare;
-  result
+  (r, s, s)
 
 let insert t ~thread key = fst (insert_s t ~thread key)
-let remove t ~thread key = fst (remove_s t ~thread key)
+
+let remove t ~thread key =
+  let r, _, _ = remove_s t ~thread key in
+  r
+
 let lookup t ~thread key = fst (lookup_s t ~thread key)
 
 let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
@@ -208,3 +214,4 @@ let check t =
 
 let pool_stats t = Mempool.stats t.pool
 let pool_live t = Mempool.live t.pool
+let hazard_metrics t = t.mode.Mode.hazard_metrics ()

@@ -14,9 +14,11 @@
     A sentinel root (key [max_int], real tree on its left) simplifies
     removal of the topmost node. Only [Rr_kind] and [Htm] modes are
     supported (the paper knows of no internal trees using hazard
-    pointers). *)
+    pointers). [check] tests BST ordering with strict bounds (which also
+    fixes each node's side under its parent) and that linked nodes are
+    live and unpoisoned. *)
 
-type t
+include Set_intf.S
 
 val create :
   mode:Mode.kind ->
@@ -33,28 +35,5 @@ val create :
     HTM retry count to 8 for trees).
     @raise Invalid_argument for [Tmhp]/[Ref] modes. *)
 
-val name : t -> string
-
-val insert : t -> thread:int -> int -> bool
-val remove : t -> thread:int -> int -> bool
-val lookup : t -> thread:int -> int -> bool
-val insert_s : t -> thread:int -> int -> bool * int
-val remove_s : t -> thread:int -> int -> bool * int
-val lookup_s : t -> thread:int -> int -> bool * int
-
-val finalize_thread : t -> thread:int -> unit
-val drain : t -> unit
-val to_list : t -> int list  (** sorted contents (quiescent) *)
-
-val size : t -> int
-val depth : t -> int  (** maximum depth (quiescent) *)
-
-val check : t -> (unit, string) result
-(** BST ordering with strict bounds (which also fixes each node's side
-    under its parent), linked nodes live and unpoisoned. *)
-
-val pool_stats : t -> Mempool.Stats.t
-
-val pool_live : t -> int
-(** O(1) live-slot count ([Mempool.live]) for backlog sampling. *)
-
+val depth : t -> int
+(** Maximum depth (quiescent). *)

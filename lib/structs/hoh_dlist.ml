@@ -28,6 +28,8 @@ let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
   }
 
 let name t = t.mode.Mode.name
+let window_size t = Window.size t.window
+let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
 
 let start_point t ~thread ~start =
   match start with

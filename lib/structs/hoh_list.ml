@@ -2,33 +2,45 @@ module Window = Rr.Hoh.Window
 
 type t = {
   mode : Lnode.t Mode.t;
-  head : Lnode.t;
+  heads : Lnode.t array;  (* one sentinel per bucket; the list has one *)
   window : Window.t;
   pool : Lnode.t Mempool.t;
   max_attempts : int option;
+  hashed : bool;
 }
 
-let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
+let create ~mode ?buckets ?(window = 8) ?(scatter = true) ?adaptive ?fusion
     ?strategy ?rr_config ?hp_threshold ?max_attempts () =
+  let n = Option.value buckets ~default:1 in
+  if n < 1 then invalid_arg "Hoh_list.create: buckets < 1";
   let pool = Lnode.make_pool ?strategy () in
   let mode =
     Mode.create mode ~pool
       ~deleted:Lnode.deleted ~mark_deleted:Lnode.mark_deleted
       ~hash:Lnode.hash ~equal:Lnode.equal ?rr_config ?hp_threshold ()
   in
-  { mode; head = Lnode.sentinel ();
+  { mode; heads = Array.init n (fun _ -> Lnode.sentinel ());
     window = Window.create ~scatter ?adaptive ?fusion window;
-    pool; max_attempts }
+    pool; max_attempts; hashed = buckets <> None }
 
-let name t = t.mode.Mode.name
+let name t = if t.hashed then t.mode.Mode.name ^ "-hash" else t.mode.Mode.name
 let window_size t = Window.size t.window
 let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
 
-(* The [Apply] function of Listing 5. [on_found txn ~prev ~curr] runs when a
-   node with the key is found; [on_notfound txn ~prev ~curr] when the key is
-   absent ([curr] is the first node past it, or [Lnode.nil] at the tail). *)
+let head_of t key =
+  let n = Array.length t.heads in
+  if n = 1 then t.heads.(0)
+  else
+    let h = key * 0x9e3779b1 in
+    t.heads.((h lxor (h lsr 16)) land max_int mod n)
+
+(* The [Apply] function of Listing 5, from the key's bucket sentinel.
+   [on_found txn ~prev ~curr] runs when a node with the key is found;
+   [on_notfound txn ~prev ~curr] when the key is absent ([curr] is the
+   first node past it, or [Lnode.nil] at the tail). *)
 let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
   if key <= min_int + 1 then invalid_arg "Hoh_list: key out of range";
+  let head = head_of t key in
   Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
     ~read_phase
     ~window:(t.window, thread)
@@ -37,7 +49,7 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
         match start with
         | Some n -> (n, Window.budget t.window ~thread)
         | None ->
-            ( t.head,
+            ( head,
               if t.mode.Mode.whole_op then max_int
               else Window.first_budget t.window ~thread )
       in
@@ -47,14 +59,16 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
       | `Window c -> Rr.Hoh.Hand_off c)
 
 let lookup_s t ~thread key =
-  apply t ~thread ~read_phase:t.mode.Mode.ro_hint key ~site:"slist.lookup"
+  apply t ~thread ~read_phase:t.mode.Mode.ro_hint key
+    ~site:(if t.hashed then "hashset.lookup" else "slist.lookup")
     ~on_found:(fun _ ~prev:_ ~curr:_ -> true)
     ~on_notfound:(fun _ ~prev:_ ~curr:_ -> false)
 
 let insert_s t ~thread key =
   let outer = Tm.current_txn () and spare = ref None in
   let result =
-    apply t ~thread key ~site:"slist.insert"
+    apply t ~thread key
+      ~site:(if t.hashed then "hashset.insert" else "slist.insert")
       ~on_found:(fun _ ~prev:_ ~curr:_ -> false)
       ~on_notfound:(fun txn ~prev ~curr ->
         let n = Mode.take_spare t.pool ~thread ~outer spare Lnode.alloc in
@@ -68,38 +82,51 @@ let insert_s t ~thread key =
   result
 
 let remove_s t ~thread key =
-  ignore thread;
-  apply t ~thread key ~site:"slist.remove"
-    ~on_found:(fun txn ~prev ~curr ->
-      Tm.write txn prev.Lnode.next (Tm.read txn curr.Lnode.next);
-      t.mode.Mode.invalidate txn curr;
-      t.mode.Mode.dispose txn curr;
-      true)
-    ~on_notfound:(fun _ ~prev:_ ~curr:_ -> false)
+  let r, s =
+    apply t ~thread key
+      ~site:(if t.hashed then "hashset.remove" else "slist.remove")
+      ~on_found:(fun txn ~prev ~curr ->
+        Tm.write txn prev.Lnode.next (Tm.read txn curr.Lnode.next);
+        t.mode.Mode.invalidate txn curr;
+        t.mode.Mode.dispose txn curr;
+        true)
+      ~on_notfound:(fun _ ~prev:_ ~curr:_ -> false)
+  in
+  (r, s, s)
 
 let insert t ~thread key = fst (insert_s t ~thread key)
-let remove t ~thread key = fst (remove_s t ~thread key)
+
+let remove t ~thread key =
+  let r, _, _ = remove_s t ~thread key in
+  r
+
 let lookup t ~thread key = fst (lookup_s t ~thread key)
 
 let finalize_thread t ~thread = t.mode.Mode.finalize ~thread
 let drain t = t.mode.Mode.drain ()
 
-(* Tests the mark before following [next], so a self-linked node (the
-   corruption {!check} reports) ends the walk instead of spinning it. *)
-let to_list t =
-  let rec go acc n =
-    if n == Lnode.nil then List.rev acc
-    else
-      let acc = n.Lnode.key :: acc in
-      if Lnode.peek_deleted n then List.rev acc
-      else go acc (Tm.peek n.Lnode.next)
-  in
-  go [] (Tm.peek t.head.Lnode.next)
+(* [f] over each bucket's nodes in chain order. A walk tests the mark
+   before following [next], so a self-linked node (the corruption {!check}
+   reports) ends its bucket's walk instead of spinning it. *)
+let fold t f acc =
+  Array.fold_left
+    (fun acc head ->
+      let rec go acc n =
+        if n == Lnode.nil then acc
+        else if Lnode.peek_deleted n then f acc n
+        else go (f acc n) (Tm.peek n.Lnode.next)
+      in
+      go acc (Tm.peek head.Lnode.next))
+    acc t.heads
 
-let size t = List.length (to_list t)
+let to_list t =
+  let keys = fold t (fun acc n -> n.Lnode.key :: acc) [] in
+  if Array.length t.heads = 1 then List.rev keys else List.sort compare keys
+
+let size t = fold t (fun acc _ -> acc + 1) 0
 
 let check t =
-  let rec go prev_key n =
+  let rec go head prev_key n =
     if n == Lnode.nil then Ok ()
     else
       let k = n.Lnode.key in
@@ -109,9 +136,14 @@ let check t =
         Error (Printf.sprintf "freed node %d (key %d) linked" n.Lnode.id k)
       else if k <= prev_key then
         Error (Printf.sprintf "keys not strictly sorted at %d" k)
-      else go k (Tm.peek n.Lnode.next)
+      else if head_of t k != head then
+        Error (Printf.sprintf "key %d in the wrong bucket" k)
+      else go head k (Tm.peek n.Lnode.next)
   in
-  go min_int (Tm.peek t.head.Lnode.next)
+  Array.fold_left
+    (fun r head ->
+      Result.bind r (fun () -> go head min_int (Tm.peek head.Lnode.next)))
+    (Ok ()) t.heads
 
 let pool_stats t = Mempool.stats t.pool
 let pool_live t = Mempool.live t.pool

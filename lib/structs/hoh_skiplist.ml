@@ -30,6 +30,8 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   }
 
 let name t = t.mode.Mode.name ^ "-skip"
+let window_size t = Window.size t.window
+let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
 
 (* Geometric tower heights (p = 1/2), per-thread generators. *)
 let random_level t ~thread =
@@ -178,29 +180,36 @@ let insert_s t ~thread key =
   result
 
 let remove_s t ~thread key =
-  apply t ~thread key ~site:"skiplist.remove"
-    ~on_position:(fun txn ~preds ~pred0:_ ~curr ->
-      if key_matches txn curr key then begin
-        let height = Snode.level txn curr in
-        for l = 0 to height - 1 do
-          let p = pred_with_hint txn t ~key ~preds l in
-          (* [p] is the rightmost node below [key] at level l, so its
-             successor at level l is [curr] in this snapshot *)
-          assert (Snode.equal (Tm.read txn p.Snode.next.(l)) curr);
-          Tm.write txn p.Snode.next.(l) (Tm.read txn curr.Snode.next.(l))
-        done;
-        (* The deletion mark is the hint-validity marker in every mode. It
-           overwrites [curr]'s top link, so it goes in after the splice,
-           which reads [curr]'s links. *)
-        Snode.mark_deleted txn curr;
-        t.mode.Mode.invalidate txn curr;
-        t.mode.Mode.dispose txn curr;
-        true
-      end
-      else false)
+  let r, s =
+    apply t ~thread key ~site:"skiplist.remove"
+      ~on_position:(fun txn ~preds ~pred0:_ ~curr ->
+        if key_matches txn curr key then begin
+          let height = Snode.level txn curr in
+          for l = 0 to height - 1 do
+            let p = pred_with_hint txn t ~key ~preds l in
+            (* [p] is the rightmost node below [key] at level l, so its
+               successor at level l is [curr] in this snapshot *)
+            assert (Snode.equal (Tm.read txn p.Snode.next.(l)) curr);
+            Tm.write txn p.Snode.next.(l) (Tm.read txn curr.Snode.next.(l))
+          done;
+          (* The deletion mark is the hint-validity marker in every mode. It
+             overwrites [curr]'s top link, so it goes in after the splice,
+             which reads [curr]'s links. *)
+          Snode.mark_deleted txn curr;
+          t.mode.Mode.invalidate txn curr;
+          t.mode.Mode.dispose txn curr;
+          true
+        end
+        else false)
+  in
+  (r, s, s)
 
 let insert t ~thread key = fst (insert_s t ~thread key)
-let remove t ~thread key = fst (remove_s t ~thread key)
+
+let remove t ~thread key =
+  let r, _, _ = remove_s t ~thread key in
+  r
+
 let lookup t ~thread key = fst (lookup_s t ~thread key)
 
 let finalize_thread t ~thread = t.mode.Mode.finalize ~thread

@@ -18,9 +18,13 @@
 
     Removals revoke the node being unlinked, exactly as in the lists: a
     concurrent operation resuming from it restarts from the head, and the
-    node's memory is reclaimed the moment the removal commits. *)
+    node's memory is reclaimed the moment the removal commits.
 
-type t
+    [check] tests level-0 sortedness, that every level-l list is a sorted
+    sublist of level l-1, that towers match [level], and that no deleted
+    or freed node is linked. *)
+
+include Set_intf.S
 
 val create :
   mode:Mode.kind ->
@@ -38,29 +42,6 @@ val create :
 (** [seed] feeds the per-thread tower-height generators.
     @raise Invalid_argument for [Ref] mode. *)
 
-val name : t -> string
-val insert : t -> thread:int -> int -> bool
-val remove : t -> thread:int -> int -> bool
-val lookup : t -> thread:int -> int -> bool
-val insert_s : t -> thread:int -> int -> bool * int
-val remove_s : t -> thread:int -> int -> bool * int
-val lookup_s : t -> thread:int -> int -> bool * int
-val finalize_thread : t -> thread:int -> unit
-val drain : t -> unit
-val to_list : t -> int list
-val size : t -> int
-
 val levels_histogram : t -> int array
 (** Count of nodes per tower height (quiescent); sanity-checks the
     geometric distribution. *)
-
-val check : t -> (unit, string) result
-(** Level-0 sortedness; every level-l list is a sorted sublist of level
-    l-1; towers match [level]; no deleted or freed node linked. *)
-
-val pool_stats : t -> Mempool.Stats.t
-
-val pool_live : t -> int
-(** O(1) live-slot count ([Mempool.live]) for backlog sampling. *)
-
-val hazard_metrics : t -> Reclaim.Hazard.metrics option

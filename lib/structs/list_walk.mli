@@ -1,6 +1,6 @@
-(** The windowed traversal loop of the singly linked lists, {!Hoh_list}
-    and {!Hoh_hashset} (the [while] of Listing 5), over {!Lnode}s.
-    {!Hoh_dlist} keeps its own copy over {!Dnode}s. *)
+(** The windowed traversal loop of {!Hoh_list}, the singly linked list
+    and the hash set's bucket chains (the [while] of Listing 5), over
+    {!Lnode}s. {!Hoh_dlist} keeps its own copy over {!Dnode}s. *)
 
 val walk :
   Tm.txn ->

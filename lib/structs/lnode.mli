@@ -1,6 +1,6 @@
 (** Singly linked list nodes: the paper's Listing 5 [{key, next}] node,
-    used by {!Hoh_list}, {!Hoh_hashset} and {!List_walk}. The doubly
-    linked list has its own node, {!Dnode}.
+    used by {!Hoh_list} (the list and, over buckets, the hash set) and
+    {!List_walk}. The doubly linked list has its own node, {!Dnode}.
 
     The link is a tvar; the key is a plain field, as in the paper's HTM
     code. A node's [id] is its simulated address: it is assigned once by

@@ -361,8 +361,8 @@ let fusion_shrink ~expect () =
                   entry Harness.Workload.Insert key
                     (Hoh_list.insert_s l ~thread key)
               | `R ->
-                  entry Harness.Workload.Remove key
-                    (Hoh_list.remove_s l ~thread key)
+                  let r, _, s = Hoh_list.remove_s l ~thread key in
+                  entry Harness.Workload.Remove key (r, s)
               | `L ->
                   entry Harness.Workload.Lookup key
                     (Hoh_list.lookup_s l ~thread key))

@@ -13,8 +13,8 @@ open Harness
 
 let die fmt = Printf.ksprintf (fun s -> prerr_endline ("FAIL: " ^ s); exit 1) fmt
 
-let spec =
-  Factories.Spec.v ~window:4 ~scatter:false ~shards:4 ~fuse:true
+let spec ~shards =
+  Factories.Spec.v ~window:4 ~scatter:false ~shards ~fuse:true
     Factories.Spec.Slist
     (Structs.Mode.Rr_kind (module Rr.V))
 
@@ -40,7 +40,7 @@ let check_accounting svc ~what =
 let kill_mid_multi () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  let svc = Service.create ~shards:2 spec in
+  let svc = Service.create (spec ~shards:2) in
   let kept = key_in_shard svc ~shard:0 ~avoid:[] in
   let fresh = key_in_shard svc ~shard:1 ~avoid:[ kept ] in
   let init () =
@@ -67,7 +67,7 @@ let kill_mid_multi () =
 let alloc_fault_in_multi () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  let svc = Service.create ~shards:2 spec in
+  let svc = Service.create (spec ~shards:2) in
   let kept = key_in_shard svc ~shard:0 ~avoid:[] in
   let fresh = key_in_shard svc ~shard:1 ~avoid:[ kept ] in
   let init () =
@@ -94,7 +94,7 @@ let alloc_fault_in_multi () =
      leak"
 
 let driver_run () =
-  let svc = Service.create spec in
+  let svc = Service.create (spec ~shards:4) in
   let w =
     Workload.spec ~key_bits:6 ~lookup_pct:40 ~threads:2 ~ops_per_thread:2000 ()
   in

@@ -332,7 +332,9 @@ let serializability_case () =
             (fun (op, key) ->
               match op with
               | `I -> entry Harness.Workload.Insert key (Hoh_list.insert_s l ~thread key)
-              | `R -> entry Harness.Workload.Remove key (Hoh_list.remove_s l ~thread key)
+              | `R ->
+                  let r, _, s = Hoh_list.remove_s l ~thread key in
+                  entry Harness.Workload.Remove key (r, s)
               | `L -> entry Harness.Workload.Lookup key (Hoh_list.lookup_s l ~thread key))
             script)
   in
@@ -618,6 +620,94 @@ let test_alloc_failure_is_clean () =
   check "live accounting intact" 4 (Hoh_list.pool_stats l).Mempool.Stats.live;
   Dst.Inject.clear ()
 
+(* The doubly linked list's strict fast-fail (Sec. 4.2), through the
+   packed store. Two threads remove the same key from a split-unlink
+   RR-FA list. A reserves the node and commits; B then removes it,
+   which revokes A's reservation; A's unlink transaction finds the
+   reservation gone and, the implementation being strict, fails without
+   re-traversing. A's reply must carry the interval [(earliest, stamp]]
+   (it linearizes right after B's removal), and the history must
+   serialize. *)
+let dlist_fast_fail () =
+  Dst.Inject.clear ();
+  Tm.Thread.reset_ids_for_testing ();
+  let l =
+    Hoh_dlist.create ~mode:(Mode.Rr_kind (module Rr.Fa)) ~window:2
+      ~scatter:false ()
+  in
+  let st = Harness.Store.pack (module Harness.Store.Hoh_dlist) l in
+  let initial = [ 1; 2; 3 ] in
+  let init () =
+    Tm.Thread.with_registered (fun thread ->
+        List.iter (fun k -> ignore (Hoh_dlist.insert l ~thread k)) initial)
+  in
+  let replies = Array.make 2 None in
+  let remover i () =
+    Tm.Thread.with_registered (fun thread ->
+        replies.(i) <- Some (Harness.Store.remove st ~thread 2))
+  in
+  let check () =
+    let reply i = Option.get replies.(i) in
+    let fast_failed i =
+      (reply i).Harness.Store.earliest < (reply i).Harness.Store.stamp
+    in
+    if (reply 0).Harness.Store.outcome <> Harness.Store.Missing then
+      failwith "A did not lose";
+    if (reply 1).Harness.Store.outcome <> Harness.Store.Removed then
+      failwith "B did not remove";
+    if not (fast_failed 0) then failwith "A's reply is a point";
+    if fast_failed 1 then failwith "B's reply is an interval";
+    (match Hoh_dlist.check l with Ok () -> () | Error e -> failwith e);
+    let log i =
+      let r = reply i in
+      [| { Harness.Serial_check.op = Harness.Workload.Remove; key = 2;
+           result = Harness.Store.positive r.Harness.Store.outcome;
+           earliest = r.Harness.Store.earliest;
+           stamp = r.Harness.Store.stamp } |]
+    in
+    match Harness.Serial_check.check ~initial [ log 0; log 1 ] with
+    | Ok () -> ()
+    | Error e -> failwith e
+  in
+  { Dst.Explore.init = Some init; threads = [ remover 0; remover 1 ]; check }
+
+(* Found by stepping A's park point through the run (B then runs to
+   completion): A runs 18 steps, through its reserving commit, and B's
+   remove of 2 then runs to completion under it. *)
+let sched_dlist_fast_fail = Array.concat [ Array.make 18 0; Array.make 65 1 ]
+
+let test_dlist_fast_fail () =
+  let o =
+    Dst.Explore.replay dlist_fast_fail sched_dlist_fast_fail
+  in
+  (match o.Dst.Sched.failure with
+  | Some f -> Alcotest.failf "%a" Dst.Sched.pp_failure f
+  | None -> ());
+  checkb "the run completed" false o.Dst.Sched.hung;
+  (* the lock-free baselines carry no stamps, so the checker skips them *)
+  Tm.Thread.with_registered (fun thread ->
+      List.iter
+        (fun (f : Harness.Factories.factory) ->
+          let module S = Harness.Store in
+          let st = f.Harness.Factories.make () in
+          let label = f.Harness.Factories.label in
+          checkb (label ^ ": not stamped") false (S.stamped st);
+          List.iter
+            (fun (r : S.reply) ->
+              check (label ^ ": zero earliest") 0 r.S.earliest;
+              check (label ^ ": zero stamp") 0 r.S.stamp)
+            [
+              S.insert st ~thread 5;
+              S.get st ~thread 5;
+              S.scan st ~thread ~low:4 ~count:3;
+              S.remove st ~thread 5;
+            ])
+        [
+          Harness.Factories.lf_list `Leak;
+          Harness.Factories.lf_list `Hp;
+          Harness.Factories.nm_tree ();
+        ])
+
 let () =
   Alcotest.run "dst"
     [
@@ -686,6 +776,8 @@ let () =
           Alcotest.test_case "RR sequential spec" `Quick test_rr_model_oracle;
           Alcotest.test_case "precise mempool accounting" `Quick
             test_mempool_accounting_oracle;
+          Alcotest.test_case "dlist strict fast-fail through the store"
+            `Quick test_dlist_fast_fail;
         ] );
       ( "fault injection",
         [
@@ -695,5 +787,6 @@ let () =
             test_stalled_commit_and_revocation;
           Alcotest.test_case "allocation failure" `Quick
             test_alloc_failure_is_clean;
+
         ] );
     ]

@@ -54,11 +54,15 @@ let test_routing_deterministic () =
 
 let test_create_validates () =
   checkb "shards = 0 rejected" true
-    (match Service.create ~shards:0 (spec ()) with
+    (match spec ~shards:0 () with
     | _ -> false
     | exception Invalid_argument _ -> true);
-  check "explicit override beats the spec knob" 2
-    (Service.shards (Service.create ~shards:2 (spec ())))
+  checkb "shards = 0 rejected past Spec.v" true
+    (match Service.create { (spec ()) with Factories.Spec.shards = Some 0 } with
+    | _ -> false
+    | exception Invalid_argument _ -> true);
+  check "shard count from the spec" 2
+    (Service.shards (Service.create (spec ~shards:2 ())))
 
 (* ---------------------------------------------------------------- *)
 (* Spec JSON round trip                                              *)
@@ -293,7 +297,7 @@ let test_driver_drives_service () =
 let svc_and_keys () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  let svc = Service.create ~shards:2 (spec ()) in
+  let svc = Service.create (spec ~shards:2 ()) in
   let kept = key_in_shard svc ~shard:0 ~avoid:[] in
   let fresh = key_in_shard svc ~shard:1 ~avoid:[ kept ] in
   (svc, kept, fresh)
@@ -430,7 +434,7 @@ let test_kill_mid_multi_finalize = kill_mid_multi ~finalize:true
 let serial_oracle_case () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  let svc = Service.create ~shards:2 (spec ()) in
+  let svc = Service.create (spec ~shards:2 ()) in
   let initial = [ 2; 4; 6; 8 ] in
   let init () =
     with_thread (fun ~thread ->
@@ -561,7 +565,10 @@ let test_spec_layer_knobs () =
     | _ -> false
     | exception Invalid_argument _ -> true);
   checkb "create rejects slo without pool too" true
-    (match Service.create ~slo_us:5000 (spec ()) with
+    (match
+       Service.create
+         { (layered_spec ()) with Factories.Spec.slo_us = Some 5000 }
+     with
     | _ -> false
     | exception Invalid_argument _ -> true)
 
@@ -574,7 +581,7 @@ let test_spec_layer_knobs () =
 let pooled_svc ?slo_us ?hotcache () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  Service.create ~shards:2 ~pool:true ?slo_us ?hotcache (spec ~shards:2 ())
+  Service.create (layered_spec ~pool:true ?slo_us ?hotcache ())
 
 let pool_counter svc name = List.assoc name (Service.counters svc)
 
@@ -729,12 +736,28 @@ let test_pool_admission_sheds () =
   Service.finalize_thread svc ~thread;
   Service.drain svc
 
+(* The overload signals decay with wall time. A lag burst with no event
+   after it (a closed loop that sheds every Low arrival reports no lag
+   and runs no drain) must not leave the controller overloaded. *)
+let test_pool_admission_recovers () =
+  let svc = pooled_svc ~slo_us:1_000 () in
+  Service.note_lag svc 8_000_000;
+  checkb "overloaded after the lag burst" true
+    (Service.overloaded svc ~shard:0);
+  let t0 = Telemetry.now_ns () in
+  while Telemetry.now_ns () - t0 < 50_000_000 do
+    Domain.cpu_relax ()
+  done;
+  checkb "calm 50 ms later, with no event" false
+    (Service.overloaded svc ~shard:0);
+  Service.shutdown svc
+
 (* A client that drains its own requests, against the model, then
    zero-leak accounting through the client's thread finalizer. *)
 let test_pool_combining_end_to_end () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  let svc = Service.create ~shards:2 ~pool:true (spec ~shards:2 ()) in
+  let svc = Service.create (layered_spec ~pool:true ()) in
   with_thread @@ fun ~thread ->
   let model = Hashtbl.create 64 in
   let mismatches = ref 0 in
@@ -829,7 +852,7 @@ let test_hotcache_unit () =
 let test_service_cache_hits () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  let svc = Service.create ~shards:2 ~hotcache:true (spec ~shards:2 ()) in
+  let svc = Service.create (layered_spec ~hotcache:true ()) in
   with_thread @@ fun ~thread ->
   let k = key_in_shard svc ~shard:0 ~avoid:[] in
   ignore (Service.exec svc ~thread (Store.Insert k));
@@ -874,7 +897,7 @@ let test_multi_invalidates_both_shards () =
       San.set_enabled false;
       San.reset ())
   @@ fun () ->
-  let svc = Service.create ~shards:2 ~hotcache:true (spec ~shards:2 ()) in
+  let svc = Service.create (layered_spec ~hotcache:true ()) in
   with_thread @@ fun ~thread ->
   let a = key_in_shard svc ~shard:0 ~avoid:[] in
   let b = key_in_shard svc ~shard:1 ~avoid:[ a ] in
@@ -920,7 +943,7 @@ let test_stale_cache_bug_caught () =
       San.reset ();
       Dst.Inject.clear ())
   @@ fun () ->
-  let svc = Service.create ~shards:2 ~hotcache:true (spec ~shards:2 ()) in
+  let svc = Service.create (layered_spec ~hotcache:true ()) in
   Dst.Inject.set_bug Dst.Inject.Stale_cache true;
   let body () =
     with_thread (fun ~thread ->
@@ -970,7 +993,7 @@ let qcheck_cached_matches_model =
   Test.make ~name:"hotcache: cached lookups match the sequential model"
     ~count:50 (make ~print gen)
     (fun ops ->
-      let svc = Service.create ~shards:2 ~hotcache:true (spec ~shards:2 ()) in
+      let svc = Service.create (layered_spec ~hotcache:true ()) in
       Tm.Thread.with_registered (fun thread ->
           let model = Hashtbl.create 32 in
           let ok =
@@ -1025,7 +1048,7 @@ let qcheck_cached_matches_model =
 let pool_drain_case () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  let svc = Service.create ~shards:2 ~pool:true (spec ~shards:2 ()) in
+  let svc = Service.create (layered_spec ~pool:true ()) in
   let bad = ref 0 in
   let producer () =
     with_thread (fun ~thread ->
@@ -1075,7 +1098,7 @@ let pool_multi_case () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
   let svc =
-    Service.create ~shards:2 ~pool:true ~hotcache:true (spec ~shards:2 ())
+    Service.create (layered_spec ~pool:true ~hotcache:true ())
   in
   let a = key_in_shard svc ~shard:0 ~avoid:[] in
   let b = key_in_shard svc ~shard:1 ~avoid:[ a ] in
@@ -1131,7 +1154,7 @@ let test_dst_pool_vs_multi () =
 let pool_combining_case () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  let svc = Service.create ~shards:2 ~pool:true (spec ~shards:2 ()) in
+  let svc = Service.create (layered_spec ~pool:true ()) in
   let keys =
     List.fold_left
       (fun acc _ -> key_in_shard svc ~shard:0 ~avoid:acc :: acc)
@@ -1194,7 +1217,7 @@ let cache_race_case ~bug () =
   Tm.Thread.reset_ids_for_testing ();
   San.reset ();
   if bug then Dst.Inject.set_bug Dst.Inject.Stale_cache true;
-  let svc = Service.create ~shards:1 ~hotcache:true (spec ~shards:1 ()) in
+  let svc = Service.create (layered_spec ~shards:1 ~hotcache:true ()) in
   let reader () =
     with_thread (fun ~thread ->
         for _ = 1 to 6 do
@@ -1285,6 +1308,8 @@ let () =
             test_pool_full_ring_drains;
           Alcotest.test_case "admission sheds low" `Quick
             test_pool_admission_sheds;
+          Alcotest.test_case "admission recovers without events" `Quick
+            test_pool_admission_recovers;
           Alcotest.test_case "combining end to end" `Quick
             test_pool_combining_end_to_end;
         ] );

@@ -312,7 +312,7 @@ let test_dlist_split_ablation () =
               ~mode:(Structs.Mode.Rr_kind (module Rr.Fa))
               ~window:3 ~split_unlink ()
           in
-          let h = Store.of_hoh_dlist l in
+          let h = Store.pack (module Store.Hoh_dlist) l in
           let spec =
             Workload.spec ~key_bits:5 ~lookup_pct:20 ~threads:4
               ~ops_per_thread:1500 ()
@@ -521,9 +521,9 @@ let test_recycled_key_aborts () =
       checkb "the answer is the tree's after the change" false r.Tm.value)
 
 (* The list structures' records are abstract; a test that works behind a
-   structure's back reaches its head sentinel (or bucket heads) and its
-   pool through fields 1 and 3, guarded so a moved layout fails the test
-   rather than crashing it. *)
+   structure's back reaches its head sentinel ([Hoh_dlist]) or its bucket
+   heads ([Hoh_list], one for the list) and its pool through fields 1 and
+   3, guarded so a moved layout fails the test rather than crashing it. *)
 let head_and_pool name v =
   let f i = Obj.field (Obj.repr v) i in
   checkb (name ^ ": fields 1 and 3 are blocks") true
@@ -649,10 +649,10 @@ let test_slist_freed_node_fails_check () =
       let open Structs in
       let l = Hoh_list.create ~mode:(Mode.Rr_kind (module Rr.V)) () in
       List.iter (fun k -> ignore (Hoh_list.insert l ~thread k)) [ 1; 2; 3; 4 ];
-      let (head : Lnode.t), (pool : Lnode.t Mempool.t) =
+      let (heads : Lnode.t array), (pool : Lnode.t Mempool.t) =
         head_and_pool "slist" l
       in
-      let n = Tm.peek (Tm.peek head.Lnode.next).Lnode.next in
+      let n = Tm.peek (Tm.peek heads.(0).Lnode.next).Lnode.next in
       let succ = Tm.peek n.Lnode.next in
       checkb "slist: field 3 is the pool" true (Mempool.is_live pool n);
       Mempool.free pool ~thread n;
@@ -666,11 +666,9 @@ let test_hashset_freed_node_fails_check () =
   Tm.Thread.with_registered (fun thread ->
       let open Structs in
       let h =
-        Hoh_hashset.create ~mode:(Mode.Rr_kind (module Rr.V)) ~buckets:1 ()
+        Hoh_list.create ~mode:(Mode.Rr_kind (module Rr.V)) ~buckets:1 ()
       in
-      List.iter
-        (fun k -> ignore (Hoh_hashset.insert h ~thread k))
-        [ 1; 2; 3; 4 ];
+      List.iter (fun k -> ignore (Hoh_list.insert h ~thread k)) [ 1; 2; 3; 4 ];
       let (heads : Lnode.t array), (pool : Lnode.t Mempool.t) =
         head_and_pool "hashset" h
       in
@@ -680,10 +678,10 @@ let test_hashset_freed_node_fails_check () =
       checkb "hashset: field 3 is the pool" true (Mempool.is_live pool n);
       Mempool.free pool ~thread n;
       expect_freed "hashset"
-        ~check:(fun () -> Hoh_hashset.check h)
+        ~check:(fun () -> Hoh_list.check h)
         ~unmark:(fun () -> Tm.poke n.Lnode.next succ)
-        ~id:n.Lnode.id ~mark:"deleted node %d linked"
-        ~live:"freed node %d linked")
+        ~id:n.Lnode.id ~mark:"deleted node %d (key 2) linked"
+        ~live:"freed node %d (key 2) linked")
 
 let test_dlist_freed_node_fails_check () =
   Tm.Thread.with_registered (fun thread ->
@@ -789,10 +787,11 @@ let test_ref_count_table_growth () =
 
 (* A quiescent walk tests the deletion mark before it follows [next], so a
    self-linked node ends it: [check] names the node, and [to_list] and
-   the hash set's fold return. [Hoh_list.t] and [Hoh_hashset.t] are
-   abstract, so the test reaches the head sentinels through the records'
-   field 1 ([head], [heads]); the guards fail the test, rather than crash
-   it, if that layout moves. *)
+   [size] return, for the list and for the hash set (the list over
+   buckets). [Hoh_list.t] is abstract, so the test reaches the bucket
+   sentinels through the record's field 1 ([heads], one for the list);
+   the guards fail the test, rather than crash it, if that layout
+   moves. *)
 let test_self_link_ends_walks () =
   let field1 name v =
     let f = Obj.field (Obj.repr v) 1 in
@@ -819,7 +818,9 @@ let test_self_link_ends_walks () =
       List.iter
         (fun k -> ignore (Structs.Hoh_list.insert l ~thread k))
         [ 1; 2; 3; 4 ];
-      let n = self_link (sentinel "slist" (field1 "slist" l)) ~nth:2 in
+      let heads : Obj.t = field1 "slist" l in
+      check "slist: one head" 1 (Obj.size heads);
+      let n = self_link (sentinel "slist" (Obj.field heads 0)) ~nth:2 in
       Alcotest.(check (result unit string))
         "slist: check names the node"
         (Error
@@ -828,21 +829,22 @@ let test_self_link_ends_walks () =
       Alcotest.(check (list int))
         "slist: to_list stops at it" [ 1; 2 ] (Structs.Hoh_list.to_list l);
       check "slist: size" 2 (Structs.Hoh_list.size l);
-      let h = Structs.Hoh_hashset.create ~mode:rr ~buckets:1 () in
+      let h = Structs.Hoh_list.create ~mode:rr ~buckets:1 () in
       List.iter
-        (fun k -> ignore (Structs.Hoh_hashset.insert h ~thread k))
+        (fun k -> ignore (Structs.Hoh_list.insert h ~thread k))
         [ 1; 2; 3; 4 ];
       let heads : Obj.t = field1 "hashset" h in
       check "hashset: one bucket" 1 (Obj.size heads);
       let n = self_link (sentinel "hashset" (Obj.field heads 0)) ~nth:3 in
       Alcotest.(check (result unit string))
         "hashset: check names the node"
-        (Error (Printf.sprintf "deleted node %d linked" n.Structs.Lnode.id))
-        (Structs.Hoh_hashset.check h);
+        (Error
+           (Printf.sprintf "deleted node %d (key 3) linked" n.Structs.Lnode.id))
+        (Structs.Hoh_list.check h);
       Alcotest.(check (list int))
         "hashset: to_list stops at it" [ 1; 2; 3 ]
-        (Structs.Hoh_hashset.to_list h);
-      check "hashset: size" 3 (Structs.Hoh_hashset.size h))
+        (Structs.Hoh_list.to_list h);
+      check "hashset: size" 3 (Structs.Hoh_list.size h))
 
 (* Per-node footprint in words, pinned so a field or block added to a node
    shows up here. A node record is a header plus one word per field, the
@@ -932,9 +934,9 @@ let test_structure_footprint () =
       per_key "dlist" ~node_words:12
         ~insert:(fun i -> Structs.Hoh_dlist.insert dl ~thread (10_000 - i))
         ~repr:(fun () -> Obj.repr dl);
-      let hs = Structs.Hoh_hashset.create ~mode:rr () in
+      let hs = Structs.Hoh_list.create ~mode:rr ~buckets:64 () in
       per_key "hashset" ~node_words:8
-        ~insert:(fun i -> Structs.Hoh_hashset.insert hs ~thread (10_000 - i))
+        ~insert:(fun i -> Structs.Hoh_list.insert hs ~thread (10_000 - i))
         ~repr:(fun () -> Obj.repr hs))
 
 let test_skiplist_structure () =
@@ -1015,24 +1017,24 @@ let test_atomic_cross_structure_move () =
 let test_hashset_buckets () =
   Tm.Thread.with_registered (fun tid ->
       let h =
-        Structs.Hoh_hashset.create
+        Structs.Hoh_list.create
           ~mode:(Structs.Mode.Rr_kind (module Rr.V))
           ~buckets:2 ~window:2 ()
       in
       for k = 1 to 200 do
-        checkb "insert" true (Structs.Hoh_hashset.insert h ~thread:tid k)
+        checkb "insert" true (Structs.Hoh_list.insert h ~thread:tid k)
       done;
-      check "size" 200 (Structs.Hoh_hashset.size h);
+      check "size" 200 (Structs.Hoh_list.size h);
       Alcotest.(check (list int))
         "sorted contents"
         (List.init 200 (fun i -> i + 1))
-        (Structs.Hoh_hashset.to_list h);
-      checkb "bucket invariants" true (Structs.Hoh_hashset.check h = Ok ());
+        (Structs.Hoh_list.to_list h);
+      checkb "bucket invariants" true (Structs.Hoh_list.check h = Ok ());
       for k = 1 to 200 do
-        checkb "remove" true (Structs.Hoh_hashset.remove h ~thread:tid k)
+        checkb "remove" true (Structs.Hoh_list.remove h ~thread:tid k)
       done;
       check "reclaimed" 0
-        (Structs.Hoh_hashset.pool_stats h).Mempool.Stats.live)
+        (Structs.Hoh_list.pool_stats h).Mempool.Stats.live)
 
 let test_ebr_defers_then_reclaims () =
   Tm.Thread.with_registered (fun tid ->
