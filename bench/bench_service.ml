@@ -289,8 +289,8 @@ let verify_probe ~p ~threads ~ops_per_thread =
           let k2 = 1 + Workload.Rng.int rng key_range in
           match Workload.Rng.int rng 4 with
           | 0 when k1 <> k2 -> (
-              (* cross-shard transfer: both sub-ops logged at their own
-                 per-shard commit stamps *)
+              (* cross-shard transfer: one transaction, so both sub-ops
+                 are logged at its one commit stamp *)
               match
                 Service.multi svc ~thread:tid
                   [| Store.Remove k1; Store.Insert k2 |]

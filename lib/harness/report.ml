@@ -50,16 +50,3 @@ let save_csv ~dir ~name ~xlabel series =
     xs;
   close_out oc;
   path
-
-let summarize_verdicts verdicts =
-  let failures =
-    List.filter_map
-      (function name, Error e -> Some (name, e) | _, Ok () -> None)
-      verdicts
-  in
-  match failures with
-  | [] -> print_endline "verification: all runs passed"
-  | fs ->
-      List.iter
-        (fun (name, e) -> Printf.printf "verification FAILURE [%s]: %s\n" name e)
-        fs

@@ -11,6 +11,3 @@ val print_table : title:string -> xlabel:string -> series list -> unit
 val save_csv :
   dir:string -> name:string -> xlabel:string -> series list -> string
 (** Writes [dir/name.csv]; returns the path. *)
-
-val summarize_verdicts : (string * (unit, string) Stdlib.result) list -> unit
-(** Print any failed correctness verdicts collected during a figure run. *)

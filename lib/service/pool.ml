@@ -1,7 +1,7 @@
 (* Per-shard request queues drained by combining.
 
-   Clients submit operation groups asynchronously: a submission lands in
-   the owning shard's bounded ring and returns a ticket. No domain is
+   Clients submit operation groups asynchronously: a submission is
+   pushed onto the owning shard's queue and returns a ticket. No domain is
    dedicated to draining. Each queue has one [draining] flag, and an
    awaiting client that takes it becomes the shard's combiner: it drains
    the queue head into one fused batch under its own TM thread, completes
@@ -45,24 +45,20 @@ type ticket = { cell : cell; shard : int; thread : int }
 
 type req = { r_ops : Store.op array; r_cell : cell }
 
-(* Vyukov-style bounded MPMC ring (used MPSC: one combiner at a time).
-   [seq.(i) = pos] means slot [i] is free for the producer of ticket
-   [pos]; [seq.(i) = pos + 1] means it holds ticket [pos]'s value. *)
+(* Each queue is a combining stack plus a private backlog. Submitters
+   push onto [pending] (newest first). The client holding [draining]
+   takes requests from [backlog], oldest first, and refills an empty
+   backlog with everything pending, reversed. Only queued requests take
+   memory. *)
 type queue = {
-  buf : req option Atomic.t array;
-  seq : int Atomic.t array;
-  head : int Atomic.t;  (* consumer ticket *)
-  tail : int Atomic.t;  (* producer ticket *)
-  depth : int Atomic.t;
+  pending : req list Atomic.t;
+  depth : int Atomic.t;  (* pushed and not yet taken into a batch *)
   svc_p99_ns : int Atomic.t;  (* decaying max of per-request service time *)
   svc_at : int Atomic.t;  (* when [svc_p99_ns] was last updated *)
   drained_reqs : int Atomic.t;
   drained_batches : int Atomic.t;
   draining : bool Atomic.t;  (* held by the one client draining this queue *)
-  (* a dequeued request deferred to the next fused batch because it
-     touches a key an earlier request in the current batch already
-     touches (see [step]); touched only under [draining] *)
-  mutable carry : req option;
+  mutable backlog : req list;  (* touched only under [draining] *)
 }
 
 type t = {
@@ -77,63 +73,42 @@ type t = {
   max_depth : int Atomic.t;
 }
 
-let queue_capacity = 1024 (* a power of two *)
-let mask = queue_capacity - 1
+(* A check of [depth], not a size: submitters that pass it together may
+   all push, so a queue can exceed it by the number of concurrent
+   submitters. *)
+let queue_capacity = 1024
 let drain_ops = 64 (* max operations fused into one drained batch *)
 
 let queue_make () =
   {
-    buf = Array.init queue_capacity (fun _ -> Atomic.make None);
-    seq = Array.init queue_capacity (fun i -> Atomic.make i);
-    head = Pad.atomic 0;
-    tail = Pad.atomic 0;
+    pending = Pad.atomic [];
     depth = Pad.atomic 0;
     svc_p99_ns = Pad.atomic 0;
     svc_at = Pad.atomic 0;
     drained_reqs = Pad.atomic 0;
     drained_batches = Pad.atomic 0;
     draining = Pad.atomic false;
-    carry = None;
+    backlog = [];
   }
 
 (* ---- queue primitives ---- *)
 
-(* Try to claim one producer ticket; returns false when the ring is full
-   at the instant of the attempt. *)
-let try_enqueue q r =
-  let rec go pos =
-    let slot = pos land mask in
-    let s = Atomic.get q.seq.(slot) in
-    if s = pos then
-      if Atomic.compare_and_set q.tail pos (pos + 1) then begin
-        Atomic.set q.buf.(slot) (Some r);
-        Atomic.set q.seq.(slot) (pos + 1);
-        Atomic.incr q.depth;
-        true
-      end
-      else go (Atomic.get q.tail)
-    else if s < pos then false (* the slot still holds lap-old data: full *)
-    else go (Atomic.get q.tail)
-  in
-  go (Atomic.get q.tail)
+let rec push q r =
+  let cur = Atomic.get q.pending in
+  if not (Atomic.compare_and_set q.pending cur (r :: cur)) then push q r
 
-let try_dequeue q =
-  let rec go pos =
-    let slot = pos land mask in
-    let s = Atomic.get q.seq.(slot) in
-    if s = pos + 1 then
-      if Atomic.compare_and_set q.head pos (pos + 1) then begin
-        let r = Atomic.get q.buf.(slot) in
-        Atomic.set q.buf.(slot) None;
-        Atomic.set q.seq.(slot) (pos + queue_capacity);
-        Atomic.decr q.depth;
-        r
-      end
-      else go (Atomic.get q.head)
-    else if s <= pos then None (* empty *)
-    else go (Atomic.get q.head)
-  in
-  go (Atomic.get q.head)
+(* The oldest request not yet taken, under [draining]. *)
+let take q =
+  match q.backlog with
+  | r :: rest ->
+      q.backlog <- rest;
+      Some r
+  | [] -> (
+      match List.rev (Atomic.exchange q.pending []) with
+      | [] -> None
+      | r :: rest ->
+          q.backlog <- rest;
+          Some r)
 
 (* ---- completion cells ---- *)
 
@@ -161,28 +136,20 @@ let decayed t ~now v at =
       else v asr intervals
   | None -> v
 
+let lag_now t ~now = decayed t ~now (Atomic.get t.lag_ns) (Atomic.get t.lag_at)
+
 (* EWMA (alpha = 1/8) of the open-loop schedule lag the harness reports;
    racy read-modify-write is fine for a control signal. *)
 let note_lag t ns =
   if ns >= 0 then begin
     let now = Telemetry.now_ns () in
-    let cur = decayed t ~now (Atomic.get t.lag_ns) (Atomic.get t.lag_at) in
-    Atomic.set t.lag_ns (((7 * cur) + ns) / 8);
+    Atomic.set t.lag_ns (((7 * lag_now t ~now) + ns) / 8);
     Atomic.set t.lag_at now
   end
 
-let lag_now t ~now = decayed t ~now (Atomic.get t.lag_ns) (Atomic.get t.lag_at)
-
-let projected_at t ~now ~shard =
-  let q = t.qs.(shard) in
-  (Atomic.get q.depth + 1)
-  * decayed t ~now (Atomic.get q.svc_p99_ns) (Atomic.get q.svc_at)
-
-let projected_lag_ns t ~shard =
-  projected_at t ~now:(Telemetry.now_ns ()) ~shard
-
 (* Would the controller shed a new arrival for [shard] right now? The
-   verdict combines the queue projection with the reported open-loop lag
+   verdict combines the queue projection ((depth + 1) x the decaying-max
+   per-request service time) with the reported open-loop lag
    so a service that is behind schedule sheds even while its queues are
    momentarily shallow. Both signals are compared against HALF the SLO:
    the projection and the EWMA both track the middle of their
@@ -195,8 +162,12 @@ let overloaded t ~shard =
   match t.slo_ns with
   | None -> false
   | Some slo ->
-      let budget = slo / 2 and now = Telemetry.now_ns () in
-      projected_at t ~now ~shard > budget || lag_now t ~now > budget
+      let q = t.qs.(shard) and budget = slo / 2 in
+      let now = Telemetry.now_ns () in
+      (Atomic.get q.depth + 1)
+      * decayed t ~now (Atomic.get q.svc_p99_ns) (Atomic.get q.svc_at)
+      > budget
+      || lag_now t ~now > budget
 
 (* ---- drain ---- *)
 
@@ -220,19 +191,11 @@ let note_service_time t q ~now ns =
    stamp, so two same-key requests fused together would lose their
    relative order in any stamp-sorted history — a read fused before a
    write of its key would replay as if it ran after. The first request
-   that conflicts is stashed in [carry] (still counted in [depth]) and
-   leads the next batch, preserving FIFO. *)
+   that conflicts goes back to the head of the backlog (still counted in
+   [depth]) and leads the next batch, preserving FIFO. *)
 let step t ~shard ~thread =
   let q = t.qs.(shard) in
-  let take () =
-    match q.carry with
-    | Some r ->
-        q.carry <- None;
-        Atomic.decr q.depth;
-        Some r
-    | None -> try_dequeue q
-  in
-  match take () with
+  match take q with
   | None -> 0
   | Some first ->
       let keys = Hashtbl.create 16 in
@@ -252,40 +215,35 @@ let step t ~shard ~thread =
             | op -> Hashtbl.mem keys (Store.op_key op))
           r.r_ops
       in
-      note_keys first;
-      let reqs = ref [ first ] in
-      let nops = ref (Array.length first.r_ops) in
-      let continue = ref true in
-      while !continue && !nops < drain_ops do
-        match try_dequeue q with
-        | None -> continue := false
-        | Some r ->
-            if conflicts r then begin
-              q.carry <- Some r;
-              Atomic.incr q.depth;
-              continue := false
-            end
-            else begin
+      let rec gather reqs nops =
+        if nops >= drain_ops then reqs
+        else
+          match take q with
+          | None -> reqs
+          | Some r when conflicts r ->
+              q.backlog <- r :: q.backlog;
+              reqs
+          | Some r ->
               note_keys r;
-              reqs := r :: !reqs;
-              nops := !nops + Array.length r.r_ops
-            end
-      done;
-      let reqs = Array.of_list (List.rev !reqs) in
+              gather (r :: reqs) (nops + Array.length r.r_ops)
+      in
+      note_keys first;
+      let reqs = List.rev (gather [ first ] (Array.length first.r_ops)) in
+      let n = List.length reqs in
+      ignore (Atomic.fetch_and_add q.depth (-n));
       Dst.point Dst.Svc_drain;
-      let ops = Array.concat (Array.to_list (Array.map (fun r -> r.r_ops) reqs)) in
+      let ops = Array.concat (List.map (fun r -> r.r_ops) reqs) in
       let t0 = Telemetry.now_ns () in
       let replies = t.exec ~shard ~thread ops in
       let t1 = Telemetry.now_ns () in
-      let n = Array.length reqs in
-      if n > 0 then note_service_time t q ~now:t1 ((t1 - t0) / n);
-      let off = ref 0 in
-      Array.iter
-        (fun r ->
-          let len = Array.length r.r_ops in
-          complete r.r_cell (Array.sub replies !off len);
-          off := !off + len)
-        reqs;
+      note_service_time t q ~now:t1 ((t1 - t0) / n);
+      ignore
+        (List.fold_left
+           (fun off r ->
+             let len = Array.length r.r_ops in
+             complete r.r_cell (Array.sub replies off len);
+             off + len)
+           0 reqs);
       Atomic.set q.drained_reqs (Atomic.get q.drained_reqs + n);
       Atomic.incr q.drained_batches;
       n
@@ -319,38 +277,37 @@ let help t ~shard ~thread =
 
 (* ---- submission ---- *)
 
+let shed t =
+  Atomic.incr t.shed_low;
+  `Shed
+
+(* A full queue is backpressure, not overload: drain it, or wait for the
+   client draining it — except for Low traffic under an SLO, which sheds
+   rather than queue-builds. *)
+let rec has_room t q ~shard ~thread ~priority =
+  if Atomic.get q.depth < queue_capacity then true
+  else if t.slo_ns <> None && priority = Low then false
+  else begin
+    help t ~shard ~thread;
+    has_room t q ~shard ~thread ~priority
+  end
+
 let submit t ~shard ~thread ~priority ops =
   let over = overloaded t ~shard in
-  if over && priority = Low then begin
-    Atomic.incr t.shed_low;
-    `Shed
-  end
+  if over && priority = Low then shed t
   else begin
     if over then Atomic.incr t.deferred;
-    let cell = { c_replies = [||]; c_done = Atomic.make false } in
-    let r = { r_ops = ops; r_cell = cell } in
     Dst.point Dst.Svc_enqueue;
     let q = t.qs.(shard) in
-    (* a full ring is backpressure, not overload: drain it, or wait for
-       the client draining it — except for Low traffic under an SLO,
-       which sheds rather than queue-builds *)
-    let rec push () =
-      if try_enqueue q r then ()
-      else if t.slo_ns <> None && priority = Low then begin
-        Atomic.incr t.shed_low;
-        raise Exit
-      end
-      else begin
-        help t ~shard ~thread;
-        push ()
-      end
-    in
-    match push () with
-    | () ->
-        let d = Atomic.get q.depth in
-        if d > Atomic.get t.max_depth then Atomic.set t.max_depth d;
-        `Ticket { cell; shard; thread }
-    | exception Exit -> `Shed
+    if not (has_room t q ~shard ~thread ~priority) then shed t
+    else begin
+      let cell = { c_replies = [||]; c_done = Atomic.make false } in
+      Atomic.incr q.depth;
+      push q { r_ops = ops; r_cell = cell };
+      let d = Atomic.get q.depth in
+      if d > Atomic.get t.max_depth then Atomic.set t.max_depth d;
+      `Ticket { cell; shard; thread }
+    end
   end
 
 (* ---- redemption ---- *)
@@ -402,9 +359,6 @@ let queue_depth t ~shard = Atomic.get t.qs.(shard).depth
 
 let depth t =
   Array.fold_left (fun a q -> a + Atomic.get q.depth) 0 t.qs
-
-let slo_ns t = t.slo_ns
-let lag_ewma_ns t = lag_now t ~now:(Telemetry.now_ns ())
 
 let counters t =
   let drained =

@@ -1,5 +1,6 @@
-(** Per-shard request queues drained by combining: bounded MPSC rings,
-    fused batched transactions, and SLO-driven admission control.
+(** Per-shard request queues drained by combining: a combining stack
+    per shard, fused batched transactions, and SLO-driven admission
+    control. A queue holds only the requests queued on it.
 
     No domain is dedicated to draining. The clients that wait on
     tickets drain the queues themselves: whoever takes a shard's drain
@@ -35,8 +36,8 @@ val create :
   exec:(shard:int -> thread:int -> Harness.Store.op array -> Harness.Store.reply array) ->
   unit ->
   t
-(** Each shard's ring holds 1024 requests, and one drained batch fuses
-    at most 64 operations. [slo_ns] enables admission control; without
+(** A shard counts as full at 1024 queued requests, and one drained
+    batch fuses at most 64 operations. [slo_ns] enables admission control; without
     it nothing is ever shed. *)
 
 val submit :
@@ -44,9 +45,11 @@ val submit :
   [ `Ticket of ticket | `Shed ]
 (** Enqueue an operation group on [shard]'s queue for the registered TM
     thread [thread]. Returns [`Shed] without executing anything when the
-    controller rejects a [Low] request (SLO projected blown, or ring full
-    under an SLO). A full ring otherwise drains the shard under [thread],
-    or waits for the client draining it — backpressure, not overload. *)
+    controller rejects a [Low] request (SLO projected blown, or queue full
+    under an SLO). A full queue otherwise drains the shard under
+    [thread], or waits for the client draining it — backpressure, not
+    overload. The bound is soft: submitters that find room together may
+    all push. *)
 
 val await : t -> ticket -> Harness.Store.reply array
 (** Wait until the submission has run, draining the shard meanwhile.
@@ -75,16 +78,10 @@ val overloaded : t -> shard:int -> bool
     without an update, so shedding every [Low] arrival cannot latch the
     verdict. *)
 
-val projected_lag_ns : t -> shard:int -> int
-(** (depth + 1) x decaying-max per-request service time. *)
-
 val queue_depth : t -> shard:int -> int
 
 val depth : t -> int
 (** Total queued requests across shards. *)
-
-val slo_ns : t -> int option
-val lag_ewma_ns : t -> int
 
 val counters : t -> (string * int) list
 (** [queue_depth], [queue_max_depth], [drained_requests],

@@ -16,7 +16,7 @@
      transaction entirely; every write invalidates its key's cache slot
      after it commits;
    - per-shard request queues ({!Pool}): {!submit} enqueues an operation
-     group on the owning shard's bounded queue and returns a ticket; an
+     group on the owning shard's queue and returns a ticket; an
      awaiting client that takes the shard's drain flag drains the queue
      head into one fused batch (combining);
    - SLO admission control: the pool's controller sheds low-priority
@@ -158,25 +158,21 @@ let create (spec : Factories.Spec.t) =
 
 let overload_reply = { Store.outcome = Store.Overload; earliest = 0; stamp = 0 }
 
+(* A lone Get's cache lookup: a hit skips the transaction. *)
+let cached t ~thread = function
+  | Store.Get k -> (
+      match t.cache with
+      | Some cache -> Hotcache.find cache ~shard:(shard_of_key t k) ~thread k
+      | None -> None)
+  | _ -> None
+
 let exec_point t ~thread op =
   Atomic.incr t.c.singles;
-  let s = shard_of_key t (Store.op_key op) in
-  match (op, t.cache) with
-  | Store.Get k, Some cache -> (
-      match Hotcache.find cache ~shard:s ~thread k with
-      | Some r -> r
-      | None ->
-          let epoch0 = Hotcache.epoch cache ~shard:s k in
-          let r = Store.exec t.stores.(s) ~thread op in
-          Hotcache.note cache ~shard:s ~epoch0 k r;
-          r)
-  | _ ->
-      let r = Store.exec t.stores.(s) ~thread op in
-      (match r.Store.outcome with
-      | Store.Inserted | Store.Removed ->
-          bump_cache t ~shard:s ~key:(Store.op_key op) ~stamp:r.Store.stamp
-      | _ -> ());
-      r
+  match cached t ~thread op with
+  | Some r -> r
+  | None ->
+      let shard = shard_of_key t (Store.op_key op) in
+      (run_shard_ops t ~shard ~thread [| op |]).(0)
 
 (* A scan's range spans shards under hash routing, so the service
    decomposes it into per-shard Get probes (one sub-batch per shard,
@@ -351,40 +347,31 @@ let queueable_shard t ops =
   in
   go 0 None
 
+(* A lone Get is looked up in the cache once: a hit completes inline,
+   without touching a queue or a transaction (this is where hot-key
+   traffic wins), and a miss runs or queues with no second lookup. A
+   queued miss is populated by the drain's batch path. *)
 let submit t ~thread ?(priority = Pool.High) ops =
-  if Array.length ops = 0 then Done [||]
-  else begin
-    (* cache fast path: a lone Get answered without touching a queue or a
-       transaction — this is where hot-key traffic wins *)
-    let hit =
-      match (ops, t.cache) with
-      | [| Store.Get k |], Some cache ->
-          Hotcache.find cache ~shard:(shard_of_key t k) ~thread k
-      | _ -> None
-    in
-    match hit with
-    | Some r ->
-        Atomic.incr t.c.singles;
-        Done [| r |]
-    | None -> (
-        match t.pool with
-        | None ->
-            Done
-              (if Array.length ops = 1 then [| exec t ~thread ops.(0) |]
-               else exec_batch t ~thread ops)
-        | Some p -> (
-            match queueable_shard t ops with
-            | None -> Done (exec_batch t ~thread ops)
-            | Some s -> (
-                (* the cache-miss Get enqueues; the drain's batch path
-                   populates the entry for the next hit *)
-                match Pool.submit p ~shard:s ~thread ~priority ops with
-                | `Ticket tk ->
-                    if Array.length ops = 1 then Atomic.incr t.c.singles
-                    else Atomic.incr t.c.batches;
-                    Queued tk
-                | `Shed -> Shed (Array.length ops))))
-  end
+  match (ops, t.pool) with
+  | [||], _ -> Done [||]
+  | [| op |], None -> Done [| exec t ~thread op |]
+  | _, None -> Done (exec_batch t ~thread ops)
+  | _, Some p -> (
+      let hit = match ops with [| op |] -> cached t ~thread op | _ -> None in
+      match hit with
+      | Some r ->
+          Atomic.incr t.c.singles;
+          Done [| r |]
+      | None -> (
+          match queueable_shard t ops with
+          | None -> Done (exec_batch t ~thread ops)
+          | Some s -> (
+              match Pool.submit p ~shard:s ~thread ~priority ops with
+              | `Ticket tk ->
+                  if Array.length ops = 1 then Atomic.incr t.c.singles
+                  else Atomic.incr t.c.batches;
+                  Queued tk
+              | `Shed -> Shed (Array.length ops))))
 
 (* A [Queued] ticket only comes from a pooled service. *)
 let await t = function

@@ -109,8 +109,10 @@ type ticket =
 
 val submit :
   t -> thread:int -> ?priority:priority -> Harness.Store.op array -> ticket
-(** [priority] defaults to [High] (never shed). A lone cache-hit [Get]
-    completes inline without touching a queue or a transaction. *)
+(** [priority] defaults to [High] (never shed). A lone [Get] is looked
+    up in the hot cache once: a hit completes inline without touching a
+    queue or a transaction, and a miss runs (or queues) without a second
+    lookup. *)
 
 val await : t -> ticket -> Harness.Store.reply array
 (** Redeem a ticket, draining the shard's queue under the submitting

@@ -161,11 +161,9 @@ let serial_token = Pad.atomic 0
 let committing = Array.init max_threads (fun _ -> Pad.atomic false)
 let serial_active () = Atomic.get serial_token = 1
 
-let default_attempts = Atomic.make 4
-let default_max_attempts () = Atomic.get default_attempts
-let set_default_max_attempts n =
-  if n < 1 then invalid_arg "Tm.set_default_max_attempts";
-  Atomic.set default_attempts n
+(* Conflict aborts before the serial fallback when a top-level call
+   passes no [~max_attempts]. *)
+let default_max_attempts = 4
 
 type thread_state = {
   id : int;
@@ -912,7 +910,7 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) f =
       attempts = 0; serial = txn.serial }
   else begin
     let max_attempts =
-      match max_attempts with Some n -> n | None -> default_max_attempts ()
+      Option.value max_attempts ~default:default_max_attempts
     in
     let stats = st.t_stats in
     (* Sample the switch once per operation: a concurrent toggle mid-run

@@ -207,7 +207,7 @@ val atomic :
   'a
 (** [atomic f] runs [f] as a transaction, retrying on conflicts with
     randomized exponential backoff. After [max_attempts] conflict aborts
-    (default {!default_max_attempts}), the transaction is re-run under the
+    (default 4), the transaction is re-run under the
     global serial token and cannot abort on a conflict. An exception out
     of [f] discards the attempt's writes (a serial run restores the
     payloads it overwrote), runs the {!on_abort} callbacks and propagates.
@@ -237,12 +237,6 @@ val atomic_stamped :
   (txn -> 'a) ->
   'a result
 (** Like {!atomic} but also reports the commit stamp and attempt counts. *)
-
-val default_max_attempts : unit -> int
-
-val set_default_max_attempts : int -> unit
-(** The paper uses GCC's default of 2 retries for lists and raises it to 8
-    for trees; benchmarks adjust this knob per data structure. *)
 
 val peek : 'a tvar -> 'a
 (** Non-transactional read. Only meaningful during initialization or after

@@ -662,8 +662,8 @@ let test_pool_fused_drain () =
   Service.finalize_thread svc ~thread;
   Service.drain svc
 
-(* More submissions than a shard's ring holds, none awaited yet: the
-   submitter drains the full ring itself instead of waiting for a drain
+(* More submissions than a shard's queue admits, none awaited yet: the
+   submitter drains the full queue itself instead of waiting for a drain
    nobody else would run. *)
 let test_pool_full_ring_drains () =
   let svc = pooled_svc () in
@@ -674,11 +674,11 @@ let test_pool_full_ring_drains () =
       (List.init 4000 (fun i -> i + 1))
   in
   let keys = List.filteri (fun i _ -> i < 1100) keys in
-  check "more keys than the ring holds" 1100 (List.length keys);
+  check "more keys than the queue admits" 1100 (List.length keys);
   let ts =
     List.map (fun k -> Service.submit svc ~thread [| Store.Insert k |]) keys
   in
-  checkb "the submitter drained on the full ring" true
+  checkb "the submitter drained on the full queue" true
     (pool_counter svc "drained_batches" > 0);
   List.iter
     (fun t ->
@@ -689,6 +689,56 @@ let test_pool_full_ring_drains () =
   Service.shutdown svc;
   Service.finalize_thread svc ~thread;
   Service.drain svc
+
+(* A request that touches a key of the batch being gathered is held
+   back and leads the next batch: the Get of [k] must not share the
+   first insert's stamp, and must see it. *)
+let test_pool_fusion_fifo () =
+  Dst.Inject.clear ();
+  Tm.Thread.reset_ids_for_testing ();
+  let svc = Service.create (layered_spec ~pool:true ~shards:1 ()) in
+  with_thread @@ fun ~thread ->
+  let k = 5 and k2 = 6 in
+  let t1 = Service.submit svc ~thread [| Store.Insert k |] in
+  let t2 = Service.submit svc ~thread [| Store.Get k |] in
+  let t3 = Service.submit svc ~thread [| Store.Insert k2 |] in
+  checkb "the first batch completes the insert" true
+    (Service.try_await svc t1 <> None);
+  check "a batch of the insert alone" 1 (pool_counter svc "drained_batches");
+  check "the get and the second insert still queued" 2 (Service.queued svc);
+  checkb "the next batch completes the get" true
+    (Service.try_await svc t2 <> None);
+  check "two batches" 2 (pool_counter svc "drained_batches");
+  check "nothing queued" 0 (Service.queued svc);
+  let r1 = (Service.await svc t1).(0)
+  and r2 = (Service.await svc t2).(0)
+  and r3 = (Service.await svc t3).(0) in
+  checkb "the get sees the first insert" true (r2.Store.outcome = Store.Found);
+  checkb "the second insert applied" true (r3.Store.outcome = Store.Inserted);
+  check "the get and the second insert share a stamp" r3.Store.stamp
+    r2.Store.stamp;
+  checkb "the get is stamped after the first insert" true
+    (r2.Store.stamp > r1.Store.stamp);
+  Service.shutdown svc;
+  Service.finalize_thread svc ~thread;
+  Service.drain svc
+
+(* An idle pool holds no request storage: its footprint is a few padded
+   counters per shard, not storage sized by the queue bound. *)
+let test_pool_idle_footprint () =
+  Dst.Inject.clear ();
+  let words pool =
+    let svc = Service.create (layered_spec ~pool ()) in
+    Gc.full_major ();
+    let w = Obj.reachable_words (Obj.repr svc) in
+    Service.shutdown svc;
+    w
+  in
+  let plain = words false in
+  let pooled = words true in
+  if pooled - plain >= 1024 then
+    Alcotest.failf "an idle pool holds %d words (service %d, pooled %d)"
+      (pooled - plain) plain pooled
 
 let test_pool_admission_sheds () =
   let svc = pooled_svc ~slo_us:1_000 () in
@@ -881,6 +931,23 @@ let test_service_cache_hits () =
       checkb "inline cache hit" true (rs.(0).Store.outcome = Store.Absent)
   | _ -> Alcotest.fail "expected an inline completion");
   check "three hits" 3 (List.assoc "cache_hits" (Service.counters svc));
+  Service.finalize_thread svc ~thread;
+  Service.drain svc
+
+(* A lone Get that misses the cache is looked up once, whether it is
+   submitted or executed. *)
+let test_cache_one_lookup_per_miss () =
+  Dst.Inject.clear ();
+  Tm.Thread.reset_ids_for_testing ();
+  let svc = Service.create (layered_spec ~hotcache:true ()) in
+  with_thread @@ fun ~thread ->
+  (match Service.submit svc ~thread [| Store.Get 7 |] with
+  | Service.Done [| r |] ->
+      checkb "absent" true (r.Store.outcome = Store.Absent)
+  | _ -> Alcotest.fail "expected an inline completion");
+  check "one miss" 1 (List.assoc "cache_misses" (Service.counters svc));
+  ignore (Service.exec svc ~thread (Store.Get 8));
+  check "two misses" 2 (List.assoc "cache_misses" (Service.counters svc));
   Service.finalize_thread svc ~thread;
   Service.drain svc
 
@@ -1306,6 +1373,8 @@ let () =
           Alcotest.test_case "fused drain" `Quick test_pool_fused_drain;
           Alcotest.test_case "full ring drains" `Quick
             test_pool_full_ring_drains;
+          Alcotest.test_case "fusion keeps FIFO" `Quick test_pool_fusion_fifo;
+          Alcotest.test_case "idle footprint" `Quick test_pool_idle_footprint;
           Alcotest.test_case "admission sheds low" `Quick
             test_pool_admission_sheds;
           Alcotest.test_case "admission recovers without events" `Quick
@@ -1318,6 +1387,8 @@ let () =
           Alcotest.test_case "unit semantics" `Quick test_hotcache_unit;
           Alcotest.test_case "service hits and invalidation" `Quick
             test_service_cache_hits;
+          Alcotest.test_case "one lookup per miss" `Quick
+            test_cache_one_lookup_per_miss;
           Alcotest.test_case "2pc invalidates both shards" `Quick
             test_multi_invalidates_both_shards;
           Alcotest.test_case "stale-cache bug caught" `Quick
