@@ -81,21 +81,22 @@ let run_point p (c : config) ~ops_per_thread ~threads =
         (Structs.Mode.kind_name c.kind)
         c.lookup_pct e);
   let tm = r.Driver.tm in
-  Json.Obj
-    [
-      ("threads", Json.Int threads);
-      ("window", Json.Int window);
-      ("throughput", Json.Float r.Driver.throughput);
-      ("elapsed_s", Json.Float r.Driver.elapsed_s);
-      ("total_ops", Json.Int r.Driver.total_ops);
-      ("started", Json.Int (Tm.Stats.started tm));
-      ("aborts", Json.Int (Tm.Stats.total_aborts tm));
-      ("abort_rate", Json.Float (Driver.abort_rate r));
-      ("fallbacks", Json.Int (Tm.Stats.fallbacks tm));
-      ("extensions", Json.Int (Tm.Stats.extensions tm));
-      ("ext_fails", Json.Int (Tm.Stats.ext_fails tm));
-      ("verified", Json.Bool (r.Driver.verdict = Ok ()));
-    ]
+  ( r,
+    Json.Obj
+      [
+        ("threads", Json.Int threads);
+        ("window", Json.Int window);
+        ("throughput", Json.Float r.Driver.throughput);
+        ("elapsed_s", Json.Float r.Driver.elapsed_s);
+        ("total_ops", Json.Int r.Driver.total_ops);
+        ("started", Json.Int (Tm.Stats.started tm));
+        ("aborts", Json.Int (Tm.Stats.total_aborts tm));
+        ("abort_rate", Json.Float (Driver.abort_rate r));
+        ("fallbacks", Json.Int (Tm.Stats.fallbacks tm));
+        ("extensions", Json.Int (Tm.Stats.extensions tm));
+        ("ext_fails", Json.Int (Tm.Stats.ext_fails tm));
+        ("verified", Json.Bool (r.Driver.verdict = Ok ()));
+      ] )
 
 let run_config p c ~ops_per_thread =
   let points =
@@ -109,15 +110,11 @@ let run_config p c ~ops_per_thread =
     c.lookup_pct
     (if c.adaptive then " adaptive " else " ")
     (String.concat ""
-       (List.map2
-          (fun threads pt ->
-            let tput =
-              match Json.member "throughput" pt with
-              | Some (Json.Float f) -> f
-              | _ -> 0.
-            in
-            Printf.sprintf "  %dT %.0f/s" threads tput)
-          p.threads_list points));
+       (List.map
+          (fun (r, _) ->
+            Printf.sprintf "  %dT %.0f/s" r.Driver.spec.Workload.threads
+              r.Driver.throughput)
+          points));
   Json.Obj
     [
       ("structure", Json.String (Spec.structure_name c.structure));
@@ -126,7 +123,7 @@ let run_config p c ~ops_per_thread =
       ("key_bits", Json.Int c.key_bits);
       ("adaptive", Json.Bool c.adaptive);
       ("ops_per_thread", Json.Int ops_per_thread);
-      ("points", Json.List points);
+      ("points", Json.List (List.map snd points));
     ]
 
 (* Each noise probe below compares two runs of the same code. One pair is
@@ -306,108 +303,81 @@ let report p ~mode ~configs ~ops_per_thread =
       ("opt", opt_probe p ~ops_per_thread);
     ]
 
-let write_report ~out js =
-  let oc = open_out out in
-  output_string oc (Json.to_string js);
-  output_char oc '\n';
-  close_out oc
-
 (* ---- schema validation (used by the smoke alias and tests) ---- *)
 
 let validate js =
-  let ( let* ) = Result.bind in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let field name conv o =
-    match Option.bind (Json.member name o) conv with
-    | Some v -> Ok v
-    | None -> err "missing or ill-typed field %S" name
+  let open Json in
+  let some = Option.some in
+  let positive what name o =
+    let* v = field name to_float o in
+    if v > 0. then Ok () else err "%s %s <= 0" what name
+  and non_negative name o =
+    let* v = field name to_int o in
+    if v >= 0 then Ok () else err "negative %s" name
   in
   let pair_ratios probe o =
-    let* rs = field "off_vs_baseline_pairs" Json.to_list o in
+    let* rs = field "off_vs_baseline_pairs" to_list o in
     if List.length rs <> probe_pairs then
       err "%s probe has %d pair ratios, wanted %d" probe (List.length rs)
         probe_pairs
     else if
       List.for_all
-        (fun r -> match Json.to_float r with Some x -> x > 0. | None -> false)
+        (fun r -> match to_float r with Some x -> x > 0. | None -> false)
         rs
     then Ok ()
     else err "%s probe pair ratio missing or <= 0" probe
   in
-  let* s = field "schema" Json.to_string_opt js in
-  let* () = if s = schema then Ok () else err "schema %S, wanted %S" s schema in
-  let* _ = field "bench" Json.to_string_opt js in
-  let* _ = field "mode" Json.to_string_opt js in
-  let* san = field "san" Option.some js in
-  let* off = field "off_throughput" Json.to_float san in
-  let* () = if off > 0. then Ok () else err "san off_throughput <= 0" in
-  let* on = field "on_throughput" Json.to_float san in
-  let* () = if on > 0. then Ok () else err "san on_throughput <= 0" in
-  let* ratio = field "off_vs_baseline" Json.to_float san in
-  let* () = if ratio > 0. then Ok () else err "san off_vs_baseline <= 0" in
+  let* () = expect_schema schema js in
+  let* _ = field "bench" to_string_opt js in
+  let* _ = field "mode" to_string_opt js in
+  let* san = field "san" some js in
+  let* () = positive "san" "off_throughput" san in
+  let* () = positive "san" "on_throughput" san in
+  let* () = positive "san" "off_vs_baseline" san in
   let* () = pair_ratios "san" san in
-  let* slow = field "on_slowdown" Json.to_float san in
-  let* () = if slow > 0. then Ok () else err "san on_slowdown <= 0" in
-  let* viols = field "violations" Json.to_int san in
-  let* () = if viols >= 0 then Ok () else err "negative san violations" in
-  let* opt = field "opt" Option.some js in
-  let* obase = field "baseline_throughput" Json.to_float opt in
-  let* () = if obase > 0. then Ok () else err "opt baseline_throughput <= 0" in
-  let* oratio = field "off_vs_baseline" Json.to_float opt in
-  let* () = if oratio > 0. then Ok () else err "opt off_vs_baseline <= 0" in
+  let* () = positive "san" "on_slowdown" san in
+  let* () = non_negative "violations" san in
+  let* opt = field "opt" some js in
+  let* () = positive "opt" "baseline_throughput" opt in
+  let* () = positive "opt" "off_vs_baseline" opt in
   let* () = pair_ratios "opt" opt in
-  let* _ = field "fuse4_vs_all_off" Json.to_float opt in
-  let* variants = field "variants" Json.to_list opt in
+  let* _ = field "fuse4_vs_all_off" to_float opt in
+  let* variants =
+    each "variants"
+      (fun v ->
+        let* _ = field "variant" to_string_opt v in
+        let* _ = field "label" to_string_opt v in
+        let* () = positive "opt" "throughput" v in
+        non_negative "fallbacks" v)
+      opt
+  in
   let* () =
     if List.length variants = List.length opt_variants then Ok ()
     else err "opt probe variant set incomplete"
   in
-  let* () =
-    List.fold_left
-      (fun acc v ->
-        let* () = acc in
-        let* _ = field "variant" Json.to_string_opt v in
-        let* _ = field "label" Json.to_string_opt v in
-        let* tput = field "throughput" Json.to_float v in
-        let* () = if tput > 0. then Ok () else err "opt throughput <= 0" in
-        let* fb = field "fallbacks" Json.to_int v in
-        if fb >= 0 then Ok () else err "negative fallbacks")
-      (Ok ()) variants
+  let point pt =
+    let* threads = field "threads" to_int pt in
+    let* () = if threads >= 1 then Ok () else err "threads < 1" in
+    let* () = positive "point" "throughput" pt in
+    let* rate = field "abort_rate" to_float pt in
+    let* () = if rate >= 0. then Ok () else err "negative abort_rate" in
+    let* _ = field "aborts" to_int pt in
+    let* () = non_negative "fallbacks" pt in
+    let* () = non_negative "extensions" pt in
+    non_negative "ext_fails" pt
   in
-  let* configs = field "configs" Json.to_list js in
-  let* () = if configs = [] then err "empty configs" else Ok () in
-  List.fold_left
-    (fun acc c ->
-      let* () = acc in
-      let* _ = field "structure" Json.to_string_opt c in
-      let* _ = field "kind" Json.to_string_opt c in
-      let* _ = field "lookup_pct" Json.to_int c in
-      let* _ = field "key_bits" Json.to_int c in
-      let* _ = field "adaptive" Json.to_bool c in
-      let* _ = field "ops_per_thread" Json.to_int c in
-      let* points = field "points" Json.to_list c in
-      let* () = if points = [] then err "config with no points" else Ok () in
-      List.fold_left
-        (fun acc pt ->
-          let* () = acc in
-          let* threads = field "threads" Json.to_int pt in
-          let* () = if threads >= 1 then Ok () else err "threads < 1" in
-          let* tput = field "throughput" Json.to_float pt in
-          let* () = if tput > 0. then Ok () else err "throughput <= 0" in
-          let* rate = field "abort_rate" Json.to_float pt in
-          let* () =
-            if rate >= 0. then Ok () else err "negative abort_rate"
-          in
-          let* _ = field "aborts" Json.to_int pt in
-          let* fb = field "fallbacks" Json.to_int pt in
-          let* () = if fb >= 0 then Ok () else err "negative fallbacks" in
-          let* ext = field "extensions" Json.to_int pt in
-          let* () = if ext >= 0 then Ok () else err "negative extensions" in
-          let* ef = field "ext_fails" Json.to_int pt in
-          let* () = if ef >= 0 then Ok () else err "negative ext_fails" in
-          Ok ())
-        (Ok ()) points)
-    (Ok ()) configs
+  let config c =
+    let* _ = field "structure" to_string_opt c in
+    let* _ = field "kind" to_string_opt c in
+    let* _ = field "lookup_pct" to_int c in
+    let* _ = field "key_bits" to_int c in
+    let* _ = field "adaptive" to_bool c in
+    let* _ = field "ops_per_thread" to_int c in
+    let* points = each "points" point c in
+    if points = [] then err "config with no points" else Ok ()
+  in
+  let* configs = each "configs" config js in
+  if configs = [] then err "empty configs" else Ok ()
 
 (* ---- entry points ---- *)
 
@@ -429,7 +399,7 @@ let run p =
       ~mode:(if p.quick then "quick" else "full")
       ~configs ~ops_per_thread
   in
-  write_report ~out:p.out js;
+  Json.to_file p.out js;
   if p.json_stdout then print_endline (Json.to_string js);
   Printf.printf "wrote %s\n%!" p.out
 
@@ -455,7 +425,6 @@ let smoke () =
       ~mixes:[ 33 ] ()
   in
   let js = report p ~mode:"smoke" ~configs ~ops_per_thread:300 in
-  write_report ~out:p.out js;
   let fail fmt =
     Printf.ksprintf
       (fun m ->
@@ -463,35 +432,27 @@ let smoke () =
         exit 1)
       fmt
   in
-  let ic = open_in p.out in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  (match Json.of_string text with
-  | Error e -> fail "emitted JSON does not parse: %s" e
-  | Ok parsed -> (
-      if not (Json.equal parsed js) then
-        fail "JSON round-trip changed the value";
-      match validate parsed with
-      | Error e -> fail "schema validation failed: %s" e
-      | Ok () -> ()));
-  (* Off-mode must be within noise of the baseline: an accidentally-armed
-     sanitizer serializes every access on a global mutex (5-10x), while the
-     legitimate hook cost is one relaxed bool load. The bound is loose
-     because smoke runs are short and containers are noisy; the ratio is
-     the median of [probe_pairs] pairs, so one descheduled run cannot
-     trip it. *)
-  (match Option.bind (Json.member "san" js) (Json.member "off_vs_baseline") with
-  | Some (Json.Float ratio) when ratio < 0.33 ->
-      fail "sanitizer-off throughput fell out of noise (ratio %.2f)" ratio
-  | Some (Json.Float _) -> ()
-  | _ -> fail "san probe missing off_vs_baseline");
-  (* Same bound for window fusion: it is compiled into the binary but
-     disabled in the all-off point, so falling out of noise against the
-     paired baseline rerun means the disabled knob has a hot-path cost. *)
-  (match Option.bind (Json.member "opt" js) (Json.member "off_vs_baseline") with
-  | Some (Json.Float ratio) when ratio < 0.33 ->
-      fail "optimizations-off throughput fell out of noise (ratio %.2f)" ratio
-  | Some (Json.Float _) -> ()
-  | _ -> fail "opt probe missing off_vs_baseline");
+  (match Json.round_trip ~out:p.out validate js with
+  | Ok _ -> ()
+  | Error e -> fail "%s" e);
+  (* A probe's off-mode must be within noise of its paired baseline rerun.
+     For the sanitizer, an accidentally-armed TxSan serializes every
+     access on a global mutex (5-10x), while the legitimate hook cost is
+     one relaxed bool load; for window fusion, which is compiled in but
+     disabled in the all-off point, falling out of noise means the
+     disabled knob has a hot-path cost. The bound is loose because smoke
+     runs are short and containers are noisy; the ratio is the median of
+     [probe_pairs] pairs, so one descheduled run cannot trip it. *)
+  List.iter
+    (fun (probe, what) ->
+      match
+        Json.(
+          let* o = field probe Option.some js in
+          field "off_vs_baseline" to_float o)
+      with
+      | Ok ratio when ratio < 0.33 ->
+          fail "%s-off throughput fell out of noise (ratio %.2f)" what ratio
+      | Ok _ -> ()
+      | Error e -> fail "%s probe: %s" probe e)
+    [ ("san", "sanitizer"); ("opt", "optimizations") ];
   Printf.printf "bench-smoke OK: %s validates against %s\n" p.out schema

@@ -263,66 +263,38 @@ let verify_probe ~p ~threads ~ops_per_thread =
   List.iter
     (fun k -> ignore (Service.exec svc ~thread:tid0 (Store.Insert k)))
     initial;
-  let logs = Array.make threads [] in
-  let barrier = Atomic.make threads in
-  let body d () =
-    Tm.Thread.with_registered (fun tid ->
-        let rng = Workload.Rng.create ~seed:(p.seed + 17) ~thread:(d + 1) in
-        let log = ref [] in
-        let log_reply op key (r : Store.reply) =
-          log :=
-            {
-              Serial_check.op;
-              key;
-              result = Store.positive r.Store.outcome;
-              earliest = r.Store.earliest;
-              stamp = r.Store.stamp;
-            }
-            :: !log
-        in
-        Atomic.decr barrier;
-        while Atomic.get barrier > 0 do
-          Domain.cpu_relax ()
-        done;
-        for _ = 1 to ops_per_thread do
-          let k1 = 1 + Workload.Rng.int rng key_range in
-          let k2 = 1 + Workload.Rng.int rng key_range in
-          match Workload.Rng.int rng 4 with
-          | 0 when k1 <> k2 -> (
-              (* cross-shard transfer: one transaction, so both sub-ops
-                 are logged at its one commit stamp *)
-              match
-                Service.multi svc ~thread:tid
-                  [| Store.Remove k1; Store.Insert k2 |]
-              with
-              | Service.Committed rs ->
-                  log_reply Workload.Remove k1 rs.(0);
-                  log_reply Workload.Insert k2 rs.(1)
-              | Service.Aborted _ -> ())
-          | 1 ->
-              log_reply Workload.Insert k1
-                (Service.exec svc ~thread:tid (Store.Insert k1))
-          | 2 ->
-              log_reply Workload.Remove k1
-                (Service.exec svc ~thread:tid (Store.Remove k1))
-          | _ ->
-              log_reply Workload.Lookup k1
-                (Service.exec svc ~thread:tid (Store.Get k1))
-        done;
-        Service.finalize_thread svc ~thread:tid;
-        logs.(d) <- List.rev !log)
+  let body d ~thread =
+    let rng = Workload.Rng.create ~seed:(p.seed + 17) ~thread:(d + 1) in
+    fun () ->
+      let log = ref [] in
+      let logged op r = log := Serial_check.of_reply op r :: !log in
+      let exec op = logged op (Service.exec svc ~thread op) in
+      for _ = 1 to ops_per_thread do
+        let k1 = 1 + Workload.Rng.int rng key_range in
+        let k2 = 1 + Workload.Rng.int rng key_range in
+        match Workload.Rng.int rng 4 with
+        | 0 when k1 <> k2 -> (
+            (* cross-shard transfer: one transaction, so both sub-ops
+               are logged at its one commit stamp *)
+            let ops = [| Store.Remove k1; Store.Insert k2 |] in
+            match Service.multi svc ~thread ops with
+            | Service.Committed rs -> Array.iteri (fun i -> logged ops.(i)) rs
+            | Service.Aborted _ -> ())
+        | 1 -> exec (Store.Insert k1)
+        | 2 -> exec (Store.Remove k1)
+        | _ -> exec (Store.Get k1)
+      done;
+      Service.finalize_thread svc ~thread;
+      Array.of_list (List.rev !log)
   in
-  let domains = List.init threads (fun d -> Domain.spawn (body d)) in
-  List.iter Domain.join domains;
+  let _, logs = Driver.timed threads body in
   Service.shutdown svc;
   Service.drain svc;
-  let ops = Array.fold_left (fun a l -> a + List.length l) 0 logs in
+  let ops = List.fold_left (fun a l -> a + Array.length l) 0 logs in
   let verdict =
     match Service.check svc with
     | Error _ as e -> e
-    | Ok () ->
-        Serial_check.check ~initial
-          (Array.to_list (Array.map Array.of_list logs))
+    | Ok () -> Serial_check.check ~initial logs
   in
   (ops, verdict)
 
@@ -341,7 +313,9 @@ let quantiles_json name h =
     ]
 
 type load_out = {
-  l_svc : Service.t;
+  l_label : string;
+  l_shards : int;
+  l_counters : (string * int) list;
   l_measured_s : float;
   l_hists : class_hists;
   l_reqs : int;
@@ -393,7 +367,9 @@ let run_load p =
       Hist.merge ~into:merged.h_multi o.w_hists.h_multi)
     outs;
   {
-    l_svc = svc;
+    l_label = Service.label svc;
+    l_shards = Service.shards svc;
+    l_counters = Service.counters svc;
     l_measured_s = measured_s;
     l_hists = merged;
     l_reqs = List.fold_left (fun a o -> a + o.w_reqs) 0 outs;
@@ -408,183 +384,184 @@ let run_load p =
 let counter_of counters name =
   Option.value ~default:0 (List.assoc_opt name counters)
 
-let report p ~mode =
-  let o = run_load p in
-  let probe_ops, probe_verdict =
+(* One measured configuration: the load window and the serializability
+   probe. [summarize] prints it and [run_json] renders it. *)
+type run = {
+  params : params;
+  load : load_out;
+  probe_ops : int;
+  probe : (unit, string) result;
+}
+
+let measure p =
+  let load = run_load p in
+  let probe_ops, probe =
     verify_probe ~p ~threads:(min p.threads 4) ~ops_per_thread:400
   in
-  let counters = Service.counters o.l_svc in
+  { params = p; load; probe_ops; probe }
+
+let throughput r = float_of_int r.load.l_reqs /. r.load.l_measured_s
+let arrival_name = function Open_loop _ -> "open" | Closed_loop -> "closed"
+let verdict_string = function Ok () -> "ok" | Error e -> e
+
+let run_json ?config ~mode r =
+  let p = r.params and o = r.load in
+  let counters = o.l_counters in
   Json.Obj
-    [
-      ("schema", Json.String schema);
-      ("bench", Json.String "service");
-      ("mode", Json.String mode);
-      ("label", Json.String (Service.label o.l_svc));
-      ("spec", Spec.to_json p.spec);
-      ("shards", Json.Int (Service.shards o.l_svc));
-      ("threads", Json.Int p.threads);
-      ( "arrival",
-        Json.String
-          (match p.arrival with Open_loop _ -> "open" | Closed_loop -> "closed")
-      );
-      ( "target_rate",
-        Json.Float
-          (match p.arrival with Open_loop r -> r | Closed_loop -> 0.) );
-      ("theta", Json.Float p.theta);
-      ("key_bits", Json.Int p.key_bits);
-      ( "mix",
-        Json.Obj
-          [
-            ("read_pct", Json.Int p.read_pct);
-            ("scan_pct", Json.Int p.scan_pct);
-            ("multi_pct", Json.Int p.multi_pct);
-            ("batch", Json.Int p.batch);
-          ] );
-      ("pipeline", Json.Int p.pipeline);
-      ("warmup_s", Json.Float p.warmup_s);
-      ("measure_s", Json.Float o.l_measured_s);
-      ("requests", Json.Int o.l_reqs);
-      ("throughput", Json.Float (float_of_int o.l_reqs /. o.l_measured_s));
-      ("multi_aborts", Json.Int o.l_multi_aborts);
-      ("max_schedule_lag_ns", Json.Int o.l_behind_ns);
-      ( "queue_depth",
-        Json.Obj
-          [
-            ("samples", Json.Int (Hist.count o.l_qdepth));
-            ("p50", Json.Int (Hist.quantile o.l_qdepth 0.5));
-            ("p99", Json.Int (Hist.quantile o.l_qdepth 0.99));
-            ("max", Json.Int (Hist.max_value o.l_qdepth));
-          ] );
-      ( "cache",
-        Json.Obj
-          [
-            ("hit_rate", Json.Float o.l_hit_rate);
-            ("hits", Json.Int (counter_of counters "cache_hits"));
-            ("misses", Json.Int (counter_of counters "cache_misses"));
-            ( "invalidations",
-              Json.Int (counter_of counters "cache_invalidations") );
-          ] );
-      ( "sheds",
-        Json.Obj
-          [
-            ("low", Json.Int (counter_of counters "shed_low"));
-            ("high", Json.Int (counter_of counters "shed_high"));
-            ("deferred_high", Json.Int (counter_of counters "deferred_high"));
-            ("shed_requests", Json.Int o.l_sheds);
-          ] );
-      ( "classes",
-        Json.List
-          [
-            quantiles_json "get" o.l_hists.h_get;
-            quantiles_json "scan" o.l_hists.h_scan;
-            quantiles_json "write" o.l_hists.h_write;
-            quantiles_json "multi" o.l_hists.h_multi;
-          ] );
-      ( "counters",
-        Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters) );
-      ( "service_check",
-        Json.String (match o.l_check with Ok () -> "ok" | Error e -> e) );
-      ( "serial_check",
-        Json.Obj
-          [
-            ("ops", Json.Int probe_ops);
-            ("passed", Json.Bool (probe_verdict = Ok ()));
-            ( "verdict",
-              Json.String
-                (match probe_verdict with Ok () -> "ok" | Error e -> e) );
-          ] );
-    ]
+    ((match config with Some n -> [ ("config", Json.String n) ] | None -> [])
+    @ [
+        ("schema", Json.String schema);
+        ("bench", Json.String "service");
+        ("mode", Json.String mode);
+        ("label", Json.String o.l_label);
+        ("spec", Spec.to_json p.spec);
+        ("shards", Json.Int o.l_shards);
+        ("threads", Json.Int p.threads);
+        ("arrival", Json.String (arrival_name p.arrival));
+        ( "target_rate",
+          Json.Float
+            (match p.arrival with Open_loop r -> r | Closed_loop -> 0.) );
+        ("theta", Json.Float p.theta);
+        ("key_bits", Json.Int p.key_bits);
+        ( "mix",
+          Json.Obj
+            [
+              ("read_pct", Json.Int p.read_pct);
+              ("scan_pct", Json.Int p.scan_pct);
+              ("multi_pct", Json.Int p.multi_pct);
+              ("batch", Json.Int p.batch);
+            ] );
+        ("pipeline", Json.Int p.pipeline);
+        ("warmup_s", Json.Float p.warmup_s);
+        ("measure_s", Json.Float o.l_measured_s);
+        ("requests", Json.Int o.l_reqs);
+        ("throughput", Json.Float (throughput r));
+        ("multi_aborts", Json.Int o.l_multi_aborts);
+        ("max_schedule_lag_ns", Json.Int o.l_behind_ns);
+        ( "queue_depth",
+          Json.Obj
+            [
+              ("samples", Json.Int (Hist.count o.l_qdepth));
+              ("p50", Json.Int (Hist.quantile o.l_qdepth 0.5));
+              ("p99", Json.Int (Hist.quantile o.l_qdepth 0.99));
+              ("max", Json.Int (Hist.max_value o.l_qdepth));
+            ] );
+        ( "cache",
+          Json.Obj
+            [
+              ("hit_rate", Json.Float o.l_hit_rate);
+              ("hits", Json.Int (counter_of counters "cache_hits"));
+              ("misses", Json.Int (counter_of counters "cache_misses"));
+              ( "invalidations",
+                Json.Int (counter_of counters "cache_invalidations") );
+            ] );
+        ( "sheds",
+          Json.Obj
+            [
+              ("low", Json.Int (counter_of counters "shed_low"));
+              ("high", Json.Int (counter_of counters "shed_high"));
+              ("deferred_high", Json.Int (counter_of counters "deferred_high"));
+              ("shed_requests", Json.Int o.l_sheds);
+            ] );
+        ( "classes",
+          Json.List
+            [
+              quantiles_json "get" o.l_hists.h_get;
+              quantiles_json "scan" o.l_hists.h_scan;
+              quantiles_json "write" o.l_hists.h_write;
+              quantiles_json "multi" o.l_hists.h_multi;
+            ] );
+        ( "counters",
+          Json.Obj (List.map (fun (k, v) -> (k, Json.Int v)) counters) );
+        ("service_check", Json.String (verdict_string o.l_check));
+        ( "serial_check",
+          Json.Obj
+            [
+              ("ops", Json.Int r.probe_ops);
+              ("passed", Json.Bool (r.probe = Ok ()));
+              ("verdict", Json.String (verdict_string r.probe));
+            ] );
+      ])
 
 (* ---- schema validation ---- *)
 
 let validate js =
-  let ( let* ) = Result.bind in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let field name conv o =
-    match Option.bind (Json.member name o) conv with
-    | Some v -> Ok v
-    | None -> err "missing or ill-typed field %S" name
-  in
-  let* s = field "schema" Json.to_string_opt js in
-  let* () = if s = schema then Ok () else err "schema %S, wanted %S" s schema in
-  let* _ = field "bench" Json.to_string_opt js in
-  let* _ = field "mode" Json.to_string_opt js in
-  let* label = field "label" Json.to_string_opt js in
-  let* spec_js = field "spec" Option.some js in
+  let open Json in
+  let some = Option.some in
+  let* () = expect_schema schema js in
+  let* _ = field "bench" to_string_opt js in
+  let* _ = field "mode" to_string_opt js in
+  let* label = field "label" to_string_opt js in
+  let* spec_js = field "spec" some js in
   let* spec =
     match Spec.of_json spec_js with
     | Ok sp -> Ok sp
     | Error e -> err "embedded spec: %s" e
   in
-  let* shards = field "shards" Json.to_int js in
+  let* shards = field "shards" to_int js in
   let* () = if shards >= 1 then Ok () else err "shards < 1" in
   let* () =
     let expect = Spec.label { spec with Spec.shards = Some shards } in
     if String.equal label expect then Ok ()
     else err "label %S does not match spec label %S" label expect
   in
-  let* threads = field "threads" Json.to_int js in
+  let* threads = field "threads" to_int js in
   let* () = if threads >= 1 then Ok () else err "threads < 1" in
-  let* arrival = field "arrival" Json.to_string_opt js in
+  let* arrival = field "arrival" to_string_opt js in
   let* () =
     if arrival = "open" || arrival = "closed" then Ok ()
     else err "arrival %S" arrival
   in
-  let* theta = field "theta" Json.to_float js in
+  let* theta = field "theta" to_float js in
   let* () = if theta >= 0. then Ok () else err "negative theta" in
-  let* measure = field "measure_s" Json.to_float js in
+  let* measure = field "measure_s" to_float js in
   let* () = if measure > 0. then Ok () else err "measure_s <= 0" in
-  let* reqs = field "requests" Json.to_int js in
+  let* reqs = field "requests" to_int js in
   let* () = if reqs > 0 then Ok () else err "no measured requests" in
-  let* tput = field "throughput" Json.to_float js in
+  let* tput = field "throughput" to_float js in
   let* () = if tput > 0. then Ok () else err "throughput <= 0" in
-  let* classes = field "classes" Json.to_list js in
+  let quantiles c =
+    let* name = field "class" to_string_opt c in
+    let* count = field "count" to_int c in
+    let* p50 = field "p50_ns" to_int c in
+    let* p99 = field "p99_ns" to_int c in
+    let* p999 = field "p999_ns" to_int c in
+    let* mx = field "max_ns" to_int c in
+    let* _ = field "mean_ns" to_float c in
+    if count < 0 then err "class %s: negative count" name
+    else if count > 0 && not (p50 <= p99 && p99 <= p999 && p999 <= mx) then
+      err "class %s: quantiles not monotone" name
+    else Ok ()
+  in
+  let* classes = each "classes" quantiles js in
   let* () =
-    let names =
-      List.filter_map
-        (fun c -> Option.bind (Json.member "class" c) Json.to_string_opt)
-        classes
-    in
-    if List.sort compare names = [ "get"; "multi"; "scan"; "write" ] then Ok ()
+    let names = [ "get"; "scan"; "write"; "multi" ] in
+    if
+      List.length classes = List.length names
+      && List.for_all (fun n -> Result.is_ok (find "class" n classes)) names
+    then Ok ()
     else err "classes must be exactly get/scan/write/multi"
   in
-  let* () =
-    List.fold_left
-      (fun acc c ->
-        let* () = acc in
-        let* name = field "class" Json.to_string_opt c in
-        let* count = field "count" Json.to_int c in
-        let* p50 = field "p50_ns" Json.to_int c in
-        let* p99 = field "p99_ns" Json.to_int c in
-        let* p999 = field "p999_ns" Json.to_int c in
-        let* mx = field "max_ns" Json.to_int c in
-        let* _ = field "mean_ns" Json.to_float c in
-        if count < 0 then err "class %s: negative count" name
-        else if count > 0 && not (p50 <= p99 && p99 <= p999 && p999 <= mx)
-        then err "class %s: quantiles not monotone" name
-        else Ok ())
-      (Ok ()) classes
-  in
-  let* pipeline = field "pipeline" Json.to_int js in
+  let* pipeline = field "pipeline" to_int js in
   let* () = if pipeline >= 1 then Ok () else err "pipeline < 1" in
-  let* qd = field "queue_depth" Option.some js in
-  let* qd_samples = field "samples" Json.to_int qd in
-  let* qd50 = field "p50" Json.to_int qd in
-  let* qd99 = field "p99" Json.to_int qd in
-  let* qdmax = field "max" Json.to_int qd in
+  let* qd = field "queue_depth" some js in
+  let* qd_samples = field "samples" to_int qd in
+  let* qd50 = field "p50" to_int qd in
+  let* qd99 = field "p99" to_int qd in
+  let* qdmax = field "max" to_int qd in
   let* () =
     if qd_samples < 0 then err "queue_depth: negative sample count"
     else if qd_samples > 0 && not (qd50 <= qd99 && qd99 <= qdmax) then
       err "queue_depth: percentiles not monotone"
     else Ok ()
   in
-  let* cache = field "cache" Option.some js in
-  let* hr = field "hit_rate" Json.to_float cache in
+  let* cache = field "cache" some js in
+  let* hr = field "hit_rate" to_float cache in
   let* () =
     if hr >= 0. && hr <= 1. then Ok () else err "cache hit_rate %.3f" hr
   in
-  let* hits = field "hits" Json.to_int cache in
-  let* misses = field "misses" Json.to_int cache in
+  let* hits = field "hits" to_int cache in
+  let* misses = field "misses" to_int cache in
   let* () =
     if hits >= 0 && misses >= 0 then Ok () else err "negative cache counters"
   in
@@ -595,11 +572,11 @@ let validate js =
       err "cache traffic reported but spec has no hotcache"
     else Ok ()
   in
-  let* sheds = field "sheds" Option.some js in
-  let* shed_low = field "low" Json.to_int sheds in
-  let* shed_high = field "high" Json.to_int sheds in
-  let* shed_reqs = field "shed_requests" Json.to_int sheds in
-  let* _ = field "deferred_high" Json.to_int sheds in
+  let* sheds = field "sheds" some js in
+  let* shed_low = field "low" to_int sheds in
+  let* shed_high = field "high" to_int sheds in
+  let* shed_reqs = field "shed_requests" to_int sheds in
+  let* _ = field "deferred_high" to_int sheds in
   let* () =
     if shed_low < 0 || shed_high < 0 || shed_reqs < 0 then
       err "negative shed counters"
@@ -608,68 +585,35 @@ let validate js =
       err "sheds reported but spec has no SLO"
     else Ok ()
   in
-  let* sc = field "service_check" Json.to_string_opt js in
+  let* sc = field "service_check" to_string_opt js in
   let* () = if sc = "ok" then Ok () else err "service_check: %s" sc in
-  let* probe = field "serial_check" Option.some js in
-  let* probe_ops = field "ops" Json.to_int probe in
+  let* probe = field "serial_check" some js in
+  let* probe_ops = field "ops" to_int probe in
   let* () = if probe_ops > 0 then Ok () else err "serial_check ran no ops" in
-  let* passed = field "passed" Json.to_bool probe in
+  let* passed = field "passed" to_bool probe in
   if passed then Ok ()
   else
-    let* v = field "verdict" Json.to_string_opt probe in
+    let* v = field "verdict" to_string_opt probe in
     err "serial_check failed: %s" v
 
 (* ---- entry points ---- *)
 
-let write_report ~out js =
-  let oc = open_out out in
-  output_string oc (Json.to_string js);
-  output_char oc '\n';
-  close_out oc
-
-let summarize js =
-  let quantile cls q =
-    match Json.member "classes" js with
-    | Some (Json.List cs) -> (
-        match
-          List.find_opt
-            (fun c -> Json.member "class" c = Some (Json.String cls))
-            cs
-        with
-        | Some c -> (
-            match Option.bind (Json.member q c) Json.to_int with
-            | Some v -> Printf.sprintf "%.1fus" (float_of_int v /. 1e3)
-            | None -> "-")
-        | None -> "-")
-    | _ -> "-"
-  in
-  let str name =
-    match Option.bind (Json.member name js) Json.to_string_opt with
-    | Some s -> s
-    | None -> "-"
-  in
-  let flt name =
-    match Option.bind (Json.member name js) Json.to_float with
-    | Some f -> f
-    | None -> 0.
+let summarize r =
+  let o = r.load in
+  let us h q =
+    Printf.sprintf "%.1fus" (float_of_int (Hist.quantile h q) /. 1e3)
   in
   Printf.printf
     "service %s (%s arrival): %.0f req/s | get p50 %s p99 %s p999 %s | write \
      p50 %s p99 %s | multi p99 %s | checks %s/%s\n\
      %!"
-    (str "label") (str "arrival") (flt "throughput") (quantile "get" "p50_ns")
-    (quantile "get" "p99_ns")
-    (quantile "get" "p999_ns")
-    (quantile "write" "p50_ns")
-    (quantile "write" "p99_ns")
-    (quantile "multi" "p99_ns")
-    (str "service_check")
-    (match Json.member "serial_check" js with
-    | Some probe -> (
-        match Option.bind (Json.member "passed" probe) Json.to_bool with
-        | Some true -> "serial-ok"
-        | _ -> "serial-FAIL")
-    | None -> "-")
+    o.l_label
+    (arrival_name r.params.arrival)
+    (throughput r) (us o.l_hists.h_get 0.5) (us o.l_hists.h_get 0.99)
+    (us o.l_hists.h_get 0.999) (us o.l_hists.h_write 0.5)
+    (us o.l_hists.h_write 0.99) (us o.l_hists.h_multi 0.99)
+    (verdict_string o.l_check)
+    (if r.probe = Ok () then "serial-ok" else "serial-FAIL")
 
 (* One line that re-runs this exact configuration, printed whenever a
    verdict or validation fails so the failure is reproducible without
@@ -717,10 +661,11 @@ let run p ~mode =
     (match p.arrival with Open_loop r -> Printf.sprintf "open(%.0f/s)" r
     | Closed_loop -> "closed")
     p.warmup_s p.measure_s p.out;
-  let js = report p ~mode in
-  write_report ~out:p.out js;
+  let r = measure p in
+  let js = run_json ~mode r in
+  Json.to_file p.out js;
   if p.json_stdout then print_endline (Json.to_string js);
-  summarize js;
+  summarize r;
   (match validate js with
   | Ok () -> ()
   | Error e ->
@@ -768,26 +713,6 @@ let matrix_configs ~p ~rate =
     open_ "open_all_on" all_on 16;
   ]
 
-let doc_float name js =
-  Option.value ~default:0. (Option.bind (Json.member name js) Json.to_float)
-
-(* A field of a run's "get" latency class: "count" or "p99_ns". *)
-let doc_get_stat field js =
-  match Json.member "classes" js with
-  | Some (Json.List cs) -> (
-      match
-        List.find_opt
-          (fun c -> Json.member "class" c = Some (Json.String "get"))
-          cs
-      with
-      | Some c ->
-          Option.value ~default:0
-            (Option.bind (Json.member field c) Json.to_int)
-      | None -> 0)
-  | _ -> 0
-
-let doc_get_p99 = doc_get_stat "p99_ns"
-
 (* The all-on open-loop p99 proves the SLO only over gets it actually
    served: a run that sheds or loses every get reports a p99 of 0, which
    is under any SLO. *)
@@ -797,53 +722,62 @@ let matrix_min_gets = 100
    the document: the mode names the command, not a size preset. *)
 let matrix_mode = "matrix"
 
-let matrix_report p =
+type matrix = {
+  rate : float;  (** the open-loop arrival rate, req/s *)
+  runs : (matrix_cfg * run) list;
+  open_base_p99 : int;  (** get p99 of the open-loop runs, ns *)
+  open_all_on_p99 : int;
+  open_all_on_gets : int;
+  throughput_ok : bool;
+  base_violates : bool;
+  slo_ok : bool;
+}
+
+let named runs name = snd (List.find (fun (c, _) -> c.m_name = name) runs)
+
+let matrix_measure p =
   (* the base closed-loop run comes first: its capacity calibrates the
      open-loop overload rate *)
   let base_cfg = List.hd (matrix_configs ~p ~rate:1.) in
   Printf.printf "matrix[base]: measuring caller-runs capacity...\n%!";
-  let base_doc = report base_cfg.m_params ~mode:matrix_mode in
-  let base_tput = doc_float "throughput" base_doc in
+  let base = measure base_cfg.m_params in
   (* 2x the caller-runs capacity: far past what the baseline can serve
      (its open-loop lag must blow the SLO), while leaving the load
      generator headroom — at 2.5x+ the generator itself cannot hold the
      cadence even when every request is shed, and the measured lag stops
      being the service's *)
-  let rate = Float.max 2_000. (2.0 *. base_tput) in
-  let cfgs = List.tl (matrix_configs ~p ~rate) in
-  let docs =
-    (base_cfg, base_doc)
+  let rate = Float.max 2_000. (2.0 *. throughput base) in
+  let runs =
+    (base_cfg, base)
     :: List.map
          (fun c ->
            Printf.printf "matrix[%s]: running...\n%!" c.m_name;
-           (c, report c.m_params ~mode:matrix_mode))
-         cfgs
+           (c, measure c.m_params))
+         (List.tl (matrix_configs ~p ~rate))
   in
-  let tagged =
-    List.map
-      (fun (c, doc) ->
-        match doc with
-        | Json.Obj fields -> (c, Json.Obj (("config", Json.String c.m_name) :: fields))
-        | doc -> (c, doc))
-      docs
-  in
-  let find name =
-    match List.find_opt (fun (c, _) -> c.m_name = name) tagged with
-    | Some (_, doc) -> doc
-    | None -> Json.Obj []
-  in
-  let tput name = doc_float "throughput" (find name) in
+  let gets name = (named runs name).load.l_hists.h_get in
+  let open_base_p99 = Hist.quantile (gets "open_base") 0.99 in
+  let open_all_on_p99 = Hist.quantile (gets "open_all_on") 0.99 in
+  let open_all_on_gets = Hist.count (gets "open_all_on") in
   let slo_ns = matrix_slo_us * 1_000 in
-  let open_base_p99 = doc_get_p99 (find "open_base") in
-  let open_all_on_p99 = doc_get_p99 (find "open_all_on") in
-  let open_all_on_gets = doc_get_stat "count" (find "open_all_on") in
-  let throughput_ok = tput "pool_cache" >= tput "base" in
   let base_violates = open_base_p99 > slo_ns in
-  let slo_ok =
-    base_violates
-    && open_all_on_gets >= matrix_min_gets
-    && open_all_on_p99 <= slo_ns
-  in
+  {
+    rate;
+    runs;
+    open_base_p99;
+    open_all_on_p99;
+    open_all_on_gets;
+    throughput_ok =
+      throughput (named runs "pool_cache") >= throughput (named runs "base");
+    base_violates;
+    slo_ok =
+      base_violates
+      && open_all_on_gets >= matrix_min_gets
+      && open_all_on_p99 <= slo_ns;
+  }
+
+let matrix_json p m =
+  let tput name = Json.Float (throughput (named m.runs name)) in
   Json.Obj
     [
       ("schema", Json.String schema);
@@ -853,22 +787,26 @@ let matrix_report p =
       ("theta", Json.Float p.theta);
       ("warmup_s", Json.Float p.warmup_s);
       ("measure_s", Json.Float p.measure_s);
-      ("runs", Json.List (List.map snd tagged));
+      ( "runs",
+        Json.List
+          (List.map
+             (fun (c, r) -> run_json ~config:c.m_name ~mode:matrix_mode r)
+             m.runs) );
       ( "matrix",
         Json.Obj
           [
             ("slo_us", Json.Int matrix_slo_us);
-            ("open_rate", Json.Float rate);
-            ("throughput_base", Json.Float (tput "base"));
-            ("throughput_pool", Json.Float (tput "pool"));
-            ("throughput_pool_cache", Json.Float (tput "pool_cache"));
-            ("throughput_all_on", Json.Float (tput "all_on"));
-            ("throughput_ok", Json.Bool throughput_ok);
-            ("open_base_get_p99_ns", Json.Int open_base_p99);
-            ("open_all_on_get_p99_ns", Json.Int open_all_on_p99);
-            ("open_all_on_gets", Json.Int open_all_on_gets);
-            ("open_base_violates_slo", Json.Bool base_violates);
-            ("slo_ok", Json.Bool slo_ok);
+            ("open_rate", Json.Float m.rate);
+            ("throughput_base", tput "base");
+            ("throughput_pool", tput "pool");
+            ("throughput_pool_cache", tput "pool_cache");
+            ("throughput_all_on", tput "all_on");
+            ("throughput_ok", Json.Bool m.throughput_ok);
+            ("open_base_get_p99_ns", Json.Int m.open_base_p99);
+            ("open_all_on_get_p99_ns", Json.Int m.open_all_on_p99);
+            ("open_all_on_gets", Json.Int m.open_all_on_gets);
+            ("open_base_violates_slo", Json.Bool m.base_violates);
+            ("slo_ok", Json.Bool m.slo_ok);
           ] );
     ]
 
@@ -877,140 +815,86 @@ let matrix_report p =
    SLO verdict is re-checked against the all-on open-loop run itself, so
    a document whose run served no gets fails even if it says [slo_ok]. *)
 let validate_matrix js =
-  let ( let* ) = Result.bind in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
+  let open Json in
+  let* () = expect_schema schema js in
+  let* mode = field "mode" to_string_opt js in
   let* () =
-    match Option.bind (Json.member "schema" js) Json.to_string_opt with
-    | Some s when s = schema -> Ok ()
-    | Some s -> err "schema %S, wanted %S" s schema
-    | None -> err "missing schema"
+    if mode = matrix_mode then Ok ()
+    else err "mode %S, wanted %S" mode matrix_mode
   in
+  let* warmup = field "warmup_s" to_float js in
+  let* measure = field "measure_s" to_float js in
   let* () =
-    match Option.bind (Json.member "mode" js) Json.to_string_opt with
-    | Some m when m = matrix_mode -> Ok ()
-    | Some m -> err "mode %S, wanted %S" m matrix_mode
-    | None -> err "missing mode"
+    if warmup >= 0. && measure > 0. then Ok ()
+    else err "warmup_s < 0 or measure_s <= 0"
   in
+  let* runs = each "runs" validate js in
+  let* () = if runs = [] then err "empty runs" else Ok () in
+  let* m = field "matrix" Option.some js in
+  let* throughput_ok = field "throughput_ok" to_bool m in
   let* () =
-    let secs name = Option.bind (Json.member name js) Json.to_float in
-    match (secs "warmup_s", secs "measure_s") with
-    | Some w, Some m when w >= 0. && m > 0. -> Ok ()
-    | Some _, Some _ -> err "warmup_s < 0 or measure_s <= 0"
-    | _ -> err "missing warmup_s or measure_s"
-  in
-  let* runs =
-    match Option.bind (Json.member "runs" js) Json.to_list with
-    | Some (_ :: _ as rs) -> Ok rs
-    | _ -> err "missing or empty runs"
-  in
-  let* () =
-    List.fold_left
-      (fun acc r ->
-        let* () = acc in
-        let name =
-          match Option.bind (Json.member "config" r) Json.to_string_opt with
-          | Some n -> n
-          | None -> "?"
-        in
-        match validate r with
-        | Ok () -> Ok ()
-        | Error e -> err "run %s: %s" name e)
-      (Ok ()) runs
-  in
-  let* m =
-    match Json.member "matrix" js with
-    | Some m -> Ok m
-    | None -> err "missing matrix verdicts"
-  in
-  let bool name =
-    Option.value ~default:false (Option.bind (Json.member name m) Json.to_bool)
-  in
-  let* () =
-    if bool "throughput_ok" then Ok ()
+    if throughput_ok then Ok ()
     else
+      let* pool_cache = field "throughput_pool_cache" to_float m in
+      let* base = field "throughput_base" to_float m in
       err
         "pooled+cached throughput (%.0f req/s) below caller-runs baseline \
          (%.0f req/s)"
-        (doc_float "throughput_pool_cache" m)
-        (doc_float "throughput_base" m)
+        pool_cache base
   in
+  let* violates = field "open_base_violates_slo" to_bool m in
   let* () =
-    if not (bool "open_base_violates_slo") then
+    if violates then Ok ()
+    else
       err
         "open-loop baseline did not violate the SLO — the overload rate is \
          miscalibrated, the shedding leg proves nothing"
-    else Ok ()
   in
+  let* open_all_on = find "config" "open_all_on" runs in
+  let* classes = field "classes" to_list open_all_on in
+  let* get = find "class" "get" classes in
+  let* gets = field "count" to_int get in
   let* () =
-    let open_all_on =
-      List.find_opt
-        (fun r -> Json.member "config" r = Some (Json.String "open_all_on"))
-        runs
-    in
-    match Option.map (doc_get_stat "count") open_all_on with
-    | None -> err "no open_all_on run"
-    | Some gets when gets < matrix_min_gets ->
-        err
-          "open-loop all-on run served %d gets (minimum %d): its get p99 \
-           proves nothing about the SLO"
-          gets matrix_min_gets
-    | Some _ -> Ok ()
+    if gets >= matrix_min_gets then Ok ()
+    else
+      err
+        "open-loop all-on run served %d gets (minimum %d): its get p99 \
+         proves nothing about the SLO"
+        gets matrix_min_gets
   in
-  if bool "slo_ok" then Ok ()
+  let* slo_ok = field "slo_ok" to_bool m in
+  if slo_ok then Ok ()
   else
     err "all-on open-loop get p99 exceeds the %dus SLO despite admission control"
       matrix_slo_us
 
-let summarize_matrix js =
-  (match Json.member "runs" js with
-  | Some (Json.List rs) ->
-      List.iter
-        (fun r ->
-          (match Option.bind (Json.member "config" r) Json.to_string_opt with
-          | Some n -> Printf.printf "[%-12s] " n
-          | None -> ());
-          summarize r)
-        rs
-  | _ -> ());
-  match Json.member "matrix" js with
-  | Some m ->
-      let b name =
-        match Option.bind (Json.member name m) Json.to_bool with
-        | Some true -> "ok"
-        | _ -> "FAIL"
-      in
-      Printf.printf
-        "matrix: throughput base %.0f | pool %.0f | pool+cache %.0f | all-on \
-         %.0f -> %s\n\
-         matrix: open@%.0f/s get p99 base %.1fms vs all-on %.1fms (slo %dms) \
-         -> %s\n\
-         %!"
-        (doc_float "throughput_base" m)
-        (doc_float "throughput_pool" m)
-        (doc_float "throughput_pool_cache" m)
-        (doc_float "throughput_all_on" m)
-        (b "throughput_ok") (doc_float "open_rate" m)
-        (float_of_int
-           (Option.value ~default:0
-              (Option.bind (Json.member "open_base_get_p99_ns" m) Json.to_int))
-        /. 1e6)
-        (float_of_int
-           (Option.value ~default:0
-              (Option.bind
-                 (Json.member "open_all_on_get_p99_ns" m)
-                 Json.to_int))
-        /. 1e6)
-        (matrix_slo_us / 1000) (b "slo_ok")
-  | None -> ()
+let summarize_matrix m =
+  List.iter
+    (fun (c, r) ->
+      Printf.printf "[%-12s] " c.m_name;
+      summarize r)
+    m.runs;
+  let tput name = throughput (named m.runs name) in
+  let ok b = if b then "ok" else "FAIL" in
+  Printf.printf
+    "matrix: throughput base %.0f | pool %.0f | pool+cache %.0f | all-on \
+     %.0f -> %s\n\
+     matrix: open@%.0f/s get p99 base %.1fms vs all-on %.1fms (slo %dms) -> \
+     %s\n\
+     %!"
+    (tput "base") (tput "pool") (tput "pool_cache") (tput "all_on")
+    (ok m.throughput_ok) m.rate
+    (float_of_int m.open_base_p99 /. 1e6)
+    (float_of_int m.open_all_on_p99 /. 1e6)
+    (matrix_slo_us / 1000) (ok m.slo_ok)
 
 (* Print a repro line per matrix config plus the one-shot matrix command
    itself; called on any failed verdict. *)
-let matrix_repro ~p js =
+let matrix_repro ~p m =
   prerr_endline "repro: dune exec bench/main.exe -- service-matrix";
-  let rate = doc_float "open_rate" (Option.value ~default:(Json.Obj []) (Json.member "matrix" js)) in
   List.iter
     (fun c -> prerr_endline ("  [" ^ c.m_name ^ "] " ^ repro_line c.m_params))
-    (matrix_configs ~p ~rate)
+    (matrix_configs ~p ~rate:m.rate)
 
 let run_matrix p =
   Printf.printf
@@ -1018,15 +902,16 @@ let run_matrix p =
      measure %.1fs per config -> %s\n\
      %!"
     (Spec.label p.spec) p.threads p.theta p.warmup_s p.measure_s p.out;
-  let js = matrix_report p in
-  write_report ~out:p.out js;
+  let m = matrix_measure p in
+  let js = matrix_json p m in
+  Json.to_file p.out js;
   if p.json_stdout then print_endline (Json.to_string js);
-  summarize_matrix js;
+  summarize_matrix m;
   (match validate_matrix js with
   | Ok () -> Printf.printf "matrix verdicts OK\n%!"
   | Error e ->
       Printf.eprintf "!! %s fails %s matrix validation: %s\n%!" p.out schema e;
-      matrix_repro ~p js);
+      matrix_repro ~p m);
   Printf.printf "wrote %s\n%!" p.out
 
 let matrix_params ~threads ~measure_s =
@@ -1051,38 +936,25 @@ let smoke () =
      regressions repeat, scheduling noise does not. *)
   let attempts = 2 in
   let attempt_once () =
-    let js = matrix_report p in
-    write_report ~out:p.out js;
-    let ic = open_in p.out in
-    let len = in_channel_length ic in
-    let text = really_input_string ic len in
-    close_in ic;
-    let verdict =
-      match Json.of_string text with
-      | Error e -> Error (Printf.sprintf "emitted JSON does not parse: %s" e)
-      | Ok parsed ->
-          if not (Json.equal parsed js) then
-            Error "JSON round-trip changed the value"
-          else validate_matrix parsed
-    in
-    (js, verdict)
+    let m = matrix_measure p in
+    (m, Json.round_trip ~out:p.out validate_matrix (matrix_json p m))
   in
   let rec go attempt =
     match attempt_once () with
-    | js, Ok () ->
-        summarize_matrix js;
+    | m, Ok _ ->
+        summarize_matrix m;
         Printf.printf "service-smoke OK: %s matrix validates against %s\n"
           p.out schema
-    | _, Error m when attempt < attempts ->
+    | _, Error e when attempt < attempts ->
         Printf.eprintf
           "service-smoke: %s -- retrying (%d/%d), suspecting scheduling \
            noise\n\
            %!"
-          m (attempt + 1) attempts;
+          e (attempt + 1) attempts;
         go (attempt + 1)
-    | js, Error m ->
-        prerr_endline ("service-smoke: " ^ m);
-        matrix_repro ~p js;
+    | m, Error e ->
+        prerr_endline ("service-smoke: " ^ e);
+        matrix_repro ~p m;
         exit 1
   in
   go 1

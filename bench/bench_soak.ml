@@ -205,24 +205,18 @@ let report_json p ~mode r =
 (* ---- schema validation ---- *)
 
 let validate js =
-  let ( let* ) = Result.bind in
-  let err fmt = Printf.ksprintf (fun m -> Error m) fmt in
-  let field name conv o =
-    match Option.bind (Json.member name o) conv with
-    | Some v -> Ok v
-    | None -> err "missing or ill-typed field %S" name
-  in
-  let* s = field "schema" Json.to_string_opt js in
-  let* () = if s = schema then Ok () else err "schema %S, wanted %S" s schema in
-  let* b = field "bench" Json.to_string_opt js in
+  let open Json in
+  let some = Option.some in
+  let* () = expect_schema schema js in
+  let* b = field "bench" to_string_opt js in
   let* () = if b = "soak" then Ok () else err "bench %S" b in
-  let* _ = field "mode" Json.to_string_opt js in
-  let* _ = field "seed" Json.to_int js in
-  let* kb = field "key_bits" Json.to_int js in
+  let* _ = field "mode" to_string_opt js in
+  let* _ = field "seed" to_int js in
+  let* kb = field "key_bits" to_int js in
   let* () = if kb >= 1 then Ok () else err "key_bits < 1" in
-  let* slo = field "slo_us" Json.to_int js in
+  let* slo = field "slo_us" to_int js in
   let* () = if slo >= 1 then Ok () else err "slo_us < 1" in
-  let* phases_s = field "phases" Json.to_string_opt js in
+  let* phases_s = field "phases" to_string_opt js in
   let* () =
     match Soak.parse_phases phases_s with
     | Error e -> err "phase script: %s" e
@@ -230,62 +224,52 @@ let validate js =
         if Soak.print_phases ps = phases_s then Ok ()
         else err "phase script %S does not round-trip" phases_s
   in
-  let* spec_js = field "spec" Option.some js in
+  let* spec_js = field "spec" some js in
   let* _ =
     match Spec.of_json spec_js with
     | Ok sp -> Ok sp
     | Error e -> err "embedded spec: %s" e
   in
-  let* repro = field "repro" Json.to_string_opt js in
+  let* repro = field "repro" to_string_opt js in
   let* () =
     if String.length repro > 0 then Ok () else err "empty repro command"
   in
-  let* churn = field "churn" Json.to_list js in
-  let* () = if churn <> [] then Ok () else err "no churn runs" in
-  let* () =
-    List.fold_left
-      (fun acc c ->
-        let* () = acc in
-        let* label = field "label" Json.to_string_opt c in
-        let* check = field "check" Json.to_string_opt c in
-        let* serial = field "serial" Json.to_string_opt c in
-        let* leaked = field "leaked" Json.to_int c in
-        let* _ = field "repro" Json.to_string_opt c in
-        let* phases = field "phases" Json.to_list c in
-        let* () =
-          if phases <> [] then Ok () else err "churn %s: no phases" label
-        in
-        let* () =
-          List.fold_left
-            (fun acc ph ->
-              let* () = acc in
-              let* ops = field "ops" Json.to_int ph in
-              let* tput = field "throughput" Json.to_float ph in
-              let* slo_v = field "slo_violations" Json.to_int ph in
-              let* hwm = field "live_hwm" Json.to_int ph in
-              let* backlog = field "backlog" Json.to_int ph in
-              if ops <= 0 then err "churn %s: phase ran no ops" label
-              else if tput <= 0. then err "churn %s: throughput <= 0" label
-              else if slo_v < 0 || hwm < 0 || backlog < 0 then
-                err "churn %s: negative phase counter" label
-              else Ok ())
-            (Ok ()) phases
-        in
-        if check <> "ok" then err "churn %s: check: %s" label check
-        else if serial <> "ok" && serial <> "skipped" then
-          err "churn %s: serial: %s" label serial
-        else if leaked <> 0 then err "churn %s: %d slots leaked" label leaked
-        else Ok ())
-      (Ok ()) churn
+  let phase ph =
+    let* ops = field "ops" to_int ph in
+    let* tput = field "throughput" to_float ph in
+    let* slo_v = field "slo_violations" to_int ph in
+    let* hwm = field "live_hwm" to_int ph in
+    let* backlog = field "backlog" to_int ph in
+    if ops <= 0 then err "phase ran no ops"
+    else if tput <= 0. then err "throughput <= 0"
+    else if slo_v < 0 || hwm < 0 || backlog < 0 then
+      err "negative phase counter"
+    else Ok ()
   in
-  let* stall = field "stalled_reader" Option.some js in
+  let churn c =
+    let* label = field "label" to_string_opt c in
+    let* check = field "check" to_string_opt c in
+    let* serial = field "serial" to_string_opt c in
+    let* leaked = field "leaked" to_int c in
+    let* _ = field "repro" to_string_opt c in
+    let* phases = each "phases" phase c in
+    if phases = [] then err "churn %s: no phases" label
+    else if check <> "ok" then err "churn %s: check: %s" label check
+    else if serial <> "ok" && serial <> "skipped" then
+      err "churn %s: serial: %s" label serial
+    else if leaked <> 0 then err "churn %s: %d slots leaked" label leaked
+    else Ok ()
+  in
+  let* churns = each "churn" churn js in
+  let* () = if churns <> [] then Ok () else err "no churn runs" in
+  let* stall = field "stalled_reader" some js in
   let stall_side name =
-    let* side = field name Option.some stall in
-    let* e = field "error" Json.to_string_opt side in
+    let* side = field name some stall in
+    let* e = field "error" to_string_opt side in
     let* () = if e = "ok" then Ok () else err "stall %s: %s" name e in
-    let* hwm = field "hwm" Json.to_int side in
-    let* fb = field "final_backlog" Json.to_int side in
-    let* samples = field "samples" Json.to_list side in
+    let* hwm = field "hwm" to_int side in
+    let* fb = field "final_backlog" to_int side in
+    let* samples = field "samples" to_list side in
     let* () =
       if samples <> [] then Ok () else err "stall %s: no samples" name
     in
@@ -293,7 +277,7 @@ let validate js =
   in
   let* rr_hwm, rr_fb = stall_side "rr" in
   let* ebr_hwm, ebr_fb = stall_side "ebr" in
-  let* contrast = field "contrast_ok" Json.to_bool stall in
+  let* contrast = field "contrast_ok" to_bool stall in
   let* () =
     if not contrast then err "stalled-reader contrast flagged failed"
     else if ebr_hwm <= rr_hwm then
@@ -302,28 +286,20 @@ let validate js =
     else if ebr_fb <= 0 then err "EBR final drain reclaimed nothing (%d)" ebr_fb
     else Ok ()
   in
-  let* crashes = field "crashes" Json.to_list js in
-  let* () = if crashes <> [] then Ok () else err "no crash scenarios" in
-  List.fold_left
-    (fun acc k ->
-      let* () = acc in
-      let* scenario = field "scenario" Json.to_string_opt k in
-      let* e = field "error" Json.to_string_opt k in
-      let* serial_ok = field "serial_ok" Json.to_bool k in
-      let* leaked = field "leaked" Json.to_int k in
-      if e <> "ok" then err "%s: %s" scenario e
-      else if not serial_ok then err "%s: history not serializable" scenario
-      else if leaked <> 0 then err "%s: %d slots leaked" scenario leaked
-      else Ok ())
-    (Ok ()) crashes
+  let crash k =
+    let* scenario = field "scenario" to_string_opt k in
+    let* e = field "error" to_string_opt k in
+    let* serial_ok = field "serial_ok" to_bool k in
+    let* leaked = field "leaked" to_int k in
+    if e <> "ok" then err "%s: %s" scenario e
+    else if not serial_ok then err "%s: history not serializable" scenario
+    else if leaked <> 0 then err "%s: %d slots leaked" scenario leaked
+    else Ok ()
+  in
+  let* crashes = each "crashes" crash js in
+  if crashes <> [] then Ok () else err "no crash scenarios"
 
 (* ---- entry points ---- *)
-
-let write_report ~out js =
-  let oc = open_out out in
-  output_string oc (Json.to_string js);
-  output_char oc '\n';
-  close_out oc
 
 let summarize r =
   List.iter
@@ -375,7 +351,7 @@ let run p ~mode =
     p.key_bits p.seed p.out;
   let r = collect p in
   let js = report_json p ~mode r in
-  write_report ~out:p.out js;
+  Json.to_file p.out js;
   if p.json_stdout then print_endline (Json.to_string js);
   summarize r;
   (match validate js with
@@ -447,19 +423,10 @@ let smoke () =
   if again.Soak.s_samples <> r.r_stall_rr.Soak.s_samples then
     fail "stalled-reader trajectory not deterministic under seed %d\n  repro: %s"
       p.seed again.Soak.s_repro;
-  let js = report_json p ~mode:"smoke" r in
-  write_report ~out:p.out js;
-  let ic = open_in p.out in
-  let len = in_channel_length ic in
-  let text = really_input_string ic len in
-  close_in ic;
-  (match Json.of_string text with
-  | Error e -> fail "emitted JSON does not parse: %s" e
-  | Ok parsed -> (
-      if not (Json.equal parsed js) then
-        fail "JSON round-trip changed the value";
-      match validate parsed with
-      | Error e -> fail "schema validation failed: %s" e
-      | Ok () -> ()));
+  (match
+     Json.round_trip ~out:p.out validate (report_json p ~mode:"smoke" r)
+   with
+  | Ok _ -> ()
+  | Error e -> fail "%s" e);
   summarize r;
   Printf.printf "soak-smoke OK: %s validates against %s\n" p.out schema

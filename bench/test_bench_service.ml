@@ -103,6 +103,39 @@ let test_run_parameters_recorded () =
         Json.Obj (List.filter (fun (k, _) -> k <> "measure_s") fields)
     | js -> js)
 
+(* One run of the committed matrix passes the per-run check; the same run
+   with its get p50 raised above its p99 does not. *)
+let test_non_monotone_run_rejected () =
+  let run =
+    match Option.bind (Json.member "runs" (committed ())) Json.to_list with
+    | Some (r :: _) -> r
+    | _ -> Alcotest.fail "the committed matrix has no runs"
+  in
+  (match Bench_service.validate run with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "committed run rejected: %s" e);
+  let raise_p50 c =
+    if Json.member "class" c = Some (Json.String "get") then
+      match Option.bind (Json.member "p99_ns" c) Json.to_int with
+      | Some p99 -> set_fields [ ("p50_ns", fun _ -> Json.Int (p99 + 1)) ] c
+      | None -> Alcotest.fail "the get class has no p99_ns"
+    else c
+  in
+  let bad =
+    set_fields
+      [
+        ( "classes",
+          function Json.List cs -> Json.List (List.map raise_p50 cs) | v -> v );
+      ]
+      run
+  in
+  match Bench_service.validate bad with
+  | Ok () -> Alcotest.fail "a run with p50 above p99 passed"
+  | Error e ->
+      Alcotest.(check string)
+        "the error names the class" "classes[0]: class get: quantiles not \
+                                     monotone" e
+
 let () =
   Alcotest.run "bench_service"
     [
@@ -114,5 +147,10 @@ let () =
             test_committed_validates;
           Alcotest.test_case "open-loop run with no gets is rejected" `Quick
             test_no_gets_rejected;
+        ] );
+      ( "run",
+        [
+          Alcotest.test_case "non-monotone get quantiles are rejected" `Quick
+            test_non_monotone_run_rejected;
         ] );
     ]

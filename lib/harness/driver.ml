@@ -21,23 +21,28 @@ type result = {
    of the run (the 1-thread smoke point used to report hundreds of Mops/s
    this way). Instead workers check in and then spin on a flag that main
    sets only after it has observed full attendance and taken t0: no
-   operation can begin before the clock is running. *)
-type barrier = { ready : int Atomic.t; go : bool Atomic.t }
-
-let barrier_make n = { ready = Atomic.make n; go = Atomic.make false }
-
-let barrier_arrive b =
-  Atomic.decr b.ready;
-  while not (Atomic.get b.go) do
+   operation can begin before the clock is running. Monotonic, not wall,
+   time: an NTP step mid-run would corrupt the throughput denominator. *)
+let timed n work =
+  let ready = Atomic.make n and go = Atomic.make false in
+  let domains =
+    List.init n (fun d ->
+        Domain.spawn (fun () ->
+            Tm.Thread.with_registered (fun thread ->
+                let run = work d ~thread in
+                Atomic.decr ready;
+                while not (Atomic.get go) do
+                  Domain.cpu_relax ()
+                done;
+                run ())))
+  in
+  while Atomic.get ready > 0 do
     Domain.cpu_relax ()
-  done
-
-let barrier_await_ready b =
-  while Atomic.get b.ready > 0 do
-    Domain.cpu_relax ()
-  done
-
-let barrier_release b = Atomic.set b.go true
+  done;
+  let t0 = Telemetry.now_ns () in
+  Atomic.set go true;
+  let outs = List.map Domain.join domains in
+  (float_of_int (Telemetry.now_ns () - t0) /. 1e9, outs)
 
 type worker_out = {
   log : Serial_check.logged array;
@@ -55,40 +60,39 @@ let dummy_log =
     stamp = 0;
   }
 
-let worker ~spec ~store ~verify ~barrier d () =
-  Tm.Thread.with_registered (fun tid ->
-      let rng = Workload.Rng.create ~seed:spec.Workload.seed ~thread:(d + 1) in
-      let n = spec.Workload.ops_per_thread in
-      let log = if verify then Array.make n dummy_log else [||] in
-      let ins = ref 0 and rem = ref 0 in
-      Tm.Stats.reset (Tm.Thread.stats ());
-      barrier_arrive barrier;
-      for i = 0 to n - 1 do
-        let op, key = Workload.next_op rng spec in
-        let reply =
-          match op with
-          | Workload.Insert ->
-              let r = Store.insert store ~thread:tid key in
-              if r.Store.outcome = Store.Inserted then incr ins;
-              r
-          | Workload.Remove ->
-              let r = Store.remove store ~thread:tid key in
-              if r.Store.outcome = Store.Removed then incr rem;
-              r
-          | Workload.Lookup -> Store.get store ~thread:tid key
-        in
-        let result = Store.positive reply.Store.outcome in
-        let earliest = reply.Store.earliest and stamp = reply.Store.stamp in
-        if verify then
-          log.(i) <- { Serial_check.op; key; result; earliest; stamp }
-      done;
-      Store.finalize_thread store ~thread:tid;
-      {
-        log;
-        w_ins = !ins;
-        w_rem = !rem;
-        w_stats = Tm.Stats.copy (Tm.Thread.stats ());
-      })
+let worker ~spec ~store ~verify d ~thread =
+  let rng = Workload.Rng.create ~seed:spec.Workload.seed ~thread:(d + 1) in
+  let n = spec.Workload.ops_per_thread in
+  let log = if verify then Array.make n dummy_log else [||] in
+  let ins = ref 0 and rem = ref 0 in
+  Tm.Stats.reset (Tm.Thread.stats ());
+  fun () ->
+    for i = 0 to n - 1 do
+      let op, key = Workload.next_op rng spec in
+      let reply =
+        match op with
+        | Workload.Insert ->
+            let r = Store.insert store ~thread key in
+            if r.Store.outcome = Store.Inserted then incr ins;
+            r
+        | Workload.Remove ->
+            let r = Store.remove store ~thread key in
+            if r.Store.outcome = Store.Removed then incr rem;
+            r
+        | Workload.Lookup -> Store.get store ~thread key
+      in
+      let result = Store.positive reply.Store.outcome in
+      let earliest = reply.Store.earliest and stamp = reply.Store.stamp in
+      if verify then
+        log.(i) <- { Serial_check.op; key; result; earliest; stamp }
+    done;
+    Store.finalize_thread store ~thread;
+    {
+      log;
+      w_ins = !ins;
+      w_rem = !rem;
+      w_stats = Tm.Stats.copy (Tm.Thread.stats ());
+    }
 
 let run ?(verify = true) ?(san = false) spec store =
   (* Count mode for multi-domain runs: a raise inside one worker would tear
@@ -107,20 +111,9 @@ let run ?(verify = true) ?(san = false) spec store =
   (* Start the measurement window after prefill so the report reflects the
      contended phase only. Gauges are cumulative and keep their registry. *)
   if Telemetry.enabled () then Telemetry.reset_slots ();
-  let barrier = barrier_make spec.Workload.threads in
-  let domains =
-    List.init spec.Workload.threads (fun d ->
-        Domain.spawn (worker ~spec ~store ~verify ~barrier d))
+  let elapsed, outs =
+    timed spec.Workload.threads (worker ~spec ~store ~verify)
   in
-  barrier_await_ready barrier;
-  (* Monotonic, not wall, time: an NTP step mid-run would corrupt the
-     throughput denominator. t0 is taken after every worker has checked in
-     and before any is released, so the window covers exactly the op
-     loops. *)
-  let t0 = Telemetry.now_ns () in
-  barrier_release barrier;
-  let outs = List.map Domain.join domains in
-  let elapsed = float_of_int (Telemetry.now_ns () - t0) /. 1e9 in
   Store.drain store;
   let san_counts =
     if san then begin

@@ -34,6 +34,14 @@ val run : ?verify:bool -> ?san:bool -> Workload.spec -> Store.t -> result
     mode (reset before prefill, disabled again after drain) and fills the
     result's [san] field. The calling domain must be TM-registered. *)
 
+val timed : int -> (int -> thread:int -> unit -> 'a) -> float * 'a list
+(** [timed n work] runs [n] workers, each on its own TM-registered
+    domain. Worker [d] first calls [work d ~thread], its untimed setup,
+    and checks in at a two-phase start barrier; the clock starts once
+    every worker has checked in, and only then does each run the thunk
+    its setup returned. Returns the seconds from that start to the last
+    join, and the thunks' results in worker order. *)
+
 val abort_rate : result -> float
 (** Aborts per started transaction attempt. *)
 

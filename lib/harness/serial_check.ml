@@ -6,6 +6,17 @@ type logged = {
   stamp : int;
 }
 
+let of_reply op (r : Store.reply) =
+  let op, key =
+    match op with
+    | Store.Insert k -> (Workload.Insert, k)
+    | Store.Remove k -> (Workload.Remove, k)
+    | Store.Get k -> (Workload.Lookup, k)
+    | Store.Scan _ -> invalid_arg "Serial_check.of_reply: a scan"
+  in
+  let result = Store.positive r.Store.outcome in
+  { op; key; result; earliest = r.Store.earliest; stamp = r.Store.stamp }
+
 (* Successful inserts and removes write set content in their final
    transaction and carry its commit stamp. The stamp is unique to the
    transaction, not to the write: a fused batch or a cross-shard multi

@@ -20,6 +20,10 @@ type logged = {
   stamp : int;
 }
 
+val of_reply : Store.op -> Store.reply -> logged
+(** The history entry of a point operation and its reply. A scan is not a
+    point operation: it raises [Invalid_argument]. *)
+
 val check : initial:int list -> logged array list -> (unit, string) Stdlib.result
 (** [check ~initial logs] with one log per thread; [initial] is the
     structure's contents before the run. *)

@@ -234,7 +234,17 @@ let step t ~shard ~thread =
       Dst.point Dst.Svc_drain;
       let ops = Array.concat (List.map (fun r -> r.r_ops) reqs) in
       let t0 = Telemetry.now_ns () in
-      let replies = t.exec ~shard ~thread ops in
+      let replies =
+        try t.exec ~shard ~thread ops
+        with e ->
+          (* Nothing was applied (the fused transaction is failure-atomic,
+             and cache bumps run only after it returns): the batch goes
+             back to the head of the backlog, oldest first, and into
+             [depth], so a later drain completes every ticket in it. *)
+          q.backlog <- reqs @ q.backlog;
+          ignore (Atomic.fetch_and_add q.depth n);
+          raise e
+      in
       let t1 = Telemetry.now_ns () in
       note_service_time t q ~now:t1 ((t1 - t0) / n);
       ignore

@@ -169,48 +169,6 @@ type churn_result = {
   c_repro : string;
 }
 
-(* Same two-phase start barrier as Driver: t0 is taken only after every
-   worker has checked in, so the timed window covers exactly the op
-   loops. *)
-type barrier = { ready : int Atomic.t; go : bool Atomic.t }
-
-let barrier_make n = { ready = Atomic.make n; go = Atomic.make false }
-
-let barrier_arrive b =
-  Atomic.decr b.ready;
-  while not (Atomic.get b.go) do
-    Domain.cpu_relax ()
-  done
-
-let barrier_await_ready b =
-  while Atomic.get b.ready > 0 do
-    Domain.cpu_relax ()
-  done
-
-let dummy_log =
-  {
-    Serial_check.op = Workload.Lookup;
-    key = 0;
-    result = false;
-    earliest = 0;
-    stamp = 0;
-  }
-
-let log_entry op (reply : Store.reply) =
-  let wop =
-    match op with
-    | Store.Insert k -> (Workload.Insert, k)
-    | Store.Remove k -> (Workload.Remove, k)
-    | Store.Get k | Store.Scan { low = k; _ } -> (Workload.Lookup, k)
-  in
-  {
-    Serial_check.op = fst wop;
-    key = snd wop;
-    result = Store.positive reply.Store.outcome;
-    earliest = reply.Store.earliest;
-    stamp = reply.Store.stamp;
-  }
-
 let churn_failed c =
   let fails =
     List.filter_map Fun.id
@@ -272,41 +230,34 @@ let run_churn ?service ?(verify = true) ?(slo_us = 1000) ~seed ~key_bits
   let slo_ns = slo_us * 1000 in
   let logs = ref [] in
   let run_phase pi ph =
-    let barrier = barrier_make ph.threads in
     let hwm = Atomic.make (live ()) in
     let slo = Atomic.make 0 in
-    let worker d () =
-      Tm.Thread.with_registered (fun wtid ->
-          let ops = gen_ops ~seed ~key_bits ~phase_index:pi ~thread:d ph in
-          let log =
-            if do_verify then Array.make (Array.length ops) dummy_log else [||]
-          in
-          barrier_arrive barrier;
-          Array.iteri
+    let worker d ~thread =
+      let ops = gen_ops ~seed ~key_bits ~phase_index:pi ~thread:d ph in
+      fun () ->
+        let replies =
+          Array.mapi
             (fun i op ->
               let t_op = Telemetry.now_ns () in
-              let reply = exec_op ~thread:wtid op in
+              let reply = exec_op ~thread op in
               if Telemetry.now_ns () - t_op > slo_ns then Atomic.incr slo;
-              if do_verify then log.(i) <- log_entry op reply;
               if i land 15 = 0 then begin
                 let lv = live () in
                 Atomic.set g_last lv;
                 atomic_max hwm lv;
                 atomic_max g_hwm lv
-              end)
-            ops;
-          (* thread leave: the quiescence hook (leaves the epoch, clears
-             hazard slots) before the id is recycled for the next phase's
-             workers *)
-          Store.finalize_thread store ~thread:wtid;
-          log)
+              end;
+              reply)
+            ops
+        in
+        (* thread leave: the quiescence hook (leaves the epoch, clears
+           hazard slots) before the id is recycled for the next phase's
+           workers *)
+        Store.finalize_thread store ~thread;
+        if do_verify then Array.map2 Serial_check.of_reply ops replies
+        else [||]
     in
-    let domains = List.init ph.threads (fun d -> Domain.spawn (worker d)) in
-    barrier_await_ready barrier;
-    let t0 = Telemetry.now_ns () in
-    Atomic.set barrier.go true;
-    let outs = List.map Domain.join domains in
-    let elapsed = float_of_int (Telemetry.now_ns () - t0) /. 1e9 in
+    let elapsed, outs = Driver.timed ph.threads worker in
     if do_verify then logs := !logs @ outs;
     (* quiescence: every worker has left; what a full drain still frees is
        exactly the reclaimer's leftover backlog for this phase *)
@@ -516,11 +467,11 @@ let crash_mid_commit ~seed spec =
         for i = 1 to 10 do
           let k = 100 + i in
           let r1 = Store.insert store ~thread k in
-          log := log_entry (Store.Insert k) r1 :: !log;
+          log := Serial_check.of_reply (Store.Insert k) r1 :: !log;
           let r2 = Store.get store ~thread 4 in
-          log := log_entry (Store.Get 4) r2 :: !log;
+          log := Serial_check.of_reply (Store.Get 4) r2 :: !log;
           let r3 = Store.remove store ~thread k in
-          log := log_entry (Store.Remove k) r3 :: !log
+          log := Serial_check.of_reply (Store.Remove k) r3 :: !log
         done;
         Store.finalize_thread store ~thread)
   in

@@ -254,3 +254,52 @@ let to_float = function Float f -> Some f | Int i -> Some (float_of_int i) | _ -
 let to_bool = function Bool b -> Some b | _ -> None
 let to_string_opt = function String s -> Some s | _ -> None
 let to_list = function List xs -> Some xs | _ -> None
+
+(* ---- checked reading ---- *)
+
+let ( let* ) = Result.bind
+let err fmt = Printf.ksprintf (fun m -> Error m) fmt
+
+let field name conv o =
+  match Option.bind (member name o) conv with
+  | Some v -> Ok v
+  | None -> err "missing or ill-typed field %S" name
+
+let expect_schema tag o =
+  let* s = field "schema" to_string_opt o in
+  if s = tag then Ok () else err "schema %S, wanted %S" s tag
+
+let each name check o =
+  let* xs = field name to_list o in
+  let rec go i = function
+    | [] -> Ok xs
+    | x :: rest -> (
+        match check x with
+        | Ok () -> go (i + 1) rest
+        | Error e -> err "%s[%d]: %s" name i e)
+  in
+  go 0 xs
+
+let find key name xs =
+  match List.find_opt (fun x -> member key x = Some (String name)) xs with
+  | Some x -> Ok x
+  | None -> err "no %s %S" key name
+
+let to_file path js =
+  Out_channel.with_open_bin path (fun oc ->
+      output_string oc (to_string js);
+      output_char oc '\n')
+
+let round_trip ?out check js =
+  let text =
+    match out with
+    | None -> to_string js
+    | Some path ->
+        to_file path js;
+        In_channel.with_open_bin path In_channel.input_all
+  in
+  match of_string text with
+  | Error e -> err "emitted JSON does not parse: %s" e
+  | Ok parsed when not (equal parsed js) ->
+      err "JSON round-trip changed the value"
+  | Ok parsed -> Result.map (fun () -> text) (check parsed)

@@ -33,3 +33,41 @@ val to_bool : t -> bool option
 
 val to_string_opt : t -> string option
 val to_list : t -> t list option
+
+(** {1 Checked reading}
+
+    One reader for every report document. Each check stops at the first
+    error and returns it as a one-line message. *)
+
+val ( let* ) :
+  ('a, string) result -> ('a -> ('b, string) result) -> ('b, string) result
+
+val err : ('a, unit, string, ('b, string) result) format4 -> 'a
+(** [err fmt ...] is [Error] of the formatted message. *)
+
+val field : string -> (t -> 'a option) -> t -> ('a, string) result
+(** [field name conv o] is [conv] of the value bound to [name] in [o];
+    the error is [missing or ill-typed field "name"]. Pass [Option.some]
+    to take the value as it is. *)
+
+val expect_schema : string -> t -> (unit, string) result
+(** The document's ["schema"] tag is the given one. *)
+
+val each :
+  string -> (t -> (unit, string) result) -> t -> (t list, string) result
+(** [each name check o] reads the list bound to [name] in [o] and checks
+    its elements in order. The first error is prefixed with the
+    element's place, as in [name[2]: ...]. Returns the list. *)
+
+val find : string -> string -> t list -> (t, string) result
+(** [find key name xs] is the first element of [xs] whose string field
+    [key] is [name]. *)
+
+val to_file : string -> t -> unit
+(** Write the compact rendering and a newline to a file. *)
+
+val round_trip :
+  ?out:string -> (t -> (unit, string) result) -> t -> (string, string) result
+(** [round_trip ?out check js] renders [js] (to the file [out] and reads
+    it back, when given), parses the text, requires the parse to equal
+    [js] and to pass [check], and returns the text. *)

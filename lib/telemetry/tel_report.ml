@@ -53,79 +53,42 @@ let to_json t =
 (* Schema validation for smoke tests: the report must carry the current
    schema tag and every top-level section with the right shape. *)
 let validate json =
-  let ( let* ) r f = match r with Error _ as e -> e | Ok v -> f v in
-  let need name = function
-    | Some v -> Ok v
-    | None -> Error (Printf.sprintf "missing field %S" name)
+  let open Tel_json in
+  let some = Option.some in
+  let hist lat name =
+    let* h = field name some lat in
+    let* _ = field "count" to_int h in
+    let* _ = field "sum" to_int h in
+    let* _ = field "p50" to_int h in
+    let* _ = field "p99" to_int h in
+    let* _ = field "buckets" to_list h in
+    Ok ()
   in
-  let hist_ok name j =
-    let* h =
-      match j with
-      | Tel_json.Obj _ -> Ok j
-      | _ -> Error (Printf.sprintf "%s: not an object" name)
-    in
-    let int_field f =
-      let* v = need (name ^ "." ^ f) (Tel_json.member f h) in
-      match Tel_json.to_int v with
-      | Some _ -> Ok ()
-      | None -> Error (Printf.sprintf "%s.%s: not an int" name f)
-    in
-    let* () = int_field "count" in
-    let* () = int_field "sum" in
-    let* () = int_field "p50" in
-    let* () = int_field "p99" in
-    let* b = need (name ^ ".buckets") (Tel_json.member "buckets" h) in
-    match Tel_json.to_list b with
-    | Some _ -> Ok ()
-    | None -> Error (name ^ ".buckets: not a list")
+  let* () = expect_schema schema json in
+  let* lat = field "latency_ns" some json in
+  let* () = hist lat "attempt" in
+  let* () = hist lat "op" in
+  let* () = hist lat "serial_fallback" in
+  let* _ =
+    each "aborts"
+      (fun e ->
+        let* _ = field "site" some e in
+        let* _ = field "cause" some e in
+        let* _ = field "count" to_int e in
+        let* _ = field "tvars" some e in
+        Ok ())
+      json
   in
-  let* s = need "schema" (Tel_json.member "schema" json) in
-  let* () =
-    if s = Tel_json.String schema then Ok ()
-    else Error "schema: unknown version tag"
+  let* _ =
+    each "gauges"
+      (fun g ->
+        let* _ = field "group" some g in
+        let* _ = field "name" some g in
+        let* _ = field "values" (function Obj _ as v -> Some v | _ -> None) g in
+        Ok ())
+      json
   in
-  let* lat = need "latency_ns" (Tel_json.member "latency_ns" json) in
-  let* a = need "latency_ns.attempt" (Tel_json.member "attempt" lat) in
-  let* () = hist_ok "attempt" a in
-  let* o = need "latency_ns.op" (Tel_json.member "op" lat) in
-  let* () = hist_ok "op" o in
-  let* f = need "latency_ns.serial_fallback" (Tel_json.member "serial_fallback" lat) in
-  let* () = hist_ok "serial_fallback" f in
-  let* aborts = need "aborts" (Tel_json.member "aborts" json) in
-  let* entries =
-    match Tel_json.to_list aborts with
-    | Some l -> Ok l
-    | None -> Error "aborts: not a list"
-  in
-  let* () =
-    List.fold_left
-      (fun acc e ->
-        let* () = acc in
-        let* _ = need "aborts[].site" (Tel_json.member "site" e) in
-        let* _ = need "aborts[].cause" (Tel_json.member "cause" e) in
-        let* c = need "aborts[].count" (Tel_json.member "count" e) in
-        let* _ = need "aborts[].tvars" (Tel_json.member "tvars" e) in
-        match Tel_json.to_int c with
-        | Some _ -> Ok ()
-        | None -> Error "aborts[].count: not an int")
-      (Ok ()) entries
-  in
-  let* gauges = need "gauges" (Tel_json.member "gauges" json) in
-  let* samples =
-    match Tel_json.to_list gauges with
-    | Some l -> Ok l
-    | None -> Error "gauges: not a list"
-  in
-  List.fold_left
-    (fun acc g ->
-      let* () = acc in
-      let* _ = need "gauges[].group" (Tel_json.member "group" g) in
-      let* _ = need "gauges[].name" (Tel_json.member "name" g) in
-      let* v = need "gauges[].values" (Tel_json.member "values" g) in
-      match v with
-      | Tel_json.Obj _ -> Ok ()
-      | _ -> Error "gauges[].values: not an object")
-    (Ok ()) samples
+  Ok ()
 
 let pp_hist_row ppf name h =
   Format.fprintf ppf "  %-18s %a@." name Tel_hist.pp h

@@ -105,27 +105,18 @@ let clients () =
         let rng = Random.State.make [| 77; c |] in
         let acc = ref [] in
         let pending = Queue.create () in
-        let redeem (op, key, t) =
-          let r = (Service.await svc t).(0) in
-          acc :=
-            {
-              Serial_check.op;
-              key;
-              result = Store.positive r.Store.outcome;
-              earliest = r.Store.earliest;
-              stamp = r.Store.stamp;
-            }
-            :: !acc
+        let redeem (op, t) =
+          acc := Serial_check.of_reply op (Service.await svc t).(0) :: !acc
         in
         for _ = 1 to per_client do
           let key = 1 + Random.State.int rng 48 in
-          let op, sop =
+          let op =
             match Random.State.int rng 10 with
-            | 0 | 1 -> (Workload.Insert, Store.Insert key)
-            | 2 | 3 -> (Workload.Remove, Store.Remove key)
-            | _ -> (Workload.Lookup, Store.Get key)
+            | 0 | 1 -> Store.Insert key
+            | 2 | 3 -> Store.Remove key
+            | _ -> Store.Get key
           in
-          Queue.add (op, key, Service.submit svc ~thread [| sop |]) pending;
+          Queue.add (op, Service.submit svc ~thread [| op |]) pending;
           if Queue.length pending >= 8 then redeem (Queue.pop pending)
         done;
         while not (Queue.is_empty pending) do

@@ -731,23 +731,7 @@ let multi_churn kind () =
         let rng = Random.State.make [| 17; c |] in
         let key () = 1 + Random.State.int rng range in
         let log = ref [] in
-        let logged op (r : Store.reply) =
-          let w, k =
-            match op with
-            | Store.Insert k -> (Workload.Insert, k)
-            | Store.Remove k -> (Workload.Remove, k)
-            | Store.Get k | Store.Scan { low = k; _ } -> (Workload.Lookup, k)
-          in
-          log :=
-            {
-              Serial_check.op = w;
-              key = k;
-              result = Store.positive r.Store.outcome;
-              earliest = r.Store.earliest;
-              stamp = r.Store.stamp;
-            }
-            :: !log
-        in
+        let logged op r = log := Serial_check.of_reply op r :: !log in
         for _ = 1 to 800 do
           let k1 = key () in
           let k2 = if k1 = range then 1 else k1 + 1 in

@@ -443,34 +443,13 @@ let serial_oracle_case () =
           initial)
   in
   let logs = Array.make 2 [] in
-  let entry op key (r : Store.reply) =
-    {
-      Serial_check.op;
-      key;
-      result = Store.positive r.Store.outcome;
-      earliest = r.Store.earliest;
-      stamp = r.Store.stamp;
-    }
-  in
   let singles () =
     with_thread (fun ~thread ->
         logs.(0) <-
           List.map
-            (fun (op, key) ->
-              let o =
-                match op with
-                | `I -> Store.Insert key
-                | `R -> Store.Remove key
-                | `L -> Store.Get key
-              in
-              let w =
-                match op with
-                | `I -> Workload.Insert
-                | `R -> Workload.Remove
-                | `L -> Workload.Lookup
-              in
-              entry w key (Service.exec svc ~thread o))
-            [ (`I, 1); (`R, 4); (`L, 2); (`I, 5); (`R, 1); (`L, 6) ])
+            (fun op -> Serial_check.of_reply op (Service.exec svc ~thread op))
+            Store.
+              [ Insert 1; Remove 4; Get 2; Insert 5; Remove 1; Get 6 ])
   in
   let multis () =
     with_thread (fun ~thread ->
@@ -480,14 +459,7 @@ let serial_oracle_case () =
           | Service.Committed rs ->
               Array.iteri
                 (fun i r ->
-                  let w, key =
-                    match ops.(i) with
-                    | Store.Insert k -> (Workload.Insert, k)
-                    | Store.Remove k -> (Workload.Remove, k)
-                    | Store.Get k -> (Workload.Lookup, k)
-                    | Store.Scan _ -> assert false
-                  in
-                  logs.(1) <- entry w key r :: logs.(1))
+                  logs.(1) <- Serial_check.of_reply ops.(i) r :: logs.(1))
                 rs
         in
         log_multi [| Store.Remove 2; Store.Insert 3; Store.Get 4 |];
@@ -722,6 +694,39 @@ let test_pool_fusion_fifo () =
   Service.shutdown svc;
   Service.finalize_thread svc ~thread;
   Service.drain svc
+
+(* A batch whose execution raises applied nothing: its requests go back
+   to the head of the queue and a later drain completes them. The clock
+   at its limit makes the fused batch's commit raise. *)
+let test_pool_raising_batch_requeues () =
+  Dst.Inject.clear ();
+  Tm.Thread.reset_ids_for_testing ();
+  let svc = Service.create (layered_spec ~pool:true ~shards:1 ()) in
+  with_thread @@ fun ~thread ->
+  let t1 = Service.submit svc ~thread [| Store.Insert 5 |] in
+  let t2 = Service.submit svc ~thread [| Store.Insert 6 |] in
+  let saved = Tm.clock () in
+  Tm.set_clock_for_testing Tm.max_version;
+  (match Service.try_await svc t1 with
+  | _ ->
+      Tm.set_clock_for_testing saved;
+      Alcotest.fail "the batch committed past the clock limit"
+  | exception Tm.Clock_exhausted -> Tm.set_clock_for_testing saved);
+  check "both requests queued again" 2 (Service.queued svc);
+  let rec answer tk polls =
+    match Service.try_await svc tk with
+    | Some rs -> rs.(0).Store.outcome
+    | None when polls > 1 -> answer tk (polls - 1)
+    | None -> Alcotest.fail "a ticket did not complete in 1,000 polls"
+  in
+  checkb "the first insert answers" true (answer t1 1_000 = Store.Inserted);
+  checkb "the second insert answers" true (answer t2 1_000 = Store.Inserted);
+  Service.shutdown svc;
+  Service.finalize_thread svc ~thread;
+  Service.drain svc;
+  match Service.check svc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "service check: %s" e
 
 (* An idle pool holds no request storage: its footprint is a few padded
    counters per shard, not storage sized by the queue bound. *)
@@ -1375,6 +1380,8 @@ let () =
             test_pool_full_ring_drains;
           Alcotest.test_case "fusion keeps FIFO" `Quick test_pool_fusion_fifo;
           Alcotest.test_case "idle footprint" `Quick test_pool_idle_footprint;
+          Alcotest.test_case "a raising batch re-queues its requests" `Quick
+            test_pool_raising_batch_requeues;
           Alcotest.test_case "admission sheds low" `Quick
             test_pool_admission_sheds;
           Alcotest.test_case "admission recovers without events" `Quick

@@ -99,6 +99,71 @@ let test_json_rejects () =
       | Ok _ -> Alcotest.fail (Printf.sprintf "accepted malformed %S" s))
     bad
 
+(* ---- the checked reader ---- *)
+
+let rejected what expected = function
+  | Ok _ -> Alcotest.failf "%s was accepted" what
+  | Error e -> Alcotest.(check string) what expected e
+
+let test_reader_missing_field () =
+  let open Telemetry.Json in
+  let doc = Obj [ ("n", Int 3) ] in
+  Alcotest.(check (result int string)) "present" (Ok 3) (field "n" to_int doc);
+  rejected "a missing field" "missing or ill-typed field \"m\""
+    (field "m" to_int doc);
+  rejected "a field of a non-object" "missing or ill-typed field \"n\""
+    (field "n" to_int (List [ doc ]))
+
+let test_reader_ill_typed_field () =
+  let open Telemetry.Json in
+  let doc = Obj [ ("n", String "3"); ("f", Int 2) ] in
+  rejected "a string read as an int" "missing or ill-typed field \"n\""
+    (field "n" to_int doc);
+  Alcotest.(check (result (float 0.) string))
+    "an int reads as a float" (Ok 2.) (field "f" to_float doc)
+
+let test_reader_wrong_tag () =
+  let open Telemetry.Json in
+  let tagged s = Obj [ ("schema", String s) ] in
+  Alcotest.(check (result unit string))
+    "the wanted tag" (Ok ()) (expect_schema "x/1" (tagged "x/1"));
+  rejected "another tag" "schema \"x/2\", wanted \"x/1\""
+    (expect_schema "x/1" (tagged "x/2"));
+  rejected "no tag" "missing or ill-typed field \"schema\""
+    (expect_schema "x/1" (Obj []))
+
+let test_reader_each_names_first_failure () =
+  let open Telemetry.Json in
+  let doc =
+    Obj
+      [
+        ( "xs",
+          List
+            [
+              Obj [ ("name", String "a"); ("n", Int 1) ];
+              Obj [ ("name", String "b") ];
+              Obj [ ("name", String "c"); ("n", String "3") ];
+            ] );
+      ]
+  in
+  let checked = ref 0 in
+  let has_n x =
+    incr checked;
+    Result.map ignore (field "n" to_int x)
+  in
+  rejected "the second element" "xs[1]: missing or ill-typed field \"n\""
+    (each "xs" has_n doc);
+  check "stops at the first failure" 2 !checked;
+  (match each "xs" (fun _ -> Ok ()) doc with
+  | Ok xs ->
+      Alcotest.(check (result string string))
+        "find by name" (Ok "c")
+        (Result.bind (find "name" "c" xs) (field "name" to_string_opt));
+      rejected "an absent name" "no name \"d\"" (find "name" "d" xs)
+  | Error e -> Alcotest.fail e);
+  rejected "a missing list" "missing or ill-typed field \"ys\""
+    (each "ys" has_n doc)
+
 (* ---- counters (the re-homed Tm_stats backend) ---- *)
 
 let test_counters () =
@@ -302,6 +367,39 @@ let test_report_roundtrip () =
               | Error e -> Alcotest.fail ("schema: " ^ e)));
           Telemetry.Gauges.clear ()))
 
+(* A report's JSON with [edit] applied to its top-level fields. *)
+let edited_report edit =
+  match Telemetry.Report.to_json (Telemetry.Report.snapshot ()) with
+  | Telemetry.Json.Obj fields -> Telemetry.Json.Obj (List.map edit fields)
+  | _ -> Alcotest.fail "a report is not an object"
+
+let test_report_rejects_wrong_tag () =
+  let js =
+    edited_report (function
+      | "schema", _ -> ("schema", Telemetry.Json.String "hohtx-telemetry/0")
+      | kv -> kv)
+  in
+  rejected "a report tagged hohtx-telemetry/0"
+    "schema \"hohtx-telemetry/0\", wanted \"hohtx-telemetry/1\""
+    (Telemetry.Report.validate js)
+
+let test_report_rejects_hist_without_p99 () =
+  let open Telemetry.Json in
+  let drop_p99 = function
+    | "op", Obj kvs -> ("op", Obj (List.remove_assoc "p99" kvs))
+    | kv -> kv
+  in
+  let js =
+    edited_report (function
+      | "latency_ns", Obj hists -> ("latency_ns", Obj (List.map drop_p99 hists))
+      | kv -> kv)
+  in
+  Alcotest.(check (result unit string))
+    "the unedited report validates" (Ok ())
+    (Telemetry.Report.validate (edited_report Fun.id));
+  rejected "an op histogram without p99" "missing or ill-typed field \"p99\""
+    (Telemetry.Report.validate js)
+
 let test_disabled_is_silent () =
   (* With the switch off, runs must not accumulate telemetry state. *)
   Telemetry.set_enabled false;
@@ -330,6 +428,14 @@ let () =
         [
           Alcotest.test_case "round-trip" `Quick test_json_roundtrip;
           Alcotest.test_case "rejects malformed" `Quick test_json_rejects;
+          Alcotest.test_case "reader: missing field" `Quick
+            test_reader_missing_field;
+          Alcotest.test_case "reader: ill-typed field" `Quick
+            test_reader_ill_typed_field;
+          Alcotest.test_case "reader: wrong schema tag" `Quick
+            test_reader_wrong_tag;
+          Alcotest.test_case "reader: each names the first failure" `Quick
+            test_reader_each_names_first_failure;
         ] );
       ( "counters",
         [ Alcotest.test_case "incr/accessors/json" `Quick test_counters ] );
@@ -351,5 +457,9 @@ let () =
             test_report_roundtrip;
           Alcotest.test_case "disabled is silent" `Quick
             test_disabled_is_silent;
+          Alcotest.test_case "validate rejects a wrong tag" `Quick
+            test_report_rejects_wrong_tag;
+          Alcotest.test_case "validate rejects a histogram without p99" `Quick
+            test_report_rejects_hist_without_p99;
         ] );
     ]
