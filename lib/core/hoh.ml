@@ -104,8 +104,11 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window step =
              the read-set validation that guards the commit also proves it
              was not revoked (opacity); only the final window's hand-off
              pays the release/reserve round, and the whole fused chain
-             pays one gclock stamp. On abort the transaction re-runs from
-             the last {e committed} reservation, exactly as unfused.
+             commits once. Under RR-V that round writes only owner-local
+             slots, so a chain that just walks commits read-only and pays
+             no gclock stamp; under the RRs whose reserve publishes, the
+             chain pays one. On abort the transaction re-runs from the
+             last {e committed} reservation, exactly as unfused.
 
              A window that queued deferred work is a fusion barrier: the
              defers carry protocol state the step only publishes at

@@ -7,85 +7,47 @@
     reservation gone if {e any} other thread reserved a colliding reference
     (or, with one array, the same reference) in the meantime — a spurious
     drop that costs the victim a restart but never correctness. The
-    reserved reference itself lives in a per-thread tvar ([R_t]), which
-    rolls back with the enclosing transaction, mirroring GCC TM's
-    instrumentation of thread-local writes. *)
+    reserved reference itself ([R_t]) lives in owner-local, undo-logged
+    {!Rr_slots}, which roll back with the enclosing transaction as GCC TM's
+    instrumentation of thread-local writes does; only the ownership
+    publication is a TM write. *)
 
 type 'r t = {
   hash : 'r -> int;
-  equal : 'r -> 'r -> bool;
-  k : int;
   ways : int;
   buckets : int;
   own : int Tm.tvar array array;  (** [ways][buckets] thread ids; -1 empty *)
-  rt : 'r option Tm.tvar array array;  (** [threads][K] *)
+  rt : ('r, unit) Rr_slots.t;
 }
 
 let create_t ~ways ~config ~hash ~equal =
   Rr_config.validate config;
   if ways < 1 then invalid_arg "Rr_own: ways < 1";
-  let k = config.Rr_config.slots_per_thread in
   {
     hash;
-    equal;
-    k;
     ways;
     buckets = config.Rr_config.buckets;
     own =
       Array.init ways (fun _ ->
           Array.init config.Rr_config.buckets (fun _ -> Tm.tvar (-1)));
-    rt =
-      Array.init Tm.Thread.max_threads (fun _ ->
-          Array.init k (fun _ -> Tm.tvar None));
+    rt = Rr_slots.create ~k:config.Rr_config.slots_per_thread ~equal;
   }
 
 let register _t _txn = ()
 let index t r = (t.hash r land max_int) mod t.buckets
 let way_of t txn = Tm.thread_id txn mod t.ways
-let slots t txn = t.rt.(Tm.thread_id txn)
-
-let find_slot t txn cells pred =
-  let rec go i =
-    if i >= t.k then None
-    else
-      let c = cells.(i) in
-      if pred (Tm.read txn c) then Some c else go (i + 1)
-  in
-  go 0
-
-let holding t txn cells r =
-  find_slot t txn cells (function Some r' -> t.equal r' r | None -> false)
 
 let reserve t txn r =
-  let cells = slots t txn in
-  let publish () =
-    (* A blind write: Reserve never reads OWN (Listing 3), so two threads
-       reserving colliding references conflict only at commit. *)
-    Tm.write txn t.own.(way_of t txn).(index t r) (Tm.thread_id txn)
-  in
-  match holding t txn cells r with
-  | Some _ -> publish ()
-  | None -> (
-      match find_slot t txn cells (fun v -> v = None) with
-      | None -> invalid_arg "Rr_own.reserve: reservation set full"
-      | Some c ->
-          Tm.write txn c (Some r);
-          publish ())
+  Rr_slots.put t.rt txn r ();
+  (* A blind write: Reserve never reads OWN (Listing 3), so two threads
+     reserving colliding references conflict only at commit. *)
+  Tm.write txn t.own.(way_of t txn).(index t r) (Tm.thread_id txn)
 
-let release t txn r =
-  let cells = slots t txn in
-  match holding t txn cells r with
-  | Some c -> Tm.write txn c None
-  | None -> ()
-
-let release_all t txn =
-  Array.iter
-    (fun c -> if Tm.read txn c <> None then Tm.write txn c None)
-    (slots t txn)
+let release t txn r = Rr_slots.remove t.rt txn r
+let release_all t txn = Rr_slots.clear t.rt txn
 
 let get t txn r =
-  let cells = slots t txn in
-  match holding t txn cells r with
+  match Rr_slots.held t.rt txn r with
   | None -> None
   | Some _ ->
       if Tm.read txn t.own.(way_of t txn).(index t r) = Tm.thread_id txn then

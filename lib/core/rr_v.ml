@@ -7,15 +7,18 @@
     threads can reserve the same reference simultaneously, [Reserve] writes
     no shared memory, and [Revoke] is still O(1) (one read-modify-write). A
     spurious drop occurs only when a {e revocation} of a hash-colliding
-    reference intervenes. *)
+    reference intervenes.
+
+    The [(r, V_t)] pairs live in owner-local, undo-logged {!Rr_slots}, as
+    GCC TM keeps the paper's thread-locals: [Reserve] and [Release] write
+    nothing the TM publishes, so a hand-over-hand window that only walks
+    and hands off commits read-only. *)
 
 type 'r t = {
   hash : 'r -> int;
-  equal : 'r -> 'r -> bool;
-  k : int;
   buckets : int;
   v : int Tm.tvar array;
-  rt : ('r * int) option Tm.tvar array array;  (** [threads][K]: (ref, V_t) *)
+  rt : ('r, int) Rr_slots.t;
 }
 
 let name = "RR-V"
@@ -23,68 +26,23 @@ let strict = false
 
 let create ?(config = Rr_config.default) ~hash ~equal () =
   Rr_config.validate config;
-  let k = config.Rr_config.slots_per_thread in
   {
     hash;
-    equal;
-    k;
     buckets = config.Rr_config.buckets;
     v = Array.init config.Rr_config.buckets (fun _ -> Tm.tvar 0);
-    rt =
-      Array.init Tm.Thread.max_threads (fun _ ->
-          Array.init k (fun _ -> Tm.tvar None));
+    rt = Rr_slots.create ~k:config.Rr_config.slots_per_thread ~equal;
   }
 
 let register _t _txn = ()
 let index t r = (t.hash r land max_int) mod t.buckets
-let slots t txn = t.rt.(Tm.thread_id txn)
-
-let find_slot t txn cells pred =
-  let rec go i =
-    if i >= t.k then None
-    else
-      let c = cells.(i) in
-      if pred (Tm.read txn c) then Some c else go (i + 1)
-  in
-  go 0
-
-let holding t txn cells r =
-  find_slot t txn cells (function
-    | Some (r', _) -> t.equal r' r
-    | None -> false)
-
-let reserve t txn r =
-  let cells = slots t txn in
-  let vt = Tm.read txn t.v.(index t r) in
-  match holding t txn cells r with
-  | Some c -> Tm.write txn c (Some (r, vt))
-  | None -> (
-      match find_slot t txn cells (fun v -> v = None) with
-      | None -> invalid_arg "Rr_v.reserve: reservation set full"
-      | Some c -> Tm.write txn c (Some (r, vt)))
-
-let release t txn r =
-  let cells = slots t txn in
-  match holding t txn cells r with
-  | Some c -> Tm.write txn c None
-  | None -> ()
-
-let release_all t txn =
-  Array.iter
-    (fun c -> if Tm.read txn c <> None then Tm.write txn c None)
-    (slots t txn)
+let reserve t txn r = Rr_slots.put t.rt txn r (Tm.read txn t.v.(index t r))
+let release t txn r = Rr_slots.remove t.rt txn r
+let release_all t txn = Rr_slots.clear t.rt txn
 
 let get t txn r =
-  let cells = slots t txn in
-  let rec go i =
-    if i >= t.k then None
-    else
-      match Tm.read txn cells.(i) with
-      | Some (r', vt) when t.equal r' r ->
-          if Tm.read txn t.v.(index t r) = vt then Some r else None
-      | Some _ | None -> go (i + 1)
-  in
-  go 0
+  match Rr_slots.held t.rt txn r with
+  | Some (_, vt) when Tm.read txn t.v.(index t r) = vt -> Some r
+  | Some _ | None -> None
 
 let revoke t txn r =
   let cell = t.v.(index t r) in

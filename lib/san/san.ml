@@ -108,7 +108,9 @@ type slot_shadow = {
 }
 
 type pending =
-  | P_reserve of int
+  | P_reserve of int * bool
+      (* [true]: an RR reservation ([rr_reserve]); [false]: a publication
+         ([rr_publish]) *)
   | P_release of int
   | P_release_all
   | P_revoke of int * string
@@ -488,13 +490,21 @@ let lock_leak_report ~tid ~site locks =
          (String.concat "; " (List.map string_of_int locks)))
     ~detail:"version locks still held after commit/abort" ~key:min_int
 
-let apply_pending th ~tid ~site ~rv ~now reps =
+let apply_pending th ~tid ~site ~rv ~stamp ~now reps =
   List.iter
     (fun p ->
       match p with
-      | P_reserve k ->
+      | P_reserve (k, ordered) ->
+          (* An RR reservation takes effect at its transaction's place in
+             the commit order: [stamp] is [wv] for a writer and [rv] for a
+             read-only commit, which may run this hook after later commits
+             revoked and freed the node. Those cancelled the reservation in
+             stamp order (RR-V: the revoke bumped [V], so the next [get]
+             misses). A publication takes effect only when it is seen, so
+             it is judged at the fresh sample [now]. *)
+          let at = if ordered then stamp else now in
           (match find_slot k with
-          | Some s when (not s.live) && s.freed_stamp > rv && s.freed_stamp <= now
+          | Some s when (not s.live) && s.freed_stamp > rv && s.freed_stamp <= at
             ->
               reps :=
                 mk Use_after_free ~tid ~site ~subject:(node_subject k)
@@ -506,7 +516,7 @@ let apply_pending th ~tid ~site ~rv ~now reps =
                   ~key:k
                 :: !reps
           | Some s
-            when s.live && s.alloc_stamp > rv && s.alloc_stamp <= now
+            when s.live && s.alloc_stamp > rv && s.alloc_stamp <= at
                  && s.alloc_thread <> tid ->
               (* A node this thread allocated after [rv] is this
                  transaction's own: a later operation of the same
@@ -528,7 +538,7 @@ let apply_pending th ~tid ~site ~rv ~now reps =
              in stamp order it cancelled this reservation. *)
           let cancelled =
             match find_slot k with
-            | Some s -> s.revoke_stamp > now || s.freed_stamp > now
+            | Some s -> s.revoke_stamp > at || s.freed_stamp > at
             | None -> false
           in
           if not (cancelled || List.mem k th.reserved) then
@@ -593,7 +603,7 @@ let apply_pending th ~tid ~site ~rv ~now reps =
     (List.rev th.pending);
   th.pending <- []
 
-let tm_commit_slow ~tid ~site ~rv ~now =
+let tm_commit_slow ~tid ~site ~rv ~stamp ~now =
   guarded (fun () ->
       let th = thr tid in
       let reps = ref [] in
@@ -607,12 +617,12 @@ let tm_commit_slow ~tid ~site ~rv ~now =
           th.locks;
         th.locks <- []
       end;
-      apply_pending th ~tid ~site ~rv ~now reps;
+      apply_pending th ~tid ~site ~rv ~stamp ~now reps;
       Hashtbl.remove txn_reads tid;
       List.rev !reps)
 
-let[@inline] tm_commit ~tid ~site ~rv ~now =
-  if !on then tm_commit_slow ~tid ~site ~rv ~now
+let[@inline] tm_commit ~tid ~site ~rv ~stamp ~now =
+  if !on then tm_commit_slow ~tid ~site ~rv ~stamp ~now
 
 let tm_begin_slow ~tid =
   Mutex.lock m;
@@ -839,7 +849,11 @@ let buffer ~tid p =
   th.pending <- p :: th.pending;
   Mutex.unlock m
 
-let[@inline] rr_reserve ~tid ~node = if !on then buffer ~tid (P_reserve node)
+let[@inline] rr_reserve ~tid ~node =
+  if !on then buffer ~tid (P_reserve (node, true))
+
+let[@inline] rr_publish ~tid ~node =
+  if !on then buffer ~tid (P_reserve (node, false))
 let[@inline] rr_release ~tid ~node = if !on then buffer ~tid (P_release node)
 let[@inline] rr_release_all ~tid = if !on then buffer ~tid P_release_all
 

@@ -149,10 +149,13 @@ val tm_unlock : tid:int -> site:string -> wv:int -> int -> unit
 (** Version lock of tvar [uid] released; [wv >= 0] is the publishing commit
     version, [wv = -1] an abort-path release. *)
 
-val tm_commit : tid:int -> site:string -> rv:int -> now:int -> unit
+val tm_commit :
+  tid:int -> site:string -> rv:int -> stamp:int -> now:int -> unit
 (** Transaction committed: checks lock leaks, applies the buffered RR
-    protocol events, delivers buffered violations. [now] is the commit
-    version for writers and a fresh clock sample for read-only commits. *)
+    protocol events, delivers buffered violations. [stamp] is the
+    transaction's place in the commit order: the commit version for
+    writers, [rv] for read-only commits. [now] is the commit version for
+    writers and a fresh clock sample for read-only commits. *)
 
 val tm_begin : tid:int -> unit
 (** An attempt (speculative or serial) begins: remember the thread's
@@ -203,6 +206,14 @@ val retire : thread:int -> site:string -> node:int -> unit
 (** {2 RR / window hooks} *)
 
 val rr_reserve : tid:int -> node:int -> unit
+(** An RR reservation ([Rr.instantiate]'s funnel). It takes effect at its
+    transaction's [stamp]: a revoke or free committed after a read-only
+    commit's [rv] cancels it, however late the commit hook runs. *)
+
+val rr_publish : tid:int -> node:int -> unit
+(** A reservation that is a publication (the TMHP and EBR modes): it takes
+    effect only when it is seen, at the commit hook's [now]. *)
+
 val rr_release : tid:int -> node:int -> unit
 val rr_release_all : tid:int -> unit
 val rr_check_begin : tid:int -> unit

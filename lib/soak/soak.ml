@@ -454,10 +454,11 @@ let crash_mid_commit ~seed spec =
   let victim () =
     Tm.Thread.with_registered (fun thread ->
         victim_tid := thread;
-        (* ltid 0 only: pass the first window commit of the remove, then
-           park at the next commit entry — buffered writes staged, nothing
-           published — until the budget kills us *)
-        Dst.Inject.arm ~thread:0 ~after:1 ~times:1 Dst.Tm_commit
+        (* ltid 0 only: park at the remove's first writing commit —
+           buffered writes staged, nothing published — until the budget
+           kills us. Under RR-V the traversal windows commit read-only and
+           never reach this point, so the first one is the unlink. *)
+        Dst.Inject.arm ~thread:0 ~after:0 ~times:1 Dst.Tm_commit
           (Dst.Inject.Delay 1_000_000);
         ignore (Store.remove store ~thread 8))
   in

@@ -62,13 +62,15 @@ let give_back_spare pool ~thread ~outer spare =
    implementations, so the baseline modes' reservations answer to the same
    window discipline (reservation-leak at window end, unchecked-carry until
    a successful [get], stamp-window use-after-free at the reserving
-   commit). [key] is the pool-backed shadow-slot key. *)
+   commit). Their reservations are publications ([San.rr_publish]): a
+   hazard slot or an epoch announcement protects only from the moment it
+   is seen. [key] is the pool-backed shadow-slot key. *)
 let san_ops ~key (ops : 'n Rr.ops) : 'n Rr.ops =
   {
     ops with
     reserve =
       (fun txn n ->
-        San.rr_reserve ~tid:(Tm.thread_id txn) ~node:(key n);
+        San.rr_publish ~tid:(Tm.thread_id txn) ~node:(key n);
         ops.Rr.reserve txn n);
     release =
       (fun txn n ->

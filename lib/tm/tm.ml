@@ -692,10 +692,11 @@ let commit (txn : txn) =
     end;
     txn.stamp <- txn.rv;
     (* [now] is a fresh clock sample: a read-only commit has no write
-       version, but TxSan's reservation checks need to know what "had
-       already happened" when the reservation became real. *)
+       version, but TxSan's publication checks (TMHP, EBR) need to know
+       what "had already happened" when the publication became visible.
+       An RR reservation is judged at the commit's place, [rv]. *)
     if San.enabled () then
-      San.tm_commit ~tid:txn.tid ~site:txn.site ~rv:txn.rv
+      San.tm_commit ~tid:txn.tid ~site:txn.site ~rv:txn.rv ~stamp:txn.rv
         ~now:(Gclock.sample ());
     run_defers txn
   end
@@ -781,7 +782,7 @@ let commit (txn : txn) =
       done;
       Atomic.set flag false;
       txn.stamp <- wv;
-      San.tm_commit ~tid:txn.tid ~site:txn.site ~rv:txn.rv ~now:wv;
+      San.tm_commit ~tid:txn.tid ~site:txn.site ~rv:txn.rv ~stamp:wv ~now:wv;
       run_defers txn
     with
     | Abort _ as e -> raise e
@@ -840,7 +841,7 @@ let serial_run st f =
       let finish v =
         txn.stamp <- txn.serial_wv;
         San.tm_commit ~tid:txn.tid ~site:txn.site ~rv:txn.serial_wv
-          ~now:txn.serial_wv;
+          ~stamp:txn.serial_wv ~now:txn.serial_wv;
         clear_wset txn;
         txn.aborts <- [];
         run_defers txn;

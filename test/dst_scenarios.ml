@@ -432,8 +432,8 @@ let sched_extend_ok = [| 1; 1 |]
 let sched_extend_fail = [| 1; 1; 1 |]
 
 (* fusion shrink, PCT depth 2 over [fusion_shrink ~expect:`Probe] (budget
-   400, <= 6000 runs; found at seed 50 in 198 runs): A runs both lookups
+   400, <= 6000 runs; found at seed 56 in 188 runs): A runs both lookups
    until its final fused transaction is in flight with a grown budget,
    then B's remove 6 + insert 9 commit under it; the contended commit
    halves A's fuse budget below the ceiling. *)
-let sched_fusion = Array.concat [ Array.make 69 0; Array.make 60 1 ]
+let sched_fusion = Array.concat [ Array.make 44 0; Array.make 73 1 ]

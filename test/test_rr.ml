@@ -275,6 +275,89 @@ let test_v_concurrent_holders () =
         "any number of threads may hold the same reference"
         [ Some 5; Some 5 ] both)
 
+(* ---- owner-local slots: RR-V, RR-XO and RR-SO ---- *)
+
+(* RR-V's reserve reads a counter and writes only the caller's own slots,
+   which the TM never sees: a hand-off commits read-only. *)
+let test_v_handoff_read_only () =
+  let rr = make (module Rr.V : Rr.S) in
+  in_txn (fun txn ->
+      rr.Rr.register txn;
+      rr.Rr.reserve txn 1);
+  let r =
+    Tm.atomic_stamped (fun txn ->
+        rr.Rr.release_all txn;
+        rr.Rr.reserve txn 2;
+        Tm.writes_logged txn)
+  in
+  checkb "read-only commit" true r.Tm.read_only;
+  Alcotest.(check int) "no write logged" 0 r.Tm.value;
+  in_txn (fun txn -> check_opt "the hand-off committed" (Some 2) (rr.Rr.get txn 2))
+
+(* The slots are plain memory undone through [Tm.on_abort]: every way an
+   attempt's effects are discarded must put the reservation set back, as
+   the sequential specification says. *)
+let test_slot_rollback m =
+  let config = { Rr.Config.default with slots_per_thread = 2 } in
+  let rr = make ~config m in
+  let thread = 0 in
+  let model = Rr.Spec_model.create ~equal:Int.equal () in
+  let agree what =
+    in_txn (fun txn ->
+        for r = 1 to 4 do
+          check_opt
+            (Printf.sprintf "%s: get %d" what r)
+            (Rr.Spec_model.get model ~thread r)
+            (rr.Rr.get txn r)
+        done)
+  in
+  in_txn (fun txn ->
+      rr.Rr.register txn;
+      rr.Rr.reserve txn 1;
+      rr.Rr.reserve txn 2);
+  Rr.Spec_model.reserve model ~thread 1;
+  Rr.Spec_model.reserve model ~thread 2;
+  agree "committed";
+  let attempt = ref 0 in
+  Tm.atomic ~max_attempts:10 (fun txn ->
+      incr attempt;
+      if !attempt = 1 then begin
+        rr.Rr.release txn 1;
+        rr.Rr.reserve txn 3;
+        raise (Tm.Abort Tm.Read_invalid)
+      end;
+      rr.Rr.release txn 2);
+  Rr.Spec_model.release model ~thread 2;
+  agree "conflict abort, then a retry that commits";
+  (try
+     Tm.atomic (fun txn ->
+         rr.Rr.release_all txn;
+         rr.Rr.reserve txn 4;
+         failwith "user abort")
+   with Failure _ -> ());
+  agree "exception";
+  (try
+     Tm.atomic ~max_attempts:0 (fun txn ->
+         checkb "serial run" true (Tm.is_serial txn);
+         rr.Rr.release_all txn;
+         rr.Rr.reserve txn 3;
+         rr.Rr.reserve txn 4;
+         failwith "serial abort")
+   with Failure _ -> ());
+  agree "serial exception";
+  attempt := 0;
+  Tm.atomic ~max_attempts:10 (fun txn ->
+      incr attempt;
+      Tm.atomic (fun txn ->
+          rr.Rr.release_all txn;
+          rr.Rr.reserve txn (if !attempt = 1 then 4 else 3));
+      if !attempt = 1 then raise (Tm.Abort Tm.Read_invalid);
+      rr.Rr.reserve txn 2);
+  Rr.Spec_model.release_all model ~thread;
+  Rr.Spec_model.reserve model ~thread 3;
+  Rr.Spec_model.reserve model ~thread 2;
+  agree "flat-nested abort"
+
 (* ---- model-based property: exact conformance to Listing 1 ---- *)
 
 type spec_op = Reserve of int | Release of int | Get of int | Revoke of int
@@ -639,6 +722,13 @@ let () =
           Alcotest.test_case "RR-V concurrent holders" `Quick
             test_v_concurrent_holders;
         ] );
+      ( "owner-local slots",
+        seq_case "RR-V hand-off commits read-only" (module Rr.V : Rr.S)
+          (fun _ -> test_v_handoff_read_only ())
+        :: List.map
+             (fun (n, m) -> seq_case (n ^ " slot rollback") m test_slot_rollback)
+             (* the relaxed three are the ones on owner-local slots *)
+             relaxed_impls );
       ( "engine",
         [
           Alcotest.test_case "single finish" `Quick test_hoh_single_finish;

@@ -49,7 +49,8 @@ let free c ?(thread = 0) ?(site = "test.free") i =
 let txn c ?(tid = 0) ?(site = "test.commit") ops =
   let rv = c.clock in
   ops ();
-  San.tm_commit ~tid ~site ~rv ~now:(tick c)
+  let wv = tick c in
+  San.tm_commit ~tid ~site ~rv ~stamp:wv ~now:wv
 
 (* ---- use-after-free ---- *)
 
@@ -136,7 +137,8 @@ let test_uaf_reserve_window () =
           let rv = c.clock in
           San.rr_reserve ~tid:0 ~node:(key c 1);
           free c ~thread:1 1;
-          San.tm_commit ~tid:0 ~site:"me.commit" ~rv ~now:(tick c)))
+          let wv = tick c in
+          San.tm_commit ~tid:0 ~site:"me.commit" ~rv ~stamp:wv ~now:wv))
 
 let test_uaf_reserve_before_snapshot_is_quiet () =
   with_san (fun () ->
@@ -169,6 +171,33 @@ let test_revoke_then_free_is_quiet () =
           San.rr_revoke ~tid:0 ~site:"me.remove" ~node:(key c 1));
       free c ~thread:0 1;
       San.window_finish ~tid:1)
+
+(* A read-only commit is ordered at its [rv], but its commit hook may run
+   after later commits. An RR reservation made there takes effect at
+   [rv]: a revoke and a free committed after it cancelled it in stamp
+   order (RR-V: the revoke bumped [V], so the next [get] misses). The
+   commit is quiet and the reservation is gone from the shadow state, so
+   the window's end sees no leak. A publication (TMHP, EBR) in the same
+   place is protection that came too late: a use-after-free. *)
+let test_ro_reservation_overtaken_is_quiet () =
+  let overtaken reserve =
+    let c = mk_ctx () in
+    alloc c 1;
+    let rv = c.clock in
+    reserve ~tid:0 ~node:(key c 1);
+    txn c ~tid:1 (fun () ->
+        San.tm_read ~tid:1 ~site:"other.remove" ~rv:c.clock (link 1);
+        San.rr_revoke ~tid:1 ~site:"other.remove" ~node:(key c 1));
+    free c ~thread:1 1;
+    San.tm_commit ~tid:0 ~site:"me.walk" ~rv ~stamp:rv ~now:(tick c)
+  in
+  with_san (fun () ->
+      overtaken San.rr_reserve;
+      San.window_finish ~tid:0;
+      check_i "no violation" 0 (San.total_violations ()));
+  with_san (fun () ->
+      expect San.Use_after_free ~site:"me.walk" (fun () ->
+          overtaken San.rr_publish))
 
 (* ---- unchecked-carry ---- *)
 
@@ -307,7 +336,9 @@ let test_lock_leak_at_commit () =
       alloc c 1;
       San.tm_lock ~tid:0 (payload 1);
       expect San.Lock_leak ~site:"me.commit" (fun () ->
-          San.tm_commit ~tid:0 ~site:"me.commit" ~rv:c.clock ~now:(tick c)))
+          let rv = c.clock in
+          let wv = tick c in
+          San.tm_commit ~tid:0 ~site:"me.commit" ~rv ~stamp:wv ~now:wv))
 
 let test_lock_leak_at_abort () =
   with_san (fun () ->
@@ -372,7 +403,7 @@ let test_late_revoke_before_free_is_quiet () =
           San.rr_revoke ~tid:1 ~site:"other.remove" ~node:(key c 1));
       free c ~thread:1 1;
       San.rr_revoke ~tid:0 ~site:"me.path" ~node:(key c 1);
-      San.tm_commit ~tid:0 ~site:"me.path" ~rv ~now:wv)
+      San.tm_commit ~tid:0 ~site:"me.path" ~rv ~stamp:wv ~now:wv)
 
 (* The commit hook runs after the locks are released, so a reservation
    committed at stamp s can be applied after a revoke committed at s+1.
@@ -388,7 +419,7 @@ let test_late_reserve_after_revoke_is_quiet () =
           San.tm_read ~tid:1 ~site:"other.remove" ~rv:c.clock (link 1);
           San.rr_revoke ~tid:1 ~site:"other.remove" ~node:(key c 1));
       San.rr_reserve ~tid:0 ~node:(key c 1);
-      San.tm_commit ~tid:0 ~site:"me.walk" ~rv ~now:wv;
+      San.tm_commit ~tid:0 ~site:"me.walk" ~rv ~stamp:wv ~now:wv;
       free c ~thread:1 1)
 
 let test_revoke_after_free () =
@@ -497,7 +528,9 @@ let test_count_mode () =
       (* No raise: benchmark workers must survive their own violations. *)
       San.tm_read ~tid:0 ~site:"me.read" ~rv:(tick c) (payload 1);
       San.tm_lock ~tid:0 (payload 1);
-      San.tm_commit ~tid:0 ~site:"me.commit" ~rv:c.clock ~now:(tick c);
+      (let rv = c.clock in
+       let wv = tick c in
+       San.tm_commit ~tid:0 ~site:"me.commit" ~rv ~stamp:wv ~now:wv);
       check_i "uaf counted" 1
         (List.assoc (San.rule_id San.Use_after_free) (San.violations ()));
       check_i "lock leak counted" 1
@@ -819,6 +852,8 @@ let () =
           Alcotest.test_case "revoke-then-free is quiet" `Quick
             test_revoke_then_free_is_quiet;
           Alcotest.test_case "raw read of freed slot" `Quick test_nontxn_uaf;
+          Alcotest.test_case "read-only reservation overtaken is quiet"
+            `Quick test_ro_reservation_overtaken_is_quiet;
         ] );
       ( "unchecked-carry",
         [

@@ -371,6 +371,35 @@ let test_rr_list_reclaims_immediately () =
       (* precise: the node is back in the pool the moment remove returns *)
       check "freed immediately, no drain needed" 1 (live ()))
 
+(* Owner-local reservations: a window that only walks and hands off
+   writes no tvar, so it commits read-only and never bumps the clock. A
+   64-key RR-V list at window 4 walks about 15 windows to key 120; only
+   the final, linking window of an update commits, plus the node's alloc
+   or free poke. *)
+let test_handoff_clock_traffic () =
+  Tm.Thread.with_registered (fun thread ->
+      let l =
+        Structs.Hoh_list.create
+          ~mode:(Structs.Mode.Rr_kind (module Rr.V))
+          ~window:4 ~scatter:false ()
+      in
+      for i = 1 to 64 do
+        ignore (Structs.Hoh_list.insert l ~thread (2 * i))
+      done;
+      let bumps f =
+        let c0 = Tm.clock () in
+        ignore (f ());
+        Tm.clock () - c0
+      in
+      check "lookup 120 (hit)" 0
+        (bumps (fun () -> Structs.Hoh_list.lookup l ~thread 120));
+      check "lookup 121 (miss)" 0
+        (bumps (fun () -> Structs.Hoh_list.lookup l ~thread 121));
+      check "insert 121: the commit and the alloc poke" 2
+        (bumps (fun () -> Structs.Hoh_list.insert l ~thread 121));
+      check "remove 121: the commit and the free poke" 2
+        (bumps (fun () -> Structs.Hoh_list.remove l ~thread 121)))
+
 (* Two-child removal copies: a fresh node carrying the successor's key
    replaces the removed one, so the removal allocates one node and frees
    two (the removed node and the successor). [Hoh_bst_int.t] is abstract:
@@ -1126,6 +1155,8 @@ let () =
             test_skiplist_structure;
           Alcotest.test_case "ebr: deferred reclamation" `Quick
             test_ebr_defers_then_reclaims;
+          Alcotest.test_case "rr-v: read-only hand-offs" `Quick
+            test_handoff_clock_traffic;
         ] );
       ( "properties",
         List.map
