@@ -126,7 +126,8 @@ let instantiate (type r) (module M : S) ?config ~(hash : r -> int)
   if not (Telemetry.enabled ()) then plain
   else begin
     (* Counting wrapper, built only when telemetry was on at instantiation
-       time, so the default path pays zero overhead. Counts are per attempt
+       time, so the default path pays zero overhead. A [release_all], the
+       window engine's release, counts as one release. Counts are per attempt
        (an aborted transaction's calls are included): [get_misses] is the
        number of [Get] calls that returned [None], an upper bound on the
        relaxed implementations' spurious drops (it also includes genuine
@@ -156,6 +157,10 @@ let instantiate (type r) (module M : S) ?config ~(hash : r -> int)
         (fun txn r ->
           Atomic.incr releases;
           plain.release txn r);
+      release_all =
+        (fun txn ->
+          Atomic.incr releases;
+          plain.release_all txn);
       revoke =
         (fun txn r ->
           Atomic.incr revokes;

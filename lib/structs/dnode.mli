@@ -46,7 +46,6 @@ val peek_deleted : t -> bool
 (** {!deleted} outside any transaction, for structure checks. *)
 
 val sentinel : unit -> t
-val hash : t -> int
 val equal : t -> t -> bool
 
 val alloc : t Mempool.t -> thread:int -> t

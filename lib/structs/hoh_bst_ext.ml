@@ -1,35 +1,27 @@
-module Window = Rr.Hoh.Window
-
+(* [root] stays field 1: white-box tests reach it there. *)
 type t = {
   mode : Tnode.t Mode.t;
   root : Tnode.t;  (** sentinel router, key = [max_int]; tree on its left *)
-  window : Window.t;
-  pool : Tnode.t Mempool.t;
-  max_attempts : int option;
 }
 
-let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
+(* A resumed window needs a budget of at least 2; see [Hoh_bst_int]. *)
+let create ~mode ?(window = 16) ?scatter ?adaptive ?fusion
     ?strategy ?rr_config ?hp_threshold ?(max_attempts = 8) () =
   (match mode with
   | Mode.Ref -> invalid_arg "Hoh_bst_ext: Ref mode is not supported"
   | Mode.Rr_kind _ | Mode.Htm | Mode.Tmhp | Mode.Ebr -> ());
   let pool = Tnode.make_pool ?strategy () in
   let mode =
-    Mode.create mode ~pool
-      ~deleted:Tnode.deleted ~mark_deleted:Tnode.mark_deleted
-      ~hash:Tnode.hash ~equal:Tnode.equal ?rr_config ?hp_threshold ()
+    Mode.create mode ~pool ~deleted:Tnode.deleted
+      ~mark_deleted:Tnode.mark_deleted
+      ~window ?scatter ?adaptive ?fusion
+      ~max_attempts ~resume_floor:2 ?rr_config ?hp_threshold ()
   in
-  {
-    mode;
-    root = Tnode.sentinel ~key:max_int;
-    window = Window.create ~scatter ?adaptive ?fusion window;
-    pool;
-    max_attempts = Some max_attempts;
-  }
+  { mode; root = Tnode.sentinel ~key:max_int }
 
 let name t = t.mode.Mode.name
-let window_size t = Window.size t.window
-let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
+let window_size t = Mode.window_size t.mode
+let fuse_budget t ~thread = Mode.fuse_budget t.mode ~thread
 
 let is_leaf txn n = Tm.read txn n.Tnode.left == Tnode.nil
 
@@ -53,31 +45,19 @@ let descend txn ~key ~start ~budget =
   in
   go None None start 1
 
-(* A resumed window needs a budget of at least 2; see [Hoh_bst_int]. *)
-let start_point t ~thread ~start =
-  match start with
-  | Some n -> (n, max 2 (Window.budget t.window ~thread))
-  | None ->
-      ( t.root,
-        if t.mode.Mode.whole_op then max_int
-        else Window.first_budget t.window ~thread )
-
 (* [on_leaf txn ~gp ~p ~leaf] with [p]/[gp] as available; [p = None] only
    when the tree is empty ([leaf] is then the root sentinel). *)
-let apply t ~thread ?(read_phase = false) key ~site ~on_leaf =
+let apply t ~thread ?lookup key ~site ~on_leaf =
   if key <= min_int + 1 || key >= max_int - 1 then
     invalid_arg "Hoh_bst_ext: key out of range";
-  Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
-    ~read_phase
-    ~window:(t.window, thread)
-    (fun txn ~start ->
-      let start, budget = start_point t ~thread ~start in
+  Mode.apply t.mode ~thread ~site ?lookup (fun txn ~start ->
+      let start, budget = Mode.start_point t.mode ~thread ~root:t.root start in
       match descend txn ~key ~start ~budget with
       | `Leaf (gp, p, leaf) -> on_leaf txn ~gp ~p ~leaf
       | `Window c -> Rr.Hoh.Hand_off c)
 
 let lookup_s t ~thread key =
-  apply t ~thread ~read_phase:t.mode.Mode.ro_hint key ~site:"bst_ext.lookup"
+  apply t ~thread ~lookup:true key ~site:"bst_ext.lookup"
     ~on_leaf:(fun txn ~gp:_ ~p:_ ~leaf ->
       Rr.Hoh.Finish
         (Tnode.equal leaf t.root = false && Tnode.key txn leaf = key))
@@ -86,7 +66,7 @@ let insert_s t ~thread key =
   (* Two spares: the new leaf and its router. *)
   let outer = Tm.current_txn () in
   let spare_leaf = ref None and spare_router = ref None in
-  let take spare = Mode.take_spare t.pool ~thread ~outer spare Tnode.alloc in
+  let take spare = Mode.take_spare t.mode ~thread ~outer spare Tnode.alloc in
   let result =
     apply t ~thread key ~site:"bst_ext.insert" ~on_leaf:(fun txn ~gp:_ ~p ~leaf ->
         if Tnode.equal leaf t.root then begin
@@ -119,8 +99,8 @@ let insert_s t ~thread key =
             Rr.Hoh.Finish true
           end)
   in
-  Mode.give_back_spare t.pool ~thread ~outer spare_leaf;
-  Mode.give_back_spare t.pool ~thread ~outer spare_router;
+  Mode.give_back_spare t.mode ~thread ~outer spare_leaf;
+  Mode.give_back_spare t.mode ~thread ~outer spare_router;
   result
 
 let remove_s t ~thread key =
@@ -206,7 +186,7 @@ let check t =
   let node_ok n =
     if Tnode.peek_deleted n then
       raise (Bad (Printf.sprintf "deleted node %d linked" n.Tnode.id));
-    if not (Mempool.is_live t.pool n) then
+    if not (Mempool.is_live t.mode.Mode.pool n) then
       raise (Bad (Printf.sprintf "freed node %d linked" n.Tnode.id))
   in
   (* Routers have exactly two children. Routing correctness is a bounds
@@ -236,6 +216,6 @@ let check t =
     | () -> Ok ()
     | exception Bad m -> Error m
 
-let pool_stats t = Mempool.stats t.pool
-let pool_live t = Mempool.live t.pool
+let pool_stats t = Mempool.stats t.mode.Mode.pool
+let pool_live t = Mempool.live t.mode.Mode.pool
 let hazard_metrics t = t.mode.Mode.hazard_metrics ()

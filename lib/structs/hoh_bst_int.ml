@@ -1,14 +1,12 @@
-module Window = Rr.Hoh.Window
-
+(* [root] stays field 1: white-box tests reach it there. *)
 type t = {
   mode : Tnode.t Mode.t;
   root : Tnode.t;  (** sentinel, key = [max_int]; real tree on its left *)
-  window : Window.t;
-  pool : Tnode.t Mempool.t;
-  max_attempts : int option;
 }
 
-let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
+(* A resumed window starts at the node the last one handed off, so its
+   budget is at least 2 ([resume_floor]). *)
+let create ~mode ?(window = 16) ?scatter ?adaptive ?fusion
     ?strategy ?rr_config ?(max_attempts = 8) () =
   (match mode with
   | Mode.Tmhp | Mode.Ref | Mode.Ebr ->
@@ -16,21 +14,16 @@ let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
   | Mode.Rr_kind _ | Mode.Htm -> ());
   let pool = Tnode.make_pool ?strategy () in
   let mode =
-    Mode.create mode ~pool
-      ~deleted:Tnode.deleted ~mark_deleted:Tnode.mark_deleted
-      ~hash:Tnode.hash ~equal:Tnode.equal ?rr_config ()
+    Mode.create mode ~pool ~deleted:Tnode.deleted
+      ~mark_deleted:Tnode.mark_deleted
+      ~window ?scatter ?adaptive ?fusion
+      ~max_attempts ~resume_floor:2 ?rr_config ()
   in
-  {
-    mode;
-    root = Tnode.sentinel ~key:max_int;
-    window = Window.create ~scatter ?adaptive ?fusion window;
-    pool;
-    max_attempts = Some max_attempts;
-  }
+  { mode; root = Tnode.sentinel ~key:max_int }
 
 let name t = t.mode.Mode.name
-let window_size t = Window.size t.window
-let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
+let window_size t = Mode.window_size t.mode
+let fuse_budget t ~thread = Mode.fuse_budget t.mode ~thread
 
 (* One windowed descent. Examines up to [budget] nodes; on exhaustion hands
    off the last examined node, from which the resuming transaction routes
@@ -55,25 +48,11 @@ let descend txn ~key ~start ~budget =
   in
   go Tnode.nil true start 1
 
-(* A resumed window starts at the node the last one handed off, so it
-   needs a budget of at least 2: at 1 it would hand that node back again
-   without stepping, forever. *)
-let start_point t ~thread ~start =
-  match start with
-  | Some n -> (n, max 2 (Window.budget t.window ~thread))
-  | None ->
-      ( t.root,
-        if t.mode.Mode.whole_op then max_int
-        else Window.first_budget t.window ~thread )
-
-let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
+let apply t ~thread ?lookup key ~site ~on_found ~on_notfound =
   if key <= min_int + 1 || key >= max_int then
     invalid_arg "Hoh_bst_int: key out of range";
-  Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
-    ~read_phase
-    ~window:(t.window, thread)
-    (fun txn ~start ->
-      let start, budget = start_point t ~thread ~start in
+  Mode.apply t.mode ~thread ~site ?lookup (fun txn ~start ->
+      let start, budget = Mode.start_point t.mode ~thread ~root:t.root start in
       match descend txn ~key ~start ~budget with
       | `Found (p, side, curr) ->
           Rr.Hoh.Finish (on_found txn ~parent:p ~side ~curr)
@@ -81,7 +60,7 @@ let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
       | `Window c -> Rr.Hoh.Hand_off c)
 
 let lookup_s t ~thread key =
-  apply t ~thread ~read_phase:t.mode.Mode.ro_hint key ~site:"bst_int.lookup"
+  apply t ~thread ~lookup:true key ~site:"bst_int.lookup"
     ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> true)
     ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
 
@@ -90,7 +69,7 @@ let link n side = if side then n.Tnode.left else n.Tnode.right
 (* The spare a write attempt links ({!Mode.take_spare}), given back by
    [Mode.give_back_spare] when no attempt consumed it. *)
 let take t ~thread ~outer spare txn =
-  let n = Mode.take_spare t.pool ~thread ~outer spare Tnode.alloc in
+  let n = Mode.take_spare t.mode ~thread ~outer spare Tnode.alloc in
   Tm.defer txn (fun () -> spare := None);
   n
 
@@ -105,7 +84,7 @@ let insert_s t ~thread key =
         Tm.write txn (link parent side) n;
         true)
   in
-  Mode.give_back_spare t.pool ~thread ~outer spare;
+  Mode.give_back_spare t.mode ~thread ~outer spare;
   result
 
 (* Replace [parent]'s edge to [curr], on [side], with [child] (zero- or
@@ -158,7 +137,7 @@ let remove_s t ~thread key =
         true)
       ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
   in
-  Mode.give_back_spare t.pool ~thread ~outer spare;
+  Mode.give_back_spare t.mode ~thread ~outer spare;
   (r, s, s)
 
 let insert t ~thread key = fst (insert_s t ~thread key)
@@ -200,7 +179,7 @@ let check t =
       let k = n.Tnode.key in
       if Tnode.peek_deleted n then
         raise (Bad (Printf.sprintf "deleted node %d linked" n.Tnode.id));
-      if not (Mempool.is_live t.pool n) then
+      if not (Mempool.is_live t.mode.Mode.pool n) then
         raise (Bad (Printf.sprintf "freed node %d linked" n.Tnode.id));
       if not (k > lo && k < hi) then
         raise (Bad (Printf.sprintf "BST ordering violated at key %d" k));
@@ -212,6 +191,6 @@ let check t =
   | () -> Ok ()
   | exception Bad msg -> Error msg
 
-let pool_stats t = Mempool.stats t.pool
-let pool_live t = Mempool.live t.pool
+let pool_stats t = Mempool.stats t.mode.Mode.pool
+let pool_live t = Mempool.live t.mode.Mode.pool
 let hazard_metrics t = t.mode.Mode.hazard_metrics ()

@@ -1,43 +1,29 @@
-module Window = Rr.Hoh.Window
-
+(* [head] stays field 1: white-box tests reach it there. [split_unlink]
+   is off under [Htm], whose whole operation is one transaction. *)
 type t = {
   mode : Dnode.t Mode.t;
   head : Dnode.t;
-  window : Window.t;
-  pool : Dnode.t Mempool.t;
-  max_attempts : int option;
   split_unlink : bool;
 }
 
-let create ~mode ?(window = 8) ?(scatter = true) ?adaptive ?fusion
+let create ~mode ?(window = 8) ?scatter ?adaptive ?fusion
     ?strategy ?rr_config ?hp_threshold ?max_attempts ?(split_unlink = true)
     () =
   let pool = Dnode.make_pool ?strategy () in
-  let mode =
-    Mode.create mode ~pool
-      ~deleted:Dnode.deleted ~mark_deleted:Dnode.mark_deleted
-      ~hash:Dnode.hash ~equal:Dnode.equal ?rr_config ?hp_threshold ()
+  let split_unlink =
+    match mode with Mode.Htm -> false | _ -> split_unlink
   in
-  {
-    mode;
-    head = Dnode.sentinel ();
-    window = Window.create ~scatter ?adaptive ?fusion window;
-    pool;
-    max_attempts;
-    split_unlink;
-  }
+  let mode =
+    Mode.create mode ~pool ~deleted:Dnode.deleted
+      ~mark_deleted:Dnode.mark_deleted
+      ~window ?scatter ?adaptive ?fusion
+      ?max_attempts ?rr_config ?hp_threshold ()
+  in
+  { mode; head = Dnode.sentinel (); split_unlink }
 
 let name t = t.mode.Mode.name
-let window_size t = Window.size t.window
-let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
-
-let start_point t ~thread ~start =
-  match start with
-  | Some n -> (n, Window.budget t.window ~thread)
-  | None ->
-      ( t.head,
-        if t.mode.Mode.whole_op then max_int
-        else Window.first_budget t.window ~thread )
+let window_size t = Mode.window_size t.mode
+let fuse_budget t ~thread = Mode.fuse_budget t.mode ~thread
 
 (* {!List_walk.walk} over [Dnode]s: the [while] of Listing 5. Reads at
    most [budget] nodes starting at [prev.next]; each key load is validated
@@ -55,20 +41,17 @@ let walk txn ~key ~prev ~budget =
   in
   go prev (Tm.read txn prev.Dnode.next) 1
 
-let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
+let apply t ~thread ?lookup key ~site ~on_found ~on_notfound =
   if key <= min_int + 1 then invalid_arg "Hoh_dlist: key out of range";
-  Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
-    ~read_phase
-    ~window:(t.window, thread)
-    (fun txn ~start ->
-      let prev, budget = start_point t ~thread ~start in
+  Mode.apply t.mode ~thread ~site ?lookup (fun txn ~start ->
+      let prev, budget = Mode.start_point t.mode ~thread ~root:t.head start in
       match walk txn ~key ~prev ~budget with
       | `Found (prev, curr) -> on_found txn ~prev ~curr
       | `Absent (prev, curr) -> Rr.Hoh.Finish (on_notfound txn ~prev ~curr)
       | `Window c -> Rr.Hoh.Hand_off c)
 
 let lookup_s t ~thread key =
-  apply t ~thread ~read_phase:t.mode.Mode.ro_hint key ~site:"dlist.lookup"
+  apply t ~thread ~lookup:true key ~site:"dlist.lookup"
     ~on_found:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish true)
     ~on_notfound:(fun _ ~prev:_ ~curr:_ -> false)
 
@@ -78,7 +61,7 @@ let insert_s t ~thread key =
     apply t ~thread key ~site:"dlist.insert"
       ~on_found:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish false)
       ~on_notfound:(fun txn ~prev ~curr ->
-        let n = Mode.take_spare t.pool ~thread ~outer spare Dnode.alloc in
+        let n = Mode.take_spare t.mode ~thread ~outer spare Dnode.alloc in
         Dnode.set_key n key;
         Tm.write txn n.Dnode.prev prev;
         Tm.write txn n.Dnode.next curr;
@@ -87,7 +70,7 @@ let insert_s t ~thread key =
         Tm.defer txn (fun () -> spare := None);
         true)
   in
-  Mode.give_back_spare t.pool ~thread ~outer spare;
+  Mode.give_back_spare t.mode ~thread ~outer spare;
   result
 
 (* Unlink [n] using its own prev/next pointers — the point of the doubly
@@ -112,56 +95,54 @@ type phase = Traversing | Unlink of Dnode.t
    the serialization checker accepts any absence of the key inside it. *)
 let remove_s t ~thread key =
   if key <= min_int + 1 then invalid_arg "Hoh_dlist: key out of range";
-  let split = t.split_unlink && not t.mode.Mode.whole_op in
   let phase = ref Traversing in
   let reserve_stamp = ref 0 in
   let flex = ref false in
   let result, stamp =
-    Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site:"dlist.remove"
-      ?max_attempts:t.max_attempts
-      ~window:(t.window, thread)
-      (fun txn ~start ->
-        let traverse ~start =
-          let prev, budget = start_point t ~thread ~start in
-          match walk txn ~key ~prev ~budget with
-          | `Found (_, curr) ->
-              if split then begin
-                (* Reserve the target and commit; unlink in the next,
-                   write-only transaction. *)
-                Tm.defer txn (fun () ->
-                    phase := Unlink curr;
-                    reserve_stamp := Tm.commit_stamp txn);
-                Rr.Hoh.Hand_off curr
+    Mode.apply t.mode ~thread ~site:"dlist.remove" (fun txn ~start ->
+      let traverse ~start =
+        let prev, budget =
+          Mode.start_point t.mode ~thread ~root:t.head start
+        in
+        match walk txn ~key ~prev ~budget with
+        | `Found (_, curr) ->
+            if t.split_unlink then begin
+              (* Reserve the target and commit; unlink in the next,
+                 write-only transaction. *)
+              Tm.defer txn (fun () ->
+                  phase := Unlink curr;
+                  reserve_stamp := Tm.commit_stamp txn);
+              Rr.Hoh.Hand_off curr
+            end
+            else begin
+              unlink_and_reclaim t txn curr;
+              Rr.Hoh.Finish true
+            end
+        | `Absent (_, _) -> Rr.Hoh.Finish false
+        | `Window c -> Rr.Hoh.Hand_off c
+      in
+      match !phase with
+      | Traversing -> traverse ~start
+      | Unlink n -> (
+          match start with
+          | Some s ->
+              assert (Dnode.equal s n);
+              unlink_and_reclaim t txn n;
+              Rr.Hoh.Finish true
+          | None ->
+              if t.mode.Mode.strict then begin
+                (* Only a concurrent removal of this very node can revoke
+                   a strict reservation: fail without re-traversing,
+                   linearizing right after that removal. *)
+                Tm.defer txn (fun () -> flex := true);
+                Rr.Hoh.Finish false
               end
               else begin
-                unlink_and_reclaim t txn curr;
-                Rr.Hoh.Finish true
-              end
-          | `Absent (_, _) -> Rr.Hoh.Finish false
-          | `Window c -> Rr.Hoh.Hand_off c
-        in
-        match !phase with
-        | Traversing -> traverse ~start
-        | Unlink n -> (
-            match start with
-            | Some s ->
-                assert (Dnode.equal s n);
-                unlink_and_reclaim t txn n;
-                Rr.Hoh.Finish true
-            | None ->
-                if t.mode.Mode.strict then begin
-                  (* Only a concurrent removal of this very node can revoke
-                     a strict reservation: fail without re-traversing,
-                     linearizing right after that removal. *)
-                  Tm.defer txn (fun () -> flex := true);
-                  Rr.Hoh.Finish false
-                end
-                else begin
-                  (* Spurious invalidation is possible: retry the whole
-                     operation (Sec. 4.2). *)
-                  Tm.defer txn (fun () -> phase := Traversing);
-                  traverse ~start:None
-                end))
+                (* Spurious invalidation is possible: retry the whole
+                   operation (Sec. 4.2). *)
+                Tm.defer txn (fun () -> phase := Traversing);
+                traverse ~start:None
+              end))
   in
   let earliest = if !flex then !reserve_stamp else stamp in
   (result, earliest, stamp)
@@ -193,7 +174,7 @@ let check t =
       let k = n.Dnode.key in
       if Dnode.peek_deleted n then
         Error (Printf.sprintf "deleted node %d (key %d) linked" n.Dnode.id k)
-      else if not (Mempool.is_live t.pool n) then
+      else if not (Mempool.is_live t.mode.Mode.pool n) then
         Error (Printf.sprintf "freed node %d (key %d) linked" n.Dnode.id k)
       else if k <= prev.Dnode.key && prev != t.head then
         Error (Printf.sprintf "keys not strictly sorted at %d" k)
@@ -203,6 +184,6 @@ let check t =
   in
   go t.head (Tm.peek t.head.Dnode.next)
 
-let pool_stats t = Mempool.stats t.pool
-let pool_live t = Mempool.live t.pool
+let pool_stats t = Mempool.stats t.mode.Mode.pool
+let pool_live t = Mempool.live t.mode.Mode.pool
 let hazard_metrics t = t.mode.Mode.hazard_metrics ()

@@ -1,31 +1,27 @@
-module Window = Rr.Hoh.Window
-
+(* [heads] stays field 1: white-box tests reach it there. *)
 type t = {
   mode : Lnode.t Mode.t;
   heads : Lnode.t array;  (* one sentinel per bucket; the list has one *)
-  window : Window.t;
-  pool : Lnode.t Mempool.t;
-  max_attempts : int option;
   hashed : bool;
 }
 
-let create ~mode ?buckets ?(window = 8) ?(scatter = true) ?adaptive ?fusion
+let create ~mode ?buckets ?(window = 8) ?scatter ?adaptive ?fusion
     ?strategy ?rr_config ?hp_threshold ?max_attempts () =
   let n = Option.value buckets ~default:1 in
   if n < 1 then invalid_arg "Hoh_list.create: buckets < 1";
   let pool = Lnode.make_pool ?strategy () in
   let mode =
-    Mode.create mode ~pool
-      ~deleted:Lnode.deleted ~mark_deleted:Lnode.mark_deleted
-      ~hash:Lnode.hash ~equal:Lnode.equal ?rr_config ?hp_threshold ()
+    Mode.create mode ~pool ~deleted:Lnode.deleted
+      ~mark_deleted:Lnode.mark_deleted
+      ~window ?scatter ?adaptive ?fusion
+      ?max_attempts ?rr_config ?hp_threshold ()
   in
   { mode; heads = Array.init n (fun _ -> Lnode.sentinel ());
-    window = Window.create ~scatter ?adaptive ?fusion window;
-    pool; max_attempts; hashed = buckets <> None }
+    hashed = buckets <> None }
 
 let name t = if t.hashed then t.mode.Mode.name ^ "-hash" else t.mode.Mode.name
-let window_size t = Window.size t.window
-let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
+let window_size t = Mode.window_size t.mode
+let fuse_budget t ~thread = Mode.fuse_budget t.mode ~thread
 
 let head_of t key =
   let n = Array.length t.heads in
@@ -34,32 +30,22 @@ let head_of t key =
     let h = key * 0x9e3779b1 in
     t.heads.((h lxor (h lsr 16)) land max_int mod n)
 
-(* The [Apply] function of Listing 5, from the key's bucket sentinel.
+(* The step of Listing 5's [Apply], from the key's bucket sentinel.
    [on_found txn ~prev ~curr] runs when a node with the key is found;
    [on_notfound txn ~prev ~curr] when the key is absent ([curr] is the
    first node past it, or [Lnode.nil] at the tail). *)
-let apply t ~thread ?(read_phase = false) key ~site ~on_found ~on_notfound =
+let apply t ~thread ?lookup key ~site ~on_found ~on_notfound =
   if key <= min_int + 1 then invalid_arg "Hoh_list: key out of range";
-  let head = head_of t key in
-  Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
-    ~read_phase
-    ~window:(t.window, thread)
-    (fun txn ~start ->
-      let prev, budget =
-        match start with
-        | Some n -> (n, Window.budget t.window ~thread)
-        | None ->
-            ( head,
-              if t.mode.Mode.whole_op then max_int
-              else Window.first_budget t.window ~thread )
-      in
+  let root = head_of t key in
+  Mode.apply t.mode ~thread ~site ?lookup (fun txn ~start ->
+      let prev, budget = Mode.start_point t.mode ~thread ~root start in
       match List_walk.walk txn ~key ~prev ~budget with
       | `Found (prev, curr) -> Rr.Hoh.Finish (on_found txn ~prev ~curr)
       | `Absent (prev, curr) -> Rr.Hoh.Finish (on_notfound txn ~prev ~curr)
       | `Window c -> Rr.Hoh.Hand_off c)
 
 let lookup_s t ~thread key =
-  apply t ~thread ~read_phase:t.mode.Mode.ro_hint key
+  apply t ~thread ~lookup:true key
     ~site:(if t.hashed then "hashset.lookup" else "slist.lookup")
     ~on_found:(fun _ ~prev:_ ~curr:_ -> true)
     ~on_notfound:(fun _ ~prev:_ ~curr:_ -> false)
@@ -71,14 +57,14 @@ let insert_s t ~thread key =
       ~site:(if t.hashed then "hashset.insert" else "slist.insert")
       ~on_found:(fun _ ~prev:_ ~curr:_ -> false)
       ~on_notfound:(fun txn ~prev ~curr ->
-        let n = Mode.take_spare t.pool ~thread ~outer spare Lnode.alloc in
+        let n = Mode.take_spare t.mode ~thread ~outer spare Lnode.alloc in
         Lnode.set_key n key;
         Tm.write txn n.Lnode.next curr;
         Tm.write txn prev.Lnode.next n;
         Tm.defer txn (fun () -> spare := None);
         true)
   in
-  Mode.give_back_spare t.pool ~thread ~outer spare;
+  Mode.give_back_spare t.mode ~thread ~outer spare;
   result
 
 let remove_s t ~thread key =
@@ -132,7 +118,7 @@ let check t =
       let k = n.Lnode.key in
       if Lnode.peek_deleted n then
         Error (Printf.sprintf "deleted node %d (key %d) linked" n.Lnode.id k)
-      else if not (Mempool.is_live t.pool n) then
+      else if not (Mempool.is_live t.mode.Mode.pool n) then
         Error (Printf.sprintf "freed node %d (key %d) linked" n.Lnode.id k)
       else if k <= prev_key then
         Error (Printf.sprintf "keys not strictly sorted at %d" k)
@@ -145,6 +131,6 @@ let check t =
       Result.bind r (fun () -> go head min_int (Tm.peek head.Lnode.next)))
     (Ok ()) t.heads
 
-let pool_stats t = Mempool.stats t.pool
-let pool_live t = Mempool.live t.pool
+let pool_stats t = Mempool.stats t.mode.Mode.pool
+let pool_live t = Mempool.live t.mode.Mode.pool
 let hazard_metrics t = t.mode.Mode.hazard_metrics ()

@@ -1,37 +1,31 @@
-module Window = Rr.Hoh.Window
-
+(* [head] stays field 1: white-box tests reach it there. *)
 type t = {
   mode : Snode.t Mode.t;
   head : Snode.t;
-  window : Window.t;
-  pool : Snode.t Mempool.t;
-  max_attempts : int option;
   seeds : int array;
 }
 
-let create ~mode ?(window = 16) ?(scatter = true) ?adaptive ?fusion
+let create ~mode ?(window = 16) ?scatter ?adaptive ?fusion
     ?strategy ?rr_config ?hp_threshold ?(max_attempts = 8) ?(seed = 42) () =
   (match mode with
   | Mode.Ref -> invalid_arg "Hoh_skiplist: Ref mode is not supported"
   | Mode.Rr_kind _ | Mode.Htm | Mode.Tmhp | Mode.Ebr -> ());
   let pool = Snode.make_pool ?strategy () in
   let mode =
-    Mode.create mode ~pool
-      ~deleted:Snode.deleted ~mark_deleted:Snode.mark_deleted
-      ~hash:Snode.hash ~equal:Snode.equal ?rr_config ?hp_threshold ()
+    Mode.create mode ~pool ~deleted:Snode.deleted
+      ~mark_deleted:Snode.mark_deleted
+      ~window ?scatter ?adaptive ?fusion
+      ~max_attempts ?rr_config ?hp_threshold ()
   in
   {
     mode;
     head = Snode.sentinel ();
-    window = Window.create ~scatter ?adaptive ?fusion window;
-    pool;
-    max_attempts = Some max_attempts;
     seeds = Array.init Tm.Thread.max_threads (fun i -> seed + (i * 7919) + 1);
   }
 
 let name t = t.mode.Mode.name ^ "-skip"
-let window_size t = Window.size t.window
-let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
+let window_size t = Mode.window_size t.mode
+let fuse_budget t ~thread = Mode.fuse_budget t.mode ~thread
 
 (* Geometric tower heights (p = 1/2), per-thread generators. *)
 let random_level t ~thread =
@@ -53,7 +47,7 @@ exception Stale_hint
    sentinel is not pool-backed and never reclaimed, so it is not noted. *)
 let note_hint txn t node =
   if San.enabled () && not (Snode.equal node t.head) then
-    San.hint_note ~tid:(Tm.thread_id txn) ~node:(Mempool.san_key t.pool node)
+    San.hint_note ~tid:(Tm.thread_id txn) ~node:(Mempool.san_key t.mode.Mode.pool node)
 
 (* Full descent inside the current transaction, refreshing every hint;
    the fallback when a hint from an earlier window was removed. *)
@@ -95,7 +89,7 @@ let fresh_pred txn t ~key ~preds l =
      (freed or recycled) since the window that noted it. *)
   if San.enabled () && not (Snode.equal hint t.head) then
     San.hint_use ~tid:(Tm.thread_id txn) ~site:(Tm.txn_site txn)
-      ~node:(Mempool.san_key t.pool hint)
+      ~node:(Mempool.san_key t.mode.Mode.pool hint)
       ~revalidated:(not (Dst.Inject.bug Dst.Inject.Stale_hint));
   let rec go p =
     let m = Tm.read txn p.Snode.next.(l) in
@@ -112,23 +106,18 @@ let pred_with_hint txn t ~key ~preds l =
 (* The windowed traversal. [on_position txn ~preds ~pred0 ~curr] runs in the
    final transaction once level 0 is reached: [pred0 = preds.(0)] is fresh,
    [curr] its level-0 successor (the candidate match, or [Snode.nil]). *)
-let apply t ~thread ?(read_phase = false) key ~site ~on_position =
+let apply t ~thread ?lookup key ~site ~on_position =
   if key <= min_int + 1 then invalid_arg "Hoh_skiplist: key out of range";
   let preds = Array.make Snode.max_level t.head in
   let resume_level = ref (Snode.max_level - 1) in
-  Rr.Hoh.apply_stamped ~rr:t.mode.Mode.ops ~site ?max_attempts:t.max_attempts
-    ~read_phase
-    ~window:(t.window, thread)
-    (fun txn ~start ->
-      let node, lvl, budget =
+  Mode.apply t.mode ~thread ~site ?lookup (fun txn ~start ->
+      let node, budget = Mode.start_point t.mode ~thread ~root:t.head start in
+      let lvl =
         match start with
-        | Some n -> (n, !resume_level, Window.budget t.window ~thread)
+        | Some _ -> !resume_level
         | None ->
             Array.fill preds 0 Snode.max_level t.head;
-            ( t.head,
-              Snode.max_level - 1,
-              if t.mode.Mode.whole_op then max_int
-              else Window.first_budget t.window ~thread )
+            Snode.max_level - 1
       in
       let rec walk node lvl visited =
         let m = Tm.read txn node.Snode.next.(lvl) in
@@ -152,7 +141,7 @@ let key_matches txn curr key =
   curr != Snode.nil && Snode.key txn curr = key
 
 let lookup_s t ~thread key =
-  apply t ~thread ~read_phase:t.mode.Mode.ro_hint key ~site:"skiplist.lookup"
+  apply t ~thread ~lookup:true key ~site:"skiplist.lookup"
     ~on_position:(fun txn ~preds:_ ~pred0:_ ~curr -> key_matches txn curr key)
 
 let insert_s t ~thread key =
@@ -162,7 +151,7 @@ let insert_s t ~thread key =
       ~on_position:(fun txn ~preds ~pred0:_ ~curr ->
         if key_matches txn curr key then false
         else begin
-          let n = Mode.take_spare t.pool ~thread ~outer spare Snode.alloc in
+          let n = Mode.take_spare t.mode ~thread ~outer spare Snode.alloc in
           let height = random_level t ~thread in
           Snode.set_key n key;
           Snode.set_level n height;
@@ -176,7 +165,7 @@ let insert_s t ~thread key =
           true
         end)
   in
-  Mode.give_back_spare t.pool ~thread ~outer spare;
+  Mode.give_back_spare t.mode ~thread ~outer spare;
   result
 
 let remove_s t ~thread key =
@@ -241,7 +230,7 @@ let check t =
   let node_ok n =
     if Snode.peek_deleted n then
       raise (Bad (Printf.sprintf "deleted node %d linked" n.Snode.id));
-    if not (Mempool.is_live t.pool n) then
+    if not (Mempool.is_live t.mode.Mode.pool n) then
       raise (Bad (Printf.sprintf "freed node %d linked" n.Snode.id))
   in
   try
@@ -304,6 +293,6 @@ let check t =
     Ok ()
   with Bad m -> Error m
 
-let pool_stats t = Mempool.stats t.pool
-let pool_live t = Mempool.live t.pool
+let pool_stats t = Mempool.stats t.mode.Mode.pool
+let pool_live t = Mempool.live t.mode.Mode.pool
 let hazard_metrics t = t.mode.Mode.hazard_metrics ()

@@ -38,10 +38,6 @@ let mark_deleted txn n = Tm.write txn n.next n
 let peek_deleted n = Tm.peek n.next == n
 let sentinel () = make (-1)
 
-let hash n =
-  let h = n.id * 0x9e3779b1 in
-  h lxor (h lsr 16)
-
 let equal a b = a == b
 
 let alloc pool ~thread =

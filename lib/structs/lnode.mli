@@ -4,8 +4,9 @@
 
     The link is a tvar; the key is a plain field, as in the paper's HTM
     code. A node's [id] is its simulated address: it is assigned once by
-    the pool and survives free/reuse, so the revocable-reservation hash
-    functions treat it exactly like the paper treats pointer values. A
+    the pool and survives free/reuse, so {!Mode.create}'s
+    revocable-reservation hash treats it exactly like the paper treats
+    pointer values. A
     missing link is {!nil}, not an option, so a link write allocates
     nothing. A node is logically deleted when its [next] link points back
     at itself: TMHP/EBR/REF removal writes that mark in the transaction
@@ -70,9 +71,6 @@ val peek_deleted : t -> bool
 
 val sentinel : unit -> t
 (** A head sentinel outside any pool ([id = -1]). *)
-
-val hash : t -> int
-(** Mixes the node id; stable across the node's whole lifetime. *)
 
 val equal : t -> t -> bool
 (** Physical equality — two nodes are the same reference iff they are the

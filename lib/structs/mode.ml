@@ -14,6 +14,8 @@ let kind_name = function
   | Ref -> "REF"
   | Ebr -> "EBR"
 
+module Window = Rr.Hoh.Window
+
 type 'n t = {
   name : string;
   strict : bool;
@@ -26,9 +28,13 @@ type 'n t = {
   finalize : thread:int -> unit;
   drain : unit -> unit;
   hazard_metrics : unit -> Reclaim.Hazard.metrics option;
+  pool : 'n Mempool.t;
+  window : Window.t;
+  max_attempts : int option;
+  resume_floor : int;
 }
 
-let take_spare pool ~thread ~outer spare alloc =
+let take_spare { pool; _ } ~thread ~outer spare alloc =
   match !spare with
   | Some n -> n
   | None ->
@@ -42,7 +48,7 @@ let take_spare pool ~thread ~outer spare alloc =
       | None -> ());
       n
 
-let give_back_spare pool ~thread ~outer spare =
+let give_back_spare { pool; _ } ~thread ~outer spare =
   match !spare with
   | None -> ()
   | Some n -> (
@@ -120,6 +126,22 @@ let no_op_ops name : 'n Rr.ops =
     revoke = (fun _ _ -> ());
   }
 
+(* The reservation operations of a baseline mode whose reservations are
+   publications (TMHP, REF, EBR): strict, nothing to register or revoke,
+   and a single release is a release of all, behind the TxSan funnel. *)
+let publication_ops pool name ~reserve ~release_all ~get =
+  san_ops ~key:(Mempool.san_key pool)
+    {
+      Rr.name;
+      strict = true;
+      register = (fun _ -> ());
+      reserve;
+      release = (fun txn _ -> release_all txn);
+      release_all;
+      get;
+      revoke = (fun _ _ -> ());
+    }
+
 (* TMHP: a reservation is a hazard-slot publication plus, for validity, a
    transactional deletion check. Publications are made eagerly (so they
    are visible before the commit that makes the hand-off real) but only
@@ -128,7 +150,7 @@ let no_op_ops name : 'n Rr.ops =
    the node could be freed and reused under it. *)
 let tmhp_gen_violations = Atomic.make 0
 
-let tmhp_mode ~pool ~deleted ~mark_deleted ~hp_threshold =
+let tmhp_mode ~pool ~deleted ~hp_threshold base =
   let gen = Mempool.generation pool in
   let hazard =
     Reclaim.Hazard.create ~slots_per_thread:2 ~scan_threshold:hp_threshold
@@ -172,27 +194,8 @@ let tmhp_mode ~pool ~deleted ~mark_deleted ~hp_threshold =
       Some n
     end
   in
-  let ops =
-    san_ops ~key:(Mempool.san_key pool)
-      {
-        Rr.name = "TMHP";
-        strict = true;
-        register = (fun _ -> ());
-        reserve;
-        release = (fun txn _ -> release_all txn);
-        release_all;
-        get;
-        revoke = (fun _ _ -> ());
-      }
-  in
   {
-    name = "TMHP";
-    strict = true;
-    whole_op = false;
-    ro_hint = true;
-    ops;
-    deleted;
-    invalidate = mark_deleted;
+    (base (publication_ops pool "TMHP" ~reserve ~release_all ~get)) with
     dispose =
       (fun txn n ->
         let thread = Tm.thread_id txn in
@@ -215,7 +218,7 @@ let tmhp_mode ~pool ~deleted ~mark_deleted ~hp_threshold =
    table too short grows it under [grow], re-checking the length there
    and copying the existing tvars, so every thread gets the same tvar for
    an id. Nothing inside the lock yields to the DST scheduler. *)
-let ref_mode ~pool ~deleted ~mark_deleted =
+let ref_mode ~pool ~deleted base =
   let counts = Atomic.make [||] in
   let grow = Mutex.create () in
   let rc n =
@@ -259,31 +262,10 @@ let ref_mode ~pool ~deleted ~mark_deleted =
     Tm.write txn held.(Tm.thread_id txn) (Some n)
   in
   let get txn n = if deleted txn n then None else Some n in
-  let ops =
-    san_ops ~key:(Mempool.san_key pool)
-      {
-        Rr.name = "REF";
-        strict = true;
-        register = (fun _ -> ());
-        reserve;
-        release = (fun txn _ -> release_all txn);
-        release_all;
-        get;
-        revoke = (fun _ _ -> ());
-      }
-  in
   {
-    name = "REF";
-    strict = true;
-    whole_op = false;
+    (base (publication_ops pool "REF" ~reserve ~release_all ~get)) with
     ro_hint = false;
-    ops;
-    deleted;
-    invalidate = mark_deleted;
     dispose = (fun txn n -> free_if_dead txn n);
-    finalize = (fun ~thread:_ -> ());
-    drain = (fun () -> ());
-    hazard_metrics = (fun () -> None);
   }
 
 (* EBR: epoch-based reclamation. A thread announces the global epoch when
@@ -293,7 +275,7 @@ let ref_mode ~pool ~deleted ~mark_deleted =
    still-announced thread). Validity across transactions is the same
    deletion check as TMHP, and the reserving transaction forces
    commit validation for the same publish-then-revalidate reason. *)
-let ebr_mode ~pool ~deleted ~mark_deleted ~advance_threshold =
+let ebr_mode ~pool ~deleted ~advance_threshold base =
   let epoch =
     Reclaim.Epoch.create ~advance_threshold
       ~free:(fun ~thread n -> Mempool.free pool ~thread n)
@@ -332,27 +314,8 @@ let ebr_mode ~pool ~deleted ~mark_deleted ~advance_threshold =
         end)
   in
   let get txn n = if deleted txn n then None else Some n in
-  let ops =
-    san_ops ~key:(Mempool.san_key pool)
-      {
-        Rr.name = "EBR";
-        strict = true;
-        register = (fun _ -> ());
-        reserve;
-        release = (fun txn _ -> release_all txn);
-        release_all;
-        get;
-        revoke = (fun _ _ -> ());
-      }
-  in
   {
-    name = "EBR";
-    strict = true;
-    whole_op = false;
-    ro_hint = true;
-    ops;
-    deleted;
-    invalidate = mark_deleted;
+    (base (publication_ops pool "EBR" ~reserve ~release_all ~get)) with
     dispose =
       (fun txn n ->
         let thread = Tm.thread_id txn in
@@ -381,54 +344,72 @@ let ebr_mode ~pool ~deleted ~mark_deleted ~advance_threshold =
           });
   }
 
-let rr_mode m ~pool ~deleted ~hash ~equal ~rr_config =
-  let module M = (val m : Rr.S) in
-  let ops =
-    Rr.instantiate m ?config:rr_config ~hash
-      ~sid:(Mempool.san_key pool) ~equal ()
-  in
-  {
-    name = M.name;
-    strict = M.strict;
-    whole_op = false;
-    ro_hint = true;
-    ops;
-    deleted;
-    invalidate = (fun txn n -> ops.Rr.revoke txn n);
-    dispose =
-      (fun txn n ->
-        let thread = Tm.thread_id txn in
-        Tm.defer txn (fun () -> Mempool.free pool ~thread n));
-    finalize = (fun ~thread:_ -> ());
-    drain = (fun () -> ());
-    hazard_metrics = (fun () -> None);
-  }
+(* The RR hash: the paper hashes node addresses, here pool slot ids,
+   mixed so that neighbouring slots spread over the buckets. A slot keeps
+   its id across free and reuse. *)
+let slot_hash pool n =
+  let h = Mempool.id_of pool n * 0x9e3779b1 in
+  h lxor (h lsr 16)
 
-let htm_mode ~pool ~deleted =
-  {
-    name = "HTM";
-    strict = true;
-    whole_op = true;
-    ro_hint = false;
-    ops = no_op_ops "HTM";
-    deleted;
-    invalidate = (fun _ _ -> ());
-    dispose =
-      (fun txn n ->
-        let thread = Tm.thread_id txn in
-        Tm.defer txn (fun () -> Mempool.free pool ~thread n));
-    finalize = (fun ~thread:_ -> ());
-    drain = (fun () -> ());
-    hazard_metrics = (fun () -> None);
-  }
+let free_on_commit pool txn n =
+  let thread = Tm.thread_id txn in
+  Tm.defer txn (fun () -> Mempool.free pool ~thread n)
 
-let create kind ~pool ~deleted ~mark_deleted ~hash ~equal ?rr_config
+let create kind ~pool ~deleted ~mark_deleted ~window ?(scatter = true)
+    ?adaptive ?fusion ?max_attempts ?(resume_floor = 1) ?rr_config
     ?(hp_threshold = 64) () =
+  let window = Window.create ~scatter ?adaptive ?fusion window in
   let deleted = checked_deleted deleted in
+  (* What the modes share: an RR kind's record; each other kind overrides
+     the fields it differs in. *)
+  let base ops =
+    {
+      name = ops.Rr.name;
+      strict = ops.Rr.strict;
+      whole_op = false;
+      ro_hint = true;
+      ops;
+      deleted;
+      invalidate = mark_deleted;
+      dispose = free_on_commit pool;
+      finalize = (fun ~thread:_ -> ());
+      drain = (fun () -> ());
+      hazard_metrics = (fun () -> None);
+      pool;
+      window;
+      max_attempts;
+      resume_floor;
+    }
+  in
   match kind with
-  | Rr_kind m -> rr_mode m ~pool ~deleted ~hash ~equal ~rr_config
-  | Htm -> htm_mode ~pool ~deleted
-  | Tmhp -> tmhp_mode ~pool ~deleted ~mark_deleted ~hp_threshold
-  | Ref -> ref_mode ~pool ~deleted ~mark_deleted
-  | Ebr ->
-      ebr_mode ~pool ~deleted ~mark_deleted ~advance_threshold:hp_threshold
+  | Rr_kind m ->
+      let ops =
+        Rr.instantiate m ?config:rr_config ~hash:(slot_hash pool)
+          ~sid:(Mempool.san_key pool) ~equal:( == ) ()
+      in
+      { (base ops) with invalidate = (fun txn n -> ops.Rr.revoke txn n) }
+  | Htm ->
+      {
+        (base (no_op_ops "HTM")) with
+        whole_op = true;
+        ro_hint = false;
+        invalidate = (fun _ _ -> ());
+      }
+  | Tmhp -> tmhp_mode ~pool ~deleted ~hp_threshold base
+  | Ref -> ref_mode ~pool ~deleted base
+  | Ebr -> ebr_mode ~pool ~deleted ~advance_threshold:hp_threshold base
+
+let window_size t = Window.size t.window
+let fuse_budget t ~thread = Window.fuse_budget t.window ~thread
+
+let start_point t ~thread ~root = function
+  | Some n -> (n, max t.resume_floor (Window.budget t.window ~thread))
+  | None ->
+      ( root,
+        if t.whole_op then max_int else Window.first_budget t.window ~thread )
+
+let apply t ~thread ~site ?(lookup = false) step =
+  Rr.Hoh.apply_stamped ~rr:t.ops ~site ?max_attempts:t.max_attempts
+    ~read_phase:(lookup && t.ro_hint)
+    ~window:(t.window, thread)
+    step

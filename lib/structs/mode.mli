@@ -1,8 +1,11 @@
-(** Reclamation/traversal modes shared by the transactional data
-    structures.
+(** The traversal context shared by the transactional data structures:
+    Listing 5's [Apply] ({!apply}), its window budgets ({!start_point}),
+    the node pool and a reclamation/reservation mode.
 
     Every structure in the paper's evaluation is "Listing 5 plus a policy":
-    the same hand-over-hand traversal code runs with
+    a structure supplies its root or heads, the step one window runs and
+    the actions on the nodes it finds; the same hand-over-hand traversal
+    code then runs with
 
     - one of the six revocable-reservation implementations (precise,
       immediate reclamation),
@@ -62,6 +65,11 @@ type 'n t = {
       (** per-thread cleanup after a worker quiesces (clear hazard slots) *)
   drain : unit -> unit;  (** global cleanup: drain deferred reclamation *)
   hazard_metrics : unit -> Reclaim.Hazard.metrics option;
+  pool : 'n Mempool.t;  (** the structure's node pool *)
+  window : Rr.Hoh.Window.t;  (** the structure's window controller *)
+  max_attempts : int option;  (** TM attempts per window transaction *)
+  resume_floor : int;
+      (** the least budget of a resumed window (see {!start_point}) *)
 }
 
 val tmhp_gen_violations : int Atomic.t
@@ -70,15 +78,16 @@ val tmhp_gen_violations : int Atomic.t
     protocol is airtight. *)
 
 val take_spare :
-  'n Mempool.t ->
+  'n t ->
   thread:int ->
   outer:Tm.txn option ->
   'n option ref ->
   ('n Mempool.t -> thread:int -> 'n) ->
   'n
-(** [take_spare pool ~thread ~outer spare alloc] is an insert's spare node:
-    the one in [spare], or a fresh one from [alloc], stored there. [outer]
-    is [Tm.current_txn ()] sampled when the operation began. An unnested
+(** [take_spare t ~thread ~outer spare alloc] is an insert's spare node:
+    the one in [spare], or a fresh one from [alloc] over [t]'s pool,
+    stored there. [outer] is [Tm.current_txn ()] sampled when the
+    operation began. An unnested
     insert ([outer = None]) keeps its spare across its own aborted
     attempts, so a retry allocates nothing. Inside an enclosing transaction
     an abort of that transaction re-runs the whole insert with a fresh
@@ -86,7 +95,7 @@ val take_spare :
     clears [spare]. *)
 
 val give_back_spare :
-  'n Mempool.t -> thread:int -> outer:Tm.txn option -> 'n option ref -> unit
+  'n t -> thread:int -> outer:Tm.txn option -> 'n option ref -> unit
 (** Return an unconsumed insert spare to the pool once the operation is
     over. Outside any transaction the node is freed immediately; inside an
     enclosing transaction [outer] the free is deferred to its commit —
@@ -100,8 +109,12 @@ val create :
   pool:'n Mempool.t ->
   deleted:(Tm.txn -> 'n -> bool) ->
   mark_deleted:(Tm.txn -> 'n -> unit) ->
-  hash:('n -> int) ->
-  equal:('n -> 'n -> bool) ->
+  window:int ->
+  ?scatter:bool ->
+  ?adaptive:bool ->
+  ?fusion:int ->
+  ?max_attempts:int ->
+  ?resume_floor:int ->
   ?rr_config:Rr.Config.t ->
   ?hp_threshold:int ->
   unit ->
@@ -110,7 +123,46 @@ val create :
     [mark_deleted] sets it; a poisoned (freed) node must test deleted.
     TMHP, EBR and REF mark on [invalidate] and test in their reservation
     check. REF keeps each node's reference count itself, one tvar per
-    pool id ({!Mempool.id_of}), so nodes carry no count. [hp_threshold] is
-    the TMHP scan threshold (default 64, the paper's best setting). TMHP's
-    recycle check ({!tmhp_gen_violations}) reads each node's allocation
-    count from [pool] ({!Mempool.generation}). *)
+    pool id ({!Mempool.id_of}), so nodes carry no count. The RR kinds hash
+    a node by its pool id, mixed, and compare nodes physically.
+    [hp_threshold] is the TMHP scan threshold (default 64, the paper's best
+    setting). TMHP's recycle check ({!tmhp_gen_violations}) reads each
+    node's allocation count from [pool] ({!Mempool.generation}).
+
+    The structure's window settings build its window controller,
+    [Rr.Hoh.Window.create ~scatter ?adaptive ?fusion window] ([scatter]
+    defaults to [true]); it and [max_attempts] (default: the TM's) drive
+    every {!apply}. [resume_floor] (default 1) is a structure constant:
+    a tree resumes a window at the node the last one handed off, so it
+    passes 2, or a resumed window of budget 1 would hand that node back
+    without stepping, forever. *)
+
+val window_size : 'n t -> int
+(** The static window [w] ({!Rr.Hoh.Window.size}). *)
+
+val fuse_budget : 'n t -> thread:int -> int
+(** [thread]'s live window-fusion budget
+    ({!Rr.Hoh.Window.fuse_budget}). *)
+
+val start_point : 'n t -> thread:int -> root:'n -> 'n option -> 'n * int
+(** The window-start policy: where a window begins and how many nodes it
+    may examine. A resumed window ([Some n], the checked hand-off) starts
+    at [n] with the continuation budget ({!Rr.Hoh.Window.budget}), at
+    least [resume_floor]. A first window ([None], also after a revoked
+    reservation) starts at [root] with the scattered first budget
+    ({!Rr.Hoh.Window.first_budget}), or an unbounded one when [whole_op].
+    Call it inside the step, once per attempt that needs a start: the
+    first budget advances the thread's scatter generator. *)
+
+val apply :
+  'n t ->
+  thread:int ->
+  site:string ->
+  ?lookup:bool ->
+  (Tm.txn -> start:'n option -> ('n, 'a) Rr.Hoh.outcome) ->
+  'a * int
+(** Listing 5's [Apply]: {!Rr.Hoh.apply_stamped} over the mode's
+    reservations, window controller and attempt limit. Returns the step's
+    result and the final transaction's commit stamp. [site] labels every
+    window transaction. A pure [lookup] (default [false]) runs its windows
+    with the [read_phase] hint when the mode's [ro_hint] allows it. *)

@@ -61,10 +61,6 @@ let sentinel ~key =
   n.key <- key;
   n
 
-let hash n =
-  let h = n.id * 0x9e3779b1 in
-  h lxor (h lsr 16)
-
 let equal a b = a == b
 
 let alloc pool ~thread =

@@ -80,7 +80,6 @@ val peek_deleted : t -> bool
 (** {!deleted} outside any transaction, for structure checks. *)
 
 val sentinel : key:int -> t
-val hash : t -> int
 val equal : t -> t -> bool
 
 val alloc : t Mempool.t -> thread:int -> t

@@ -49,4 +49,5 @@ val reset_slots : unit -> unit
 (** Start a fresh measurement window. Call while workers are quiescent. *)
 
 val now_ns : unit -> int
-(** Wall-clock nanoseconds (microsecond-granular underneath). *)
+(** Monotonic nanoseconds ([clock_gettime(CLOCK_MONOTONIC)] underneath,
+    see {!Tel_state.now_ns}): only differences are meaningful. *)

@@ -1252,8 +1252,12 @@ and apply_path ctx env (e : expression) p args =
         args;
       (env, Aother)
   | (("Tm", ("atomic" | "atomic_stamped")), None)
-  | (("Hoh", ("apply" | "apply_stamped" | "run")), None) ->
-      let is_hoh = fst key = "Hoh" in
+  | (("Hoh", ("apply" | "apply_stamped" | "run")), None)
+  | (("Mode", "apply"), None) ->
+      (* [Mode.apply] is the structures' one call into the window engine:
+         its step is a window step like [Hoh.apply]'s, with [~start]
+         checked. *)
+      let is_hoh = fst key <> "Tm" in
       if omits_site args then
         report ctx ~loc ~rule:"site-label"
           (Printf.sprintf

@@ -100,8 +100,7 @@ let test_uaf_key_read_outside_check () =
       let mode =
         Structs.Mode.create Structs.Mode.Tmhp ~pool
           ~deleted:Structs.Lnode.deleted
-          ~mark_deleted:Structs.Lnode.mark_deleted ~hash:Structs.Lnode.hash
-          ~equal:Structs.Lnode.equal ()
+          ~mark_deleted:Structs.Lnode.mark_deleted ~window:8 ()
       in
       with_san (fun () ->
           let n = Structs.Lnode.alloc pool ~thread in

@@ -400,6 +400,75 @@ let test_handoff_clock_traffic () =
       check "remove 121: the commit and the free poke" 2
         (bumps (fun () -> Structs.Hoh_list.remove l ~thread 121)))
 
+(* The window policy every structure shares ({!Structs.Mode}): where an
+   operation's windows begin and end. Under RR-V with no scatter, one
+   lookup of a deep key commits one transaction per window, so the count
+   pins the first-window budget, the continuation budget and the trees'
+   resumed-window floor at windows 1 and 3. Under HTM every operation is
+   one transaction. Each row fills its structure with [keys] in order (an
+   ascending fill makes the trees one deep spine) and looks up [deep].
+   Skiplist towers come from a per-thread generator seeded from the
+   structure's seed and the thread id, so that row picks the seed that
+   gives the calling thread thread 0's default generator. *)
+let test_window_pins () =
+  Tm.Thread.with_registered (fun thread ->
+      let commits f =
+        let s = Tm.Thread.stats () in
+        let c0 = Tm.Stats.commits s in
+        ignore (f ());
+        Tm.Stats.commits s - c0
+      in
+      let upto n = List.init n (fun i -> i + 1) in
+      let of_spec ?buckets structure ?window ?scatter kind =
+        (Factories.make (Spec.v ?window ?scatter ?buckets structure kind))
+          .Factories.make ()
+      in
+      let skiplist ?window ?scatter mode =
+        Store.pack
+          (module Store.Hoh_skiplist)
+          (Structs.Hoh_skiplist.create ~mode ?window ?scatter
+             ~seed:(42 - (thread * 7919))
+             ())
+      in
+      let rows =
+        [
+          ("slist", of_spec Spec.Slist, upto 32, 32, (32, 11));
+          ("hashset", of_spec ~buckets:2 Spec.Hashset, upto 64, 64, (32, 11));
+          ("dlist", of_spec Spec.Dlist, upto 32, 32, (32, 11));
+          ("bst-int", of_spec Spec.Bst_int, upto 24, 24, (25, 12));
+          ("bst-ext", of_spec Spec.Bst_ext, upto 24, 24, (25, 12));
+          ("skiplist", skiplist, upto 64, 47, (10, 4));
+        ]
+      in
+      List.iter
+        (fun (name, make, keys, deep, (at1, at3)) ->
+          let store ?window ?scatter kind =
+            let st = make ?window ?scatter kind in
+            List.iter
+              (fun k -> checkb (name ^ ": fill") true (ins st ~thread k))
+              keys;
+            st
+          in
+          List.iter
+            (fun (window, want) ->
+              let st =
+                store ~window ~scatter:false
+                  (Structs.Mode.Rr_kind (module Rr.V))
+              in
+              check
+                (Printf.sprintf "%s: lookup %d at window %d, windows" name deep
+                   window)
+                want
+                (commits (fun () -> mem st ~thread deep)))
+            [ (1, at1); (3, at3) ];
+          let st = store Structs.Mode.Htm in
+          List.iter
+            (fun (op, f) ->
+              check (Printf.sprintf "%s: htm %s, transactions" name op) 1
+                (commits (fun () -> f st ~thread deep)))
+            [ ("lookup", mem); ("remove", rem); ("insert", ins) ])
+        rows)
+
 (* Two-child removal copies: a fresh node carrying the successor's key
    replaces the removed one, so the removal allocates one node and frees
    two (the removed node and the successor). [Hoh_bst_int.t] is abstract:
@@ -550,14 +619,16 @@ let test_recycled_key_aborts () =
       checkb "the answer is the tree's after the change" false r.Tm.value)
 
 (* The list structures' records are abstract; a test that works behind a
-   structure's back reaches its head sentinel ([Hoh_dlist]) or its bucket
-   heads ([Hoh_list], one for the list) and its pool through fields 1 and
-   3, guarded so a moved layout fails the test rather than crashing it. *)
+   structure's back reaches its head sentinel ([Hoh_dlist], [Hoh_skiplist])
+   or its bucket heads ([Hoh_list], one for the list) through field 1, and
+   its pool through its mode, field 0, guarded so a moved layout fails the
+   test rather than crashing it. *)
 let head_and_pool name v =
   let f i = Obj.field (Obj.repr v) i in
-  checkb (name ^ ": fields 1 and 3 are blocks") true
-    (Obj.is_block (f 1) && Obj.is_block (f 3));
-  (Obj.obj (f 1), Obj.obj (f 3))
+  checkb (name ^ ": fields 0 and 1 are blocks") true
+    (Obj.is_block (f 0) && Obj.is_block (f 1));
+  let mode : _ Structs.Mode.t = Obj.obj (f 0) in
+  (Obj.obj (f 1), mode.Structs.Mode.pool)
 
 (* The list counterpart of [tnode: recycled key aborts]: [List_walk.walk]
    loads each node's plain key and then reads its [next], which validates
@@ -620,7 +691,7 @@ let test_dlist_recycled_key_aborts () =
       check "field 1 is the head sentinel" (-1) head.Dnode.id;
       let c = Tm.peek head.Dnode.next in
       check "the node holding 10" 10 c.Dnode.key;
-      checkb "field 3 is the list's pool" true (Mempool.is_live pool c);
+      checkb "the mode's pool holds the node" true (Mempool.is_live pool c);
       let guard = Tm.tvar 0 and recycled = ref false in
       let r =
         Tm.atomic_stamped ~site:"test.recycled_key" (fun txn ->
@@ -683,7 +754,7 @@ let test_slist_freed_node_fails_check () =
       in
       let n = Tm.peek (Tm.peek heads.(0).Lnode.next).Lnode.next in
       let succ = Tm.peek n.Lnode.next in
-      checkb "slist: field 3 is the pool" true (Mempool.is_live pool n);
+      checkb "slist: the mode's pool holds the node" true (Mempool.is_live pool n);
       Mempool.free pool ~thread n;
       expect_freed "slist"
         ~check:(fun () -> Hoh_list.check l)
@@ -704,7 +775,7 @@ let test_hashset_freed_node_fails_check () =
       let n = Tm.peek (Tm.peek heads.(0).Lnode.next).Lnode.next in
       let succ = Tm.peek n.Lnode.next in
       check "hashset: the node holding 2" 2 n.Lnode.key;
-      checkb "hashset: field 3 is the pool" true (Mempool.is_live pool n);
+      checkb "hashset: the mode's pool holds the node" true (Mempool.is_live pool n);
       Mempool.free pool ~thread n;
       expect_freed "hashset"
         ~check:(fun () -> Hoh_list.check h)
@@ -722,7 +793,7 @@ let test_dlist_freed_node_fails_check () =
       in
       let n = Tm.peek (Tm.peek head.Dnode.next).Dnode.next in
       let pred = Tm.peek n.Dnode.prev and succ = Tm.peek n.Dnode.next in
-      checkb "dlist: field 3 is the pool" true (Mempool.is_live pool n);
+      checkb "dlist: the mode's pool holds the node" true (Mempool.is_live pool n);
       Mempool.free pool ~thread n;
       expect_freed "dlist"
         ~check:(fun () -> Hoh_dlist.check l)
@@ -745,7 +816,7 @@ let test_skiplist_freed_node_fails_check () =
       let n = Tm.peek (Tm.peek head.Snode.next.(0)).Snode.next.(0) in
       let tower = Array.map Tm.peek n.Snode.next in
       check "skiplist: the node holding 2" 2 n.Snode.key;
-      checkb "skiplist: field 3 is the pool" true (Mempool.is_live pool n);
+      checkb "skiplist: the mode's pool holds the node" true (Mempool.is_live pool n);
       Mempool.free pool ~thread n;
       expect_freed "skiplist"
         ~check:(fun () -> Hoh_skiplist.check sl)
@@ -1157,6 +1228,7 @@ let () =
             test_ebr_defers_then_reclaims;
           Alcotest.test_case "rr-v: read-only hand-offs" `Quick
             test_handoff_clock_traffic;
+          Alcotest.test_case "window pins" `Quick test_window_pins;
         ] );
       ( "properties",
         List.map

@@ -336,6 +336,44 @@ let test_forced_serial_fallback () =
             (Telemetry.Attribution.count rep.Telemetry.Report.attribution
                ~site:"test.serial" ~cause:"read_invalid")))
 
+(* ---- gauges ---- *)
+
+(* The window engine releases a window's reservation only through
+   [release_all], so the [rr] gauge must count that call: every hand-off
+   releases and reserves, and every operation's last window releases once
+   more. One thread without scatter: no attempt aborts and every window
+   boundary is fixed. *)
+let test_rr_gauge_counts_release_all () =
+  with_telemetry (fun () ->
+      Tm.Thread.with_registered (fun thread ->
+          Telemetry.Gauges.clear ();
+          let l =
+            Structs.Hoh_list.create
+              ~mode:(Structs.Mode.Rr_kind (module Rr.V))
+              ~window:4 ~scatter:false ()
+          in
+          let ops = ref 0 in
+          let run op k =
+            incr ops;
+            ignore (op l ~thread k)
+          in
+          for k = 1 to 24 do
+            run Structs.Hoh_list.insert k
+          done;
+          List.iter (run Structs.Hoh_list.lookup) [ 22; 13; 25 ];
+          run Structs.Hoh_list.remove 18;
+          let g =
+            List.find
+              (fun s -> s.Telemetry.Gauges.group = "rr")
+              (Telemetry.Gauges.sample ())
+          in
+          let v k = int_of_float (List.assoc k g.Telemetry.Gauges.values) in
+          checkb "the operations hand off" true (v "reserves" > !ops);
+          check "releases = reserves + operations"
+            (v "reserves" + !ops)
+            (v "releases");
+          Telemetry.Gauges.clear ()))
+
 (* ---- report ---- *)
 
 let test_report_roundtrip () =
@@ -450,6 +488,11 @@ let () =
           Alcotest.test_case "forced lock_busy" `Quick test_forced_lock_busy;
           Alcotest.test_case "forced serial fallback" `Quick
             test_forced_serial_fallback;
+        ] );
+      ( "gauges",
+        [
+          Alcotest.test_case "rr: release_all counts as a release" `Quick
+            test_rr_gauge_counts_release_all;
         ] );
       ( "report",
         [
