@@ -1,4 +1,7 @@
-type ('r, 'a) outcome = Finish of 'a | Hand_off of 'r
+type ('r, 'a) outcome = Finish of 'a | Hand_off of 'r | Anchor of 'r
+
+let act txn ~anchor f =
+  if Tm.is_unlogged txn then Anchor anchor else Finish (f ())
 
 (* Per-thread window budgets. Static mode is the paper's fixed W with the
    scatter optimization for first windows. Adaptive mode replaces the fixed
@@ -71,8 +74,12 @@ end
 let[@inline] contention_aborts s =
   Tm.Stats.aborts_read s + Tm.Stats.aborts_lock s + Tm.Stats.aborts_serial s
 
-let run ~rr ?site ?max_attempts ?(read_phase = false) ?window step =
+let run ~rr ?site ?max_attempts ?(read_phase = false) ?(unlogged = false)
+    ?window step =
   let reserved = ref None in
+  (* Whether the next window is an update's acting window: after an
+     [Anchor] it runs logged, so it may write. *)
+  let acting = ref false in
   (* The controller's feedback signal: the delta of this thread's
      contention-abort counters across the window transaction, plus whether
      it had to commit serially. Counters are thread-private, so the delta
@@ -91,7 +98,8 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window step =
       | None -> 1
     in
     let res =
-      Tm.atomic_stamped ?site ?max_attempts ~read_phase (fun txn ->
+      Tm.atomic_stamped ?site ?max_attempts ~read_phase
+        ~unlogged:(unlogged && not !acting) (fun txn ->
           rr.Rr_intf.register txn;
           let start =
             match !reserved with
@@ -100,21 +108,26 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window step =
           in
           (* Window fusion: run up to [fuse] windows back to back inside
              this one transaction. An intermediate hand-off point needs no
-             reservation — the node was read by this very transaction, so
-             the read-set validation that guards the commit also proves it
-             was not revoked (opacity); only the final window's hand-off
-             pays the release/reserve round, and the whole fused chain
-             commits once. Under RR-V that round writes only owner-local
-             slots, so a chain that just walks commits read-only and pays
-             no gclock stamp; under the RRs whose reserve publishes, the
-             chain pays one. On abort the transaction re-runs from the
-             last {e committed} reservation, exactly as unfused.
+             reservation — the node was read by this very transaction,
+             whose snapshot at [rv] every read was validated against, so
+             it was not revoked before the commit (opacity); only the
+             final window's hand-off pays the release/reserve round, and
+             the whole fused chain commits once. Under RR-V that round
+             writes only owner-local slots, so a chain that just walks
+             commits read-only and pays no gclock stamp; under the RRs
+             whose reserve publishes, the chain pays one. On abort the
+             transaction re-runs from the last {e committed} reservation,
+             exactly as unfused. An unlogged chain keeps no read set:
+             each read is checked against [rv] at its load, and a stale
+             one aborts the chain instead of extending it.
 
              A window that queued deferred work is a fusion barrier: the
              defers carry protocol state the step only publishes at
              commit (the dlist two-phase remove, the skiplist resume
              hint), so the next window must not run in the same
-             transaction or it would observe the pre-commit state. *)
+             transaction or it would observe the pre-commit state. An
+             [Anchor] ends the chain too: the acting window after it
+             must run in a logged transaction of its own. *)
           let rec windows start k =
             let d0 = Tm.defers_pending txn in
             match step txn ~start with
@@ -127,6 +140,10 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window step =
                 rr.Rr_intf.release_all txn;
                 rr.Rr_intf.reserve txn r;
                 Hand_off r
+            | Anchor r ->
+                rr.Rr_intf.release_all txn;
+                rr.Rr_intf.reserve txn r;
+                Anchor r
           in
           windows start fuse)
     in
@@ -147,8 +164,9 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window step =
            reservations behind and drops its carry/hint shadow. *)
         if san then San.window_finish ~tid:(Tm.Thread.id ());
         (v, res.Tm.stamp)
-    | Hand_off r ->
+    | (Hand_off r | Anchor r) as o ->
         reserved := Some r;
+        acting := (match o with Anchor _ -> true | _ -> false);
         (* The committed reservation becomes the carried pointer; until
            the next window's successful [get] it must not be dereferenced
            (TxSan's unchecked-carry rule). *)
@@ -161,8 +179,8 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?window step =
   in
   loop ()
 
-let apply ~rr ?site ?max_attempts ?read_phase ?window step =
-  fst (run ~rr ?site ?max_attempts ?read_phase ?window step)
+let apply ~rr ?site ?max_attempts ?read_phase ?unlogged ?window step =
+  fst (run ~rr ?site ?max_attempts ?read_phase ?unlogged ?window step)
 
-let apply_stamped ~rr ?site ?max_attempts ?read_phase ?window step =
-  run ~rr ?site ?max_attempts ?read_phase ?window step
+let apply_stamped ~rr ?site ?max_attempts ?read_phase ?unlogged ?window step =
+  run ~rr ?site ?max_attempts ?read_phase ?unlogged ?window step

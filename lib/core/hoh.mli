@@ -8,12 +8,25 @@
     either finishes the operation or hands off by naming the node to
     reserve for the next transaction. The engine performs the
     register / get / release-all / reserve choreography so the data
-    structures contain only traversal logic. *)
+    structures contain only traversal logic. With [unlogged] (see
+    {!apply}), the traversal windows keep no read set and an update
+    writes in one logged window that starts at its anchor node
+    ({!act}). *)
 
 type ('r, 'a) outcome =
   | Finish of 'a  (** operation complete; release reservations and commit *)
   | Hand_off of 'r
       (** commit this window, reserving the given node as the next start *)
+  | Anchor of 'r
+      (** hand off like [Hand_off], at the node an update's write hangs
+          from; the next window is the update's acting window and runs
+          logged, so it may write (see {!apply}'s [unlogged]) *)
+
+val act : Tm.txn -> anchor:'r -> (unit -> 'a) -> ('r, 'a) outcome
+(** An update's write, at the position a window found: [Finish (f ())]
+    in a logged window, [Anchor anchor] in an unlogged one, which must
+    not write. [anchor] is a node the window read, from which the acting
+    window finds the position again. *)
 
 (** Per-thread window budgets with the paper's [scatter] optimization: the
     first window of an operation spans a random 1..W nodes so that threads
@@ -77,6 +90,7 @@ val apply :
   ?site:string ->
   ?max_attempts:int ->
   ?read_phase:bool ->
+  ?unlogged:bool ->
   ?window:Window.t * int ->
   (Tm.txn -> start:'r option -> ('r, 'a) outcome) ->
   'a
@@ -91,6 +105,14 @@ val apply :
     the pure-traversal hint (locked reads wait instead of aborting; no
     serial escalation — see {!Tm.atomic}).
 
+    [unlogged] (default [false]) runs every window transaction unlogged
+    ({!Tm.atomic}'s [unlogged]: TL2's read-only mode, no read set),
+    except the one after an [Anchor], which is logged and is where an
+    update writes ({!act}). Only pass it when [rr]'s reserve, release and
+    get write nothing the TM publishes ({!Rr_intf.S.local_reserve}): an
+    unlogged window may not write. A serial re-run and a call flattened
+    into an enclosing transaction are logged and act directly.
+
     [window] is [(w, thread)]: when [w] is adaptive or fused, every window
     transaction's contention outcome is fed back to [thread]'s budget
     controller(s) via {!Window.record}. The step callback still chooses
@@ -98,13 +120,15 @@ val apply :
     passing [window] closes the feedback loop, and with [fusion > 1] also
     lets the engine run {!Window.fuse_budget} consecutive windows inside
     one transaction (intermediate hand-offs carry no reservation — the
-    fused transaction's own read-set validation protects them). *)
+    fused transaction's snapshot, every read of which was validated
+    against its [rv], protects them). An [Anchor] ends a fused chain. *)
 
 val apply_stamped :
   rr:'r Rr_intf.ops ->
   ?site:string ->
   ?max_attempts:int ->
   ?read_phase:bool ->
+  ?unlogged:bool ->
   ?window:Window.t * int ->
   (Tm.txn -> start:'r option -> ('r, 'a) outcome) ->
   'a * int

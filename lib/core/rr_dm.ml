@@ -7,6 +7,7 @@ type 'r t = 'r Rr_assoc.t
 
 let name = "RR-DM"
 let strict = true
+let local_reserve = false
 
 let create ?(config = Rr_config.default) ~hash ~equal () =
   Rr_assoc.create_t ~ways:1 ~config ~hash ~equal

@@ -19,6 +19,7 @@ type 'r t = {
 
 let name = "RR-FA"
 let strict = true
+let local_reserve = false
 
 let create ?(config = Rr_config.default) ~hash:_ ~equal () =
   Rr_config.validate config;

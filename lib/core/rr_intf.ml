@@ -26,6 +26,12 @@ module type S = sig
   (** Whether [get] is immune to spurious invalidation. The doubly-linked
       list's separate unlink-and-revoke transaction keys off this. *)
 
+  val local_reserve : bool
+  (** Whether [reserve], [release], [release_all] and [get] write nothing
+      the TM publishes, so a hand-over-hand window that only walks and
+      hands off commits read-only. Such a window may run unlogged
+      ({!Tm.atomic}'s [unlogged]); the window engine keys off this. *)
+
   val create :
     ?config:Rr_config.t ->
     hash:('r -> int) ->

@@ -7,6 +7,7 @@ type 'r t = 'r Rr_own.t
 
 let name = "RR-SO"
 let strict = false
+let local_reserve = false
 
 let create ?(config = Rr_config.default) ~hash ~equal () =
   Rr_own.create_t ~ways:config.Rr_config.assoc ~config ~hash ~equal

@@ -23,6 +23,7 @@ type 'r t = {
 
 let name = "RR-V"
 let strict = false
+let local_reserve = true
 
 let create ?(config = Rr_config.default) ~hash ~equal () =
   Rr_config.validate config;

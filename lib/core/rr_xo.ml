@@ -8,6 +8,7 @@ type 'r t = 'r Rr_own.t
 
 let name = "RR-XO"
 let strict = false
+let local_reserve = false
 
 let create ?(config = Rr_config.default) ~hash ~equal () =
   Rr_own.create_t ~ways:1 ~config ~hash ~equal

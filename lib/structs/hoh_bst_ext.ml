@@ -45,20 +45,24 @@ let descend txn ~key ~start ~budget =
   in
   go None None start 1
 
-(* [on_leaf txn ~gp ~p ~leaf] with [p]/[gp] as available; [p = None] only
-   when the tree is empty ([leaf] is then the root sentinel). *)
+(* [on_leaf txn ~start ~gp ~p ~leaf] with [p]/[gp] as available; [p =
+   None] only when the tree is empty ([leaf] is then the root sentinel).
+   An update acts from the node whose link it writes when the window saw
+   it — [p] for an insert, [gp] for a removal — else from the window's
+   [start]. *)
 let apply t ~thread ?lookup key ~site ~on_leaf =
   if key <= min_int + 1 || key >= max_int - 1 then
     invalid_arg "Hoh_bst_ext: key out of range";
   Mode.apply t.mode ~thread ~site ?lookup (fun txn ~start ->
       let start, budget = Mode.start_point t.mode ~thread ~root:t.root start in
       match descend txn ~key ~start ~budget with
-      | `Leaf (gp, p, leaf) -> on_leaf txn ~gp ~p ~leaf
+      | `Leaf (gp, p, leaf) ->
+          on_leaf txn ~start ~gp ~p ~leaf
       | `Window c -> Rr.Hoh.Hand_off c)
 
 let lookup_s t ~thread key =
   apply t ~thread ~lookup:true key ~site:"bst_ext.lookup"
-    ~on_leaf:(fun txn ~gp:_ ~p:_ ~leaf ->
+    ~on_leaf:(fun txn ~start:_ ~gp:_ ~p:_ ~leaf ->
       Rr.Hoh.Finish
         (Tnode.equal leaf t.root = false && Tnode.key txn leaf = key))
 
@@ -68,36 +72,38 @@ let insert_s t ~thread key =
   let spare_leaf = ref None and spare_router = ref None in
   let take spare = Mode.take_spare t.mode ~thread ~outer spare Tnode.alloc in
   let result =
-    apply t ~thread key ~site:"bst_ext.insert" ~on_leaf:(fun txn ~gp:_ ~p ~leaf ->
-        if Tnode.equal leaf t.root then begin
-          (* Empty tree: hang the first leaf off the sentinel. *)
-          let nl = take spare_leaf in
-          Tnode.set_key nl key;
-          Tm.write txn t.root.Tnode.left nl;
-          Tm.defer txn (fun () -> spare_leaf := None);
-          Rr.Hoh.Finish true
-        end
+    apply t ~thread key ~site:"bst_ext.insert"
+      ~on_leaf:(fun txn ~start ~gp:_ ~p ~leaf ->
+        let anchor = Option.value p ~default:start in
+        if Tnode.equal leaf t.root then
+          Rr.Hoh.act txn ~anchor (fun () ->
+              (* Empty tree: hang the first leaf off the sentinel. *)
+              let nl = take spare_leaf in
+              Tnode.set_key nl key;
+              Tm.write txn t.root.Tnode.left nl;
+              Tm.defer txn (fun () -> spare_leaf := None);
+              true)
         else
           let lk = Tnode.key txn leaf in
           if lk = key then Rr.Hoh.Finish false
-          else begin
-            let p = Option.get p in
-            let nl = take spare_leaf and router = take spare_router in
-            Tnode.set_key nl key;
-            let lo, hi = if key < lk then (nl, leaf) else (leaf, nl) in
-            Tnode.set_key router (max key lk);
-            Tm.write txn router.Tnode.left lo;
-            Tm.write txn router.Tnode.right hi;
-            Tm.write txn
-              (match Tnode.route txn p key with
-              | Tnode.Left _ -> p.Tnode.left
-              | Tnode.Right _ | Tnode.Hit _ -> p.Tnode.right)
-              router;
-            Tm.defer txn (fun () ->
-                spare_leaf := None;
-                spare_router := None);
-            Rr.Hoh.Finish true
-          end)
+          else
+            Rr.Hoh.act txn ~anchor (fun () ->
+                let p = Option.get p in
+                let nl = take spare_leaf and router = take spare_router in
+                Tnode.set_key nl key;
+                let lo, hi = if key < lk then (nl, leaf) else (leaf, nl) in
+                Tnode.set_key router (max key lk);
+                Tm.write txn router.Tnode.left lo;
+                Tm.write txn router.Tnode.right hi;
+                Tm.write txn
+                  (match Tnode.route txn p key with
+                  | Tnode.Left _ -> p.Tnode.left
+                  | Tnode.Right _ | Tnode.Hit _ -> p.Tnode.right)
+                  router;
+                Tm.defer txn (fun () ->
+                    spare_leaf := None;
+                    spare_router := None);
+                true))
   in
   Mode.give_back_spare t.mode ~thread ~outer spare_leaf;
   Mode.give_back_spare t.mode ~thread ~outer spare_router;
@@ -105,45 +111,50 @@ let insert_s t ~thread key =
 
 let remove_s t ~thread key =
   let r, s =
-    apply t ~thread key ~site:"bst_ext.remove" ~on_leaf:(fun txn ~gp ~p ~leaf ->
+    apply t ~thread key ~site:"bst_ext.remove"
+      ~on_leaf:(fun txn ~start ~gp ~p ~leaf ->
+        let anchor = Option.value gp ~default:start in
         if Tnode.equal leaf t.root then Rr.Hoh.Finish false
         else if Tnode.key txn leaf <> key then Rr.Hoh.Finish false
         else
           match p with
           | None -> Rr.Hoh.Finish false (* unreachable: leaf has a parent *)
           | Some p when Tnode.equal p t.root ->
-              (* Single-leaf tree: detach the leaf from the sentinel. *)
-              Tm.write txn t.root.Tnode.left Tnode.nil;
-              t.mode.Mode.invalidate txn leaf;
-              t.mode.Mode.dispose txn leaf;
-              Rr.Hoh.Finish true
+              Rr.Hoh.act txn ~anchor (fun () ->
+                  (* Single-leaf tree: detach the leaf from the sentinel. *)
+                  Tm.write txn t.root.Tnode.left Tnode.nil;
+                  t.mode.Mode.invalidate txn leaf;
+                  t.mode.Mode.dispose txn leaf;
+                  true)
           | Some p ->
-              let gp =
-                match gp with
-                | Some gp -> gp
-                | None ->
-                    (* The resume point was too close to the leaf: recover the
-                       grandparent with a full descent in this transaction. *)
-                    let rec from_root gp node =
-                      if Tnode.equal node p then Option.get gp
-                      else if node == Tnode.nil then assert false
-                      else from_root (Some node) (child txn node key)
-                    in
-                    from_root None t.root
-              in
-              let sibling =
-                if Tnode.equal (Tm.read txn p.Tnode.left) leaf then
-                  Tm.read txn p.Tnode.right
-                else Tm.read txn p.Tnode.left
-              in
-              if Tnode.equal (Tm.read txn gp.Tnode.left) p then
-                Tm.write txn gp.Tnode.left sibling
-              else Tm.write txn gp.Tnode.right sibling;
-              t.mode.Mode.invalidate txn p;
-              t.mode.Mode.invalidate txn leaf;
-              t.mode.Mode.dispose txn p;
-              t.mode.Mode.dispose txn leaf;
-              Rr.Hoh.Finish true)
+              Rr.Hoh.act txn ~anchor (fun () ->
+                  let gp =
+                    match gp with
+                    | Some gp -> gp
+                    | None ->
+                        (* The resume point was too close to the leaf:
+                           recover the grandparent with a full descent in
+                           this transaction. *)
+                        let rec from_root gp node =
+                          if Tnode.equal node p then Option.get gp
+                          else if node == Tnode.nil then assert false
+                          else from_root (Some node) (child txn node key)
+                        in
+                        from_root None t.root
+                  in
+                  let sibling =
+                    if Tnode.equal (Tm.read txn p.Tnode.left) leaf then
+                      Tm.read txn p.Tnode.right
+                    else Tm.read txn p.Tnode.left
+                  in
+                  if Tnode.equal (Tm.read txn gp.Tnode.left) p then
+                    Tm.write txn gp.Tnode.left sibling
+                  else Tm.write txn gp.Tnode.right sibling;
+                  t.mode.Mode.invalidate txn p;
+                  t.mode.Mode.invalidate txn leaf;
+                  t.mode.Mode.dispose txn p;
+                  t.mode.Mode.dispose txn leaf;
+                  true))
   in
   (r, s, s)
 

@@ -54,15 +54,14 @@ let apply t ~thread ?lookup key ~site ~on_found ~on_notfound =
   Mode.apply t.mode ~thread ~site ?lookup (fun txn ~start ->
       let start, budget = Mode.start_point t.mode ~thread ~root:t.root start in
       match descend txn ~key ~start ~budget with
-      | `Found (p, side, curr) ->
-          Rr.Hoh.Finish (on_found txn ~parent:p ~side ~curr)
-      | `Absent (p, side) -> Rr.Hoh.Finish (on_notfound txn ~parent:p ~side)
+      | `Found (p, side, curr) -> on_found txn ~parent:p ~side ~curr
+      | `Absent (p, side) -> on_notfound txn ~parent:p ~side
       | `Window c -> Rr.Hoh.Hand_off c)
 
 let lookup_s t ~thread key =
   apply t ~thread ~lookup:true key ~site:"bst_int.lookup"
-    ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> true)
-    ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
+    ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> Rr.Hoh.Finish true)
+    ~on_notfound:(fun _ ~parent:_ ~side:_ -> Rr.Hoh.Finish false)
 
 let link n side = if side then n.Tnode.left else n.Tnode.right
 
@@ -73,16 +72,19 @@ let take t ~thread ~outer spare txn =
   Tm.defer txn (fun () -> spare := None);
   n
 
+(* An update acts from [parent], whose link it writes: a window resumed
+   there reaches [curr] within the resume floor of 2. *)
 let insert_s t ~thread key =
   let outer = Tm.current_txn () and spare = ref None in
   let result =
     apply t ~thread key ~site:"bst_int.insert"
-      ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> false)
+      ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> Rr.Hoh.Finish false)
       ~on_notfound:(fun txn ~parent ~side ->
-        let n = take t ~thread ~outer spare txn in
-        Tnode.set_key n key;
-        Tm.write txn (link parent side) n;
-        true)
+        Rr.Hoh.act txn ~anchor:parent (fun () ->
+            let n = take t ~thread ~outer spare txn in
+            Tnode.set_key n key;
+            Tm.write txn (link parent side) n;
+            true))
   in
   Mode.give_back_spare t.mode ~thread ~outer spare;
   result
@@ -126,16 +128,17 @@ let remove_s t ~thread key =
   let r, s =
     apply t ~thread key ~site:"bst_int.remove"
       ~on_found:(fun txn ~parent ~side ~curr ->
-        let l = Tm.read txn curr.Tnode.left in
-        let r = Tm.read txn curr.Tnode.right in
-        if l == Tnode.nil then splice t txn ~parent ~side ~curr r
-        else if r == Tnode.nil then splice t txn ~parent ~side ~curr l
-        else
-          remove_two_children t txn
-            ~copy:(take t ~thread ~outer spare txn)
-            ~parent ~side ~curr ~left:l ~right:r;
-        true)
-      ~on_notfound:(fun _ ~parent:_ ~side:_ -> false)
+        Rr.Hoh.act txn ~anchor:parent (fun () ->
+            let l = Tm.read txn curr.Tnode.left in
+            let r = Tm.read txn curr.Tnode.right in
+            if l == Tnode.nil then splice t txn ~parent ~side ~curr r
+            else if r == Tnode.nil then splice t txn ~parent ~side ~curr l
+            else
+              remove_two_children t txn
+                ~copy:(take t ~thread ~outer spare txn)
+                ~parent ~side ~curr ~left:l ~right:r;
+            true))
+      ~on_notfound:(fun _ ~parent:_ ~side:_ -> Rr.Hoh.Finish false)
   in
   Mode.give_back_spare t.mode ~thread ~outer spare;
   (r, s, s)

@@ -47,28 +47,30 @@ let apply t ~thread ?lookup key ~site ~on_found ~on_notfound =
       let prev, budget = Mode.start_point t.mode ~thread ~root:t.head start in
       match walk txn ~key ~prev ~budget with
       | `Found (prev, curr) -> on_found txn ~prev ~curr
-      | `Absent (prev, curr) -> Rr.Hoh.Finish (on_notfound txn ~prev ~curr)
+      | `Absent (prev, curr) -> on_notfound txn ~prev ~curr
       | `Window c -> Rr.Hoh.Hand_off c)
 
 let lookup_s t ~thread key =
   apply t ~thread ~lookup:true key ~site:"dlist.lookup"
     ~on_found:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish true)
-    ~on_notfound:(fun _ ~prev:_ ~curr:_ -> false)
+    ~on_notfound:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish false)
 
+(* An insert acts from [prev], whose [next] it writes. *)
 let insert_s t ~thread key =
   let outer = Tm.current_txn () and spare = ref None in
   let result =
     apply t ~thread key ~site:"dlist.insert"
       ~on_found:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish false)
       ~on_notfound:(fun txn ~prev ~curr ->
-        let n = Mode.take_spare t.mode ~thread ~outer spare Dnode.alloc in
-        Dnode.set_key n key;
-        Tm.write txn n.Dnode.prev prev;
-        Tm.write txn n.Dnode.next curr;
-        Tm.write txn prev.Dnode.next n;
-        if curr != Dnode.nil then Tm.write txn curr.Dnode.prev n;
-        Tm.defer txn (fun () -> spare := None);
-        true)
+        Rr.Hoh.act txn ~anchor:prev (fun () ->
+            let n = Mode.take_spare t.mode ~thread ~outer spare Dnode.alloc in
+            Dnode.set_key n key;
+            Tm.write txn n.Dnode.prev prev;
+            Tm.write txn n.Dnode.next curr;
+            Tm.write txn prev.Dnode.next n;
+            if curr != Dnode.nil then Tm.write txn curr.Dnode.prev n;
+            Tm.defer txn (fun () -> spare := None);
+            true))
   in
   Mode.give_back_spare t.mode ~thread ~outer spare;
   result
@@ -105,19 +107,19 @@ let remove_s t ~thread key =
           Mode.start_point t.mode ~thread ~root:t.head start
         in
         match walk txn ~key ~prev ~budget with
-        | `Found (_, curr) ->
+        | `Found (prev, curr) ->
             if t.split_unlink then begin
               (* Reserve the target and commit; unlink in the next,
-                 write-only transaction. *)
+                 write-only transaction, which acts from [curr]. *)
               Tm.defer txn (fun () ->
                   phase := Unlink curr;
                   reserve_stamp := Tm.commit_stamp txn);
-              Rr.Hoh.Hand_off curr
+              Rr.Hoh.Anchor curr
             end
-            else begin
-              unlink_and_reclaim t txn curr;
-              Rr.Hoh.Finish true
-            end
+            else
+              Rr.Hoh.act txn ~anchor:prev (fun () ->
+                  unlink_and_reclaim t txn curr;
+                  true)
         | `Absent (_, _) -> Rr.Hoh.Finish false
         | `Window c -> Rr.Hoh.Hand_off c
       in

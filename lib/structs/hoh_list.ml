@@ -33,36 +33,39 @@ let head_of t key =
 (* The step of Listing 5's [Apply], from the key's bucket sentinel.
    [on_found txn ~prev ~curr] runs when a node with the key is found;
    [on_notfound txn ~prev ~curr] when the key is absent ([curr] is the
-   first node past it, or [Lnode.nil] at the tail). *)
+   first node past it, or [Lnode.nil] at the tail). Each returns the
+   window's outcome: an update writes through [Rr.Hoh.act] anchored at
+   [prev], whose [next] it writes. *)
 let apply t ~thread ?lookup key ~site ~on_found ~on_notfound =
   if key <= min_int + 1 then invalid_arg "Hoh_list: key out of range";
   let root = head_of t key in
   Mode.apply t.mode ~thread ~site ?lookup (fun txn ~start ->
       let prev, budget = Mode.start_point t.mode ~thread ~root start in
       match List_walk.walk txn ~key ~prev ~budget with
-      | `Found (prev, curr) -> Rr.Hoh.Finish (on_found txn ~prev ~curr)
-      | `Absent (prev, curr) -> Rr.Hoh.Finish (on_notfound txn ~prev ~curr)
+      | `Found (prev, curr) -> on_found txn ~prev ~curr
+      | `Absent (prev, curr) -> on_notfound txn ~prev ~curr
       | `Window c -> Rr.Hoh.Hand_off c)
 
 let lookup_s t ~thread key =
   apply t ~thread ~lookup:true key
     ~site:(if t.hashed then "hashset.lookup" else "slist.lookup")
-    ~on_found:(fun _ ~prev:_ ~curr:_ -> true)
-    ~on_notfound:(fun _ ~prev:_ ~curr:_ -> false)
+    ~on_found:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish true)
+    ~on_notfound:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish false)
 
 let insert_s t ~thread key =
   let outer = Tm.current_txn () and spare = ref None in
   let result =
     apply t ~thread key
       ~site:(if t.hashed then "hashset.insert" else "slist.insert")
-      ~on_found:(fun _ ~prev:_ ~curr:_ -> false)
+      ~on_found:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish false)
       ~on_notfound:(fun txn ~prev ~curr ->
-        let n = Mode.take_spare t.mode ~thread ~outer spare Lnode.alloc in
-        Lnode.set_key n key;
-        Tm.write txn n.Lnode.next curr;
-        Tm.write txn prev.Lnode.next n;
-        Tm.defer txn (fun () -> spare := None);
-        true)
+        Rr.Hoh.act txn ~anchor:prev (fun () ->
+            let n = Mode.take_spare t.mode ~thread ~outer spare Lnode.alloc in
+            Lnode.set_key n key;
+            Tm.write txn n.Lnode.next curr;
+            Tm.write txn prev.Lnode.next n;
+            Tm.defer txn (fun () -> spare := None);
+            true))
   in
   Mode.give_back_spare t.mode ~thread ~outer spare;
   result
@@ -72,11 +75,12 @@ let remove_s t ~thread key =
     apply t ~thread key
       ~site:(if t.hashed then "hashset.remove" else "slist.remove")
       ~on_found:(fun txn ~prev ~curr ->
-        Tm.write txn prev.Lnode.next (Tm.read txn curr.Lnode.next);
-        t.mode.Mode.invalidate txn curr;
-        t.mode.Mode.dispose txn curr;
-        true)
-      ~on_notfound:(fun _ ~prev:_ ~curr:_ -> false)
+        Rr.Hoh.act txn ~anchor:prev (fun () ->
+            Tm.write txn prev.Lnode.next (Tm.read txn curr.Lnode.next);
+            t.mode.Mode.invalidate txn curr;
+            t.mode.Mode.dispose txn curr;
+            true))
+      ~on_notfound:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish false)
   in
   (r, s, s)
 

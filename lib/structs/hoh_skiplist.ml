@@ -2,7 +2,7 @@
 type t = {
   mode : Snode.t Mode.t;
   head : Snode.t;
-  seeds : int array;
+  seed : int;
 }
 
 let create ~mode ?(window = 16) ?scatter ?adaptive ?fusion
@@ -17,28 +17,25 @@ let create ~mode ?(window = 16) ?scatter ?adaptive ?fusion
       ~window ?scatter ?adaptive ?fusion
       ~max_attempts ?rr_config ?hp_threshold ()
   in
-  {
-    mode;
-    head = Snode.sentinel ();
-    seeds = Array.init Tm.Thread.max_threads (fun i -> seed + (i * 7919) + 1);
-  }
+  { mode; head = Snode.sentinel (); seed }
 
 let name t = t.mode.Mode.name ^ "-skip"
 let window_size t = Mode.window_size t.mode
 let fuse_budget t ~thread = Mode.fuse_budget t.mode ~thread
 
-(* Geometric tower heights (p = 1/2), per-thread generators. *)
-let random_level t ~thread =
-  let s = t.seeds.(thread) in
-  let s = s lxor (s lsl 13) in
-  let s = s lxor (s lsr 7) in
-  let s = s lxor (s lsl 17) in
-  t.seeds.(thread) <- s;
+(* Geometric tower heights (p = 1/2) from a seeded hash of the key (the
+   splitmix64 finalizer, its constants cut to OCaml's 63 bits), so the same
+   keys build the same towers whichever thread inserts them. *)
+let level_of t key =
+  let h = (key + (t.seed * 0x1e3779b97f4a7c15)) land max_int in
+  let h = (h lxor (h lsr 30)) * 0x3f58476d1ce4e5b9 in
+  let h = (h lxor (h lsr 27)) * 0x14d049bb133111eb in
+  let h = h lxor (h lsr 31) in
   let rec go lvl bits =
     if lvl >= Snode.max_level || bits land 1 = 0 then lvl
     else go (lvl + 1) (bits lsr 1)
   in
-  1 + go 0 (s land max_int)
+  1 + go 0 (h land max_int)
 
 exception Stale_hint
 
@@ -50,18 +47,20 @@ let note_hint txn t node =
     San.hint_note ~tid:(Tm.thread_id txn) ~node:(Mempool.san_key t.mode.Mode.pool node)
 
 (* Full descent inside the current transaction, refreshing every hint;
-   the fallback when a hint from an earlier window was removed. *)
+   the fallback when a hint from an earlier window was removed. [m] is
+   [node]'s level-[lvl] link, read once and carried. *)
 let collect_preds txn t ~key preds =
-  let rec walk node lvl =
-    let m = Tm.read txn node.Snode.next.(lvl) in
-    if m != Snode.nil && Snode.below txn m key lvl then walk m lvl
+  let rec walk node m lvl =
+    let mn = Snode.next_below txn m key lvl in
+    if mn != Snode.above then walk m mn lvl
     else begin
       preds.(lvl) <- node;
       note_hint txn t node;
-      if lvl > 0 then walk node (lvl - 1)
+      if lvl > 0 then walk node (Tm.read txn node.Snode.next.(lvl - 1)) (lvl - 1)
     end
   in
-  walk t.head (Snode.max_level - 1)
+  let top = Snode.max_level - 1 in
+  walk t.head (Tm.read txn t.head.Snode.next.(top)) top
 
 (* Validate and fast-forward the hint for level [l]. A hint recorded in an
    earlier window is only usable if, in this transaction's snapshot, it is
@@ -71,7 +70,8 @@ let collect_preds txn t ~key preds =
    walking level [l] from it would start outside the level-[l] list. Any
    live node with [key' < key] and [level > l] is on the sorted level-[l]
    list, so fast-forwarding from it is correct; newer inserts between hint
-   and position are skipped by walking forward within the snapshot. *)
+   and position are skipped by walking forward within the snapshot.
+   Returns the predecessor and its level-[l] successor. *)
 let fresh_pred txn t ~key ~preds l =
   let hint = preds.(l) in
   (* Dst.Inject bug #3: only the deletion check, as the original code did — a
@@ -91,11 +91,11 @@ let fresh_pred txn t ~key ~preds l =
     San.hint_use ~tid:(Tm.thread_id txn) ~site:(Tm.txn_site txn)
       ~node:(Mempool.san_key t.mode.Mode.pool hint)
       ~revalidated:(not (Dst.Inject.bug Dst.Inject.Stale_hint));
-  let rec go p =
-    let m = Tm.read txn p.Snode.next.(l) in
-    if m != Snode.nil && Snode.below txn m key l then go m else p
+  let rec go p m =
+    let mn = Snode.next_below txn m key l in
+    if mn != Snode.above then go m mn else (p, m)
   in
-  go hint
+  go hint (Tm.read txn hint.Snode.next.(l))
 
 let pred_with_hint txn t ~key ~preds l =
   try fresh_pred txn t ~key ~preds l
@@ -103,9 +103,13 @@ let pred_with_hint txn t ~key ~preds l =
     collect_preds txn t ~key preds;
     fresh_pred txn t ~key ~preds l
 
-(* The windowed traversal. [on_position txn ~preds ~pred0 ~curr] runs in the
-   final transaction once level 0 is reached: [pred0 = preds.(0)] is fresh,
-   [curr] its level-0 successor (the candidate match, or [Snode.nil]). *)
+(* The windowed traversal. [on_position txn ~preds ~pred0 ~curr] runs once
+   level 0 is reached and returns the window's outcome: [pred0 =
+   preds.(0)] is fresh, [curr] its level-0 successor (the candidate match,
+   or [Snode.nil]). An update writes through [Rr.Hoh.act] anchored at
+   [pred0]; its acting window resumes there at level 0, with the upper
+   [preds] kept as hints that [fresh_pred] revalidates. [m] is [node]'s
+   level-[lvl] link, read once and carried. *)
 let apply t ~thread ?lookup key ~site ~on_position =
   if key <= min_int + 1 then invalid_arg "Hoh_skiplist: key out of range";
   let preds = Array.make Snode.max_level t.head in
@@ -119,51 +123,59 @@ let apply t ~thread ?lookup key ~site ~on_position =
             Array.fill preds 0 Snode.max_level t.head;
             Snode.max_level - 1
       in
-      let rec walk node lvl visited =
-        let m = Tm.read txn node.Snode.next.(lvl) in
-        if m != Snode.nil && Snode.below txn m key lvl then
+      let rec walk node m lvl visited =
+        let mn = Snode.next_below txn m key lvl in
+        if mn != Snode.above then
           if visited >= budget then begin
             Tm.defer txn (fun () -> resume_level := lvl);
             Rr.Hoh.Hand_off m
           end
-          else walk m lvl (visited + 1)
+          else walk m mn lvl (visited + 1)
         else begin
           preds.(lvl) <- node;
           note_hint txn t node;
-          if lvl = 0 then
-            Rr.Hoh.Finish (on_position txn ~preds ~pred0:node ~curr:m)
-          else walk node (lvl - 1) visited
+          if lvl > 0 then
+            walk node (Tm.read txn node.Snode.next.(lvl - 1)) (lvl - 1) visited
+          else
+            match on_position txn ~preds ~pred0:node ~curr:m with
+            | Rr.Hoh.Anchor _ as o ->
+                Tm.defer txn (fun () -> resume_level := 0);
+                o
+            | o -> o
         end
       in
-      walk node lvl 1)
+      walk node (Tm.read txn node.Snode.next.(lvl)) lvl 1)
 
 let key_matches txn curr key =
   curr != Snode.nil && Snode.key txn curr = key
 
 let lookup_s t ~thread key =
   apply t ~thread ~lookup:true key ~site:"skiplist.lookup"
-    ~on_position:(fun txn ~preds:_ ~pred0:_ ~curr -> key_matches txn curr key)
+    ~on_position:(fun txn ~preds:_ ~pred0:_ ~curr ->
+      Rr.Hoh.Finish (key_matches txn curr key))
 
 let insert_s t ~thread key =
   let outer = Tm.current_txn () and spare = ref None in
   let result =
     apply t ~thread key ~site:"skiplist.insert"
-      ~on_position:(fun txn ~preds ~pred0:_ ~curr ->
-        if key_matches txn curr key then false
-        else begin
-          let n = Mode.take_spare t.mode ~thread ~outer spare Snode.alloc in
-          let height = random_level t ~thread in
-          Snode.set_key n key;
-          Snode.set_level n height;
-          Snode.link_top txn n ~height;
-          for l = 0 to height - 1 do
-            let p = pred_with_hint txn t ~key ~preds l in
-            Tm.write txn n.Snode.next.(l) (Tm.read txn p.Snode.next.(l));
-            Tm.write txn p.Snode.next.(l) n
-          done;
-          Tm.defer txn (fun () -> spare := None);
-          true
-        end)
+      ~on_position:(fun txn ~preds ~pred0 ~curr ->
+        if key_matches txn curr key then Rr.Hoh.Finish false
+        else
+          Rr.Hoh.act txn ~anchor:pred0 (fun () ->
+              let n =
+                Mode.take_spare t.mode ~thread ~outer spare Snode.alloc
+              in
+              let height = level_of t key in
+              Snode.set_key n key;
+              Snode.set_level n height;
+              Snode.link_top txn n ~height;
+              for l = 0 to height - 1 do
+                let p, succ = pred_with_hint txn t ~key ~preds l in
+                Tm.write txn n.Snode.next.(l) succ;
+                Tm.write txn p.Snode.next.(l) n
+              done;
+              Tm.defer txn (fun () -> spare := None);
+              true))
   in
   Mode.give_back_spare t.mode ~thread ~outer spare;
   result
@@ -171,25 +183,25 @@ let insert_s t ~thread key =
 let remove_s t ~thread key =
   let r, s =
     apply t ~thread key ~site:"skiplist.remove"
-      ~on_position:(fun txn ~preds ~pred0:_ ~curr ->
-        if key_matches txn curr key then begin
-          let height = Snode.level txn curr in
-          for l = 0 to height - 1 do
-            let p = pred_with_hint txn t ~key ~preds l in
-            (* [p] is the rightmost node below [key] at level l, so its
-               successor at level l is [curr] in this snapshot *)
-            assert (Snode.equal (Tm.read txn p.Snode.next.(l)) curr);
-            Tm.write txn p.Snode.next.(l) (Tm.read txn curr.Snode.next.(l))
-          done;
-          (* The deletion mark is the hint-validity marker in every mode. It
-             overwrites [curr]'s top link, so it goes in after the splice,
-             which reads [curr]'s links. *)
-          Snode.mark_deleted txn curr;
-          t.mode.Mode.invalidate txn curr;
-          t.mode.Mode.dispose txn curr;
-          true
-        end
-        else false)
+      ~on_position:(fun txn ~preds ~pred0 ~curr ->
+        if not (key_matches txn curr key) then Rr.Hoh.Finish false
+        else
+          Rr.Hoh.act txn ~anchor:pred0 (fun () ->
+              let height = Snode.level txn curr in
+              for l = 0 to height - 1 do
+                let p, succ = pred_with_hint txn t ~key ~preds l in
+                (* [p] is the rightmost node below [key] at level l, so its
+                   successor at level l is [curr] in this snapshot *)
+                assert (Snode.equal succ curr);
+                Tm.write txn p.Snode.next.(l) (Tm.read txn curr.Snode.next.(l))
+              done;
+              (* The deletion mark is the hint-validity marker in every
+                 mode. It overwrites [curr]'s top link, so it goes in after
+                 the splice, which reads [curr]'s links. *)
+              Snode.mark_deleted txn curr;
+              t.mode.Mode.invalidate txn curr;
+              t.mode.Mode.dispose txn curr;
+              true))
   in
   (r, s, s)
 

@@ -8,7 +8,9 @@
     window pauses (the operation also remembers, thread-locally, at which
     level it paused). Along the way it records the rightmost node with a
     smaller key at every level — the predecessor hints. The update phase is
-    one transaction that re-validates each hint before using it: a hint
+    one transaction (under RR-V, the logged window that resumes at the
+    level-0 predecessor; see {!Rr.Hoh.act}) that re-validates each hint
+    before using it: a hint
     collected in an earlier window may have been removed (its deletion
     mark — written by removals in every mode — is read transactionally) or
     out-run by newer inserts (the transaction walks forward from the hint
@@ -39,7 +41,9 @@ val create :
   ?seed:int ->
   unit ->
   t
-(** [seed] feeds the per-thread tower-height generators.
+(** [seed] (default 42) seeds the hash of a key that picks its tower
+    height (geometric, p = 1/2), so the same keys build the same towers
+    whichever thread inserts them.
     @raise Invalid_argument for [Ref] mode. *)
 
 val levels_histogram : t -> int array

@@ -21,6 +21,7 @@ type 'n t = {
   strict : bool;
   whole_op : bool;
   ro_hint : bool;
+  unlogged : bool;
   ops : 'n Rr.ops;
   deleted : Tm.txn -> 'n -> bool;
   invalidate : Tm.txn -> 'n -> unit;
@@ -368,6 +369,7 @@ let create kind ~pool ~deleted ~mark_deleted ~window ?(scatter = true)
       strict = ops.Rr.strict;
       whole_op = false;
       ro_hint = true;
+      unlogged = false;
       ops;
       deleted;
       invalidate = mark_deleted;
@@ -383,11 +385,16 @@ let create kind ~pool ~deleted ~mark_deleted ~window ?(scatter = true)
   in
   match kind with
   | Rr_kind m ->
+      let module M = (val m : Rr.S) in
       let ops =
         Rr.instantiate m ?config:rr_config ~hash:(slot_hash pool)
           ~sid:(Mempool.san_key pool) ~equal:( == ) ()
       in
-      { (base ops) with invalidate = (fun txn n -> ops.Rr.revoke txn n) }
+      {
+        (base ops) with
+        unlogged = M.local_reserve;
+        invalidate = (fun txn n -> ops.Rr.revoke txn n);
+      }
   | Htm ->
       {
         (base (no_op_ops "HTM")) with
@@ -410,6 +417,6 @@ let start_point t ~thread ~root = function
 
 let apply t ~thread ~site ?(lookup = false) step =
   Rr.Hoh.apply_stamped ~rr:t.ops ~site ?max_attempts:t.max_attempts
-    ~read_phase:(lookup && t.ro_hint)
+    ~read_phase:(lookup && t.ro_hint) ~unlogged:t.unlogged
     ~window:(t.window, thread)
     step

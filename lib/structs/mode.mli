@@ -52,6 +52,13 @@ type 'n t = {
           writes shared refcount tvars that every passing thread
           contends on) and HTM (the whole operation, writes included,
           runs as one transaction). *)
+  unlogged : bool;
+      (** every window but an update's acting one runs unlogged
+          ({!Rr.Hoh.apply}'s [unlogged]). True for the RR kinds whose
+          hand-off writes nothing shared ({!Rr.S.local_reserve}: RR-V, on
+          owner-local slots); false for the other RRs, whose reserve
+          writes a published tvar, for TMHP and EBR, whose reserve needs
+          commit-time validation of a read set, and for REF and HTM. *)
   ops : 'n Rr.ops;
   deleted : Tm.txn -> 'n -> bool;
       (** the deletion test given to {!create}, bracketed for TxSan: the
@@ -165,4 +172,7 @@ val apply :
     reservations, window controller and attempt limit. Returns the step's
     result and the final transaction's commit stamp. [site] labels every
     window transaction. A pure [lookup] (default [false]) runs its windows
-    with the [read_phase] hint when the mode's [ro_hint] allows it. *)
+    with the [read_phase] hint when the mode's [ro_hint] allows it. When
+    the mode is [unlogged], the windows run unlogged and the step writes
+    only through {!Rr.Hoh.act}: a window that finds an update's position
+    hands off at its anchor node, and the next window, logged, writes. *)

@@ -42,18 +42,21 @@ let make_pool ?strategy () =
   Mempool.create ?strategy ~make ~node_id:(fun n -> n.id)
     ~state:state_word ~poison ~tvar_ids ()
 
+(* [next_below]'s answer for a node that is not below the key: a static
+   node that no link holds and no code reads through. *)
+let above = { state = 0; id = -2; key = 0; next = [||]; level = 0 }
+
 (* Each plain load is validated by a read of one of the node's links after
    it, as in [Lnode.key]: the level-[l] link the walk follows next when the
-   key is below, else the top link, which only the node's own removal (and
-   a full-height neighbour) writes, so the read costs no new conflicts. *)
-let below txn n k l =
-  if n.key < k then begin
-    ignore (Tm.read txn n.next.(l));
-    true
-  end
+   key is below, which is returned so the walk reads it once, else the top
+   link, which only the node's own removal (and a full-height neighbour)
+   writes, so the read costs no new conflicts. *)
+let next_below txn n k l =
+  if n == nil then above
+  else if n.key < k then Tm.read txn n.next.(l)
   else begin
     ignore (Tm.read txn n.next.(top));
-    false
+    above
   end
 
 (* A hint carried from an earlier window was reached through no link in

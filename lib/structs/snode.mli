@@ -3,8 +3,8 @@
     and the level are plain fields, set only on an unreachable spare
     ({!set_key}, {!set_level}) before the commit that links it, so neither
     changes while the node is linked. A transaction reads them only
-    through {!below}, {!spans}, {!key} and {!level}, which follow the load
-    with a read of one of the node's links (see {!Lnode}). A missing
+    through {!next_below}, {!spans}, {!key} and {!level}, which follow the
+    load with a read of one of the node's links (see {!Lnode}). A missing
     successor is {!nil}. A node is logically deleted when its top link,
     [next.(max_level - 1)], points back at itself. Every removal writes
     that mark — in all modes, not just TMHP — because the skiplist
@@ -36,11 +36,17 @@ val nil : t
 
 val make_pool : ?strategy:Mempool.strategy -> unit -> t Mempool.t
 
-val below : Tm.txn -> t -> int -> int -> bool
-(** [below txn n k l]: whether [n]'s key is below [k]. The key load is
-    validated by a read of [n]'s level-[l] link when it is (the link a
-    walk at level [l] follows next, so that read is logged once), and of
-    its top link when it is not. @raise Tm.Abort as {!Tm.read} does. *)
+val above : t
+(** {!next_below}'s answer for a node that is not below the key: a static
+    node with no tower, which no link holds. Test it with [==]. *)
+
+val next_below : Tm.txn -> t -> int -> int -> t
+(** [next_below txn n k l]: [n]'s level-[l] successor when [n] is not
+    {!nil} and its key is below [k], else {!above}. The key load is
+    validated by the read of that successor link when the key is below
+    (the link a walk at level [l] follows next, so the walk carries the
+    value and reads the link once), and of [n]'s top link when it is
+    not. @raise Tm.Abort as {!Tm.read} does. *)
 
 val spans : Tm.txn -> t -> int -> int -> bool
 (** [spans txn n k l]: whether [n]'s key is below [k] and its tower

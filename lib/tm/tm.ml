@@ -123,6 +123,11 @@ type txn = {
          locked words instead of aborting, and the attempt loop never
          escalates to the serial fallback (which would advance the global
          clock on behalf of a transaction that publishes nothing). *)
+  mutable unlogged : bool;
+      (* TL2's read-only mode for this speculative attempt: each read is
+         validated against [rv] at its load and not logged, there is no
+         timestamp extension, and a write raises. Never set in a serial
+         run. *)
   stats : Stats.t;
       (* The owning thread's counter record, so deep read-path events
          (timestamp extensions) can be attributed without threading the
@@ -197,6 +202,7 @@ let fresh_txn tid stats =
     site = no_site;
     conflict_uid = -1;
     read_phase = false;
+    unlogged = false;
     stats;
   }
 
@@ -542,10 +548,13 @@ let rec read_uncached : 'a. txn -> 'a tvar -> int -> 'a =
           above on re-read. *)
        read_uncached txn tv l2
      else if version l1 > txn.rv then
-       if try_extend txn then read_uncached txn tv (Atomic.get (lock_word tv))
+       (* An unlogged attempt has no read set to revalidate, so a stale
+          read aborts and the attempt retries at a fresh [rv]. *)
+       if (not txn.unlogged) && try_extend txn then
+         read_uncached txn tv (Atomic.get (lock_word tv))
        else begin
          txn.conflict_uid <- uid_of l1;
-         Stats.incr_ext_fails txn.stats;
+         if not txn.unlogged then Stats.incr_ext_fails txn.stats;
          raise (Abort Read_invalid)
        end
      else begin
@@ -559,12 +568,14 @@ let rec read_uncached : 'a. txn -> 'a tvar -> int -> 'a =
           per-location. (An exact Bloom-filtered dedup was measurably
           slower: its per-read hash-and-test overhead outweighed the
           saved entries on every single-domain configuration.) *)
-       let lock = lock_word tv in
-       if
-         not
-           (rset_dup_at txn (txn.rn - 1) lock l1
-           || rset_dup_at txn (txn.rn - 2) lock l1)
-       then rset_push txn lock l1;
+       if not txn.unlogged then begin
+         let lock = lock_word tv in
+         if
+           not
+             (rset_dup_at txn (txn.rn - 1) lock l1
+             || rset_dup_at txn (txn.rn - 2) lock l1)
+         then rset_push txn lock l1
+       end;
        (* The read has validated against [rv]; TxSan checks it against the
           slot's free/reservation shadow at exactly this point, so doomed
           reads that version checks already rejected are never reported. *)
@@ -619,6 +630,7 @@ let serial_undo txn =
   done
 
 let write (txn : txn) tv v =
+  if txn.unlogged then invalid_arg "Tm.write: unlogged attempt";
   txn.read_only <- false;
   if txn.serial then begin
     (* Irrevocable direct publication: mark locked, write, release with the
@@ -654,9 +666,13 @@ let on_abort (txn : txn) f = txn.aborts <- f :: txn.aborts
    it before. *)
 let run_aborts fs = List.iter (fun f -> f ()) fs
 
-let validate_on_commit (txn : txn) = txn.must_validate <- true
+let validate_on_commit (txn : txn) =
+  if txn.unlogged then invalid_arg "Tm.validate_on_commit: unlogged attempt";
+  txn.must_validate <- true
+
 let thread_id (txn : txn) = txn.tid
 let is_serial (txn : txn) = txn.serial
+let is_unlogged (txn : txn) = txn.unlogged
 let commit_stamp (txn : txn) = txn.stamp
 
 let run_defers (txn : txn) =
@@ -832,6 +848,7 @@ let serial_run st f =
       Dst.point Dst.Tm_gclock;
       txn.serial_wv <- next_stamp ();
       txn.serial <- true;
+      txn.unlogged <- false;
       San.tm_serial_begin ~tid:txn.tid ~wv:txn.serial_wv;
       San.tm_begin ~tid:txn.tid;
       txn.active <- true;
@@ -900,7 +917,8 @@ let cause_label = function
   | Serial_pending -> "serial_pending"
   | User_retry -> "user_retry"
 
-let atomic_stamped ?site ?max_attempts ?(read_phase = false) f =
+let atomic_stamped ?site ?max_attempts ?(read_phase = false)
+    ?(unlogged = false) f =
   let st = Thread.state () in
   let txn = st.txn in
   if txn.active then
@@ -947,6 +965,7 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) f =
       end
       else begin
         txn.rv <- sample_rv ();
+        txn.unlogged <- unlogged;
         txn.active <- true;
         San.tm_begin ~tid:txn.tid;
         Stats.incr_started stats;
@@ -1019,8 +1038,8 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false) f =
     attempt 0 0
   end
 
-let atomic ?site ?max_attempts ?read_phase f =
-  (atomic_stamped ?site ?max_attempts ?read_phase f).value
+let atomic ?site ?max_attempts ?read_phase ?unlogged f =
+  (atomic_stamped ?site ?max_attempts ?read_phase ?unlogged f).value
 
 let current_txn () =
   match Dst.Tls.get Thread.tls_key with

@@ -135,11 +135,14 @@ val read : txn -> 'a tvar -> 'a
     if intact, the read timestamp is advanced to a fresh clock sample and
     the read re-executed — so only {e true} conflicts abort. Successful
     extensions and failed attempts are counted in the thread's
-    {!Thread.stats} ([extensions] / [ext_fails]).
+    {!Thread.stats} ([extensions] / [ext_fails]). An unlogged attempt
+    (see {!atomic}) neither logs the read nor extends: it aborts, and
+    counts neither.
     @raise Abort on conflict. *)
 
 val write : txn -> 'a tvar -> 'a -> unit
-(** Transactional write, buffered until commit. *)
+(** Transactional write, buffered until commit.
+    @raise Invalid_argument in an unlogged attempt (see {!atomic}). *)
 
 val retry : txn -> 'a
 (** Abort the current attempt and re-execute from the beginning. Does not
@@ -155,7 +158,9 @@ val validate_on_commit : txn -> unit
     conflicting commits — publishing a hazard pointer for a node it read —
     must confirm at commit that nothing it read has changed, the TM analog
     of the hazard-pointer publish-then-revalidate rule. Aborts with
-    [Read_invalid] if validation fails. *)
+    [Read_invalid] if validation fails.
+    @raise Invalid_argument in an unlogged attempt, which keeps no read
+    set to validate. *)
 
 val defer : txn -> (unit -> unit) -> unit
 (** [defer txn f] runs [f] immediately after this transaction commits, in
@@ -184,6 +189,11 @@ val defers_pending : txn -> int
 val thread_id : txn -> int
 val is_serial : txn -> bool
 
+val is_unlogged : txn -> bool
+(** Whether this attempt runs unlogged ({!atomic}'s [unlogged]). Always
+    [false] in a serial run and in a call flattened into a logged
+    transaction. *)
+
 val commit_stamp : txn -> int
 (** The stamp of the transaction that just committed. Only meaningful
     inside {!defer} callbacks (which run right after commit); data
@@ -203,6 +213,7 @@ val atomic :
   ?site:string ->
   ?max_attempts:int ->
   ?read_phase:bool ->
+  ?unlogged:bool ->
   (txn -> 'a) ->
   'a
 (** [atomic f] runs [f] as a transaction, retrying on conflicts with
@@ -228,12 +239,24 @@ val atomic :
     conflicts on every attempt retries speculatively forever, which is
     livelock-free only because each of its aborts implies a concurrent
     commit. Ignored for nested calls (the enclosing hint stays in
-    force). *)
+    force).
+
+    [unlogged] (default [false]) runs every speculative attempt in TL2's
+    read-only mode (Dice, Shalev & Shavit, DISC 2006): each read is still
+    validated against [rv] at its load (the same seqlock pair), but it is
+    not logged, so there is no timestamp extension — a stale read aborts
+    with [Read_invalid] and the attempt retries at a fresh [rv] — and the
+    commit takes the read-only path. A {!write} or {!validate_on_commit}
+    in such an attempt raises [Invalid_argument], which abandons the
+    attempt with nothing published. A serial re-run is logged and may
+    write, as is a call flattened into an enclosing transaction (the
+    flag is ignored for nested calls). *)
 
 val atomic_stamped :
   ?site:string ->
   ?max_attempts:int ->
   ?read_phase:bool ->
+  ?unlogged:bool ->
   (txn -> 'a) ->
   'a result
 (** Like {!atomic} but also reports the commit stamp and attempt counts. *)
@@ -253,8 +276,9 @@ val serial_active : unit -> bool
 (** Whether a serial transaction currently holds the token (for tests). *)
 
 val reads_logged : txn -> int
-(** Number of entries currently in the transaction's read set. White-box
-    hook for tests of read-set dedup; meaningless outside {!atomic}. *)
+(** Number of entries currently in the transaction's read set (0 in an
+    unlogged attempt). White-box hook for tests of read-set dedup;
+    meaningless outside {!atomic}. *)
 
 val writes_logged : txn -> int
 (** Number of distinct locations in the transaction's write set. White-box

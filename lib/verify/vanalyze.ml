@@ -5,7 +5,7 @@
 
      Fresh ── reserve ──▶ (obligation)      alloc'd, thread-private
      Shared               read from a tvar this window: deref OK (the
-                          window's read-set validation protects it)
+                          window's snapshot at rv protects it)
      Checked              Get returned Some (or an equality witness
                           against a checked node) this window
      Carried              a shared/checked value that crossed a window
@@ -624,9 +624,10 @@ and analyze_expr ctx env (e : expression) : env * aval =
       match (cd.Types.cstr_name, vs) with
       | "Some", [ v ] -> (env, Awrap (state_of_aval v, prov_of_aval v))
       | "None", [] -> (env, Awrap (Nbot, Plocal))
-      | "Hand_off", [ v ] ->
+      | ("Hand_off" | "Anchor"), [ v ] ->
           (* the hand-over: the reservation obligation transfers with the
-             committed reservation *)
+             committed reservation (an [Anchor] hands over like
+             [Hand_off]; only the next window's logging differs) *)
           let env =
             match args with
             | [ { exp_desc = Texp_ident (Path.Pident id, _, _); _ } ] ->

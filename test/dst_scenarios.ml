@@ -93,9 +93,9 @@ let ro_publication ~bug () =
 
 (* ---- bug #3: stale skiplist hint accepted after recycling ---- *)
 
-(* Precise RR-FA skiplist, window 1, seed 128 chosen so the prefill
+(* Precise RR-FA skiplist, window 1, seed 305 chosen so the prefill
    towers are 10:1, 20:2, 30:1, 40:2 and the recycled node re-enters at
-   height 1. Thread A removes 40 and pauses at the hand-off holding a
+   height 1 (heights are a hash of the key, so any thread builds them). Thread A removes 40 and pauses at the hand-off holding a
    reservation on 30, with preds[1] still pointing at node 20. Thread B
    removes 20 (freed immediately: precise reclamation) and inserts 25,
    which recycles the node under a new key and a shorter tower. A
@@ -109,7 +109,7 @@ let stale_hint ~bug () =
   let sl =
     Hoh_skiplist.create
       ~mode:(Mode.Rr_kind (module Rr.Fa))
-      ~window:1 ~scatter:false ~seed:128 ()
+      ~window:1 ~scatter:false ~seed:305 ()
   in
   let r40 = ref false and r20 = ref false and i25 = ref false in
   let init () =
@@ -159,7 +159,7 @@ let recycled_hint ~a_ext_fails () =
   let sl =
     Hoh_skiplist.create
       ~mode:(Mode.Rr_kind (module Rr.Fa))
-      ~window:1 ~scatter:false ~seed:128 ()
+      ~window:1 ~scatter:false ~seed:305 ()
   in
   let r40 = ref false and r20 = ref false and i25 = ref false in
   let init () =
@@ -405,16 +405,16 @@ let sched_bug1 = [| 1; 0; 0; 1; 1 |]
    publication; B runs remove 2 + insert 5 to completion. *)
 let sched_bug2 = Array.concat [ Array.make 10 0; Array.make 50 1 ]
 
-(* bug #3, PCT depth 2 (budget 400, <= 6000 runs; found at seed 29 in 266
+(* bug #3, PCT depth 2 (budget 400, <= 6000 runs; found at seed 50 in 278
    runs): A walks to the hand-off reserving node 30; B runs remove 20 +
    insert 25 to completion; A's resumed level-1 unlink trips. *)
-let sched_bug3 = Array.concat [ Array.make 53 0; Array.make 143 1 ]
+let sched_bug3 = Array.concat [ Array.make 53 0; Array.make 140 1 ]
 
 (* recycled hint, found by stepping the park point of A through the run:
    A runs until it has loaded node 20's key and level in [Snode.spans]
    and is about to re-read the top link; B then removes 20 and inserts
    25 to completion. *)
-let sched_recycled_hint = Array.concat [ Array.make 70 0; Array.make 145 1 ]
+let sched_recycled_hint = Array.concat [ Array.make 69 0; Array.make 142 1 ]
 
 (* extension success, random probe search over [extend_success ~expect:`Probe]
    (budget 300, <= 4000 runs; found at seed 24 in 34 runs): the reader

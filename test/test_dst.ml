@@ -198,7 +198,7 @@ let test_bug2_control_clean () =
     = None)
 
 (* Documented budget: PCT depth 2, schedule budget 400, <= 6000 seeded
-   runs. Empirically found at seed 29 in 266 runs. *)
+   runs. Empirically found at seed 50 in 278 runs. *)
 let test_bug3_found_by_pct_search () =
   match
     Dst.Explore.pct_search ~budget:400 ~max_runs:6000 ~depth:2

@@ -1309,6 +1309,10 @@ let cache_race_case ~bug () =
         match Service.check svc with Ok () -> () | Error e -> failwith e);
   }
 
+(* The Random seeds both cache-race cases run; with the bug armed, the
+   first that reaches the stale hit is 39. *)
+let cache_race_seeds = 64
+
 let run_cache_race ~bug seed =
   let c = cache_race_case ~bug () in
   Dst.Sched.run ?init:c.Dst.Explore.init ~check:c.Dst.Explore.check
@@ -1321,7 +1325,7 @@ let test_dst_cache_race_clean () =
       San.reset ();
       Dst.Inject.clear ())
   @@ fun () ->
-  for seed = 1 to 10 do
+  for seed = 1 to cache_race_seeds do
     let o = run_cache_race ~bug:false seed in
     if Dst.Sched.failed o then
       Alcotest.failf "seed %d: %s" seed
@@ -1339,7 +1343,7 @@ let test_dst_cache_race_bug_caught () =
       Dst.Inject.clear ())
   @@ fun () ->
   let caught = ref false in
-  for seed = 1 to 10 do
+  for seed = 1 to cache_race_seeds do
     if not !caught then
       let o = run_cache_race ~bug:true seed in
       match o.Dst.Sched.failure with

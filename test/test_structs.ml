@@ -407,9 +407,8 @@ let test_handoff_clock_traffic () =
    resumed-window floor at windows 1 and 3. Under HTM every operation is
    one transaction. Each row fills its structure with [keys] in order (an
    ascending fill makes the trees one deep spine) and looks up [deep].
-   Skiplist towers come from a per-thread generator seeded from the
-   structure's seed and the thread id, so that row picks the seed that
-   gives the calling thread thread 0's default generator. *)
+   Skiplist towers are a hash of the key, so the row holds whichever
+   thread id the suite hands the test. *)
 let test_window_pins () =
   Tm.Thread.with_registered (fun thread ->
       let commits f =
@@ -423,13 +422,6 @@ let test_window_pins () =
         (Factories.make (Spec.v ?window ?scatter ?buckets structure kind))
           .Factories.make ()
       in
-      let skiplist ?window ?scatter mode =
-        Store.pack
-          (module Store.Hoh_skiplist)
-          (Structs.Hoh_skiplist.create ~mode ?window ?scatter
-             ~seed:(42 - (thread * 7919))
-             ())
-      in
       let rows =
         [
           ("slist", of_spec Spec.Slist, upto 32, 32, (32, 11));
@@ -437,7 +429,7 @@ let test_window_pins () =
           ("dlist", of_spec Spec.Dlist, upto 32, 32, (32, 11));
           ("bst-int", of_spec Spec.Bst_int, upto 24, 24, (25, 12));
           ("bst-ext", of_spec Spec.Bst_ext, upto 24, 24, (25, 12));
-          ("skiplist", skiplist, upto 64, 47, (10, 4));
+          ("skiplist", of_spec Spec.Skiplist, upto 64, 40, (12, 4));
         ]
       in
       List.iter
@@ -468,6 +460,74 @@ let test_window_pins () =
                 (commits (fun () -> f st ~thread deep)))
             [ ("lookup", mem); ("remove", rem); ("insert", ins) ])
         rows)
+
+(* RR-V with a probe on [release_all], which the window engine calls at
+   the end of every window, inside its transaction: it records whether the
+   window ran unlogged and how many reads it logged. *)
+module Logged_probe = struct
+  include Rr.V
+
+  let windows : (bool * int) list ref = ref []
+
+  let release_all t txn =
+    windows := (Tm.is_unlogged txn, Tm.reads_logged txn) :: !windows;
+    Rr.V.release_all t txn
+end
+
+(* Unlogged hand-over-hand windows under RR-V: every lookup and traversal
+   window keeps no read set, and an update that writes commits exactly one
+   logged window, the one that acts from its anchor node. An update that
+   writes nothing (an insert of a present key, a removal of an absent one)
+   finishes unlogged. Each structure is filled with 1..64 in order at
+   window 3, no scatter, so each operation walks several windows. *)
+let test_unlogged_windows () =
+  Tm.Thread.with_registered (fun thread ->
+      let probe = Structs.Mode.Rr_kind (module Logged_probe) in
+      let windows f =
+        Logged_probe.windows := [];
+        let r = f () in
+        let ws = List.rev !Logged_probe.windows in
+        let logged = List.filter (fun (unlogged, _) -> not unlogged) ws in
+        List.iter
+          (fun (unlogged, reads) ->
+            if unlogged then check "an unlogged window logs no read" 0 reads)
+          ws;
+        (r, List.length ws, List.length logged)
+      in
+      List.iter
+        (fun (name, structure, buckets) ->
+          let st =
+            (Factories.make
+               (Spec.v ~window:3 ~scatter:false ?buckets structure probe))
+              .Factories.make ()
+          in
+          for k = 1 to 64 do
+            checkb (name ^ ": fill") true (ins st ~thread k)
+          done;
+          let expect what (result, logged) f =
+            let r, n, l = windows f in
+            checkb (Printf.sprintf "%s: %s result" name what) result r;
+            checkb (Printf.sprintf "%s: %s walked windows" name what) true
+              (n > 1);
+            check (Printf.sprintf "%s: %s logged windows" name what) logged l
+          in
+          expect "lookup 60 (hit)" (true, 0) (fun () -> mem st ~thread 60);
+          expect "lookup 99 (miss)" (false, 0) (fun () -> mem st ~thread 99);
+          expect "insert 60 (present)" (false, 0) (fun () ->
+              ins st ~thread 60);
+          expect "remove 60" (true, 1) (fun () -> rem st ~thread 60);
+          expect "remove 60 (absent)" (false, 0) (fun () ->
+              rem st ~thread 60);
+          expect "insert 60" (true, 1) (fun () -> ins st ~thread 60);
+          checkb (name ^ ": check") true (Store.check st = Ok ()))
+        [
+          ("slist", Spec.Slist, None);
+          ("hashset", Spec.Hashset, Some 2);
+          ("dlist", Spec.Dlist, None);
+          ("bst-int", Spec.Bst_int, None);
+          ("bst-ext", Spec.Bst_ext, None);
+          ("skiplist", Spec.Skiplist, None);
+        ])
 
 (* Two-child removal copies: a fresh node carrying the successor's key
    replaces the removed one, so the removal allocates one node and frees
@@ -1229,6 +1289,8 @@ let () =
           Alcotest.test_case "rr-v: read-only hand-offs" `Quick
             test_handoff_clock_traffic;
           Alcotest.test_case "window pins" `Quick test_window_pins;
+          Alcotest.test_case "rr-v: unlogged windows" `Quick
+            test_unlogged_windows;
         ] );
       ( "properties",
         List.map

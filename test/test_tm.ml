@@ -231,6 +231,85 @@ let test_extension_fails_on_true_conflict () =
       check "no successful extension" 0 (Tm.Stats.extensions st);
       check "aborted once" 1 (Tm.Stats.aborts_read st))
 
+(* ---- unlogged attempts (TL2 read-only mode) ---- *)
+
+(* A write or a request for commit validation inside an unlogged attempt
+   raises: the attempt is abandoned with nothing published (the tvar keeps
+   its payload, the clock does not move) and its [on_abort] callbacks
+   run. *)
+let test_unlogged_write_raises () =
+  with_tm (fun () ->
+      let v = Tm.tvar 0 in
+      List.iter
+        (fun (what, act) ->
+          let undone = ref false in
+          let c0 = Tm.clock () in
+          (match
+             Tm.atomic ~unlogged:true (fun txn ->
+                 Tm.on_abort txn (fun () -> undone := true);
+                 ignore (Tm.read txn v);
+                 act txn)
+           with
+          | () -> Alcotest.failf "%s in an unlogged attempt returned" what
+          | exception Invalid_argument _ -> ());
+          check (what ^ ": payload kept") 0 (Tm.peek v);
+          check (what ^ ": no clock bump") c0 (Tm.clock ());
+          checkb (what ^ ": on_abort ran") true !undone)
+        [
+          ("write", fun txn -> Tm.write txn v 1);
+          ("validate_on_commit", fun txn -> Tm.validate_on_commit txn);
+        ])
+
+(* A stale read in an unlogged attempt aborts with [Read_invalid] where a
+   logged one would extend ([rescues stale read]): there is no read set
+   to revalidate, so no extension is tried or counted, and the retry at a
+   fresh [rv] reads the new value. The reads are checked but not
+   logged. *)
+let test_unlogged_stale_read_aborts () =
+  with_tm (fun () ->
+      Tm.Stats.reset (Tm.Thread.stats ());
+      let a = Tm.tvar 0 and b = Tm.tvar 0 in
+      let first = ref true and logged = ref (-1) and flag = ref false in
+      let r =
+        Tm.atomic_stamped ~unlogged:true ~max_attempts:10 (fun txn ->
+            let va = Tm.read txn a in
+            if !first then begin
+              first := false;
+              Tm.poke b 7
+            end;
+            let vb = Tm.read txn b in
+            logged := Tm.reads_logged txn;
+            flag := Tm.is_unlogged txn;
+            (va, vb))
+      in
+      checkb "reads the new pair" true (r.Tm.value = (0, 7));
+      check "one retry" 2 r.Tm.attempts;
+      checkb "read-only commit" true r.Tm.read_only;
+      checkb "the attempt ran unlogged" true !flag;
+      check "no read logged" 0 !logged;
+      let st = Tm.Thread.stats () in
+      check "aborted once on the read" 1 (Tm.Stats.aborts_read st);
+      check "no extension" 0 (Tm.Stats.extensions st);
+      check "no extension failure" 0 (Tm.Stats.ext_fails st))
+
+(* A serial re-run and a call flattened into a logged transaction are
+   logged, so they may write. *)
+let test_unlogged_serial_and_nested_log () =
+  with_tm (fun () ->
+      let v = Tm.tvar 0 in
+      let r =
+        Tm.atomic_stamped ~unlogged:true ~max_attempts:0 (fun txn ->
+            checkb "serial run is logged" false (Tm.is_unlogged txn);
+            Tm.write txn v 1)
+      in
+      checkb "ran serially" true r.Tm.serial;
+      check "serial write published" 1 (Tm.peek v);
+      Tm.atomic (fun _ ->
+          Tm.atomic ~unlogged:true (fun txn ->
+              checkb "nested call is logged" false (Tm.is_unlogged txn);
+              Tm.write txn v 2));
+      check "nested write published" 2 (Tm.peek v))
+
 (* read_phase transactions retry speculatively instead of escalating: even
    with the attempt budget already exhausted (max_attempts = 0 sends a
    normal transaction straight to serial mode) they never take the serial
@@ -989,6 +1068,15 @@ let () =
             test_read_phase_never_serial;
           Alcotest.test_case "read-phase writes commit" `Quick
             test_read_phase_writes_commit;
+        ] );
+      ( "unlogged",
+        [
+          Alcotest.test_case "write raises, publishes nothing" `Quick
+            test_unlogged_write_raises;
+          Alcotest.test_case "stale read aborts, no extension" `Quick
+            test_unlogged_stale_read_aborts;
+          Alcotest.test_case "serial and nested runs log" `Quick
+            test_unlogged_serial_and_nested_log;
         ] );
       ( "commit path",
         [
