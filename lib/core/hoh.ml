@@ -121,21 +121,17 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?(unlogged = false)
              each read is checked against [rv] at its load, and a stale
              one aborts the chain instead of extending it.
 
-             A window that queued deferred work is a fusion barrier: the
-             defers carry protocol state the step only publishes at
-             commit (the dlist two-phase remove, the skiplist resume
-             hint), so the next window must not run in the same
-             transaction or it would observe the pre-commit state. An
-             [Anchor] ends the chain too: the acting window after it
-             must run in a logged transaction of its own. *)
+             A step keeps its own state across windows in refs written
+             with [Tm.assign], which the next window sees at once, fused
+             or not, and an abort undoes; so any [Hand_off] may fuse. An
+             [Anchor] ends the chain: the acting window after it must
+             run in a logged transaction of its own. *)
           let rec windows start k =
-            let d0 = Tm.defers_pending txn in
             match step txn ~start with
             | Finish v ->
                 rr.Rr_intf.release_all txn;
                 Finish v
-            | Hand_off r when k > 1 && Tm.defers_pending txn = d0 ->
-                windows (Some r) (k - 1)
+            | Hand_off r when k > 1 -> windows (Some r) (k - 1)
             | Hand_off r ->
                 rr.Rr_intf.release_all txn;
                 rr.Rr_intf.reserve txn r;

@@ -45,9 +45,9 @@ val act : Tm.txn -> anchor:'r -> (unit -> 'a) -> ('r, 'a) outcome
     fuse budget (1..k, doubling on clean, halving on contention) of
     consecutive windows run inside one transaction — one gclock stamp and
     one release/reserve round per fused chain instead of per window. A
-    window step that queues {!Tm.defer} work ends its fused chain (the
-    defers publish protocol state at commit, which the next window must
-    observe), so only pure traversal windows fuse. *)
+    step keeps its own state across windows through {!Tm.assign}, so the
+    next window sees it whether or not it is fused; an [Anchor] ends a
+    fused chain. *)
 module Window : sig
   type t
 

@@ -70,7 +70,7 @@ let insert_s t ~thread key =
   (* Two spares: the new leaf and its router. *)
   let outer = Tm.current_txn () in
   let spare_leaf = ref None and spare_router = ref None in
-  let take spare = Mode.take_spare t.mode ~thread ~outer spare Tnode.alloc in
+  let take txn spare = Mode.take_spare t.mode ~outer txn spare Tnode.alloc in
   let result =
     apply t ~thread key ~site:"bst_ext.insert"
       ~on_leaf:(fun txn ~start ~gp:_ ~p ~leaf ->
@@ -78,10 +78,9 @@ let insert_s t ~thread key =
         if Tnode.equal leaf t.root then
           Rr.Hoh.act txn ~anchor (fun () ->
               (* Empty tree: hang the first leaf off the sentinel. *)
-              let nl = take spare_leaf in
+              let nl = take txn spare_leaf in
               Tnode.set_key nl key;
               Tm.write txn t.root.Tnode.left nl;
-              Tm.defer txn (fun () -> spare_leaf := None);
               true)
         else
           let lk = Tnode.key txn leaf in
@@ -89,7 +88,8 @@ let insert_s t ~thread key =
           else
             Rr.Hoh.act txn ~anchor (fun () ->
                 let p = Option.get p in
-                let nl = take spare_leaf and router = take spare_router in
+                let nl = take txn spare_leaf
+                and router = take txn spare_router in
                 Tnode.set_key nl key;
                 let lo, hi = if key < lk then (nl, leaf) else (leaf, nl) in
                 Tnode.set_key router (max key lk);
@@ -100,9 +100,6 @@ let insert_s t ~thread key =
                   | Tnode.Left _ -> p.Tnode.left
                   | Tnode.Right _ | Tnode.Hit _ -> p.Tnode.right)
                   router;
-                Tm.defer txn (fun () ->
-                    spare_leaf := None;
-                    spare_router := None);
                 true))
   in
   Mode.give_back_spare t.mode ~thread ~outer spare_leaf;

@@ -65,13 +65,6 @@ let lookup_s t ~thread key =
 
 let link n side = if side then n.Tnode.left else n.Tnode.right
 
-(* The spare a write attempt links ({!Mode.take_spare}), given back by
-   [Mode.give_back_spare] when no attempt consumed it. *)
-let take t ~thread ~outer spare txn =
-  let n = Mode.take_spare t.mode ~thread ~outer spare Tnode.alloc in
-  Tm.defer txn (fun () -> spare := None);
-  n
-
 (* An update acts from [parent], whose link it writes: a window resumed
    there reaches [curr] within the resume floor of 2. *)
 let insert_s t ~thread key =
@@ -81,7 +74,7 @@ let insert_s t ~thread key =
       ~on_found:(fun _ ~parent:_ ~side:_ ~curr:_ -> Rr.Hoh.Finish false)
       ~on_notfound:(fun txn ~parent ~side ->
         Rr.Hoh.act txn ~anchor:parent (fun () ->
-            let n = take t ~thread ~outer spare txn in
+            let n = Mode.take_spare t.mode ~outer txn spare Tnode.alloc in
             Tnode.set_key n key;
             Tm.write txn (link parent side) n;
             true))
@@ -135,7 +128,7 @@ let remove_s t ~thread key =
             else if r == Tnode.nil then splice t txn ~parent ~side ~curr l
             else
               remove_two_children t txn
-                ~copy:(take t ~thread ~outer spare txn)
+                ~copy:(Mode.take_spare t.mode ~outer txn spare Tnode.alloc)
                 ~parent ~side ~curr ~left:l ~right:r;
             true))
       ~on_notfound:(fun _ ~parent:_ ~side:_ -> Rr.Hoh.Finish false)

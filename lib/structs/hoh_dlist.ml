@@ -63,13 +63,12 @@ let insert_s t ~thread key =
       ~on_found:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish false)
       ~on_notfound:(fun txn ~prev ~curr ->
         Rr.Hoh.act txn ~anchor:prev (fun () ->
-            let n = Mode.take_spare t.mode ~thread ~outer spare Dnode.alloc in
+            let n = Mode.take_spare t.mode ~outer txn spare Dnode.alloc in
             Dnode.set_key n key;
             Tm.write txn n.Dnode.prev prev;
             Tm.write txn n.Dnode.next curr;
             Tm.write txn prev.Dnode.next n;
             if curr != Dnode.nil then Tm.write txn curr.Dnode.prev n;
-            Tm.defer txn (fun () -> spare := None);
             true))
   in
   Mode.give_back_spare t.mode ~thread ~outer spare;
@@ -111,9 +110,8 @@ let remove_s t ~thread key =
             if t.split_unlink then begin
               (* Reserve the target and commit; unlink in the next,
                  write-only transaction, which acts from [curr]. *)
-              Tm.defer txn (fun () ->
-                  phase := Unlink curr;
-                  reserve_stamp := Tm.commit_stamp txn);
+              Tm.assign txn phase (Unlink curr);
+              Tm.defer txn (fun () -> reserve_stamp := Tm.commit_stamp txn);
               Rr.Hoh.Anchor curr
             end
             else
@@ -136,13 +134,13 @@ let remove_s t ~thread key =
                 (* Only a concurrent removal of this very node can revoke
                    a strict reservation: fail without re-traversing,
                    linearizing right after that removal. *)
-                Tm.defer txn (fun () -> flex := true);
+                Tm.assign txn flex true;
                 Rr.Hoh.Finish false
               end
               else begin
                 (* Spurious invalidation is possible: retry the whole
                    operation (Sec. 4.2). *)
-                Tm.defer txn (fun () -> phase := Traversing);
+                Tm.assign txn phase Traversing;
                 traverse ~start:None
               end))
   in

@@ -60,11 +60,10 @@ let insert_s t ~thread key =
       ~on_found:(fun _ ~prev:_ ~curr:_ -> Rr.Hoh.Finish false)
       ~on_notfound:(fun txn ~prev ~curr ->
         Rr.Hoh.act txn ~anchor:prev (fun () ->
-            let n = Mode.take_spare t.mode ~thread ~outer spare Lnode.alloc in
+            let n = Mode.take_spare t.mode ~outer txn spare Lnode.alloc in
             Lnode.set_key n key;
             Tm.write txn n.Lnode.next curr;
             Tm.write txn prev.Lnode.next n;
-            Tm.defer txn (fun () -> spare := None);
             true))
   in
   Mode.give_back_spare t.mode ~thread ~outer spare;

@@ -127,7 +127,7 @@ let apply t ~thread ?lookup key ~site ~on_position =
         let mn = Snode.next_below txn m key lvl in
         if mn != Snode.above then
           if visited >= budget then begin
-            Tm.defer txn (fun () -> resume_level := lvl);
+            Tm.assign txn resume_level lvl;
             Rr.Hoh.Hand_off m
           end
           else walk m mn lvl (visited + 1)
@@ -139,7 +139,7 @@ let apply t ~thread ?lookup key ~site ~on_position =
           else
             match on_position txn ~preds ~pred0:node ~curr:m with
             | Rr.Hoh.Anchor _ as o ->
-                Tm.defer txn (fun () -> resume_level := 0);
+                Tm.assign txn resume_level 0;
                 o
             | o -> o
         end
@@ -162,9 +162,7 @@ let insert_s t ~thread key =
         if key_matches txn curr key then Rr.Hoh.Finish false
         else
           Rr.Hoh.act txn ~anchor:pred0 (fun () ->
-              let n =
-                Mode.take_spare t.mode ~thread ~outer spare Snode.alloc
-              in
+              let n = Mode.take_spare t.mode ~outer txn spare Snode.alloc in
               let height = level_of t key in
               Snode.set_key n key;
               Snode.set_level n height;
@@ -174,7 +172,6 @@ let insert_s t ~thread key =
                 Tm.write txn n.Snode.next.(l) succ;
                 Tm.write txn p.Snode.next.(l) n
               done;
-              Tm.defer txn (fun () -> spare := None);
               true))
   in
   Mode.give_back_spare t.mode ~thread ~outer spare;

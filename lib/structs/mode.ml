@@ -35,35 +35,30 @@ type 'n t = {
   resume_floor : int;
 }
 
-let take_spare { pool; _ } ~thread ~outer spare alloc =
-  match !spare with
-  | Some n -> n
-  | None ->
-      let n = alloc pool ~thread in
-      spare := Some n;
-      (match outer with
-      | Some txn ->
-          Tm.on_abort txn (fun () ->
-              Mempool.free pool ~thread n;
-              spare := None)
-      | None -> ());
-      n
+let take_spare { pool; _ } ~outer txn spare alloc =
+  let thread = Tm.thread_id txn in
+  let n =
+    match !spare with
+    | Some n -> n
+    | None ->
+        let n = alloc pool ~thread in
+        spare := Some n;
+        (match outer with
+        | Some outer ->
+            Tm.on_abort outer (fun () ->
+                Mempool.free pool ~thread n;
+                spare := None)
+        | None -> ());
+        n
+  in
+  Tm.assign txn spare None;
+  n
 
 let give_back_spare { pool; _ } ~thread ~outer spare =
-  match !spare with
-  | None -> ()
-  | Some n -> (
-      match outer with
-      | None ->
-          Mempool.free pool ~thread n;
-          spare := None
-      | Some txn ->
-          Tm.defer txn (fun () ->
-              match !spare with
-              | Some n ->
-                  Mempool.free pool ~thread n;
-                  spare := None
-              | None -> ()))
+  match (!spare, outer) with
+  | None, _ -> ()
+  | Some n, None -> Mempool.free pool ~thread n
+  | Some n, Some txn -> Tm.defer txn (fun () -> Mempool.free pool ~thread n)
 
 (* Mirror the TxSan funnel that [Rr.instantiate] wraps around the six RR
    implementations, so the baseline modes' reservations answer to the same

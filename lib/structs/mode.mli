@@ -86,30 +86,31 @@ val tmhp_gen_violations : int Atomic.t
 
 val take_spare :
   'n t ->
-  thread:int ->
   outer:Tm.txn option ->
+  Tm.txn ->
   'n option ref ->
   ('n Mempool.t -> thread:int -> 'n) ->
   'n
-(** [take_spare t ~thread ~outer spare alloc] is an insert's spare node:
-    the one in [spare], or a fresh one from [alloc] over [t]'s pool,
-    stored there. [outer] is [Tm.current_txn ()] sampled when the
-    operation began. An unnested
-    insert ([outer = None]) keeps its spare across its own aborted
-    attempts, so a retry allocates nothing. Inside an enclosing transaction
-    an abort of that transaction re-runs the whole insert with a fresh
-    ref, so the node is registered with {!Tm.on_abort}, which frees it and
-    clears [spare]. *)
+(** [take_spare t ~outer txn spare alloc] is the node an insert's acting
+    window [txn] links: the one in [spare], or a fresh one from [alloc]
+    over [t]'s pool. It marks the spare consumed with {!Tm.assign}:
+    [spare] reads [None] from here on, and holds the node again if the
+    attempt aborts. [outer] is [Tm.current_txn ()] sampled when the
+    operation began. An unnested insert ([outer = None]) keeps its spare
+    across its own aborted attempts, so a retry allocates nothing. Inside
+    an enclosing transaction an abort of that transaction re-runs the
+    whole insert with a fresh ref, so a fresh node is registered with
+    {!Tm.on_abort}, which frees it; the consumed mark's restore runs
+    first, so the node is freed exactly once. *)
 
 val give_back_spare :
   'n t -> thread:int -> outer:Tm.txn option -> 'n option ref -> unit
 (** Return an unconsumed insert spare to the pool once the operation is
-    over. Outside any transaction the node is freed immediately; inside an
-    enclosing transaction [outer] the free is deferred to its commit —
-    freeing eagerly would poison a node whose linking writes are still
-    buffered. The ref is re-checked at commit so a spare consumed by a
-    later attempt is not freed. An abort of [outer] returns the spare
-    through {!take_spare}'s {!Tm.on_abort} callback instead. *)
+    over: a spare still in [spare] was never linked. Outside any
+    transaction the node is freed immediately; inside an enclosing
+    transaction [outer] the free is deferred to its commit, and an abort
+    of [outer] frees it through {!take_spare}'s {!Tm.on_abort} callback
+    instead. *)
 
 val create :
   kind ->

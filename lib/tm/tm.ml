@@ -658,8 +658,12 @@ let retry (txn : txn) =
   raise (Abort User_retry)
 
 let defer (txn : txn) f = txn.defers <- f :: txn.defers
-let defers_pending (txn : txn) = List.length txn.defers
 let on_abort (txn : txn) f = txn.aborts <- f :: txn.aborts
+
+let assign txn r v =
+  let old = !r in
+  r := v;
+  on_abort txn (fun () -> r := old)
 
 (* Run an abandoned or aborted attempt's [on_abort] callbacks, newest
    first, after its effects are gone. [reset_logs] drops the list, so take

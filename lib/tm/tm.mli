@@ -164,9 +164,14 @@ val validate_on_commit : txn -> unit
 
 val defer : txn -> (unit -> unit) -> unit
 (** [defer txn f] runs [f] immediately after this transaction commits, in
-    registration order, and discards it if the attempt aborts. This is how
-    transactional allocators defer [free]: Listing 5 calls [delete(curr)]
-    inside a transaction, which must not take effect on abort. *)
+    registration order, and discards it if the attempt aborts. It is for
+    effects that must follow the commit, never for state the transaction
+    reads later (use {!assign}): a registration in a flat-nested call runs
+    only at the outermost commit. Transactional allocators defer [free]
+    this way (Listing 5 calls [delete(curr)] inside a transaction, which
+    must not take effect on abort); the reclaimers defer their retires
+    and the hazard-slot and epoch updates that follow a commit;
+    {!commit_stamp} is read here. *)
 
 val on_abort : txn -> (unit -> unit) -> unit
 (** [on_abort txn f] runs [f] once the current attempt's effects are
@@ -175,16 +180,17 @@ val on_abort : txn -> (unit -> unit) -> unit
     caller's own), speculative or serial. It never runs on commit.
     Callbacks run newest first, outside any transaction. A registration
     in a flat-nested call belongs to the outermost transaction, as with
-    {!defer}. The structures return an insert's spare node this way when
-    the insert runs inside an enclosing transaction. *)
+    {!defer}. It is the undo log of a transaction's thread-local state
+    ({!assign}); the structures also free an insert's spare node this
+    way when the insert runs inside an enclosing transaction. *)
 
-val defers_pending : txn -> int
-(** Number of callbacks queued by {!defer} on this attempt so far. The
-    window-fusion engine uses the delta across a window step to detect
-    protocol state that only becomes visible after commit (two-phase
-    hand-offs, traversal hints): such a window must end its transaction
-    rather than be fused past, or the next window would run against the
-    pre-commit state. *)
+val assign : txn -> 'a ref -> 'a -> unit
+(** [assign txn r v] is [r := v], undone by {!on_abort}: the rest of the
+    attempt (and of an enclosing transaction) sees [v] at once, a commit
+    keeps it, and an abort puts the old value back. This is GCC TM's
+    undo-logging of thread-local variables, and the one home of an
+    operation's own state across its windows (a two-phase remove's
+    phase, a resume level, a consumed spare). *)
 
 val thread_id : txn -> int
 val is_serial : txn -> bool
@@ -196,9 +202,9 @@ val is_unlogged : txn -> bool
 
 val commit_stamp : txn -> int
 (** The stamp of the transaction that just committed. Only meaningful
-    inside {!defer} callbacks (which run right after commit); data
-    structures use it to record where an operation's reservation was
-    established. *)
+    inside {!defer} callbacks (which run right after commit), so it is
+    the one piece of an operation's own state that is deferred: the dlist
+    remove records where its reservation was established with it. *)
 
 type 'a result = {
   value : 'a;

@@ -349,11 +349,12 @@ let test_spec_unknown_keys_rejected () =
     ]
 
 (* Fusion must reach the structures: driver runs with it on must stay
-   serializable. Beyond the plain list this sweeps the
-   structures whose window protocols publish state through [Tm.defer]
-   (the dlist two-phase remove, the skiplist resume hint) — fused
-   windows must treat those as fusion barriers, or the next window runs
-   against pre-commit state (a real bug this test caught). *)
+   serializable. The sweep covers every structure, among them those
+   whose steps keep their own state across windows (the dlist two-phase
+   remove's phase, the skiplist's resume level, an insert's consumed
+   spare): a fused window runs against that state before the chain
+   commits, so it must be written through [Tm.assign], not published at
+   commit through [Tm.defer]. *)
 let test_driver_all_optimizations_on () =
   Tm.Thread.with_registered (fun _ ->
       let spec =
@@ -377,7 +378,7 @@ let test_driver_all_optimizations_on () =
           check "ops counted" 2000 r.Driver.total_ops)
         [
           Factories.Spec.Slist; Factories.Spec.Dlist; Factories.Spec.Skiplist;
-          Factories.Spec.Hashset;
+          Factories.Spec.Hashset; Factories.Spec.Bst_int; Factories.Spec.Bst_ext;
         ])
 
 (* ---- reporting ---- *)

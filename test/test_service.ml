@@ -15,9 +15,8 @@ let checkb = Alcotest.(check bool)
 
 open Harness
 
-let spec ?(shards = 4) () =
-  Factories.Spec.v ~window:4 ~scatter:false ~shards ~fuse:true
-    Factories.Spec.Slist
+let spec ?(shards = 4) ?(structure = Factories.Spec.Slist) () =
+  Factories.Spec.v ~window:4 ~scatter:false ~shards ~fuse:true structure
     (Structs.Mode.Rr_kind (module Rr.V))
 
 let with_thread f = Tm.Thread.with_registered (fun thread -> f ~thread)
@@ -184,8 +183,13 @@ let test_batch_fuses_per_shard () =
 (* Cross-shard multis (one transaction)                              *)
 (* ---------------------------------------------------------------- *)
 
-let test_multi_commits_across_shards () =
-  let svc = Service.create (spec ()) in
+(* A multi's operations run nested in its one transaction, so each
+   structure's own state across its windows (the dlist remove's phase,
+   the skiplist's resume level, a consumed spare) must be visible to the
+   rest of the transaction before it commits. *)
+let test_multi_commits_across_shards structure =
+  let name = Factories.Spec.structure_name structure in
+  let svc = Service.create (spec ~structure ()) in
   with_thread @@ fun ~thread ->
   let a = key_in_shard svc ~shard:0 ~avoid:[] in
   let b = key_in_shard svc ~shard:3 ~avoid:[ a ] in
@@ -194,19 +198,24 @@ let test_multi_commits_across_shards () =
      Service.multi svc ~thread [| Store.Insert a; Store.Remove b; Store.Get a |]
    with
   | Service.Committed rs ->
-      checkb "insert applied" true (rs.(0).Store.outcome = Store.Inserted);
-      checkb "remove applied" true (rs.(1).Store.outcome = Store.Removed);
+      checkb (name ^ ": insert applied") true
+        (rs.(0).Store.outcome = Store.Inserted);
+      checkb (name ^ ": remove applied") true
+        (rs.(1).Store.outcome = Store.Removed);
       (* the Get runs after the writes, in the same transaction *)
-      checkb "get sees the multi's insert" true
+      checkb (name ^ ": get sees the multi's insert") true
         (rs.(2).Store.outcome = Store.Found);
       Array.iter
         (fun r ->
-          check "one commit stamp" rs.(0).Store.stamp r.Store.stamp;
-          check "replies are points" r.Store.stamp r.Store.earliest)
+          check (name ^ ": one commit stamp") rs.(0).Store.stamp r.Store.stamp;
+          check (name ^ ": replies are points") r.Store.stamp r.Store.earliest)
         rs
-  | Service.Aborted i -> Alcotest.failf "unexpected abort at %d" i);
-  checkb "multi effects visible" true (Service.contents svc = [ a ]);
-  check "counter" 1 (List.assoc "multis" (Service.counters svc))
+  | Service.Aborted i -> Alcotest.failf "%s: unexpected abort at %d" name i);
+  checkb (name ^ ": multi effects visible") true (Service.contents svc = [ a ]);
+  check (name ^ ": counter") 1 (List.assoc "multis" (Service.counters svc));
+  match Service.check svc with
+  | Ok () -> ()
+  | Error e -> Alcotest.failf "%s: service check after the multi: %s" name e
 
 let test_multi_aborts_without_effect () =
   let svc = Service.create (spec ()) in
@@ -1416,7 +1425,10 @@ let () =
       ( "2pc",
         [
           Alcotest.test_case "commits across shards" `Quick
-            test_multi_commits_across_shards;
+            (fun () ->
+              List.iter test_multi_commits_across_shards
+                Factories.Spec.
+                  [ Slist; Dlist; Hashset; Bst_int; Bst_ext; Skiplist ]);
           Alcotest.test_case "aborts without effect" `Quick
             test_multi_aborts_without_effect;
           Alcotest.test_case "rejects bad shapes" `Quick

@@ -13,8 +13,8 @@ module Spec = Factories.Spec
 
 (* Every factory under test is a [Spec.t]; the HTM (plain single-
    transaction) variants take the structure's default window. *)
-let spec ?window ?buckets structure kind =
-  Factories.make (Spec.v ?window ?buckets structure kind)
+let spec ?window ?buckets ?fusion structure kind =
+  Factories.make (Spec.v ?window ?buckets ?fusion structure kind)
 
 let slist_factories =
   List.map (fun (_, k) -> spec ~window:3 Spec.Slist k) rr_kinds
@@ -116,9 +116,12 @@ let rem st ~thread k = Store.positive (Store.remove st ~thread k).Store.outcome
 let mem st ~thread k = Store.positive (Store.get st ~thread k).Store.outcome
 
 (* Drive a store and a Hashtbl model through the same op sequence; true
-   iff every op agreed, the final contents match, and invariants hold. *)
-let agrees_with_model (h : Store.t) tid ops =
+   iff every op agreed, the final contents match, and invariants hold.
+   With [nested], each op runs inside its own enclosing transaction, as a
+   service multi or fused batch runs it. *)
+let agrees_with_model ?(nested = false) (h : Store.t) tid ops =
   let model = Hashtbl.create 64 in
+  let run f = if nested then Tm.atomic (fun _ -> f ()) else f () in
   let ok =
     List.for_all
       (fun op ->
@@ -126,12 +129,12 @@ let agrees_with_model (h : Store.t) tid ops =
         | I k ->
             let expected = not (Hashtbl.mem model k) in
             if expected then Hashtbl.replace model k ();
-            ins h ~thread:tid k = expected
+            run (fun () -> ins h ~thread:tid k) = expected
         | R k ->
             let expected = Hashtbl.mem model k in
             if expected then Hashtbl.remove model k;
-            rem h ~thread:tid k = expected
-        | L k -> mem h ~thread:tid k = Hashtbl.mem model k)
+            run (fun () -> rem h ~thread:tid k) = expected
+        | L k -> run (fun () -> mem h ~thread:tid k) = Hashtbl.mem model k)
       ops
   in
   Store.finalize_thread h ~thread:tid;
@@ -155,26 +158,38 @@ let qcheck_sequential (family, f) =
    over the structures where the window governs hand-off frequency —
    dlist, hashset, skiplist and both trees — for every RR flavour. On the
    internal tree this checks the side a removal takes from the descent,
-   across window boundaries and the root re-descent. The
-   window does not shrink: a short op list at the original window is the
-   more useful counterexample. *)
+   across window boundaries and the root re-descent. Two more inputs
+   check an operation's own state across its windows (the dlist remove's
+   phase, the skiplist's resume level, a consumed spare): whether each op
+   runs nested in its own enclosing transaction, and the fusion ceiling
+   (1 or 4), under which fused windows share one transaction. Only the
+   op list shrinks: a short op list at the original settings is the more
+   useful counterexample. *)
 let gen_windowed =
-  QCheck.Gen.(pair (map (fun w -> 1 + w) (int_bound 3)) gen_ops)
+  QCheck.Gen.(
+    quad
+      (map (fun w -> 1 + w) (int_bound 3))
+      bool
+      (oneofl [ 1; 4 ])
+      gen_ops)
 
 let arb_windowed =
   QCheck.make
-    ~print:(fun (w, ops) -> Printf.sprintf "window=%d [%s]" w (print_ops ops))
-    ~shrink:(QCheck.Shrink.pair QCheck.Shrink.nil shrink_ops)
+    ~print:(fun (w, nested, fusion, ops) ->
+      Printf.sprintf "window=%d nested=%b fusion=%d [%s]" w nested fusion
+        (print_ops ops))
+    ~shrink:(fun (w, nested, fusion, ops) yield ->
+      shrink_ops ops (fun ops -> yield (w, nested, fusion, ops)))
     gen_windowed
 
 let qcheck_windowed (family, structure, buckets) (kname, kind) =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s/%s windowed model" family kname)
     ~count:40 arb_windowed
-    (fun (window, ops) ->
+    (fun (window, nested, fusion, ops) ->
       Tm.Thread.with_registered (fun tid ->
-          let f = spec ~window ?buckets structure kind in
-          agrees_with_model (f.Factories.make ()) tid ops))
+          let f = spec ~window ~fusion ?buckets structure kind in
+          agrees_with_model ~nested (f.Factories.make ()) tid ops))
 
 let windowed_tests =
   List.concat_map
@@ -190,18 +205,19 @@ let windowed_tests =
 (* REF keeps its counts in the mode, one per pool id, not in the nodes.
    Over every structure that runs REF, the model must agree and, after
    the thread finalizes and the mode drains, every live pool node must be
-   a linked one: a count left pinned or a free skipped shows as a leak. *)
+   a linked one: a count left pinned or a free skipped shows as a leak.
+   Nested ops check the spares an enclosing transaction frees. *)
 let qcheck_ref_no_leaks (family, structure, buckets) =
   QCheck.Test.make
     ~name:(Printf.sprintf "%s/REF model, no leaked nodes" family)
     ~count:40 arb_windowed
-    (fun (window, ops) ->
+    (fun (window, nested, fusion, ops) ->
       Tm.Thread.with_registered (fun tid ->
           let h =
-            (spec ~window ?buckets structure Structs.Mode.Ref).Factories.make
-              ()
+            (spec ~window ~fusion ?buckets structure Structs.Mode.Ref)
+              .Factories.make ()
           in
-          agrees_with_model h tid ops
+          agrees_with_model ~nested h tid ops
           && Store.pool_live h = Some (Store.size h)))
 
 let ref_tests =
@@ -418,8 +434,9 @@ let test_window_pins () =
         Tm.Stats.commits s - c0
       in
       let upto n = List.init n (fun i -> i + 1) in
-      let of_spec ?buckets structure ?window ?scatter kind =
-        (Factories.make (Spec.v ?window ?scatter ?buckets structure kind))
+      let of_spec ?buckets ?fusion structure ?window ?scatter kind =
+        (Factories.make
+           (Spec.v ?window ?scatter ?fusion ?buckets structure kind))
           .Factories.make ()
       in
       let rows =
@@ -459,7 +476,26 @@ let test_window_pins () =
               check (Printf.sprintf "%s: htm %s, transactions" name op) 1
                 (commits (fun () -> f st ~thread deep)))
             [ ("lookup", mem); ("remove", rem); ("insert", ins) ])
-        rows)
+        rows;
+      (* Fusion reaches the skiplist: a hand-off keeps its resume level
+         through [Tm.assign], so fused windows share one transaction. The
+         fill's clean commits raise the fuse budget to its ceiling, so the
+         deep lookup's 7 windows commit as 4 + 3. *)
+      List.iter
+        (fun (fusion, want) ->
+          let st =
+            of_spec ~fusion Spec.Skiplist ~window:1 ~scatter:false
+              (Structs.Mode.Rr_kind (module Rr.V))
+          in
+          List.iter
+            (fun k -> checkb "skiplist: fill" true (ins st ~thread k))
+            (upto 64);
+          check
+            (Printf.sprintf "skiplist: lookup 63 at window 1, fusion %d, \
+                             transactions" fusion)
+            want
+            (commits (fun () -> mem st ~thread 63)))
+        [ (1, 7); (4, 2) ])
 
 (* RR-V with a probe on [release_all], which the window engine calls at
    the end of every window, inside its transaction: it records whether the

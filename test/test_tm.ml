@@ -994,6 +994,61 @@ let test_on_abort_nested () =
       | exception Boom -> ());
       check "ran once, at the outermost abort" 1 !runs)
 
+(* [assign]: the undo-logged write of a transaction's own state. *)
+let test_assign_commit () =
+  with_tm (fun () ->
+      let r = ref 0 in
+      Tm.atomic (fun txn ->
+          Tm.assign txn r 1;
+          check "visible in the attempt" 1 !r;
+          Tm.assign txn r 2;
+          check "the latest write wins" 2 !r);
+      check "kept on commit" 2 !r;
+      (* a later abort must not replay a committed registration *)
+      (try Tm.atomic (fun _ -> raise Boom) with Boom -> ());
+      check "still kept" 2 !r)
+
+let test_assign_conflict () =
+  with_tm (fun () ->
+      let r = ref 0 in
+      let seen = ref [] in
+      let attempts = ref 0 in
+      Tm.atomic ~max_attempts:10 (fun txn ->
+          incr attempts;
+          seen := !r :: !seen;
+          Tm.assign txn r 1;
+          Tm.assign txn r 2;
+          if !attempts = 1 then raise (Tm.Abort Tm.Read_invalid));
+      Alcotest.(check (list int))
+        "each attempt starts from the old value" [ 0; 0 ] !seen;
+      check "kept on commit" 2 !r)
+
+let test_assign_exception () =
+  with_tm (fun () ->
+      let r = ref 0 in
+      (match
+         Tm.atomic (fun txn ->
+             Tm.assign txn r 1;
+             Tm.assign txn r 2;
+             raise Boom)
+       with
+      | () -> Alcotest.fail "the exception was swallowed"
+      | exception Boom -> ());
+      check "old value back" 0 !r)
+
+let test_assign_nested () =
+  with_tm (fun () ->
+      let r = ref 0 in
+      (match
+         Tm.atomic (fun _ ->
+             Tm.atomic (fun txn -> Tm.assign txn r 1);
+             check "the nested commit keeps it in the enclosing one" 1 !r;
+             raise Boom)
+       with
+      | () -> Alcotest.fail "the exception was swallowed"
+      | exception Boom -> ());
+      check "old value back at the outermost abort" 0 !r)
+
 let test_serial_exception_undoes_writes () =
   with_tm (fun () ->
       let a = Tm.tvar 1 and b = Tm.tvar 2 in
@@ -1057,6 +1112,14 @@ let () =
             `Quick test_on_abort_nested;
           Alcotest.test_case "serial exception undoes writes" `Quick
             test_serial_exception_undoes_writes;
+          Alcotest.test_case "assign kept on commit" `Quick
+            test_assign_commit;
+          Alcotest.test_case "assign undone after a conflict abort" `Quick
+            test_assign_conflict;
+          Alcotest.test_case "assign undone after an exception" `Quick
+            test_assign_exception;
+          Alcotest.test_case "assign nested undone at the outermost abort"
+            `Quick test_assign_nested;
         ] );
       ( "extension",
         [
