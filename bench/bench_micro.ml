@@ -16,7 +16,7 @@ let populate rr =
     List.init 7 (fun i ->
         Domain.spawn (fun () ->
             Tm.Thread.with_registered (fun _ ->
-                Tm.atomic (fun txn ->
+                Tm.atomic ~site:"bench.populate" (fun txn ->
                     rr.Rr.register txn;
                     rr.Rr.reserve txn (1000 + i));
                 Atomic.decr barrier;
@@ -31,20 +31,22 @@ let rr_tests () =
     (fun (name, m) ->
       let rr = Rr.instantiate m ~hash:(fun r -> r) ~equal:Int.equal () in
       populate rr;
-      Tm.atomic (fun txn -> rr.Rr.register txn);
+      Tm.atomic ~site:"bench.rr_tests" (fun txn -> rr.Rr.register txn);
       [
         Test.make
           ~name:(name ^ "/reserve+release")
           (Staged.stage (fun () ->
-               Tm.atomic (fun txn ->
+               Tm.atomic ~site:"bench.rr_tests" (fun txn ->
                    rr.Rr.reserve txn 1;
                    rr.Rr.release txn 1)));
         Test.make ~name:(name ^ "/get")
           (Staged.stage (fun () ->
-               Tm.atomic (fun txn -> ignore (rr.Rr.get txn 1))));
+               Tm.atomic ~site:"bench.rr_tests"
+                 (fun txn -> ignore (rr.Rr.get txn 1))));
         Test.make ~name:(name ^ "/revoke")
           (Staged.stage (fun () ->
-               Tm.atomic (fun txn -> rr.Rr.revoke txn 2)));
+               Tm.atomic ~site:"bench.rr_tests"
+                 (fun txn -> rr.Rr.revoke txn 2)));
       ])
     Rr.all
 
@@ -52,10 +54,12 @@ let tm_tests () =
   let v = Tm.tvar 0 in
   [
     Test.make ~name:"tm/read-only txn"
-      (Staged.stage (fun () -> Tm.atomic (fun txn -> Tm.read txn v)));
+      (Staged.stage (fun () -> Tm.atomic ~site:"bench.tm_tests"
+                                 (fun txn -> Tm.read txn v)));
     Test.make ~name:"tm/writer txn"
       (Staged.stage (fun () ->
-           Tm.atomic (fun txn -> Tm.write txn v (Tm.read txn v + 1))));
+           Tm.atomic ~site:"bench.tm_tests"
+             (fun txn -> Tm.write txn v (Tm.read txn v + 1))));
   ]
 
 let run ?(smoke = false) () =

@@ -74,7 +74,7 @@ end
 let[@inline] contention_aborts s =
   Tm.Stats.aborts_read s + Tm.Stats.aborts_lock s + Tm.Stats.aborts_serial s
 
-let run ~rr ?site ?max_attempts ?(read_phase = false) ?(unlogged = false)
+let run ~rr ~site ?max_attempts ?(read_phase = false) ?(unlogged = false)
     ?window step =
   let reserved = ref None in
   (* Whether the next window is an update's acting window: after an
@@ -98,7 +98,7 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?(unlogged = false)
       | None -> 1
     in
     let res =
-      Tm.atomic_stamped ?site ?max_attempts ~read_phase
+      Tm.atomic_stamped ~site ?max_attempts ~read_phase
         ~unlogged:(unlogged && not !acting) (fun txn ->
           rr.Rr_intf.register txn;
           let start =
@@ -175,8 +175,8 @@ let run ~rr ?site ?max_attempts ?(read_phase = false) ?(unlogged = false)
   in
   loop ()
 
-let apply ~rr ?site ?max_attempts ?read_phase ?unlogged ?window step =
-  fst (run ~rr ?site ?max_attempts ?read_phase ?unlogged ?window step)
+let apply ~rr ~site ?max_attempts ?read_phase ?unlogged ?window step =
+  fst (run ~rr ~site ?max_attempts ?read_phase ?unlogged ?window step)
 
-let apply_stamped ~rr ?site ?max_attempts ?read_phase ?unlogged ?window step =
-  run ~rr ?site ?max_attempts ?read_phase ?unlogged ?window step
+let apply_stamped ~rr ~site ?max_attempts ?read_phase ?unlogged ?window step =
+  run ~rr ~site ?max_attempts ?read_phase ?unlogged ?window step

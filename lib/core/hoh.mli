@@ -87,7 +87,7 @@ end
 
 val apply :
   rr:'r Rr_intf.ops ->
-  ?site:string ->
+  site:string ->
   ?max_attempts:int ->
   ?read_phase:bool ->
   ?unlogged:bool ->
@@ -125,7 +125,7 @@ val apply :
 
 val apply_stamped :
   rr:'r Rr_intf.ops ->
-  ?site:string ->
+  site:string ->
   ?max_attempts:int ->
   ?read_phase:bool ->
   ?unlogged:bool ->

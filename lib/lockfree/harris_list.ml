@@ -101,7 +101,7 @@ let lookup t ~thread key =
 
 let insert t ~thread key =
   if key <= min_int + 1 then invalid_arg "Harris_list: key out of range";
-  let n = Mempool.alloc t.pool ~thread in
+  let n = (Mempool.alloc t.pool ~thread : node Mempool.fresh :> node) in
   n.key <- key;
   let rec loop () =
     let prev, plink, curr = find t ~thread key in

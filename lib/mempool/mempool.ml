@@ -171,6 +171,8 @@ let take_pooled t ~thread =
               a.count <- List.length rest;
               Some n))
 
+type 'a fresh = 'a
+
 let alloc t ~thread =
   (* DST fault injection: a [Fail] arm on [Mp_alloc] models allocation
      failure (arena and global freelists empty, fabrication refused). *)

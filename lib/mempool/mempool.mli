@@ -64,7 +64,17 @@ val create :
     detectable by tests. [batch] sizes the arena-to-global transfer unit for
     {!Thread_arena} (default 32). *)
 
-val alloc : 'a t -> thread:int -> 'a
+type 'a fresh = private 'a
+(** A node as {!alloc} returns it. The node modules' key setters take
+    only this type, so the type checker keeps a key store off any node
+    read from a link: only a value that came from [alloc] has it. Linking
+    it is the free coercion [(n :> 'a)]. The type does not follow the
+    node past that: a [fresh] binding still in scope after the node is
+    linked or freed would still type-check for a key store, so code that
+    uses the node after linking it shadows the binding with the coerced
+    value. *)
+
+val alloc : 'a t -> thread:int -> 'a fresh
 (** Allocate a node: reuse a pooled one if available, else fabricate a fresh
     one. [thread] selects the arena under {!Thread_arena}. *)
 

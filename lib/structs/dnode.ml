@@ -28,7 +28,7 @@ let make_pool ?strategy () =
   Mempool.create ?strategy ~make ~node_id:(fun n -> n.id)
     ~state:state_word ~poison ~tvar_ids ()
 
-let set_key n k = n.key <- k
+let set_key (n : t Mempool.fresh) k = (n :> t).key <- k
 let deleted txn n = Tm.read txn n.prev == n
 let mark_deleted txn n = Tm.write txn n.prev n
 let peek_deleted n = Tm.peek n.prev == n
@@ -37,11 +37,12 @@ let sentinel () = make (-1)
 let equal a b = a == b
 
 let alloc pool ~thread =
-  let n = Mempool.alloc pool ~thread in
+  let fresh = Mempool.alloc pool ~thread in
+  let n = (fresh : t Mempool.fresh :> t) in
   (* Re-initialization pokes on a node no thread can reach yet: exempt from
      TxSan's non-transactional-access rule, like the poison pokes in free. *)
   San.exempt_begin ();
   Tm.poke n.next nil;
   Tm.poke n.prev nil;
   San.exempt_end ();
-  n
+  fresh

@@ -31,7 +31,7 @@ val nil : t
 
 val make_pool : ?strategy:Mempool.strategy -> unit -> t Mempool.t
 
-val set_key : t -> int -> unit
+val set_key : t Mempool.fresh -> int -> unit
 (** As {!Lnode.set_key}: only on a fresh spare, before the commit that
     links it. *)
 
@@ -48,6 +48,6 @@ val peek_deleted : t -> bool
 val sentinel : unit -> t
 val equal : t -> t -> bool
 
-val alloc : t Mempool.t -> thread:int -> t
+val alloc : t Mempool.t -> thread:int -> t Mempool.fresh
 (** Allocate and reset both links to {!nil}, which clears the deletion
     mark. The key is the last incarnation's until {!set_key}. *)

@@ -80,7 +80,7 @@ let insert_s t ~thread key =
               (* Empty tree: hang the first leaf off the sentinel. *)
               let nl = take txn spare_leaf in
               Tnode.set_key nl key;
-              Tm.write txn t.root.Tnode.left nl;
+              Tm.write txn t.root.Tnode.left (nl :> Tnode.t);
               true)
         else
           let lk = Tnode.key txn leaf in
@@ -91,8 +91,9 @@ let insert_s t ~thread key =
                 let nl = take txn spare_leaf
                 and router = take txn spare_router in
                 Tnode.set_key nl key;
-                let lo, hi = if key < lk then (nl, leaf) else (leaf, nl) in
                 Tnode.set_key router (max key lk);
+                let nl = (nl :> Tnode.t) and router = (router :> Tnode.t) in
+                let lo, hi = if key < lk then (nl, leaf) else (leaf, nl) in
                 Tm.write txn router.Tnode.left lo;
                 Tm.write txn router.Tnode.right hi;
                 Tm.write txn

@@ -76,7 +76,7 @@ let insert_s t ~thread key =
         Rr.Hoh.act txn ~anchor:parent (fun () ->
             let n = Mode.take_spare t.mode ~outer txn spare Tnode.alloc in
             Tnode.set_key n key;
-            Tm.write txn (link parent side) n;
+            Tm.write txn (link parent side) (n :> Tnode.t);
             true))
   in
   Mode.give_back_spare t.mode ~thread ~outer spare;
@@ -102,6 +102,7 @@ let remove_two_children t txn ~copy ~parent ~side ~curr ~left ~right =
   in
   let lparent, lm, path = find_leftmost curr right [ curr ] in
   Tnode.set_key copy (Tnode.key txn lm);
+  let copy = (copy :> Tnode.t) in
   let promoted = Tm.read txn lm.Tnode.right in
   Tm.write txn copy.Tnode.left left;
   if Tnode.equal lparent curr then

@@ -65,6 +65,7 @@ let insert_s t ~thread key =
         Rr.Hoh.act txn ~anchor:prev (fun () ->
             let n = Mode.take_spare t.mode ~outer txn spare Dnode.alloc in
             Dnode.set_key n key;
+            let n = (n :> Dnode.t) in
             Tm.write txn n.Dnode.prev prev;
             Tm.write txn n.Dnode.next curr;
             Tm.write txn prev.Dnode.next n;

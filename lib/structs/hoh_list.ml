@@ -62,6 +62,7 @@ let insert_s t ~thread key =
         Rr.Hoh.act txn ~anchor:prev (fun () ->
             let n = Mode.take_spare t.mode ~outer txn spare Lnode.alloc in
             Lnode.set_key n key;
+            let n = (n :> Lnode.t) in
             Tm.write txn n.Lnode.next curr;
             Tm.write txn prev.Lnode.next n;
             true))

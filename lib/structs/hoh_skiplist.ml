@@ -166,6 +166,7 @@ let insert_s t ~thread key =
               let height = level_of t key in
               Snode.set_key n key;
               Snode.set_level n height;
+              let n = (n :> Snode.t) in
               Snode.link_top txn n ~height;
               for l = 0 to height - 1 do
                 let p, succ = pred_with_hint txn t ~key ~preds l in

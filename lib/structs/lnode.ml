@@ -32,7 +32,7 @@ let key txn n =
   ignore (Tm.read txn n.next);
   k
 
-let set_key n k = n.key <- k
+let set_key (n : t Mempool.fresh) k = (n :> t).key <- k
 let deleted txn n = Tm.read txn n.next == n
 let mark_deleted txn n = Tm.write txn n.next n
 let peek_deleted n = Tm.peek n.next == n
@@ -41,10 +41,11 @@ let sentinel () = make (-1)
 let equal a b = a == b
 
 let alloc pool ~thread =
-  let n = Mempool.alloc pool ~thread in
+  let fresh = Mempool.alloc pool ~thread in
+  let n = (fresh : t Mempool.fresh :> t) in
   (* Re-initialization poke on a node no thread can reach yet: exempt from
      TxSan's non-transactional-access rule, like the poison pokes in free. *)
   San.exempt_begin ();
   Tm.poke n.next nil;
   San.exempt_end ();
-  n
+  fresh

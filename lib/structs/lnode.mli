@@ -52,10 +52,12 @@ val key : Tm.txn -> t -> int
     freed and handed out again since the transaction's snapshot, it aborts.
     @raise Tm.Abort as {!Tm.read} does. *)
 
-val set_key : t -> int -> unit
+val set_key : t Mempool.fresh -> int -> unit
 (** Set the key of a node no other thread can reach: a spare fresh from
-    {!alloc}, before the commit that links it. The verifier's [raw-access]
-    rule (HV009) reports a call on a node read from a link. *)
+    {!alloc}, before the commit that links it as [(n :> t)]. A node read
+    from a link is a plain [t], so a call on it does not type-check; the
+    type does not see a [fresh] binding kept past the link, so shadow it
+    with the coerced node there (see {!Mempool.fresh}). *)
 
 val deleted : Tm.txn -> t -> bool
 (** Whether [next] points at the node itself; the test {!Mode.create}
@@ -76,7 +78,7 @@ val equal : t -> t -> bool
 (** Physical equality — two nodes are the same reference iff they are the
     same pool slot. *)
 
-val alloc : t Mempool.t -> thread:int -> t
+val alloc : t Mempool.t -> thread:int -> t Mempool.fresh
 (** Pool allocation plus a reset of [next] to {!nil} (which clears the
     deletion mark) with a non-transactional version-bumping write. The key
     is the last incarnation's until the caller's {!set_key}; the caller

@@ -35,7 +35,8 @@ type 'n t = {
   resume_floor : int;
 }
 
-let take_spare { pool; _ } ~outer txn spare alloc =
+let take_spare (type n) ({ pool; _ } : n t) ~outer txn
+    (spare : n Mempool.fresh option ref) alloc =
   let thread = Tm.thread_id txn in
   let n =
     match !spare with
@@ -46,7 +47,7 @@ let take_spare { pool; _ } ~outer txn spare alloc =
         (match outer with
         | Some outer ->
             Tm.on_abort outer (fun () ->
-                Mempool.free pool ~thread n;
+                Mempool.free pool ~thread (n :> n);
                 spare := None)
         | None -> ());
         n
@@ -54,11 +55,13 @@ let take_spare { pool; _ } ~outer txn spare alloc =
   Tm.assign txn spare None;
   n
 
-let give_back_spare { pool; _ } ~thread ~outer spare =
+let give_back_spare (type n) ({ pool; _ } : n t) ~thread ~outer
+    (spare : n Mempool.fresh option ref) =
   match (!spare, outer) with
   | None, _ -> ()
-  | Some n, None -> Mempool.free pool ~thread n
-  | Some n, Some txn -> Tm.defer txn (fun () -> Mempool.free pool ~thread n)
+  | Some n, None -> Mempool.free pool ~thread (n :> n)
+  | Some n, Some txn ->
+      Tm.defer txn (fun () -> Mempool.free pool ~thread (n :> n))
 
 (* Mirror the TxSan funnel that [Rr.instantiate] wraps around the six RR
    implementations, so the baseline modes' reservations answer to the same

@@ -88,9 +88,9 @@ val take_spare :
   'n t ->
   outer:Tm.txn option ->
   Tm.txn ->
-  'n option ref ->
-  ('n Mempool.t -> thread:int -> 'n) ->
-  'n
+  'n Mempool.fresh option ref ->
+  ('n Mempool.t -> thread:int -> 'n Mempool.fresh) ->
+  'n Mempool.fresh
 (** [take_spare t ~outer txn spare alloc] is the node an insert's acting
     window [txn] links: the one in [spare], or a fresh one from [alloc]
     over [t]'s pool. It marks the spare consumed with {!Tm.assign}:
@@ -104,7 +104,11 @@ val take_spare :
     first, so the node is freed exactly once. *)
 
 val give_back_spare :
-  'n t -> thread:int -> outer:Tm.txn option -> 'n option ref -> unit
+  'n t ->
+  thread:int ->
+  outer:Tm.txn option ->
+  'n Mempool.fresh option ref ->
+  unit
 (** Return an unconsumed insert spare to the pool once the operation is
     over: a spare still in [spare] was never linked. Outside any
     transaction the node is freed immediately; inside an enclosing

@@ -81,8 +81,8 @@ let level txn n =
   ignore (Tm.read txn n.next.(top));
   l
 
-let set_key n k = n.key <- k
-let set_level n l = n.level <- l
+let set_key (n : t Mempool.fresh) k = (n :> t).key <- k
+let set_level (n : t Mempool.fresh) l = (n :> t).level <- l
 let deleted txn n = Tm.read txn n.next.(top) == n
 let mark_deleted txn n = Tm.write txn n.next.(top) n
 let peek_deleted n = Tm.peek n.next.(top) == n
@@ -95,12 +95,13 @@ let sentinel () =
 let equal a b = a == b
 
 let alloc pool ~thread =
-  let n = Mempool.alloc pool ~thread in
+  let fresh = Mempool.alloc pool ~thread in
+  let n = (fresh : t Mempool.fresh :> t) in
   (* Re-initialization pokes on a node no thread can reach yet: exempt from
      TxSan's non-transactional-access rule, like the poison pokes in free. *)
   San.exempt_begin ();
   Array.iteri (fun l nx -> Tm.poke nx (if l = top then n else nil)) n.next;
   San.exempt_end ();
-  n
+  fresh
 
 let link_top txn n ~height = if height < max_level then Tm.write txn n.next.(top) nil

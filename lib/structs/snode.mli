@@ -62,11 +62,11 @@ val key : Tm.txn -> t -> int
 val level : Tm.txn -> t -> int
 (** [n]'s level, validated by a read of its top link. *)
 
-val set_key : t -> int -> unit
+val set_key : t Mempool.fresh -> int -> unit
 (** As {!Lnode.set_key}: only on a fresh spare, before the commit that
     links it. *)
 
-val set_level : t -> int -> unit
+val set_level : t Mempool.fresh -> int -> unit
 (** As {!set_key}, for the level. *)
 
 val deleted : Tm.txn -> t -> bool
@@ -83,7 +83,7 @@ val peek_deleted : t -> bool
 val sentinel : unit -> t
 val equal : t -> t -> bool
 
-val alloc : t Mempool.t -> thread:int -> t
+val alloc : t Mempool.t -> thread:int -> t Mempool.fresh
 (** Allocate and reset the tower to {!nil} below the top link, and set the
     deletion mark: an unlinked spare reads as deleted, so a stale hint that
     the pool handed out again is refused until the commit that links the

@@ -50,7 +50,7 @@ let key txn n =
   ignore (Tm.read txn n.left);
   k
 
-let set_key n k = n.key <- k
+let set_key (n : t Mempool.fresh) k = (n :> t).key <- k
 
 let deleted txn n = Tm.read txn n.right == n
 let mark_deleted txn n = Tm.write txn n.right n
@@ -64,11 +64,12 @@ let sentinel ~key =
 let equal a b = a == b
 
 let alloc pool ~thread =
-  let n = Mempool.alloc pool ~thread in
+  let fresh = Mempool.alloc pool ~thread in
+  let n = (fresh : t Mempool.fresh :> t) in
   (* Re-initialization pokes on a node no thread can reach yet: exempt from
      TxSan's non-transactional-access rule, like the poison pokes in free. *)
   San.exempt_begin ();
   Tm.poke n.left nil;
   Tm.poke n.right nil;
   San.exempt_end ();
-  n
+  fresh

@@ -64,10 +64,12 @@ val key : Tm.txn -> t -> int
 (** [n]'s key, validated the same way by a read of [left] (already logged
     at a leaf, whose [left] is {!nil}). *)
 
-val set_key : t -> int -> unit
+val set_key : t Mempool.fresh -> int -> unit
 (** Set the key of a node no other thread can reach: a spare fresh from
-    {!alloc}, before the commit that links it. The verifier's [raw-access]
-    rule (HV009) reports a call on a node read from a link. *)
+    {!alloc}, before the commit that links it as [(n :> t)]. A node read
+    from a link is a plain [t], so a call on it does not type-check; the
+    type does not see a [fresh] binding kept past the link, so shadow it
+    with the coerced node there (see {!Mempool.fresh}). *)
 
 val deleted : Tm.txn -> t -> bool
 (** Whether [right] points at the node itself; the test {!Mode.create}
@@ -82,6 +84,6 @@ val peek_deleted : t -> bool
 val sentinel : key:int -> t
 val equal : t -> t -> bool
 
-val alloc : t Mempool.t -> thread:int -> t
+val alloc : t Mempool.t -> thread:int -> t Mempool.fresh
 (** Allocate and reset the children to {!nil}, which clears the deletion
     mark. The key is the last incarnation's until {!set_key}. *)

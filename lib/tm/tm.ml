@@ -921,7 +921,7 @@ let cause_label = function
   | Serial_pending -> "serial_pending"
   | User_retry -> "user_retry"
 
-let atomic_stamped ?site ?max_attempts ?(read_phase = false)
+let atomic_stamped ~site ?max_attempts ?(read_phase = false)
     ?(unlogged = false) f =
   let st = Thread.state () in
   let txn = st.txn in
@@ -941,8 +941,7 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false)
        single immutable-bool test per attempt instead of an Atomic.get. *)
     let tele = Telemetry.enabled () in
     let slot = st.t_slot in
-    if tele || San.enabled () then
-      txn.site <- (match site with Some s -> s | None -> no_site);
+    if tele || San.enabled () then txn.site <- site;
     txn.read_phase <- read_phase;
     let op_start = if tele then Telemetry.now_ns () else 0 in
     Backoff.reset st.backoff;
@@ -1042,8 +1041,8 @@ let atomic_stamped ?site ?max_attempts ?(read_phase = false)
     attempt 0 0
   end
 
-let atomic ?site ?max_attempts ?read_phase ?unlogged f =
-  (atomic_stamped ?site ?max_attempts ?read_phase ?unlogged f).value
+let atomic ~site ?max_attempts ?read_phase ?unlogged f =
+  (atomic_stamped ~site ?max_attempts ?read_phase ?unlogged f).value
 
 let current_txn () =
   match Dst.Tls.get Thread.tls_key with

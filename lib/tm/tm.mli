@@ -216,7 +216,7 @@ type 'a result = {
 }
 
 val atomic :
-  ?site:string ->
+  site:string ->
   ?max_attempts:int ->
   ?read_phase:bool ->
   ?unlogged:bool ->
@@ -233,8 +233,9 @@ val atomic :
     [site] labels this call site for telemetry: when {!Telemetry.enabled}
     is on, every abort is attributed to [(site, cause, conflicting tvar)]
     in the calling thread's {!Telemetry.Attribution} table. Pass a static
-    string (e.g. ["slist.insert"]); when omitted the aborts are pooled
-    under ["?"]. Ignored (beyond the enclosing label) for nested calls.
+    string (e.g. ["slist.insert"]); it is required, so every top-level
+    transaction names its operation. Ignored (beyond the enclosing label)
+    for nested calls.
 
     [read_phase] (default [false]) declares a pure-traversal transaction:
     reads that hit a locked word wait out the (bounded) writeback section
@@ -259,7 +260,7 @@ val atomic :
     flag is ignored for nested calls). *)
 
 val atomic_stamped :
-  ?site:string ->
+  site:string ->
   ?max_attempts:int ->
   ?read_phase:bool ->
   ?unlogged:bool ->
@@ -302,7 +303,7 @@ val clock : unit -> int
 
 val txn_site : txn -> string
 (** The telemetry site label of the enclosing {!atomic} call (["?"] when
-    unlabeled or when neither telemetry nor TxSan is enabled). *)
+    neither telemetry nor TxSan is enabled). *)
 
 val current_site : unit -> string
 (** {!txn_site} of the calling domain's active transaction, or ["?"]. *)

@@ -109,6 +109,7 @@ let rec node_of_type ty =
      the parent of a descent, the window engine's [~start]). *)
   match type_key ty with
   | Some ((m, "t"), _) when List.mem m node_modules -> `Node m
+  | Some (("Mempool", "fresh"), [ a ]) -> node_of_type a
   | Some (("", "option"), [ a ]) | Some (("Stdlib", "option"), [ a ]) -> (
       match node_of_type a with `Node m -> `Opt m | _ -> `No)
   | _ -> `No
@@ -287,7 +288,6 @@ let discharge env ~node =
 
 type out = {
   mutable diags : Vdiag.t list;
-  mutable sups : Vdiag.suppression list;
   emit : bool;  (* final pass only *)
 }
 
@@ -307,7 +307,6 @@ type ctx = {
       (* inside a [Tm.on_abort] callback: a free is sanctioned only for a
          node this transaction allocated *)
   no_txn : bool;
-  trusted : bool;
   fname : string;
   modname : string;
   trace : string list;  (* innermost first *)
@@ -322,8 +321,7 @@ type ctx = {
 }
 
 let report ctx ~loc ~rule msg =
-  if ctx.trusted then ()
-  else if ctx.out.emit then begin
+  if ctx.out.emit then begin
     let file, line, col = loc_pos loc in
     ctx.out.diags <-
       {
@@ -341,61 +339,6 @@ let report ctx ~loc ~rule msg =
 let push ctx lbl = { ctx with trace = lbl :: (match ctx.trace with l when List.length l >= 6 -> List.filteri (fun i _ -> i < 5) l | l -> l) }
 
 let lline (loc : Location.t) = loc.Location.loc_start.Lexing.pos_lnum
-
-(* [@hohtx.trusted "reason"] *)
-let trusted_attr (attrs : Parsetree.attributes) =
-  List.find_map
-    (fun (a : Parsetree.attribute) ->
-      if a.Parsetree.attr_name.Location.txt = "hohtx.trusted" then
-        Some
-          (match a.Parsetree.attr_payload with
-          | Parsetree.PStr
-              [
-                {
-                  pstr_desc =
-                    Pstr_eval
-                      ( {
-                          pexp_desc =
-                            Pexp_constant (Pconst_string (s, _, _));
-                          _;
-                        },
-                        _ );
-                  _;
-                };
-              ] ->
-              (a.Parsetree.attr_name.Location.loc, Some s)
-          | _ -> (a.Parsetree.attr_name.Location.loc, None))
-      else None)
-    attrs
-
-let enter_trusted ctx ~loc attrs =
-  match trusted_attr attrs with
-  | None -> ctx
-  | Some (aloc, reason) ->
-      let aloc = if aloc = Location.none then loc else aloc in
-      if ctx.out.emit then begin
-        let file, line, _ = loc_pos aloc in
-        match reason with
-        | Some r ->
-            ctx.out.sups <-
-              { Vdiag.s_file = file; s_line = line; reason = r }
-              :: ctx.out.sups
-        | None ->
-            ctx.out.diags <-
-              {
-                Vdiag.rule = "trusted-without-reason";
-                file;
-                line;
-                col = 0;
-                message =
-                  "[@hohtx.trusted] must carry a reason string explaining \
-                   why the verifier is being waved through";
-                path = [];
-                fn = ctx.fname;
-              }
-              :: ctx.out.diags
-      end;
-      if reason <> None then { ctx with trusted = true } else ctx
 
 (* may-raise bookkeeping: join the current env into the innermost
    handler. *)
@@ -417,22 +360,6 @@ let eager_free ctx ~loc msg =
     ctx.summary.Vsummary.eager_free <- true;
     if ctx.in_txn then report ctx ~loc ~rule:"non-deferred-free" msg
   end
-
-(* An omitted [?site] is the ghost [None] the type checker fills in. *)
-let omits_site args =
-  List.exists
-    (function
-      | ( Asttypes.Optional "site",
-          Some
-            {
-              exp_desc =
-                Texp_construct (_, { Types.cstr_name = "None"; _ }, []);
-              exp_loc;
-              _;
-            } ) ->
-          exp_loc.Location.loc_ghost
-      | _ -> false)
-    args
 
 (* ---- the expression interpreter ---- *)
 
@@ -549,7 +476,6 @@ and check_deref ctx env ~loc base_aval =
   | _ -> ignore env
 
 and analyze_expr ctx env (e : expression) : env * aval =
-  let ctx = enter_trusted ctx ~loc:e.exp_loc e.exp_attributes in
   match e.exp_desc with
   | Texp_ident (p, _, _) -> (
       match p with
@@ -754,7 +680,6 @@ and aval_of_type ty =
   | `No -> if is_txn_type ty then Atxn else Aother
 
 and analyze_binding ctx env (vb : value_binding) =
-  let ctx = enter_trusted ctx ~loc:vb.vb_loc vb.vb_attributes in
   match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
   | Tpat_var (id, _), Texp_function _ ->
       (* a local closure: compute its summary (twice, for recursion) and
@@ -763,7 +688,7 @@ and analyze_binding ctx env (vb : value_binding) =
          summary and would be stale. *)
       let name = Ident.name id in
       let warm =
-        { ctx with out = { diags = []; sups = []; emit = false } }
+        { ctx with out = { diags = []; emit = false } }
       in
       let s1 = analyze_lambda warm env ~name vb.vb_expr in
       Hashtbl.replace ctx.locals (stamp id) s1;
@@ -1205,30 +1130,6 @@ and apply_path ctx env (e : expression) p args =
           | None -> ())
         args;
       (env, if snd key = "peek" then aval_of_type e.exp_type else Aother)
-  | ( ( ( ("Tnode" | "Lnode" | "Dnode" | "Snode"), "set_key" )
-        | ("Snode", "set_level") ),
-      None ) ->
-      (* A node's key (and a skiplist tower's level) is a plain field,
-         validated only by the version bumps that precede its one store on
-         a node no thread can reach. *)
-      let env, args = analyze_args ctx env args in
-      let fn = fst key ^ "." ^ snd key in
-      (match node_arg args with
-      | Some (_, v) -> (
-          match state_of_aval v with
-          | Freed ->
-              report ctx ~loc ~rule:"use-after-free"
-                (fn ^ " on a freed node")
-          | (Shared | Checked | Carried | Retired) as st ->
-              report ctx ~loc ~rule:"raw-access"
-                (Printf.sprintf
-                   "%s on a %s node: a key or level may be set only on a \
-                    node no other thread can reach (a fresh spare), or a \
-                    reader pairs the new value with the node's old place"
-                   fn (state_name st))
-          | _ -> ())
-      | None -> ());
-      (env, Aother)
   | (("Tm", ("defer" | "on_abort")), None) ->
       let abort_cb = snd key = "on_abort" in
       let env, args = analyze_args ctx env args in
@@ -1253,18 +1154,12 @@ and apply_path ctx env (e : expression) p args =
         args;
       (env, Aother)
   | (("Tm", ("atomic" | "atomic_stamped")), None)
-  | (("Hoh", ("apply" | "apply_stamped" | "run")), None)
+  | (("Hoh", ("apply" | "apply_stamped")), None)
   | (("Mode", "apply"), None) ->
       (* [Mode.apply] is the structures' one call into the window engine:
          its step is a window step like [Hoh.apply]'s, with [~start]
          checked. *)
       let is_hoh = fst key <> "Tm" in
-      if omits_site args then
-        report ctx ~loc ~rule:"site-label"
-          (Printf.sprintf
-             "%s without ~site: its aborts and sanitizer reports cannot \
-              name the operation"
-             (String.concat "." (path_parts p)));
       let env, args = analyze_args ctx env args in
       List.iter
         (fun (_, arg) ->

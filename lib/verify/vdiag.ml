@@ -1,8 +1,6 @@
-(* Diagnostics of hohtx_verify, the static checker.
-
-   The --format json rendering is the hohtx-diag/1 schema. A diagnostic
-   names the rule, the source position, the offending control-flow path,
-   and a one-line repro command in the soak/DST convention. *)
+(* Diagnostics of hohtx_verify, the static checker. A diagnostic names
+   the rule, the source position, the offending control-flow path, and a
+   one-line repro command in the soak/DST convention. *)
 
 type rule = {
   id : string;  (* stable SARIF ruleId, e.g. "reservation-leak" *)
@@ -12,8 +10,6 @@ type rule = {
 
 let rules : rule list =
   [
-    { id = "trusted-without-reason"; code = "HV000";
-      summary = "[@hohtx.trusted] suppression without a reason string" };
     { id = "deref-before-check"; code = "HV001";
       summary =
         "a carried pointer is dereferenced before the window re-checks \
@@ -38,13 +34,7 @@ let rules : rule list =
          did not allocate" };
     { id = "raw-access"; code = "HV009";
       summary =
-        "non-transactional access (Tm.peek/Tm.poke) to a shared node's \
-         payload inside a transaction" };
-    { id = "site-label"; code = "HV010";
-      summary =
-        "a transaction entry (Tm.atomic, Tm.atomic_stamped, Hoh.apply, \
-         Hoh.apply_stamped, Hoh.run) omits ?site, so its aborts and \
-         sanitizer reports cannot name the operation" };
+        "Tm.peek/Tm.poke on a shared node's payload inside a transaction" };
   ]
 
 type t = {
@@ -57,8 +47,6 @@ type t = {
       (* branch decisions leading to the violation, outermost first *)
   fn : string;  (* enclosing function, for the message *)
 }
-
-type suppression = { s_file : string; s_line : int; reason : string }
 
 let repro d =
   Printf.sprintf "dune build @verify   # or: --filter %s"
@@ -80,54 +68,6 @@ let pp_github oc d =
     (match d.path with
     | [] -> ""
     | p -> Printf.sprintf " (path: %s)" (String.concat " -> " p))
-
-(* ---- hohtx-diag/1 JSON ---- *)
-
-let json_escape s =
-  let b = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string b "\\\""
-      | '\\' -> Buffer.add_string b "\\\\"
-      | '\n' -> Buffer.add_string b "\\n"
-      | '\t' -> Buffer.add_string b "\\t"
-      | '\r' -> Buffer.add_string b "\\r"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char b c)
-    s;
-  Buffer.contents b
-
-let diag_json d =
-  Printf.sprintf
-    "{\"file\":\"%s\",\"line\":%d,\"col\":%d,\"rule\":\"%s\",\"message\":\"%s\",\"path\":[%s],\"repro\":\"%s\"}"
-    (json_escape d.file) d.line d.col (json_escape d.rule)
-    (json_escape d.message)
-    (String.concat ","
-       (List.map (fun p -> "\"" ^ json_escape p ^ "\"") d.path))
-    (json_escape (repro d))
-
-let to_json (diags : t list) (sups : suppression list) =
-  let b = Buffer.create 1024 in
-  Buffer.add_string b
-    "{\"schema\":\"hohtx-diag/1\",\"tool\":\"hohtx_verify\",";
-  Buffer.add_string b
-    (Printf.sprintf "\"diagnostics\":[%s],"
-       (String.concat "," (List.map diag_json diags)));
-  Buffer.add_string b
-    (Printf.sprintf "\"suppressions\":[%s],"
-       (String.concat ","
-          (List.map
-             (fun s ->
-               Printf.sprintf
-                 "{\"file\":\"%s\",\"line\":%d,\"reason\":\"%s\"}"
-                 (json_escape s.s_file) s.s_line (json_escape s.reason))
-             sups)));
-  Buffer.add_string b
-    (Printf.sprintf "\"counts\":{\"diagnostics\":%d,\"suppressions\":%d}}"
-       (List.length diags) (List.length sups));
-  Buffer.contents b
 
 (* ---- --expect files: lines of "file.ml:LINE:rule-id" ---- *)
 

@@ -43,7 +43,6 @@ let mk_ctx ~modname ~ref_accum ~out : Vanalyze.ctx =
     free_ok = false;
     abort_cb = false;
     no_txn = false;
-    trusted = false;
     fname = "";
     modname;
     trace = [];
@@ -72,11 +71,7 @@ and analyze_item ctx env (item : structure_item) =
           match (vb.vb_pat.pat_desc, vb.vb_expr.exp_desc) with
           | Tpat_var (id, _), Texp_function _ ->
               let name = Ident.name id in
-              let ctx =
-                Vanalyze.enter_trusted
-                  { ctx with Vanalyze.fname = name }
-                  ~loc:vb.vb_loc vb.vb_attributes
-              in
+              let ctx = { ctx with Vanalyze.fname = name } in
               let s = Vanalyze.analyze_lambda ctx env ~name vb.vb_expr in
               Vsummary.record ~modname:ctx.Vanalyze.modname ~name s;
               env
@@ -105,11 +100,11 @@ let analyze_file ~out (f : file) =
   let ctx = mk_ctx ~modname:f.f_modname ~ref_accum:f.f_ref_accum ~out in
   ignore (analyze_structure ctx Vanalyze.empty_env f.f_structure)
 
-(* Run the whole thing; returns (diags, sups) sorted by position. *)
+(* Run the whole thing; returns the diagnostics sorted by position. *)
 let run paths =
   Vsummary.reset ();
   let files = List.filter_map load_cmt paths in
-  let silent = { Vanalyze.diags = []; sups = []; emit = false } in
+  let silent = { Vanalyze.diags = []; emit = false } in
   let sorted tbl =
     List.sort compare (Hashtbl.fold (fun k v acc -> (k, v) :: acc) tbl [])
   in
@@ -125,7 +120,7 @@ let run paths =
     if after <> before then settle (passes + 1) after
   in
   settle 1 (tables ());
-  let out = { Vanalyze.diags = []; sups = []; emit = true } in
+  let out = { Vanalyze.diags = []; emit = true } in
   List.iter (analyze_file ~out) files;
   let cmp_pos (a : Vdiag.t) (b : Vdiag.t) =
     match compare a.Vdiag.file b.Vdiag.file with
@@ -135,18 +130,12 @@ let run paths =
   (* The same protocol fault often trips two detectors on one line (the
      field read and the builtin that consumed it); one report per
      (file, line, rule) is the useful granularity. *)
-  let diags =
-    List.sort_uniq
-      (fun a b ->
-        match compare a.Vdiag.file b.Vdiag.file with
-        | 0 -> (
-            match compare a.Vdiag.line b.Vdiag.line with
-            | 0 -> compare a.Vdiag.rule b.Vdiag.rule
-            | c -> c)
-        | c -> c)
-      (List.sort cmp_pos out.Vanalyze.diags)
-  in
-  let sups =
-    List.sort_uniq compare out.Vanalyze.sups
-  in
-  (diags, sups)
+  List.sort_uniq
+    (fun a b ->
+      match compare a.Vdiag.file b.Vdiag.file with
+      | 0 -> (
+          match compare a.Vdiag.line b.Vdiag.line with
+          | 0 -> compare a.Vdiag.rule b.Vdiag.rule
+          | c -> c)
+      | c -> c)
+    (List.sort cmp_pos out.Vanalyze.diags)

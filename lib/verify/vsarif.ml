@@ -1,22 +1,18 @@
-(* SARIF 2.1.0 emission for GitHub code-scanning upload.
+(* SARIF 2.1.0 emission for GitHub code-scanning upload: one run, one
+   driver, the rule table from Vdiag, each diagnostic as a "result" with
+   its path trace rendered into the message. Built as a Telemetry.Json
+   tree, the one JSON printer of the repo. *)
 
-   Hand-rolled (the repo deliberately avoids JSON dependencies; cf.
-   lib/telemetry/tel_json.ml). One run, one driver, the rule table from
-   Vdiag, each diagnostic as a "result" with its path trace rendered into
-   the message, and [@hohtx.trusted] uses reported as suppressed notes so
-   the code-scanning UI shows where the verifier was waved through. *)
-
-let esc = Vdiag.json_escape
+module Json = Telemetry.Json
 
 let rule_json (r : Vdiag.rule) =
-  Printf.sprintf
-    "{\"id\":\"%s\",\"name\":\"%s\",\"shortDescription\":{\"text\":\"%s\"},\"defaultConfiguration\":{\"level\":\"error\"}}"
-    (esc r.Vdiag.id) (esc r.Vdiag.code) (esc r.Vdiag.summary)
-
-let location_json ~file ~line ~col =
-  Printf.sprintf
-    "{\"physicalLocation\":{\"artifactLocation\":{\"uri\":\"%s\"},\"region\":{\"startLine\":%d,\"startColumn\":%d}}}"
-    (esc file) line (max 1 col)
+  Json.Obj
+    [
+      ("id", String r.Vdiag.id);
+      ("name", String r.Vdiag.code);
+      ("shortDescription", Obj [ ("text", String r.Vdiag.summary) ]);
+      ("defaultConfiguration", Obj [ ("level", String "error") ]);
+    ]
 
 let result_json (d : Vdiag.t) =
   let message =
@@ -26,36 +22,59 @@ let result_json (d : Vdiag.t) =
         Printf.sprintf "%s [path: %s]" d.Vdiag.message
           (String.concat " -> " p)
   in
-  Printf.sprintf
-    "{\"ruleId\":\"%s\",\"level\":\"error\",\"message\":{\"text\":\"%s\"},\"locations\":[%s]}"
-    (esc d.Vdiag.rule) (esc message)
-    (location_json ~file:d.Vdiag.file ~line:d.Vdiag.line ~col:(d.Vdiag.col + 1))
-
-let suppression_json (s : Vdiag.suppression) =
-  Printf.sprintf
-    "{\"ruleId\":\"trusted-suppression\",\"level\":\"note\",\"message\":{\"text\":\"[@hohtx.trusted] %s\"},\"locations\":[%s],\"suppressions\":[{\"kind\":\"inSource\",\"justification\":\"%s\"}]}"
-    (esc s.Vdiag.reason)
-    (location_json ~file:s.Vdiag.s_file ~line:s.Vdiag.s_line ~col:1)
-    (esc s.Vdiag.reason)
-
-let to_string (diags : Vdiag.t list) (sups : Vdiag.suppression list) =
-  let results =
-    List.map result_json diags @ List.map suppression_json sups
-  in
-  String.concat ""
+  let region =
     [
-      "{\"$schema\":\"https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json\",";
-      "\"version\":\"2.1.0\",\"runs\":[{\"tool\":{\"driver\":{";
-      "\"name\":\"hohtx_verify\",\"version\":\"1.0.0\",";
-      "\"informationUri\":\"https://github.com/hohtx/hohtx\",";
-      Printf.sprintf "\"rules\":[%s]}},"
-        (String.concat ","
-           (List.map rule_json Vdiag.rules
-            @ [
-                "{\"id\":\"trusted-suppression\",\"name\":\"HVSUP\",\"shortDescription\":{\"text\":\"[@hohtx.trusted] in-source suppression\"},\"defaultConfiguration\":{\"level\":\"note\"}}";
-              ]));
-      Printf.sprintf "\"results\":[%s]," (String.concat "," results);
-      Printf.sprintf
-        "\"properties\":{\"suppressionCount\":%d,\"diagnosticCount\":%d}}]}"
-        (List.length sups) (List.length diags);
+      ("startLine", Json.Int d.Vdiag.line);
+      ("startColumn", Int (d.Vdiag.col + 1));
+    ]
+  in
+  Json.Obj
+    [
+      ("ruleId", String d.Vdiag.rule);
+      ("level", String "error");
+      ("message", Obj [ ("text", String message) ]);
+      ( "locations",
+        List
+          [
+            Obj
+              [
+                ( "physicalLocation",
+                  Obj
+                    [
+                      ( "artifactLocation",
+                        Obj [ ("uri", String d.Vdiag.file) ] );
+                      ("region", Obj region);
+                    ] );
+              ];
+          ] );
+    ]
+
+let of_diags (diags : Vdiag.t list) =
+  let driver =
+    Json.Obj
+      [
+        ("name", String "hohtx_verify");
+        ("version", String "1.0.0");
+        ("informationUri", String "https://github.com/hohtx/hohtx");
+        ("rules", List (List.map rule_json Vdiag.rules));
+      ]
+  in
+  Json.Obj
+    [
+      ( "$schema",
+        String
+          "https://raw.githubusercontent.com/oasis-tcs/sarif-spec/master/Schemata/sarif-schema-2.1.0.json"
+      );
+      ("version", String "2.1.0");
+      ( "runs",
+        List
+          [
+            Obj
+              [
+                ("tool", Obj [ ("driver", driver) ]);
+                ("results", List (List.map result_json diags));
+                ( "properties",
+                  Obj [ ("diagnosticCount", Int (List.length diags)) ] );
+              ];
+          ] );
     ]

@@ -26,13 +26,14 @@ let straddle ~bug () =
   let observed = ref (0, 0) in
   let writer () =
     Tm.Thread.with_registered (fun _ ->
-        Tm.atomic ~max_attempts:0 (fun txn ->
+        Tm.atomic ~site:"dst.straddle" ~max_attempts:0 (fun txn ->
             Tm.write txn x 1;
             Tm.write txn y 1))
   in
   let reader () =
     Tm.Thread.with_registered (fun _ ->
-        observed := Tm.atomic (fun txn -> (Tm.read txn x, Tm.read txn y)))
+        observed := Tm.atomic ~site:"dst.straddle"
+                      (fun txn -> (Tm.read txn x, Tm.read txn y)))
   in
   {
     Dst.Explore.init = None;
@@ -220,7 +221,7 @@ let extend_scenario ~writes_x ~expect () =
   let attempts = ref 0 and extensions = ref 0 and ext_fails = ref 0 in
   let writer () =
     Tm.Thread.with_registered (fun _ ->
-        Tm.atomic (fun txn ->
+        Tm.atomic ~site:"dst.extend_scenario" (fun txn ->
             if writes_x then Tm.write txn x 1;
             Tm.write txn y 1))
   in
@@ -229,7 +230,7 @@ let extend_scenario ~writes_x ~expect () =
         let st = Tm.Thread.stats () in
         Tm.Stats.reset st;
         let r =
-          Tm.atomic_stamped (fun txn ->
+          Tm.atomic_stamped ~site:"dst.extend_scenario" (fun txn ->
               let vx = Tm.read txn x in
               let vy = Tm.read txn y in
               (vx, vy))
@@ -291,14 +292,15 @@ let read_phase_wait () =
   let seen = ref (-1) and lock_aborts = ref 0 and serial = ref true in
   let writer () =
     Tm.Thread.with_registered (fun _ ->
-        Tm.atomic (fun txn -> Tm.write txn x 1))
+        Tm.atomic ~site:"dst.read_phase_wait" (fun txn -> Tm.write txn x 1))
   in
   let reader () =
     Tm.Thread.with_registered (fun _ ->
         let st = Tm.Thread.stats () in
         Tm.Stats.reset st;
         let r =
-          Tm.atomic_stamped ~max_attempts:1 ~read_phase:true (fun txn ->
+          Tm.atomic_stamped ~site:"dst.read_phase_wait"
+            ~max_attempts:1 ~read_phase:true (fun txn ->
               Tm.read txn x)
         in
         seen := r.Tm.value;

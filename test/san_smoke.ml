@@ -55,8 +55,9 @@ let clean name mk sched =
 
 let () =
   let open Dst_scenarios in
-  (* bug #1: the reader's snapshot straddles the in-flight serial writer;
-     the faulting transactional read is unlabelled (bare Tm.atomic). *)
+  (* bug #1: the reader's snapshot straddles the in-flight serial writer.
+     The faulting read is in the scenario's own transaction
+     ("dst.straddle"), not a structure operation, so no site is pinned. *)
   caught "bug #1 straddle" (straddle ~bug:true) sched_bug1 ~rule:"stale-read"
     ();
   (* bug #2: the read-only reserving transaction commits against a

@@ -387,7 +387,7 @@ let rr_model_case (module M : Rr.S) () =
   let seq = Array.make 2 0 in
   let step thread act =
     let r =
-      Tm.atomic_stamped (fun txn ->
+      Tm.atomic_stamped ~site:"test.rr_model_case" (fun txn ->
           ops.Rr.register txn;
           match act with
           | `Reserve i ->
@@ -559,7 +559,8 @@ let test_forced_aborts_are_absorbed () =
   let body () =
     Tm.Thread.with_registered (fun _ ->
         for _ = 1 to 5 do
-          Tm.atomic (fun txn -> Tm.write txn c (Tm.read txn c + 1))
+          Tm.atomic ~site:"test.forced_aborts_are_absorbed"
+            (fun txn -> Tm.write txn c (Tm.read txn c + 1))
         done)
   in
   let total = ref 0 in

@@ -10,47 +10,50 @@ let make_pool ?strategy ?batch () =
     ~poison:(fun o -> o.payload <- -1)
     ()
 
+(* A fresh node, coerced as a structure coerces a spare when it links it. *)
+let alloc p ~thread = (Mempool.alloc p ~thread : obj Mempool.fresh :> obj)
+
 let check = Alcotest.(check int)
 let checkb = Alcotest.(check bool)
 
 let test_alloc_free_reuse () =
   let p = make_pool ~strategy:Mempool.Size_class () in
-  let a = Mempool.alloc p ~thread:0 in
+  let a = alloc p ~thread:0 in
   a.payload <- 42;
   checkb "live after alloc" true (Mempool.is_live p a);
   Mempool.free p ~thread:0 a;
   checkb "not live after free" false (Mempool.is_live p a);
   check "poisoned" (-1) a.payload;
-  let b = Mempool.alloc p ~thread:0 in
+  let b = alloc p ~thread:0 in
   checkb "immediate reuse (precise reclamation)" true (a == b);
   check "same id across reuse" a.id b.id
 
 let test_unique_ids () =
   let p = make_pool () in
-  let objs = List.init 100 (fun _ -> Mempool.alloc p ~thread:0) in
+  let objs = List.init 100 (fun _ -> alloc p ~thread:0) in
   let ids = List.sort_uniq compare (List.map (fun o -> o.id) objs) in
   check "all ids distinct" 100 (List.length ids)
 
 let test_double_free () =
   let p = make_pool () in
-  let a = Mempool.alloc p ~thread:0 in
+  let a = alloc p ~thread:0 in
   Mempool.free p ~thread:0 a;
   Alcotest.check_raises "double free detected" (Mempool.Double_free a.id)
     (fun () -> Mempool.free p ~thread:0 a)
 
 let test_free_unallocated () =
   let p = make_pool () in
-  let a = Mempool.alloc p ~thread:0 in
+  let a = alloc p ~thread:0 in
   Mempool.free p ~thread:0 a;
   (* freeing a fabricated-but-never-allocated node: simulate via reuse *)
-  let b = Mempool.alloc p ~thread:0 in
+  let b = alloc p ~thread:0 in
   Mempool.free p ~thread:0 b;
   Alcotest.check_raises "free of free node" (Mempool.Double_free b.id)
     (fun () -> Mempool.free p ~thread:0 b)
 
 let test_stats_accounting () =
   let p = make_pool ~strategy:Mempool.Thread_arena () in
-  let objs = List.init 50 (fun _ -> Mempool.alloc p ~thread:0) in
+  let objs = List.init 50 (fun _ -> alloc p ~thread:0) in
   List.iteri (fun i o -> if i < 30 then Mempool.free p ~thread:0 o) objs;
   let st = Mempool.stats p in
   check "allocs" 50 st.Mempool.Stats.allocs;
@@ -61,9 +64,9 @@ let test_stats_accounting () =
 
 let test_high_water () =
   let p = make_pool () in
-  let objs = List.init 10 (fun _ -> Mempool.alloc p ~thread:0) in
+  let objs = List.init 10 (fun _ -> alloc p ~thread:0) in
   List.iter (Mempool.free p ~thread:0) objs;
-  let o = Mempool.alloc p ~thread:0 in
+  let o = alloc p ~thread:0 in
   ignore o;
   let st = Mempool.stats p in
   check "high water is the peak" 10 st.Mempool.Stats.high_water;
@@ -71,19 +74,19 @@ let test_high_water () =
 
 let test_size_class_hits_global () =
   let p = make_pool ~strategy:Mempool.Size_class () in
-  let a = Mempool.alloc p ~thread:0 in
+  let a = alloc p ~thread:0 in
   Mempool.free p ~thread:0 a;
-  ignore (Mempool.alloc p ~thread:1);
+  ignore (alloc p ~thread:1);
   let st = Mempool.stats p in
   (* every alloc/free touches the shared list under size-class *)
   checkb "global ops counted" true (st.Mempool.Stats.global_ops >= 3)
 
 let test_thread_arena_local () =
   let p = make_pool ~strategy:Mempool.Thread_arena ~batch:64 () in
-  let a = Mempool.alloc p ~thread:0 in
+  let a = alloc p ~thread:0 in
   Mempool.free p ~thread:0 a;
   let g0 = (Mempool.stats p).Mempool.Stats.global_ops in
-  let b = Mempool.alloc p ~thread:0 in
+  let b = alloc p ~thread:0 in
   checkb "arena returns local node" true (a == b);
   let g1 = (Mempool.stats p).Mempool.Stats.global_ops in
   check "local reuse avoids the global freelist" g0 g1
@@ -91,39 +94,39 @@ let test_thread_arena_local () =
 let test_arena_spill_and_steal () =
   let p = make_pool ~strategy:Mempool.Thread_arena ~batch:4 () in
   (* thread 0 frees enough to spill a batch to the global stack *)
-  let objs = List.init 16 (fun _ -> Mempool.alloc p ~thread:0) in
+  let objs = List.init 16 (fun _ -> alloc p ~thread:0) in
   List.iter (Mempool.free p ~thread:0) objs;
   (* thread 1 should be able to reuse spilled nodes *)
-  let got = List.init 4 (fun _ -> Mempool.alloc p ~thread:1) in
+  let got = List.init 4 (fun _ -> alloc p ~thread:1) in
   let reused = List.filter (fun o -> List.memq o objs) got in
   checkb "cross-thread reuse via batches" true (List.length reused > 0)
 
 let test_flush_arenas () =
   let p = make_pool ~strategy:Mempool.Thread_arena () in
-  let a = Mempool.alloc p ~thread:2 in
+  let a = alloc p ~thread:2 in
   Mempool.free p ~thread:2 a;
   Mempool.flush_arenas p;
   (* after flush, another thread can see it through the global list *)
-  let b = Mempool.alloc p ~thread:3 in
+  let b = alloc p ~thread:3 in
   checkb "flushed node reusable elsewhere" true (a == b)
 
 (* ---- the state word: a counter whose parity is live/free ---- *)
 
 let test_generation_counts_allocs () =
   let p = make_pool ~strategy:Mempool.Size_class () in
-  let a = Mempool.alloc p ~thread:0 in
+  let a = alloc p ~thread:0 in
   check "first alloc" 1 (Mempool.generation p a);
   for g = 2 to 5 do
     Mempool.free p ~thread:0 a;
     check "free keeps the generation" (g - 1) (Mempool.generation p a);
-    let b = Mempool.alloc p ~thread:0 in
+    let b = alloc p ~thread:0 in
     checkb "same slot back" true (a == b);
     check "alloc adds exactly one" g (Mempool.generation p a)
   done
 
 let test_live_follows_parity () =
   let p = make_pool () in
-  let a = Mempool.alloc p ~thread:0 in
+  let a = alloc p ~thread:0 in
   for _ = 1 to 3 do
     checkb "odd word, live" true (Atomic.get a.state land 1 = 1);
     checkb "is_live while allocated" true (Mempool.is_live p a);
@@ -133,18 +136,18 @@ let test_live_follows_parity () =
     (* At every generation, freeing a free node is still a double free. *)
     Alcotest.check_raises "double free at any generation"
       (Mempool.Double_free a.id) (fun () -> Mempool.free p ~thread:0 a);
-    checkb "same node back" true (Mempool.alloc p ~thread:0 == a)
+    checkb "same node back" true (alloc p ~thread:0 == a)
   done
 
 let test_pooled_word_forced_odd () =
   let p = make_pool () in
-  let a = Mempool.alloc p ~thread:0 in
+  let a = alloc p ~thread:0 in
   Mempool.free p ~thread:0 a;
   (* Corrupt the pooled node's word to a live value: alloc must refuse it. *)
   Atomic.set a.state 5;
   Alcotest.check_raises "pooled node not free"
     (Failure "Mempool.alloc: pooled node was not free") (fun () ->
-      ignore (Mempool.alloc p ~thread:0))
+      ignore (alloc p ~thread:0))
 
 let test_concurrent_balance () =
   Tm.Thread.with_registered (fun _ ->
@@ -161,7 +164,7 @@ let test_concurrent_balance () =
                     in
                     for _ = 1 to 5000 do
                       if rand 2 = 0 || !held = [] then
-                        held := Mempool.alloc p ~thread:tid :: !held
+                        held := alloc p ~thread:tid :: !held
                       else
                         match !held with
                         | o :: rest ->
@@ -187,7 +190,7 @@ let qcheck_accounting =
       List.iter
         (fun op ->
           if op = 0 || !held = [] then begin
-            held := Mempool.alloc p ~thread:0 :: !held;
+            held := alloc p ~thread:0 :: !held;
             incr allocs
           end
           else

@@ -148,11 +148,11 @@ let test_epoch_metrics () =
 let test_rc () =
   Tm.Thread.with_registered (fun _ ->
       let rc = Reclaim.Rc.make 0 in
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.rc" (fun txn ->
           Reclaim.Rc.incr txn rc;
           Reclaim.Rc.incr txn rc);
       check "two increments" 2 (Reclaim.Rc.peek rc);
-      let n = Tm.atomic (fun txn -> Reclaim.Rc.decr txn rc) in
+      let n = Tm.atomic ~site:"test.rc" (fun txn -> Reclaim.Rc.decr txn rc) in
       check "decr returns new count" 1 n;
       check "peek agrees" 1 (Reclaim.Rc.peek rc))
 
@@ -160,7 +160,7 @@ let test_rc_rollback () =
   Tm.Thread.with_registered (fun _ ->
       let rc = Reclaim.Rc.make 1 in
       (try
-         Tm.atomic (fun txn ->
+         Tm.atomic ~site:"test.rc_rollback" (fun txn ->
              Reclaim.Rc.incr txn rc;
              failwith "abort")
        with Failure _ -> ());
@@ -171,7 +171,8 @@ let test_rc_negative () =
       let rc = Reclaim.Rc.make 0 in
       Alcotest.check_raises "negative refcount"
         (Invalid_argument "Rc.decr: negative refcount") (fun () ->
-          Tm.atomic (fun txn -> ignore (Reclaim.Rc.decr txn rc))))
+          Tm.atomic ~site:"test.rc_negative"
+            (fun txn -> ignore (Reclaim.Rc.decr txn rc))))
 
 (* concurrent hazard stress: retired nodes are freed exactly once and only
    when unprotected *)

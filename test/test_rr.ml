@@ -27,7 +27,7 @@ let relaxed_impls =
 let make ?config ?(hash = fun (r : int) -> r) m =
   Rr.instantiate m ?config ~hash ~equal:Int.equal ()
 
-let in_txn f = Tm.atomic (fun txn -> f txn)
+let in_txn f = Tm.atomic ~site:"test.in_txn" (fun txn -> f txn)
 
 let seq_case name m f =
   Alcotest.test_case name `Quick (fun () ->
@@ -56,7 +56,7 @@ let test_persists_across_txns m =
 let test_rollback_on_abort m =
   let rr = make m in
   let attempt = ref 0 in
-  Tm.atomic ~max_attempts:10 (fun txn ->
+  Tm.atomic ~site:"test.rollback_on_abort" ~max_attempts:10 (fun txn ->
       rr.Rr.register txn;
       incr attempt;
       rr.Rr.reserve txn 3;
@@ -64,7 +64,7 @@ let test_rollback_on_abort m =
   in_txn (fun txn ->
       check_opt "reservation from committed attempt" (Some 3) (rr.Rr.get txn 3));
   (try
-     Tm.atomic (fun txn ->
+     Tm.atomic ~site:"test.rollback_on_abort" (fun txn ->
          rr.Rr.release txn 3;
          failwith "user abort")
    with Failure _ -> ());
@@ -285,7 +285,7 @@ let test_v_handoff_read_only () =
       rr.Rr.register txn;
       rr.Rr.reserve txn 1);
   let r =
-    Tm.atomic_stamped (fun txn ->
+    Tm.atomic_stamped ~site:"test.v_handoff_read_only" (fun txn ->
         rr.Rr.release_all txn;
         rr.Rr.reserve txn 2;
         Tm.writes_logged txn)
@@ -319,7 +319,7 @@ let test_slot_rollback m =
   Rr.Spec_model.reserve model ~thread 2;
   agree "committed";
   let attempt = ref 0 in
-  Tm.atomic ~max_attempts:10 (fun txn ->
+  Tm.atomic ~site:"test.slot_rollback" ~max_attempts:10 (fun txn ->
       incr attempt;
       if !attempt = 1 then begin
         rr.Rr.release txn 1;
@@ -330,14 +330,14 @@ let test_slot_rollback m =
   Rr.Spec_model.release model ~thread 2;
   agree "conflict abort, then a retry that commits";
   (try
-     Tm.atomic (fun txn ->
+     Tm.atomic ~site:"test.slot_rollback" (fun txn ->
          rr.Rr.release_all txn;
          rr.Rr.reserve txn 4;
          failwith "user abort")
    with Failure _ -> ());
   agree "exception";
   (try
-     Tm.atomic ~max_attempts:0 (fun txn ->
+     Tm.atomic ~site:"test.slot_rollback" ~max_attempts:0 (fun txn ->
          checkb "serial run" true (Tm.is_serial txn);
          rr.Rr.release_all txn;
          rr.Rr.reserve txn 3;
@@ -346,9 +346,9 @@ let test_slot_rollback m =
    with Failure _ -> ());
   agree "serial exception";
   attempt := 0;
-  Tm.atomic ~max_attempts:10 (fun txn ->
+  Tm.atomic ~site:"test.slot_rollback" ~max_attempts:10 (fun txn ->
       incr attempt;
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.slot_rollback" (fun txn ->
           rr.Rr.release_all txn;
           rr.Rr.reserve txn (if !attempt = 1 then 4 else 3));
       if !attempt = 1 then raise (Tm.Abort Tm.Read_invalid);
@@ -396,7 +396,7 @@ let qcheck_spec_conformance ?(config = { Rr.Config.default with slots_per_thread
           let model = Rr.Spec_model.create ~equal:Int.equal () in
           List.for_all
             (fun op ->
-              Tm.atomic (fun txn ->
+              Tm.atomic ~site:"test.qcheck_spec_conformance" (fun txn ->
                   rr.Rr.register txn;
                   match op with
                   | Reserve r ->
@@ -457,7 +457,8 @@ let concurrent_stress_test (name, m) =
                     | _ -> Get r
                   in
                   let res =
-                    Tm.atomic_stamped (fun txn ->
+                    Tm.atomic_stamped ~site:"test.concurrent_stress_test"
+                      (fun txn ->
                         rr.Rr.register txn;
                         match op with
                         | Reserve r -> (
@@ -545,7 +546,8 @@ let test_hoh_single_finish () =
       let rr = make (module Rr.Fa : Rr.S) in
       let calls = ref 0 in
       let v, stamp =
-        Rr.Hoh.apply_stamped ~rr (fun _txn ~start ->
+        Rr.Hoh.apply_stamped ~site:"test.hoh_single_finish"
+          ~rr (fun _txn ~start ->
             incr calls;
             checkb "first txn starts fresh" true (start = None);
             Rr.Hoh.Finish 42)
@@ -559,7 +561,7 @@ let test_hoh_chain () =
       let rr = make (module Rr.Fa : Rr.S) in
       let starts = ref [] in
       let v =
-        Rr.Hoh.apply ~rr (fun _txn ~start ->
+        Rr.Hoh.apply ~site:"test.hoh_chain" ~rr (fun _txn ~start ->
             starts := start :: !starts;
             match start with
             | None -> Rr.Hoh.Hand_off 1
@@ -582,7 +584,7 @@ let test_hoh_revoked_resume () =
           let rr = make (module Rr.Fa : Rr.S) in
           let revoked_once = ref false in
           let v =
-            Rr.Hoh.apply ~rr (fun _txn ~start ->
+            Rr.Hoh.apply ~site:"test.hoh_revoked_resume" ~rr (fun _txn ~start ->
                 match start with
                 | None when not !revoked_once -> Rr.Hoh.Hand_off 1
                 | Some 1 ->

@@ -103,7 +103,7 @@ let test_uaf_key_read_outside_check () =
           ~mark_deleted:Structs.Lnode.mark_deleted ~window:8 ()
       in
       with_san (fun () ->
-          let n = Structs.Lnode.alloc pool ~thread in
+          let n = (Structs.Lnode.alloc pool ~thread :> Structs.Lnode.t) in
           Mempool.free pool ~thread n;
           checkb "the check sees the deletion" true
             (Tm.atomic ~site:"me.check" (fun txn ->

@@ -121,7 +121,8 @@ let mem st ~thread k = Store.positive (Store.get st ~thread k).Store.outcome
    service multi or fused batch runs it. *)
 let agrees_with_model ?(nested = false) (h : Store.t) tid ops =
   let model = Hashtbl.create 64 in
-  let run f = if nested then Tm.atomic (fun _ -> f ()) else f () in
+  let run f = if nested then Tm.atomic ~site:"test.agrees_with_model"
+                               (fun _ -> f ()) else f () in
   let ok =
     List.for_all
       (fun op ->
@@ -691,7 +692,7 @@ let test_recycled_key_aborts () =
       let root = Tnode.sentinel ~key:max_int in
       let n = Tnode.alloc pool ~thread in
       Tnode.set_key n 10;
-      Tm.poke root.Tnode.left n;
+      Tm.poke root.Tnode.left (n :> Tnode.t);
       let recycled = ref false in
       let r =
         Tm.atomic_stamped ~site:"test.recycled_key" (fun txn ->
@@ -701,7 +702,8 @@ let test_recycled_key_aborts () =
               Tm.poke root.Tnode.left Tnode.nil;
               Mempool.free pool ~thread c;
               let m = Tnode.alloc pool ~thread in
-              checkb "the pool hands the node out again" true (m == c);
+              checkb "the pool hands the node out again" true
+                ((m :> Tnode.t) == c);
               Tnode.set_key m 20
             end;
             c != Tnode.nil
@@ -742,6 +744,7 @@ let test_slist_recycled_key_aborts () =
       let node k next =
         let n = Lnode.alloc pool ~thread in
         Lnode.set_key n k;
+        let n = (n :> Lnode.t) in
         Tm.poke n.Lnode.next next;
         n
       in
@@ -757,7 +760,8 @@ let test_slist_recycled_key_aborts () =
               Tm.poke head.Lnode.next Lnode.nil;
               Mempool.free pool ~thread c;
               let m = Lnode.alloc pool ~thread in
-              checkb "the pool hands the node out again" true (m == c);
+              checkb "the pool hands the node out again" true
+                ((m :> Lnode.t) == c);
               Lnode.set_key m 20
             end;
             a != Lnode.nil
@@ -797,7 +801,8 @@ let test_dlist_recycled_key_aborts () =
               Tm.poke guard 1;
               Mempool.free pool ~thread c;
               let m = Dnode.alloc pool ~thread in
-              checkb "the pool hands the node out again" true (m == c);
+              checkb "the pool hands the node out again" true
+                ((m :> Dnode.t) == c);
               Dnode.set_key m 20
             end;
             Hoh_dlist.lookup t ~thread 20)
@@ -1053,8 +1058,9 @@ let test_self_link_ends_walks () =
    [{key, next}], and only the doubly linked [Dnode] has a [prev]. *)
 let test_node_layout () =
   Tm.Thread.with_registered (fun tid ->
-      let words name pool alloc nil =
-        let n = alloc pool ~thread:tid in
+      let words (type n) name pool
+          (alloc : n Mempool.t -> thread:int -> n Mempool.fresh) (nil : n) =
+        let n = (alloc pool ~thread:tid :> n) in
         let w =
           Obj.reachable_words (Obj.repr n) - Obj.reachable_words (Obj.repr nil)
         in
@@ -1183,7 +1189,8 @@ let test_atomic_cross_structure_move () =
                 while not (Atomic.get stop) do
                   for k = 1 to 32 do
                     let in_both =
-                      Tm.atomic (fun _ ->
+                      Tm.atomic ~site:"test.atomic_cross_structure_move"
+                        (fun _ ->
                           let ia = Structs.Hoh_list.lookup a ~thread:otid k in
                           let ib = Structs.Hoh_list.lookup b ~thread:otid k in
                           (ia, ib))
@@ -1197,7 +1204,7 @@ let test_atomic_cross_structure_move () =
       (* move everything a -> b, one atomic move at a time *)
       for k = 1 to 32 do
         let moved =
-          Tm.atomic (fun _ ->
+          Tm.atomic ~site:"test.atomic_cross_structure_move" (fun _ ->
               let r = Structs.Hoh_list.remove a ~thread:tid k in
               if r then assert (Structs.Hoh_list.insert b ~thread:tid k);
               r)

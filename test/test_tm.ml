@@ -10,16 +10,16 @@ let with_tm f = Tm.Thread.with_registered (fun _ -> f ())
 let test_read_write () =
   with_tm (fun () ->
       let v = Tm.tvar 10 in
-      let r = Tm.atomic (fun txn -> Tm.read txn v) in
+      let r = Tm.atomic ~site:"test.read_write" (fun txn -> Tm.read txn v) in
       check "initial" 10 r;
-      Tm.atomic (fun txn -> Tm.write txn v 42);
+      Tm.atomic ~site:"test.read_write" (fun txn -> Tm.write txn v 42);
       check "after write" 42 (Tm.peek v))
 
 let test_read_own_write () =
   with_tm (fun () ->
       let v = Tm.tvar 0 in
       let seen =
-        Tm.atomic (fun txn ->
+        Tm.atomic ~site:"test.read_own_write" (fun txn ->
             Tm.write txn v 7;
             Tm.read txn v)
       in
@@ -29,7 +29,7 @@ let test_read_own_write () =
 let test_write_write () =
   with_tm (fun () ->
       let v = Tm.tvar 0 in
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.write_write" (fun txn ->
           Tm.write txn v 1;
           Tm.write txn v 2;
           Tm.write txn v 3);
@@ -38,7 +38,7 @@ let test_write_write () =
 let test_multiple_tvars () =
   with_tm (fun () ->
       let a = Tm.tvar 1 and b = Tm.tvar 2 and c = Tm.tvar "x" in
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.multiple_tvars" (fun txn ->
           Tm.write txn a (Tm.read txn b);
           Tm.write txn b 9;
           Tm.write txn c "y");
@@ -50,7 +50,7 @@ let test_exception_rolls_back () =
   with_tm (fun () ->
       let v = Tm.tvar 5 in
       (try
-         Tm.atomic (fun txn ->
+         Tm.atomic ~site:"test.exception_rolls_back" (fun txn ->
              Tm.write txn v 99;
              failwith "boom")
        with Failure _ -> ());
@@ -62,7 +62,8 @@ let test_abort_retries () =
       let attempts = ref 0 in
       let defers_run = ref 0 in
       let r =
-        Tm.atomic_stamped ~max_attempts:10 (fun txn ->
+        Tm.atomic_stamped ~site:"test.abort_retries"
+          ~max_attempts:10 (fun txn ->
             incr attempts;
             Tm.defer txn (fun () -> incr defers_run);
             Tm.write txn v !attempts;
@@ -77,7 +78,7 @@ let test_abort_retries () =
 let test_defer_order () =
   with_tm (fun () ->
       let order = ref [] in
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.defer_order" (fun txn ->
           Tm.defer txn (fun () -> order := 1 :: !order);
           Tm.defer txn (fun () -> order := 2 :: !order);
           Tm.defer txn (fun () -> order := 3 :: !order));
@@ -89,7 +90,8 @@ let test_serial_fallback () =
       let v = Tm.tvar 0 in
       (* max_attempts = 0 goes straight to serial mode. *)
       let r =
-        Tm.atomic_stamped ~max_attempts:0 (fun txn ->
+        Tm.atomic_stamped ~site:"test.serial_fallback"
+          ~max_attempts:0 (fun txn ->
             checkb "serial flag" true (Tm.is_serial txn);
             Tm.write txn v (Tm.read txn v + 1))
       in
@@ -100,23 +102,29 @@ let test_serial_fallback () =
 let test_stamps_monotone () =
   with_tm (fun () ->
       let v = Tm.tvar 0 in
-      let s1 = (Tm.atomic_stamped (fun txn -> Tm.write txn v 1)).Tm.stamp in
-      let s2 = (Tm.atomic_stamped (fun txn -> Tm.write txn v 2)).Tm.stamp in
-      let s3 = (Tm.atomic_stamped (fun txn -> Tm.read txn v)).Tm.stamp in
+      let s1 = (Tm.atomic_stamped ~site:"test.stamps_monotone"
+                  (fun txn -> Tm.write txn v 1)).Tm.stamp in
+      let s2 = (Tm.atomic_stamped ~site:"test.stamps_monotone"
+                  (fun txn -> Tm.write txn v 2)).Tm.stamp in
+      let s3 = (Tm.atomic_stamped ~site:"test.stamps_monotone"
+                  (fun txn -> Tm.read txn v)).Tm.stamp in
       checkb "writer stamps increase" true (s2 > s1);
       checkb "read-only stamp covers last writer" true (s3 >= s2);
       checkb "read-only is flagged" true
-        (Tm.atomic_stamped (fun txn -> Tm.read txn v)).Tm.read_only;
+        (Tm.atomic_stamped ~site:"test.stamps_monotone"
+           (fun txn -> Tm.read txn v)).Tm.read_only;
       checkb "writer is not read-only" false
-        (Tm.atomic_stamped (fun txn -> Tm.write txn v 3)).Tm.read_only)
+        (Tm.atomic_stamped ~site:"test.stamps_monotone"
+           (fun txn -> Tm.write txn v 3)).Tm.read_only)
 
 let test_nested_flattens () =
   with_tm (fun () ->
       let v = Tm.tvar 0 in
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.nested_flattens" (fun txn ->
           Tm.write txn v 1;
           (* The nested atomic must see the enclosing buffered write. *)
-          let inner = Tm.atomic (fun txn' -> Tm.read txn' v) in
+          let inner = Tm.atomic ~site:"test.nested_flattens"
+                        (fun txn' -> Tm.read txn' v) in
           check "nested sees outer write" 1 inner;
           Tm.write txn v (inner + 1));
       check "flattened commit" 2 (Tm.peek v))
@@ -127,14 +135,14 @@ let test_poke_bumps_version () =
       Tm.poke v 33;
       check "poke visible" 33 (Tm.peek v);
       check "transactional read sees poke" 33
-        (Tm.atomic (fun txn -> Tm.read txn v)))
+        (Tm.atomic ~site:"test.poke_bumps_version" (fun txn -> Tm.read txn v)))
 
 let test_opaque_snapshot () =
   with_tm (fun () ->
       let a = Tm.tvar 0 and b = Tm.tvar 0 in
       let attempts = ref 0 in
       let pair =
-        Tm.atomic ~max_attempts:10 (fun txn ->
+        Tm.atomic ~site:"test.opaque_snapshot" ~max_attempts:10 (fun txn ->
             incr attempts;
             let va = Tm.read txn a in
             if !attempts = 1 then begin
@@ -154,7 +162,7 @@ let test_validate_on_commit () =
       let v = Tm.tvar 0 in
       let attempts = ref 0 in
       let seen =
-        Tm.atomic ~max_attempts:10 (fun txn ->
+        Tm.atomic ~site:"test.validate_on_commit" ~max_attempts:10 (fun txn ->
             incr attempts;
             let x = Tm.read txn v in
             Tm.validate_on_commit txn;
@@ -170,7 +178,7 @@ let test_validate_on_commit () =
          consistent snapshot of the state before the poke *)
       let attempts2 = ref 0 in
       let seen2 =
-        Tm.atomic ~max_attempts:10 (fun txn ->
+        Tm.atomic ~site:"test.validate_on_commit" ~max_attempts:10 (fun txn ->
             incr attempts2;
             let x = Tm.read txn v in
             if !attempts2 = 1 then Tm.poke v 100;
@@ -191,7 +199,8 @@ let test_extension_rescues_stale_read () =
       let a = Tm.tvar 0 and b = Tm.tvar 0 in
       let first = ref true in
       let r =
-        Tm.atomic_stamped ~max_attempts:10 (fun txn ->
+        Tm.atomic_stamped ~site:"test.extension_rescues_stale_read"
+          ~max_attempts:10 (fun txn ->
             let va = Tm.read txn a in
             if !first then begin
               first := false;
@@ -215,7 +224,8 @@ let test_extension_fails_on_true_conflict () =
       let a = Tm.tvar 0 and b = Tm.tvar 0 in
       let first = ref true in
       let r =
-        Tm.atomic_stamped ~max_attempts:10 (fun txn ->
+        Tm.atomic_stamped ~site:"test.extension_fails_on_true_conflict"
+          ~max_attempts:10 (fun txn ->
             let va = Tm.read txn a in
             if !first then begin
               first := false;
@@ -245,7 +255,8 @@ let test_unlogged_write_raises () =
           let undone = ref false in
           let c0 = Tm.clock () in
           (match
-             Tm.atomic ~unlogged:true (fun txn ->
+             Tm.atomic ~site:"test.unlogged_write_raises"
+               ~unlogged:true (fun txn ->
                  Tm.on_abort txn (fun () -> undone := true);
                  ignore (Tm.read txn v);
                  act txn)
@@ -271,7 +282,8 @@ let test_unlogged_stale_read_aborts () =
       let a = Tm.tvar 0 and b = Tm.tvar 0 in
       let first = ref true and logged = ref (-1) and flag = ref false in
       let r =
-        Tm.atomic_stamped ~unlogged:true ~max_attempts:10 (fun txn ->
+        Tm.atomic_stamped ~site:"test.unlogged_stale_read_aborts"
+          ~unlogged:true ~max_attempts:10 (fun txn ->
             let va = Tm.read txn a in
             if !first then begin
               first := false;
@@ -298,14 +310,16 @@ let test_unlogged_serial_and_nested_log () =
   with_tm (fun () ->
       let v = Tm.tvar 0 in
       let r =
-        Tm.atomic_stamped ~unlogged:true ~max_attempts:0 (fun txn ->
+        Tm.atomic_stamped ~site:"test.unlogged_serial_and_nested_log"
+          ~unlogged:true ~max_attempts:0 (fun txn ->
             checkb "serial run is logged" false (Tm.is_unlogged txn);
             Tm.write txn v 1)
       in
       checkb "ran serially" true r.Tm.serial;
       check "serial write published" 1 (Tm.peek v);
-      Tm.atomic (fun _ ->
-          Tm.atomic ~unlogged:true (fun txn ->
+      Tm.atomic ~site:"test.unlogged_serial_and_nested_log" (fun _ ->
+          Tm.atomic ~site:"test.unlogged_serial_and_nested_log"
+            ~unlogged:true (fun txn ->
               checkb "nested call is logged" false (Tm.is_unlogged txn);
               Tm.write txn v 2));
       check "nested write published" 2 (Tm.peek v))
@@ -319,7 +333,8 @@ let test_read_phase_never_serial () =
       let v = Tm.tvar 0 in
       let attempts = ref 0 in
       let r =
-        Tm.atomic_stamped ~max_attempts:0 ~read_phase:true (fun txn ->
+        Tm.atomic_stamped ~site:"test.read_phase_never_serial"
+          ~max_attempts:0 ~read_phase:true (fun txn ->
             incr attempts;
             let x = Tm.read txn v in
             if !attempts <= 2 then raise (Tm.Abort Tm.Read_invalid);
@@ -332,7 +347,8 @@ let test_read_phase_never_serial () =
 let test_read_phase_writes_commit () =
   with_tm (fun () ->
       let v = Tm.tvar 0 in
-      Tm.atomic ~read_phase:true (fun txn -> Tm.write txn v 5);
+      Tm.atomic ~site:"test.read_phase_writes_commit"
+        ~read_phase:true (fun txn -> Tm.write txn v 5);
       check "private write committed" 5 (Tm.peek v))
 
 (* ---- commit path: write-set index, filters, read-set dedup ---- *)
@@ -350,7 +366,7 @@ let test_wset_growth_readback () =
          buffered value throughout. *)
       let n = 100 in
       let tvars = Array.init n (fun _ -> Tm.tvar (-1)) in
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.wset_growth_readback" (fun txn ->
           Array.iteri (fun i tv -> Tm.write txn tv (i * 3)) tvars;
           Array.iteri
             (fun i tv ->
@@ -365,7 +381,7 @@ let test_wset_overwrite_in_place () =
   with_tm (fun () ->
       let a = Tm.tvar 0 in
       let others = Array.init 40 (fun _ -> Tm.tvar 0) in
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.wset_overwrite_in_place" (fun txn ->
           Tm.write txn a 1;
           (* push the write set past the index threshold, then overwrite
              the first entry: the indexed lookup must find and update it
@@ -394,7 +410,8 @@ let test_wfilter_false_positive_falls_through () =
       | None -> Alcotest.fail "no filter collision in 10k tvars (62 bits?)"
       | Some other ->
           let seen =
-            Tm.atomic (fun txn ->
+            Tm.atomic ~site:"test.wfilter_false_positive_falls_through"
+              (fun txn ->
                 Tm.write txn seed 333;
                 Tm.read txn other)
           in
@@ -404,7 +421,7 @@ let test_wfilter_false_positive_falls_through () =
 let test_rset_dedup () =
   with_tm (fun () ->
       let a = Tm.tvar 1 and b = Tm.tvar 2 in
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.rset_dedup" (fun txn ->
           for _ = 1 to 50 do
             ignore (Tm.read txn a)
           done;
@@ -422,7 +439,8 @@ let test_rset_dedup_still_validated () =
       let v = Tm.tvar 0 in
       let attempts = ref 0 in
       let seen =
-        Tm.atomic ~max_attempts:10 (fun txn ->
+        Tm.atomic ~site:"test.rset_dedup_still_validated"
+          ~max_attempts:10 (fun txn ->
             incr attempts;
             let x = ref 0 in
             for _ = 1 to 10 do
@@ -454,7 +472,7 @@ let test_uid_collision_commits () =
       let others = Array.init 10 (fun _ -> Tm.tvar 0) in
       let bystander = Tm.tvar 0 in
       let r =
-        Tm.atomic_stamped (fun txn ->
+        Tm.atomic_stamped ~site:"test.uid_collision_commits" (fun txn ->
             let x = Tm.read txn a and y = Tm.read txn b in
             Tm.write txn a (x + 1);
             Tm.write txn b (y + 2);
@@ -503,7 +521,8 @@ let test_concurrent_counter () =
       let _ =
         spawn_workers 4 (fun _ _tid ->
             for _ = 1 to per_thread do
-              Tm.atomic (fun txn -> Tm.write txn v (Tm.read txn v + 1))
+              Tm.atomic ~site:"test.concurrent_counter"
+                (fun txn -> Tm.write txn v (Tm.read txn v + 1))
             done)
       in
       check "no lost updates" (4 * per_thread) (Tm.peek v))
@@ -515,7 +534,8 @@ let test_concurrent_counter_serial_pressure () =
       let _ =
         spawn_workers 4 (fun _ _tid ->
             for _ = 1 to per_thread do
-              Tm.atomic ~max_attempts:1 (fun txn ->
+              Tm.atomic ~site:"test.concurrent_counter_serial_pressure"
+                ~max_attempts:1 (fun txn ->
                   Tm.write txn v (Tm.read txn v + 1))
             done)
       in
@@ -542,7 +562,7 @@ let test_bank_invariant () =
               if rand 4 = 0 then begin
                 (* audit: snapshot the whole bank *)
                 let sum =
-                  Tm.atomic (fun txn ->
+                  Tm.atomic ~site:"test.bank_invariant" (fun txn ->
                       Array.fold_left (fun a v -> a + Tm.read txn v) 0 accounts)
                 in
                 if sum <> total then Atomic.incr violations
@@ -550,7 +570,7 @@ let test_bank_invariant () =
               else
                 let a = rand n_accounts and b = rand n_accounts in
                 let amt = rand 10 in
-                Tm.atomic (fun txn ->
+                Tm.atomic ~site:"test.bank_invariant" (fun txn ->
                     let va = Tm.read txn accounts.(a) in
                     let vb = Tm.read txn accounts.(b) in
                     Tm.write txn accounts.(a) (va - amt);
@@ -583,14 +603,16 @@ let test_bank_invariant_serial_pressure () =
             for _ = 1 to 1500 do
               if rand 3 = 0 then begin
                 let sum =
-                  Tm.atomic ~max_attempts:1 (fun txn ->
+                  Tm.atomic ~site:"test.bank_invariant_serial_pressure"
+                    ~max_attempts:1 (fun txn ->
                       Array.fold_left (fun a v -> a + Tm.read txn v) 0 accounts)
                 in
                 if sum <> total then Atomic.incr violations
               end
               else
                 let a = rand n_accounts and b = rand n_accounts in
-                Tm.atomic ~max_attempts:1 (fun txn ->
+                Tm.atomic ~site:"test.bank_invariant_serial_pressure"
+                  ~max_attempts:1 (fun txn ->
                     let va = Tm.read txn accounts.(a) in
                     let vb = Tm.read txn accounts.(b) in
                     Tm.write txn accounts.(a) (va - 1);
@@ -609,7 +631,8 @@ let test_stamp_uniqueness () =
       let stamps =
         spawn_workers 4 (fun _ _tid ->
             List.init 500 (fun _ ->
-                (Tm.atomic_stamped (fun txn -> Tm.write txn v (Tm.read txn v + 1)))
+                (Tm.atomic_stamped ~site:"test.stamp_uniqueness"
+                   (fun txn -> Tm.write txn v (Tm.read txn v + 1)))
                   .Tm.stamp))
         |> List.concat
       in
@@ -636,7 +659,8 @@ let test_concurrent_serializable () =
               let src = rand n_vars and dst = rand n_vars in
               let amount = rand 10 in
               let r =
-                Tm.atomic_stamped (fun txn ->
+                Tm.atomic_stamped ~site:"test.concurrent_serializable"
+                  (fun txn ->
                     let v = Tm.read txn tvars.(src) in
                     if amount mod 3 = 0 then v (* read-only observation *)
                     else begin
@@ -716,14 +740,17 @@ let test_tvar_layout () =
             check (what ^ " leaves it unlocked") 0 (locked_bit w);
             version_of_word w
           in
-          let r = Tm.atomic_stamped (fun txn -> Tm.write txn tv 1) in
+          let r = Tm.atomic_stamped ~site:"test.tvar_layout"
+                    (fun txn -> Tm.write txn tv 1) in
           check "commit release carries the stamp" r.Tm.stamp
             (keeps "commit release");
-          check "read sees it" 1 (Tm.atomic (fun txn -> Tm.read txn tv));
+          check "read sees it" 1 (Tm.atomic ~site:"test.tvar_layout"
+                                    (fun txn -> Tm.read txn tv));
           Tm.poke tv 2;
           check "poke carries a fresh stamp" (Tm.clock ()) (keeps "poke");
           let r =
-            Tm.atomic_stamped ~max_attempts:0 (fun txn -> Tm.write txn tv 3)
+            Tm.atomic_stamped ~site:"test.tvar_layout"
+              ~max_attempts:0 (fun txn -> Tm.write txn tv 3)
           in
           checkb "ran serial" true r.Tm.serial;
           check "serial write carries the serial stamp" r.Tm.stamp
@@ -755,26 +782,29 @@ let test_clock_limit () =
   with_tm (fun () ->
       let tv = tvar_with_top_uid 0 in
       with_clock_at (Tm.max_version - 1) (fun () ->
-          let r = Tm.atomic_stamped (fun txn -> Tm.write txn tv 1) in
+          let r = Tm.atomic_stamped ~site:"test.clock_limit"
+                    (fun txn -> Tm.write txn tv 1) in
           check "the last stamp" Tm.max_version r.Tm.stamp;
           check "published in full" Tm.max_version
             (version_of_word (lock_word_of tv));
           check "below the uid" Tm.max_uid (Tm.tvar_id tv);
           exhausted "commit" (fun () ->
-              Tm.atomic (fun txn -> Tm.write txn tv 2));
+              Tm.atomic ~site:"test.clock_limit"
+                (fun txn -> Tm.write txn tv 2));
           check "commit unlocked its write set" 0
             (locked_bit (lock_word_of tv));
           check "unlock kept the uid" Tm.max_uid (Tm.tvar_id tv);
           check "value unchanged" 1 (Tm.peek tv);
           exhausted "serial commit" (fun () ->
-              Tm.atomic ~max_attempts:0 (fun txn -> Tm.write txn tv 3));
+              Tm.atomic ~site:"test.clock_limit"
+                ~max_attempts:0 (fun txn -> Tm.write txn tv 3));
           checkb "serial token released" false (Tm.serial_active ());
           exhausted "poke" (fun () -> Tm.poke tv 4);
           check "the word never moved" Tm.max_version
             (version_of_word (lock_word_of tv));
           check "value still unchanged" 1 (Tm.peek tv));
       let after = Tm.tvar 0 in
-      Tm.atomic (fun txn -> Tm.write txn after 5);
+      Tm.atomic ~site:"test.clock_limit" (fun txn -> Tm.write txn after 5);
       check "commits resume once the clock is back" 5 (Tm.peek after))
 
 (* The limit can also be hit after a commit has published: the commit
@@ -790,7 +820,7 @@ let test_clock_limit_in_defer () =
       let relocked = ref 0 in
       with_clock_at (Tm.max_version - 1) (fun () ->
           exhausted "deferred poke" (fun () ->
-              Tm.atomic (fun txn ->
+              Tm.atomic ~site:"test.clock_limit_in_defer" (fun txn ->
                   Tm.write txn a 1;
                   Tm.defer txn (fun () ->
                       relocked := lock_word_of a lor 1;
@@ -832,9 +862,10 @@ let test_lock_word_view () =
                 let read txn = (Tm.read txn a, Tm.read txn b) in
                 while (not (Atomic.get stop)) || !rounds < 100 do
                   incr rounds;
-                  let pa, pb = Tm.atomic read in
+                  let pa, pb = Tm.atomic ~site:"test.lock_word_view" read in
                   check_pair pa pb;
-                  let pa, pb = Tm.atomic ~read_phase:true read in
+                  let pa, pb = Tm.atomic ~site:"test.lock_word_view"
+                                 ~read_phase:true read in
                   check_pair pa pb;
                   let a1 = Tm.peek a in
                   let pb = Tm.peek b in
@@ -849,7 +880,8 @@ let test_lock_word_view () =
         spawn_workers 2 (fun w _tid ->
             for i = 1 to per_writer do
               let d = 1 + ((i * (w + 3)) mod 17) in
-              Tm.atomic ~max_attempts:max_int (fun txn ->
+              Tm.atomic ~site:"test.lock_word_view"
+                ~max_attempts:max_int (fun txn ->
                   let x = fst (Tm.read txn a) + d in
                   Tm.write txn a (x, -x);
                   Tm.write txn b (-x, x))
@@ -881,7 +913,7 @@ let qcheck_model =
             (fun (i, v) ->
               (* Write v to slot i and add the previous value to slot
                  (i+1) mod 8, transactionally and in the model. *)
-              Tm.atomic (fun txn ->
+              Tm.atomic ~site:"test.qcheck_model" (fun txn ->
                   let old = Tm.read txn tvars.(i) in
                   Tm.write txn tvars.(i) v;
                   let j = (i + 1) mod 8 in
@@ -901,7 +933,8 @@ let qcheck_stamp_order =
           let v = Tm.tvar 0 in
           let stamps =
             List.map
-              (fun x -> (Tm.atomic_stamped (fun txn -> Tm.write txn v x)).Tm.stamp)
+              (fun x -> (Tm.atomic_stamped ~site:"test.qcheck_stamp_order"
+                           (fun txn -> Tm.write txn v x)).Tm.stamp)
               vs
           in
           let rec increasing = function
@@ -930,7 +963,8 @@ let test_on_abort_conflict () =
       let runs, f = counting () in
       let attempts = ref 0 in
       let r =
-        Tm.atomic_stamped ~max_attempts:10 (fun txn ->
+        Tm.atomic_stamped ~site:"test.on_abort_conflict"
+          ~max_attempts:10 (fun txn ->
             incr attempts;
             if !attempts = 1 then begin
               Tm.on_abort txn f;
@@ -944,7 +978,7 @@ let test_on_abort_exception () =
   with_tm (fun () ->
       let runs, f = counting () in
       (match
-         Tm.atomic (fun txn ->
+         Tm.atomic ~site:"test.on_abort_exception" (fun txn ->
              Tm.on_abort txn f;
              raise Boom)
        with
@@ -956,7 +990,8 @@ let test_on_abort_serial_exception () =
   with_tm (fun () ->
       let runs, f = counting () in
       (match
-         Tm.atomic ~max_attempts:0 (fun txn ->
+         Tm.atomic ~site:"test.on_abort_serial_exception"
+           ~max_attempts:0 (fun txn ->
              checkb "serial" true (Tm.is_serial txn);
              Tm.on_abort txn f;
              raise Boom)
@@ -970,23 +1005,25 @@ let test_on_abort_not_on_commit () =
   with_tm (fun () ->
       let runs, f = counting () in
       let v = Tm.tvar 0 in
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.on_abort_not_on_commit" (fun txn ->
           Tm.on_abort txn f;
           Tm.write txn v 1);
-      Tm.atomic ~max_attempts:0 (fun txn ->
+      Tm.atomic ~site:"test.on_abort_not_on_commit" ~max_attempts:0 (fun txn ->
           Tm.on_abort txn f;
           Tm.write txn v 2);
       check "never ran" 0 !runs;
       (* a later abort must not replay a committed registration *)
-      (try Tm.atomic (fun _ -> raise Boom) with Boom -> ());
+      (try Tm.atomic ~site:"test.on_abort_not_on_commit"
+             (fun _ -> raise Boom) with Boom -> ());
       check "still never ran" 0 !runs)
 
 let test_on_abort_nested () =
   with_tm (fun () ->
       let runs, f = counting () in
       (match
-         Tm.atomic (fun _ ->
-             Tm.atomic (fun txn -> Tm.on_abort txn f);
+         Tm.atomic ~site:"test.on_abort_nested" (fun _ ->
+             Tm.atomic ~site:"test.on_abort_nested"
+               (fun txn -> Tm.on_abort txn f);
              check "the nested commit ran nothing" 0 !runs;
              raise Boom)
        with
@@ -998,14 +1035,15 @@ let test_on_abort_nested () =
 let test_assign_commit () =
   with_tm (fun () ->
       let r = ref 0 in
-      Tm.atomic (fun txn ->
+      Tm.atomic ~site:"test.assign_commit" (fun txn ->
           Tm.assign txn r 1;
           check "visible in the attempt" 1 !r;
           Tm.assign txn r 2;
           check "the latest write wins" 2 !r);
       check "kept on commit" 2 !r;
       (* a later abort must not replay a committed registration *)
-      (try Tm.atomic (fun _ -> raise Boom) with Boom -> ());
+      (try Tm.atomic ~site:"test.assign_commit"
+             (fun _ -> raise Boom) with Boom -> ());
       check "still kept" 2 !r)
 
 let test_assign_conflict () =
@@ -1013,7 +1051,7 @@ let test_assign_conflict () =
       let r = ref 0 in
       let seen = ref [] in
       let attempts = ref 0 in
-      Tm.atomic ~max_attempts:10 (fun txn ->
+      Tm.atomic ~site:"test.assign_conflict" ~max_attempts:10 (fun txn ->
           incr attempts;
           seen := !r :: !seen;
           Tm.assign txn r 1;
@@ -1027,7 +1065,7 @@ let test_assign_exception () =
   with_tm (fun () ->
       let r = ref 0 in
       (match
-         Tm.atomic (fun txn ->
+         Tm.atomic ~site:"test.assign_exception" (fun txn ->
              Tm.assign txn r 1;
              Tm.assign txn r 2;
              raise Boom)
@@ -1040,8 +1078,9 @@ let test_assign_nested () =
   with_tm (fun () ->
       let r = ref 0 in
       (match
-         Tm.atomic (fun _ ->
-             Tm.atomic (fun txn -> Tm.assign txn r 1);
+         Tm.atomic ~site:"test.assign_nested" (fun _ ->
+             Tm.atomic ~site:"test.assign_nested"
+               (fun txn -> Tm.assign txn r 1);
              check "the nested commit keeps it in the enclosing one" 1 !r;
              raise Boom)
        with
@@ -1055,7 +1094,8 @@ let test_serial_exception_undoes_writes () =
       (* more tvars than the write set scans linearly, each written twice *)
       let many = Array.init 20 Tm.tvar in
       (match
-         Tm.atomic ~max_attempts:0 (fun txn ->
+         Tm.atomic ~site:"test.serial_exception_undoes_writes"
+           ~max_attempts:0 (fun txn ->
              Tm.write txn a 10;
              Tm.write txn b 20;
              Tm.write txn a 11;
@@ -1072,7 +1112,8 @@ let test_serial_exception_undoes_writes () =
       checkb "token released" false (Tm.serial_active ());
       (* both lock words are unlocked: a speculative reader commits on its
          first attempt *)
-      let r = Tm.atomic_stamped (fun txn -> Tm.read txn a + Tm.read txn b) in
+      let r = Tm.atomic_stamped ~site:"test.serial_exception_undoes_writes"
+                (fun txn -> Tm.read txn a + Tm.read txn b) in
       check "old values read" 3 r.Tm.value;
       check "first attempt" 1 r.Tm.attempts;
       checkb "speculative" false r.Tm.serial)
