@@ -22,9 +22,10 @@
    The probe matrix ([run_matrix]) sweeps the service knobs over one
    workload: caller-runs baseline, +pool, +pool+hotcache, and all-on
    (+slo) under closed loop, then an open-loop pair (baseline vs all-on)
-   at a rate set to ~3x the measured baseline capacity, where the
-   baseline must blow through the SLO and admission control must keep
-   the served p99 under it. Both verdicts are recorded in the document
+   at a rate past the measured baseline capacity (twice it, capped at
+   the all-on closed-loop capacity), where the baseline must blow
+   through the SLO and admission control must keep the served p99 under
+   it. Both verdicts are recorded in the document
    and enforced by schema validation — and any failed verdict prints a
    one-line repro command.
 
@@ -677,8 +678,8 @@ let run p ~mode =
 
    The service-knob sweep over one workload: which layer buys what, on
    the record. Closed-loop legs measure capacity (base, +pool,
-   +pool+hotcache, all-on); then the base capacity sets an open-loop
-   rate (~3x) that the baseline cannot serve, and the open pair (base vs
+   +pool+hotcache, all-on); then those capacities set an open-loop rate
+   that the baseline cannot serve, and the open pair (base vs
    all-on) tests admission control: the baseline must blow through the
    SLO, all-on must shed enough low-priority traffic to keep the served
    get p99 under it. *)
@@ -736,24 +737,32 @@ type matrix = {
 let named runs name = snd (List.find (fun (c, _) -> c.m_name = name) runs)
 
 let matrix_measure p =
-  (* the base closed-loop run comes first: its capacity calibrates the
+  let measure_cfg c =
+    Printf.printf "matrix[%s]: running...\n%!" c.m_name;
+    (c, measure c.m_params)
+  in
+  let is_closed c = c.m_params.arrival = Closed_loop in
+  (* the closed-loop runs come first: their capacities calibrate the
      open-loop overload rate *)
-  let base_cfg = List.hd (matrix_configs ~p ~rate:1.) in
-  Printf.printf "matrix[base]: measuring caller-runs capacity...\n%!";
-  let base = measure base_cfg.m_params in
+  let closed_runs =
+    List.map measure_cfg (List.filter is_closed (matrix_configs ~p ~rate:1.))
+  in
   (* 2x the caller-runs capacity: far past what the baseline can serve
-     (its open-loop lag must blow the SLO), while leaving the load
-     generator headroom — at 2.5x+ the generator itself cannot hold the
-     cadence even when every request is shed, and the measured lag stops
-     being the service's *)
-  let rate = Float.max 2_000. (2.0 *. throughput base) in
+     (its open-loop lag must blow the SLO). Capped at the all-on
+     closed-loop capacity, the most this client drives through the
+     all-on service: above it the client itself falls
+     behind its schedule even while the service sheds, its hot-cache hits
+     are served as late as it is, and the measured lag stops being the
+     service's. That cap binds once the caller-runs path outruns the
+     client's own per-request cost (DESIGN.md decision 13). *)
+  let cap name = throughput (named closed_runs name) in
+  let rate =
+    Float.max 2_000. (Float.min (2.0 *. cap "base") (cap "all_on"))
+  in
   let runs =
-    (base_cfg, base)
-    :: List.map
-         (fun c ->
-           Printf.printf "matrix[%s]: running...\n%!" c.m_name;
-           (c, measure c.m_params))
-         (List.tl (matrix_configs ~p ~rate))
+    closed_runs
+    @ List.map measure_cfg
+        (List.filter (fun c -> not (is_closed c)) (matrix_configs ~p ~rate))
   in
   let gets name = (named runs name).load.l_hists.h_get in
   let open_base_p99 = Hist.quantile (gets "open_base") 0.99 in

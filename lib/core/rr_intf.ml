@@ -88,7 +88,8 @@ let instantiate (type r) (module M : S) ?config ~(hash : r -> int)
      six RRs under DST. [sid] maps a reference to its sanitizer shadow-slot
      key (pool nodes pass [Mempool.san_key]); it defaults to [hash], whose
      values simply miss the shadow tables, keeping non-pool references
-     benign. *)
+     benign. A hook's [~node] key is built only under [San.enabled ()], so
+     with TxSan off a hook costs its one flag load. *)
   let plain =
     {
       name = M.name;
@@ -97,12 +98,14 @@ let instantiate (type r) (module M : S) ?config ~(hash : r -> int)
       reserve =
         (fun txn r ->
           Dst.point Dst.Rr_reserve;
-          San.rr_reserve ~tid:(Tm.thread_id txn) ~node:(sid r);
+          if San.enabled () then
+            San.rr_reserve ~tid:(Tm.thread_id txn) ~node:(sid r);
           M.reserve t txn r);
       release =
         (fun txn r ->
           Dst.point Dst.Rr_release;
-          San.rr_release ~tid:(Tm.thread_id txn) ~node:(sid r);
+          if San.enabled () then
+            San.rr_release ~tid:(Tm.thread_id txn) ~node:(sid r);
           M.release t txn r);
       release_all =
         (fun txn ->
@@ -124,8 +127,9 @@ let instantiate (type r) (module M : S) ?config ~(hash : r -> int)
       revoke =
         (fun txn r ->
           Dst.point Dst.Rr_revoke;
-          San.rr_revoke ~tid:(Tm.thread_id txn) ~site:(Tm.txn_site txn)
-            ~node:(sid r);
+          if San.enabled () then
+            San.rr_revoke ~tid:(Tm.thread_id txn) ~site:(Tm.txn_site txn)
+              ~node:(sid r);
           M.revoke t txn r);
     }
   in

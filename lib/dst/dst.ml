@@ -159,6 +159,9 @@ let[@inline never] point_slow site =
     Effect.perform (Yield site)
   end
 
+(* A load and a branch when no run is active, once inlined into the
+   caller: the release build (dune-workspace) does that across modules;
+   the dev profile's -opaque keeps it a call. *)
 let[@inline] point site = if !enabled then point_slow site
 
 let[@inline never] point_fails_slow site =

@@ -2,7 +2,9 @@
 
     A controllable-interleaving harness for the TM, RR and reclamation
     layers.  Production code is threaded with {!point} yield sites that
-    compile down to a single load-and-branch when the harness is inactive.
+    compile down to a single load-and-branch when the harness is inactive
+    (in the release build, the default; the dev profile's [-opaque] keeps
+    each a call).
     When a {!Sched.run} is active, N logical threads are multiplexed on one
     domain and driven through those sites by a virtual scheduler; every run
     is replayable from a printed seed or an explicit schedule, and failing

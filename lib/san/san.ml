@@ -72,7 +72,11 @@ let () =
 
 type mode = Raise | Count
 
-(* One relaxed bool load per hook when off — the DST yield-point pattern. *)
+(* One relaxed bool load per hook when off — the DST yield-point pattern.
+   That needs the release build (dune-workspace): with the dev profile's
+   -opaque a hook is not inlined across modules and stays a call. Its
+   arguments are computed before the load, so a caller guards one that
+   costs more than a field read with [enabled ()]. *)
 let on = ref false
 let delivery = ref Raise
 let enabled () = !on

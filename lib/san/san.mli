@@ -13,7 +13,12 @@
 
     Like [Dst], the sanitizer costs one relaxed bool load per hook when
     disabled — the hooks follow the exact [if !on then slow_path] pattern of
-    the DST yield points and share their overhead budget. When enabled, all
+    the DST yield points and share their overhead budget. That holds in the
+    release build (the default, dune-workspace), where the [[@inline]]
+    hooks inline across modules; a dev-profile build compiles with
+    [-opaque], and each hook stays a call. A hook's arguments are computed
+    before its load, so callers guard a costly one (a shadow-slot key) with
+    {!enabled}. When enabled, all
     shadow updates run under one global mutex: TxSan trades throughput for
     precision, which is measured and recorded by [bench_scaling]'s [san]
     probe.

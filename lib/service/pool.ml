@@ -69,7 +69,8 @@ type t = {
   shed_high : int Atomic.t;  (* always 0: High is deferred, never shed *)
   deferred : int Atomic.t;  (* High admitted while the controller would shed *)
   lag_ns : int Atomic.t;  (* EWMA of the reported open-loop schedule lag *)
-  lag_at : int Atomic.t;  (* when [lag_ns] was last updated *)
+  lag_last : int Atomic.t;  (* the last reported lag, as it was *)
+  lag_at : int Atomic.t;  (* when [lag_ns] and [lag_last] were last set *)
   max_depth : int Atomic.t;
 }
 
@@ -136,20 +137,36 @@ let decayed t ~now v at =
       else v asr intervals
   | None -> v
 
-let lag_now t ~now = decayed t ~now (Atomic.get t.lag_ns) (Atomic.get t.lag_at)
+let lag_ewma t ~now =
+  decayed t ~now (Atomic.get t.lag_ns) (Atomic.get t.lag_at)
+
+(* The lag signal: the EWMA, or the last report while it is younger than
+   one SLO. A client reports its lag just before it submits, so a fresh
+   report is the lag of the arrival being judged. After a stall (a
+   preemption, a long drain) that arrival is already later than the EWMA
+   says, and one late report lifts a 1/8 EWMA by only an eighth of it:
+   judged by the EWMA alone, the first arrivals after a stall are
+   admitted and served past the SLO. *)
+let lag_now t ~now =
+  let ewma = lag_ewma t ~now in
+  match t.slo_ns with
+  | Some slo when now - Atomic.get t.lag_at < slo ->
+      max ewma (Atomic.get t.lag_last)
+  | _ -> ewma
 
 (* EWMA (alpha = 1/8) of the open-loop schedule lag the harness reports;
    racy read-modify-write is fine for a control signal. *)
 let note_lag t ns =
   if ns >= 0 then begin
     let now = Telemetry.now_ns () in
-    Atomic.set t.lag_ns (((7 * lag_now t ~now) + ns) / 8);
+    Atomic.set t.lag_ns (((7 * lag_ewma t ~now) + ns) / 8);
+    Atomic.set t.lag_last ns;
     Atomic.set t.lag_at now
   end
 
 (* Would the controller shed a new arrival for [shard] right now? The
    verdict combines the queue projection ((depth + 1) x the decaying-max
-   per-request service time) with the reported open-loop lag
+   per-request service time) with the reported open-loop lag ([lag_now])
    so a service that is behind schedule sheds even while its queues are
    momentarily shallow. Both signals are compared against HALF the SLO:
    the projection and the EWMA both track the middle of their
@@ -349,6 +366,7 @@ let create ?slo_ns ~shards ~exec () =
     shed_high = Pad.atomic 0;
     deferred = Pad.atomic 0;
     lag_ns = Pad.atomic 0;
+    lag_last = Pad.atomic 0;
     lag_at = Pad.atomic 0;
     max_depth = Pad.atomic 0;
   }

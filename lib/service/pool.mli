@@ -72,11 +72,13 @@ val note_lag : t -> int -> unit
 
 val overloaded : t -> shard:int -> bool
 (** Would a [Low] arrival for [shard] be shed right now? True when
-    either the queue projection or the lag EWMA exceeds half the SLO —
+    either the queue projection or the lag signal exceeds half the SLO —
     the half is tail headroom: both signals track means, the SLO
-    constrains a p99. Both signals halve for every 20 SLOs of wall time
-    without an update, so shedding every [Low] arrival cannot latch the
-    verdict. *)
+    constrains a p99. The lag signal is the lag EWMA, or the last
+    {!note_lag} report while that is younger than one SLO (an arrival
+    reported late is judged by its own lag). Both signals halve for
+    every 20 SLOs of wall time without an update, so shedding every
+    [Low] arrival cannot latch the verdict. *)
 
 val queue_depth : t -> shard:int -> int
 

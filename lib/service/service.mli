@@ -125,7 +125,9 @@ val try_await : t -> ticket -> Harness.Store.reply array option
 
 val note_lag : t -> int -> unit
 (** Report an observed open-loop schedule lag (ns) to the admission
-    controller. *)
+    controller, just before submitting the arrival it belongs to: while
+    the report is younger than one SLO, that arrival is judged by its
+    own lag ({!Pool.overloaded}). *)
 
 val queue_depth : t -> shard:int -> int
 val queued : t -> int

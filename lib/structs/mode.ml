@@ -69,17 +69,20 @@ let give_back_spare (type n) ({ pool; _ } : n t) ~thread ~outer
    a successful [get], stamp-window use-after-free at the reserving
    commit). Their reservations are publications ([San.rr_publish]): a
    hazard slot or an epoch announcement protects only from the moment it
-   is seen. [key] is the pool-backed shadow-slot key. *)
+   is seen. [key] is the pool-backed shadow-slot key, built only when
+   TxSan is on. *)
 let san_ops ~key (ops : 'n Rr.ops) : 'n Rr.ops =
   {
     ops with
     reserve =
       (fun txn n ->
-        San.rr_publish ~tid:(Tm.thread_id txn) ~node:(key n);
+        if San.enabled () then
+          San.rr_publish ~tid:(Tm.thread_id txn) ~node:(key n);
         ops.Rr.reserve txn n);
     release =
       (fun txn n ->
-        San.rr_release ~tid:(Tm.thread_id txn) ~node:(key n);
+        if San.enabled () then
+          San.rr_release ~tid:(Tm.thread_id txn) ~node:(key n);
         ops.Rr.release txn n);
     release_all =
       (fun txn ->

@@ -460,14 +460,19 @@ let clear_wset txn =
      and the next large one rebuilds at the right size anyway. *)
   if txn.windex != no_index then txn.windex <- no_index
 
+(* Runs after every attempt, so it stores only what the attempt changed:
+   a pointer store is a [caml_modify] call even when it writes [[]], and
+   an unlogged window leaves all three untouched (DESIGN.md decision 17).
+   An empty write set has a clear filter and no index ([wset_put] sets
+   both only as it adds an entry). *)
 let reset_logs txn =
   for i = 0 to txn.rn - 1 do
     txn.r_locks.(i) <- dummy_lock
   done;
   txn.rn <- 0;
-  clear_wset txn;
-  txn.defers <- [];
-  txn.aborts <- [];
+  if txn.wn > 0 then clear_wset txn;
+  if txn.defers != [] then txn.defers <- [];
+  if txn.aborts != [] then txn.aborts <- [];
   txn.read_only <- true;
   txn.must_validate <- false
 
@@ -680,9 +685,11 @@ let is_unlogged (txn : txn) = txn.unlogged
 let commit_stamp (txn : txn) = txn.stamp
 
 let run_defers (txn : txn) =
-  let ds = List.rev txn.defers in
-  txn.defers <- [];
-  List.iter (fun f -> f ()) ds
+  match txn.defers with
+  | [] -> ()
+  | ds ->
+      txn.defers <- [];
+      List.iter (fun f -> f ()) (List.rev ds)
 
 (* ---- commit ---- *)
 

@@ -816,6 +816,24 @@ let test_pool_admission_recovers () =
     (Service.overloaded svc ~shard:0);
   Service.shutdown svc
 
+(* An arrival reported later than the SLO budget sheds at once, though
+   one report lifts the 1/8 lag EWMA by only an eighth of it; once the
+   report is older than one SLO, the EWMA alone decides again. *)
+let test_pool_admission_late_arrival () =
+  let svc = pooled_svc ~slo_us:20_000 () in
+  for _ = 1 to 8 do
+    Service.note_lag svc 0
+  done;
+  Service.note_lag svc 30_000_000;
+  checkb "a late arrival sheds" true (Service.overloaded svc ~shard:0);
+  let t0 = Telemetry.now_ns () in
+  while Telemetry.now_ns () - t0 < 25_000_000 do
+    Domain.cpu_relax ()
+  done;
+  checkb "one SLO later the EWMA decides" false
+    (Service.overloaded svc ~shard:0);
+  Service.shutdown svc
+
 (* A client that drains its own requests, against the model, then
    zero-leak accounting through the client's thread finalizer. *)
 let test_pool_combining_end_to_end () =
@@ -1399,6 +1417,8 @@ let () =
             test_pool_admission_sheds;
           Alcotest.test_case "admission recovers without events" `Quick
             test_pool_admission_recovers;
+          Alcotest.test_case "admission sheds a late arrival" `Quick
+            test_pool_admission_late_arrival;
           Alcotest.test_case "combining end to end" `Quick
             test_pool_combining_end_to_end;
         ] );
