@@ -16,18 +16,21 @@
    they are meant to be used: many requests in flight per client, and
    the awaiting clients draining each shard's queue into fused batches
    (combining: no domain beyond the clients runs). Point requests are
-   submitted [Low] priority — they are the sheddable class; multis stay
+   submitted [Low] priority — they are the sheddable class — with their
+   sojourn: how late the open-loop client issues them against their
+   schedule (a closed loop passes none, so it never sheds). Multis stay
    synchronous (and are implicitly [High]: a multi never sheds).
 
    The probe matrix ([run_matrix]) sweeps the service knobs over one
-   workload: caller-runs baseline, +pool, +pool+hotcache, and all-on
-   (+slo) under closed loop, then an open-loop pair (baseline vs all-on)
-   at a rate past the measured baseline capacity (twice it, capped at
-   the all-on closed-loop capacity), where the baseline must blow
-   through the SLO and admission control must keep the served p99 under
-   it. Both verdicts are recorded in the document
-   and enforced by schema validation — and any failed verdict prints a
-   one-line repro command.
+   workload: caller-runs baseline, +pool, +pool+hotcache, and
+   caller-runs +hotcache under closed loop, then an open-loop pair
+   (baseline vs all-on: pool, hotcache and an SLO) at a rate past the
+   measured baseline capacity (twice it, capped at the pool+hotcache
+   closed-loop capacity), where the baseline must blow through the SLO
+   and admission control must keep the served p99 under it. Both
+   verdicts are recorded in the document and enforced by schema
+   validation — and any failed verdict prints a one-line repro
+   command.
 
    Open-loop latency is coordinated-omission aware: each request has a
    scheduled arrival time on a fixed cadence, and its latency is
@@ -206,11 +209,7 @@ let worker ~svc ~p ~zipf ~phase d () =
                   while Telemetry.now_ns () < s do
                     Domain.cpu_relax ()
                   done
-                else begin
-                  if now - s > !behind then behind := now - s;
-                  (* feed the service's admission controller the lag *)
-                  Service.note_lag svc (now - s)
-                end;
+                else if now - s > !behind then behind := now - s;
                 s
           in
           (match gen_req zipf rng p with
@@ -218,8 +217,16 @@ let worker ~svc ~p ~zipf ~phase d () =
               while Queue.length pending >= p.pipeline do
                 redeem (Queue.pop pending)
               done;
+              (* an open-loop arrival's sojourn is how late it is issued;
+                 a closed loop issues on time by definition *)
+              let sojourn_ns =
+                match p.arrival with
+                | Closed_loop -> None
+                | Open_loop _ -> Some (max 0 (Telemetry.now_ns () - scheduled))
+              in
               let tk =
-                Service.submit svc ~thread:tid ~priority:Service.Low ops
+                Service.submit svc ~thread:tid ~priority:Service.Low
+                  ?sojourn_ns ops
               in
               Queue.push { pd_ticket = tk; pd_ops = ops; pd_scheduled = scheduled }
                 pending
@@ -678,7 +685,7 @@ let run p ~mode =
 
    The service-knob sweep over one workload: which layer buys what, on
    the record. Closed-loop legs measure capacity (base, +pool,
-   +pool+hotcache, all-on); then those capacities set an open-loop rate
+   +pool+hotcache, +hotcache); then those capacities set an open-loop rate
    that the baseline cannot serve, and the open pair (base vs
    all-on) tests admission control: the baseline must blow through the
    SLO, all-on must shed enough low-priority traffic to keep the served
@@ -709,7 +716,7 @@ let matrix_configs ~p ~rate =
     closed "base" base 1;
     closed "pool" (matrix_spec ~pool:true base) 16;
     closed "pool_cache" (matrix_spec ~pool:true ~hotcache:true base) 16;
-    closed "all_on" all_on 16;
+    closed "cache" (matrix_spec ~hotcache:true base) 1;
     open_ "open_base" base 1;
     open_ "open_all_on" all_on 16;
   ]
@@ -748,16 +755,16 @@ let matrix_measure p =
     List.map measure_cfg (List.filter is_closed (matrix_configs ~p ~rate:1.))
   in
   (* 2x the caller-runs capacity: far past what the baseline can serve
-     (its open-loop lag must blow the SLO). Capped at the all-on
+     (its open-loop lag must blow the SLO). Capped at the pool+hotcache
      closed-loop capacity, the most this client drives through the
-     all-on service: above it the client itself falls
-     behind its schedule even while the service sheds, its hot-cache hits
-     are served as late as it is, and the measured lag stops being the
-     service's. That cap binds once the caller-runs path outruns the
-     client's own per-request cost (DESIGN.md decision 13). *)
+     all-on program (a closed loop is never late, so its SLO would shed
+     nothing there): above it the client itself falls behind its
+     schedule, and the measured lag stops being the service's. That cap
+     binds once the caller-runs path outruns the client's own
+     per-request cost (DESIGN.md decision 13). *)
   let cap name = throughput (named closed_runs name) in
   let rate =
-    Float.max 2_000. (Float.min (2.0 *. cap "base") (cap "all_on"))
+    Float.max 2_000. (Float.min (2.0 *. cap "base") (cap "pool_cache"))
   in
   let runs =
     closed_runs
@@ -809,7 +816,7 @@ let matrix_json p m =
             ("throughput_base", tput "base");
             ("throughput_pool", tput "pool");
             ("throughput_pool_cache", tput "pool_cache");
-            ("throughput_all_on", tput "all_on");
+            ("throughput_cache", tput "cache");
             ("throughput_ok", Json.Bool m.throughput_ok);
             ("open_base_get_p99_ns", Json.Int m.open_base_p99);
             ("open_all_on_get_p99_ns", Json.Int m.open_all_on_p99);
@@ -886,12 +893,12 @@ let summarize_matrix m =
   let tput name = throughput (named m.runs name) in
   let ok b = if b then "ok" else "FAIL" in
   Printf.printf
-    "matrix: throughput base %.0f | pool %.0f | pool+cache %.0f | all-on \
+    "matrix: throughput base %.0f | pool %.0f | pool+cache %.0f | cache \
      %.0f -> %s\n\
      matrix: open@%.0f/s get p99 base %.1fms vs all-on %.1fms (slo %dms) -> \
      %s\n\
      %!"
-    (tput "base") (tput "pool") (tput "pool_cache") (tput "all_on")
+    (tput "base") (tput "pool") (tput "pool_cache") (tput "cache")
     (ok m.throughput_ok) m.rate
     (float_of_int m.open_base_p99 /. 1e6)
     (float_of_int m.open_all_on_p99 /. 1e6)

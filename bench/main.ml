@@ -28,7 +28,7 @@ let usage () =
     \  service        sustained-load run against the sharded service;\n\
     \                 writes BENCH_service.json (schema hohtx-load/1)\n\
     \  service-matrix service-knob probe matrix: caller-runs baseline,\n\
-    \                 +pool, +pool+hotcache, all-on, plus an open-loop\n\
+    \                 +pool, +pool+hotcache, +hotcache, plus an open-loop\n\
     \                 overload pair asserting SLO shedding; writes\n\
     \                 BENCH_service.json (schema hohtx-load/1, matrix doc)\n\
     \  service-smoke  miniature probe matrix + schema/verdict validation\n\

@@ -49,8 +49,6 @@ module Spec = struct
     (match slo_us with
     | Some us when us < 1 ->
         invalid_arg "Factories.Spec.v: slo_us must be >= 1"
-    | Some _ when pool <> Some true ->
-        invalid_arg "Factories.Spec.v: slo_us requires pool (admission control sheds at the pool's queues)"
     | _ -> ());
     {
       structure;

@@ -46,8 +46,9 @@ module Spec : sig
             router, each written key's slot invalidated after its commit *)
     slo_us : int option;
         (** service layer: p99 lag SLO (microseconds) for admission
-            control; low-priority requests are shed with [Overload] when
-            the projection exceeds it. Requires [pool]. *)
+            control; a low-priority request issued more than a twentieth
+            of it behind its schedule is shed with [Overload], with or
+            without [pool]. *)
   }
 
   val v :
@@ -71,8 +72,8 @@ module Spec : sig
   (** [v structure kind] builds a spec with every knob at the structure's
       default.
       @raise Invalid_argument if [buckets] or [split_unlink] is given for a
-      structure it does not apply to, [shards < 1], [fusion < 1],
-      [slo_us < 1], or [slo_us] is given without [pool]. *)
+      structure it does not apply to, [shards < 1], [fusion < 1] or
+      [slo_us < 1]. *)
 
   val structure_name : structure -> string
   val structure_of_name : string -> structure option

@@ -17,16 +17,9 @@
    dependency on the router: the service passes a closure that runs
    [Store.batch ~fuse] and invalidates the written keys' hot-cache slots.
 
-   Admission control rides the same queues: a controller projects the
-   p99 queueing lag of a new arrival from the shard's queue depth and a
-   decaying-max estimate of per-request service time, folds in the
-   open-loop lag signal reported by {!note_lag}, and sheds low-priority
-   requests ([`Shed], served as [Overload] replies by the service) when
-   the projection exceeds the configured SLO. High-priority requests are
-   never shed; they are deferred — enqueued anyway — and counted. Both
-   signals also decay with the wall time since their last update, so a
-   controller that sheds everything, and so sees no further drains or
-   lag reports, still calms down.
+   Admission control is not here: the service sheds a late arrival
+   before it reaches a queue (DESIGN.md, decision 13), so the pool only
+   queues and drains.
 
    Determinism: [submit], and every combining pass that drains nothing,
    yield at the [Svc_enqueue] site and [step] at [Svc_drain], so under
@@ -34,8 +27,6 @@
    explorable and replayable. *)
 
 open Harness
-
-type priority = High | Low
 
 type cell = { mutable c_replies : Store.reply array; c_done : bool Atomic.t }
 
@@ -53,8 +44,6 @@ type req = { r_ops : Store.op array; r_cell : cell }
 type queue = {
   pending : req list Atomic.t;
   depth : int Atomic.t;  (* pushed and not yet taken into a batch *)
-  svc_p99_ns : int Atomic.t;  (* decaying max of per-request service time *)
-  svc_at : int Atomic.t;  (* when [svc_p99_ns] was last updated *)
   drained_reqs : int Atomic.t;
   drained_batches : int Atomic.t;
   draining : bool Atomic.t;  (* held by the one client draining this queue *)
@@ -63,14 +52,7 @@ type queue = {
 
 type t = {
   qs : queue array;
-  slo_ns : int option;
   exec : shard:int -> thread:int -> Store.op array -> Store.reply array;
-  shed_low : int Atomic.t;
-  shed_high : int Atomic.t;  (* always 0: High is deferred, never shed *)
-  deferred : int Atomic.t;  (* High admitted while the controller would shed *)
-  lag_ns : int Atomic.t;  (* EWMA of the reported open-loop schedule lag *)
-  lag_last : int Atomic.t;  (* the last reported lag, as it was *)
-  lag_at : int Atomic.t;  (* when [lag_ns] and [lag_last] were last set *)
   max_depth : int Atomic.t;
 }
 
@@ -84,8 +66,6 @@ let queue_make () =
   {
     pending = Pad.atomic [];
     depth = Pad.atomic 0;
-    svc_p99_ns = Pad.atomic 0;
-    svc_at = Pad.atomic 0;
     drained_reqs = Pad.atomic 0;
     drained_batches = Pad.atomic 0;
     draining = Pad.atomic false;
@@ -119,83 +99,7 @@ let complete cell replies =
   cell.c_replies <- replies;
   Atomic.set cell.c_done true
 
-(* ---- admission control ---- *)
-
-(* A signal last updated at [at] halves for every whole interval of 20
-   SLOs since, with no update: CoDel's interval is 20 times its target
-   delay (Nichols and Jacobson, ACM Queue 2012), and the SLO is ours.
-   Without it, a signal that only events move latches: once every Low
-   arrival is shed, no drain or lag report comes to lower it. Within an
-   interval of an update it is left as it is. Without an SLO nothing is
-   shed and nothing decays. *)
-let decayed t ~now v at =
-  match t.slo_ns with
-  | Some slo ->
-      let intervals = (now - at) / (20 * slo) in
-      if intervals <= 0 then v
-      else if intervals >= 62 then 0
-      else v asr intervals
-  | None -> v
-
-let lag_ewma t ~now =
-  decayed t ~now (Atomic.get t.lag_ns) (Atomic.get t.lag_at)
-
-(* The lag signal: the EWMA, or the last report while it is younger than
-   one SLO. A client reports its lag just before it submits, so a fresh
-   report is the lag of the arrival being judged. After a stall (a
-   preemption, a long drain) that arrival is already later than the EWMA
-   says, and one late report lifts a 1/8 EWMA by only an eighth of it:
-   judged by the EWMA alone, the first arrivals after a stall are
-   admitted and served past the SLO. *)
-let lag_now t ~now =
-  let ewma = lag_ewma t ~now in
-  match t.slo_ns with
-  | Some slo when now - Atomic.get t.lag_at < slo ->
-      max ewma (Atomic.get t.lag_last)
-  | _ -> ewma
-
-(* EWMA (alpha = 1/8) of the open-loop schedule lag the harness reports;
-   racy read-modify-write is fine for a control signal. *)
-let note_lag t ns =
-  if ns >= 0 then begin
-    let now = Telemetry.now_ns () in
-    Atomic.set t.lag_ns (((7 * lag_ewma t ~now) + ns) / 8);
-    Atomic.set t.lag_last ns;
-    Atomic.set t.lag_at now
-  end
-
-(* Would the controller shed a new arrival for [shard] right now? The
-   verdict combines the queue projection ((depth + 1) x the decaying-max
-   per-request service time) with the reported open-loop lag ([lag_now])
-   so a service that is behind schedule sheds even while its queues are
-   momentarily shallow. Both signals are compared against HALF the SLO:
-   the projection and the EWMA both track the middle of their
-   distributions, and the p99 the SLO constrains sits well above the
-   middle — shedding at the full budget lands the served tail just past
-   it, shedding at half leaves room for the spikes (OS preemption, a
-   serial transaction holding the token) the controller cannot see
-   coming. *)
-let overloaded t ~shard =
-  match t.slo_ns with
-  | None -> false
-  | Some slo ->
-      let q = t.qs.(shard) and budget = slo / 2 in
-      let now = Telemetry.now_ns () in
-      (Atomic.get q.depth + 1)
-      * decayed t ~now (Atomic.get q.svc_p99_ns) (Atomic.get q.svc_at)
-      > budget
-      || lag_now t ~now > budget
-
 (* ---- drain ---- *)
-
-(* Decaying max: an overload spike raises the estimate instantly, and it
-   relaxes by 1/32 per drained batch afterwards (and with wall time, see
-   [decayed]) — a cheap stand-in for a p99 that must react fast to
-   congestion. *)
-let note_service_time t q ~now ns =
-  let cur = decayed t ~now (Atomic.get q.svc_p99_ns) (Atomic.get q.svc_at) in
-  Atomic.set q.svc_p99_ns (max ns (max (cur - (cur / 32)) 1));
-  Atomic.set q.svc_at now
 
 (* Drain the queue head into one fused batch: requests are popped until
    the fusion budget fills or the queue empties, their ops concatenated
@@ -250,7 +154,6 @@ let step t ~shard ~thread =
       ignore (Atomic.fetch_and_add q.depth (-n));
       Dst.point Dst.Svc_drain;
       let ops = Array.concat (List.map (fun r -> r.r_ops) reqs) in
-      let t0 = Telemetry.now_ns () in
       let replies =
         try t.exec ~shard ~thread ops
         with e ->
@@ -262,8 +165,6 @@ let step t ~shard ~thread =
           ignore (Atomic.fetch_and_add q.depth n);
           raise e
       in
-      let t1 = Telemetry.now_ns () in
-      note_service_time t q ~now:t1 ((t1 - t0) / n);
       ignore
         (List.fold_left
            (fun off r ->
@@ -304,38 +205,24 @@ let help t ~shard ~thread =
 
 (* ---- submission ---- *)
 
-let shed t =
-  Atomic.incr t.shed_low;
-  `Shed
-
-(* A full queue is backpressure, not overload: drain it, or wait for the
-   client draining it — except for Low traffic under an SLO, which sheds
-   rather than queue-builds. *)
-let rec has_room t q ~shard ~thread ~priority =
-  if Atomic.get q.depth < queue_capacity then true
-  else if t.slo_ns <> None && priority = Low then false
-  else begin
+(* A full queue is backpressure: drain it, or wait for the client
+   draining it. *)
+let rec make_room t q ~shard ~thread =
+  if Atomic.get q.depth >= queue_capacity then begin
     help t ~shard ~thread;
-    has_room t q ~shard ~thread ~priority
+    make_room t q ~shard ~thread
   end
 
-let submit t ~shard ~thread ~priority ops =
-  let over = overloaded t ~shard in
-  if over && priority = Low then shed t
-  else begin
-    if over then Atomic.incr t.deferred;
-    Dst.point Dst.Svc_enqueue;
-    let q = t.qs.(shard) in
-    if not (has_room t q ~shard ~thread ~priority) then shed t
-    else begin
-      let cell = { c_replies = [||]; c_done = Atomic.make false } in
-      Atomic.incr q.depth;
-      push q { r_ops = ops; r_cell = cell };
-      let d = Atomic.get q.depth in
-      if d > Atomic.get t.max_depth then Atomic.set t.max_depth d;
-      `Ticket { cell; shard; thread }
-    end
-  end
+let submit t ~shard ~thread ops =
+  Dst.point Dst.Svc_enqueue;
+  let q = t.qs.(shard) in
+  make_room t q ~shard ~thread;
+  let cell = { c_replies = [||]; c_done = Atomic.make false } in
+  Atomic.incr q.depth;
+  push q { r_ops = ops; r_cell = cell };
+  let d = Atomic.get q.depth in
+  if d > Atomic.get t.max_depth then Atomic.set t.max_depth d;
+  { cell; shard; thread }
 
 (* ---- redemption ---- *)
 
@@ -356,18 +243,11 @@ let rec await t tk =
 
 (* ---- lifecycle ---- *)
 
-let create ?slo_ns ~shards ~exec () =
+let create ~shards ~exec () =
   if shards < 1 then invalid_arg "Pool.create: shards must be >= 1";
   {
     qs = Array.init shards (fun _ -> queue_make ());
-    slo_ns;
     exec;
-    shed_low = Pad.atomic 0;
-    shed_high = Pad.atomic 0;
-    deferred = Pad.atomic 0;
-    lag_ns = Pad.atomic 0;
-    lag_last = Pad.atomic 0;
-    lag_at = Pad.atomic 0;
     max_depth = Pad.atomic 0;
   }
 
@@ -400,7 +280,4 @@ let counters t =
     ("queue_max_depth", Atomic.get t.max_depth);
     ("drained_requests", drained);
     ("drained_batches", batches);
-    ("shed_low", Atomic.get t.shed_low);
-    ("shed_high", Atomic.get t.shed_high);
-    ("deferred_high", Atomic.get t.deferred);
   ]

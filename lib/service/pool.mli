@@ -1,6 +1,7 @@
 (** Per-shard request queues drained by combining: a combining stack
-    per shard, fused batched transactions, and SLO-driven admission
-    control. A queue holds only the requests queued on it.
+    per shard and fused batched transactions. A queue holds only the
+    requests queued on it. Admission control is the service's: a shed
+    arrival never reaches a queue.
 
     No domain is dedicated to draining. The clients that wait on
     tickets drain the queues themselves: whoever takes a shard's drain
@@ -21,35 +22,24 @@
 
 type t
 
-type priority = High | Low
-(** {!Low} requests are shed with [`Shed] when the admission controller
-    projects the SLO blown; {!High} requests are always admitted (and
-    counted as deferred when admitted during overload). *)
-
 type ticket
 (** A pending submission: its completion cell, its shard, and the TM
     thread that submitted it. *)
 
 val create :
-  ?slo_ns:int ->
   shards:int ->
   exec:(shard:int -> thread:int -> Harness.Store.op array -> Harness.Store.reply array) ->
   unit ->
   t
 (** A shard counts as full at 1024 queued requests, and one drained
-    batch fuses at most 64 operations. [slo_ns] enables admission control; without
-    it nothing is ever shed. *)
+    batch fuses at most 64 operations. *)
 
 val submit :
-  t -> shard:int -> thread:int -> priority:priority -> Harness.Store.op array ->
-  [ `Ticket of ticket | `Shed ]
+  t -> shard:int -> thread:int -> Harness.Store.op array -> ticket
 (** Enqueue an operation group on [shard]'s queue for the registered TM
-    thread [thread]. Returns [`Shed] without executing anything when the
-    controller rejects a [Low] request (SLO projected blown, or queue full
-    under an SLO). A full queue otherwise drains the shard under
-    [thread], or waits for the client draining it — backpressure, not
-    overload. The bound is soft: submitters that find room together may
-    all push. *)
+    thread [thread]. A full queue first drains the shard under [thread],
+    or waits for the client draining it: backpressure, not overload. The
+    bound is soft: submitters that find room together may all push. *)
 
 val await : t -> ticket -> Harness.Store.reply array
 (** Wait until the submission has run, draining the shard meanwhile.
@@ -66,20 +56,6 @@ val shutdown : t -> unit
 (** Drain every request still queued (nobody awaited it) on the calling
     domain's TM thread, so no admitted request is abandoned. Idempotent. *)
 
-val note_lag : t -> int -> unit
-(** Report an observed open-loop schedule lag (ns); folded into the
-    admission controller's EWMA lag signal. *)
-
-val overloaded : t -> shard:int -> bool
-(** Would a [Low] arrival for [shard] be shed right now? True when
-    either the queue projection or the lag signal exceeds half the SLO —
-    the half is tail headroom: both signals track means, the SLO
-    constrains a p99. The lag signal is the lag EWMA, or the last
-    {!note_lag} report while that is younger than one SLO (an arrival
-    reported late is judged by its own lag). Both signals halve for
-    every 20 SLOs of wall time without an update, so shedding every
-    [Low] arrival cannot latch the verdict. *)
-
 val queue_depth : t -> shard:int -> int
 
 val depth : t -> int
@@ -87,4 +63,4 @@ val depth : t -> int
 
 val counters : t -> (string * int) list
 (** [queue_depth], [queue_max_depth], [drained_requests],
-    [drained_batches], [shed_low], [shed_high], [deferred_high]. *)
+    [drained_batches]. *)

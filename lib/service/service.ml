@@ -19,9 +19,10 @@
      group on the owning shard's queue and returns a ticket; an
      awaiting client that takes the shard's drain flag drains the queue
      head into one fused batch (combining);
-   - SLO admission control: the pool's controller sheds low-priority
-     submissions with an [Overload] reply when the projected p99 lag
-     exceeds the configured SLO. *)
+   - SLO admission control: {!submit} sheds a [Low] arrival with
+     [Overload] replies when the caller issues it later than a twentieth
+     of the SLO behind its schedule, before the cache, the pool or the
+     caller's own path sees it. *)
 
 open Harness
 
@@ -29,13 +30,15 @@ open Harness
    hot cache so white-box tests can reach it. *)
 module Hot_cache = Hotcache
 
-type priority = Pool.priority = High | Low
+type priority = High | Low
 
 type counters = {
   singles : int Atomic.t;
   batches : int Atomic.t;
   multis : int Atomic.t;
   multi_aborts : int Atomic.t;
+  shed_low : int Atomic.t;
+  deferred_high : int Atomic.t;  (* High arrivals past the target, run *)
 }
 
 type t = {
@@ -44,6 +47,7 @@ type t = {
   fuse : bool;
   c : counters;
   cache : Hotcache.t option;
+  target_ns : int option;  (* the admission target: a twentieth of the SLO *)
   mutable pool : Pool.t option;
       (* mutable only to tie the knot: the pool's exec closure needs [t] *)
 }
@@ -105,15 +109,13 @@ let run_shard_ops t ~shard ~thread ops =
 (* ---- construction ---- *)
 
 (* [Spec.v] validates the knobs; a record update can bypass it, so the
-   two checks the service relies on are repeated here. *)
+   check the service relies on is repeated here. *)
 let create (spec : Factories.Spec.t) =
   let { Factories.Spec.shards; fuse; pool; hotcache; slo_us; _ } = spec in
   let n = Option.value shards ~default:1 in
   if n < 1 then invalid_arg "Service.create: shards must be >= 1";
   let fuse = Option.value fuse ~default:true in
   let pool_on = pool = Some true and cache_on = hotcache = Some true in
-  if slo_us <> None && not pool_on then
-    invalid_arg "Service.create: slo_us requires pool";
   let f = Factories.make spec in
   let t =
     {
@@ -126,17 +128,18 @@ let create (spec : Factories.Spec.t) =
           batches = Atomic.make 0;
           multis = Atomic.make 0;
           multi_aborts = Atomic.make 0;
+          shed_low = Atomic.make 0;
+          deferred_high = Atomic.make 0;
         };
       cache = (if cache_on then Some (Hotcache.create ~shards:n ()) else None);
+      target_ns = Option.map (fun us -> us * 1_000 / 20) slo_us;
       pool = None;
     }
   in
   if pool_on then
     t.pool <-
       Some
-        (Pool.create
-           ?slo_ns:(Option.map (fun us -> us * 1_000) slo_us)
-           ~shards:n
+        (Pool.create ~shards:n
            ~exec:(fun ~shard ~thread ops -> run_shard_ops t ~shard ~thread ops)
            ());
   (match t.pool with
@@ -347,31 +350,48 @@ let queueable_shard t ops =
   in
   go 0 None
 
+(* Admission: an arrival the caller issues more than the target behind
+   its schedule has already spent its share of the SLO waiting, so a
+   [Low] one is shed and a [High] one runs, counted. The verdict is the
+   arrival's own lateness, not an estimate, so no state is shared and
+   nothing has to decay. *)
+let admitted t ~priority ~sojourn_ns =
+  match t.target_ns with
+  | Some target when sojourn_ns > target -> (
+      match priority with
+      | Low ->
+          Atomic.incr t.c.shed_low;
+          false
+      | High ->
+          Atomic.incr t.c.deferred_high;
+          true)
+  | _ -> true
+
 (* A lone Get is looked up in the cache once: a hit completes inline,
    without touching a queue or a transaction (this is where hot-key
    traffic wins), and a miss runs or queues with no second lookup. A
    queued miss is populated by the drain's batch path. *)
-let submit t ~thread ?(priority = Pool.High) ops =
-  match (ops, t.pool) with
-  | [||], _ -> Done [||]
-  | [| op |], None -> Done [| exec t ~thread op |]
-  | _, None -> Done (exec_batch t ~thread ops)
-  | _, Some p -> (
-      let hit = match ops with [| op |] -> cached t ~thread op | _ -> None in
-      match hit with
-      | Some r ->
-          Atomic.incr t.c.singles;
-          Done [| r |]
-      | None -> (
-          match queueable_shard t ops with
-          | None -> Done (exec_batch t ~thread ops)
-          | Some s -> (
-              match Pool.submit p ~shard:s ~thread ~priority ops with
-              | `Ticket tk ->
-                  if Array.length ops = 1 then Atomic.incr t.c.singles
-                  else Atomic.incr t.c.batches;
-                  Queued tk
-              | `Shed -> Shed (Array.length ops))))
+let submit t ~thread ?(priority = High) ?(sojourn_ns = 0) ops =
+  if not (admitted t ~priority ~sojourn_ns) then Shed (Array.length ops)
+  else
+    match (ops, t.pool) with
+    | [||], _ -> Done [||]
+    | [| op |], None -> Done [| exec t ~thread op |]
+    | _, None -> Done (exec_batch t ~thread ops)
+    | _, Some p -> (
+        let hit = match ops with [| op |] -> cached t ~thread op | _ -> None in
+        match hit with
+        | Some r ->
+            Atomic.incr t.c.singles;
+            Done [| r |]
+        | None -> (
+            match queueable_shard t ops with
+            | None -> Done (exec_batch t ~thread ops)
+            | Some s ->
+                let tk = Pool.submit p ~shard:s ~thread ops in
+                if Array.length ops = 1 then Atomic.incr t.c.singles
+                else Atomic.incr t.c.batches;
+                Queued tk))
 
 (* A [Queued] ticket only comes from a pooled service. *)
 let await t = function
@@ -384,16 +404,11 @@ let try_await t = function
   | Queued tk -> Pool.try_await (Option.get t.pool) tk
   | Shed n -> Some (Array.make n overload_reply)
 
-let note_lag t ns = Option.iter (fun p -> Pool.note_lag p ns) t.pool
-
 let queue_depth t ~shard =
   match t.pool with None -> 0 | Some p -> Pool.queue_depth p ~shard
 
 let queued t = match t.pool with None -> 0 | Some p -> Pool.depth p
 let pooled t = Option.is_some t.pool
-
-let overloaded t ~shard =
-  match t.pool with None -> false | Some p -> Pool.overloaded p ~shard
 
 let shutdown t = Option.iter Pool.shutdown t.pool
 
@@ -408,6 +423,9 @@ let counters t =
     ("batches", Atomic.get t.c.batches);
     ("multis", Atomic.get t.c.multis);
     ("multi_aborts", Atomic.get t.c.multi_aborts);
+    ("shed_low", Atomic.get t.c.shed_low);
+    ("shed_high", 0);
+    ("deferred_high", Atomic.get t.c.deferred_high);
   ]
   @ (match t.pool with Some p -> Pool.counters p | None -> [])
   @ match t.cache with Some c -> Hotcache.stats c | None -> []

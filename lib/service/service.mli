@@ -23,9 +23,9 @@
     decision 13): per-shard bounded request queues behind an async
     {!submit}/{!await} path, drained by the awaiting clients themselves
     ({!Pool}), a versioned hot-key read cache whose hits skip the
-    transaction entirely ({!Hotcache}), and SLO-driven admission control
-    that sheds low-priority submissions with
-    {!Harness.Store_intf.Overload} replies. *)
+    transaction entirely ({!Hotcache}), and SLO admission control: a
+    [Low] submission that arrives more than a twentieth of the SLO late
+    is shed with {!Harness.Store_intf.Overload} replies. *)
 
 (** The hot cache, re-exported: the service library is wrapped behind
     this module, so white-box tests reach {!Hotcache} through this
@@ -34,9 +34,9 @@ module Hot_cache : module type of struct
   include Hotcache
 end
 
-type priority = Pool.priority = High | Low
-(** Admission class of an async submission: [Low] is sheddable under an
-    SLO, [High] never sheds. *)
+type priority = High | Low
+(** Admission class of a submission: [Low] is sheddable under an SLO,
+    [High] never sheds. *)
 
 type t
 
@@ -44,11 +44,11 @@ val create : Harness.Factories.Spec.t -> t
 (** Build a service from a spec; one store per shard via
     {!Harness.Factories.make}. The spec's service knobs: [shards]
     (default 1), [fuse] (default [true]), [pool] (default off),
-    [hotcache] (default off) and [slo_us] (default none). The pool starts
-    no domains: clients drain the queues in {!await}.
-    @raise Invalid_argument if the shard count is below 1, or [slo_us]
-    is set without the pool (both rejected by [Spec.v] already; a record
-    update can bypass it). *)
+    [hotcache] (default off) and [slo_us] (default none; with or without
+    the pool). The pool starts no domains: clients drain the queues in
+    {!await}.
+    @raise Invalid_argument if the shard count is below 1 (rejected by
+    [Spec.v] already; a record update can bypass it). *)
 
 val label : t -> string
 val shards : t -> int
@@ -108,11 +108,21 @@ type ticket =
           [Overload] replies *)
 
 val submit :
-  t -> thread:int -> ?priority:priority -> Harness.Store.op array -> ticket
-(** [priority] defaults to [High] (never shed). A lone [Get] is looked
-    up in the hot cache once: a hit completes inline without touching a
-    queue or a transaction, and a miss runs (or queues) without a second
-    lookup. *)
+  t ->
+  thread:int ->
+  ?priority:priority ->
+  ?sojourn_ns:int ->
+  Harness.Store.op array ->
+  ticket
+(** [sojourn_ns] (default 0) is how late the caller issues this arrival
+    against its own schedule. Under an SLO, an arrival whose sojourn is
+    above a twentieth of the SLO is shed ([Shed], nothing runs) when
+    [priority] is [Low], and runs, counted as [deferred_high], when it
+    is [High] (the default). The check reads no clock and no shared
+    state, and comes before the cache and the choice of path, so it
+    holds with or without the pool. A lone [Get] is looked up in the hot
+    cache once: a hit completes inline without touching a queue or a
+    transaction, and a miss runs (or queues) without a second lookup. *)
 
 val await : t -> ticket -> Harness.Store.reply array
 (** Redeem a ticket, draining the shard's queue under the submitting
@@ -123,12 +133,6 @@ val try_await : t -> ticket -> Harness.Store.reply array option
 (** Like {!await}, but drains at most one fused batch; [None] if the
     group has still not run. *)
 
-val note_lag : t -> int -> unit
-(** Report an observed open-loop schedule lag (ns) to the admission
-    controller, just before submitting the arrival it belongs to: while
-    the report is younger than one SLO, that arrival is judged by its
-    own lag ({!Pool.overloaded}). *)
-
 val queue_depth : t -> shard:int -> int
 val queued : t -> int
 
@@ -136,9 +140,6 @@ val pooled : t -> bool
 (** Was this service created with the pool? Callers that want
     every operation to flow through the queues (the soak churn driver)
     switch on this rather than on the spec. *)
-
-val overloaded : t -> shard:int -> bool
-(** Would a [Low] submission for [shard] be shed right now? *)
 
 val shutdown : t -> unit
 (** Run whatever is still queued (submitted but never awaited) on the
@@ -151,9 +152,11 @@ val cache_hit_rate : t -> float
 (** {1 Whole-service views} *)
 
 val counters : t -> (string * int) list
-(** Router counters (singles, batches, multis, multi_aborts) plus, when
-    the layers are on, the pool's queue/shed counters ({!Pool.counters})
-    and the cache's hit/miss/invalidation counts ({!Hotcache.stats}). *)
+(** Router counters (singles, batches, multis, multi_aborts), the
+    admission counters (shed_low, deferred_high, and shed_high, which
+    is always 0) plus, when the layers are on, the pool's queue counters
+    ({!Pool.counters}) and the cache's hit/miss/invalidation counts
+    ({!Hotcache.stats}). *)
 
 val finalize_thread : t -> thread:int -> unit
 val drain : t -> unit

@@ -537,21 +537,136 @@ let test_spec_layer_knobs () =
       checkb "layered round trip is lossless" true
         (Telemetry.Json.equal (Factories.Spec.to_json s)
            (Factories.Spec.to_json s')));
-  checkb "slo without pool rejected" true
-    (match layered_spec ~slo_us:5000 () with
-    | _ -> false
-    | exception Invalid_argument _ -> true);
+  (* an SLO is judged on the caller's path: it needs no pool *)
+  let unpooled = layered_spec ~slo_us:5000 () in
+  let l = Factories.Spec.label unpooled in
+  checkb "+slo without +pool in the label" true
+    (contains_sub l "+slo5000" && not (contains_sub l "+pool"));
+  (match Factories.Spec.of_json (Factories.Spec.to_json unpooled) with
+  | Error e -> Alcotest.failf "of_json rejected slo without pool: %s" e
+  | Ok s' ->
+      checkb "slo without pool round-trips" true
+        (Telemetry.Json.equal
+           (Factories.Spec.to_json unpooled)
+           (Factories.Spec.to_json s')));
   checkb "slo_us = 0 rejected" true
     (match layered_spec ~pool:true ~slo_us:0 () with
     | _ -> false
     | exception Invalid_argument _ -> true);
-  checkb "create rejects slo without pool too" true
-    (match
-       Service.create
-         { (layered_spec ()) with Factories.Spec.slo_us = Some 5000 }
-     with
-    | _ -> false
-    | exception Invalid_argument _ -> true)
+  let svc =
+    Service.create { (layered_spec ()) with Factories.Spec.slo_us = Some 5000 }
+  in
+  checkb "create takes slo without pool" false (Service.pooled svc)
+
+(* ---------------------------------------------------------------- *)
+(* Admission: each Low arrival judged by its own sojourn             *)
+(* ---------------------------------------------------------------- *)
+
+(* A 1 ms SLO, so the target is a twentieth of it: 50 us. *)
+let admission_slo_us = 1_000
+let target_ns = admission_slo_us * 1_000 / 20
+
+(* Run [f] on a pooled and on a caller-runs service under the SLO: the
+   check comes before the choice of path, so both must answer alike. *)
+let on_both_paths f =
+  List.iter
+    (fun pool ->
+      Dst.Inject.clear ();
+      Tm.Thread.reset_ids_for_testing ();
+      let svc =
+        Service.create (layered_spec ~pool ~slo_us:admission_slo_us ())
+      in
+      let path = if pool then "pooled" else "caller-runs" in
+      with_thread (fun ~thread ->
+          f svc ~thread ~path;
+          Service.shutdown svc;
+          Service.finalize_thread svc ~thread;
+          Service.drain svc;
+          match Service.check svc with
+          | Ok () -> ()
+          | Error e -> Alcotest.failf "%s: service check: %s" path e))
+    [ true; false ]
+
+let counter svc name = List.assoc name (Service.counters svc)
+
+let outcome svc tk path =
+  match Service.await svc tk with
+  | [| r |] -> r.Store.outcome
+  | rs -> Alcotest.failf "%s: %d replies to one op" path (Array.length rs)
+
+let test_admission_sheds_late_low () =
+  on_both_paths @@ fun svc ~thread ~path ->
+  let k = key_in_shard svc ~shard:0 ~avoid:[] in
+  let tk =
+    Service.submit svc ~thread ~priority:Service.Low
+      ~sojourn_ns:(target_ns + 1)
+      [| Store.Insert k; Store.Get k |]
+  in
+  (match tk with
+  | Service.Shed n -> check (path ^ ": shed covers the group") 2 n
+  | _ -> Alcotest.failf "%s: a late low arrival must shed" path);
+  let rs = Service.await svc tk in
+  check (path ^ ": an overload reply per op") 2 (Array.length rs);
+  Array.iter
+    (fun (r : Store.reply) ->
+      checkb (path ^ ": overload outcome") true
+        (r.Store.outcome = Store.Overload))
+    rs;
+  check (path ^ ": shed_low counted") 1 (counter svc "shed_low");
+  checkb (path ^ ": nothing ran") true
+    (outcome svc (Service.submit svc ~thread [| Store.Get k |]) path
+    = Store.Absent)
+
+let test_admission_runs_on_target () =
+  on_both_paths @@ fun svc ~thread ~path ->
+  let k = key_in_shard svc ~shard:0 ~avoid:[] in
+  let low sojourn_ns op =
+    outcome svc
+      (Service.submit svc ~thread ~priority:Service.Low ~sojourn_ns [| op |])
+      path
+  in
+  checkb (path ^ ": at the target") true
+    (low target_ns (Store.Insert k) = Store.Inserted);
+  checkb (path ^ ": on time") true (low 0 (Store.Get k) = Store.Found);
+  check (path ^ ": nothing shed") 0 (counter svc "shed_low");
+  (* without an SLO no arrival is late *)
+  let plain = Service.create (layered_spec ~pool:(path = "pooled") ()) in
+  checkb (path ^ ": no SLO, no shedding") true
+    (outcome plain
+       (Service.submit plain ~thread ~priority:Service.Low
+          ~sojourn_ns:max_int [| Store.Insert k |])
+       path
+    = Store.Inserted);
+  Service.shutdown plain;
+  Service.finalize_thread plain ~thread
+
+let test_admission_defers_late_high () =
+  on_both_paths @@ fun svc ~thread ~path ->
+  let k = key_in_shard svc ~shard:0 ~avoid:[] in
+  checkb (path ^ ": a late high runs") true
+    (outcome svc
+       (Service.submit svc ~thread ~priority:Service.High
+          ~sojourn_ns:(10 * target_ns) [| Store.Insert k |])
+       path
+    = Store.Inserted);
+  check (path ^ ": deferred_high counted") 1 (counter svc "deferred_high");
+  check (path ^ ": no low shed") 0 (counter svc "shed_low");
+  check (path ^ ": no high shed") 0 (counter svc "shed_high")
+
+(* Nothing latches: the arrival after a shed one is judged by its own
+   sojourn, with no wait and no event between them. *)
+let test_admission_no_latch () =
+  on_both_paths @@ fun svc ~thread ~path ->
+  let k = key_in_shard svc ~shard:0 ~avoid:[] in
+  let submit sojourn_ns =
+    Service.submit svc ~thread ~priority:Service.Low ~sojourn_ns
+      [| Store.Insert k |]
+  in
+  (match submit (100 * target_ns) with
+  | Service.Shed 1 -> ()
+  | _ -> Alcotest.failf "%s: the late arrival must shed" path);
+  checkb (path ^ ": the next on-time arrival runs") true
+    (outcome svc (submit 0) path = Store.Inserted)
 
 (* ---------------------------------------------------------------- *)
 (* Pool: queues drained by the awaiting client                      *)
@@ -559,12 +674,10 @@ let test_spec_layer_knobs () =
 
 (* The pool starts no domains: nothing runs until a client awaits, so a
    test sees the backlog first and then each drain [try_await] makes. *)
-let pooled_svc ?slo_us ?hotcache () =
+let pooled_svc () =
   Dst.Inject.clear ();
   Tm.Thread.reset_ids_for_testing ();
-  Service.create (layered_spec ~pool:true ?slo_us ?hotcache ())
-
-let pool_counter svc name = List.assoc name (Service.counters svc)
+  Service.create (layered_spec ~pool:true ())
 
 let test_pool_async_spawnless () =
   let svc = pooled_svc () in
@@ -578,16 +691,16 @@ let test_pool_async_spawnless () =
   check "per-shard depth" 1 (Service.queue_depth svc ~shard:0);
   checkb "check flags the backlog" true (Result.is_error (Service.check svc));
   check "nothing drained before an await" 0
-    (pool_counter svc "drained_batches");
+    (counter svc "drained_batches");
   (match Service.try_await svc t1 with
   | Some rs ->
       checkb "insert applied" true (rs.(0).Store.outcome = Store.Inserted)
   | None -> Alcotest.fail "one try_await should drain the batch");
-  check "one fused batch" 1 (pool_counter svc "drained_batches");
+  check "one fused batch" 1 (counter svc "drained_batches");
   check "drained by the poll" 0 (Service.queued svc);
   checkb "await after completion" true
     ((Service.await svc t1).(0).Store.outcome = Store.Inserted);
-  check "a done ticket drains nothing" 1 (pool_counter svc "drained_batches");
+  check "a done ticket drains nothing" 1 (counter svc "drained_batches");
   (* cross-shard groups and scans degrade to the synchronous paths *)
   let k2 = key_in_shard svc ~shard:1 ~avoid:[ k1 ] in
   (match Service.submit svc ~thread [| Store.Get k1; Store.Insert k2 |] with
@@ -622,7 +735,7 @@ let test_pool_fused_drain () =
   checkb "check flags the backlog" true (Result.is_error (Service.check svc));
   checkb "one try_await completes the first" true
     (Service.try_await svc (List.hd ts) <> None);
-  check "in one fused batch" 1 (pool_counter svc "drained_batches");
+  check "in one fused batch" 1 (counter svc "drained_batches");
   check "that batch took all three" 0 (Service.queued svc);
   let rs = List.map (fun t -> (Service.await svc t).(0)) ts in
   List.iter
@@ -660,7 +773,7 @@ let test_pool_full_ring_drains () =
     List.map (fun k -> Service.submit svc ~thread [| Store.Insert k |]) keys
   in
   checkb "the submitter drained on the full queue" true
-    (pool_counter svc "drained_batches" > 0);
+    (counter svc "drained_batches" > 0);
   List.iter
     (fun t ->
       checkb "inserted" true
@@ -685,11 +798,11 @@ let test_pool_fusion_fifo () =
   let t3 = Service.submit svc ~thread [| Store.Insert k2 |] in
   checkb "the first batch completes the insert" true
     (Service.try_await svc t1 <> None);
-  check "a batch of the insert alone" 1 (pool_counter svc "drained_batches");
+  check "a batch of the insert alone" 1 (counter svc "drained_batches");
   check "the get and the second insert still queued" 2 (Service.queued svc);
   checkb "the next batch completes the get" true
     (Service.try_await svc t2 <> None);
-  check "two batches" 2 (pool_counter svc "drained_batches");
+  check "two batches" 2 (counter svc "drained_batches");
   check "nothing queued" 0 (Service.queued svc);
   let r1 = (Service.await svc t1).(0)
   and r2 = (Service.await svc t2).(0)
@@ -753,86 +866,6 @@ let test_pool_idle_footprint () =
   if pooled - plain >= 1024 then
     Alcotest.failf "an idle pool holds %d words (service %d, pooled %d)"
       (pooled - plain) plain pooled
-
-let test_pool_admission_sheds () =
-  let svc = pooled_svc ~slo_us:1_000 () in
-  with_thread @@ fun ~thread ->
-  let k0 = key_in_shard svc ~shard:0 ~avoid:[] in
-  checkb "not overloaded at rest" true (not (Service.overloaded svc ~shard:0));
-  (* Low rides the queue while the controller is calm *)
-  let t0 = Service.submit svc ~thread ~priority:Service.Low [| Store.Insert k0 |] in
-  (match t0 with
-  | Service.Queued _ -> ()
-  | _ -> Alcotest.fail "low must be admitted at rest");
-  (match Service.try_await svc t0 with
-  | Some rs ->
-      checkb "low executed" true (rs.(0).Store.outcome = Store.Inserted)
-  | None -> Alcotest.fail "one try_await should drain the low request");
-  (* an open-loop lag burst pushes the EWMA past the SLO budget *)
-  Service.note_lag svc 8_000_000;
-  checkb "overloaded after the lag burst" true (Service.overloaded svc ~shard:0);
-  let t1 =
-    Service.submit svc ~thread ~priority:Service.Low
-      [| Store.Get k0; Store.Get k0 |]
-  in
-  (match t1 with
-  | Service.Shed n -> check "shed covers the whole group" 2 n
-  | _ -> Alcotest.fail "low must shed under overload");
-  let rs = Service.await svc t1 in
-  check "overload replies for every op" 2 (Array.length rs);
-  Array.iter
-    (fun (r : Store.reply) ->
-      checkb "overload outcome" true (r.Store.outcome = Store.Overload);
-      checkb "overload is not positive" true
-        (not (Store.positive r.Store.outcome)))
-    rs;
-  (* High is never shed, only counted as deferred *)
-  (match Service.submit svc ~thread ~priority:Service.High [| Store.Get k0 |] with
-  | Service.Queued _ as t ->
-      checkb "the deferred high runs" true
-        ((Service.await svc t).(0).Store.outcome = Store.Found)
-  | _ -> Alcotest.fail "high must be admitted under overload");
-  let c = Service.counters svc in
-  checkb "shed_low counted" true (List.assoc "shed_low" c >= 1);
-  check "no high sheds ever" 0 (List.assoc "shed_high" c);
-  checkb "deferred high counted" true (List.assoc "deferred_high" c >= 1);
-  Service.shutdown svc;
-  Service.finalize_thread svc ~thread;
-  Service.drain svc
-
-(* The overload signals decay with wall time. A lag burst with no event
-   after it (a closed loop that sheds every Low arrival reports no lag
-   and runs no drain) must not leave the controller overloaded. *)
-let test_pool_admission_recovers () =
-  let svc = pooled_svc ~slo_us:1_000 () in
-  Service.note_lag svc 8_000_000;
-  checkb "overloaded after the lag burst" true
-    (Service.overloaded svc ~shard:0);
-  let t0 = Telemetry.now_ns () in
-  while Telemetry.now_ns () - t0 < 50_000_000 do
-    Domain.cpu_relax ()
-  done;
-  checkb "calm 50 ms later, with no event" false
-    (Service.overloaded svc ~shard:0);
-  Service.shutdown svc
-
-(* An arrival reported later than the SLO budget sheds at once, though
-   one report lifts the 1/8 lag EWMA by only an eighth of it; once the
-   report is older than one SLO, the EWMA alone decides again. *)
-let test_pool_admission_late_arrival () =
-  let svc = pooled_svc ~slo_us:20_000 () in
-  for _ = 1 to 8 do
-    Service.note_lag svc 0
-  done;
-  Service.note_lag svc 30_000_000;
-  checkb "a late arrival sheds" true (Service.overloaded svc ~shard:0);
-  let t0 = Telemetry.now_ns () in
-  while Telemetry.now_ns () - t0 < 25_000_000 do
-    Domain.cpu_relax ()
-  done;
-  checkb "one SLO later the EWMA decides" false
-    (Service.overloaded svc ~shard:0);
-  Service.shutdown svc
 
 (* A client that drains its own requests, against the model, then
    zero-leak accounting through the client's thread finalizer. *)
@@ -1300,8 +1333,8 @@ let test_dst_pool_combining () =
         | Some f -> Format.asprintf "%a" Dst.Sched.pp_failure f
         | None -> "?");
     checkb "completed" false o.Dst.Sched.hung;
-    check "every request drained" 12 (pool_counter svc "drained_requests");
-    if pool_counter svc "drained_requests" > pool_counter svc "drained_batches"
+    check "every request drained" 12 (counter svc "drained_requests");
+    if counter svc "drained_requests" > counter svc "drained_batches"
     then incr helped
   done;
   checkb "some seed completes a ticket on the other client's drain" true
@@ -1402,6 +1435,17 @@ let () =
             test_spec_label_sharding_suffix;
           Alcotest.test_case "front-layer knobs" `Quick test_spec_layer_knobs;
         ] );
+      ( "admission",
+        [
+          Alcotest.test_case "late low sheds" `Quick
+            test_admission_sheds_late_low;
+          Alcotest.test_case "low on target runs" `Quick
+            test_admission_runs_on_target;
+          Alcotest.test_case "late high runs deferred" `Quick
+            test_admission_defers_late_high;
+          Alcotest.test_case "on-time after a shed runs" `Quick
+            test_admission_no_latch;
+        ] );
       ( "pool",
         [
           Alcotest.test_case "async submit, spawnless" `Quick
@@ -1413,12 +1457,6 @@ let () =
           Alcotest.test_case "idle footprint" `Quick test_pool_idle_footprint;
           Alcotest.test_case "a raising batch re-queues its requests" `Quick
             test_pool_raising_batch_requeues;
-          Alcotest.test_case "admission sheds low" `Quick
-            test_pool_admission_sheds;
-          Alcotest.test_case "admission recovers without events" `Quick
-            test_pool_admission_recovers;
-          Alcotest.test_case "admission sheds a late arrival" `Quick
-            test_pool_admission_late_arrival;
           Alcotest.test_case "combining end to end" `Quick
             test_pool_combining_end_to_end;
         ] );
