@@ -324,6 +324,8 @@ type load_out = {
   l_label : string;
   l_shards : int;
   l_counters : (string * int) list;
+  l_window : (string * int) list;
+      (** the counters' growth over the measure window, warm-up excluded *)
   l_measured_s : float;
   l_hists : class_hists;
   l_reqs : int;
@@ -334,6 +336,9 @@ type load_out = {
   l_hit_rate : float;
   l_check : (unit, string) result;
 }
+
+let counter_of counters name =
+  Option.value ~default:0 (List.assoc_opt name counters)
 
 let run_load p =
   let svc = Service.create p.spec in
@@ -351,6 +356,7 @@ let run_load p =
   in
   Unix.sleepf p.warmup_s;
   Atomic.set phase Measure;
+  let c0 = Service.counters svc in
   let t0 = Telemetry.now_ns () in
   (* sample the pool's total queue depth through the window (~1ms grain)
      instead of sleeping blind: the report carries depth percentiles *)
@@ -362,6 +368,7 @@ let run_load p =
   done;
   Atomic.set phase Done;
   let t1 = Telemetry.now_ns () in
+  let c1 = Service.counters svc in
   let outs = List.map Domain.join domains in
   Service.shutdown svc;
   Service.drain svc;
@@ -378,6 +385,7 @@ let run_load p =
     l_label = Service.label svc;
     l_shards = Service.shards svc;
     l_counters = Service.counters svc;
+    l_window = List.map (fun (k, v) -> (k, v - counter_of c0 k)) c1;
     l_measured_s = measured_s;
     l_hists = merged;
     l_reqs = List.fold_left (fun a o -> a + o.w_reqs) 0 outs;
@@ -388,9 +396,6 @@ let run_load p =
     l_hit_rate = Service.cache_hit_rate svc;
     l_check = Service.check svc;
   }
-
-let counter_of counters name =
-  Option.value ~default:0 (List.assoc_opt name counters)
 
 (* One measured configuration: the load window and the serializability
    probe. [summarize] prints it and [run_json] renders it. *)
@@ -466,9 +471,9 @@ let run_json ?config ~mode r =
         ( "sheds",
           Json.Obj
             [
-              ("low", Json.Int (counter_of counters "shed_low"));
-              ("high", Json.Int (counter_of counters "shed_high"));
-              ("deferred_high", Json.Int (counter_of counters "deferred_high"));
+              ("low", Json.Int (counter_of o.l_window "shed_low"));
+              ( "deferred_high",
+                Json.Int (counter_of o.l_window "deferred_high") );
               ("shed_requests", Json.Int o.l_sheds);
             ] );
         ( "classes",
@@ -582,13 +587,10 @@ let validate js =
   in
   let* sheds = field "sheds" some js in
   let* shed_low = field "low" to_int sheds in
-  let* shed_high = field "high" to_int sheds in
   let* shed_reqs = field "shed_requests" to_int sheds in
   let* _ = field "deferred_high" to_int sheds in
   let* () =
-    if shed_low < 0 || shed_high < 0 || shed_reqs < 0 then
-      err "negative shed counters"
-    else if shed_high > 0 then err "high-priority requests were shed"
+    if shed_low < 0 || shed_reqs < 0 then err "negative shed counters"
     else if shed_low > 0 && spec.Spec.slo_us = None then
       err "sheds reported but spec has no SLO"
     else Ok ()

@@ -424,7 +424,6 @@ let counters t =
     ("multis", Atomic.get t.c.multis);
     ("multi_aborts", Atomic.get t.c.multi_aborts);
     ("shed_low", Atomic.get t.c.shed_low);
-    ("shed_high", 0);
     ("deferred_high", Atomic.get t.c.deferred_high);
   ]
   @ (match t.pool with Some p -> Pool.counters p | None -> [])

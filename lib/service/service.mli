@@ -153,10 +153,9 @@ val cache_hit_rate : t -> float
 
 val counters : t -> (string * int) list
 (** Router counters (singles, batches, multis, multi_aborts), the
-    admission counters (shed_low, deferred_high, and shed_high, which
-    is always 0) plus, when the layers are on, the pool's queue counters
-    ({!Pool.counters}) and the cache's hit/miss/invalidation counts
-    ({!Hotcache.stats}). *)
+    admission counters (shed_low, deferred_high) plus, when the layers
+    are on, the pool's queue counters ({!Pool.counters}) and the cache's
+    hit/miss/invalidation counts ({!Hotcache.stats}). *)
 
 val finalize_thread : t -> thread:int -> unit
 val drain : t -> unit

@@ -103,8 +103,8 @@ let insert_s t ~thread key =
                   router;
                 true))
   in
-  Mode.give_back_spare t.mode ~thread ~outer spare_leaf;
-  Mode.give_back_spare t.mode ~thread ~outer spare_router;
+  Mode.give_back_spare t.mode ~thread spare_leaf;
+  Mode.give_back_spare t.mode ~thread spare_router;
   result
 
 let remove_s t ~thread key =

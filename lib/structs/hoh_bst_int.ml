@@ -79,7 +79,7 @@ let insert_s t ~thread key =
             Tm.write txn (link parent side) (n :> Tnode.t);
             true))
   in
-  Mode.give_back_spare t.mode ~thread ~outer spare;
+  Mode.give_back_spare t.mode ~thread spare;
   result
 
 (* Replace [parent]'s edge to [curr], on [side], with [child] (zero- or
@@ -134,7 +134,7 @@ let remove_s t ~thread key =
             true))
       ~on_notfound:(fun _ ~parent:_ ~side:_ -> Rr.Hoh.Finish false)
   in
-  Mode.give_back_spare t.mode ~thread ~outer spare;
+  Mode.give_back_spare t.mode ~thread spare;
   (r, s, s)
 
 let insert t ~thread key = fst (insert_s t ~thread key)

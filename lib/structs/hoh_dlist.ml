@@ -72,7 +72,7 @@ let insert_s t ~thread key =
             if curr != Dnode.nil then Tm.write txn curr.Dnode.prev n;
             true))
   in
-  Mode.give_back_spare t.mode ~thread ~outer spare;
+  Mode.give_back_spare t.mode ~thread spare;
   result
 
 (* Unlink [n] using its own prev/next pointers — the point of the doubly

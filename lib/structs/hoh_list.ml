@@ -67,7 +67,7 @@ let insert_s t ~thread key =
             Tm.write txn prev.Lnode.next n;
             true))
   in
-  Mode.give_back_spare t.mode ~thread ~outer spare;
+  Mode.give_back_spare t.mode ~thread spare;
   result
 
 let remove_s t ~thread key =

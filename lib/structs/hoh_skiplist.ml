@@ -175,7 +175,7 @@ let insert_s t ~thread key =
               done;
               true))
   in
-  Mode.give_back_spare t.mode ~thread ~outer spare;
+  Mode.give_back_spare t.mode ~thread spare;
   result
 
 let remove_s t ~thread key =

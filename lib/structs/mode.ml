@@ -55,13 +55,11 @@ let take_spare (type n) ({ pool; _ } : n t) ~outer txn
   Tm.assign txn spare None;
   n
 
-let give_back_spare (type n) ({ pool; _ } : n t) ~thread ~outer
+let give_back_spare (type n) ({ pool; _ } : n t) ~thread
     (spare : n Mempool.fresh option ref) =
-  match (!spare, outer) with
-  | None, _ -> ()
-  | Some n, None -> Mempool.free pool ~thread (n :> n)
-  | Some n, Some txn ->
-      Tm.defer txn (fun () -> Mempool.free pool ~thread (n :> n))
+  match !spare with
+  | Some n -> Mempool.free pool ~thread (n :> n)
+  | None -> ()
 
 (* Mirror the TxSan funnel that [Rr.instantiate] wraps around the six RR
    implementations, so the baseline modes' reservations answer to the same

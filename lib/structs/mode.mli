@@ -104,17 +104,16 @@ val take_spare :
     first, so the node is freed exactly once. *)
 
 val give_back_spare :
-  'n t ->
-  thread:int ->
-  outer:Tm.txn option ->
-  'n Mempool.fresh option ref ->
-  unit
+  'n t -> thread:int -> 'n Mempool.fresh option ref -> unit
 (** Return an unconsumed insert spare to the pool once the operation is
-    over: a spare still in [spare] was never linked. Outside any
-    transaction the node is freed immediately; inside an enclosing
-    transaction [outer] the free is deferred to its commit, and an abort
-    of [outer] frees it through {!take_spare}'s {!Tm.on_abort} callback
-    instead. *)
+    over: a spare still in [spare] was never linked, and is freed at once.
+    Only an unnested insert can end with one, after an attempt that took
+    it aborted and the retry found the key. Inside an enclosing
+    transaction the insert's windows are that transaction, so the
+    attempt that took the spare is the one that ends the insert, and its
+    {!Tm.assign} left [spare] at [None]; an abort of the enclosing
+    transaction frees the node through {!take_spare}'s {!Tm.on_abort}
+    callback and re-runs the insert with a fresh ref. *)
 
 val create :
   kind ->
